@@ -54,8 +54,8 @@ func TestRenderSchedulerListAlignment(t *testing.T) {
 	// The lock-free tier rows are pinned: exact bound 0, with and
 	// without the elimination layer.
 	for _, want := range []*regexp.Regexp{
-		regexp.MustCompile(`(?m)^cbpq +0 +exact +chunk=64 lock-free$`),
-		regexp.MustCompile(`(?m)^cbpq-elim +0 +exact +chunk=64 lock-free elim\+combining$`),
+		regexp.MustCompile(`(?m)^cbpq +0 +exact +chunk=128 lock-free$`),
+		regexp.MustCompile(`(?m)^cbpq-elim +0 +exact +chunk=128 lock-free elim\+combining$`),
 	} {
 		if !want.MatchString(out) {
 			t.Errorf("list missing row %v:\n%s", want, out)

@@ -17,10 +17,8 @@
 package algos
 
 import (
-	"sync"
 	"time"
 
-	"repro/internal/contend"
 	"repro/internal/sched"
 )
 
@@ -45,127 +43,19 @@ func (r Result) WorkIncrease(baselineTasks uint64) float64 {
 	return float64(r.Tasks) / float64(baselineTasks)
 }
 
-// tally is one worker's task counts. drive keeps them in a slice of
-// contend.Padded elements so adjacent workers' increments never share a
-// cache line; the padding is derived from contend.CacheLineSize instead
-// of a hand-coded byte count, which silently under-padded the moment
-// the counter block changed size (layout pinned in layout_test.go).
-type tally struct {
-	tasks  uint64
-	wasted uint64
-}
-
-// workerTally is the padded per-worker element type.
-type workerTally = contend.Padded[tally]
-
-// driveBatch is the driver's pop-batch capacity: how many tasks a
-// worker takes from the scheduler per PopN and how many expansions'
-// follow-on pushes it coalesces into one PushN. The setting is a rank
-// trade, not just a throughput knob: a popped batch commits the worker
-// to its tasks before it looks at the queues again, and for the
-// Multi-Queue family the whole batch comes from ONE two-choice winner,
-// so large batches inflate wasted work on rank-sensitive workloads
-// (road-graph SSSP through the classic MQ runs ~30% more tasks at 64
-// than at 8). 8 matches the scale of the schedulers' own relaxation
+// driveBatch is the drivers' pop-batch capacity (see sched.Run for the
+// rank trade): 8 matches the scale of the schedulers' own relaxation
 // units (steal size 4, operation buffers 8..16), keeping measured work
-// increase within a few percent of the scalar driver while still
+// increase within a few percent of a scalar driver while still
 // amortizing the fixed costs 8-fold.
 const driveBatch = 8
 
-// taskSink collects the follow-on tasks one batch of expansions
-// produces, as parallel priority/value runs ready for a single PushN.
-// It is the only way process callbacks push work: the driver owns the
-// Pending accounting (delta-batched — see sched.Pending), so workloads
-// just emit.
-type taskSink[T any] struct {
-	ps []uint64
-	vs []T
-}
-
-// Push buffers one follow-on task. The driver publishes the whole
-// batch (and registers it with Pending) after the current batch of
-// popped tasks has been processed; relaxed schedulers may delay
-// visibility anyway, so algorithms must already tolerate the window.
-func (o *taskSink[T]) Push(p uint64, v T) {
-	o.ps = append(o.ps, p)
-	o.vs = append(o.vs, v)
-}
-
-// reset clears the sink for the next batch, zeroing the value run so
-// pointerful payloads are not retained across batches.
-func (o *taskSink[T]) reset() {
-	o.ps = o.ps[:0]
-	clear(o.vs)
-	o.vs = o.vs[:0]
-}
-
-// drive runs one goroutine per scheduler worker. Each worker pops up
-// to driveBatch tasks per PopN, invokes process for each, coalesces
-// every follow-on task the batch emitted into one PushN, and folds the
-// whole batch's Pending accounting into a single atomic add (+emitted
-// −processed, issued before the PushN so the counter can never dip to
-// zero while buffered work exists). process performs the algorithm
-// step, emits follow-on tasks through the sink, and reports whether the
-// popped task was stale.
-//
-// drive is the run-to-completion shape of the worker loop: the caller
-// registers every seed task before calling, so drive closes the pending
-// stream on entry and workers exit on Quiesced() — drained and closed.
-// The open-loop counterpart, where ingestion keeps the stream open and
-// workers park instead of exiting, is internal/serve.
-func drive[T any](
-	s sched.Scheduler[T],
-	pending *sched.Pending,
-	process func(wid int, out *taskSink[T], p uint64, v T) (stale bool),
-) (tasks, wasted uint64, elapsed time.Duration) {
-	// All external tasks (the seeds) are registered; from here on only
-	// workers create tasks, as follow-ons. Quiesced() is now stable.
-	pending.Close()
-	n := s.Workers()
-	tallies := make([]workerTally, n)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for wid := 0; wid < n; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			w := s.Worker(wid)
-			tally := &tallies[wid].Value
-			popBuf := make([]sched.Task[T], driveBatch)
-			var out taskSink[T]
-			var b sched.Backoff
-			for {
-				k := w.PopN(popBuf)
-				if k == 0 {
-					if pending.Quiesced() {
-						return
-					}
-					b.Wait()
-					continue
-				}
-				b.Reset()
-				tally.tasks += uint64(k)
-				for i := 0; i < k; i++ {
-					if process(wid, &out, popBuf[i].P, popBuf[i].V) {
-						tally.wasted++
-					}
-				}
-				clear(popBuf[:k])
-				if delta := int64(len(out.ps)) - int64(k); delta != 0 {
-					pending.Inc(delta)
-				}
-				if len(out.ps) > 0 {
-					w.PushN(out.ps, out.vs)
-					out.reset()
-				}
-			}
-		}(wid)
-	}
-	wg.Wait()
-	elapsed = time.Since(start)
-	for i := range tallies {
-		tasks += tallies[i].Value.tasks
-		wasted += tallies[i].Value.wasted
-	}
-	return tasks, wasted, elapsed
+// drive runs process over every task to completion on all of s's
+// workers through sched.Run, which owns the Pending accounting:
+// workloads register their seeds, then just emit follow-ons into the
+// sink and report whether the popped task was stale. The open-loop
+// counterpart, where ingestion keeps the stream open and workers park
+// instead of exiting, is internal/serve.
+func drive[T any](s sched.Scheduler[T], pending *sched.Pending, process sched.Body[T]) (tasks, wasted uint64, elapsed time.Duration) {
+	return sched.Run(s, pending, s.Workers(), driveBatch, process)
 }

@@ -30,7 +30,7 @@ func AStar(g *graph.CSR, src, target uint32, s sched.Scheduler[uint32]) (uint64,
 	s.Worker(0).Push(g.Heuristic(src, target), src)
 
 	tasks, wasted, elapsed := drive(s, &pending,
-		func(_ int, out *taskSink[uint32], f uint64, u uint32) bool {
+		func(_ int, out *sched.Sink[uint32], f uint64, u uint32) bool {
 			gu := dist[u].Load()
 			if gu == Unreachable {
 				return true

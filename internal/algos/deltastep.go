@@ -31,7 +31,7 @@ func SSSPDelta(g *graph.CSR, src uint32, shift uint, s sched.Scheduler[uint32]) 
 	s.Worker(0).Push(0, src)
 
 	tasks, wasted, elapsed := drive(s, &pending,
-		func(_ int, out *taskSink[uint32], p uint64, u uint32) bool {
+		func(_ int, out *sched.Sink[uint32], p uint64, u uint32) bool {
 			du := dist[u].Load()
 			if du == Unreachable || p > du>>shift {
 				return true // stale: u was improved past this bucket

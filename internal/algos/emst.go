@@ -143,7 +143,7 @@ func EuclideanMST(ps *geom.PointSet, k int, s sched.Scheduler[uint32]) (uint64, 
 	// a merge or observes another worker's committed merge — global
 	// progress without a single scheduler retry.
 	tasks, wasted, elapsed := drive(s, &pending,
-		func(_ int, out *taskSink[uint32], _ uint64, r uint32) bool {
+		func(_ int, out *sched.Sink[uint32], _ uint64, r uint32) bool {
 			if find(r) != r {
 				return true // component was absorbed; task is stale
 			}

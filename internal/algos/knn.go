@@ -73,7 +73,7 @@ func knnRows(ps *geom.PointSet, k int, s sched.Scheduler[uint32]) ([][]geom.Neig
 	scratch := make([][]geom.Neighbor, s.Workers())
 
 	tasks, wasted, elapsed := drive(s, &pending,
-		func(wid int, out *taskSink[uint32], _ uint64, v uint32) bool {
+		func(wid int, out *sched.Sink[uint32], _ uint64, v uint32) bool {
 			r := radius[v]
 			cand := tree.AppendWithin(ps.At(int(v)), r*r, int32(v), scratch[wid][:0])
 			scratch[wid] = cand

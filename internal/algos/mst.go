@@ -63,7 +63,7 @@ func BoruvkaMST(g *graph.CSR, s sched.Scheduler[uint32]) (uint64, int, Result) {
 	}
 
 	tasks, wasted, elapsed := drive(s, &pending,
-		func(_ int, out *taskSink[uint32], prio uint64, r uint32) bool {
+		func(_ int, out *sched.Sink[uint32], prio uint64, r uint32) bool {
 			root := find(r)
 			if root != r {
 				return true // component was absorbed; task is stale

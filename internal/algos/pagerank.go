@@ -67,7 +67,7 @@ func ResidualPageRank(g *graph.CSR, cfg PageRankConfig, s sched.Scheduler[uint32
 	}
 
 	tasks, wasted, elapsed := drive(s, &pending,
-		func(_ int, out *taskSink[uint32], _ uint64, u uint32) bool {
+		func(_ int, out *sched.Sink[uint32], _ uint64, u uint32) bool {
 			queued[u].Store(false)
 			r := math.Float64frombits(resid[u].Swap(math.Float64bits(0)))
 			if r < cfg.Epsilon {

@@ -38,7 +38,7 @@ func shortestPaths(g *graph.CSR, src uint32, s sched.Scheduler[uint32], unitWeig
 	s.Worker(0).Push(0, src)
 
 	tasks, wasted, elapsed := drive(s, &pending,
-		func(_ int, out *taskSink[uint32], p uint64, u uint32) bool {
+		func(_ int, out *sched.Sink[uint32], p uint64, u uint32) bool {
 			du := dist[u].Load()
 			if p > du {
 				return true // stale: u was improved after this push

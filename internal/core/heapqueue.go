@@ -20,16 +20,18 @@ import (
 // it loaded carries the epoch it saw in state and then CASes the stolen
 // bit in; the single successful CAS for an epoch owns the whole batch.
 type heapQueue[T any] struct {
-	// Owner-only words: the heap pointer and batch size are touched on
-	// every local push/pop but never by thieves.
-	heap      *pq.DHeap[T]
+	// Owner-only words: the heap header and batch size are touched on
+	// every local push/pop but never by thieves. The header is embedded
+	// by value: allocated on its own, the workers' 40-byte headers land
+	// in one 48-byte size class and share cache lines.
+	heap      pq.DHeap[T]
 	stealSize int
-	_         [contend.CacheLineSize - 16]byte // owner words get their own line
+	_         [contend.CacheLineSize - 48]byte // owner words get their own line
 
 	// Thief-shared words: every victim probe loads state (and often
 	// buf), and every steal CASes state. Isolating the epoch word on its
 	// own line means thieves' CAS traffic never invalidates the owner's
-	// heap-pointer line, and padding the tail keeps the next queue's
+	// heap-header line, and padding the tail keeps the next queue's
 	// header out too.
 	buf   atomic.Pointer[stealBatch[T]]
 	state atomic.Uint64 // epoch<<1 | stolen
@@ -45,7 +47,7 @@ type stealBatch[T any] struct {
 
 func newHeapQueue[T any](arity, stealSize int) *heapQueue[T] {
 	q := &heapQueue[T]{
-		heap:      pq.NewDHeapCap[T](arity, 256),
+		heap:      *pq.NewDHeapCap[T](arity, 256),
 		stealSize: stealSize,
 	}
 	q.state.Store(1) // epoch 0, stolen: nothing published yet

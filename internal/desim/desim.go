@@ -30,9 +30,9 @@ package desim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
+	"repro/internal/contend"
 	"repro/internal/sched"
 )
 
@@ -117,14 +117,13 @@ type Stats struct {
 	Duration time.Duration
 }
 
-// workerStats is padded so neighbouring workers' counters do not share
-// a cache line.
+// workerStats is one worker's causality accounting, kept in a slice of
+// contend.Padded elements so neighbouring workers' counters do not
+// share a cache line.
 type workerStats struct {
-	events     uint64
 	violations uint64
 	leadSum    int64
 	leadMax    int64
-	_          [32]byte
 }
 
 // Run drives the model to quiescence on the given scheduler and
@@ -153,74 +152,57 @@ func Run(s sched.Scheduler[Event], m Model, cfg Config) (Stats, error) {
 		}
 		seedHandle.Push(ev.T, ev)
 	})
-	// All external events are registered; only workers add follow-ons
-	// from here, so quiescence is a stable termination signal.
-	pending.Close()
 
-	stats := make([]workerStats, cfg.Workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for wid := 0; wid < cfg.Workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			h := s.Worker(wid)
-			st := &stats[wid]
-			// push registers before pushing: by the time the event is
-			// poppable anywhere, the window already counts it.
-			push := func(ev Event) {
-				pending.Inc(1)
-				if checked {
-					win.Register(ev.T)
+	stats := make([]contend.Padded[workerStats], cfg.Workers)
+	// A Pusher wraps the sink the loop hands the body, so each is built
+	// at its worker's first event; afterwards the slice is only read.
+	pushers := make([]Pusher, cfg.Workers)
+	// Batch 1: the causality check is per event, against what the
+	// scheduler would hand out next, so a worker must not commit to
+	// several events before looking at the queues again.
+	events, _, elapsed := sched.Run(s, &pending, cfg.Workers, 1,
+		func(wid int, out *sched.Sink[Event], _ uint64, ev Event) bool {
+			st := &stats[wid].Value
+			push := pushers[wid]
+			if push == nil {
+				// push registers before emitting: by the time the event
+				// is poppable anywhere, the window already counts it.
+				push = func(ev Event) {
+					if checked {
+						win.Register(ev.T)
+					}
+					out.Push(ev.T, ev)
 				}
-				h.Push(ev.T, ev)
+				pushers[wid] = push
 			}
-			var b sched.Backoff
-			for {
-				_, ev, ok := h.Pop()
-				if !ok {
-					if pending.Quiesced() {
-						return
-					}
-					b.Wait()
-					continue
+			if checked {
+				lead := win.Before(ev.T)
+				st.leadSum += lead
+				if lead > st.leadMax {
+					st.leadMax = lead
 				}
-				b.Reset()
-				st.events++
-				if checked {
-					lead := win.Before(ev.T)
-					st.leadSum += lead
-					if lead > st.leadMax {
-						st.leadMax = lead
-					}
-					if lead > threshold {
-						st.violations++
-					}
+				if lead > threshold {
+					st.violations++
 				}
-				m.Handle(wid, ev, push)
-				// Unregister only after Handle: while an event is
-				// executing it still counts as pending for everyone
-				// else, which errs on the strict side (covered by the
-				// threshold slack), never the lenient one.
-				if checked {
-					win.Unregister(ev.T)
-				}
-				pending.Dec()
 			}
-		}(wid)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+			m.Handle(wid, ev, push)
+			// Unregister only after Handle: while an event is
+			// executing it still counts as pending for everyone
+			// else, which errs on the strict side (covered by the
+			// threshold slack), never the lenient one.
+			if checked {
+				win.Unregister(ev.T)
+			}
+			return false
+		})
 
-	out := Stats{Duration: elapsed}
+	out := Stats{Events: events, Duration: elapsed}
 	var leadSum int64
 	for i := range stats {
-		out.Events += stats[i].events
-		out.Violations += stats[i].violations
-		leadSum += stats[i].leadSum
-		if stats[i].leadMax > out.MaxLead {
-			out.MaxLead = stats[i].leadMax
-		}
+		st := &stats[i].Value
+		out.Violations += st.violations
+		leadSum += st.leadSum
+		out.MaxLead = max(out.MaxLead, st.leadMax)
 	}
 	if checked && out.Events > 0 {
 		out.MeanLead = float64(leadSum) / float64(out.Events)

@@ -48,8 +48,10 @@ var goldenEnum = map[string]struct {
 	"desim":  {cells: 10, hash: "af94559d8d2b4efe"},
 	"theory": {cells: 26, hash: "ae60b34c87d6154d"},
 	// rankprobe gained two cells when the lock-free CBPQ joined
-	// AllSchedulers as a second exact reference point.
-	"rankprobe": {cells: 26, hash: "548fe7d2612adc23"},
+	// AllSchedulers as a second exact reference point; its Params label
+	// now reads the chunk capacity from cbpq.DefaultChunkCap (128, was a
+	// stale hand-typed 64), which re-hashed the two CBPQ cells.
+	"rankprobe": {cells: 26, hash: "39b5852ea0be55bb"},
 }
 
 func TestCellEnumerationGolden(t *testing.T) {

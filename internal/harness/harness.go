@@ -262,14 +262,7 @@ func AllSchedulers() []SchedulerSpec {
 			},
 			Bound: func(int) (int64, bool) { return 0, true },
 		},
-		SchedulerSpec{
-			Name:   "CBPQ",
-			Params: "chunk=64 lock-free",
-			Make: func(workers int, _ uint64) sched.Scheduler[uint32] {
-				return cbpq.New[uint32](cbpq.Config{Workers: workers})
-			},
-			Bound: func(int) (int64, bool) { return 0, true },
-		})
+		CBPQSpec("CBPQ", cbpq.DefaultChunkCap))
 }
 
 // SMQSpec builds a heap-SMQ spec with the given parameters.

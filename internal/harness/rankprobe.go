@@ -130,26 +130,12 @@ func ProbeRank(spec SchedulerSpec, workers, tasks int) RankStats {
 
 	order := make([]uint64, tasks)
 	var slot atomic.Int64
-	var wg sync.WaitGroup
-	for wid := 0; wid < workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			w := s.Worker(wid)
-			var b sched.Backoff
-			for !pending.Done() {
-				p, _, ok := w.Pop()
-				if !ok {
-					b.Wait()
-					continue
-				}
-				b.Reset()
-				order[slot.Add(1)-1] = p
-				pending.Dec()
-			}
-		}(wid)
-	}
-	wg.Wait()
+	// Batch 1: the probe measures the scalar pop order.
+	sched.Run(s, &pending, workers, 1,
+		func(_ int, _ *sched.Sink[uint32], p uint64, _ uint32) bool {
+			order[slot.Add(1)-1] = p
+			return false
+		})
 	st := rankStatsFromOrder(order)
 	st.Scheduler = spec.Name
 	st.Mode = "freerun"

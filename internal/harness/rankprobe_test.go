@@ -38,6 +38,23 @@ func TestProbeRankFreerunCompletes(t *testing.T) {
 	}
 }
 
+// TestProbeRankFreerunCoarseExact pins the free-running probe's scalar
+// pop order on the shared worker loop: one worker draining the exact
+// coarse queue must see rank error 0.
+func TestProbeRankFreerunCoarseExact(t *testing.T) {
+	for _, spec := range AllSchedulers() {
+		if spec.Name != "CoarseLock" {
+			continue
+		}
+		st := ProbeRank(spec, 1, 5000)
+		if st.MeanDisplacement != 0 || st.MaxDisplacement != 0 || st.InversionFrac != 0 {
+			t.Fatalf("coarse drained by one worker should have zero rank error: %+v", st)
+		}
+		return
+	}
+	t.Fatal("no CoarseLock spec in AllSchedulers")
+}
+
 func TestRankStatsFromOrderExact(t *testing.T) {
 	order := []uint64{0, 1, 2, 3, 4}
 	st := rankStatsFromOrder(order)

@@ -1,0 +1,175 @@
+package sched
+
+import (
+	"sync"
+	"time"
+
+	"repro/internal/contend"
+)
+
+// Body processes one popped task on worker wid. It emits follow-on
+// tasks into out and reports whether the popped task was stale —
+// superseded by a better value written concurrently (wasted work).
+type Body[T any] func(wid int, out *Sink[T], p uint64, v T) (stale bool)
+
+// Sink buffers the follow-on tasks a worker emits, as parallel
+// priority/value runs ready for a single PushN, and owns their Pending
+// accounting: it registers a run with the shared counter BEFORE the
+// PushN that publishes it (see Pending, "Delta batching"). Relaxed
+// schedulers may delay visibility anyway, so algorithms already tolerate
+// the window between emitting a task and its becoming poppable.
+//
+// A Sink is itself a Worker, for one goroutine like the handle behind
+// it: Push and PushN buffer, Pop and PopN publish and then delegate.
+type Sink[T any] struct {
+	ps      []uint64
+	vs      []T
+	w       Worker[T]
+	pending *Pending
+}
+
+// NewSink returns a sink over handle w that registers its tasks with
+// pending. Drivers seed through one (and Flush it) before calling Run.
+func NewSink[T any](w Worker[T], pending *Pending) *Sink[T] {
+	return &Sink[T]{w: w, pending: pending}
+}
+
+// Len is the number of buffered, not yet published tasks.
+func (o *Sink[T]) Len() int { return len(o.ps) }
+
+// Push buffers one follow-on task.
+func (o *Sink[T]) Push(p uint64, v T) {
+	o.ps = append(o.ps, p)
+	o.vs = append(o.vs, v)
+}
+
+// PushN buffers a batch of follow-on tasks.
+func (o *Sink[T]) PushN(ps []uint64, vs []T) {
+	CheckPushN(len(ps), len(vs))
+	o.ps = append(o.ps, ps...)
+	o.vs = append(o.vs, vs...)
+}
+
+// Pop publishes the buffered tasks, then pops from the scheduler.
+func (o *Sink[T]) Pop() (uint64, T, bool) {
+	o.publish(0)
+	return o.w.Pop()
+}
+
+// PopN publishes the buffered tasks, then pops from the scheduler.
+func (o *Sink[T]) PopN(dst []Task[T]) int {
+	o.publish(0)
+	return o.w.PopN(dst)
+}
+
+// Flush publishes the buffered tasks.
+func (o *Sink[T]) Flush() { o.publish(0) }
+
+// publish registers the buffered tasks, retires popped fully processed
+// tasks in the same add, pushes the run, and zeroes it so pointerful
+// payloads are not retained across batches.
+func (o *Sink[T]) publish(popped int) {
+	if delta := len(o.ps) - popped; delta != 0 {
+		o.pending.Inc(int64(delta))
+	}
+	if len(o.ps) > 0 {
+		o.w.PushN(o.ps, o.vs)
+		o.ps = o.ps[:0]
+		clear(o.vs)
+		o.vs = o.vs[:0]
+	}
+}
+
+// runWorker is one worker's loop state, kept in contend.Padded slots so
+// adjacent workers' sinks and counters never share a cache line.
+type runWorker[T any] struct {
+	out          Sink[T]
+	tasks, stale uint64
+}
+
+// A popped batch is private to its worker until its last body returns:
+// no thief can take its tasks, and an SMQ owner refills its steal buffer
+// only on the next PopN. With coarse bodies that buys nothing and starves
+// the other workers (flat-seeded 20 µs jobs on two SMQ workers split 18:2
+// at a fixed batch of 8), so a worker sizes its pops to keep one batch's
+// bodies within batchBudget. It times the body loop of every batch while
+// below the full batch (one slow task then costs one short pop) and of
+// one batch in retimeEvery at it — a clock read per 64 tasks.
+const (
+	batchBudget = 10 * time.Microsecond
+	retimeEvery = 16
+)
+
+// Run is the run-to-completion worker loop, the only one outside
+// internal/serve: one goroutine per worker pops up to batch tasks per
+// PopN, calls body for each, and publishes everything the batch emitted
+// through the worker's Sink — one Pending add (+emitted −popped), then
+// one PushN. batch is a rank trade, not just a throughput knob: a popped
+// batch commits the worker to its tasks before it looks at the queues
+// again, and for the Multi-Queue family the whole batch comes from ONE
+// two-choice winner (road-graph SSSP through the classic MQ runs ~30%
+// more tasks at 64 than at 8). It is an upper bound: workers start at 1
+// and pop fewer while their bodies are slow (see batchBudget).
+//
+// The caller registers every seed task with pending before calling, so
+// Run closes the stream on entry and workers exit on Quiesced(). It
+// returns the tasks processed, how many of them body reported stale, and
+// the wall-clock time of the parallel phase.
+func Run[T any](s Scheduler[T], pending *Pending, workers, batch int, body Body[T]) (tasks, stale uint64, elapsed time.Duration) {
+	pending.Close()
+	state := make([]contend.Padded[runWorker[T]], workers)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for wid := range state {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, st := s.Worker(wid), &state[wid].Value
+			st.out.w, st.out.pending = w, pending
+			popBuf := make([]Task[T], batch)
+			n, batches := 1, 0
+			if workers == 1 {
+				// Nobody to hold tasks back from: full batches, untimed,
+				// which also keeps one-worker runs deterministic.
+				n = batch
+			}
+			var b Backoff
+			for {
+				k := w.PopN(popBuf[:n])
+				if k == 0 {
+					if pending.Quiesced() {
+						return
+					}
+					b.Wait()
+					continue
+				}
+				b.Reset()
+				st.tasks += uint64(k)
+				timed := n < batch || workers > 1 && batch > 1 && batches%retimeEvery == 0
+				batches++
+				var t0 time.Duration
+				if timed {
+					t0 = time.Since(start)
+				}
+				for i := 0; i < k; i++ {
+					if body(wid, &st.out, popBuf[i].P, popBuf[i].V) {
+						st.stale++
+					}
+				}
+				if timed { // size the next pops to batchBudget
+					bodies := max(1, time.Since(start)-t0)
+					n = max(1, min(batch, int(batchBudget*time.Duration(k)/bodies)))
+				}
+				clear(popBuf[:k])
+				st.out.publish(k)
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed = time.Since(start)
+	for i := range state {
+		tasks += state[i].Value.tasks
+		stale += state[i].Value.stale
+	}
+	return tasks, stale, elapsed
+}

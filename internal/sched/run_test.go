@@ -1,0 +1,187 @@
+package sched_test
+
+import (
+	"slices"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/coarse"
+	"repro/internal/core"
+	"repro/internal/mq"
+	"repro/internal/sched"
+)
+
+// guardScheduler wraps a scheduler so that every publication is checked
+// against the shared Pending: at the moment a batch reaches PushN its
+// tasks must already be registered. They are not poppable yet, so no
+// other worker can have retired them, and the counter must cover at
+// least the batch — the delta-batching invariant that Pending is never
+// zero while a sink holds tasks.
+type guardScheduler struct {
+	sched.Scheduler[uint32]
+	pending    *sched.Pending
+	violations atomic.Int64
+}
+
+func (g *guardScheduler) Worker(i int) sched.Worker[uint32] {
+	return &guardWorker{Worker: g.Scheduler.Worker(i), g: g}
+}
+
+type guardWorker struct {
+	sched.Worker[uint32]
+	g *guardScheduler
+}
+
+func (w *guardWorker) PushN(ps []uint64, vs []uint32) {
+	if w.g.pending.Load() < int64(len(ps)) {
+		w.g.violations.Add(1)
+	}
+	w.Worker.PushN(ps, vs)
+}
+
+// TestRunPendingCoversBufferedTasks drives a binary expansion (every
+// task below the cutoff emits two) through Run at several batch sizes
+// and checks conservation, the returned tallies and the invariant above.
+func TestRunPendingCoversBufferedTasks(t *testing.T) {
+	const workers, depth = 4, 12
+	want := uint64(1)<<(depth+1) - 1
+	makers := map[string]func() sched.Scheduler[uint32]{
+		"smq":    func() sched.Scheduler[uint32] { return core.NewStealingMQ[uint32](core.Config{Workers: workers}) },
+		"mq":     func() sched.Scheduler[uint32] { return mq.New[uint32](mq.Config{Workers: workers}) },
+		"coarse": func() sched.Scheduler[uint32] { return coarse.New[uint32](coarse.Config{Workers: workers}) },
+	}
+	for name, mk := range makers {
+		for _, batch := range []int{1, 8} {
+			var pending sched.Pending
+			g := &guardScheduler{Scheduler: mk(), pending: &pending}
+			seeds := sched.NewSink(g.Worker(0), &pending)
+			seeds.Push(0, 1)
+			seeds.Flush()
+			seen := make([]atomic.Int32, want+1)
+			tasks, stale, _ := sched.Run(g, &pending, workers, batch,
+				func(_ int, out *sched.Sink[uint32], p uint64, id uint32) bool {
+					if pending.Load() <= 0 {
+						g.violations.Add(1) // the task being processed is in flight
+					}
+					seen[id].Add(1)
+					if id >= 1<<depth {
+						return true // leaves count as stale, to exercise the tally
+					}
+					out.Push(p+1, 2*id)
+					out.Push(p+1, 2*id+1)
+					return false
+				})
+			if tasks != want || stale != 1<<depth {
+				t.Errorf("%s batch %d: %d tasks (%d stale), want %d (%d)",
+					name, batch, tasks, stale, want, 1<<depth)
+			}
+			for id := uint32(1); id <= uint32(want); id++ {
+				if n := seen[id].Load(); n != 1 {
+					t.Errorf("%s batch %d: node %d visited %d times", name, batch, id, n)
+					break
+				}
+			}
+			if v := g.violations.Load(); v != 0 {
+				t.Errorf("%s batch %d: Pending did not cover buffered tasks %d times", name, batch, v)
+			}
+			if !pending.Quiesced() {
+				t.Errorf("%s batch %d: Pending = %d after the run", name, batch, pending.Load())
+			}
+		}
+	}
+}
+
+// TestSinkIsAWorker pins the handle contract of a Sink: pushes buffer
+// (nothing reaches the scheduler), Pop, PopN and Flush publish first,
+// registering each task with Pending before it is pushed.
+func TestSinkIsAWorker(t *testing.T) {
+	s := coarse.New[uint32](coarse.Config{Workers: 1})
+	var pending sched.Pending
+	out := sched.NewSink(s.Worker(0), &pending)
+	out.Push(7, 70)
+	out.PushN([]uint64{3, 5}, []uint32{30, 50})
+	if st := s.Stats(); st.Pushes != 0 || pending.Load() != 0 || out.Len() != 3 {
+		t.Fatalf("buffered pushes leaked: %d pushed, Pending %d, Len %d", st.Pushes, pending.Load(), out.Len())
+	}
+	if p, v, ok := out.Pop(); !ok || p != 3 || v != 30 || pending.Load() != 3 {
+		t.Fatalf("Pop after buffering = (%d, %d, %v) with Pending %d, want (3, 30, true) with 3", p, v, ok, pending.Load())
+	}
+	out.Push(1, 10)
+	dst := make([]sched.Task[uint32], 4)
+	if n := out.PopN(dst); n != 3 || dst[0].V != 10 || dst[1].V != 50 || dst[2].V != 70 {
+		t.Fatalf("PopN after buffering = %d tasks %v, want 10, 50, 70", n, dst[:n])
+	}
+	out.Push(2, 20)
+	out.Flush()
+	if got, reg := s.Stats().Pushes, pending.Load(); got != 5 || reg != 5 || out.Len() != 0 {
+		t.Fatalf("after Flush: %d pushed, Pending %d, Len %d, want 5, 5 and 0", got, reg, out.Len())
+	}
+}
+
+// popSizes records the capacity of every PopN each worker issues.
+type popSizes struct {
+	sched.Scheduler[uint32]
+	sizes [][]int // by worker
+}
+
+func (r *popSizes) Worker(i int) sched.Worker[uint32] {
+	return &popSizesWorker{Worker: r.Scheduler.Worker(i), sizes: &r.sizes[i]}
+}
+
+type popSizesWorker struct {
+	sched.Worker[uint32]
+	sizes *[]int
+}
+
+func (w *popSizesWorker) PopN(dst []sched.Task[uint32]) int {
+	*w.sizes = append(*w.sizes, len(dst))
+	return w.Worker.PopN(dst)
+}
+
+// TestRunFitsBatchToBodyCost pins the batch sizing: with company a
+// worker starts at one task per pop, reaches the full batch when bodies
+// are cheap, and stays at one when a single body already exceeds the
+// batch budget — so coarse tasks are never held back in a popped batch.
+// A lone worker pops full batches throughout.
+func TestRunFitsBatchToBodyCost(t *testing.T) {
+	const batch, tasks = 8, 800
+	run := func(workers int, body func()) [][]int {
+		var pending sched.Pending
+		r := &popSizes{
+			Scheduler: coarse.New[uint32](coarse.Config{Workers: workers}),
+			sizes:     make([][]int, workers),
+		}
+		seeds := sched.NewSink(r.Scheduler.Worker(0), &pending)
+		for i := uint32(0); i < tasks; i++ {
+			seeds.Push(uint64(i), i)
+		}
+		seeds.Flush()
+		sched.Run(r, &pending, workers, batch, func(int, *sched.Sink[uint32], uint64, uint32) bool {
+			body()
+			return false
+		})
+		return r.sizes
+	}
+	slow := func() {
+		for start := time.Now(); time.Since(start) < 50*time.Microsecond; {
+		}
+	}
+
+	cheap := run(2, func() {})
+	if cheap[0][0] != 1 || cheap[1][0] != 1 || max(slices.Max(cheap[0]), slices.Max(cheap[1])) != batch {
+		t.Errorf("cheap bodies: pops of size %v, want each worker to start at 1 and some pop to reach %d", cheap, batch)
+	}
+	for wid, sizes := range run(2, slow) {
+		for i, n := range sizes {
+			if n != 1 {
+				t.Fatalf("50 µs bodies: worker %d's pop %d of size %d, want every pop of size 1", wid, i, n)
+			}
+		}
+	}
+	for i, n := range run(1, slow)[0] {
+		if n != batch {
+			t.Fatalf("lone worker: pop %d of size %d, want every pop of size %d", i, n, batch)
+		}
+	}
+}

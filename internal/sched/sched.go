@@ -213,9 +213,9 @@ func SumCounters(cs []Counters) Stats {
 //
 // # Delta batching
 //
-// Batched drivers may fold a whole batch's accounting into one atomic
+// The worker loop (Run) folds a whole batch's accounting into one atomic
 // add: after popping k tasks, processing all of them, and collecting m
-// follow-on tasks in a local buffer, a single Inc(m−k) immediately
+// follow-on tasks in the worker's Sink, a single Inc(m−k) immediately
 // before the PushN that publishes the m tasks is equivalent to m
 // scalar Incs and k scalar Decs. The direction of each half stays
 // safe: the +m registers the collected tasks while they are still
@@ -271,14 +271,6 @@ const (
 
 // Backoff is a three-tier spin/yield/sleep backoff used by worker loops
 // when Pop fails but Pending is nonzero. The zero value is ready.
-//
-// Earlier revisions spun on an empty `for { _ = i }` body — which the
-// compiler is entitled to eliminate, making the spin tier back off by
-// nothing — and degenerated to a bare Gosched loop past 8 steps,
-// pinning a core at 100% whenever queues stayed empty (fatal for a
-// long-running service between arrival bursts). The spin tier now
-// issues atomic loads the compiler must keep, and sustained idleness
-// sleeps with exponentially growing, bounded durations.
 type Backoff struct {
 	spins int
 	// pause is the spin tier's load target: atomic loads of an own

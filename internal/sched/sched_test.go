@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"repro/internal/contend"
 )
 
 func TestStatsAdd(t *testing.T) {
@@ -80,5 +82,17 @@ func TestBackoffProgresses(t *testing.T) {
 	b.Reset()
 	if b.spins != 0 {
 		t.Fatal("Reset did not clear spins")
+	}
+}
+
+// TestRunWorkerPadding pins the layout of Run's per-worker state: the
+// slots live in one contiguous slice, and every batch writes the tally
+// and the sink headers, so adjacent workers' slots must never cohabit a
+// cache line.
+func TestRunWorkerPadding(t *testing.T) {
+	ws := make([]contend.Padded[runWorker[int]], 2)
+	end := uintptr(unsafe.Pointer(&ws[0].Value)) + unsafe.Sizeof(ws[0].Value)
+	if next := uintptr(unsafe.Pointer(&ws[1].Value)); next-end < contend.CacheLineSize {
+		t.Fatalf("adjacent run workers only %d bytes apart, want >= %d", next-end, contend.CacheLineSize)
 	}
 }

@@ -14,6 +14,7 @@
 package zoo
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -99,6 +100,10 @@ func Constructors() map[string]string {
 	return out
 }
 
+// cbpqParams labels the default-configured lock-free tier; the chunk
+// capacity is read from the constant it runs with.
+var cbpqParams = fmt.Sprintf("chunk=%d lock-free", cbpq.DefaultChunkCap)
+
 // Lineup instantiates the full registry at payload type T, in report
 // order: the exact baseline first, then the Multi-Queue family, the
 // SMQ variants, and the non-Multi-Queue relaxed baselines. Every
@@ -114,7 +119,7 @@ func Lineup[T any]() []Spec[T] {
 			Bound: func(int) (int64, bool) { return 0, true },
 		},
 		{
-			Name: "cbpq", Params: "chunk=64 lock-free", Constructor: "NewCBPQ",
+			Name: "cbpq", Params: cbpqParams, Constructor: "NewCBPQ",
 			Make: func(w int, _ uint64) sched.Scheduler[T] {
 				return cbpq.New[T](cbpq.Config{Workers: w})
 			},
@@ -127,7 +132,7 @@ func Lineup[T any]() []Spec[T] {
 			Bound: func(int) (int64, bool) { return 0, true },
 		},
 		{
-			Name: "cbpq-elim", Params: "chunk=64 lock-free elim+combining", Constructor: "NewCBPQ",
+			Name: "cbpq-elim", Params: cbpqParams + " elim+combining", Constructor: "NewCBPQ",
 			Make: func(w int, _ uint64) sched.Scheduler[T] {
 				return cbpq.New[T](cbpq.Config{Workers: w})
 			},

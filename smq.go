@@ -43,7 +43,7 @@
 //     handles (sticky indices, buffer cursors), per-worker statistics
 //     counters, and the SMQ steal-buffer epoch word, which lives on its
 //     own line so thieves' CAS traffic never invalidates the owner's
-//     heap pointer. Worker RNGs and NUMA samplers are embedded by value
+//     heap header. Worker RNGs and NUMA samplers are embedded by value
 //     in the padded handles instead of being separate heap allocations
 //     that could share lines between workers.
 //   - The steady state allocates nothing: heaps and operation buffers
@@ -76,15 +76,24 @@
 // pushes (SSSP relaxations, k-NN candidate updates) and hurt nothing
 // when they carry a single task.
 //
-// Algorithm authors batching Pending accounting should fold a whole
-// batch into one atomic: after popping k tasks, processing them, and
-// buffering m follow-on tasks, a single pending.Inc(m−k) issued
-// BEFORE the PushN that publishes the buffered tasks is equivalent to
-// m scalar Incs and k scalar Decs. The +m registers tasks while they
-// are still buffered (so Pending cannot hit zero while they exist),
-// and the −k retires only fully processed tasks; the transient
-// over-count merely makes idle workers re-poll. This is the contract
-// the built-in workloads (SSSP, BFS, A*, MST, k-NN, PageRank) run on.
+// Process and the built-in workloads (SSSP, BFS, A*, MST, k-NN,
+// PageRank) run on one batched worker loop: a worker pops up to 8 tasks
+// per PopN, runs the task body on each, and publishes everything they
+// emitted in one PushN — so a follow-on task becomes visible to the
+// scheduler at the end of its worker's current batch of at most 8. The
+// batch's Pending accounting is one atomic: after popping k tasks and
+// buffering m follow-ons, a single pending.Inc(m−k) issued BEFORE the
+// PushN. The +m registers tasks while they are still buffered (so
+// Pending cannot hit zero while they exist), and the −k retires only
+// fully processed tasks; the transient over-count merely makes idle
+// workers re-poll. m is counted off the buffer; the *Pending that
+// Process hands its callback, kept for the Inc-before-Push protocol, is
+// a worker-private counter nothing reads (Inc only). A popped batch is
+// private to its worker until its last body returns, a good trade only
+// while bodies are short: workers start at one task per pop and size
+// later pops to about 10 µs of bodies, so sub-microsecond bodies run at
+// the full 8 and a 20 µs body is popped alone — stealable, the SMQ's
+// steal buffer refilled on every pop, as under a scalar loop.
 //
 // # Serving
 //
@@ -277,10 +286,9 @@
 package smq
 
 import (
-	"sync"
-
 	"repro/internal/algos"
 	"repro/internal/cbpq"
+	"repro/internal/contend"
 	"repro/internal/core"
 	"repro/internal/emq"
 	"repro/internal/geom"
@@ -453,12 +461,27 @@ func LookupSpec[T any](name string) (Spec[T], bool) { return zoo.Lookup[T](name)
 // SpecNames lists the zoo's scheduler names in Lineup order.
 func SpecNames() []string { return zoo.Names() }
 
+// processBatch is Process's pop-batch capacity, the built-in drivers'
+// setting (see the package documentation's Batching section).
+const processBatch = 8
+
 // Process runs one goroutine per scheduler worker and invokes fn for
 // every task until no work remains. It owns the termination protocol:
-// fn receives the worker handle to push follow-on tasks and MUST call
-// pending.Inc(1) before each Push; Process decrements once per processed
-// task. seed enqueues the initial tasks through worker 0 (pending is
-// incremented for them automatically).
+// fn receives a worker handle to push follow-on tasks and MUST call
+// pending.Inc(1) before each Push (or Inc(k) before k of them); Process
+// retires each processed task itself. seed enqueues the initial tasks
+// through worker 0 (pending is incremented for them automatically).
+//
+// Process runs on the batched worker loop of the built-in workloads:
+// a worker pops up to 8 tasks at a time (sized to about 10 µs of fn, so
+// coarse tasks are popped one by one and stay stealable), and the
+// handle it gives fn buffers — follow-on tasks become visible to the
+// scheduler, in one PushN, at the end of the worker's current batch (or
+// as soon as fn calls the handle's Pop or PopN). The run's shared
+// counter is updated once per batch, before that PushN, with the number
+// of tasks fn pushed: the run cannot end while buffered tasks exist. The
+// pending passed to fn is a worker-private counter nothing reads: only
+// Inc is meaningful on it, and the Inc is uncontended.
 //
 //	smq.Process(s, func(w smq.Worker[uint32]) {
 //	    w.Push(0, root) // seed
@@ -474,59 +497,30 @@ func Process[T any](
 	fn func(wid int, w Worker[T], pending *Pending, p uint64, v T),
 ) {
 	var pending Pending
-	w0 := s.Worker(0)
-	seedCounter := countingWorker[T]{inner: w0, pending: &pending}
-	seed(&seedCounter)
-	// All external tasks are registered; only workers add follow-ons
-	// from here, so quiescence is a stable termination signal.
-	pending.Close()
+	seeds := seedSink[T]{sched.NewSink(s.Worker(0), &pending)}
+	seed(seeds)
+	seeds.Flush()
+	// The loop counts what fn pushed; fn's Incs land on padded scratch.
+	incs := make([]contend.Padded[Pending], s.Workers())
+	sched.Run(s, &pending, s.Workers(), processBatch,
+		func(wid int, out *sched.Sink[T], p uint64, v T) bool {
+			fn(wid, out, &incs[wid].Value, p, v)
+			return false
+		})
+}
 
-	var wg sync.WaitGroup
-	for wid := 0; wid < s.Workers(); wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			w := s.Worker(wid)
-			var b Backoff
-			for {
-				p, v, ok := w.Pop()
-				if !ok {
-					if pending.Quiesced() {
-						return
-					}
-					b.Wait()
-					continue
-				}
-				b.Reset()
-				fn(wid, w, &pending, p, v)
-				pending.Dec()
-			}
-		}(wid)
+// seedSink is the handle Process gives seed: a Sink that publishes
+// every processBatch scalar pushes, so a long seed list is neither
+// buffered whole nor, on the Multi-Queues, pushed into one queue as one
+// run.
+type seedSink[T any] struct{ *sched.Sink[T] }
+
+func (s seedSink[T]) Push(p uint64, v T) {
+	s.Sink.Push(p, v)
+	if s.Len() >= processBatch {
+		s.Flush()
 	}
-	wg.Wait()
 }
-
-// countingWorker wraps a Worker so that seed pushes register themselves
-// with the pending counter.
-type countingWorker[T any] struct {
-	inner   Worker[T]
-	pending *Pending
-}
-
-func (c *countingWorker[T]) Push(p uint64, v T) {
-	c.pending.Inc(1)
-	c.inner.Push(p, v)
-}
-
-func (c *countingWorker[T]) PushN(ps []uint64, vs []T) {
-	sched.CheckPushN(len(ps), len(vs))
-	c.pending.Inc(int64(len(ps)))
-	c.inner.PushN(ps, vs)
-}
-
-func (c *countingWorker[T]) Pop() (uint64, T, bool) { return c.inner.Pop() }
-
-func (c *countingWorker[T]) PopN(dst []Task[T]) int { return c.inner.PopN(dst) }
 
 // ---------------------------------------------------------------------------
 // Graphs

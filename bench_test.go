@@ -5,7 +5,7 @@ package smq
 // live behind `go run ./cmd/smqbench`). Each benchmark iteration runs a
 // complete workload (e.g. one SSSP traversal), so ns/op is end-to-end
 // time; the shape comparisons — who wins and by roughly what factor —
-// are recorded against the paper in EXPERIMENTS.md.
+// are recorded per PR in CHANGES.md.
 
 import (
 	"fmt"
@@ -51,6 +51,20 @@ func benchSSSP(b *testing.B, mk func() sched.Scheduler[uint32], g *graph.CSR) {
 		tasks += res.Tasks
 	}
 	b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
+}
+
+// benchSpecs resolves default-configured schedulers from the registry.
+func benchSpecs(b *testing.B, names ...string) []Spec[uint32] {
+	b.Helper()
+	specs := make([]Spec[uint32], len(names))
+	for i, name := range names {
+		spec, ok := LookupSpec[uint32](name)
+		if !ok {
+			b.Fatalf("scheduler %q is not in the registry", name)
+		}
+		specs[i] = spec
+	}
+	return specs
 }
 
 // --- Table 1 -----------------------------------------------------------
@@ -190,14 +204,14 @@ func BenchmarkFig3_OBIM_Tuning(b *testing.B) {
 		for _, chunk := range []int{8, 64} {
 			b.Run(fmt.Sprintf("OBIM/delta=%d/chunk=%d", delta, chunk), func(b *testing.B) {
 				benchSSSP(b, func() sched.Scheduler[uint32] {
-					return harness.OBIMSpec("OBIM", delta, chunk, false).Make(benchWorkers, 0)
+					return NewOBIM[uint32](OBIMConfig{Workers: benchWorkers, Delta: delta, ChunkSize: chunk})
 				}, road)
 			})
 		}
 	}
 	b.Run("PMOD/adaptive", func(b *testing.B) {
 		benchSSSP(b, func() sched.Scheduler[uint32] {
-			return harness.OBIMSpec("PMOD", 10, 64, true).Make(benchWorkers, 0)
+			return NewPMOD[uint32](OBIMConfig{Workers: benchWorkers})
 		}, road)
 	})
 }
@@ -307,12 +321,7 @@ func BenchmarkEMQ_Ablation(b *testing.B) {
 // (the EMQ series added to the Figure 2 comparison).
 func BenchmarkEMQ_Throughput(b *testing.B) {
 	road, rmat := benchGraphs()
-	specs := []harness.SchedulerSpec{
-		harness.EMQSpec("EMQ", 16, 16, 0),
-		{Name: "MQ Classic", Make: harness.ClassicMQBaseline},
-		harness.SMQSpec("SMQ", 4, 1.0/8, 0),
-	}
-	for _, spec := range specs {
+	for _, spec := range benchSpecs(b, "emq", "mq", "smq") {
 		spec := spec
 		b.Run("SSSP_road/"+spec.Name, func(b *testing.B) {
 			benchSSSP(b, func() sched.Scheduler[uint32] { return spec.Make(benchWorkers, 0) }, road)
@@ -346,12 +355,7 @@ func BenchmarkKLSM_Ablation(b *testing.B) {
 // baseline.
 func BenchmarkKLSM_Throughput(b *testing.B) {
 	road, rmat := benchGraphs()
-	specs := []harness.SchedulerSpec{
-		harness.KLSMSpec("kLSM", 256),
-		{Name: "MQ Classic", Make: harness.ClassicMQBaseline},
-		harness.SMQSpec("SMQ", 4, 1.0/8, 0),
-	}
-	for _, spec := range specs {
+	for _, spec := range benchSpecs(b, "klsm", "mq", "smq") {
 		spec := spec
 		b.Run("SSSP_road/"+spec.Name, func(b *testing.B) {
 			benchSSSP(b, func() sched.Scheduler[uint32] { return spec.Make(benchWorkers, 0) }, road)
@@ -484,7 +488,7 @@ func BenchmarkTheory_RankBounds(b *testing.B) {
 	}
 }
 
-// --- Design ablations (DESIGN.md §3) --------------------------------------
+// --- Design ablations --------------------------------------------------
 
 // BenchmarkAblation_HeapArity compares local-heap fan-outs inside the
 // full SMQ (design decision 4: d = 4).

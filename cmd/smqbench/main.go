@@ -11,8 +11,6 @@
 //	smqbench -exp all -format tsv > results.tsv
 //	smqbench -json BENCH_PR4.json
 //	smqbench -json - -benchworkers 2 -benchops 50000
-//	smqbench -json - -serve -benchschedulers smq,coarse
-//	smqbench -json - -desim -benchschedulers klsm,coarse -desimevents 200000
 //	smqbench -exp fig2 -cpuprofile fig2.prof -memprofile fig2.mprof
 //
 // The -json mode runs the contended uniform-priority microbenchmark of
@@ -31,9 +29,8 @@
 // written at exit after a final GC.
 //
 // Every experiment prints the same row/series structure as the paper
-// artifact it reproduces (speedups and work increases per cell); see
-// DESIGN.md §4 for the experiment ↔ artifact mapping and EXPERIMENTS.md
-// for recorded paper-vs-measured comparisons. The emq experiment covers
+// artifact it reproduces (speedups and work increases per cell); -list
+// prints the experiment ↔ artifact mapping. The emq experiment covers
 // the engineered MultiQueue follow-up baseline (Williams et al. 2021)
 // with its stickiness × buffer-size grid; the klsm experiment sweeps
 // the k-LSM's relaxation bound (Wimmer et al. 2015, k = 4..4096), the
@@ -59,10 +56,8 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/desim"
 	"repro/internal/harness"
 	"repro/internal/perfbench"
-	"repro/internal/serve"
 	"repro/internal/shard"
 )
 
@@ -88,21 +83,17 @@ func main() {
 		fragOut     = flag.String("fragment", "", "write the shard's perfbench JSON fragment to this path ('-' for stdout) instead of assembling tables")
 		assemble    = flag.String("assemble", "", "skip running: assemble tables from these comma-separated fragment/merged JSON files")
 
-		jsonOut     = flag.String("json", "", "write the perf-trajectory JSON report to this path ('-' for stdout) instead of running experiments")
-		serveMode   = flag.Bool("serve", false, "-json: record the open-loop serving trajectory (internal/serve) instead of the microbenchmark; cmd/smqserve exposes the full parameter set")
-		desimMode   = flag.Bool("desim", false, "-json: record the discrete-event simulation trajectory (internal/desim) instead of the microbenchmark; cmd/smqsim exposes the full parameter set")
-		desimEvents = flag.Int("desimevents", 0, "-desim: approximate events per cluster run (default 2000000)")
-		desimModels = flag.String("desimmodels", "", "-desim: comma-separated model subset (cluster,dag; default both)")
-		benchWrk    = flag.Int("benchworkers", 0, "-json: worker goroutines (default GOMAXPROCS)")
-		benchOps    = flag.Int("benchops", 0, "-json: pop+push pairs per worker (default 200000)")
-		benchPre    = flag.Int("benchprefill", 0, "-json: prefilled tasks (default 4096)")
-		benchSch    = flag.String("benchschedulers", "", "-json: comma-separated scheduler subset (default: full lineup)")
-		benchReps   = flag.Int("benchreps", 1, "-json: repetitions per scheduler (fastest kept)")
-		benchBat    = flag.Int("benchbatch", 0, "-json: PushN/PopN batch size for the batched mode (default 8)")
-		benchLat    = flag.Int("benchlatops", 0, "-json: individually timed pops per worker for the latency percentiles (default min(benchops, 50000))")
-		cpuProf     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf     = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		benchSeed   = flag.Uint64("benchseed", 1, "-json: RNG seed")
+		jsonOut   = flag.String("json", "", "write the perf-trajectory JSON report to this path ('-' for stdout) instead of running experiments")
+		benchWrk  = flag.Int("benchworkers", 0, "-json: worker goroutines (default GOMAXPROCS)")
+		benchOps  = flag.Int("benchops", 0, "-json: pop+push pairs per worker (default 200000)")
+		benchPre  = flag.Int("benchprefill", 0, "-json: prefilled tasks (default 4096)")
+		benchSch  = flag.String("benchschedulers", "", "-json: comma-separated scheduler subset (default: full lineup)")
+		benchReps = flag.Int("benchreps", 1, "-json: repetitions per scheduler (fastest kept)")
+		benchBat  = flag.Int("benchbatch", 0, "-json: PushN/PopN batch size for the batched mode (default 8)")
+		benchLat  = flag.Int("benchlatops", 0, "-json: individually timed pops per worker for the latency percentiles (default min(benchops, 50000))")
+		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		benchSeed = flag.Uint64("benchseed", 1, "-json: RNG seed")
 	)
 	flag.Parse()
 
@@ -139,30 +130,6 @@ func main() {
 			if s = strings.TrimSpace(s); s != "" {
 				schedulers = append(schedulers, s)
 			}
-		}
-		if *serveMode {
-			if err := runServeJSON(*jsonOut, schedulers, *benchSeed); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if *desimMode {
-			var models []string
-			for _, m := range strings.Split(*desimModels, ",") {
-				if m = strings.TrimSpace(m); m != "" {
-					models = append(models, m)
-				}
-			}
-			if err := runDesimJSON(*jsonOut, desim.BenchConfig{
-				Workers:    *benchWrk,
-				Schedulers: schedulers,
-				Models:     models,
-				Events:     *desimEvents,
-				Seed:       *benchSeed,
-			}); err != nil {
-				fatal(err)
-			}
-			return
 		}
 		if err := runJSON(*jsonOut, perfbench.Config{
 			Workers:      *benchWrk,
@@ -277,10 +244,6 @@ func main() {
 	}
 }
 
-// shardOptions builds the runner options from the CLI flags, plus the
-// shard metadata recorded in emitted fragments and (for -subproc) the
-// per-experiment command factory. The -cells list (used by -subproc
-// children and targeted re-runs) overrides -shard.
 // renderExperimentList writes the -list table of registered
 // experiments. A tabwriter keeps the paper-artifact column aligned —
 // the fixed %-40s width it replaced overflowed on the longer follow-up
@@ -295,6 +258,10 @@ func renderExperimentList(out io.Writer) {
 	tw.Flush()
 }
 
+// shardOptions builds the runner options from the CLI flags, plus the
+// shard metadata recorded in emitted fragments and (for -subproc) the
+// per-experiment command factory. The -cells list (used by -subproc
+// children and targeted re-runs) overrides -shard.
 func shardOptions(shardSpec, cellList string, timeout time.Duration, retries int,
 	subproc bool, prefix string, cfg harness.RunConfig) (shard.Options, *perfbench.ShardInfo, func(string) func(int) *exec.Cmd, error) {
 	opts := shard.Options{Timeout: timeout, Retries: retries}
@@ -482,64 +449,6 @@ func parseShard(s string) (int, int, error) {
 		return 0, 0, fmt.Errorf("bad -shard %q, want i/n with 0 <= i < n", s)
 	}
 	return i, n, nil
-}
-
-// runServeJSON records the serving trajectory at internal/serve's
-// defaults — smqbench just offers the mode for symmetry with -json;
-// cmd/smqserve is the full-parameter driver.
-func runServeJSON(path string, schedulers []string, seed uint64) error {
-	fmt.Fprintln(os.Stderr, "running open-loop serving trajectory...")
-	start := time.Now()
-	report, err := serve.RunBench(serve.BenchConfig{
-		Schedulers:  schedulers,
-		Seed:        seed,
-		GeneratedBy: "smqbench -serve",
-	})
-	if err != nil {
-		return err
-	}
-	data, err := perfbench.Marshal(report)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-	} else {
-		err = os.WriteFile(path, data, 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "done %d schedulers in %v\n", len(report.Serve), time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runDesimJSON records the discrete-event simulation trajectory: the
-// scheduler × model grid of internal/desim with safe-lookahead windows
-// derived from each scheduler's rank-error bound. RunBench validates
-// the report (including the zero-violations rule for exact bounds and
-// cross-scheduler checksum identity) before returning it.
-func runDesimJSON(path string, cfg desim.BenchConfig) error {
-	fmt.Fprintln(os.Stderr, "running discrete-event simulation trajectory...")
-	start := time.Now()
-	report, err := desim.RunBench(cfg)
-	if err != nil {
-		return err
-	}
-	data, err := perfbench.Marshal(report)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-	} else {
-		err = os.WriteFile(path, data, 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "done %d runs in %v\n", len(report.Desim), time.Since(start).Round(time.Millisecond))
-	return nil
 }
 
 // runJSON runs the perf-trajectory microbenchmark, validates the report

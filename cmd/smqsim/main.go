@@ -57,14 +57,13 @@ func main() {
 	}
 
 	cfg := desim.BenchConfig{
-		Workers:     *workers,
-		Events:      *events,
-		Stations:    *stations,
-		Tenants:     *tenants,
-		Layers:      *layers,
-		Width:       *width,
-		Seed:        *seed,
-		GeneratedBy: "smqsim",
+		Workers:  *workers,
+		Events:   *events,
+		Stations: *stations,
+		Tenants:  *tenants,
+		Layers:   *layers,
+		Width:    *width,
+		Seed:     *seed,
 	}
 	for _, s := range strings.Split(*schedulers, ",") {
 		if s = strings.TrimSpace(s); s != "" {

@@ -51,11 +51,13 @@ func TestRenderSchedulerListAlignment(t *testing.T) {
 		}
 	}
 
-	// The lock-free tier rows are pinned: exact bound 0, with and
-	// without the elimination layer.
+	// Pinned rows: the two lock-free tier names are one configuration
+	// (exact bound 0, elimination on), and a relaxed row carries its
+	// effective knobs and the bound computed from them.
 	for _, want := range []*regexp.Regexp{
-		regexp.MustCompile(`(?m)^cbpq +0 +exact +chunk=128 lock-free$`),
-		regexp.MustCompile(`(?m)^cbpq-elim +0 +exact +chunk=128 lock-free elim\+combining$`),
+		regexp.MustCompile(`(?m)^cbpq +0 +exact +chunk=128 elim\+combining$`),
+		regexp.MustCompile(`(?m)^cbpq-elim +0 +exact +chunk=128 elim\+combining$`),
+		regexp.MustCompile(`(?m)^klsm +772 +exact +k=256$`),
 	} {
 		if !want.MatchString(out) {
 			t.Errorf("list missing row %v:\n%s", want, out)

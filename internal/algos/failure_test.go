@@ -1,6 +1,6 @@
 package algos
 
-// Failure-injection tests (DESIGN.md §5): the algorithms must stay exact
+// Failure-injection tests: the algorithms must stay exact
 // under adversarial scheduler behaviour — spurious Pop failures, forced
 // goroutine interleaving, and maximally relaxed pop order — because the
 // scheduler contract explicitly permits all three.

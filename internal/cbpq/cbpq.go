@@ -274,7 +274,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns a copy with the zero ChunkCap replaced by
+// DefaultChunkCap. Construction applies it after Validate.
+func (c Config) WithDefaults() Config {
 	if c.ChunkCap == 0 {
 		c.ChunkCap = DefaultChunkCap
 	}
@@ -425,7 +427,7 @@ func New[T any](cfg Config) *Queue[T] {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	q := &Queue[T]{
 		cfg:      cfg,
 		headCap:  min(headMult*cfg.ChunkCap, 1<<16),

@@ -57,9 +57,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// withDefaults returns a copy with the zero HeapArity replaced by the
+// WithDefaults returns a copy with the zero HeapArity replaced by the
 // default fan-out. Construction applies it after Validate.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if c.HeapArity == 0 {
 		c.HeapArity = pq.DefaultArity
 	}
@@ -71,7 +71,7 @@ func New[T any](cfg Config) *Sched[T] {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	s := &Sched[T]{
 		cfg:      cfg,
 		heap:     pq.NewDHeapCap[T](cfg.HeapArity, 1024),

@@ -112,9 +112,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// withDefaults returns a copy with every zero-valued field replaced by
+// WithDefaults returns a copy with every zero-valued field replaced by
 // its documented default. Construction applies it after Validate.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if c.StealSize == 0 {
 		c.StealSize = 4
 	}
@@ -146,7 +146,7 @@ func (c *Config) normalize() {
 	if err := c.Validate(); err != nil {
 		panic(err.Error())
 	}
-	*c = c.withDefaults()
+	*c = c.WithDefaults()
 }
 
 // stealQueue is the contract between the generic SMQ worker logic and the

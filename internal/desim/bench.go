@@ -31,7 +31,7 @@ type BenchConfig struct {
 	Layers, Width int
 	// Seed makes every simulation reproducible. 0 means 1.
 	Seed uint64
-	// GeneratedBy labels the report ("" means "smqbench -desim").
+	// GeneratedBy labels the report ("" means "smqsim").
 	GeneratedBy string
 }
 
@@ -52,7 +52,7 @@ func (c *BenchConfig) normalize() error {
 		c.Seed = 1
 	}
 	if c.GeneratedBy == "" {
-		c.GeneratedBy = "smqbench -desim"
+		c.GeneratedBy = "smqsim"
 	}
 	for _, m := range c.Models {
 		if m != "cluster" && m != "dag" {

@@ -3,7 +3,6 @@ package desim
 import (
 	"testing"
 
-	"repro/internal/klsm"
 	"repro/internal/zoo"
 )
 
@@ -127,9 +126,6 @@ func TestKLSMWithinWorstCaseBound(t *testing.T) {
 	bound, exact := spec.RankBound(workers)
 	if !exact {
 		t.Fatal("klsm bound must be exact")
-	}
-	if want := int64(workers-1)*int64(klsm.DefaultRelaxation) + int64(workers); bound != want {
-		t.Fatalf("klsm bound = %d, want %d", bound, want)
 	}
 
 	base := testCluster(t, workers)

@@ -119,9 +119,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// withDefaults returns a copy with every zero-valued field replaced by
+// WithDefaults returns a copy with every zero-valued field replaced by
 // its documented default. Construction applies it after Validate.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if c.C == 0 {
 		c.C = 2
 	}
@@ -150,7 +150,7 @@ func (c *Config) normalize() {
 	if err := c.Validate(); err != nil {
 		panic(err.Error())
 	}
-	*c = c.withDefaults()
+	*c = c.WithDefaults()
 }
 
 // lockQueue is one of the m sequential heaps behind a try-lock. The

@@ -16,7 +16,7 @@ import (
 // Road networks (the paper's USA/WEST inputs) are near-planar, bounded-
 // degree and high-diameter — exactly the properties this generator
 // reproduces, and the ones that make scheduling order matter for
-// SSSP/A* (DESIGN.md §2).
+// SSSP/A*.
 func GenerateRoadGrid(rows, cols int, seed uint64) *CSR {
 	if rows < 1 || cols < 1 {
 		panic("graph: grid dimensions must be positive")

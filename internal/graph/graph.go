@@ -1,8 +1,8 @@
 // Package graph provides the graph substrate for the paper's evaluation
 // (§5): a compact CSR representation, synthetic generators standing in
-// for the paper's input graphs (Table 1 — see DESIGN.md §2 for the
-// substitution rationale), and DIMACS/binary I/O so real road networks
-// can be used when available.
+// for the paper's input graphs (Table 1 — the generators' doc comments
+// give the substitution rationale), and DIMACS/binary I/O so real road
+// networks can be used when available.
 package graph
 
 import (

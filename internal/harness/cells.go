@@ -314,7 +314,7 @@ func addGridSection(p *Plan, title, rowName string, rows []string, colName strin
 		rows: rows, cols: cols,
 		threads: p.Config.MaxThreads, workloads: ws,
 	}
-	baseSpec := SchedulerSpec{Name: "MQ Classic", Params: "C=4", Make: ClassicMQBaseline}
+	baseSpec := registered("mq")
 	for _, w := range ws {
 		g.base = append(g.base, p.addMeasure(w, baseSpec, g.threads, fmt.Sprintf("baseline(%s)", title)))
 	}

@@ -29,29 +29,25 @@ var goldenEnum = map[string]struct {
 	cells int
 	hash  string
 }{
-	"table1": {cells: 4, hash: "401eae429f7ef278"},
-	"table2": {cells: 96, hash: "582aca57ed89fa32"},
-	"fig1":   {cells: 148, hash: "e2f3731b94843cec"},
-	"fig19":  {cells: 148, hash: "196d82e04271ae80"},
-	"fig2":   {cells: 288, hash: "fbba96de4602b317"},
-	"fig3":   {cells: 208, hash: "b0a768c716c43b23"},
-	"fig7":   {cells: 148, hash: "e0a14e54a3818b66"},
-	"fig9":   {cells: 124, hash: "a79200bd8d862dd1"},
-	"fig11":  {cells: 124, hash: "1014b9dc606037fb"},
-	"fig13":  {cells: 104, hash: "495f816325d25385"},
-	"fig15":  {cells: 20, hash: "83356499777b93dd"},
-	"emq":    {cells: 68, hash: "2203418e19f343b6"},
-	"klsm":   {cells: 24, hash: "f435fd1bc6083ef6"},
-	"geom":   {cells: 72, hash: "3922bfd96a568648"},
-	"numa":   {cells: 124, hash: "a2fbbd07798282a7"},
-	"serve":  {cells: 15, hash: "9818131c5544fa79"},
-	"desim":  {cells: 10, hash: "af94559d8d2b4efe"},
-	"theory": {cells: 26, hash: "ae60b34c87d6154d"},
-	// rankprobe gained two cells when the lock-free CBPQ joined
-	// AllSchedulers as a second exact reference point; its Params label
-	// now reads the chunk capacity from cbpq.DefaultChunkCap (128, was a
-	// stale hand-typed 64), which re-hashed the two CBPQ cells.
-	"rankprobe": {cells: 26, hash: "39b5852ea0be55bb"},
+	"table1":    {cells: 4, hash: "401eae429f7ef278"},
+	"table2":    {cells: 96, hash: "92a853654ab349f2"},
+	"fig1":      {cells: 148, hash: "9436206c53f09ad8"},
+	"fig19":     {cells: 148, hash: "98431473267861e4"},
+	"fig2":      {cells: 288, hash: "be160c6091e65087"},
+	"fig3":      {cells: 208, hash: "32b90509e8e49c03"},
+	"fig7":      {cells: 148, hash: "9114c7069be76baa"},
+	"fig9":      {cells: 124, hash: "9d5442016c15a37d"},
+	"fig11":     {cells: 124, hash: "9a01a6055a0eea8f"},
+	"fig13":     {cells: 104, hash: "4049f6b41ad27825"},
+	"fig15":     {cells: 20, hash: "75c0d950882b85a9"},
+	"emq":       {cells: 68, hash: "962995e3aa083c82"},
+	"klsm":      {cells: 24, hash: "ef3d06ec71668f3a"},
+	"geom":      {cells: 72, hash: "108b6c296b1dafe2"},
+	"numa":      {cells: 124, hash: "a806e9697b5d44cf"},
+	"serve":     {cells: 15, hash: "9818131c5544fa79"},
+	"desim":     {cells: 10, hash: "af94559d8d2b4efe"},
+	"theory":    {cells: 26, hash: "ae60b34c87d6154d"},
+	"rankprobe": {cells: 26, hash: "d5db139d8089e20f"},
 }
 
 func TestCellEnumerationGolden(t *testing.T) {
@@ -198,16 +194,16 @@ func TestCellReproducibleAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pick an SMQ measurement cell (index > baselines).
+	// Pick an smq measurement cell (index > baselines).
 	idx := -1
 	for _, c := range p1.Cells {
-		if c.Kind == "measure" && c.Scheduler == "SMQ" {
+		if c.Kind == "measure" && c.Scheduler == "smq" {
 			idx = c.Index
 			break
 		}
 	}
 	if idx < 0 {
-		t.Fatal("no SMQ cell in fig1")
+		t.Fatal("no smq cell in fig1")
 	}
 	r1 := p1.RunCell(idx)
 	r2 := p2.RunCell(idx)

@@ -9,16 +9,10 @@ import (
 	"time"
 
 	"repro/internal/algos"
-	"repro/internal/cbpq"
-	"repro/internal/coarse"
 	"repro/internal/core"
-	"repro/internal/emq"
 	"repro/internal/graph"
-	"repro/internal/klsm"
 	"repro/internal/mq"
-	"repro/internal/obim"
 	"repro/internal/sched"
-	"repro/internal/spray"
 	"repro/internal/zoo"
 )
 
@@ -182,12 +176,22 @@ func QuickWorkloads(scale int) []*Workload {
 }
 
 // SchedulerSpec is a named scheduler factory over uint32 payloads: the
-// zoo's public Spec instantiated at the graph-vertex payload type. The
-// experiment lineups below construct parameterized variants (tuned
-// steal sizes, NUMA placements) of the registry's schedulers; the
-// canonical default-configured specs live in internal/zoo and are
-// re-exported at the repository root as smq.Spec / smq.Lineup.
+// zoo's Spec instantiated at the graph-vertex payload type. Lineups
+// below take default-configured schedulers from the registry by name
+// and build every parameterized variant (tuned steal sizes, NUMA
+// placements, ablation grids) through internal/zoo's family builders,
+// so each row's Params label is derived from the configuration it ran.
 type SchedulerSpec = zoo.Spec[uint32]
+
+// registered resolves a default-configured scheduler from the zoo
+// registry; an unknown name is a programming error in this package.
+func registered(name string) SchedulerSpec {
+	spec, ok := zoo.Lookup[uint32](name)
+	if !ok {
+		panic(fmt.Sprintf("harness: scheduler %q is not in the zoo registry", name))
+	}
+	return spec
+}
 
 // StandardSchedulers is the Figure 2 lineup — SMQ default + tuned, the
 // skip-list SMQ, the optimized NUMA-aware classic MQ, OBIM, PMOD,
@@ -198,51 +202,21 @@ func StandardSchedulers() []SchedulerSpec {
 	return []SchedulerSpec{
 		// The first four entries are the headline lineup; root benchmarks
 		// slice them with [:4], so new series must be appended after
-		// "MQ Classic" below.
-		SMQSpec("SMQ (Default)", 4, 1.0/8, 0),
-		SMQSpec("SMQ (Tuned)", 8, 1.0/4, 0),
-		{
-			Name:   "SMQ SkipList",
-			Params: "steal=4 psteal=1/8",
-			Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-				return core.NewStealingMQSkipList[uint32](core.Config{Workers: workers, Seed: seed})
-			},
-		},
-		{
-			Name:   "MQ Optimized",
-			Params: "C=4 ins=batch8 del=batch8 numa",
-			Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-				return mq.New[uint32](mq.Config{Workers: workers, C: 4,
-					Insert: mq.InsertBatch, BatchInsert: 8,
-					Delete: mq.DeleteBatch, BatchDelete: 8,
-					NUMANodes: 2, NUMAWeightK: 8, Seed: seed})
-			},
-		},
-		{
-			Name:   "MQ Classic",
-			Params: "C=4",
-			Make:   ClassicMQBaseline,
-		},
-		EMQSpec("EMQ", 16, 16, 0),
-		KLSMSpec("kLSM", 256),
-		OBIMSpec("OBIM", 10, 64, false),
-		OBIMSpec("PMOD", 10, 64, true),
-		{
-			Name:   "SprayList",
-			Params: "default spray",
-			Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-				return spray.New[uint32](spray.Config{Workers: workers, Seed: seed})
-			},
-		},
-		{
-			Name:   "RELD",
-			Params: "local dequeue",
-			Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-				c := mq.RELD(workers)
-				c.Seed = seed
-				return mq.New[uint32](c)
-			},
-		},
+		// "mq" below.
+		registered("smq"),
+		zoo.SMQ[uint32]("smq-tuned", core.Config{StealSize: 8, StealProb: 1.0 / 4}),
+		registered("smq-skip"),
+		zoo.MQ[uint32]("mq-numa", mq.Config{C: 4,
+			Insert: mq.InsertBatch, BatchInsert: 8,
+			Delete: mq.DeleteBatch, BatchDelete: 8,
+			NUMANodes: 2, NUMAWeightK: 8}),
+		registered("mq"),
+		registered("emq"),
+		registered("klsm"),
+		registered("obim"),
+		registered("pmod"),
+		registered("spray"),
+		registered("reld"),
 	}
 }
 
@@ -253,109 +227,7 @@ func StandardSchedulers() []SchedulerSpec {
 // rank-probe and rank-regression experiments use both as
 // zero-relaxation references.
 func AllSchedulers() []SchedulerSpec {
-	return append(StandardSchedulers(),
-		SchedulerSpec{
-			Name:   "CoarseLock",
-			Params: "single global heap",
-			Make: func(workers int, _ uint64) sched.Scheduler[uint32] {
-				return coarse.New[uint32](coarse.Config{Workers: workers})
-			},
-			Bound: func(int) (int64, bool) { return 0, true },
-		},
-		CBPQSpec("CBPQ", cbpq.DefaultChunkCap))
-}
-
-// SMQSpec builds a heap-SMQ spec with the given parameters.
-func SMQSpec(name string, stealSize int, stealProb float64, numaNodes int) SchedulerSpec {
-	return SchedulerSpec{
-		Name:   name,
-		Params: fmt.Sprintf("steal=%d psteal=%.3g numa=%d", stealSize, stealProb, numaNodes),
-		Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-			return core.NewStealingMQ[uint32](core.Config{
-				Workers: workers, StealSize: stealSize, StealProb: stealProb,
-				NUMANodes: numaNodes, Seed: seed,
-			})
-		},
-	}
-}
-
-// EMQSpec builds an engineered-MultiQueue spec with the given stickiness
-// period and operation-buffer capacity (used for both the insertion and
-// the deletion buffer, as in the emq ablation grid).
-func EMQSpec(name string, stickiness, buffer, numaNodes int) SchedulerSpec {
-	return SchedulerSpec{
-		Name:   name,
-		Params: fmt.Sprintf("stick=%d buf=%d numa=%d", stickiness, buffer, numaNodes),
-		Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-			return emq.New[uint32](emq.Config{
-				Workers: workers, Stickiness: stickiness,
-				InsertBuffer: buffer, DeleteBuffer: buffer,
-				NUMANodes: numaNodes, Seed: seed,
-			})
-		},
-	}
-}
-
-// KLSMSpec builds a k-LSM spec with the given relaxation bound k (the
-// local-LSM capacity; klsm.Strict selects the exact k = 0 queue). The
-// Params label reports the effective k after klsm's normalization, so
-// the zero value is labelled with the default it actually runs.
-// CBPQSpec builds a SchedulerSpec for the lock-free chunk-based
-// priority queue. CBPQ is exact, so its rank bound is 0 regardless of
-// chunk capacity (chunkCap 0 selects the default).
-func CBPQSpec(name string, chunkCap int) SchedulerSpec {
-	params := "lock-free"
-	if chunkCap != 0 {
-		params = fmt.Sprintf("chunk=%d lock-free", chunkCap)
-	}
-	return SchedulerSpec{
-		Name:   name,
-		Params: params,
-		Make: func(workers int, _ uint64) sched.Scheduler[uint32] {
-			return cbpq.New[uint32](cbpq.Config{Workers: workers, ChunkCap: chunkCap})
-		},
-		Bound: func(int) (int64, bool) { return 0, true },
-	}
-}
-
-func KLSMSpec(name string, relaxation int) SchedulerSpec {
-	effective := relaxation
-	if effective == 0 {
-		effective = klsm.DefaultRelaxation
-	} else if effective == klsm.Strict {
-		effective = 0
-	}
-	return SchedulerSpec{
-		Name:   name,
-		Params: fmt.Sprintf("k=%d", effective),
-		Make: func(workers int, _ uint64) sched.Scheduler[uint32] {
-			return klsm.New[uint32](klsm.Config{Workers: workers, Relaxation: relaxation})
-		},
-		Bound: func(workers int) (int64, bool) {
-			return int64(workers-1)*int64(effective) + int64(workers), true
-		},
-	}
-}
-
-// OBIMSpec builds an OBIM/PMOD spec.
-func OBIMSpec(name string, delta uint32, chunk int, adaptive bool) SchedulerSpec {
-	return SchedulerSpec{
-		Name:   name,
-		Params: fmt.Sprintf("delta=%d chunk=%d", delta, chunk),
-		Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-			return obim.New[uint32](obim.Config{Workers: workers, Delta: delta,
-				ChunkSize: chunk, Adaptive: adaptive, Seed: seed})
-		},
-	}
-}
-
-// ClassicMQBaseline is the ablation experiments' baseline scheduler (the
-// classic Multi-Queue with C=4, as in Figures 1 and 3–20). Seed 0 keeps
-// the scheduler's default seeding.
-func ClassicMQBaseline(workers int, seed uint64) sched.Scheduler[uint32] {
-	c := mq.Classic(workers, 4)
-	c.Seed = seed
-	return mq.New[uint32](c)
+	return append(StandardSchedulers(), registered("coarse"), registered("cbpq"))
 }
 
 // Measurement is one measured cell of an experiment.

@@ -22,7 +22,7 @@ func TestStandardWorkloadsShape(t *testing.T) {
 
 func TestWorkloadRunAndValidate(t *testing.T) {
 	for _, w := range QuickWorkloads(1) {
-		spec := SMQSpec("SMQ", 4, 0.125, 0)
+		spec := registered("smq")
 		res, err := w.Run(spec.Make(2, 0), true)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
@@ -47,7 +47,7 @@ func TestSeqBaselineCached(t *testing.T) {
 
 func TestMeasureRepeatsKeepBest(t *testing.T) {
 	w := QuickWorkloads(1)[0]
-	spec := SMQSpec("SMQ", 4, 0.125, 0)
+	spec := registered("smq")
 	m, err := Measure(w, spec, 2, 2, false)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestMeasureRepeatsKeepBest(t *testing.T) {
 	if m.Duration <= 0 || m.Tasks == 0 {
 		t.Fatalf("bad measurement: %+v", m)
 	}
-	if m.Scheduler != "SMQ" || m.Threads != 2 {
+	if m.Scheduler != "smq" || m.Threads != 2 {
 		t.Fatalf("metadata wrong: %+v", m)
 	}
 }
@@ -224,7 +224,7 @@ func TestGeomExperimentRuns(t *testing.T) {
 	if err := WriteTables(&tsv, tables, "tsv"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tsv.String(), "UNIFORM\tSMQ (Default)") {
+	if !strings.Contains(tsv.String(), "UNIFORM\tsmq\t") {
 		t.Fatalf("TSV missing scheduler × distribution rows:\n%s", tsv.String())
 	}
 }

@@ -8,7 +8,7 @@ func TestProbeRankLockstepSMQBounded(t *testing.T) {
 	// counterpart of Theorem 1's O(n·B) expected rank at constant
 	// p_steal. Allow generous slack over the expectation.
 	const tasks = 20000
-	st := ProbeRankLockstep(SMQSpec("SMQ", 4, 0.125, 0), 4, tasks)
+	st := ProbeRankLockstep(registered("smq"), 4, tasks)
 	if st.Tasks != tasks || st.Mode != "lockstep" {
 		t.Fatalf("metadata wrong: %+v", st)
 	}
@@ -19,8 +19,7 @@ func TestProbeRankLockstepSMQBounded(t *testing.T) {
 
 func TestProbeRankLockstepClassicMQSmall(t *testing.T) {
 	const tasks = 20000
-	spec := SchedulerSpec{Name: "MQ Classic", Make: ClassicMQBaseline}
-	st := ProbeRankLockstep(spec, 4, tasks)
+	st := ProbeRankLockstep(registered("mq"), 4, tasks)
 	// The classic MQ's expected rank is O(m); with m=16 queues the mean
 	// displacement should be far below the task count.
 	if st.MeanDisplacement > 500 {
@@ -29,7 +28,7 @@ func TestProbeRankLockstepClassicMQSmall(t *testing.T) {
 }
 
 func TestProbeRankFreerunCompletes(t *testing.T) {
-	st := ProbeRank(SMQSpec("SMQ", 4, 0.125, 0), 2, 20000)
+	st := ProbeRank(registered("smq"), 2, 20000)
 	if st.Mode != "freerun" || st.Tasks != 20000 {
 		t.Fatalf("metadata wrong: %+v", st)
 	}
@@ -42,17 +41,10 @@ func TestProbeRankFreerunCompletes(t *testing.T) {
 // pop order on the shared worker loop: one worker draining the exact
 // coarse queue must see rank error 0.
 func TestProbeRankFreerunCoarseExact(t *testing.T) {
-	for _, spec := range AllSchedulers() {
-		if spec.Name != "CoarseLock" {
-			continue
-		}
-		st := ProbeRank(spec, 1, 5000)
-		if st.MeanDisplacement != 0 || st.MaxDisplacement != 0 || st.InversionFrac != 0 {
-			t.Fatalf("coarse drained by one worker should have zero rank error: %+v", st)
-		}
-		return
+	st := ProbeRank(registered("coarse"), 1, 5000)
+	if st.MeanDisplacement != 0 || st.MaxDisplacement != 0 || st.InversionFrac != 0 {
+		t.Fatalf("coarse drained by one worker should have zero rank error: %+v", st)
 	}
-	t.Fatal("no CoarseLock spec in AllSchedulers")
 }
 
 func TestRankStatsFromOrderExact(t *testing.T) {

@@ -5,9 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/algos"
+	"repro/internal/cbpq"
+	"repro/internal/core"
+	"repro/internal/emq"
 	"repro/internal/graph"
 	"repro/internal/klsm"
+	"repro/internal/zoo"
 )
+
+// klsmStrict is the exact k = 0 configuration of the k-LSM.
+var klsmStrict = zoo.KLSM[uint32]("klsm-strict", klsm.Config{Relaxation: klsm.Strict})
 
 // emqRankErrorBound documents the rank-quality envelope we hold the
 // engineered MultiQueue to in lockstep (γ=0) mode. The EMQ's relaxation
@@ -22,19 +29,6 @@ import (
 // this at the probe's scale — see TestRankErrorRegression).
 func emqRankErrorBound(workers, c, deleteBuffer, stickiness int) float64 {
 	return float64(c*workers) * float64(deleteBuffer) * float64(stickiness)
-}
-
-// klsmRankErrorBound is the k-LSM's structural rank-error envelope in
-// lockstep (γ=0) mode: a relaxed DeleteMin takes the local minimum only
-// when it beats the global LSM's cached top, so the tasks it can skip
-// are confined to the other P−1 workers' local LSMs — at most k each —
-// plus up to P tasks already removed but still in flight. This is the
-// (P−1)·k + P bound documented in the internal/klsm package comment,
-// and unlike the EMQ envelope it is exact rather than empirical
-// headroom: the local-capacity invariant is enforced on every Push
-// (see klsm.TestRelaxationBoundHolds).
-func klsmRankErrorBound(workers, k int) float64 {
-	return float64((workers-1)*k + workers)
 }
 
 // TestRankErrorRegression pins the relative rank quality of the
@@ -59,16 +53,12 @@ func TestRankErrorRegression(t *testing.T) {
 		tasks   = 20000
 	)
 
-	const (
-		emqStick = 16
-		emqBuf   = 16
-		emqC     = 2 // emq.Config default
-	)
-	emqStats := ProbeRankLockstep(EMQSpec("EMQ", emqStick, emqBuf, 0), workers, tasks)
+	emqCfg := emq.Config{}.WithDefaults()
+	emqStats := ProbeRankLockstep(registered("emq"), workers, tasks)
 	if math.IsNaN(emqStats.MeanDisplacement) || math.IsInf(emqStats.MeanDisplacement, 0) {
 		t.Fatalf("EMQ mean rank error is not finite: %v", emqStats.MeanDisplacement)
 	}
-	bound := emqRankErrorBound(workers, emqC, emqBuf, emqStick)
+	bound := emqRankErrorBound(workers, emqCfg.C, emqCfg.DeleteBuffer, emqCfg.Stickiness)
 	if emqStats.MeanDisplacement > bound {
 		t.Errorf("EMQ mean rank error %.2f exceeds documented bound %.0f",
 			emqStats.MeanDisplacement, bound)
@@ -78,25 +68,27 @@ func TestRankErrorRegression(t *testing.T) {
 			emqStats.MeanDisplacement)
 	}
 
-	const klsmK = 256
-	klsmStats := ProbeRankLockstep(KLSMSpec("kLSM", klsmK), workers, tasks)
+	// The k-LSM's (P−1)·k + P is exact rather than empirical headroom:
+	// the local-capacity invariant is enforced on every Push (see
+	// klsm.TestRelaxationBoundHolds), so it covers the worst single pop.
+	klsmSpec := registered("klsm")
+	klsmStats := ProbeRankLockstep(klsmSpec, workers, tasks)
 	if math.IsNaN(klsmStats.MeanDisplacement) || math.IsInf(klsmStats.MeanDisplacement, 0) {
 		t.Fatalf("k-LSM mean rank error is not finite: %v", klsmStats.MeanDisplacement)
 	}
-	klsmBound := klsmRankErrorBound(workers, klsmK)
-	if klsmStats.MeanDisplacement > klsmBound {
-		t.Errorf("k-LSM mean rank error %.2f exceeds structural bound %.0f",
+	klsmBound, _ := klsmSpec.RankBound(workers)
+	if klsmStats.MeanDisplacement > float64(klsmBound) {
+		t.Errorf("k-LSM mean rank error %.2f exceeds structural bound %d",
 			klsmStats.MeanDisplacement, klsmBound)
 	}
-	// The worst single pop is covered by the same structural argument.
-	if float64(klsmStats.MaxDisplacement) > klsmBound {
-		t.Errorf("k-LSM max rank error %d exceeds structural bound %.0f",
+	if int64(klsmStats.MaxDisplacement) > klsmBound {
+		t.Errorf("k-LSM max rank error %d exceeds structural bound %d",
 			klsmStats.MaxDisplacement, klsmBound)
 	}
 
 	// Strict mode (k=0) must be an exact queue: in lockstep the drain
 	// comes out perfectly sorted, matching the coarse-locked baseline.
-	strictStats := ProbeRankLockstep(KLSMSpec("kLSM strict", klsm.Strict), workers, tasks)
+	strictStats := ProbeRankLockstep(klsmStrict, workers, tasks)
 	if strictStats.MeanDisplacement != 0 || strictStats.MaxDisplacement != 0 ||
 		strictStats.InversionFrac != 0 {
 		t.Errorf("strict k-LSM is not exact: %+v", strictStats)
@@ -107,22 +99,21 @@ func TestRankErrorRegression(t *testing.T) {
 	// and at a tiny chunk capacity that forces constant freeze/split
 	// and first-chunk rebuilds.
 	for _, chunkCap := range []int{0, 8} {
-		cbpqStats := ProbeRankLockstep(CBPQSpec("CBPQ", chunkCap), workers, tasks)
+		cbpqStats := ProbeRankLockstep(zoo.CBPQ[uint32]("cbpq", cbpq.Config{ChunkCap: chunkCap}), workers, tasks)
 		if cbpqStats.MeanDisplacement != 0 || cbpqStats.MaxDisplacement != 0 ||
 			cbpqStats.InversionFrac != 0 {
 			t.Errorf("CBPQ (chunk=%d) is not exact: %+v", chunkCap, cbpqStats)
 		}
 	}
 
-	smqStats := ProbeRankLockstep(SMQSpec("SMQ", 1, 1.0/8, 0), workers, tasks)
-	mqStats := ProbeRankLockstep(SchedulerSpec{Name: "MQ Classic", Make: ClassicMQBaseline},
-		workers, tasks)
+	smqStats := ProbeRankLockstep(zoo.SMQ[uint32]("smq", core.Config{StealSize: 1}), workers, tasks)
+	mqStats := ProbeRankLockstep(registered("mq"), workers, tasks)
 	if smqStats.MeanDisplacement > mqStats.MeanDisplacement {
 		t.Errorf("SMQ mean rank error %.2f exceeds classic MQ's %.2f",
 			smqStats.MeanDisplacement, mqStats.MeanDisplacement)
 	}
 
-	t.Logf("lockstep mean rank error: EMQ=%.2f (bound %.0f) kLSM=%.2f (bound %.0f) SMQ=%.2f MQ=%.2f",
+	t.Logf("lockstep mean rank error: EMQ=%.2f (bound %.0f) kLSM=%.2f (bound %d) SMQ=%.2f MQ=%.2f",
 		emqStats.MeanDisplacement, bound, klsmStats.MeanDisplacement, klsmBound,
 		smqStats.MeanDisplacement, mqStats.MeanDisplacement)
 }
@@ -149,33 +140,30 @@ func TestRankErrorRegressionBatched(t *testing.T) {
 		batch   = 8
 	)
 
-	const (
-		emqStick = 16
-		emqBuf   = 16
-		emqC     = 2
-	)
-	emqStats := ProbeRankLockstepBatched(EMQSpec("EMQ", emqStick, emqBuf, 0), workers, tasks, batch)
+	emqCfg := emq.Config{}.WithDefaults()
+	emqStats := ProbeRankLockstepBatched(registered("emq"), workers, tasks, batch)
 	if math.IsNaN(emqStats.MeanDisplacement) || math.IsInf(emqStats.MeanDisplacement, 0) {
 		t.Fatalf("batched EMQ mean rank error is not finite: %v", emqStats.MeanDisplacement)
 	}
-	if bound := emqRankErrorBound(workers, emqC, emqBuf, emqStick); emqStats.MeanDisplacement > bound {
+	if bound := emqRankErrorBound(workers, emqCfg.C, emqCfg.DeleteBuffer, emqCfg.Stickiness); emqStats.MeanDisplacement > bound {
 		t.Errorf("batched EMQ mean rank error %.2f exceeds documented bound %.0f",
 			emqStats.MeanDisplacement, bound)
 	}
 
-	const klsmK = 256
-	klsmStats := ProbeRankLockstepBatched(KLSMSpec("kLSM", klsmK), workers, tasks, batch)
-	klsmBound := klsmRankErrorBound(workers, klsmK) + float64(batch-1)
-	if klsmStats.MeanDisplacement > klsmBound {
-		t.Errorf("batched k-LSM mean rank error %.2f exceeds structural bound %.0f",
+	klsmSpec := registered("klsm")
+	klsmStats := ProbeRankLockstepBatched(klsmSpec, workers, tasks, batch)
+	klsmBound, _ := klsmSpec.RankBound(workers)
+	klsmBound += batch - 1
+	if klsmStats.MeanDisplacement > float64(klsmBound) {
+		t.Errorf("batched k-LSM mean rank error %.2f exceeds structural bound %d",
 			klsmStats.MeanDisplacement, klsmBound)
 	}
-	if float64(klsmStats.MaxDisplacement) > klsmBound {
-		t.Errorf("batched k-LSM max rank error %d exceeds structural bound %.0f",
+	if int64(klsmStats.MaxDisplacement) > klsmBound {
+		t.Errorf("batched k-LSM max rank error %d exceeds structural bound %d",
 			klsmStats.MaxDisplacement, klsmBound)
 	}
 
-	strictStats := ProbeRankLockstepBatched(KLSMSpec("kLSM strict", klsm.Strict), workers, tasks, batch)
+	strictStats := ProbeRankLockstepBatched(klsmStrict, workers, tasks, batch)
 	if strictStats.MeanDisplacement != 0 || strictStats.MaxDisplacement != 0 ||
 		strictStats.InversionFrac != 0 {
 		t.Errorf("strict k-LSM is not exact through batches: %+v", strictStats)
@@ -186,14 +174,14 @@ func TestRankErrorRegressionBatched(t *testing.T) {
 	// adds no relaxation at all (unlike the k-LSM, whose batched bound
 	// gains a batch-1 term).
 	for _, chunkCap := range []int{0, 8} {
-		cbpqStats := ProbeRankLockstepBatched(CBPQSpec("CBPQ", chunkCap), workers, tasks, batch)
+		cbpqStats := ProbeRankLockstepBatched(zoo.CBPQ[uint32]("cbpq", cbpq.Config{ChunkCap: chunkCap}), workers, tasks, batch)
 		if cbpqStats.MeanDisplacement != 0 || cbpqStats.MaxDisplacement != 0 ||
 			cbpqStats.InversionFrac != 0 {
 			t.Errorf("batched CBPQ (chunk=%d) is not exact: %+v", chunkCap, cbpqStats)
 		}
 	}
 
-	t.Logf("batched lockstep mean rank error: EMQ=%.2f kLSM=%.2f (bound %.0f)",
+	t.Logf("batched lockstep mean rank error: EMQ=%.2f kLSM=%.2f (bound %d)",
 		emqStats.MeanDisplacement, klsmStats.MeanDisplacement, klsmBound)
 }
 

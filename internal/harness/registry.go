@@ -8,9 +8,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/emq"
 	"repro/internal/graph"
+	"repro/internal/klsm"
 	"repro/internal/mq"
+	"repro/internal/obim"
 	"repro/internal/ranksim"
-	"repro/internal/sched"
+	"repro/internal/zoo"
 )
 
 // RunConfig controls an experiment run's scale and sweep dimensions.
@@ -18,7 +20,7 @@ import (
 // two processes with equal configs agree on every cell.
 type RunConfig struct {
 	// Scale multiplies graph sizes (1 = laptop-small; the paper's inputs
-	// are far larger — see DESIGN.md substitutions).
+	// are far larger — table1 lists the substitutes).
 	Scale int
 	// Threads is the thread sweep for comparison experiments.
 	Threads []int
@@ -159,7 +161,7 @@ func safeDiv(a, b float64) float64 {
 // workload at the given thread count — the ablation experiments'
 // reference point — returning one cell ref per workload.
 func addClassicBaselines(p *Plan, ws []*Workload, threads int) []int {
-	spec := SchedulerSpec{Name: "MQ Classic", Params: "C=4", Make: ClassicMQBaseline}
+	spec := registered("mq")
 	refs := make([]int, len(ws))
 	for i, w := range ws {
 		refs[i] = p.addMeasure(w, spec, threads, "")
@@ -202,7 +204,7 @@ func planTable1(cfg RunConfig) (*Plan, error) {
 	}
 	p.SetAssemble(func(rs []CellResult) ([]Table, error) {
 		t := Table{
-			Title:  "Table 1 — input graphs (synthetic substitutes; see DESIGN.md §2)",
+			Title:  "Table 1 — input graphs (synthetic substitutes; see internal/graph)",
 			Header: []string{"Graph", "|V|", "|E|", "MaxDeg", "AvgDeg", "Coords", "Description"},
 		}
 		for i, name := range names {
@@ -241,16 +243,7 @@ func planTable2(cfg RunConfig) (*Plan, error) {
 	for i, w := range ws {
 		rows[i].seq = p.addSeq(w)
 		for c := 2; c <= 8; c++ {
-			c := c
-			spec := SchedulerSpec{
-				Name:   "MQ",
-				Params: fmt.Sprintf("C=%d", c),
-				Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-					cc := mq.Classic(workers, c)
-					cc.Seed = seed
-					return mq.New[uint32](cc)
-				},
-			}
+			spec := zoo.MQ[uint32]("mq", mq.Classic(0, c))
 			rows[i].cells = append(rows[i].cells, p.addMeasure(w, spec, p.Config.MaxThreads, ""))
 		}
 	}
@@ -312,7 +305,8 @@ func planFig1Heap(cfg RunConfig) (*Plan, error) {
 	rows, cols := ablationLabels()
 	return planOneGrid("fig1", "Figure 1 — SMQ (d-ary heaps)", "psteal", rows, "stealSize", cols, cfg,
 		func(ri, ci int) SchedulerSpec {
-			return SMQSpec("SMQ", ablationStealSizes[ci], ablationStealProbs[ri].p, 0)
+			return zoo.SMQ[uint32]("smq", core.Config{
+				StealSize: ablationStealSizes[ci], StealProb: ablationStealProbs[ri].p})
 		})
 }
 
@@ -320,16 +314,8 @@ func planFig19Skip(cfg RunConfig) (*Plan, error) {
 	rows, cols := ablationLabels()
 	return planOneGrid("fig19", "Figures 19-20 — SMQ (skip lists)", "psteal", rows, "stealSize", cols, cfg,
 		func(ri, ci int) SchedulerSpec {
-			pr := ablationStealProbs[ri].p
-			sz := ablationStealSizes[ci]
-			return SchedulerSpec{
-				Name:   "SMQ SkipList",
-				Params: fmt.Sprintf("steal=%d psteal=%.3g", sz, pr),
-				Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-					return core.NewStealingMQSkipList[uint32](core.Config{
-						Workers: workers, StealSize: sz, StealProb: pr, Seed: seed})
-				},
-			}
+			return zoo.SMQSkip[uint32]("smq-skip", core.Config{
+				StealSize: ablationStealSizes[ci], StealProb: ablationStealProbs[ri].p})
 		})
 }
 
@@ -340,7 +326,7 @@ func planFig2(cfg RunConfig) (*Plan, error) {
 	p := NewPlan("fig2", cfg)
 	ws := StandardWorkloads(p.Config.Scale)
 	specs := StandardSchedulers()
-	baseSpec := SchedulerSpec{Name: "MQ Classic", Params: "C=4", Make: ClassicMQBaseline}
+	baseSpec := registered("mq")
 
 	type panel struct {
 		seq, base int
@@ -399,11 +385,11 @@ func planFig3(cfg RunConfig) (*Plan, error) {
 	ws := QuickWorkloads(p.Config.Scale)
 	obimSec := addGridSection(p, "Figures 3/5 — OBIM tuning", "delta", rows, "chunk", cols, ws,
 		func(ri, ci int) SchedulerSpec {
-			return OBIMSpec("OBIM", deltas[ri], chunks[ci], false)
+			return zoo.OBIM[uint32]("obim", obim.Config{Delta: deltas[ri], ChunkSize: chunks[ci]})
 		})
 	pmodSec := addGridSection(p, "Figures 4/6 — PMOD tuning", "delta", rows, "chunk", cols, ws,
 		func(ri, ci int) SchedulerSpec {
-			return OBIMSpec("PMOD", deltas[ri], chunks[ci], true)
+			return zoo.OBIM[uint32]("pmod", obim.Config{Delta: deltas[ri], ChunkSize: chunks[ci], Adaptive: true})
 		})
 	p.SetAssemble(func(rs []CellResult) ([]Table, error) {
 		return append(obimSec.tables(rs), pmodSec.tables(rs)...), nil
@@ -439,22 +425,10 @@ func batchLabels() []string {
 	return out
 }
 
-func mqSpec(name string, c mq.Config) SchedulerSpec {
-	return SchedulerSpec{
-		Name: name,
-		Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-			c2 := c
-			c2.Workers = workers
-			c2.Seed = seed
-			return mq.New[uint32](c2)
-		},
-	}
-}
-
 func planFig7(cfg RunConfig) (*Plan, error) {
 	return planOneGrid("fig7", "Figures 7-8 — MQ insert=TL, delete=TL", "pinsert", tlLabels(), "pdelete", tlLabels(), cfg,
 		func(ri, ci int) SchedulerSpec {
-			return mqSpec("MQ TL/TL", mq.Config{C: 4,
+			return zoo.MQ[uint32]("mq", mq.Config{C: 4,
 				Insert: mq.InsertTemporalLocality, PInsertChange: tlProbs[ri].p,
 				Delete: mq.DeleteTemporalLocality, PDeleteChange: tlProbs[ci].p})
 		})
@@ -463,7 +437,7 @@ func planFig7(cfg RunConfig) (*Plan, error) {
 func planFig9(cfg RunConfig) (*Plan, error) {
 	return planOneGrid("fig9", "Figures 9-10 — MQ insert=TL, delete=batch", "pinsert", tlLabels(), "batchDelete", batchLabels(), cfg,
 		func(ri, ci int) SchedulerSpec {
-			return mqSpec("MQ TL/B", mq.Config{C: 4,
+			return zoo.MQ[uint32]("mq", mq.Config{C: 4,
 				Insert: mq.InsertTemporalLocality, PInsertChange: tlProbs[ri].p,
 				Delete: mq.DeleteBatch, BatchDelete: batchSizes[ci]})
 		})
@@ -472,7 +446,7 @@ func planFig9(cfg RunConfig) (*Plan, error) {
 func planFig11(cfg RunConfig) (*Plan, error) {
 	return planOneGrid("fig11", "Figures 11-12 — MQ insert=batch, delete=TL", "batchInsert", batchLabels(), "pdelete", tlLabels(), cfg,
 		func(ri, ci int) SchedulerSpec {
-			return mqSpec("MQ B/TL", mq.Config{C: 4,
+			return zoo.MQ[uint32]("mq", mq.Config{C: 4,
 				Insert: mq.InsertBatch, BatchInsert: batchSizes[ri],
 				Delete: mq.DeleteTemporalLocality, PDeleteChange: tlProbs[ci].p})
 		})
@@ -481,7 +455,7 @@ func planFig11(cfg RunConfig) (*Plan, error) {
 func planFig13(cfg RunConfig) (*Plan, error) {
 	return planOneGrid("fig13", "Figures 13-14 — MQ insert=batch, delete=batch", "batchInsert", batchLabels(), "batchDelete", batchLabels(), cfg,
 		func(ri, ci int) SchedulerSpec {
-			return mqSpec("MQ B/B", mq.Config{C: 4,
+			return zoo.MQ[uint32]("mq", mq.Config{C: 4,
 				Insert: mq.InsertBatch, BatchInsert: batchSizes[ri],
 				Delete: mq.DeleteBatch, BatchDelete: batchSizes[ci]})
 		})
@@ -495,13 +469,13 @@ func planFig15(cfg RunConfig) (*Plan, error) {
 	base := addClassicBaselines(p, ws, p.Config.MaxThreads)
 	comboNames := []string{"TL/TL", "TL/B", "B/TL", "B/B"}
 	combos := []SchedulerSpec{
-		mqSpec("TL/TL", mq.Config{C: 4, Insert: mq.InsertTemporalLocality, PInsertChange: 1.0 / 64,
+		zoo.MQ[uint32]("TL/TL", mq.Config{C: 4, Insert: mq.InsertTemporalLocality, PInsertChange: 1.0 / 64,
 			Delete: mq.DeleteTemporalLocality, PDeleteChange: 1.0 / 64}),
-		mqSpec("TL/B", mq.Config{C: 4, Insert: mq.InsertTemporalLocality, PInsertChange: 1.0 / 64,
+		zoo.MQ[uint32]("TL/B", mq.Config{C: 4, Insert: mq.InsertTemporalLocality, PInsertChange: 1.0 / 64,
 			Delete: mq.DeleteBatch, BatchDelete: 8}),
-		mqSpec("B/TL", mq.Config{C: 4, Insert: mq.InsertBatch, BatchInsert: 8,
+		zoo.MQ[uint32]("B/TL", mq.Config{C: 4, Insert: mq.InsertBatch, BatchInsert: 8,
 			Delete: mq.DeleteTemporalLocality, PDeleteChange: 1.0 / 64}),
-		mqSpec("B/B", mq.Config{C: 4, Insert: mq.InsertBatch, BatchInsert: 8,
+		zoo.MQ[uint32]("B/B", mq.Config{C: 4, Insert: mq.InsertBatch, BatchInsert: 8,
 			Delete: mq.DeleteBatch, BatchDelete: 8}),
 	}
 	cells := make([][]int, len(ws))
@@ -553,7 +527,8 @@ func planEMQ(cfg RunConfig) (*Plan, error) {
 	}
 	return planOneGrid("emq", "Engineered MultiQueue — Williams et al. 2021", "stickiness", rows, "buffer", cols, cfg,
 		func(ri, ci int) SchedulerSpec {
-			return EMQSpec("EMQ", emqStickiness[ri], emqBuffers[ci], 0)
+			return zoo.EMQ[uint32]("emq", emq.Config{Stickiness: emqStickiness[ri],
+				InsertBuffer: emqBuffers[ci], DeleteBuffer: emqBuffers[ci]})
 		})
 }
 
@@ -577,7 +552,8 @@ func planKLSM(cfg RunConfig) (*Plan, error) {
 	cells := make([][]int, len(ws))
 	for i, w := range ws {
 		for _, k := range klsmRelaxations {
-			cells[i] = append(cells[i], p.addMeasure(w, KLSMSpec("kLSM", k), p.Config.MaxThreads, ""))
+			spec := zoo.KLSM[uint32]("klsm", klsm.Config{Relaxation: k})
+			cells[i] = append(cells[i], p.addMeasure(w, spec, p.Config.MaxThreads, ""))
 		}
 	}
 	p.SetAssemble(func(rs []CellResult) ([]Table, error) {
@@ -618,32 +594,23 @@ func planNUMA(cfg RunConfig) (*Plan, error) {
 		mk   func(k float64) SchedulerSpec
 	}{
 		{"MQ B/B", func(k float64) SchedulerSpec {
-			return mqSpec("MQ B/B", mq.Config{C: 4, Insert: mq.InsertBatch, BatchInsert: 8,
+			return zoo.MQ[uint32]("mq", mq.Config{C: 4, Insert: mq.InsertBatch, BatchInsert: 8,
 				Delete: mq.DeleteBatch, BatchDelete: 8, NUMANodes: 2, NUMAWeightK: k})
 		}},
 		{"MQ TL/TL", func(k float64) SchedulerSpec {
-			return mqSpec("MQ TL/TL", mq.Config{C: 4,
+			return zoo.MQ[uint32]("mq", mq.Config{C: 4,
 				Insert: mq.InsertTemporalLocality, PInsertChange: 1.0 / 64,
 				Delete: mq.DeleteTemporalLocality, PDeleteChange: 1.0 / 64,
 				NUMANodes: 2, NUMAWeightK: k})
 		}},
 		{"SMQ heap", func(k float64) SchedulerSpec {
-			return SchedulerSpec{Name: "SMQ", Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-				return core.NewStealingMQ[uint32](core.Config{Workers: workers,
-					NUMANodes: 2, NUMAWeightK: k, Seed: seed})
-			}}
+			return zoo.SMQ[uint32]("smq", core.Config{NUMANodes: 2, NUMAWeightK: k})
 		}},
 		{"SMQ skiplist", func(k float64) SchedulerSpec {
-			return SchedulerSpec{Name: "SMQ skip", Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-				return core.NewStealingMQSkipList[uint32](core.Config{Workers: workers,
-					NUMANodes: 2, NUMAWeightK: k, Seed: seed})
-			}}
+			return zoo.SMQSkip[uint32]("smq-skip", core.Config{NUMANodes: 2, NUMAWeightK: k})
 		}},
 		{"EMQ", func(k float64) SchedulerSpec {
-			return SchedulerSpec{Name: "EMQ", Make: func(workers int, seed uint64) sched.Scheduler[uint32] {
-				return emq.New[uint32](emq.Config{Workers: workers,
-					NUMANodes: 2, NUMAWeightK: k, Seed: seed})
-			}}
+			return zoo.EMQ[uint32]("emq", emq.Config{NUMANodes: 2, NUMAWeightK: k})
 		}},
 	}
 	// cells[variant][workload][kIndex]

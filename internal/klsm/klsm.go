@@ -94,10 +94,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// withDefaults returns a copy with the zero Relaxation replaced by
+// WithDefaults returns a copy with the zero Relaxation replaced by
 // DefaultRelaxation and the Strict sentinel resolved to the exact
 // k = 0 configuration. Construction applies it after Validate.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if c.Relaxation == 0 {
 		c.Relaxation = DefaultRelaxation
 	}
@@ -111,7 +111,7 @@ func (c *Config) normalize() {
 	if err := c.Validate(); err != nil {
 		panic(err.Error())
 	}
-	*c = c.withDefaults()
+	*c = c.WithDefaults()
 }
 
 // block is one sorted run of an LSM: items[head:] are live, ascending

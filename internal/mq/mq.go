@@ -137,9 +137,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// withDefaults returns a copy with every zero-valued field replaced by
+// WithDefaults returns a copy with every zero-valued field replaced by
 // its documented default. Construction applies it after Validate.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if c.C == 0 {
 		c.C = 4
 	}
@@ -171,7 +171,7 @@ func (c *Config) normalize() {
 	if err := c.Validate(); err != nil {
 		panic(err.Error())
 	}
-	*c = c.withDefaults()
+	*c = c.WithDefaults()
 }
 
 // Classic returns the configuration of Listing 1: uniformly random

@@ -9,11 +9,10 @@
 //
 // Real NUMA hardware is not required (and not assumed): this package
 // reproduces the sampling distribution and counts remote accesses, which
-// is the algorithmically relevant part of the mechanism (see DESIGN.md
-// §2, substitutions). Workers are striped over nodes in contiguous
-// blocks, and each worker's C queues inherit its node, so every node owns
-// a contiguous block of queue indices — which makes weighted sampling a
-// constant-time operation.
+// is the algorithmically relevant part of the mechanism. Workers are
+// striped over nodes in contiguous blocks, and each worker's C queues
+// inherit its node, so every node owns a contiguous block of queue
+// indices — which makes weighted sampling a constant-time operation.
 package numa
 
 import "repro/internal/xrand"

@@ -95,9 +95,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// withDefaults returns a copy with every zero-valued field replaced by
+// WithDefaults returns a copy with every zero-valued field replaced by
 // its documented default. Construction applies it after Validate.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if c.Delta == 0 {
 		c.Delta = 10
 	}
@@ -123,7 +123,7 @@ func (c *Config) normalize() {
 	if err := c.Validate(); err != nil {
 		panic(err.Error())
 	}
-	*c = c.withDefaults()
+	*c = c.WithDefaults()
 }
 
 // chunk is a batch of same-bucket tasks. Chunks move between workers as a

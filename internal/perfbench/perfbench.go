@@ -699,7 +699,7 @@ func Validate(r *Report) error {
 	if r == nil {
 		return fmt.Errorf("perfbench: nil report")
 	}
-	// Version-gated: committed version-1 through version-3 trajectory
+	// Version-gated: committed version-1 through version-6 trajectory
 	// files remain valid without the later fields; anything else must be
 	// the current schema.
 	if r.SchemaVersion < 1 || r.SchemaVersion > SchemaVersion {

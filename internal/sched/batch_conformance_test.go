@@ -38,9 +38,9 @@ func drainBatchAll(t *testing.T, w sched.Worker[uint32], dstCap int, counts []in
 // single-worker batch edge cases.
 func TestBatchConformanceEdgeCases(t *testing.T) {
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := tc.mk(2)
+			s := tc.Build(2, 0)
 			w := s.Worker(0)
 
 			// Empty batch: PushN of nothing and PopN into an empty dst
@@ -97,9 +97,9 @@ func TestBatchConformanceEdgeCases(t *testing.T) {
 // coherently by later scalar pops and vice versa.
 func TestBatchConformanceInterleaved(t *testing.T) {
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := tc.mk(1)
+			s := tc.Build(1, 0)
 			w := s.Worker(0)
 			const total = 3000
 			counts := make([]int32, total)
@@ -156,9 +156,9 @@ func TestBatchConformanceConcurrent(t *testing.T) {
 		perWorker = 500
 	}
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := tc.mk(workers)
+			s := tc.Build(workers, 0)
 			total := workers * perWorker
 			atomicCounts := make([]atomic.Int32, total)
 			var pending sched.Pending

@@ -12,185 +12,51 @@ package sched_test
 //     or thread-local buffers;
 //  4. Stats() accounting is exact after a drain: Pops == Pushes.
 //
-// The suite runs every constructor through the same concurrent
-// push/pop workload (run it with -race to exercise the locking and the
-// lock-free publication paths).
+// The suite runs the whole zoo registry plus the non-default variants
+// below through the same concurrent push/pop workload (run it with
+// -race to exercise the locking and the lock-free publication paths).
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cbpq"
-	"repro/internal/coarse"
 	"repro/internal/core"
 	"repro/internal/emq"
 	"repro/internal/klsm"
 	"repro/internal/mq"
-	"repro/internal/obim"
 	"repro/internal/sched"
-	"repro/internal/spray"
+	"repro/internal/zoo"
 )
 
-// conformanceCase is one scheduler configuration under test. covers
-// names the root-package (smq) New* constructors whose implementation
-// this case exercises; the union of all covers fields must equal
-// rootConstructorsCovered (see TestZooGateCoverageConsistent), which
-// cmd/zoogate in turn checks against the exported surface of package
-// smq — so a new root scheduler constructor cannot land without a
-// conformance entry.
-type conformanceCase struct {
-	name   string
-	covers []string
-	mk     func(workers int) sched.Scheduler[uint32]
-}
-
-// rootConstructorsCovered lists every exported New* scheduler
-// constructor of the root smq package that the conformance lineup
-// exercises (via the underlying implementation packages). cmd/zoogate
-// parses this literal and fails CI if package smq exports a scheduler
-// constructor that is missing here; TestZooGateCoverageConsistent fails
-// if an entry has no backing conformance case.
-var rootConstructorsCovered = []string{
-	"NewStealingMQ",
-	"NewStealingMQSkipList",
-	"NewMultiQueue",
-	"NewClassicMultiQueue",
-	"NewRELD",
-	"NewEngineeredMQ",
-	"NewKLSM",
-	"NewOBIM",
-	"NewPMOD",
-	"NewSprayList",
-	"NewCBPQ",
-}
-
-// conformanceSchedulers lists every scheduler constructor in the repo,
-// covering each distinct code path (policy combinations, buffer and
-// stickiness settings, relaxation bounds, NUMA sampling).
-func conformanceSchedulers() []conformanceCase {
-	return []conformanceCase{
-		{"SMQ/heap", []string{"NewStealingMQ"}, func(w int) sched.Scheduler[uint32] {
-			return core.NewStealingMQ[uint32](core.Config{Workers: w})
-		}},
-		{"SMQ/heap-insbatch", nil, func(w int) sched.Scheduler[uint32] {
-			return core.NewStealingMQ[uint32](core.Config{Workers: w, InsertBatch: 8})
-		}},
-		{"SMQ/skiplist", []string{"NewStealingMQSkipList"}, func(w int) sched.Scheduler[uint32] {
-			return core.NewStealingMQSkipList[uint32](core.Config{Workers: w})
-		}},
-		{"MQ/classic", []string{"NewMultiQueue", "NewClassicMultiQueue"}, func(w int) sched.Scheduler[uint32] {
-			return mq.New[uint32](mq.Classic(w, 4))
-		}},
-		{"MQ/temporal", nil, func(w int) sched.Scheduler[uint32] {
-			return mq.New[uint32](mq.Config{Workers: w, C: 4,
-				Insert: mq.InsertTemporalLocality, PInsertChange: 1.0 / 64,
-				Delete: mq.DeleteTemporalLocality, PDeleteChange: 1.0 / 64})
-		}},
-		{"MQ/batch", nil, func(w int) sched.Scheduler[uint32] {
-			return mq.New[uint32](mq.Config{Workers: w, C: 4,
-				Insert: mq.InsertBatch, BatchInsert: 8,
-				Delete: mq.DeleteBatch, BatchDelete: 8})
-		}},
-		{"MQ/peektops", nil, func(w int) sched.Scheduler[uint32] {
-			return mq.New[uint32](mq.Config{Workers: w, C: 4, PeekTops: true})
-		}},
-		{"MQ/numa", nil, func(w int) sched.Scheduler[uint32] {
-			return mq.New[uint32](mq.Config{Workers: w, C: 4, NUMANodes: 2, NUMAWeightK: 8})
-		}},
-		{"RELD", []string{"NewRELD"}, func(w int) sched.Scheduler[uint32] {
-			return mq.New[uint32](mq.RELD(w))
-		}},
-		{"OBIM", []string{"NewOBIM"}, func(w int) sched.Scheduler[uint32] {
-			return obim.New[uint32](obim.Config{Workers: w, Delta: 10, ChunkSize: 64})
-		}},
-		{"PMOD", []string{"NewPMOD"}, func(w int) sched.Scheduler[uint32] {
-			return obim.New[uint32](obim.Config{Workers: w, Delta: 10, ChunkSize: 64, Adaptive: true})
-		}},
-		{"SprayList", []string{"NewSprayList"}, func(w int) sched.Scheduler[uint32] {
-			return spray.New[uint32](spray.Config{Workers: w})
-		}},
-		{"CoarseLock", nil, func(w int) sched.Scheduler[uint32] {
-			return coarse.New[uint32](coarse.Config{Workers: w})
-		}},
-		{"CBPQ/default", []string{"NewCBPQ"}, func(w int) sched.Scheduler[uint32] {
-			return cbpq.New[uint32](cbpq.Config{Workers: w})
-		}},
-		{"CBPQ/chunk8", nil, func(w int) sched.Scheduler[uint32] {
-			// Tiny chunks force constant freeze/split/rebuild races.
-			return cbpq.New[uint32](cbpq.Config{Workers: w, ChunkCap: 8})
-		}},
-		{"CBPQ/noelim", nil, func(w int) sched.Scheduler[uint32] {
-			// The pre-elimination baseline: every below-head insert goes
-			// through buf + combining rebuild (the default cases above
-			// cover the exchange layer at both chunk capacities).
-			return cbpq.New[uint32](cbpq.Config{Workers: w, DisableElimination: true})
-		}},
-		{"CBPQ/noelim-chunk8", nil, func(w int) sched.Scheduler[uint32] {
-			return cbpq.New[uint32](cbpq.Config{Workers: w, ChunkCap: 8, DisableElimination: true})
-		}},
-		{"EMQ/default", []string{"NewEngineeredMQ"}, func(w int) sched.Scheduler[uint32] {
-			return emq.New[uint32](emq.Config{Workers: w})
-		}},
-		{"EMQ/unbuffered", nil, func(w int) sched.Scheduler[uint32] {
-			return emq.New[uint32](emq.Config{Workers: w,
-				Stickiness: 1, InsertBuffer: 1, DeleteBuffer: 1})
-		}},
-		{"EMQ/bigbuf", nil, func(w int) sched.Scheduler[uint32] {
-			return emq.New[uint32](emq.Config{Workers: w,
-				Stickiness: 64, InsertBuffer: 64, DeleteBuffer: 64})
-		}},
-		{"EMQ/numa", nil, func(w int) sched.Scheduler[uint32] {
-			return emq.New[uint32](emq.Config{Workers: w, NUMANodes: 2, NUMAWeightK: 8})
-		}},
-		{"KLSM/default", []string{"NewKLSM"}, func(w int) sched.Scheduler[uint32] {
-			return klsm.New[uint32](klsm.Config{Workers: w})
-		}},
-		{"KLSM/strict", nil, func(w int) sched.Scheduler[uint32] {
-			return klsm.New[uint32](klsm.Config{Workers: w, Relaxation: klsm.Strict})
-		}},
-		{"KLSM/k4", nil, func(w int) sched.Scheduler[uint32] {
-			return klsm.New[uint32](klsm.Config{Workers: w, Relaxation: 4})
-		}},
-		{"KLSM/k4096", nil, func(w int) sched.Scheduler[uint32] {
-			return klsm.New[uint32](klsm.Config{Workers: w, Relaxation: 4096})
-		}},
-	}
-}
-
-// TestZooGateCoverageConsistent keeps rootConstructorsCovered honest
-// from the inside: every listed root constructor must be claimed by at
-// least one conformance case's covers field, and no case may claim a
-// constructor that is not listed. (cmd/zoogate checks the same list
-// from the outside against package smq's exported surface.)
-func TestZooGateCoverageConsistent(t *testing.T) {
-	listed := map[string]bool{}
-	for _, name := range rootConstructorsCovered {
-		if listed[name] {
-			t.Errorf("rootConstructorsCovered lists %s twice", name)
-		}
-		listed[name] = true
-	}
-	claimed := map[string]string{}
-	for _, tc := range conformanceSchedulers() {
-		for _, name := range tc.covers {
-			if !listed[name] {
-				t.Errorf("case %s claims %s, which is not in rootConstructorsCovered", tc.name, name)
-			}
-			claimed[name] = tc.name
-		}
-	}
-	var missing []string
-	for name := range listed {
-		if claimed[name] == "" {
-			missing = append(missing, name)
-		}
-	}
-	sort.Strings(missing)
-	for _, name := range missing {
-		t.Errorf("rootConstructorsCovered lists %s but no conformance case covers it", name)
-	}
+// conformanceSchedulers is every configuration under test: the
+// registry's default-configured lineup, then one variant per distinct
+// code path the defaults leave cold (policy combinations, buffer and
+// stickiness settings, relaxation bounds, NUMA sampling), built through
+// the same family builders as the registry.
+func conformanceSchedulers() []zoo.Spec[uint32] {
+	return append(zoo.Lineup[uint32](),
+		zoo.SMQ[uint32]("SMQ/heap-insbatch", core.Config{InsertBatch: 8}),
+		zoo.MQ[uint32]("MQ/temporal", mq.Config{C: 4,
+			Insert: mq.InsertTemporalLocality, PInsertChange: 1.0 / 64,
+			Delete: mq.DeleteTemporalLocality, PDeleteChange: 1.0 / 64}),
+		zoo.MQ[uint32]("MQ/peektops", mq.Config{C: 4, PeekTops: true}),
+		zoo.MQ[uint32]("MQ/numa", mq.Config{C: 4, NUMANodes: 2, NUMAWeightK: 8}),
+		// Tiny chunks force constant freeze/split/rebuild races.
+		zoo.CBPQ[uint32]("CBPQ/chunk8", cbpq.Config{ChunkCap: 8}),
+		// The pre-elimination baseline: every below-head insert goes
+		// through buf + combining rebuild (the registry's cbpq and
+		// CBPQ/chunk8 cover the exchange layer at both chunk capacities).
+		zoo.CBPQ[uint32]("CBPQ/noelim", cbpq.Config{DisableElimination: true}),
+		zoo.CBPQ[uint32]("CBPQ/noelim-chunk8", cbpq.Config{ChunkCap: 8, DisableElimination: true}),
+		zoo.EMQ[uint32]("EMQ/unbuffered", emq.Config{Stickiness: 1, InsertBuffer: 1, DeleteBuffer: 1}),
+		zoo.EMQ[uint32]("EMQ/bigbuf", emq.Config{Stickiness: 64, InsertBuffer: 64, DeleteBuffer: 64}),
+		zoo.EMQ[uint32]("EMQ/numa", emq.Config{NUMANodes: 2, NUMAWeightK: 8}),
+		zoo.KLSM[uint32]("KLSM/strict", klsm.Config{Relaxation: klsm.Strict}),
+		zoo.KLSM[uint32]("KLSM/k4", klsm.Config{Relaxation: 4}),
+		zoo.KLSM[uint32]("KLSM/k4096", klsm.Config{Relaxation: 4096}),
+	)
 }
 
 // drainConcurrently runs the canonical Pending-protocol workload: each
@@ -261,9 +127,9 @@ func TestConformance(t *testing.T) {
 		perWorker = 500
 	}
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := tc.mk(workers)
+			s := tc.Build(workers, 0)
 			counts := drainConcurrently(t, s, workers, perWorker)
 
 			lost, duplicated := 0, 0
@@ -303,9 +169,9 @@ func TestConformanceSingleWorker(t *testing.T) {
 		perWorker = 300
 	}
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := tc.mk(1)
+			s := tc.Build(1, 0)
 			counts := drainConcurrently(t, s, 1, perWorker)
 			for v, c := range counts {
 				if c != 1 {
@@ -326,8 +192,8 @@ func TestConformanceSingleWorker(t *testing.T) {
 // worker holds a task in thread-local state while another spins on Pop.
 func TestConformancePendingSpuriousEmpty(t *testing.T) {
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
-			s := tc.mk(2)
+		t.Run(tc.Name, func(t *testing.T) {
+			s := tc.Build(2, 0)
 			var pending sched.Pending
 
 			// Worker 0 pushes one task; depending on the scheduler it may

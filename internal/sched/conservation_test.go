@@ -130,8 +130,8 @@ func TestConservationMixedBatch(t *testing.T) {
 		perWorker = 400
 	}
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
-			conserveMixed(t, tc.mk(workers), workers, perWorker)
+		t.Run(tc.Name, func(t *testing.T) {
+			conserveMixed(t, tc.Build(workers, 0), workers, perWorker)
 		})
 	}
 }
@@ -237,8 +237,8 @@ func TestConservationHold(t *testing.T) {
 		perWorker, rounds = 100, 400
 	}
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
-			conserveHold(t, tc.mk(workers), workers, perWorker, rounds)
+		t.Run(tc.Name, func(t *testing.T) {
+			conserveHold(t, tc.Build(workers, 0), workers, perWorker, rounds)
 		})
 	}
 }
@@ -257,8 +257,8 @@ func TestConservationOversubscribed(t *testing.T) {
 		perWorker = 200
 	}
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
-			conserveMixed(t, tc.mk(workers), workers, perWorker)
+		t.Run(tc.Name, func(t *testing.T) {
+			conserveMixed(t, tc.Build(workers, 0), workers, perWorker)
 		})
 	}
 }

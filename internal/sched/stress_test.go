@@ -23,8 +23,8 @@ func TestStressHoldConservation(t *testing.T) {
 		workers = 4
 	}
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
-			conserveHold(t, tc.mk(workers), workers, 2000, 20000)
+		t.Run(tc.Name, func(t *testing.T) {
+			conserveHold(t, tc.Build(workers, 0), workers, 2000, 20000)
 		})
 	}
 }
@@ -37,8 +37,8 @@ func TestStressMixedConservation(t *testing.T) {
 		workers = 4
 	}
 	for _, tc := range conformanceSchedulers() {
-		t.Run(tc.name, func(t *testing.T) {
-			conserveMixed(t, tc.mk(workers), workers, 12000)
+		t.Run(tc.Name, func(t *testing.T) {
+			conserveMixed(t, tc.Build(workers, 0), workers, 12000)
 		})
 	}
 }

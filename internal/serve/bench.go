@@ -35,7 +35,7 @@ type BenchConfig struct {
 	// the load starts. Zero skips the measurement (-1 in the report).
 	IdleWindow time.Duration
 	Seed       uint64
-	// GeneratedBy labels the report ("smqserve", "smqbench -serve").
+	// GeneratedBy labels the report ("smqserve", "harness serve").
 	GeneratedBy string
 }
 

@@ -59,11 +59,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// withDefaults returns a copy with the zero Seed and zero Params
+// WithDefaults returns a copy with the zero Seed and zero Params
 // replaced by their documented defaults (seed 1, the paper's
 // recommended spray parameters for Workers). Construction applies it
 // after Validate.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -79,7 +79,7 @@ func New[T any](cfg Config) *Sched[T] {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	s := &Sched[T]{
 		cfg:      cfg,
 		list:     cskiplist.New[T](cfg.Seed),

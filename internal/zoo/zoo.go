@@ -1,10 +1,14 @@
-// Package zoo is the canonical named-scheduler registry: one Spec per
-// scheduler of the repository's zoo, carrying the human-readable name,
-// the default configuration as a factory, and a machine-readable rank
-// bound. It is the single source of truth behind the root package's
-// Spec/Lineup/LookupSpec API; internal/perfbench, internal/serve,
-// internal/harness and internal/desim all build schedulers through it,
-// so the zoo's name→factory mapping exists exactly once.
+// Package zoo is the one place that turns a scheduler configuration
+// into a labelled, buildable Spec. One builder per family (SMQ, SMQSkip,
+// MQ, EMQ, KLSM, OBIM, CBPQ, Spray, Coarse) derives the Params label and
+// the rank bound from the defaults-applied configuration the scheduler
+// will actually run, so a report row can never name a configuration
+// other than the one behind it. Lineup is the canonical registry built
+// from those builders — the source of truth behind the root package's
+// Spec/Lineup/LookupSpec API, internal/perfbench, internal/serve and
+// internal/desim — and internal/harness builds its named variants and
+// ablation grids, and the conformance suites their non-default cases,
+// through the same builders.
 //
 // Specs are generic in the task payload type: Lineup[T]() instantiates
 // the whole registry at payload T, so the microbenchmark (int), the
@@ -21,6 +25,7 @@ import (
 	"repro/internal/cbpq"
 	"repro/internal/coarse"
 	"repro/internal/core"
+	"repro/internal/cskiplist"
 	"repro/internal/emq"
 	"repro/internal/klsm"
 	"repro/internal/mq"
@@ -32,20 +37,16 @@ import (
 
 // Spec is a named scheduler factory with its relaxation contract.
 type Spec[T any] struct {
-	// Name is the registry key ("smq", "klsm", ...).
+	// Name is the registry key ("smq", "klsm", ...) or a variant's name.
 	Name string
-	// Params summarizes the spec's fixed configuration for reports.
+	// Params summarizes the effective configuration for reports.
 	Params string
-	// Constructor names the root-package constructor this spec wraps
-	// ("" for the coarse strawman, which has none); cmd/zoogate checks
-	// that every root constructor appears here.
-	Constructor string
 	// Make builds the scheduler. Seed 0 selects the scheduler's default
 	// seeding; schedulers without a seed knob ignore it.
 	Make func(workers int, seed uint64) sched.Scheduler[T]
 	// Bound, when set, computes the spec's rank-error bound; access it
-	// through the RankBound method, which handles ad-hoc specs that
-	// leave it nil.
+	// through the RankBound method, which handles specs that leave it
+	// nil because no usable bound exists.
 	Bound func(workers int) (bound int64, exact bool)
 }
 
@@ -88,156 +89,232 @@ func Lookup[T any](name string) (Spec[T], bool) {
 	return Spec[T]{}, false
 }
 
-// Constructors maps every registered spec name to the root-package
-// constructor it wraps ("" for specs without one). cmd/zoogate diffs it
-// against the constructors the root package actually exports, so a new
-// scheduler cannot land without a registry entry.
-func Constructors() map[string]string {
-	out := make(map[string]string, 12)
-	for _, s := range Lineup[struct{}]() {
-		out[s.Name] = s.Constructor
-	}
-	return out
-}
-
-// cbpqParams labels the default-configured lock-free tier; the chunk
-// capacity is read from the constant it runs with.
-var cbpqParams = fmt.Sprintf("chunk=%d lock-free", cbpq.DefaultChunkCap)
-
 // Lineup instantiates the full registry at payload type T, in report
-// order: the exact baseline first, then the Multi-Queue family, the
+// order: the exact baselines first, then the Multi-Queue family, the
 // SMQ variants, and the non-Multi-Queue relaxed baselines. Every
-// configuration is the respective paper's default — the same ones the
-// harness experiments and the perfbench lineup use.
+// configuration is the respective paper's default.
 func Lineup[T any]() []Spec[T] {
 	return []Spec[T]{
-		{
-			Name: "coarse", Params: "single global heap",
-			Make: func(w int, _ uint64) sched.Scheduler[T] {
-				return coarse.New[T](coarse.Config{Workers: w})
-			},
-			Bound: func(int) (int64, bool) { return 0, true },
+		Coarse[T]("coarse", coarse.Config{}),
+		CBPQ[T]("cbpq", cbpq.Config{}),
+		// The elimination + combining layer is on by default, so this
+		// builds the same scheduler as cbpq; the name is pinned by
+		// BENCHMARK.json and the committed trajectory artifacts.
+		CBPQ[T]("cbpq-elim", cbpq.Config{}),
+		MQ[T]("mq", mq.Classic(0, 4)),
+		MQ[T]("mq-batch", mq.Config{C: 4, Insert: mq.InsertBatch, Delete: mq.DeleteBatch}),
+		EMQ[T]("emq", emq.Config{}),
+		SMQ[T]("smq", core.Config{}),
+		SMQSkip[T]("smq-skip", core.Config{}),
+		MQ[T]("reld", mq.RELD(0)),
+		KLSM[T]("klsm", klsm.Config{}),
+		OBIM[T]("obim", obim.Config{}),
+		OBIM[T]("pmod", obim.Config{Adaptive: true}),
+		Spray[T]("spray", spray.Config{}),
+	}
+}
+
+// The family builders below share one contract: cfg's Workers and Seed
+// are ignored (Make fills them in per build), Params and Bound are read
+// off cfg.WithDefaults() — the configuration the constructor will run —
+// and every knob some lineup, variant or ablation grid of this
+// repository varies appears in the label.
+
+// SMQ labels and builds a heap Stealing Multi-Queue.
+func SMQ[T any](name string, cfg core.Config) Spec[T] {
+	return stealing(name, cfg, core.NewStealingMQ[T])
+}
+
+// SMQSkip labels and builds a skip-list Stealing Multi-Queue.
+func SMQSkip[T any](name string, cfg core.Config) Spec[T] {
+	return stealing(name, cfg, core.NewStealingMQSkipList[T])
+}
+
+func stealing[T any](name string, cfg core.Config, build func(core.Config) *core.SMQ[T]) Spec[T] {
+	c := cfg.WithDefaults()
+	params := fmt.Sprintf("steal=%d psteal=%.3g", c.StealSize, c.StealProb)
+	if c.InsertBatch > 1 {
+		params += fmt.Sprintf(" insbatch=%d", c.InsertBatch)
+	}
+	return Spec[T]{
+		Name: name, Params: params + numaLabel(c.NUMANodes, c.NUMAWeightK),
+		Make: func(w int, seed uint64) sched.Scheduler[T] {
+			cfg := cfg
+			cfg.Workers, cfg.Seed = w, seed
+			return build(cfg)
 		},
-		{
-			Name: "cbpq", Params: cbpqParams, Constructor: "NewCBPQ",
-			Make: func(w int, _ uint64) sched.Scheduler[T] {
-				return cbpq.New[T](cbpq.Config{Workers: w})
-			},
-			// Linearizable-exact like the coarse baseline, but
-			// non-blocking: the lock-free tier's rank bound is 0.
-			// The elimination + combining layer is on by default (it is
-			// part of what makes the tier usable), so this spec and
-			// cbpq-elim coincide; the layer's absence is what
-			// DisableElimination reconstructs for A/B runs.
-			Bound: func(int) (int64, bool) { return 0, true },
+		Bound: expectationBound(1, c.StealSize, c.StealProb),
+	}
+}
+
+// MQ labels and builds a member of the Multi-Queue family (classic,
+// temporal-locality, batching, RELD).
+func MQ[T any](name string, cfg mq.Config) Spec[T] {
+	c := cfg.WithDefaults()
+	params := fmt.Sprintf("C=%d", c.C)
+	if c.Insert == mq.InsertBatch {
+		params += fmt.Sprintf(" ins=batch%d", c.BatchInsert)
+	} else if c.PInsertChange < 1 {
+		params += fmt.Sprintf(" ins=tl%.3g", c.PInsertChange)
+	}
+	// A temporal-locality delete is the SMQ process's delete with
+	// p_steal = PDeleteChange (1 = the classic fresh two-choice); a
+	// batched delete is a fresh two-choice removing BatchDelete tasks.
+	bound := expectationBound(c.C, 1, c.PDeleteChange)
+	switch c.Delete {
+	case mq.DeleteBatch:
+		params += fmt.Sprintf(" del=batch%d", c.BatchDelete)
+		bound = expectationBound(c.C, c.BatchDelete, 1)
+	case mq.DeleteLocal:
+		params += " del=local"
+		// Local dequeue lets one worker dwell on its own queue for
+		// arbitrarily long: no rank bound exists.
+		bound = nil
+	default:
+		if c.PDeleteChange < 1 {
+			params += fmt.Sprintf(" del=tl%.3g", c.PDeleteChange)
+		}
+	}
+	if c.PeekTops {
+		params += " peektops"
+	}
+	return Spec[T]{
+		Name: name, Params: params + numaLabel(c.NUMANodes, c.NUMAWeightK),
+		Make: func(w int, seed uint64) sched.Scheduler[T] {
+			cfg := cfg
+			cfg.Workers, cfg.Seed = w, seed
+			return mq.New[T](cfg)
 		},
-		{
-			Name: "cbpq-elim", Params: cbpqParams + " elim+combining", Constructor: "NewCBPQ",
-			Make: func(w int, _ uint64) sched.Scheduler[T] {
-				return cbpq.New[T](cbpq.Config{Workers: w})
-			},
-			// Names the layered configuration explicitly so experiment
-			// specs and benchcheck diffs can pin "CBPQ with the
-			// elimination + combining layer" even if the bare cbpq
-			// default ever changes. Elimination preserves exactness: an
-			// exchange take linearizes only after validating the head's
-			// publish counter, so the rank bound stays 0.
-			Bound: func(int) (int64, bool) { return 0, true },
+		Bound: bound,
+	}
+}
+
+// EMQ labels and builds an engineered MultiQueue.
+func EMQ[T any](name string, cfg emq.Config) Spec[T] {
+	c := cfg.WithDefaults()
+	return Spec[T]{
+		Name: name,
+		Params: fmt.Sprintf("C=%d stick=%d buf=%d/%d", c.C, c.Stickiness, c.InsertBuffer, c.DeleteBuffer) +
+			numaLabel(c.NUMANodes, c.NUMAWeightK),
+		Make: func(w int, seed uint64) sched.Scheduler[T] {
+			cfg := cfg
+			cfg.Workers, cfg.Seed = w, seed
+			return emq.New[T](cfg)
 		},
-		{
-			Name: "mq", Params: "C=4", Constructor: "NewClassicMultiQueue",
-			Make: func(w int, seed uint64) sched.Scheduler[T] {
-				c := mq.Classic(w, 4)
-				c.Seed = seed
-				return mq.New[T](c)
-			},
-			Bound: expectationBound(4, 1, 1),
+		// The buffered refills behave like a batched two-choice process
+		// over m = C·workers queues with batch = the delete-buffer
+		// capacity.
+		Bound: expectationBound(c.C, c.DeleteBuffer, 1),
+	}
+}
+
+// KLSM labels and builds a k-LSM.
+func KLSM[T any](name string, cfg klsm.Config) Spec[T] {
+	k := cfg.WithDefaults().Relaxation
+	return Spec[T]{
+		Name: name, Params: fmt.Sprintf("k=%d", k),
+		Make: func(w int, _ uint64) sched.Scheduler[T] {
+			cfg := cfg
+			cfg.Workers = w
+			return klsm.New[T](cfg)
 		},
-		{
-			Name: "mq-batch", Params: "C=4 ins=batch8 del=batch8", Constructor: "NewMultiQueue",
-			Make: func(w int, seed uint64) sched.Scheduler[T] {
-				return mq.New[T](mq.Config{Workers: w, C: 4,
-					Insert: mq.InsertBatch, Delete: mq.DeleteBatch, Seed: seed})
-			},
-			Bound: expectationBound(4, 8, 1),
-		},
-		{
-			Name: "emq", Params: "C=2 stick=16 buf=16", Constructor: "NewEngineeredMQ",
-			Make: func(w int, seed uint64) sched.Scheduler[T] {
-				return emq.New[T](emq.Config{Workers: w, Seed: seed})
-			},
-			// The buffered refills behave like a batched two-choice
-			// process over m = 2·workers queues with batch = the
-			// delete-buffer capacity.
-			Bound: expectationBound(2, 16, 1),
-		},
-		{
-			Name: "smq", Params: "steal=4 psteal=1/8", Constructor: "NewStealingMQ",
-			Make: func(w int, seed uint64) sched.Scheduler[T] {
-				return core.NewStealingMQ[T](core.Config{Workers: w, Seed: seed})
-			},
-			Bound: expectationBound(1, 4, 1.0/8),
-		},
-		{
-			Name: "smq-skip", Params: "steal=4 psteal=1/8", Constructor: "NewStealingMQSkipList",
-			Make: func(w int, seed uint64) sched.Scheduler[T] {
-				return core.NewStealingMQSkipList[T](core.Config{Workers: w, Seed: seed})
-			},
-			Bound: expectationBound(1, 4, 1.0/8),
-		},
-		{
-			Name: "reld", Params: "local dequeue", Constructor: "NewRELD",
-			Make: func(w int, seed uint64) sched.Scheduler[T] {
-				c := mq.RELD(w)
-				c.Seed = seed
-				return mq.New[T](c)
-			},
-			// Local dequeue lets one worker dwell on its own queue for
-			// arbitrarily long: no rank bound exists.
-			Bound: func(int) (int64, bool) { return -1, false },
-		},
-		{
-			Name: "klsm", Params: "k=256", Constructor: "NewKLSM",
-			Make: func(w int, _ uint64) sched.Scheduler[T] {
-				return klsm.New[T](klsm.Config{Workers: w})
-			},
-			// Wimmer et al.'s worst case: every other worker may hide up
-			// to k better tasks in its local LSM, plus one in-flight task
-			// per worker — (P−1)·k + P.
-			Bound: func(w int) (int64, bool) {
-				return int64(w-1)*int64(klsm.DefaultRelaxation) + int64(w), true
-			},
-		},
-		{
-			Name: "obim", Params: "delta=10 chunk=64", Constructor: "NewOBIM",
-			Make: func(w int, seed uint64) sched.Scheduler[T] {
-				return obim.New[T](obim.Config{Workers: w, Seed: seed})
-			},
-			// Priority coarsening (bucket = p >> Δ) is unbounded in rank
-			// terms: a bucket may hold arbitrarily many better tasks.
-			Bound: func(int) (int64, bool) { return -1, false },
-		},
-		{
-			Name: "pmod", Params: "delta=10 chunk=64 adaptive", Constructor: "NewPMOD",
-			Make: func(w int, seed uint64) sched.Scheduler[T] {
-				return obim.New[T](obim.Config{Workers: w, Adaptive: true, Seed: seed})
-			},
-			Bound: func(int) (int64, bool) { return -1, false },
-		},
-		{
-			Name: "spray", Params: "default spray", Constructor: "NewSprayList",
-			Make: func(w int, seed uint64) sched.Scheduler[T] {
-				return spray.New[T](spray.Config{Workers: w, Seed: seed})
-			},
-			// Alistarh et al.: sprays land within O(p·log³p) of the head
-			// with high probability.
-			Bound: func(w int) (int64, bool) {
-				lg := int64(bits.Len(uint(w))) // ⌈log2 w⌉+1 for w>0
-				return int64(w) * lg * lg * lg, false
-			},
+		// Wimmer et al.'s worst case: every other worker may hide up to
+		// k better tasks in its local LSM, plus one in-flight task per
+		// worker — (P−1)·k + P.
+		Bound: func(w int) (int64, bool) { return int64(w-1)*int64(k) + int64(w), true },
+	}
+}
+
+// OBIM labels and builds OBIM, or PMOD when cfg.Adaptive is set. It has
+// no Bound: priority coarsening (bucket = p >> Δ) is unbounded in rank
+// terms, a bucket may hold arbitrarily many better tasks.
+func OBIM[T any](name string, cfg obim.Config) Spec[T] {
+	c := cfg.WithDefaults()
+	params := fmt.Sprintf("delta=%d chunk=%d", c.Delta, c.ChunkSize)
+	if c.Adaptive {
+		params += " adaptive"
+	}
+	if c.NUMANodes > 1 {
+		params += fmt.Sprintf(" numa=%d", c.NUMANodes)
+	}
+	return Spec[T]{
+		Name: name, Params: params,
+		Make: func(w int, seed uint64) sched.Scheduler[T] {
+			cfg := cfg
+			cfg.Workers, cfg.Seed = w, seed
+			return obim.New[T](cfg)
 		},
 	}
 }
+
+// CBPQ labels and builds the lock-free chunk-based priority queue.
+func CBPQ[T any](name string, cfg cbpq.Config) Spec[T] {
+	layer := "elim+combining"
+	if cfg.DisableElimination {
+		layer = "combining"
+	}
+	return Spec[T]{
+		Name: name, Params: fmt.Sprintf("chunk=%d %s", cfg.WithDefaults().ChunkCap, layer),
+		Make: func(w int, _ uint64) sched.Scheduler[T] {
+			cfg := cfg
+			cfg.Workers = w
+			return cbpq.New[T](cfg)
+		},
+		// Linearizable-exact like the coarse baseline at every chunk
+		// capacity, with or without elimination: an exchange take
+		// linearizes only after validating the head's publish counter.
+		Bound: exactBound,
+	}
+}
+
+// Spray labels and builds a SprayList. Zero spray parameters are
+// resolved from the worker count at build time, so they are labelled
+// "auto" rather than with numbers no build is guaranteed to use.
+func Spray[T any](name string, cfg spray.Config) Spec[T] {
+	params := "spray=auto"
+	if p := cfg.Params; p != (cskiplist.SprayParams{}) {
+		params = fmt.Sprintf("height=%d jump=%d descend=%d retries=%d", p.Height, p.JumpLen, p.Descend, p.MaxRetries)
+	}
+	return Spec[T]{
+		Name: name, Params: params,
+		Make: func(w int, seed uint64) sched.Scheduler[T] {
+			cfg := cfg
+			cfg.Workers, cfg.Seed = w, seed
+			return spray.New[T](cfg)
+		},
+		// Alistarh et al.: sprays land within O(p·log³p) of the head
+		// with high probability.
+		Bound: func(w int) (int64, bool) {
+			lg := int64(bits.Len(uint(w))) // ⌈log2 w⌉+1 for w>0
+			return int64(w) * lg * lg * lg, false
+		},
+	}
+}
+
+// Coarse labels and builds the coarse-locked global heap.
+func Coarse[T any](name string, cfg coarse.Config) Spec[T] {
+	return Spec[T]{
+		Name: name, Params: fmt.Sprintf("single global heap d=%d", cfg.WithDefaults().HeapArity),
+		Make: func(w int, _ uint64) sched.Scheduler[T] {
+			cfg := cfg
+			cfg.Workers = w
+			return coarse.New[T](cfg)
+		},
+		Bound: exactBound,
+	}
+}
+
+// numaLabel is the label suffix of the virtual-NUMA weighted sampling
+// knobs shared by the Multi-Queue families; empty when sampling is off.
+func numaLabel(nodes int, k float64) string {
+	if nodes <= 1 {
+		return ""
+	}
+	return fmt.Sprintf(" numa=%d K=%g", nodes, k)
+}
+
+// exactBound is the rank bound of a strict priority queue.
+func exactBound(int) (int64, bool) { return 0, true }
 
 // expectationBound adapts Theorem 1's expected-rank scaling (evaluated
 // by internal/ranksim.TheoremBound) into a Spec.Bound: the scheduler

@@ -127,10 +127,7 @@
 //
 //	spec, _ := smq.LookupSpec[string]("klsm")
 //	s := spec.Build(8, 42)
-//	bound, exact := spec.RankBound(8) // 1799, true
-//
-// cmd/zoogate fails the build if a root constructor is missing from the
-// registry, so the name set cannot silently drift from the API.
+//	bound, exact := spec.RankBound(8) // 1800, true
 //
 // # Simulation & safe lookahead
 //

@@ -1,71 +1,116 @@
 package smq
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
 
+// publicSchedulers constructs a scheduler through every public
+// constructor, keyed by the constructor's name.
+var publicSchedulers = map[string][]func() Scheduler[int]{
+	"NewStealingMQ":         {func() Scheduler[int] { return NewStealingMQ[int](SMQConfig{Workers: 2}) }},
+	"NewStealingMQSkipList": {func() Scheduler[int] { return NewStealingMQSkipList[int](SMQConfig{Workers: 2}) }},
+	"NewClassicMultiQueue":  {func() Scheduler[int] { return NewClassicMultiQueue[int](2, 4) }},
+	"NewMultiQueue": {func() Scheduler[int] {
+		return NewMultiQueue[int](MQConfig{Workers: 2, Insert: InsertBatch, Delete: DeleteBatch})
+	}},
+	"NewRELD":         {func() Scheduler[int] { return NewRELD[int](2) }},
+	"NewEngineeredMQ": {func() Scheduler[int] { return NewEngineeredMQ[int](EMQConfig{Workers: 2}) }},
+	"NewKLSM": {
+		func() Scheduler[int] { return NewKLSM[int](KLSMConfig{Workers: 2}) },
+		func() Scheduler[int] { return NewKLSM[int](KLSMConfig{Workers: 2, Relaxation: KLSMStrict}) },
+	},
+	"NewCBPQ":      {func() Scheduler[int] { return NewCBPQ[int](CBPQConfig{Workers: 2}) }},
+	"NewOBIM":      {func() Scheduler[int] { return NewOBIM[int](OBIMConfig{Workers: 2}) }},
+	"NewPMOD":      {func() Scheduler[int] { return NewPMOD[int](OBIMConfig{Workers: 2}) }},
+	"NewSprayList": {func() Scheduler[int] { return NewSprayList[int](SprayConfig{Workers: 2}) }},
+}
+
+// TestPublicAPICoversEveryConstructor scans the package's non-test
+// source for exported New* functions whose result mentions Scheduler
+// and requires publicSchedulers to hold exactly those, so a new
+// constructor fails here until TestPublicAPISchedulers drains it.
+func TestPublicAPICoversEveryConstructor(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	for _, f := range pkgs["smq"].Files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "New") || fn.Type.Results == nil {
+				continue
+			}
+			ast.Inspect(fn.Type.Results, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == "Scheduler" {
+					exported[fn.Name.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	got, want := slices.Sorted(maps.Keys(publicSchedulers)), slices.Sorted(maps.Keys(exported))
+	if !slices.Equal(got, want) {
+		t.Errorf("publicSchedulers constructs %v, the package exports %v", got, want)
+	}
+}
+
 // TestPublicAPISchedulers exercises every public constructor through the
 // facade, verifying the worker-handle contract end to end.
 func TestPublicAPISchedulers(t *testing.T) {
-	makers := map[string]func() Scheduler[int]{
-		"smq":      func() Scheduler[int] { return NewStealingMQ[int](SMQConfig{Workers: 2}) },
-		"smq_skip": func() Scheduler[int] { return NewStealingMQSkipList[int](SMQConfig{Workers: 2}) },
-		"mq":       func() Scheduler[int] { return NewClassicMultiQueue[int](2, 4) },
-		"mq_cfg": func() Scheduler[int] {
-			return NewMultiQueue[int](MQConfig{Workers: 2, Insert: InsertBatch, Delete: DeleteBatch})
-		},
-		"reld": func() Scheduler[int] { return NewRELD[int](2) },
-		"klsm": func() Scheduler[int] { return NewKLSM[int](KLSMConfig{Workers: 2}) },
-		"klsm_strict": func() Scheduler[int] {
-			return NewKLSM[int](KLSMConfig{Workers: 2, Relaxation: KLSMStrict})
-		},
-		"cbpq":  func() Scheduler[int] { return NewCBPQ[int](CBPQConfig{Workers: 2}) },
-		"obim":  func() Scheduler[int] { return NewOBIM[int](OBIMConfig{Workers: 2}) },
-		"pmod":  func() Scheduler[int] { return NewPMOD[int](OBIMConfig{Workers: 2}) },
-		"spray": func() Scheduler[int] { return NewSprayList[int](SprayConfig{Workers: 2}) },
-	}
-	for name, mk := range makers {
-		s := mk()
-		if s.Workers() != 2 {
-			t.Fatalf("%s: Workers = %d", name, s.Workers())
-		}
-		const n = 2000
-		var pending Pending
-		pending.Inc(n)
-		var wg sync.WaitGroup
-		seen := make([]bool, n)
-		var mu sync.Mutex
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				w := s.Worker(i)
-				for j := i; j < n; j += 2 {
-					w.Push(uint64(j%101), j)
-				}
-				var b Backoff
-				for !pending.Done() {
-					_, v, ok := w.Pop()
-					if !ok {
-						b.Wait()
-						continue
+	for name, mks := range publicSchedulers {
+		for _, mk := range mks {
+			s := mk()
+			if s.Workers() != 2 {
+				t.Fatalf("%s: Workers = %d", name, s.Workers())
+			}
+			const n = 2000
+			var pending Pending
+			pending.Inc(n)
+			var wg sync.WaitGroup
+			seen := make([]bool, n)
+			var mu sync.Mutex
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					w := s.Worker(i)
+					for j := i; j < n; j += 2 {
+						w.Push(uint64(j%101), j)
 					}
-					b.Reset()
-					mu.Lock()
-					if seen[v] {
-						t.Errorf("%s: duplicate %d", name, v)
+					var b Backoff
+					for !pending.Done() {
+						_, v, ok := w.Pop()
+						if !ok {
+							b.Wait()
+							continue
+						}
+						b.Reset()
+						mu.Lock()
+						if seen[v] {
+							t.Errorf("%s: duplicate %d", name, v)
+						}
+						seen[v] = true
+						mu.Unlock()
+						pending.Dec()
 					}
-					seen[v] = true
-					mu.Unlock()
-					pending.Dec()
-				}
-			}(i)
-		}
-		wg.Wait()
-		st := s.Stats()
-		if st.Pops != n {
-			t.Fatalf("%s: Pops = %d, want %d", name, st.Pops, n)
+				}(i)
+			}
+			wg.Wait()
+			st := s.Stats()
+			if st.Pops != n {
+				t.Fatalf("%s: Pops = %d, want %d", name, st.Pops, n)
+			}
 		}
 	}
 }

@@ -525,9 +525,9 @@ func (m *mutexBuffer) steal(dst []pq.Item[int]) []pq.Item[int] {
 }
 
 // BenchmarkAblation_StealBuffer compares the paper's single-word
-// (epoch, stolen) publication protocol against a mutex-guarded buffer on
-// the publish→claim cycle (design decision 3). The epoch protocol pays
-// one allocation per publish but never blocks thieves behind the owner.
+// epoch publication protocol against a mutex-guarded buffer on the
+// publish→claim cycle (design decision 3). Neither allocates; the epoch
+// protocol never blocks thieves behind the owner.
 func BenchmarkAblation_StealBuffer(b *testing.B) {
 	batch := []pq.Item[int]{{P: 1, V: 1}, {P: 2, V: 2}, {P: 3, V: 3}, {P: 4, V: 4}}
 	b.Run("epochCAS", func(b *testing.B) {

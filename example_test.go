@@ -8,9 +8,9 @@ import (
 )
 
 // A single worker using the Stealing Multi-Queue as a priority queue.
-// With one worker there is nobody to steal from, so the only relaxation
-// is the stealing buffer holding the current top batch: the multiset
-// popped is always exactly the multiset pushed.
+// With one worker there is nobody to steal from and nothing is published
+// for thieves, so it is an exact queue; with more, the order relaxes but
+// the multiset popped is always exactly the multiset pushed.
 func ExampleNewStealingMQ() {
 	s := smq.NewStealingMQ[string](smq.SMQConfig{Workers: 1})
 	w := s.Worker(0)

@@ -79,4 +79,8 @@ func main() {
 	fmt.Println("\nbounded displacement while stealing spreads the work is the SMQ trade-off:")
 	fmt.Println("strict priority order is relaxed slightly in exchange for local, almost")
 	fmt.Println("synchronization-free queue access (see Theorem 1 in the paper).")
+	fmt.Println("worker 0 seeded every job, so the other workers' counts are all stolen")
+	fmt.Println("work. How much of it spreads is decided by the cores that really run the")
+	fmt.Println("workers: a core per worker splits the jobs about evenly, two cores leave")
+	fmt.Println("half with worker 0, and a single one nearly all of them.")
 }

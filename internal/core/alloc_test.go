@@ -14,11 +14,7 @@ import (
 )
 
 // TestSteadyStateAllocFree asserts the zero-alloc steady state of the
-// SMQ: local pushes and pops on a warm heap must never allocate. (Steal
-// buffer refills do allocate one immutable batch per epoch by design —
-// the published-slice protocol is what keeps the seqlock race-free under
-// the Go memory model — but refills only happen after a steal, which
-// the single-worker steady state never triggers.)
+// SMQ: local pushes and pops on a warm heap must never allocate.
 func TestSteadyStateAllocFree(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"default":      {Workers: 1},
@@ -46,6 +42,42 @@ func TestSteadyStateAllocFree(t *testing.T) {
 				t.Fatalf("steady-state pop+push allocates %.3f allocs/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestSteadyStateStealAllocFree asserts that the steal buffer costs no
+// allocation either: one goroutine drives both handles of a two-worker
+// SMQ through pushes at worker 0, pops there (which take its published
+// batch back and republish, scalar and batched) and pops at worker 1,
+// whose queue is empty, so every one of them is served by a steal or by
+// the surplus of one.
+func TestSteadyStateStealAllocFree(t *testing.T) {
+	s := NewStealingMQ[int](Config{Workers: 2})
+	w0, w1 := s.Worker(0), s.Worker(1)
+	rng := xrand.New(42)
+	dst := make([]sched.Task[int], 8)
+	cycle := func() {
+		for i := 0; i < 23; i++ { // as many as the cycle pops
+			w0.Push(uint64(rng.Intn(1<<20)), i)
+		}
+		w0.Pop()
+		w0.PopN(dst)
+		for i := 0; i < 6; i++ {
+			w1.Pop()
+		}
+		w1.PopN(dst)
+	}
+	for i := 0; i < 64; i++ { // grow the heap, the runs and the buffers
+		cycle()
+	}
+	before := s.Stats()
+	allocs := testing.AllocsPerRun(2000, cycle)
+	after := s.Stats()
+	if allocs != 0 {
+		t.Fatalf("push/steal/owner-reclaim cycle allocates %.3f allocs/op, want 0", allocs)
+	}
+	if steals := after.Steals - before.Steals; steals < 2000 {
+		t.Fatalf("%d steals in 2000 cycles: the cycle does not exercise the buffer", steals)
 	}
 }
 

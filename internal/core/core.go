@@ -16,10 +16,11 @@
 // Two local-queue implementations are provided, as in §4:
 //
 //   - NewStealingMQ: sequential d-ary heaps with an attached stealing
-//     buffer published through a single (epoch, stolen) atomic word
-//     (Listing 4). The owner works on its heap; the buffer holds the
-//     current top batch for thieves and is reclaimed by the owner when
-//     its heap runs dry.
+//     buffer published through a single (epoch, released, claimed)
+//     atomic word (Listing 4). The buffer holds the owner's current top
+//     batch for thieves; the owner counts it among its own tasks and
+//     takes it back, republishing the next batch, whenever its top beats
+//     the heap's.
 //   - NewStealingMQSkipList: concurrent skip lists as local queues;
 //     stealing is a batched DeleteMin on the victim's list.
 //
@@ -27,11 +28,17 @@
 //
 // The paper's Listing 4 reads the steal buffer non-atomically and
 // validates with an epoch afterwards (a seqlock). Under the Go memory
-// model that read is a data race, so this implementation publishes each
-// buffer refill as an immutable slice behind an atomic.Pointer and lets
-// the (epoch, stolen) CAS confer ownership of the whole slice. The
-// protocol is otherwise identical: one claimant per epoch, owner refills
-// only after observing the stolen bit.
+// model that read is a data race, so this implementation never reads the
+// buffer's items optimistically: a claimant first wins the epoch with a
+// CAS on the state word, copies the items out, and then stores a released
+// bit, and the owner rewrites the array — in place, nothing is allocated
+// per batch — only after loading that bit (or while holding the claim
+// itself). Every plain access to the array is therefore ordered by the
+// state word's atomics. What thieves do read optimistically, the batch's
+// top priority, is an atomic word of its own, validated by re-reading the
+// epoch. The protocol is otherwise the paper's: one claimant per epoch,
+// owner refills only a buffer that has been taken. See heapQueue, and
+// protocol_model_test.go for the enumeration of its interleavings.
 package core
 
 import (
@@ -158,12 +165,11 @@ type stealQueue[T any] interface {
 	// buffer replenish check once for the batch. Owner only; the slice
 	// is not retained.
 	PushLocalBatch(items []pq.Item[T])
-	// PopLocal removes the owner-visible best local task, reclaiming the
-	// owner's own steal buffer if the main structure is empty. Owner only.
+	// PopLocal removes the owner-visible best local task, which may be
+	// one the queue has published for thieves. Owner only.
 	PopLocal() (uint64, T, bool)
 	// PopLocalBatch appends up to k owner-visible tasks to dst (priority
-	// order), reclaiming the owner's own steal buffer if the main
-	// structure is empty. Owner only.
+	// order, never more than k), published ones included. Owner only.
 	PopLocalBatch(k int, dst []pq.Item[T]) []pq.Item[T]
 	// TopLocal returns the owner's view of its best local priority.
 	TopLocal() uint64
@@ -218,8 +224,12 @@ type smqWorker[T any] struct {
 func NewStealingMQ[T any](cfg Config) *SMQ[T] {
 	cfg.normalize()
 	s := newSMQ[T](cfg)
+	stealSize := cfg.StealSize
+	if cfg.Workers == 1 {
+		stealSize = 0 // no thief: publish nothing
+	}
 	for i := range s.queues {
-		s.queues[i] = newHeapQueue[T](cfg.HeapArity, cfg.StealSize)
+		s.queues[i] = newHeapQueue[T](cfg.HeapArity, stealSize)
 	}
 	s.initWorkers()
 	return s
@@ -381,9 +391,10 @@ func (w *smqWorker[T]) Pop() (uint64, T, bool) {
 }
 
 // PopN is the batched delete: previously stolen surplus is drained in
-// one copy, the local heap is drained through a single PopLocalBatch
-// that pays the steal-buffer replenish check once, and only when all
-// of that comes up empty does the scalar fallback victim scan run.
+// one copy, the local queue through a single PopLocalBatch, which
+// merges in the worker's own published batch and republishes once, and
+// only when all of that comes up empty does the scalar fallback victim
+// scan run.
 //
 // The steal coin keeps the SCALAR rate: one Bernoulli(p_steal) trial
 // per delete slot not served from surplus, stopping at the first
@@ -420,14 +431,7 @@ func (w *smqWorker[T]) PopN(dst []sched.Task[T]) int {
 		}
 	}
 	if n < len(dst) {
-		got := w.q.PopLocalBatch(len(dst)-n, dst[:n])
-		if len(got) > n {
-			// A reclaimed steal batch larger than the remaining capacity
-			// can grow the append onto a fresh backing array; copy back
-			// into the caller's slice (a no-op when nothing moved).
-			copy(dst[n:], got[n:])
-			n = len(got)
-		}
+		n = len(w.q.PopLocalBatch(len(dst)-n, dst[:n]))
 	}
 	if n == 0 && w.s.cfg.Workers > 1 {
 		for try := 0; try < w.s.cfg.StealTries; try++ {

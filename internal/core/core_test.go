@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/pq"
 	"repro/internal/sched"
@@ -150,10 +154,10 @@ func TestNoLostTasksConcurrent(t *testing.T) {
 
 func TestStealingHappens(t *testing.T) {
 	// Load all tasks into worker 0's queue; worker 1 must obtain tasks
-	// exclusively by stealing. Worker 0 yields every few pops: on a
-	// single-CPU machine (especially under -race instrumentation) it
-	// would otherwise drain all its work in one scheduler slice, leaving
-	// worker 1 no overlap in which a published steal buffer exists.
+	// exclusively by stealing. Worker 0 stops halfway until worker 1 has
+	// popped something: otherwise it can drain all its work before worker
+	// 1's goroutine first polls (a few hundred microseconds), leaving no
+	// overlap in which to steal.
 	for name, mk := range variants() {
 		s := mk(Config{Workers: 2, StealProb: 0.5, StealSize: 4})
 		w0 := s.Worker(0)
@@ -164,7 +168,7 @@ func TestStealingHappens(t *testing.T) {
 		var pending sched.Pending
 		pending.Inc(n)
 		var wg sync.WaitGroup
-		popped := make([]int, 2)
+		var popped [2]atomic.Int64
 		for wid := 0; wid < 2; wid++ {
 			wg.Add(1)
 			go func(wid int) {
@@ -178,19 +182,20 @@ func TestStealingHappens(t *testing.T) {
 						continue
 					}
 					b.Reset()
-					popped[wid]++
 					pending.Dec()
-					if wid == 0 && popped[0]%64 == 0 {
-						runtime.Gosched()
+					if popped[wid].Add(1) == n/2 && wid == 0 {
+						for deadline := time.Now().Add(10 * time.Second); popped[1].Load() == 0 && time.Now().Before(deadline); {
+							runtime.Gosched()
+						}
 					}
 				}
 			}(wid)
 		}
 		wg.Wait()
-		if popped[0]+popped[1] != n {
-			t.Fatalf("%s: popped %d+%d, want %d", name, popped[0], popped[1], n)
+		if got := popped[0].Load() + popped[1].Load(); got != n {
+			t.Fatalf("%s: popped %d+%d, want %d", name, popped[0].Load(), popped[1].Load(), n)
 		}
-		if popped[1] == 0 {
+		if popped[1].Load() == 0 {
 			t.Errorf("%s: worker 1 never stole any task", name)
 		}
 		st := s.Stats()
@@ -283,10 +288,9 @@ func TestHeapQueueBufferProtocol(t *testing.T) {
 	if got := q.Steal(nil); len(got) != 0 {
 		t.Fatalf("steal from empty returned %v", got)
 	}
-	// The first push publishes immediately (the buffer was "stolen" at
-	// construction): the buffer holds just task 1, the rest go to the
-	// heap.
-	for i := 1; i <= 10; i++ {
+	// The first push publishes immediately (the buffer starts out
+	// released): the buffer holds just task 1, the rest go to the heap.
+	for i := 1; i <= 14; i++ {
 		q.PushLocal(uint64(i), i)
 	}
 	if q.Top() != 1 {
@@ -301,24 +305,95 @@ func TestHeapQueueBufferProtocol(t *testing.T) {
 	if got := q.Steal(nil); len(got) != 0 {
 		t.Fatalf("double steal returned %v", got)
 	}
-	// The owner's next pop refills the buffer with the top batch (2..5)
-	// and pops the next heap task (6): the owner runs at most one batch
-	// behind the thieves' view — the rank relaxation the analysis' B
-	// accounts for.
-	p, _, ok := q.PopLocal()
-	if !ok {
-		t.Fatal("PopLocal failed with tasks in heap")
+	// The owner pops its own best task (2) and only then refills the
+	// released buffer, with the batch it would run next (3..6).
+	if p, _, ok := q.PopLocal(); !ok || p != 2 {
+		t.Fatalf("owner popped %d (ok=%v), want 2", p, ok)
 	}
-	if p != 6 {
-		t.Fatalf("owner popped %d, want 6 (buffer holds 2..5)", p)
+	if q.Top() != 3 || q.TopLocal() != 3 {
+		t.Fatalf("published top = %d, owner's top = %d, want 3 and 3", q.Top(), q.TopLocal())
 	}
-	if q.Top() != 2 {
-		t.Fatalf("published top = %d, want 2", q.Top())
+	// Nobody steals it, so the owner takes it back itself — it never
+	// works around its own published tasks — and publishes 7..10 in the
+	// same operation.
+	if p, _, ok := q.PopLocal(); !ok || p != 3 {
+		t.Fatalf("owner popped %d (ok=%v), want 3 (its own published top)", p, ok)
 	}
-	// The refilled batch is a full steal batch this time.
+	if q.Top() != 7 || q.TopLocal() != 4 {
+		t.Fatalf("published top = %d, owner's top = %d, want 7 and 4 (4..6 wait in its run)", q.Top(), q.TopLocal())
+	}
 	got = q.Steal(nil)
-	if len(got) != 4 || got[0].P != 2 || got[3].P != 5 {
-		t.Fatalf("second steal = %v, want [2 3 4 5]", got)
+	if len(got) != 4 || got[0].P != 7 || got[3].P != 10 {
+		t.Fatalf("second steal = %v, want [7 8 9 10]", got)
+	}
+	// A push refills the released buffer with the heap's best four — the
+	// new task 0 and 11..13. The owner takes them back merged into its
+	// run (4..6), so everything still comes out in priority order.
+	q.PushLocal(0, 0)
+	var order []uint64
+	for {
+		p, _, ok := q.PopLocal()
+		if !ok {
+			break
+		}
+		order = append(order, p)
+	}
+	want := []uint64{0, 4, 5, 6, 11, 12, 13, 14}
+	if !slices.Equal(order, want) {
+		t.Fatalf("owner drained %v, want %v", order, want)
+	}
+	if q.Top() != pq.InfPriority || q.TopLocal() != pq.InfPriority {
+		t.Fatal("drained queue advertises a top")
+	}
+}
+
+// TestHeapQueueBatchPublishesWhatItTook pins the batch path: the owner's
+// best k come out merged from heap, run and its own published batch, and
+// the refill offers a thief max(stealSize, k) tasks.
+func TestHeapQueueBatchPublishesWhatItTook(t *testing.T) {
+	q := newHeapQueue[int](4, 4)
+	items := make([]pq.Item[int], 40)
+	for i := range items {
+		items[i] = pq.Item[int]{P: uint64(i + 1), V: i + 1}
+	}
+	q.PushLocalBatch(items) // publishes 1..4
+	if q.Top() != 1 {
+		t.Fatalf("Top = %d, want 1", q.Top())
+	}
+	got := q.PopLocalBatch(8, nil) // 1..4 taken back, merged with 5..8
+	if len(got) != 8 || !slices.IsSortedFunc(got, func(a, b pq.Item[int]) int { return cmp.Compare(a.P, b.P) }) || got[0].P != 1 || got[7].P != 8 {
+		t.Fatalf("batch = %v, want 1..8", got)
+	}
+	if stolen := q.Steal(nil); len(stolen) != 8 || stolen[0].P != 9 || stolen[7].P != 16 {
+		t.Fatalf("steal after a batch of 8 = %v, want 9..16", stolen)
+	}
+	// A short pop keeps the surplus of the batch it took back in the run,
+	// not in the heap, and still comes out in order.
+	q.PushLocal(100, 100) // refills: 17..20
+	if got = q.PopLocalBatch(2, got[:0]); len(got) != 2 || got[0].P != 17 || got[1].P != 18 {
+		t.Fatalf("short batch = %v, want [17 18]", got)
+	}
+	if q.TopLocal() != 19 || q.Top() != 21 {
+		t.Fatalf("owner's top = %d, published top = %d, want 19 and 21", q.TopLocal(), q.Top())
+	}
+}
+
+// TestSingleWorkerPublishesNothing: a one-worker SMQ has no thief, so its
+// queue must never pay for a steal buffer and drains in exact order.
+func TestSingleWorkerPublishesNothing(t *testing.T) {
+	s := NewStealingMQ[int](Config{Workers: 1})
+	w := s.Worker(0)
+	for i := 100; i > 0; i-- {
+		w.Push(uint64(i), i)
+	}
+	q := s.queues[0].(*heapQueue[int])
+	if q.Top() != pq.InfPriority {
+		t.Fatalf("one-worker queue published a batch (top %d)", q.Top())
+	}
+	for i := 1; i <= 100; i++ {
+		if p, _, ok := w.Pop(); !ok || p != uint64(i) {
+			t.Fatalf("pop %d = %d (ok=%v): a one-worker SMQ is an exact queue", i, p, ok)
+		}
 	}
 }
 
@@ -353,8 +428,9 @@ func TestHeapQueueOwnerReclaimsBuffer(t *testing.T) {
 }
 
 func TestHeapQueueSingleClaimantPerEpoch(t *testing.T) {
-	// Hammer one queue with concurrent thieves; each published epoch must
-	// be claimed at most once (no task duplication).
+	// Hammer one queue with concurrent thieves while its owner works on
+	// it; each published epoch must be claimed at most once (no task
+	// duplication, none lost).
 	q := newHeapQueue[int](4, 4)
 	const rounds = 3000
 	var wg sync.WaitGroup
@@ -379,9 +455,26 @@ func TestHeapQueueSingleClaimantPerEpoch(t *testing.T) {
 			}
 		}()
 	}
-	// Owner: keep pushing tasks; refills happen inside PushLocal.
+	// Owner: keep pushing tasks, and popping some, one at a time and in
+	// batches, so that its own claims race the thieves'; refills happen
+	// inside all three operations.
+	var batch []pq.Item[int]
 	for i := 0; i < rounds; i++ {
 		q.PushLocal(uint64(i), i)
+		switch {
+		case i%3 == 2:
+			if _, v, ok := q.PopLocal(); ok {
+				batch = append(batch, pq.Item[int]{V: v})
+			}
+		case i%16 == 15:
+			batch = q.PopLocalBatch(3, batch)
+		}
+		mu.Lock()
+		for _, it := range batch {
+			seen[it.V]++
+		}
+		mu.Unlock()
+		batch = batch[:0]
 	}
 	// Drain the rest as the owner.
 	for {

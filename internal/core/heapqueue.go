@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/contend"
 	"repro/internal/pq"
@@ -10,47 +11,74 @@ import (
 // heapQueue is Listing 4's HeapWithStealingBufferQueue: a sequential d-ary
 // heap owned by one worker, plus a stealing buffer visible to all.
 //
-// The buffer protocol packs (epoch, stolen) into one atomic word:
+// The buffer is one item array, allocated with the queue and written in
+// place, behind one atomic word:
 //
-//	state = epoch<<1 | stolenBit
+//	state = epoch<<2 | bufReleased | bufClaimed
 //
-// The owner refills the buffer only after observing stolenBit set, bumps
-// the epoch, publishes the new immutable batch, and clears the bit. A
-// thief (or the owner reclaiming its own buffer) validates that the batch
-// it loaded carries the epoch it saw in state and then CASes the stolen
-// bit in; the single successful CAS for an epoch owns the whole batch.
+// With both bits clear the buffer holds the published batch of that
+// epoch. A claimant — a thief, or the owner taking its own batch back —
+// wins it with the single successful CAS that sets bufClaimed, copies the
+// items out, and then stores bufReleased. The items are read only inside
+// that claim→release window, and the owner writes them only while the
+// buffer is released (or while it holds the claim itself): it pops the
+// next batch off the heap into the array, stores the batch's top priority
+// in top, and publishes both with the store of the next epoch's word. So
+// every access to the array is ordered by the state word's atomics, and
+// nothing is allocated per batch.
+//
+// The owner counts its own published batch among its tasks: a pop takes
+// the batch back whenever its top beats the heap's, runs it from run, and
+// publishes the next best batch in the same operation. Thieves therefore
+// always see the batch the owner would run next, and the owner never
+// works around its own best tasks while they wait for a thief.
 type heapQueue[T any] struct {
-	// Owner-only words: the heap header and batch size are touched on
-	// every local push/pop but never by thieves. The header is embedded
-	// by value: allocated on its own, the workers' 40-byte headers land
-	// in one 48-byte size class and share cache lines.
+	// Owner-only words: touched on every local push and pop, never by
+	// thieves. The heap header is embedded by value: allocated on its own,
+	// the workers' 40-byte headers land in one 48-byte size class and
+	// share cache lines.
 	heap      pq.DHeap[T]
 	stealSize int
-	_         [contend.CacheLineSize - 48]byte // owner words get their own line
+	// run holds what is left of the batches the owner took back, in
+	// priority order from runIdx on.
+	run    []pq.Item[T]
+	runIdx int
+	_      [2*contend.CacheLineSize - 80]byte // owner words end on a line boundary
 
-	// Thief-shared words: every victim probe loads state (and often
-	// buf), and every steal CASes state. Isolating the epoch word on its
-	// own line means thieves' CAS traffic never invalidates the owner's
-	// heap-header line, and padding the tail keeps the next queue's
-	// header out too.
-	buf   atomic.Pointer[stealBatch[T]]
-	state atomic.Uint64 // epoch<<1 | stolen
-	_     [contend.CacheLineSize - 16]byte
+	// Thief-shared words: every victim probe loads state and top, and
+	// every claim CASes state. Keeping them off the owner's lines means
+	// thieves' CAS traffic never invalidates the heap header, and padding
+	// the tail keeps the next queue's header out too.
+	state atomic.Uint64
+	top   atomic.Uint64 // best priority of the published batch
+	buf   []pq.Item[T]  // the published batch; the header moves with the items
+	_     [contend.CacheLineSize - 40]byte
 }
 
-// stealBatch is an immutable published batch. items is never mutated
-// after the batch is stored in heapQueue.buf.
-type stealBatch[T any] struct {
-	items []pq.Item[T]
-	epoch uint64
-}
+const (
+	bufClaimed  = 1 // a claimant is copying the batch out
+	bufReleased = 2 // it has finished: the owner may refill
+)
 
+// newHeapQueue returns an empty queue that publishes batches of
+// stealSize tasks, or, with stealSize 0 (a scheduler with one worker has
+// no thief), nothing at all.
 func newHeapQueue[T any](arity, stealSize int) *heapQueue[T] {
 	q := &heapQueue[T]{
 		heap:      *pq.NewDHeapCap[T](arity, 256),
 		stealSize: stealSize,
 	}
-	q.state.Store(1) // epoch 0, stolen: nothing published yet
+	if stealSize == 0 {
+		// Claimed and never released: no thief can claim it, and the owner
+		// neither refills nor reclaims it.
+		q.state.Store(bufClaimed)
+		return q
+	}
+	// Whole cache lines, so that two queues' arrays never share one: the
+	// owner rewrites its array on every refill.
+	lineItems := max(1, contend.CacheLineSize/int(unsafe.Sizeof(pq.Item[T]{})))
+	q.buf = make([]pq.Item[T], 0, (stealSize+lineItems-1)/lineItems*lineItems)
+	q.state.Store(bufClaimed | bufReleased) // epoch 0: nothing published yet
 	return q
 }
 
@@ -58,146 +86,187 @@ func newHeapQueue[T any](arity, stealSize int) *heapQueue[T] {
 // its previous batch was taken.
 func (q *heapQueue[T]) PushLocal(p uint64, v T) {
 	q.heap.Push(p, v)
-	if q.state.Load()&1 == 1 {
-		q.fillBuffer()
+	if s := q.state.Load(); s&bufReleased != 0 {
+		q.refill(s, q.stealSize)
 	}
 }
 
 // PushLocalBatch adds a whole run to the heap and checks the steal
 // buffer once for the batch — one atomic state load (and at most one
-// refill) instead of one per task.
-//
-// The refill, when due, happens after the FIRST item exactly as in the
-// per-item loop, not after the whole batch: a post-batch refill would
-// capture the batch's top tasks into the thief buffer, where they are
-// invisible to the owner's pops until the heap next runs dry. On
-// road-graph SSSP that misordering compounds into repeated re-expansion
-// waves — 4x the relaxation work — because the hidden tasks are
-// precisely the best frontier vertices.
+// refill) instead of one per task. A refill takes the best of heap and
+// batch together; the owner's pops see the published batch, so nothing
+// it publishes is hidden from them.
 func (q *heapQueue[T]) PushLocalBatch(items []pq.Item[T]) {
-	if len(items) == 0 {
-		return
-	}
-	if q.state.Load()&1 == 1 {
-		q.heap.PushItem(items[0])
-		q.fillBuffer()
-		items = items[1:]
-	}
 	q.heap.PushBatch(items)
+	if s := q.state.Load(); s&bufReleased != 0 {
+		q.refill(s, q.stealSize)
+	}
 }
 
-// PopLocal takes the heap top; when the heap is empty it reclaims the
-// queue's own published buffer (without that, a never-stolen batch would
-// strand its tasks). The surplus of a reclaimed batch is pushed back into
-// the heap — the owner has cheap private access, unlike a thief.
-func (q *heapQueue[T]) PopLocal() (uint64, T, bool) {
-	if q.state.Load()&1 == 1 {
-		q.fillBuffer()
+// PopLocal takes the owner's best task: the better of the heap top and
+// what is left of the batches it took back, after taking back the
+// published batch if that one's top beats both — the scalar case of
+// PopLocalBatch, which keeps the surplus of a batch in run instead of
+// sending it back through the heap.
+func (q *heapQueue[T]) PopLocal() (p uint64, v T, ok bool) {
+	s := q.state.Load()
+	best, fromRun := q.heap.Top(), false
+	if q.runIdx < len(q.run) && q.run[q.runIdx].P <= best {
+		best, fromRun = q.run[q.runIdx].P, true
 	}
-	if p, v, ok := q.heap.Pop(); ok {
-		return p, v, true
-	}
-	// Heap empty: take back our own buffer if it is still there.
-	batch := q.Steal(nil)
-	if len(batch) == 0 {
-		var zero T
-		return pq.InfPriority, zero, false
-	}
-	for _, it := range batch[1:] {
-		q.heap.PushItem(it)
-	}
-	return batch[0].P, batch[0].V, true
-}
-
-// PopLocalBatch drains up to k tasks from the heap into dst under a
-// single buffer-replenish check; when the heap is empty it reclaims
-// the queue's own published buffer in one epoch transition, keeping at
-// most k tasks and pushing the surplus back into the heap (the owner
-// has cheap private access, unlike a thief).
-func (q *heapQueue[T]) PopLocalBatch(k int, dst []pq.Item[T]) []pq.Item[T] {
-	if q.state.Load()&1 == 1 {
-		q.fillBuffer()
-	}
-	n0 := len(dst)
-	dst = q.heap.PopBatch(k, dst)
-	if len(dst) > n0 {
-		return dst
-	}
-	// Heap empty: take back our own buffer if it is still there.
-	dst = q.Steal(dst)
-	if extra := len(dst) - (n0 + k); extra > 0 {
-		for _, it := range dst[n0+k:] {
-			q.heap.PushItem(it)
+	mine := false // the owner holds the claim
+	if s&(bufClaimed|bufReleased) == 0 && q.top.Load() < best {
+		if mine = q.state.CompareAndSwap(s, s|bufClaimed); mine {
+			s |= bufClaimed
+			q.takeBack()
+			fromRun = true
 		}
-		clear(dst[n0+k:])
-		dst = dst[:n0+k]
+		// Otherwise a thief has it: the batch is its to run.
+	}
+	if fromRun {
+		it := q.popRun()
+		p, v, ok = it.P, it.V, true
+	} else {
+		p, v, ok = q.heap.Pop()
+	}
+	if mine || s&bufReleased != 0 {
+		q.refill(s, q.stealSize)
+	}
+	return p, v, ok
+}
+
+// PopLocalBatch appends the owner's best k tasks to dst in priority
+// order: a merge of the heap with the batches the owner took back,
+// including the published one from the moment its top is the best of the
+// three. It then publishes the heap's next best max(stealSize, k) tasks
+// if the buffer is free — taken back just now, or released by a thief —
+// so that a thief is offered as much as the owner just took.
+func (q *heapQueue[T]) PopLocalBatch(k int, dst []pq.Item[T]) []pq.Item[T] {
+	s := q.state.Load()
+	published := s&(bufClaimed|bufReleased) == 0
+	mine := false // the owner holds the claim
+merge:
+	for want := len(dst) + k; len(dst) < want; {
+		if q.runIdx == len(q.run) && !published {
+			// Nothing left to merge with: the rest is the heap's.
+			dst = q.heap.PopBatch(want-len(dst), dst)
+			break
+		}
+		best, fromRun := q.heap.Top(), false
+		if q.runIdx < len(q.run) && q.run[q.runIdx].P <= best {
+			best, fromRun = q.run[q.runIdx].P, true
+		}
+		switch {
+		case published && q.top.Load() < best:
+			published = false
+			if mine = q.state.CompareAndSwap(s, s|bufClaimed); mine {
+				s |= bufClaimed
+				q.takeBack()
+			}
+			// Otherwise a thief has it: the batch is its to run.
+		case fromRun:
+			dst = append(dst, q.popRun())
+		case best != pq.InfPriority:
+			dst = q.heap.PopBatch(1, dst)
+		default:
+			break merge // heap and run are empty, the buffer claimed
+		}
+	}
+	if mine || s&bufReleased != 0 {
+		q.refill(s, max(q.stealSize, k))
 	}
 	return dst
 }
 
-// TopLocal is the owner's view: the better of the heap top and the
-// not-yet-stolen buffer top.
+// popRun consumes the head of run, which must not be empty.
+func (q *heapQueue[T]) popRun() pq.Item[T] {
+	it := q.run[q.runIdx]
+	q.run[q.runIdx] = pq.Item[T]{}
+	q.runIdx++
+	return it
+}
+
+// takeBack merges the claimed batch into run. Owner only, holding the
+// claim. The run need not be empty: after a thief takes a batch, the
+// refill may hold tasks pushed since, better than the rest of the run.
+func (q *heapQueue[T]) takeBack() {
+	r := copy(q.run, q.run[q.runIdx:])
+	if r > 0 {
+		clear(q.run[r:]) // the moved tasks' old slots; consumed ones are zero already
+	}
+	q.run = append(q.run[:r], q.buf...)
+	q.runIdx = 0
+	if r > 0 {
+		// Both are in priority order: merge from the back, into the room
+		// the append made.
+		for i, j, k := r-1, len(q.buf)-1, len(q.run)-1; j >= 0; k-- {
+			if i >= 0 && q.run[i].P > q.buf[j].P {
+				q.run[k] = q.run[i]
+				i--
+			} else {
+				q.run[k] = q.buf[j]
+				j--
+			}
+		}
+	}
+	clear(q.buf)
+}
+
+// TopLocal is the owner's view: the best of the heap top, the batches it
+// took back and the not-yet-claimed published batch.
 func (q *heapQueue[T]) TopLocal() uint64 {
-	top := q.heap.Top()
-	if bufTop := q.Top(); bufTop < top {
-		top = bufTop
+	top := min(q.heap.Top(), q.Top())
+	if q.runIdx < len(q.run) {
+		top = min(top, q.run[q.runIdx].P)
 	}
 	return top
 }
 
-// Top returns the thief-visible priority: the published buffer's best
-// task, or infinity when the batch is stolen/absent. This is Listing 4's
-// top(): load state, check the stolen bit, read, validate epoch.
+// Top returns the thief-visible priority: the published batch's best
+// task, or infinity when the batch is claimed or absent. This is Listing
+// 4's top(): load state, read, validate the epoch. The owner stores top
+// only while an earlier epoch is released, so an unchanged published word
+// on both sides of the read vouches for it; a miss reports infinity (the
+// caller will simply not steal — a benign outcome).
 func (q *heapQueue[T]) Top() uint64 {
 	s := q.state.Load()
-	if s&1 == 1 {
+	if s&(bufClaimed|bufReleased) != 0 {
 		return pq.InfPriority
 	}
-	b := q.buf.Load()
-	if b == nil || b.epoch != s>>1 {
-		// The owner republished between our two loads; one retry keeps
-		// the common case cheap and a miss just reports infinity (the
-		// caller will simply not steal — a benign outcome).
-		s = q.state.Load()
-		b = q.buf.Load()
-		if s&1 == 1 || b == nil || b.epoch != s>>1 {
-			return pq.InfPriority
-		}
+	top := q.top.Load()
+	if q.state.Load() != s {
+		return pq.InfPriority
 	}
-	return b.items[0].P
+	return top
 }
 
-// Steal is Listing 4's steal(): claim the published batch for this epoch.
-// On success the items are appended to dst; the published slice itself is
-// immutable and owned by nobody afterwards.
+// Steal is Listing 4's steal(): claim the published batch of this epoch
+// and append its items to dst.
 func (q *heapQueue[T]) Steal(dst []pq.Item[T]) []pq.Item[T] {
-	for {
-		s := q.state.Load()
-		if s&1 == 1 {
-			return dst
-		}
-		b := q.buf.Load()
-		if b == nil || b.epoch != s>>1 {
-			continue // owner mid-republish; retry from state
-		}
-		if q.state.CompareAndSwap(s, s|1) {
-			return append(dst, b.items...)
-		}
-		// Lost the CAS to another thief: batch gone.
-		return dst
+	s := q.state.Load()
+	if s&(bufClaimed|bufReleased) != 0 || !q.state.CompareAndSwap(s, s|bufClaimed) {
+		return dst // nothing published, or another claimant won it
 	}
+	dst = append(dst, q.buf...)
+	clear(q.buf) // the buffer may stay empty for long: retain no payload
+	q.state.Store(s | bufClaimed | bufReleased)
+	return dst
 }
 
-// fillBuffer publishes the heap's current top batch. Owner only, and only
-// when the stolen bit is set (so no thief holds the previous epoch).
-func (q *heapQueue[T]) fillBuffer() {
+// refill publishes the heap's best n tasks as the next epoch. Owner
+// only, and only while the buffer is the owner's to write: s, the state
+// word, is released, or carries the owner's own claim, which an empty
+// heap turns into a release.
+func (q *heapQueue[T]) refill(s uint64, n int) {
 	if q.heap.Len() == 0 {
+		if s&bufReleased == 0 {
+			q.state.Store(s | bufReleased)
+		}
 		return
 	}
-	items := q.heap.PopBatch(q.stealSize, make([]pq.Item[T], 0, q.stealSize))
-	epoch := q.state.Load()>>1 + 1
-	q.buf.Store(&stealBatch[T]{items: items, epoch: epoch})
-	q.state.Store(epoch << 1) // clears the stolen bit
+	q.buf = q.heap.PopBatch(n, q.buf[:0])
+	q.top.Store(q.buf[0].P)
+	q.state.Store((s>>2 + 1) << 2)
 }
 
 var _ stealQueue[int] = (*heapQueue[int])(nil)

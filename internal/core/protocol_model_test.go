@@ -1,188 +1,251 @@
 package core
 
 // An exhaustive interleaving check ("mini model checker") for the
-// (epoch, stolen) steal-buffer protocol of Listing 4. The protocol is
-// abstracted to its atomic steps and ALL interleavings of one owner and
-// two thieves over several epochs are enumerated; in every execution each
-// published batch must be claimed exactly once (no duplication, no loss,
-// no cross-epoch claim). This complements the stress tests: stress finds
-// probable bugs, enumeration finds all bugs within the bounded scope.
+// three-state steal-buffer word of heapQueue. The protocol is abstracted
+// to its atomic steps — every load, CAS and store of state and top, and
+// the plain reads and writes of the item array in between — and ALL
+// interleavings of one owner and two thieves are enumerated. The owner
+// is a claimant like the thieves: it takes its own published batch back,
+// republishes in the same operation, and refills after a thief. In every
+// execution
+//
+//   - each published batch is claimed exactly once (no duplication, no
+//     loss, no cross-epoch claim),
+//   - the item array is read only inside a claim→release window, by the
+//     claimant, and holds that epoch's items when it is,
+//   - the owner writes the array only while the buffer is released or its
+//     own claim is open — never under a thief's open claim,
+//   - a Top() that validates returns the top of the epoch it saw.
+//
+// This complements the stress tests: stress finds probable bugs,
+// enumeration finds all bugs within the bounded scope.
 
 import "testing"
 
-// modelState is the shared state: the packed word and the published
-// batch pointer (represented by its epoch; item content is irrelevant).
-type modelState struct {
-	state    uint64 // epoch<<1 | stolen
-	bufEpoch uint64 // epoch carried by the published batch; 0 = nil
-	// accounting
-	published int // batches published
-	claims    map[uint64]int
+const (
+	modelEpochs = 8 // claims are counted per epoch below this
+	noHolder    = -1
+	ownerID     = 0 // thieves are 1, 2, ...
+)
+
+// model is the shared memory: the two atomic words, and the item array
+// reduced to the epoch whose items it holds.
+type model struct {
+	state  uint64 // epoch<<2 | bufReleased | bufClaimed
+	top    uint64 // epoch whose top priority the word holds
+	items  uint64 // epoch whose items the array holds; 0 = cleared
+	holder int    // the claimant inside an open claim→release window
+	claims [modelEpochs]uint8
 }
 
-// thief is the step machine of Steal(): load state → load buf →
-// CAS(state, state|1).
+// claim is the winning CAS; copyOut and release are the rest of a
+// claimant's window. They check the invariants at the step they model.
+func (m *model) claim(t *testing.T, who int, s uint64) bool {
+	if m.state != s {
+		return false
+	}
+	if m.holder != noHolder {
+		t.Fatalf("claimant %d won epoch %d inside claimant %d's window", who, s>>2, m.holder)
+	}
+	m.state = s | bufClaimed
+	m.holder = who
+	m.claims[s>>2]++
+	return true
+}
+
+func (m *model) copyOut(t *testing.T, who int, s uint64) {
+	if m.holder != who || m.state != s|bufClaimed {
+		t.Fatalf("claimant %d read the items outside its window (state %#x, holder %d)", who, m.state, m.holder)
+	}
+	if m.items != s>>2 {
+		t.Fatalf("claimant %d of epoch %d read the items of epoch %d", who, s>>2, m.items)
+	}
+	m.items = 0 // clear(q.buf)
+}
+
+// thief is the step machine of one stealFrom: Top() — load state, load
+// top, load state again — and then Steal() — load state, CAS, copy out,
+// store released.
 type thief struct {
-	pc      int
-	s       uint64 // loaded state
-	b       uint64 // loaded buf epoch
-	claimed []uint64
+	pc       int
+	s        uint64 // loaded state
+	top      uint64 // loaded top
+	attempts int    // stealFrom calls left
 }
 
-// step advances the thief one atomic action. done=true when the thief
-// finished its (single) steal attempt.
-func (t *thief) step(m *modelState) (done bool) {
-	switch t.pc {
-	case 0: // load state
-		t.s = m.state
-		if t.s&1 == 1 {
-			return true // stolen bit set: give up
+func (th *thief) step(t *testing.T, m *model, id int) {
+	switch th.pc {
+	case 0, 3: // Top / Steal: load state
+		th.s = m.state
+		if th.s&(bufClaimed|bufReleased) != 0 {
+			th.finish()
+			return
 		}
-		t.pc = 1
-	case 1: // load buf
-		t.b = m.bufEpoch
-		if t.b == 0 || t.b != t.s>>1 {
-			// Retry from the start (bounded by epochs in the model).
-			t.pc = 0
+		th.pc++
+	case 1: // Top: load top
+		th.top = m.top
+		th.pc++
+	case 2: // Top: validate
+		if m.state != th.s {
+			th.finish()
+			return
+		}
+		if th.top != th.s>>2 {
+			t.Fatalf("Top() validated epoch %d with the top of epoch %d", th.s>>2, th.top)
+		}
+		th.pc++
+	case 4: // Steal: CAS
+		if !m.claim(t, id, th.s) {
+			th.finish()
+			return
+		}
+		th.pc++
+	case 5: // Steal: copy out and clear
+		m.copyOut(t, id, th.s)
+		th.pc++
+	case 6: // Steal: store released
+		m.state = th.s | bufClaimed | bufReleased
+		m.holder = noHolder
+		th.finish()
+	}
+}
+
+func (th *thief) finish() { *th = thief{attempts: th.attempts - 1} }
+
+// owner is the step machine of the owner's operations. A pop (rounds of
+// them) takes the published batch back and republishes, or refills a
+// released buffer; once rounds are used up the heap counts as empty, and
+// the owner drains: it takes back what is still published and releases,
+// until the buffer is released for good.
+type owner struct {
+	pc     int
+	s      uint64
+	rounds int  // pops with a non-empty heap left
+	done   bool // drained
+}
+
+func (o *owner) step(t *testing.T, m *model) (progress bool) {
+	switch o.pc {
+	case 0: // load state
+		o.s = m.state
+		switch {
+		case o.s&(bufClaimed|bufReleased) == 0:
+			o.pc = 1 // published: take it back
+		case o.s&bufReleased != 0 && o.rounds > 0:
+			o.pc = 3 // released: refill
+		case o.s&bufReleased != 0:
+			o.done = true // released, heap empty: nothing left anywhere
+		default:
+			// A thief's claim is open. The real owner goes on with its
+			// heap; here it just looks again.
 			return false
 		}
-		t.pc = 2
-	case 2: // CAS state -> state|1
-		if m.state == t.s {
-			m.state = t.s | 1
-			t.claimed = append(t.claimed, t.b)
-			m.claims[t.b]++
+	case 1: // CAS
+		if m.claim(t, ownerID, o.s) {
+			o.s |= bufClaimed
+			o.pc = 2
+		} else {
+			o.pc = 0 // a thief has it: the operation ends without a refill
 		}
-		return true
-	}
-	return false
-}
-
-// owner is the step machine of fillBuffer(): (precondition stolen bit) →
-// store buf{epoch+1} → store state(epoch+1)<<1. Each call publishes one
-// batch. The heap interaction is irrelevant to the protocol and elided.
-type owner struct {
-	pc       int
-	newEpoch uint64
-	rounds   int // remaining publishes
-}
-
-func (o *owner) step(m *modelState) (done bool) {
-	switch o.pc {
-	case 0: // check stolen bit (owner refills only after a steal)
-		if m.state&1 == 0 {
-			return false // nothing to do; stay at pc 0
+	case 2: // takeBack: copy out and clear
+		m.copyOut(t, ownerID, o.s&^bufClaimed)
+		o.pc = 3
+	case 3: // refill: write the items, or release when the heap is empty
+		if m.holder != noHolder && m.holder != ownerID || m.holder == noHolder && m.state&bufReleased == 0 {
+			t.Fatalf("owner refilled a buffer it does not own (state %#x, holder %d)", m.state, m.holder)
 		}
-		o.newEpoch = m.state>>1 + 1
-		o.pc = 1
-	case 1: // store buf
-		m.bufEpoch = o.newEpoch
-		o.pc = 2
-	case 2: // store state (publishes, clears stolen bit)
-		m.state = o.newEpoch << 1
-		m.published++
+		if o.rounds == 0 {
+			m.state = o.s | bufReleased
+			m.holder = noHolder
+			o.pc = 0
+			return true
+		}
+		m.items = o.s>>2 + 1
+		o.pc = 4
+	case 4: // refill: store top
+		m.top = o.s>>2 + 1
+		o.pc = 5
+	case 5: // refill: store state — publishes, and ends the owner's claim
+		m.state = (o.s>>2 + 1) << 2
+		m.holder = noHolder
 		o.rounds--
 		o.pc = 0
-		return o.rounds == 0
 	}
-	return false
+	return true
 }
 
-// explore enumerates every interleaving via DFS over scheduler choices.
-func explore(t *testing.T, m modelState, ow owner, th []thief, active []bool, depth int) {
-	if depth > 64 {
-		t.Fatal("model exceeded depth bound (livelock in protocol?)")
+// system is one global state; it is comparable, so visited states are
+// skipped and the search is over states, not over paths.
+type system struct {
+	m  model
+	ow owner
+	th [2]thief
+}
+
+func explore(t *testing.T, sys system, seen map[system]bool) {
+	if seen[sys] {
+		return
 	}
-	if m.claims == nil {
-		m.claims = map[uint64]int{}
+	seen[sys] = true
+	terminal := sys.ow.done
+	for i := range sys.th {
+		terminal = terminal && sys.th[i].attempts == 0
 	}
-	anyActive := ow.rounds > 0
-	for i := range th {
-		if active[i] {
-			anyActive = true
+	if terminal {
+		last := sys.m.state >> 2 // epochs 1..last were published
+		for epoch, c := range sys.m.claims {
+			want := uint8(0)
+			if epoch >= 1 && uint64(epoch) <= last {
+				want = 1
+			}
+			if c != want {
+				t.Fatalf("epoch %d claimed %d times, want %d (published %d)", epoch, c, want, last)
+			}
 		}
-	}
-	if !anyActive {
-		// Terminal state: validate.
-		for epoch, c := range m.claims {
-			if c != 1 {
-				t.Fatalf("epoch %d claimed %d times", epoch, c)
-			}
-			if epoch == 0 || epoch > uint64(m.published) {
-				t.Fatalf("claim of unpublished epoch %d (published %d)", epoch, m.published)
-			}
+		if sys.m.holder != noHolder || sys.m.state&bufReleased == 0 {
+			t.Fatalf("terminal state %#x with holder %d: a window never closed", sys.m.state, sys.m.holder)
 		}
 		return
 	}
-	// Schedule the owner.
-	if ow.rounds > 0 {
-		m2 := m
-		m2.claims = copyClaims(m.claims)
-		ow2 := ow
-		if done := ow2.step(&m2); done {
-			ow2.rounds = 0
-		}
-		// Progress guard: owner at pc 0 with no stolen bit spins; only
-		// recurse if something changed or a thief can still act.
-		if ow2 != ow || m2.state != m.state || m2.bufEpoch != m.bufEpoch {
-			explore(t, m2, ow2, copyThieves(th), copyActive(active), depth+1)
+	if !sys.ow.done {
+		next := sys
+		if next.ow.step(t, &next.m) {
+			explore(t, next, seen)
 		}
 	}
-	// Schedule each active thief.
-	for i := range th {
-		if !active[i] {
-			continue
+	for i := range sys.th {
+		if sys.th[i].attempts > 0 {
+			next := sys
+			next.th[i].step(t, &next.m, i+1)
+			explore(t, next, seen)
 		}
-		m2 := m
-		m2.claims = copyClaims(m.claims)
-		th2 := copyThieves(th)
-		act2 := copyActive(active)
-		if done := th2[i].step(&m2); done {
-			act2[i] = false
-		}
-		explore(t, m2, ow2Noop(ow), th2, act2, depth+1)
 	}
-}
-
-func ow2Noop(o owner) owner { return o }
-
-func copyClaims(in map[uint64]int) map[uint64]int {
-	out := make(map[uint64]int, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-func copyThieves(in []thief) []thief {
-	out := make([]thief, len(in))
-	for i := range in {
-		out[i] = in[i]
-		out[i].claimed = append([]uint64(nil), in[i].claimed...)
-	}
-	return out
-}
-
-func copyActive(in []bool) []bool {
-	return append([]bool(nil), in...)
 }
 
 func TestStealBufferProtocolAllInterleavings(t *testing.T) {
-	// Initial state: epoch 1 published (owner filled once), two thieves
-	// each attempting one steal, owner willing to republish twice more.
-	m := modelState{state: 1 << 1, bufEpoch: 1, published: 1}
-	ow := owner{rounds: 2}
-	thieves := []thief{{}, {}}
-	active := []bool{true, true}
-	explore(t, m, ow, thieves, active, 0)
-}
-
-func TestStealBufferProtocolThreeThieves(t *testing.T) {
-	// Three thieves racing for a single published epoch: exactly one may
-	// win; the owner republishes once.
-	m := modelState{state: 1 << 1, bufEpoch: 1, published: 1}
-	ow := owner{rounds: 1}
-	thieves := []thief{{}, {}, {}}
-	active := []bool{true, true, true}
-	explore(t, m, ow, thieves, active, 0)
+	for _, c := range []struct {
+		name             string
+		rounds, attempts int
+		published        bool // start with epoch 1 published instead of an empty queue
+	}{
+		{"from empty", 3, 2, false},
+		{"from published", 2, 2, true},
+		{"one round, three attempts", 1, 3, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := system{
+				m:  model{state: bufClaimed | bufReleased, holder: noHolder},
+				ow: owner{rounds: c.rounds},
+			}
+			if c.published {
+				sys.m = model{state: 1 << 2, top: 1, items: 1, holder: noHolder}
+			}
+			for i := range sys.th {
+				sys.th[i].attempts = c.attempts
+			}
+			seen := map[system]bool{}
+			explore(t, sys, seen)
+			t.Logf("%d states", len(seen))
+		})
+	}
 }

@@ -88,8 +88,8 @@ type runWorker[T any] struct {
 }
 
 // A popped batch is private to its worker until its last body returns:
-// no thief can take its tasks, and an SMQ owner refills its steal buffer
-// only on the next PopN. With coarse bodies that buys nothing and starves
+// no thief can take its tasks, and an SMQ owner refills a taken steal
+// buffer only on its next operation. With coarse bodies that buys nothing and starves
 // the other workers (flat-seeded 20 µs jobs on two SMQ workers split 18:2
 // at a fixed batch of 8), so a worker sizes its pops to keep one batch's
 // bodies within batchBudget. It times the body loop of every batch while

@@ -257,22 +257,35 @@ func (p *Pending) Closed() bool { return p.closed.Load() }
 // (Close happens after the final external Inc by contract).
 func (p *Pending) Quiesced() bool { return p.closed.Load() && p.n.Load() == 0 }
 
-// Backoff tier boundaries. The first few failed polls busy-pause
-// (another worker is likely mid-push), the next tier yields the
-// processor, and sustained idleness graduates to bounded sleeps so an
-// idle worker costs ~0 CPU instead of burning a core. The sleep cap
-// bounds the wake-up latency a sleeping worker adds when work arrives.
+// Backoff tiers. An idle episode — the failed polls between two Resets —
+// escalates by how long it has lasted, not by how often it has polled: a
+// poll costs from tens of nanoseconds to microseconds depending on the
+// scheduler, so a poll count says little about how long work has been
+// missing, and the step it guards is expensive. A time.Sleep of any
+// length returns after about 1.07 ms on the 2-core benchmark host (the
+// sleeper's thread parks and is woken by the timer), whatever duration
+// it asks for, so sleeping is only worth it once an episode has already
+// lasted about that long: until then the worker busy-pauses (another
+// worker is likely mid-push) and then yields the processor between
+// polls, and the work it was waiting for is picked up within a poll of
+// arriving. backoffSpinBudget is that bound, half the measured cost of
+// one sleep: an episode that ends inside it never pays for a sleep, one
+// that outlasts it has wasted at most half of one. Sustained idleness
+// still ends in bounded sleeps, so an idle worker costs ~0 CPU; the sleep
+// cap bounds the wake-up latency a sleeping worker adds when work arrives.
 const (
-	backoffSpinTier  = 6  // steps 1..6: busy pause, 2^step loads
-	backoffYieldTier = 24 // steps 7..24: runtime.Gosched
-	backoffSleepMin  = 20 * time.Microsecond
-	backoffSleepMax  = time.Millisecond
+	backoffSpinTier   = 6 // polls 1..6: busy pause, 2^poll loads, no clock read
+	backoffSpinBudget = 500 * time.Microsecond
+	backoffSleepMin   = 20 * time.Microsecond
+	backoffSleepMax   = time.Millisecond
 )
 
 // Backoff is a three-tier spin/yield/sleep backoff used by worker loops
 // when Pop fails but Pending is nonzero. The zero value is ready.
 type Backoff struct {
-	spins int
+	polls  int       // failed polls of this episode
+	start  time.Time // of the episode's yield tier
+	sleeps int       // > 0 in the sleep tier: the ordinal of the next sleep
 	// pause is the spin tier's load target: atomic loads of an own
 	// field are real memory operations the compiler will not dead-code
 	// eliminate, and the field sits in backoff-owner memory so the
@@ -282,28 +295,32 @@ type Backoff struct {
 
 // Wait performs one backoff step.
 func (b *Backoff) Wait() {
-	b.spins++
+	b.polls++
 	switch {
-	case b.spins <= backoffSpinTier:
-		for i := 0; i < 1<<b.spins; i++ {
+	case b.polls <= backoffSpinTier:
+		for i := 0; i < 1<<b.polls; i++ {
 			_ = b.pause.Load()
 		}
-	case b.spins <= backoffYieldTier:
-		runtime.Gosched()
-	default:
-		shift := b.spins - backoffYieldTier - 1
-		d := backoffSleepMax
-		if shift < 6 { // 20µs << 6 exceeds the 1ms cap
-			d = min(backoffSleepMin<<shift, backoffSleepMax)
+	case b.sleeps == 0:
+		if b.polls == backoffSpinTier+1 {
+			b.start = time.Now()
 		}
-		time.Sleep(d)
+		runtime.Gosched()
+		if time.Since(b.start) >= backoffSpinBudget {
+			b.sleeps = 1
+		}
+	default:
+		// 20µs << 6 exceeds the 1ms cap.
+		time.Sleep(min(backoffSleepMin<<min(b.sleeps-1, 6), backoffSleepMax))
+		b.sleeps++
 	}
 }
 
-// Sleeping reports whether the backoff has escalated to the sleep tier
-// — the signal elastic worker pools use to consider parking a slot
-// entirely instead of paying the wake-up latency tax per task burst.
-func (b *Backoff) Sleeping() bool { return b.spins > backoffYieldTier }
+// Sleeping reports whether the idle episode has outlasted the spin
+// budget, so that every further Wait sleeps — the signal elastic worker
+// pools use to consider parking a slot entirely instead of paying the
+// wake-up latency tax per task burst.
+func (b *Backoff) Sleeping() bool { return b.sleeps > 0 }
 
-// Reset clears the backoff after a successful Pop.
-func (b *Backoff) Reset() { b.spins = 0 }
+// Reset ends the idle episode, after a successful Pop.
+func (b *Backoff) Reset() { b.polls, b.sleeps = 0, 0 }

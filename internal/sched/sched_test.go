@@ -80,8 +80,8 @@ func TestBackoffProgresses(t *testing.T) {
 		b.Wait() // must not hang or panic
 	}
 	b.Reset()
-	if b.spins != 0 {
-		t.Fatal("Reset did not clear spins")
+	if b.polls != 0 {
+		t.Fatal("Reset did not clear polls")
 	}
 }
 

@@ -81,15 +81,24 @@ func TestServeSoakZoo(t *testing.T) {
 	}
 }
 
+// overload offers more work than the service has workers for: 500 k
+// requests/s of 20 to 40 µs each is over ten cores' worth for two
+// workers, and still more than two at a seventh of the rate, should the
+// generator fall that far behind. (At 2 to 4 µs the same rate is 1.5
+// cores' worth: it only overloaded the service while idle workers slept
+// through a millisecond per burst.)
+var overload = LoadConfig{Rate: 500000, Tenants: 2, CostMin: 20000, CostMax: 40000, Seed: 3}
+
 // TestServeShedPolicy forces the high watermark with a tiny admission
 // window and slow service, and checks that shedding both engages and
 // keeps the ledger balanced.
 func TestServeShedPolicy(t *testing.T) {
+	load := overload
+	load.Tasks = 20000
 	st, ls := runService(t, "smq",
 		Config{Workers: 2, MinWorkers: 1, Tenants: 2,
 			HighWater: 64, LowWater: 16, Policy: PolicyShed},
-		LoadConfig{Rate: 500000, Tasks: 20000, Tenants: 2,
-			CostMin: 2000, CostMax: 4000, Seed: 3})
+		load)
 	checkLedger(t, "smq", st, ls.Sent)
 	if st.Shed == 0 {
 		t.Fatal("overloaded run with PolicyShed shed nothing")
@@ -102,15 +111,16 @@ func TestServeShedPolicy(t *testing.T) {
 // TestServeStallPolicy runs the same overload with PolicyStall:
 // nothing may be shed, and backpressure episodes must be recorded.
 func TestServeStallPolicy(t *testing.T) {
-	tasks := 20000
+	load := overload
+	load.Tasks = 6000
 	if testing.Short() {
-		tasks = 6000
+		load.Tasks = 2000
 	}
+	tasks := load.Tasks
 	st, ls := runService(t, "smq",
 		Config{Workers: 2, MinWorkers: 1, Tenants: 2,
 			HighWater: 64, LowWater: 16, Policy: PolicyStall},
-		LoadConfig{Rate: 500000, Tasks: tasks, Tenants: 2,
-			CostMin: 2000, CostMax: 4000, Seed: 3})
+		load)
 	checkLedger(t, "smq", st, ls.Sent)
 	if st.Shed != 0 {
 		t.Fatalf("PolicyStall shed %d tasks", st.Shed)

@@ -1,23 +1,21 @@
-// Command benchcheck parses, schema-validates, and merges
-// perf-trajectory JSON files (the BENCH_PR<n>.json artifacts written by
-// `smqbench -json` and the shard fragments written by
-// `smqbench -fragment`).
+// Command benchcheck parses, schema-validates and merges the
+// repository's JSON artifacts: serve reports (`smqserve -json`), desim
+// reports (`smqsim -out`) and experiment fragments
+// (`smqbench -fragment`).
 //
 // Usage:
 //
-//	benchcheck [BENCH_PR5.json ...]
+//	benchcheck serve-smoke.json desim-smoke.json frag-0.json
 //	benchcheck merge -o merged.json frag0.json frag1.json [...]
-//	benchcheck diff [-threshold 0.25] [-flagged] [-workload hold] [-fail] [-failfamily cbpq] old.json new.json
 //
-// With no arguments, benchcheck validates every BENCH_*.json in the
-// current directory — the committed trajectory history — and fails if
-// the glob matches nothing.
-//
-// `smqbench -json` already validates the report it is about to write;
+// The writers already validate the report they are about to write;
 // benchcheck closes the remaining gap by re-reading the bytes actually
-// on disk, so CI fails if the serialized artifact stops parsing or
-// drifts from the schema (including the committed trajectory history).
-// Exit status is non-zero on the first invalid file.
+// on disk, so CI fails if a serialized artifact stops parsing or drifts
+// from the schema. Each section is checked by the package that owns it:
+// internal/serve enforces the zero-lost-tasks ledger, internal/desim
+// the zero-violations rule under an exact covering bound, and
+// internal/perfbench the fragment layout. Exit status is non-zero on
+// the first invalid file.
 //
 // The merge subcommand combines shard fragments from parallel runs
 // (different processes, machines, or CI matrix jobs) into one
@@ -25,36 +23,18 @@
 // end up complete and non-overlapping, and the output is independent of
 // the input file order. Feed the merged file back to
 // `smqbench -assemble` to render the tables.
-//
-// The diff subcommand compares two trajectory artifacts scheduler by
-// scheduler (scalar, batched and hold throughput, elimination and
-// combining counters, pop p99 latency, serve throughput, desim event
-// rate) and marks relative changes beyond the threshold — "!" for any
-// flagged change, "!!" for changes in the harmful direction, "!!!" for
-// hard errors. It is informational by default (exit 0 even with
-// regressions: benchmark numbers from different machines are not a
-// pass/fail gate); -fail turns harmful-direction flags into a nonzero
-// exit for same-machine gating, and -failfamily does the same for an
-// opt-in allowlist of scheduler families (so CI can gate the cbpq tier
-// it measures on stable runners without gating every scheduler).
-// -workload restricts the table to one facet (scalar, batched, hold,
-// latency, serve, desim). Two outcomes fail regardless of flags: an
-// unparseable/invalid artifact, and a hard error — a desim run whose
-// causality-violation count increased while its lookahead window
-// claimed an exact rank bound, which is a broken correctness claim
-// rather than a performance delta.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"slices"
-	"sort"
 	"strings"
 
+	"repro/internal/desim"
 	"repro/internal/perfbench"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -62,29 +42,66 @@ func main() {
 		runMerge(os.Args[2:])
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "diff" {
-		runDiff(os.Args[2:])
-		return
+	if len(os.Args) == 1 {
+		fmt.Fprintln(os.Stderr, "usage: benchcheck artifact.json ... | benchcheck merge [-o out.json] frag0.json frag1.json ...")
+		os.Exit(2)
 	}
-	paths := os.Args[1:]
-	if len(paths) == 0 {
-		var err error
-		paths, err = filepath.Glob("BENCH_*.json")
+	for _, path := range os.Args[1:] {
+		data, err := os.ReadFile(path)
 		if err != nil {
-			fail("BENCH_*.json", err)
+			fail(path, err)
 		}
-		sort.Strings(paths)
-		if len(paths) == 0 {
-			fmt.Fprintln(os.Stderr, "benchcheck: no files given and no BENCH_*.json in the current directory")
-			fmt.Fprintln(os.Stderr, "usage: benchcheck [trajectory.json ...] | benchcheck merge -o out.json frag.json ... | benchcheck diff old.json new.json")
-			os.Exit(2)
+		summary, err := check(data)
+		if err != nil {
+			fail(path, err)
 		}
+		fmt.Printf("%s: ok (schema %d, %s)\n", path, perfbench.SchemaVersion, summary)
 	}
-	for _, path := range paths {
-		r := load(path)
-		fmt.Printf("%s: ok (schema %d, %d bench results, %d serve runs, %d desim runs, %d experiment fragments)\n",
-			path, r.SchemaVersion, len(r.Results), len(r.Serve), len(r.Desim), len(r.Experiments))
+}
+
+// check validates every section an artifact carries with the owning
+// package's validator and summarizes what it found. A file with none of
+// the known sections goes through the fragment validator, which reports
+// what is wrong with its header or that it is empty.
+func check(data []byte) (string, error) {
+	var sections struct {
+		Serve, Desim, Experiments json.RawMessage
 	}
+	if err := json.Unmarshal(data, &sections); err != nil {
+		return "", err
+	}
+	var found []string
+	if sections.Serve != nil {
+		r, err := load(data, serve.ValidateBench)
+		if err != nil {
+			return "", err
+		}
+		found = append(found, fmt.Sprintf("%d serve runs", len(r.Serve)))
+	}
+	if sections.Desim != nil {
+		r, err := load(data, desim.ValidateBench)
+		if err != nil {
+			return "", err
+		}
+		found = append(found, fmt.Sprintf("%d desim runs", len(r.Desim)))
+	}
+	if sections.Experiments != nil || len(found) == 0 {
+		r, err := load(data, perfbench.Validate)
+		if err != nil {
+			return "", err
+		}
+		found = append(found, fmt.Sprintf("%d experiment fragments", len(r.Experiments)))
+	}
+	return strings.Join(found, ", "), nil
+}
+
+// load parses data as report type R and validates it.
+func load[R any](data []byte, validate func(*R) error) (*R, error) {
+	var r R
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, err
+	}
+	return &r, validate(&r)
 }
 
 // runMerge implements `benchcheck merge -o out.json frag.json ...`.
@@ -102,7 +119,15 @@ func runMerge(args []string) {
 	}
 	reports := make([]*perfbench.Report, 0, fs.NArg())
 	for _, path := range fs.Args() {
-		reports = append(reports, load(path))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			fail(path, err)
+		}
+		r, err := load(data, perfbench.Validate)
+		if err != nil {
+			fail(path, err)
+		}
+		reports = append(reports, r)
 	}
 	merged, err := perfbench.Merge(reports)
 	if err != nil {
@@ -119,111 +144,7 @@ func runMerge(args []string) {
 	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fail(*out, err)
 	}
-	fmt.Fprintf(os.Stderr, "merged %d reports: %d experiment fragments, %d bench results, %d serve runs\n",
-		len(reports), len(merged.Experiments), len(merged.Results), len(merged.Serve))
-}
-
-// runDiff implements `benchcheck diff [flags] old.json new.json`.
-func runDiff(args []string) {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 0, "relative change that flags an entry (0 = default 0.25)")
-	flagged := fs.Bool("flagged", false, "print only flagged entries")
-	failOn := fs.Bool("fail", false, "exit nonzero if any flagged change points the harmful way")
-	workload := fs.String("workload", "", fmt.Sprintf("restrict the diff to one workload facet (%s)", strings.Join(perfbench.Workloads(), ", ")))
-	failFamily := fs.String("failfamily", "", "comma-separated scheduler families: exit nonzero on harmful regressions within them even without -fail (e.g. 'cbpq' covers cbpq, cbpq-elim and cbpq/... desim rows)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck diff [-threshold 0.25] [-flagged] [-workload hold] [-fail] [-failfamily cbpq] old.json new.json")
-		fs.PrintDefaults()
-	}
-	_ = fs.Parse(args)
-	if fs.NArg() != 2 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	oldPath, newPath := fs.Arg(0), fs.Arg(1)
-	d := perfbench.Diff(load(oldPath), load(newPath), *threshold)
-	if *workload != "" {
-		if !slices.Contains(perfbench.Workloads(), *workload) {
-			fmt.Fprintf(os.Stderr, "benchcheck: unknown workload %q (known: %s)\n",
-				*workload, strings.Join(perfbench.Workloads(), ", "))
-			os.Exit(2)
-		}
-		d = d.FilterWorkload(*workload)
-		fmt.Printf("diff %s -> %s (threshold %.0f%%, workload %s)\n", oldPath, newPath, 100*d.Threshold, *workload)
-	} else {
-		fmt.Printf("diff %s -> %s (threshold %.0f%%)\n", oldPath, newPath, 100*d.Threshold)
-	}
-	fmt.Print(d.Format(*flagged))
-
-	exit := 0
-	// Hard errors (a broken exactness claim, not a performance delta)
-	// fail the diff no matter which informational flags are set.
-	if hard := d.HardErrors(); len(hard) > 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: %d hard error(s) — exactness claims regressed; failing regardless of flags\n", len(hard))
-		exit = 1
-	}
-	if reg := d.Regressions(); len(reg) > 0 {
-		fmt.Fprintf(os.Stderr, "benchcheck: %d flagged regression(s) out of %d compared entries\n",
-			len(reg), len(d.Entries))
-		if *failOn {
-			exit = 1
-		}
-		if fams := splitFamilies(*failFamily); len(fams) > 0 {
-			for _, e := range reg {
-				if inFamily(e.Scheduler, fams) {
-					fmt.Fprintf(os.Stderr, "benchcheck: %s %s regressed %.1f%% (family gate %q)\n",
-						e.Scheduler, e.Metric, 100*e.Delta, *failFamily)
-					exit = 1
-				}
-			}
-		}
-	}
-	if exit != 0 {
-		os.Exit(exit)
-	}
-}
-
-// splitFamilies parses the -failfamily list.
-func splitFamilies(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// inFamily reports whether a diff entry's scheduler key belongs to one
-// of the named families: an exact name match, a dash-suffixed variant
-// (cbpq-elim), or a desim "scheduler/model" row of either.
-func inFamily(key string, families []string) bool {
-	name := key
-	if i := strings.IndexByte(name, '/'); i >= 0 {
-		name = name[:i]
-	}
-	for _, f := range families {
-		if name == f || strings.HasPrefix(name, f+"-") {
-			return true
-		}
-	}
-	return false
-}
-
-// load reads, parses and schema-validates one report, exiting on error.
-func load(path string) *perfbench.Report {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail(path, err)
-	}
-	r, err := perfbench.Parse(data)
-	if err != nil {
-		fail(path, err)
-	}
-	if err := perfbench.Validate(r); err != nil {
-		fail(path, err)
-	}
-	return r
+	fmt.Fprintf(os.Stderr, "merged %d reports: %d experiment fragments\n", len(reports), len(merged.Experiments))
 }
 
 func fail(path string, err error) {

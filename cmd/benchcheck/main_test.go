@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,106 +10,109 @@ import (
 	"testing"
 )
 
-// TestBenchcheckEndToEnd builds the tool and runs it over a valid and
-// an invalid artifact, pinning both exit paths.
-func TestBenchcheckEndToEnd(t *testing.T) {
+// buildBenchcheck builds the tool into a temporary directory.
+func buildBenchcheck(t *testing.T) (bin, dir string) {
+	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool unavailable")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "benchcheck")
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "benchcheck")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
+	return bin, dir
+}
 
-	good := filepath.Join(dir, "good.json")
-	goodJSON := `{
-  "schema_version": 1,
-  "generated_by": "test",
-  "go_version": "go",
-  "gomaxprocs": 1,
-  "workers": 1,
-  "prefill": 1,
-  "ops_per_worker": 1,
-  "results": [{"scheduler": "mq", "throughput_ops_per_sec": 1, "ns_per_op": 1}]
+const header = `"schema_version": 8, "generated_by": "test", "go_version": "go", "gomaxprocs": 2, "seed": 1`
+
+func fragmentJSON(shardIdx, cellIdx int) string {
+	return `{` + header + `,
+  "host": {"hostname": "h", "os": "linux", "arch": "amd64", "num_cpu": 2},
+  "experiments": [{
+    "experiment": "theory",
+    "config": "c",
+    "total_cells": 2,
+    "shard": {"index": ` + strconv.Itoa(shardIdx) + `, "total": 2},
+    "cells": [{"index": ` + strconv.Itoa(cellIdx) + `, "key": "k` + strconv.Itoa(cellIdx) + `", "kind": "sim", "seed": 1, "status": "ok", "attempts": 1}]
+  }]
 }`
-	if err := os.WriteFile(good, []byte(goodJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if out, err := exec.Command(bin, good).CombinedOutput(); err != nil {
-		t.Fatalf("valid file rejected: %v\n%s", err, out)
+}
+
+func serveJSON(ingested int) string {
+	return `{` + header + `,
+  "serve": [{"scheduler": "smq", "offered_rate_per_sec": 1000, "workers": 3, "min_workers": 1,
+    "tenants": 1, "tenant_skew": 0, "ingested": ` + strconv.Itoa(ingested) + `, "completed": 90, "shed": 10,
+    "duration_ns": 1000, "throughput_tasks_per_sec": 9e7, "stalls": 0, "stall_ns": 0,
+    "parks": 0, "unparks": 0, "mean_active_workers": 1, "idle_cpu_frac": -1,
+    "per_tenant": [{"tenant": 0, "completed": 90, "shed": 10,
+      "latency_p50_ns": 100, "latency_p99_ns": 200, "latency_p999_ns": 300}]}]
+}`
+}
+
+func desimJSON(violations int) string {
+	return `{` + header + `,
+  "desim": [{"scheduler": "klsm", "model": "dag", "workers": 2, "seed": 1,
+    "events": 100, "duration_ns": 100, "events_per_sec": 1e9,
+    "rank_bound": 4, "bound_exact": true, "lookahead": 4, "bound_source": "exact",
+    "causality_violations": ` + strconv.Itoa(violations) + `, "max_lead": 3, "mean_lead": 1, "checksum": 1}]
+}`
+}
+
+// TestBenchcheckEndToEnd builds the tool and runs it over a valid and
+// an invalid artifact of each kind, pinning both exit paths and the
+// message of the rule that fired.
+func TestBenchcheckEndToEnd(t *testing.T) {
+	bin, dir := buildBenchcheck(t)
+	for _, tc := range []struct {
+		name, body string
+		reject     string // substring of the expected error; "" = accepted
+	}{
+		{"fragment", fragmentJSON(0, 0), ""},
+		{"fragment-badstatus", strings.Replace(fragmentJSON(0, 0), `"status": "ok"`, `"status": "meh"`, 1), "unknown status"},
+		{"fragment-nogomaxprocs", strings.Replace(fragmentJSON(0, 0), `"gomaxprocs": 2`, `"gomaxprocs": 0`, 1), "gomaxprocs"},
+		{"serve", serveJSON(100), ""},
+		{"serve-lost", serveJSON(101), "LOST TASKS: ingested 101 != completed 90 + shed 10"},
+		{"desim", desimJSON(0), ""},
+		{"desim-violation", desimJSON(1), "1 causality violations with lookahead 4 >= exact bound 4"},
+		{"old-schema", strings.Replace(serveJSON(100), `"schema_version": 8`, `"schema_version": 7`, 1), "schema_version = 7, want 8"},
+		{"empty", `{` + header + `}`, "no experiment fragments"},
+		{"not-json", `{`, "unexpected end of JSON"},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, path).CombinedOutput()
+		switch {
+		case tc.reject == "" && err != nil:
+			t.Errorf("%s: valid file rejected: %v\n%s", tc.name, err, out)
+		case tc.reject != "" && err == nil:
+			t.Errorf("%s: invalid file accepted:\n%s", tc.name, out)
+		case tc.reject != "" && !strings.Contains(string(out), tc.reject):
+			t.Errorf("%s: error %q does not mention %q", tc.name, out, tc.reject)
+		}
 	}
 
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema_version": 99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.Command(bin, bad).Run(); err == nil {
-		t.Fatal("invalid file accepted")
-	}
-
-	// Default glob: with no arguments the tool validates BENCH_*.json in
-	// the working directory, and fails when the glob matches nothing.
-	glob := t.TempDir()
-	cmd := exec.Command(bin)
-	cmd.Dir = glob
-	if err := cmd.Run(); err == nil {
-		t.Fatal("empty directory accepted without arguments")
-	}
-	if err := os.WriteFile(filepath.Join(glob, "BENCH_PR1.json"), []byte(goodJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd = exec.Command(bin)
-	cmd.Dir = glob
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("default glob failed: %v\n%s", err, out)
-	}
-
-	// The bad file must not be picked up: the glob is BENCH_*.json only.
-	if err := os.WriteFile(filepath.Join(glob, "other.json"), []byte(`{"schema_version": 99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd = exec.Command(bin)
-	cmd.Dir = glob
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("non-BENCH json broke default glob: %v\n%s", err, out)
+	// No arguments: usage, exit status 2.
+	var exit *exec.ExitError
+	out, err := exec.Command(bin).CombinedOutput()
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "usage:") {
+		t.Fatalf("no arguments: err %v, output %q; want usage and exit status 2", err, out)
 	}
 }
 
 // TestBenchcheckMerge drives the merge subcommand over two shard
 // fragments and re-validates the merged artifact with the same tool.
 func TestBenchcheckMerge(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go tool unavailable")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "benchcheck")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-
-	frag := func(shardIdx, cellIdx int) string {
-		return `{
-  "schema_version": 4,
-  "generated_by": "test shard",
-  "go_version": "go",
-  "host": {"hostname": "h", "os": "linux", "arch": "amd64", "num_cpu": 2},
-  "experiments": [{
-    "experiment": "theory",
-    "config": "c",
-    "total_cells": 2,
-    "shard": {"index": ` + itoa(shardIdx) + `, "total": 2},
-    "cells": [{"index": ` + itoa(cellIdx) + `, "key": "k` + itoa(cellIdx) + `", "kind": "sim", "seed": 1, "status": "ok", "attempts": 1}]
-  }]
-}`
-	}
+	bin, dir := buildBenchcheck(t)
 	f0 := filepath.Join(dir, "frag0.json")
 	f1 := filepath.Join(dir, "frag1.json")
 	merged := filepath.Join(dir, "merged.json")
-	if err := os.WriteFile(f0, []byte(frag(0, 0)), 0o644); err != nil {
+	if err := os.WriteFile(f0, []byte(fragmentJSON(0, 0)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(f1, []byte(frag(1, 1)), 0o644); err != nil {
+	if err := os.WriteFile(f1, []byte(fragmentJSON(1, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if out, err := exec.Command(bin, "merge", "-o", merged, f0, f1).CombinedOutput(); err != nil {
@@ -121,140 +125,5 @@ func TestBenchcheckMerge(t *testing.T) {
 	// An incomplete grid must not merge: one shard alone covers 1 of 2.
 	if err := exec.Command(bin, "merge", "-o", filepath.Join(dir, "x.json"), f0).Run(); err == nil {
 		t.Fatal("incomplete grid merged")
-	}
-}
-
-func itoa(n int) string { return strconv.Itoa(n) }
-
-// TestBenchcheckDiff drives the diff subcommand over two artifacts with
-// a clear regression: informational by default (exit 0), gating with
-// -fail, and quiet on a self-diff.
-func TestBenchcheckDiff(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go tool unavailable")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "benchcheck")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-
-	report := func(tput float64) string {
-		return `{
-  "schema_version": 1,
-  "generated_by": "test",
-  "go_version": "go",
-  "gomaxprocs": 1,
-  "workers": 1,
-  "prefill": 1,
-  "ops_per_worker": 1,
-  "results": [{"scheduler": "mq", "throughput_ops_per_sec": ` + strconv.FormatFloat(tput, 'g', -1, 64) + `, "ns_per_op": 1}]
-}`
-	}
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(report(1000)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newPath, []byte(report(400)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Informational: regression printed, exit 0.
-	out, err := exec.Command(bin, "diff", oldPath, newPath).CombinedOutput()
-	if err != nil {
-		t.Fatalf("informational diff exited nonzero: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "!!  mq") || !strings.Contains(string(out), "regression") {
-		t.Fatalf("diff output missing regression flag:\n%s", out)
-	}
-
-	// Gating: -fail turns the regression into a nonzero exit.
-	if err := exec.Command(bin, "diff", "-fail", oldPath, newPath).Run(); err == nil {
-		t.Fatal("-fail did not gate on a 60% throughput drop")
-	}
-
-	// Family gating: -failfamily gates only its allowlisted schedulers.
-	if err := exec.Command(bin, "diff", "-failfamily", "mq", oldPath, newPath).Run(); err == nil {
-		t.Fatal("-failfamily mq did not gate on mq's throughput drop")
-	}
-	if out, err := exec.Command(bin, "diff", "-failfamily", "cbpq", oldPath, newPath).CombinedOutput(); err != nil {
-		t.Fatalf("-failfamily cbpq gated on an mq regression: %v\n%s", err, out)
-	}
-
-	// Workload filter: the latency facet has no entries here; the scalar
-	// facet keeps the regression. Unknown facets are usage errors.
-	out, err = exec.Command(bin, "diff", "-workload", "latency", oldPath, newPath).CombinedOutput()
-	if err != nil || strings.Contains(string(out), "throughput_ops_per_sec") {
-		t.Fatalf("latency filter kept scalar rows (err %v):\n%s", err, out)
-	}
-	out, err = exec.Command(bin, "diff", "-workload", "scalar", oldPath, newPath).CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "!!  mq") {
-		t.Fatalf("scalar filter lost the regression (err %v):\n%s", err, out)
-	}
-	if err := exec.Command(bin, "diff", "-workload", "nonesuch", oldPath, newPath).Run(); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-
-	// A self-diff has no flags, even with -fail.
-	out, err = exec.Command(bin, "diff", "-fail", oldPath, oldPath).CombinedOutput()
-	if err != nil {
-		t.Fatalf("self-diff flagged: %v\n%s", err, out)
-	}
-
-	// Wide threshold absorbs the drop.
-	if out, err := exec.Command(bin, "diff", "-fail", "-threshold", "0.9", oldPath, newPath).CombinedOutput(); err != nil {
-		t.Fatalf("0.9 threshold still flagged a 60%% drop: %v\n%s", err, out)
-	}
-}
-
-// TestBenchcheckDiffHardError pins the unconditional exit path: a desim
-// run whose causality violations increased under an exact bound fails
-// the diff even without -fail or -failfamily. The artifacts keep the
-// lookahead window below the bound, the configuration Validate itself
-// cannot judge.
-func TestBenchcheckDiffHardError(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go tool unavailable")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "benchcheck")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	report := func(violations int) string {
-		return `{
-  "schema_version": 7,
-  "generated_by": "test",
-  "go_version": "go",
-  "gomaxprocs": 1,
-  "workers": 1,
-  "prefill": 1,
-  "ops_per_worker": 1,
-  "desim": [{"scheduler": "cbpq", "model": "dag", "workers": 1, "seed": 1,
-    "events": 100, "duration_ns": 100, "events_per_sec": 1000,
-    "rank_bound": 4, "bound_exact": true, "lookahead": 2, "bound_source": "exact",
-    "causality_violations": ` + itoa(violations) + `, "max_lead": 0, "mean_lead": 0, "checksum": 1}]
-}`
-	}
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(report(0)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newPath, []byte(report(3)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := exec.Command(bin, "diff", oldPath, newPath).CombinedOutput()
-	if err == nil {
-		t.Fatalf("increased exact-bound violations exited zero:\n%s", out)
-	}
-	if !strings.Contains(string(out), "!!!") || !strings.Contains(string(out), "hard error") {
-		t.Fatalf("hard error not surfaced:\n%s", out)
-	}
-	// The same artifacts in the other direction (violations dropping to
-	// zero) are fine.
-	if out, err := exec.Command(bin, "diff", newPath, oldPath).CombinedOutput(); err != nil {
-		t.Fatalf("decreasing violations gated: %v\n%s", err, out)
 	}
 }

@@ -1,5 +1,4 @@
-// Command smqbench regenerates the paper's tables and figures, and
-// records the repository's performance trajectory.
+// Command smqbench regenerates the paper's tables and figures.
 //
 // Usage:
 //
@@ -9,24 +8,21 @@
 //	smqbench -exp klsm -scale 1 -maxthreads 4
 //	smqbench -exp geom -scale 2 -maxthreads 4 -format tsv
 //	smqbench -exp all -format tsv > results.tsv
-//	smqbench -json BENCH_PR4.json
-//	smqbench -json - -benchworkers 2 -benchops 50000
 //	smqbench -exp fig2 -cpuprofile fig2.prof -memprofile fig2.mprof
+//	smqbench -exp fig2 -shard 0/2 -fragment f0.json
+//	smqbench -exp fig2 -assemble merged.json
 //
-// The -json mode runs the contended uniform-priority microbenchmark of
-// internal/perfbench over the whole scheduler lineup and writes a
-// schema-versioned JSON report to the given path ("-" for stdout):
-// scalar throughput, batched (PushN/PopN) throughput at -benchbatch
-// tasks per operation, pop-latency percentiles (p50/p99/p99.9 from a
-// log-bucketed histogram), lock failures, allocs/op and GC pause
-// totals per scheduler. Committed as BENCH_PR<n>.json, these reports
-// form the repo's recorded perf trajectory; internal/perfbench.Validate
-// gates their schema in CI.
+// Every experiment is a deterministic cell grid: -listcells prints it,
+// -shard / -cells run a slice of it and -fragment writes that slice as
+// a schema-versioned JSON fragment (internal/perfbench), `benchcheck
+// merge` recombines fragments, and -assemble renders the tables from a
+// merged file without running anything. Scheduler throughput is not
+// measured here: that is the repo benchmark, `bash bench/run.sh`.
 //
-// -cpuprofile and -memprofile write pprof profiles covering the run
-// (any mode), so hot-path claims in optimisation PRs can be verified
-// with `go tool pprof` instead of taken on faith; the heap profile is
-// written at exit after a final GC.
+// -cpuprofile and -memprofile write pprof profiles covering the run, so
+// hot-path claims in optimisation PRs can be verified with `go tool
+// pprof` instead of taken on faith; the heap profile is written at exit
+// after a final GC.
 //
 // Every experiment prints the same row/series structure as the paper
 // artifact it reproduces (speedups and work increases per cell); -list
@@ -83,17 +79,8 @@ func main() {
 		fragOut     = flag.String("fragment", "", "write the shard's perfbench JSON fragment to this path ('-' for stdout) instead of assembling tables")
 		assemble    = flag.String("assemble", "", "skip running: assemble tables from these comma-separated fragment/merged JSON files")
 
-		jsonOut   = flag.String("json", "", "write the perf-trajectory JSON report to this path ('-' for stdout) instead of running experiments")
-		benchWrk  = flag.Int("benchworkers", 0, "-json: worker goroutines (default GOMAXPROCS)")
-		benchOps  = flag.Int("benchops", 0, "-json: pop+push pairs per worker (default 200000)")
-		benchPre  = flag.Int("benchprefill", 0, "-json: prefilled tasks (default 4096)")
-		benchSch  = flag.String("benchschedulers", "", "-json: comma-separated scheduler subset (default: full lineup)")
-		benchReps = flag.Int("benchreps", 1, "-json: repetitions per scheduler (fastest kept)")
-		benchBat  = flag.Int("benchbatch", 0, "-json: PushN/PopN batch size for the batched mode (default 8)")
-		benchLat  = flag.Int("benchlatops", 0, "-json: individually timed pops per worker for the latency percentiles (default min(benchops, 50000))")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		benchSeed = flag.Uint64("benchseed", 1, "-json: RNG seed")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
 
@@ -122,28 +109,6 @@ func main() {
 				fatal(err)
 			}
 		}()
-	}
-
-	if *jsonOut != "" {
-		var schedulers []string
-		for _, s := range strings.Split(*benchSch, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				schedulers = append(schedulers, s)
-			}
-		}
-		if err := runJSON(*jsonOut, perfbench.Config{
-			Workers:      *benchWrk,
-			Prefill:      *benchPre,
-			OpsPerWorker: *benchOps,
-			Seed:         *benchSeed,
-			Reps:         *benchReps,
-			Schedulers:   schedulers,
-			BatchSize:    *benchBat,
-			LatencyOps:   *benchLat,
-		}); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if *list || *exp == "" {
@@ -449,34 +414,6 @@ func parseShard(s string) (int, int, error) {
 		return 0, 0, fmt.Errorf("bad -shard %q, want i/n with 0 <= i < n", s)
 	}
 	return i, n, nil
-}
-
-// runJSON runs the perf-trajectory microbenchmark, validates the report
-// against the schema, and writes it to path ("-" for stdout).
-func runJSON(path string, cfg perfbench.Config) error {
-	fmt.Fprintf(os.Stderr, "running perf-trajectory microbench (workers=%d)...\n", cfg.Workers)
-	start := time.Now()
-	report, err := perfbench.Run(cfg)
-	if err != nil {
-		return err
-	}
-	if err := perfbench.Validate(report); err != nil {
-		return fmt.Errorf("generated report fails schema validation: %w", err)
-	}
-	data, err := perfbench.Marshal(report)
-	if err != nil {
-		return err
-	}
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-	} else {
-		err = os.WriteFile(path, data, 0o644)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "done %d schedulers in %v\n", len(report.Results), time.Since(start).Round(time.Millisecond))
-	return nil
 }
 
 func parseThreads(s string) ([]int, error) {

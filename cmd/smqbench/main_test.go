@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -10,36 +8,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/harness"
-	"repro/internal/perfbench"
 )
-
-// TestRunJSONWritesValidReport drives the -json code path end to end on
-// a tiny configuration: the written file must parse and satisfy the
-// perfbench schema (the same validation CI applies to its artifact).
-func TestRunJSONWritesValidReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	err := runJSON(path, perfbench.Config{
-		Workers: 1, Prefill: 128, OpsPerWorker: 500,
-		Schedulers: []string{"mq", "emq"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := perfbench.Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := perfbench.Validate(r); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Results) != 2 {
-		t.Fatalf("got %d results, want 2", len(r.Results))
-	}
-}
 
 func TestParseShard(t *testing.T) {
 	if i, n, err := parseShard("1/3"); err != nil || i != 1 || n != 3 {

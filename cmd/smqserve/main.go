@@ -7,14 +7,14 @@
 // Usage:
 //
 //	smqserve -schedulers smq -rate 300000 -tasks 1200000 -tenants 4
-//	smqserve -schedulers coarse,mq,emq,smq,klsm -json BENCH_PR6.json
+//	smqserve -schedulers coarse,mq,emq,smq,klsm -json serve.json
 //	smqserve -rate 800000 -tasks 400000 -policy shed -high 4096 -low 1024
 //
 // Each run prints a human summary — completions, sheds, backpressure
 // stalls, elastic-pool activity, idle-service CPU and per-tenant
 // p50/p99/p99.9 sojourn latency (scheduled arrival to completion) —
-// and -json additionally writes the schema-versioned perfbench report
-// (serve section) that CI validates with cmd/benchcheck.
+// and -json additionally writes the schema-versioned serve report
+// (serve.BenchReport) that CI validates with cmd/benchcheck.
 package main
 
 import (
@@ -46,7 +46,7 @@ func main() {
 		costAlpha  = flag.Float64("costalpha", 0, "bounded-Pareto tail exponent (0 = default 1.1)")
 		idleWin    = flag.Duration("idlewindow", 250*time.Millisecond, "idle-CPU measurement window before load (0 = skip)")
 		seed       = flag.Uint64("seed", 1, "RNG seed")
-		jsonOut    = flag.String("json", "", "also write the schema-versioned serve trajectory report to this path ('-' for stdout)")
+		jsonOut    = flag.String("json", "", "also write the schema-versioned serve report to this path ('-' for stdout)")
 	)
 	flag.Parse()
 
@@ -116,7 +116,7 @@ func main() {
 	}
 }
 
-func printRun(sr *perfbench.ServeResult) {
+func printRun(sr *serve.ServeResult) {
 	fmt.Printf("%-8s  offered %.0f/s  served %.0f/s  completed %d  shed %d  stalls %d (%.1fms)  parks %d  meanActive %.2f/%d",
 		sr.Scheduler, sr.OfferedRatePerSec, sr.ThroughputTasksPerSec,
 		sr.Completed, sr.Shed, sr.Stalls, float64(sr.StallNs)/1e6,

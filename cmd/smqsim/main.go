@@ -1,11 +1,11 @@
 // Command smqsim runs discrete-event simulations through the scheduler
 // zoo (internal/desim) with the full parameter set, and writes the
-// schema-versioned perfbench JSON trajectory.
+// schema-versioned desim report (desim.BenchReport) as JSON.
 //
 // Usage:
 //
 //	smqsim -out - -workers 4
-//	smqsim -out BENCH_PR8.json -events 2000000 -schedulers coarse,smq,klsm
+//	smqsim -out desim.json -events 2000000 -schedulers coarse,smq,klsm
 //	smqsim -out - -models dag -layers 512 -width 512
 //	smqsim -list
 //

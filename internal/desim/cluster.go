@@ -224,14 +224,14 @@ func (c *Cluster) Completed() uint64 {
 // sojourn percentiles (simulated ticks, +1 recording offset removed by
 // no one: the offset is identical across schedulers, so the identity
 // contract is unaffected).
-func (c *Cluster) PerTenant() []perfbench.TenantDesimResult {
-	out := make([]perfbench.TenantDesimResult, c.cfg.Tenants)
+func (c *Cluster) PerTenant() []TenantDesimResult {
+	out := make([]TenantDesimResult, c.cfg.Tenants)
 	for t := 0; t < c.cfg.Tenants; t++ {
 		var merged perfbench.Histogram
 		for w := 0; w < c.cfg.Workers; w++ {
 			merged.Merge(&c.hists[w*c.cfg.Tenants+t])
 		}
-		out[t] = perfbench.TenantDesimResult{
+		out[t] = TenantDesimResult{
 			Tenant:    t,
 			Completed: merged.Count(),
 			P50:       merged.Quantile(0.50),

@@ -1,6 +1,7 @@
 package desim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/zoo"
@@ -351,6 +352,75 @@ func TestRunBenchSmoke(t *testing.T) {
 		}
 		if dr.BoundSource != wantSource[dr.Scheduler] {
 			t.Fatalf("%s %s bound_source %q, want %q", dr.Scheduler, dr.Model, dr.BoundSource, wantSource[dr.Scheduler])
+		}
+	}
+}
+
+// TestValidateBenchRejects feeds the validator one broken claim at a
+// time, starting from a report RunBench produced (and so accepted). The
+// load-bearing case is a violation under an exact bound the window
+// covers: that artifact asserts a safety property the run disproved.
+func TestValidateBenchRejects(t *testing.T) {
+	base, err := RunBench(BenchConfig{
+		Workers:    2,
+		Schedulers: []string{"klsm", "smq", "obim"},
+		Models:     []string{"cluster"},
+		Events:     20_000,
+		Seed:       3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const exact, expectation, unchecked = 0, 1, 2
+	for i, want := range []string{"exact", "expectation", "unchecked"} {
+		if got := base.Desim[i].BoundSource; got != want {
+			t.Fatalf("%s bound_source = %q, want %q", base.Desim[i].Scheduler, got, want)
+		}
+	}
+	if dr := base.Desim[exact]; dr.Lookahead < dr.RankBound {
+		t.Fatalf("klsm window %d does not cover its bound %d", dr.Lookahead, dr.RankBound)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(r *BenchReport)
+		want string
+	}{
+		{"accepted as generated", func(*BenchReport) {}, ""},
+		{"violation under a covering exact bound", func(r *BenchReport) { r.Desim[exact].Violations = 1 },
+			"1 causality violations with lookahead"},
+		{"violation under an expectation bound is informative", func(r *BenchReport) { r.Desim[expectation].Violations = 1 }, ""},
+		{"violation reported by an unchecked run", func(r *BenchReport) { r.Desim[unchecked].Violations = 1 },
+			"violations reported by an unchecked run"},
+		{"exact label on an inexact bound", func(r *BenchReport) { r.Desim[expectation].BoundSource = "exact" },
+			"bound_source exact contradicts"},
+		{"expectation label on an exact bound", func(r *BenchReport) { r.Desim[exact].BoundSource = "expectation" },
+			"bound_source expectation contradicts"},
+		{"unchecked label with a window", func(r *BenchReport) { r.Desim[exact].BoundSource = "unchecked" },
+			"bound_source unchecked but lookahead"},
+		{"exact label without a window", func(r *BenchReport) { r.Desim[unchecked].BoundSource, r.Desim[unchecked].BoundExact = "exact", true },
+			"bound_source exact contradicts"},
+		{"missing label", func(r *BenchReport) { r.Desim[exact].BoundSource = "" }, "want exact/expectation/unchecked"},
+		{"non-monotone tenant percentiles", func(r *BenchReport) {
+			ten := &r.Desim[exact].PerTenant[0]
+			ten.P50 = ten.P99 + 1
+		}, "non-monotone sojourn percentiles"},
+		{"duplicate run", func(r *BenchReport) { r.Desim[expectation].Scheduler = r.Desim[exact].Scheduler }, "duplicate desim run"},
+		{"no runs", func(r *BenchReport) { r.Desim = nil }, "no desim results"},
+		{"header", func(r *BenchReport) { r.SchemaVersion-- }, "schema_version"},
+	} {
+		r := *base
+		r.Desim = make([]DesimResult, len(base.Desim))
+		for i, dr := range base.Desim {
+			dr.PerTenant = append([]TenantDesimResult(nil), dr.PerTenant...)
+			r.Desim[i] = dr
+		}
+		tc.mut(&r)
+		err := ValidateBench(&r)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/perfbench"
 )
 
 // This file is the spec layer of the experiment pipeline: every
@@ -16,76 +18,22 @@ import (
 // agreement is what lets internal/shard split one grid across
 // processes (or machines) and reassemble the fragments afterwards.
 
-// Cell statuses, recorded per cell by the runner layer and carried into
-// the perfbench artifact (schema v4).
-const (
-	// CellOK marks a cell that ran to completion.
-	CellOK = "ok"
-	// CellTimeout marks a cell abandoned (or killed, in subprocess
-	// mode) after exceeding its wall-clock budget.
-	CellTimeout = "timeout"
-	// CellError marks a cell whose run function returned an error
-	// (validation failure, unknown scheduler, ...).
-	CellError = "error"
+// The cell identity, its outcome and the status values are defined once,
+// JSON-tagged, in internal/perfbench — the fragment artifact stores
+// exactly what the runner produces.
+type (
+	// Cell is one independently runnable unit of an experiment.
+	Cell = perfbench.Cell
+	// CellResult is the outcome of running one cell.
+	CellResult = perfbench.CellRecord
 )
 
-// Cell is one independently runnable unit of an experiment: a
-// scheduler spec on a workload at a thread count (or one simulation /
-// probe / baseline run), plus the derived per-cell seed. Cells are
-// enumeration metadata only — running one requires the Plan that
-// declared it.
-type Cell struct {
-	// Index is the cell's position in the experiment's enumeration
-	// order (0-based, dense).
-	Index int
-	// Key is a stable human-readable identifier, unique within the
-	// experiment: kind/workload/scheduler/params/threads.
-	Key string
-	// Kind classifies the cell: "measure" (scheduler on workload),
-	// "seq" (sequential baseline), "sim" (rank-model simulation),
-	// "probe" (empirical rank probe), "serve" (open-loop service run),
-	// "graphstat" (input inventory).
-	Kind string
-	// Workload / Scheduler / Params / Threads describe measurement
-	// cells; non-measurement kinds fill what applies.
-	Workload  string
-	Scheduler string
-	Params    string
-	Threads   int
-	// Reps is how many repetitions the cell runs internally (fastest
-	// kept), from RunConfig.Reps.
-	Reps int
-	// Seed is the cell's derived RNG seed: CellSeed(cfg.Seed, Index).
-	// A cell reproduces identically whether run in-process, in a
-	// shard, or alone, because the seed depends only on the base seed
-	// and the (deterministic) enumeration index.
-	Seed uint64
-}
-
-// CellResult is the outcome of running one cell. The measurement
-// fields mirror Measurement; experiment-specific outputs (simulation
-// statistics, serve metrics, graph stats) travel in Values.
-type CellResult struct {
-	Cell
-	// Status is CellOK, CellTimeout or CellError.
-	Status string
-	// Error holds the failure message for non-ok statuses.
-	Error string
-	// Attempts counts run attempts (>1 after timeout retries).
-	Attempts int
-	// DurationNs is the measured metric duration (best rep), the
-	// timing field excluded from merge byte-identity comparisons.
-	DurationNs int64
-	// ElapsedNs is the cell's total wall clock including validation
-	// and baselines — also a timing field.
-	ElapsedNs int64
-	Tasks     uint64
-	Wasted    uint64
-	Remote    float64
-	// Values carries experiment-specific scalars keyed by short names
-	// (e.g. "meanrank", "p99ns").
-	Values map[string]float64
-}
+// Cell statuses, recorded per cell by the runner layer.
+const (
+	CellOK      = perfbench.CellOK
+	CellTimeout = perfbench.CellTimeout
+	CellError   = perfbench.CellError
+)
 
 // CellSeed derives the deterministic per-cell seed from the
 // experiment's base seed and the cell's enumeration index, via two

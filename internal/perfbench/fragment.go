@@ -7,20 +7,23 @@ import (
 	"sort"
 )
 
-// This file is the artifact layer of the sharded experiment pipeline
-// (schema version 4): shards of a harness experiment grid emit
-// self-contained fragments — per-cell records plus enough metadata
-// (experiment id, config fingerprint, total cell count, shard, host) to
-// recombine them safely — and Merge folds any set of fragments into one
-// validated report, independent of merge order.
+// This file is the artifact layer of the sharded experiment pipeline:
+// shards of a harness experiment grid emit self-contained fragments —
+// per-cell records plus enough metadata (experiment id, config
+// fingerprint, total cell count, shard, host) to recombine them safely
+// — and Merge folds any set of fragments into one validated report,
+// independent of merge order.
 
-// Cell statuses, mirrored from internal/harness (which this package
-// must not import — harness depends on perfbench through the serving
-// bench).
+// Cell statuses, recorded per cell by the runner layer.
 const (
-	CellStatusOK      = "ok"
-	CellStatusTimeout = "timeout"
-	CellStatusError   = "error"
+	// CellOK marks a cell that ran to completion.
+	CellOK = "ok"
+	// CellTimeout marks a cell abandoned (or killed, in subprocess
+	// mode) after exceeding its wall-clock budget.
+	CellTimeout = "timeout"
+	// CellError marks a cell whose run function returned an error
+	// (validation failure, unknown scheduler, ...).
+	CellError = "error"
 )
 
 // HostInfo fingerprints the machine a fragment was measured on, so a
@@ -56,37 +59,64 @@ type ShardInfo struct {
 	Total int `json:"total"`
 }
 
-// CellRecord is one experiment cell's outcome inside a fragment: the
-// cell identity (index, key, kind, workload, scheduler, params,
-// threads, seed — all deterministic given the config) plus the runner's
-// status and measurements.
-type CellRecord struct {
-	Index     int    `json:"index"`
-	Key       string `json:"key"`
-	Kind      string `json:"kind"`
+// Cell is one independently runnable unit of an experiment: a
+// scheduler spec on a workload at a thread count (or one simulation /
+// probe / baseline run), plus the derived per-cell seed. Cells are
+// enumeration metadata only — all fields are deterministic given the
+// run configuration, and running one requires the harness plan that
+// declared it.
+type Cell struct {
+	// Index is the cell's position in the experiment's enumeration
+	// order (0-based, dense).
+	Index int `json:"index"`
+	// Key is a stable human-readable identifier, unique within the
+	// experiment: kind/workload/scheduler/params/threads.
+	Key string `json:"key"`
+	// Kind classifies the cell: "measure" (scheduler on workload),
+	// "seq" (sequential baseline), "sim" (rank-model simulation),
+	// "probe" (empirical rank probe), "serve" (open-loop service run),
+	// "graphstat" (input inventory).
+	Kind string `json:"kind"`
+	// Workload / Scheduler / Params / Threads describe measurement
+	// cells; non-measurement kinds fill what applies.
 	Workload  string `json:"workload,omitempty"`
 	Scheduler string `json:"scheduler,omitempty"`
 	Params    string `json:"params,omitempty"`
 	Threads   int    `json:"threads,omitempty"`
-	Reps      int    `json:"reps,omitempty"`
-	Seed      uint64 `json:"seed"`
+	// Reps is how many repetitions the cell runs internally (fastest
+	// kept).
+	Reps int `json:"reps,omitempty"`
+	// Seed is the cell's derived RNG seed. A cell reproduces
+	// identically whether run in-process, in a shard, or alone, because
+	// the seed depends only on the base seed and the (deterministic)
+	// enumeration index.
+	Seed uint64 `json:"seed"`
+}
 
-	// Status is ok / timeout / error; Error carries the message for the
-	// non-ok statuses. Attempts counts runs including timeout retries.
+// CellRecord is the outcome of running one cell, in memory and inside
+// a fragment: the cell identity plus the runner's status and
+// measurements. Experiment-specific outputs (simulation statistics,
+// serve metrics, graph stats) travel in Values.
+type CellRecord struct {
+	Cell
+
+	// Status is CellOK, CellTimeout or CellError; Error carries the
+	// message for the non-ok statuses. Attempts counts runs including
+	// timeout retries.
 	Status   string `json:"status"`
 	Error    string `json:"error,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
 
-	// DurationNs is the cell's metric duration, ElapsedNs its total
-	// wall clock — the timing fields excluded from reproducibility
-	// comparisons.
+	// DurationNs is the cell's metric duration (best rep), ElapsedNs
+	// its total wall clock including validation and baselines — the
+	// timing fields excluded from reproducibility comparisons.
 	DurationNs int64   `json:"duration_ns,omitempty"`
 	ElapsedNs  int64   `json:"elapsed_ns,omitempty"`
 	Tasks      uint64  `json:"tasks,omitempty"`
 	Wasted     uint64  `json:"wasted,omitempty"`
 	Remote     float64 `json:"remote,omitempty"`
-	// Values carries experiment-specific scalars (simulation
-	// statistics, serve metrics, graph stats).
+	// Values carries experiment-specific scalars keyed by short names
+	// (e.g. "meanrank", "p99ns").
 	Values map[string]float64 `json:"values,omitempty"`
 }
 
@@ -153,12 +183,12 @@ func validateFragment(f *ExperimentFragment) error {
 			return fmt.Errorf("perfbench: fragment %s: cell %d with empty key", f.Experiment, c.Index)
 		}
 		switch c.Status {
-		case CellStatusOK, CellStatusTimeout, CellStatusError:
+		case CellOK, CellTimeout, CellError:
 		default:
 			return fmt.Errorf("perfbench: fragment %s: cell %d (%s): unknown status %q",
 				f.Experiment, c.Index, c.Key, c.Status)
 		}
-		if c.Status != CellStatusOK && c.Error == "" {
+		if c.Status != CellOK && c.Error == "" {
 			return fmt.Errorf("perfbench: fragment %s: cell %d (%s): status %s without error message",
 				f.Experiment, c.Index, c.Key, c.Status)
 		}
@@ -174,13 +204,11 @@ type fragGroupKey struct {
 
 // Merge combines fragment reports into one validated report. It is
 // commutative: the output's canonical ordering (experiments by
-// id+config, cells by index, microbenchmark/serve results by scheduler
-// name, hosts by hostname) makes Merge(A, B) byte-identical to
-// Merge(B, A). Fragments of the same experiment+config must agree on
-// TotalCells, must not overlap, and must jointly cover the whole
-// enumeration; duplicate scheduler entries across reports are an error
-// (re-running a shard produces a replacement fragment, not a mergeable
-// one).
+// id+config, cells by index, hosts by hostname) makes Merge(A, B)
+// byte-identical to Merge(B, A). Fragments of the same
+// experiment+config must agree on TotalCells, must not overlap, and
+// must jointly cover the whole enumeration (re-running a shard produces
+// a replacement fragment, not a mergeable one).
 func Merge(reports []*Report) (*Report, error) {
 	if len(reports) == 0 {
 		return nil, fmt.Errorf("perfbench: merge of zero reports")
@@ -191,58 +219,8 @@ func Merge(reports []*Report) (*Report, error) {
 		}
 	}
 
-	out := &Report{
-		SchemaVersion: SchemaVersion,
-		GeneratedBy:   "benchcheck merge",
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		MergedFrom:    len(reports),
-	}
-
-	// Microbenchmark, serve, and desim sections: union, duplicates
-	// rejected.
-	seenRes := map[string]bool{}
-	seenServe := map[string]bool{}
-	seenDesim := map[string]bool{}
-	for _, r := range reports {
-		for _, res := range r.Results {
-			if seenRes[res.Scheduler] {
-				return nil, fmt.Errorf("perfbench: merge: duplicate microbenchmark result for %q", res.Scheduler)
-			}
-			seenRes[res.Scheduler] = true
-			out.Results = append(out.Results, res)
-			// The run parameters travel with the results; all fragments
-			// of one microbenchmark share them.
-			if out.Workers == 0 {
-				out.Workers, out.Prefill, out.OpsPerWorker = r.Workers, r.Prefill, r.OpsPerWorker
-				out.Seed, out.Reps, out.BatchSize, out.LatencyOps = r.Seed, r.Reps, r.BatchSize, r.LatencyOps
-			}
-		}
-		for _, sr := range r.Serve {
-			if seenServe[sr.Scheduler] {
-				return nil, fmt.Errorf("perfbench: merge: duplicate serve result for %q", sr.Scheduler)
-			}
-			seenServe[sr.Scheduler] = true
-			out.Serve = append(out.Serve, sr)
-		}
-		for _, dr := range r.Desim {
-			key := dr.Scheduler + "\x00" + dr.Model
-			if seenDesim[key] {
-				return nil, fmt.Errorf("perfbench: merge: duplicate desim result for %q on %q", dr.Scheduler, dr.Model)
-			}
-			seenDesim[key] = true
-			out.Desim = append(out.Desim, dr)
-		}
-	}
-	sort.Slice(out.Results, func(i, j int) bool { return out.Results[i].Scheduler < out.Results[j].Scheduler })
-	sort.Slice(out.Serve, func(i, j int) bool { return out.Serve[i].Scheduler < out.Serve[j].Scheduler })
-	sort.Slice(out.Desim, func(i, j int) bool {
-		a, b := out.Desim[i], out.Desim[j]
-		if a.Model != b.Model {
-			return a.Model < b.Model
-		}
-		return a.Scheduler < b.Scheduler
-	})
+	out := &Report{Header: NewHeader("benchcheck merge"), MergedFrom: len(reports)}
+	out.Host = nil // replaced by the Hosts union below
 
 	// Experiment fragments: group by (experiment, config), union cells.
 	groups := map[fragGroupKey]*ExperimentFragment{}

@@ -1,6 +1,9 @@
 package perfbench
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Histogram is a log-bucketed latency histogram: values are binned by
 // their power-of-two magnitude, linearly subdivided into histSubBuckets
@@ -10,9 +13,9 @@ import "math/bits"
 // which is far below run-to-run noise, while recording stays two shifts
 // and an increment — cheap enough to sit inside a timed pop loop.
 //
-// It backs the pop-latency percentiles of this package's microbenchmark
-// and the per-tenant service-latency percentiles of internal/serve —
-// any consumer needing cheap in-loop percentile recording can use it.
+// It backs the per-tenant sojourn percentiles of internal/serve and
+// internal/desim — any consumer needing cheap in-loop percentile
+// recording can use it.
 //
 // The zero value is ready to use. It is not safe for concurrent use;
 // workers record into private histograms that are Merge'd afterwards.
@@ -84,8 +87,11 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		q = 1
 	}
 	// Rank of the q-quantile observation, 1-based ceiling so that
-	// Quantile(1) is the maximum recorded bucket.
-	rank := uint64(q * float64(h.count))
+	// Quantile(1) is the maximum recorded bucket and p99.9 of fewer than
+	// 1000 samples is the maximum, not the runner-up. The product is
+	// shaved by a few ulps first: 0.07·100 evaluates to
+	// 7.000000000000001 and must give rank 7, not 8.
+	rank := uint64(math.Ceil(q * float64(h.count) * (1 - 1e-15)))
 	if rank == 0 {
 		rank = 1
 	}

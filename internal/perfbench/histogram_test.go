@@ -79,4 +79,39 @@ func TestQuantileEdgeCases(t *testing.T) {
 	if got := a.Quantile(1); got < 900 {
 		t.Fatalf("merged max quantile = %d, want ~1000", got)
 	}
+
+	// Small counts: the rank is the ceiling of q·count, so a tail
+	// percentile of a small sample is its maximum and the median of
+	// three is the middle one. (All values below 32 have exact buckets.)
+	fill := func(vals ...uint64) *Histogram {
+		var h Histogram
+		for _, v := range vals {
+			h.Record(v)
+		}
+		return &h
+	}
+	repeat := func(v uint64, n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		h    *Histogram
+		q    float64
+		want uint64
+	}{
+		{"median of 3", fill(10, 20, 30), 0.5, 20},
+		{"p99 of 10", fill(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), 0.99, 10},
+		{"p99.9 of 100", fill(append(repeat(5, 99), 30)...), 0.999, 30},
+		{"p50 of 2", fill(10, 20), 0.5, 10},
+		// 0.07·100 is 7.000000000000001 in floating point: rank 7, not 8.
+		{"product a hair above an integer", fill(append(repeat(1, 7), repeat(2, 93)...)...), 0.07, 1},
+	} {
+		if got := tc.h.Quantile(tc.q); got != tc.want {
+			t.Errorf("%s: Quantile(%v) = %d, want %d", tc.name, tc.q, got, tc.want)
+		}
+	}
 }

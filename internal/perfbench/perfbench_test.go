@@ -1,53 +1,27 @@
 package perfbench
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
+	"runtime"
 	"testing"
 )
 
-// tinyConfig keeps test runs to a few milliseconds per scheduler.
-func tinyConfig() Config {
-	return Config{Workers: 2, Prefill: 256, OpsPerWorker: 2000, Seed: 7}
+func goodReport() *Report {
+	return mkFragReport(ExperimentFragment{Experiment: "fig1", Config: "c", TotalCells: 2,
+		Cells: []CellRecord{cell(0, CellOK), cell(1, CellError)}}, "h1")
 }
 
-func TestRunProducesValidReport(t *testing.T) {
-	r, err := Run(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+func TestNewHeader(t *testing.T) {
+	h := NewHeader("test")
+	if err := h.Validate(); err != nil {
+		t.Fatalf("fresh header rejected: %v", err)
 	}
-	if err := Validate(r); err != nil {
-		t.Fatalf("freshly generated report fails validation: %v", err)
-	}
-	if len(r.Results) != len(Lineup()) {
-		t.Fatalf("got %d results, want the full lineup of %d", len(r.Results), len(Lineup()))
-	}
-}
-
-func TestRunSubsetAndUnknown(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Schedulers = []string{"mq", "emq"}
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Results) != 2 || r.Results[0].Scheduler != "mq" || r.Results[1].Scheduler != "emq" {
-		t.Fatalf("subset run = %+v", r.Results)
-	}
-	cfg.Schedulers = []string{"nonesuch"}
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "nonesuch") {
-		t.Fatalf("unknown scheduler error = %v", err)
+	if h.GeneratedBy != "test" || h.GOMAXPROCS != runtime.GOMAXPROCS(0) || h.Host == nil {
+		t.Fatalf("header not stamped: %+v", h)
 	}
 }
 
 func TestMarshalParseRoundTrip(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Schedulers = []string{"mq"}
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := goodReport()
 	b, err := Marshal(r)
 	if err != nil {
 		t.Fatal(err)
@@ -59,129 +33,32 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 	if err := Validate(back); err != nil {
 		t.Fatalf("round-tripped report invalid: %v", err)
 	}
-	if back.Results[0].Scheduler != "mq" || back.SchemaVersion != SchemaVersion {
+	if back.Experiments[0].Experiment != "fig1" || back.SchemaVersion != SchemaVersion || back.Host.Hostname != "h1" {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 }
 
 func TestValidateRejectsBadReports(t *testing.T) {
-	good := &Report{
-		SchemaVersion: SchemaVersion, GeneratedBy: "test", GoVersion: "go",
-		Workers: 1, Prefill: 1, OpsPerWorker: 1, BatchSize: 8,
-		Results: []Result{{
-			Scheduler: "mq", ThroughputOpsPerSec: 1, NsPerOp: 1,
-			BatchedThroughputOpsPerSec: 2, BatchedNsPerOp: 0.5,
-			HoldThroughputOpsPerSec: 3, HoldNsPerOp: 0.4,
-			PopP50Ns: 100, PopP99Ns: 500, PopP999Ns: 900,
-		}},
-	}
-	if err := Validate(good); err != nil {
+	if err := Validate(goodReport()); err != nil {
 		t.Fatalf("baseline good report rejected: %v", err)
 	}
 	cases := map[string]func(r *Report){
-		"no hold mode": func(r *Report) { r.Results[0].HoldThroughputOpsPerSec = 0 },
-		"hold fields on old schema": func(r *Report) {
-			r.SchemaVersion = 6
-		},
-		"nil results":        func(r *Report) { r.Results = nil },
-		"bad version":        func(r *Report) { r.SchemaVersion = SchemaVersion + 1 },
-		"no go version":      func(r *Report) { r.GoVersion = "" },
-		"zero workers":       func(r *Report) { r.Workers = 0 },
-		"empty name":         func(r *Report) { r.Results[0].Scheduler = "" },
-		"zero throughput":    func(r *Report) { r.Results[0].ThroughputOpsPerSec = 0 },
-		"negative allocs":    func(r *Report) { r.Results[0].AllocsPerOp = -1 },
-		"duplicate result":   func(r *Report) { r.Results = append(r.Results, r.Results[0]) },
-		"no batched mode":    func(r *Report) { r.Results[0].BatchedThroughputOpsPerSec = 0 },
-		"no batch size":      func(r *Report) { r.BatchSize = 0 },
-		"missing latency":    func(r *Report) { r.Results[0].PopP999Ns = 0 },
-		"unsorted latencies": func(r *Report) { r.Results[0].PopP50Ns = 600 },
+		"newer version":   func(r *Report) { r.SchemaVersion = SchemaVersion + 1 },
+		"older version":   func(r *Report) { r.SchemaVersion = SchemaVersion - 1 },
+		"no go version":   func(r *Report) { r.GoVersion = "" },
+		"no generator":    func(r *Report) { r.GeneratedBy = "" },
+		"zero gomaxprocs": func(r *Report) { r.GOMAXPROCS = 0 },
+		"no experiments":  func(r *Report) { r.Experiments = nil },
+		"bad fragment":    func(r *Report) { r.Experiments[0].Config = "" },
 	}
 	for name, mutate := range cases {
-		r := *good
-		r.Results = append([]Result(nil), good.Results...)
-		mutate(&r)
-		if err := Validate(&r); err == nil {
+		r := goodReport()
+		mutate(r)
+		if err := Validate(r); err == nil {
 			t.Errorf("%s: Validate accepted a bad report", name)
 		}
 	}
 	if err := Validate(nil); err == nil {
 		t.Error("Validate accepted nil")
-	}
-}
-
-// TestValidateAcceptsVersion1 pins the version gate: the committed
-// version-1 trajectory files predate the batched mode and the latency
-// percentiles, and must stay valid without them.
-func TestValidateAcceptsVersion1(t *testing.T) {
-	v1 := &Report{
-		SchemaVersion: 1, GeneratedBy: "test", GoVersion: "go",
-		Workers: 1, Prefill: 1, OpsPerWorker: 1,
-		Results: []Result{{Scheduler: "mq", ThroughputOpsPerSec: 1, NsPerOp: 1}},
-	}
-	if err := Validate(v1); err != nil {
-		t.Fatalf("version-1 report without batch/latency fields rejected: %v", err)
-	}
-}
-
-// TestBatchAndLatencyFieldsRoundTrip checks that the schema-2 additions
-// survive Marshal/Parse and that a real run populates them.
-func TestBatchAndLatencyFieldsRoundTrip(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Schedulers = []string{"emq"}
-	cfg.BatchSize = 4
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := r.Results[0]
-	if res.BatchedThroughputOpsPerSec <= 0 || res.PopP50Ns <= 0 {
-		t.Fatalf("run did not populate batch/latency fields: %+v", res)
-	}
-	if r.BatchSize != 4 || r.LatencyOps <= 0 {
-		t.Fatalf("run config fields not recorded: %+v", r)
-	}
-	b, err := Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := back.Results[0]
-	if got.BatchedThroughputOpsPerSec != res.BatchedThroughputOpsPerSec ||
-		got.BatchedNsPerOp != res.BatchedNsPerOp ||
-		got.PopP50Ns != res.PopP50Ns || got.PopP99Ns != res.PopP99Ns ||
-		got.PopP999Ns != res.PopP999Ns ||
-		back.BatchSize != r.BatchSize || back.LatencyOps != r.LatencyOps {
-		t.Fatalf("schema-2 fields lost in round trip:\n got %+v\nwant %+v", got, res)
-	}
-}
-
-// TestCommittedTrajectoryFilesValidate parses every BENCH_*.json at the
-// repository root: the recorded perf trajectory must always satisfy the
-// current schema, so a schema change forces regenerating the history
-// consciously rather than silently orphaning it.
-func TestCommittedTrajectoryFilesValidate(t *testing.T) {
-	matches, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) == 0 {
-		t.Skip("no committed BENCH_*.json files yet")
-	}
-	for _, path := range matches {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Parse(data)
-		if err != nil {
-			t.Errorf("%s: %v", path, err)
-			continue
-		}
-		if err := Validate(r); err != nil {
-			t.Errorf("%s: %v", path, err)
-		}
 	}
 }

@@ -2,10 +2,10 @@
 // executes a subset of an experiment plan's cells — in-process or by
 // re-exec'ing the benchmark binary per cell — under per-cell wall-clock
 // timeouts with bounded retry, and packages the outcomes as a perfbench
-// schema-v4 fragment. Fragments from different shards (processes,
-// machines, CI matrix jobs) recombine with perfbench.Merge; the merged
-// artifact feeds back into the plan's assembly to regenerate the paper
-// tables, byte-identical (modulo timing fields) to an in-process run.
+// fragment. Fragments from different shards (processes, machines, CI
+// matrix jobs) recombine with perfbench.Merge; the merged artifact
+// feeds back into the plan's assembly to regenerate the paper tables,
+// byte-identical (modulo timing fields) to an in-process run.
 //
 // The shape follows the per-cell process model of Doppel's benchmark
 // driver (one process per grid cell, explicit core lists) and the
@@ -180,10 +180,9 @@ func runSubprocess(p *harness.Plan, i int, opts Options) harness.CellResult {
 		}
 		for _, rec := range frag.Cells {
 			if rec.Index == i {
-				res := FromRecord(rec)
-				res.Cell = c // trust our own enumeration over the child's echo
-				res.ElapsedNs = elapsed.Nanoseconds()
-				return res
+				rec.Cell = c // trust our own enumeration over the child's echo
+				rec.ElapsedNs = elapsed.Nanoseconds()
+				return rec
 			}
 		}
 	}
@@ -198,83 +197,21 @@ func truncate(s string, n int) string {
 	return s[:n] + "..."
 }
 
-// ---------------------------------------------------------------------------
-// Conversions between the harness result type and the perfbench
-// artifact record. They live here because harness must not depend on
-// perfbench (the serving bench already imports perfbench from inside
-// harness's dependency cone).
-
-// ToRecord converts a cell result into its artifact form.
-func ToRecord(r harness.CellResult) perfbench.CellRecord {
-	return perfbench.CellRecord{
-		Index:      r.Index,
-		Key:        r.Key,
-		Kind:       r.Kind,
-		Workload:   r.Workload,
-		Scheduler:  r.Scheduler,
-		Params:     r.Params,
-		Threads:    r.Threads,
-		Reps:       r.Reps,
-		Seed:       r.Seed,
-		Status:     r.Status,
-		Error:      r.Error,
-		Attempts:   r.Attempts,
-		DurationNs: r.DurationNs,
-		ElapsedNs:  r.ElapsedNs,
-		Tasks:      r.Tasks,
-		Wasted:     r.Wasted,
-		Remote:     r.Remote,
-		Values:     r.Values,
-	}
-}
-
-// FromRecord is the inverse of ToRecord.
-func FromRecord(c perfbench.CellRecord) harness.CellResult {
-	return harness.CellResult{
-		Cell: harness.Cell{
-			Index:     c.Index,
-			Key:       c.Key,
-			Kind:      c.Kind,
-			Workload:  c.Workload,
-			Scheduler: c.Scheduler,
-			Params:    c.Params,
-			Threads:   c.Threads,
-			Reps:      c.Reps,
-			Seed:      c.Seed,
-		},
-		Status:     c.Status,
-		Error:      c.Error,
-		Attempts:   c.Attempts,
-		DurationNs: c.DurationNs,
-		ElapsedNs:  c.ElapsedNs,
-		Tasks:      c.Tasks,
-		Wasted:     c.Wasted,
-		Remote:     c.Remote,
-		Values:     c.Values,
-	}
-}
-
 // Fragment packages a shard's results as a self-contained perfbench
 // report carrying one experiment fragment. shardInfo may be nil for
 // full single-process runs.
 func Fragment(p *harness.Plan, results []harness.CellResult, shardInfo *perfbench.ShardInfo, generatedBy string) *perfbench.Report {
-	host := perfbench.CollectHost()
-	frag := perfbench.ExperimentFragment{
-		Experiment: p.Experiment,
-		Config:     p.Config.Fingerprint(),
-		TotalCells: len(p.Cells),
-		Shard:      shardInfo,
-		Host:       host.Hostname,
-	}
-	for _, r := range results {
-		frag.Cells = append(frag.Cells, ToRecord(r))
-	}
+	h := perfbench.NewHeader(generatedBy)
 	return &perfbench.Report{
-		SchemaVersion: perfbench.SchemaVersion,
-		GeneratedBy:   generatedBy,
-		Host:          host,
-		GoVersion:     host.GoVer,
-		Experiments:   []perfbench.ExperimentFragment{frag},
+		Header: h,
+		Experiments: []perfbench.ExperimentFragment{{
+			Experiment: p.Experiment,
+			Config:     p.Config.Fingerprint(),
+			TotalCells: len(p.Cells),
+			Shard:      shardInfo,
+			Host:       h.Host.Hostname,
+			Cells:      results,
+		}},
 	}
 }
 
@@ -311,7 +248,7 @@ func AssembleFragment(p *harness.Plan, rep *perfbench.Report) ([]harness.Table, 
 					p.Experiment, rec.Index, rec.Key, p.Cells[rec.Index].Key)
 			}
 			seen[rec.Index] = true
-			rs[rec.Index] = FromRecord(rec)
+			rs[rec.Index] = rec
 		}
 		return p.Assemble(rs)
 	}

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -122,15 +123,18 @@ func TestErrorsAreNotRetried(t *testing.T) {
 	}
 }
 
-func TestRecordRoundTrip(t *testing.T) {
-	r := harness.CellResult{
-		Cell: harness.Cell{Index: 3, Key: "k", Kind: "measure", Workload: "w",
-			Scheduler: "s", Params: "p", Threads: 2, Reps: 2, Seed: 99},
-		Status: harness.CellOK, Attempts: 2, DurationNs: 5, ElapsedNs: 7,
-		Tasks: 11, Wasted: 13, Remote: 0.5, Values: map[string]float64{"x": 1},
+// TestFragmentHeader pins the header a shard stamps on its fragment:
+// it must validate, and record the GOMAXPROCS the cells ran under
+// (hand-filled headers once left it 0).
+func TestFragmentHeader(t *testing.T) {
+	p, release := toyPlan()
+	release()
+	rep := Fragment(p, Run(p, Options{}), nil, "test")
+	if err := perfbench.Validate(rep); err != nil {
+		t.Fatalf("fragment fails validation: %v", err)
 	}
-	if got := FromRecord(ToRecord(r)); !reflect.DeepEqual(got, r) {
-		t.Fatalf("round trip lost data:\n got %+v\nwant %+v", got, r)
+	if rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("fragment gomaxprocs = %d, want %d", rep.GOMAXPROCS, runtime.GOMAXPROCS(0))
 	}
 }
 

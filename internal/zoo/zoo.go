@@ -5,16 +5,16 @@
 // will actually run, so a report row can never name a configuration
 // other than the one behind it. Lineup is the canonical registry built
 // from those builders — the source of truth behind the root package's
-// Spec/Lineup/LookupSpec API, internal/perfbench, internal/serve and
+// Spec/Lineup/LookupSpec API, the repo benchmark, internal/serve and
 // internal/desim — and internal/harness builds its named variants and
 // ablation grids, and the conformance suites their non-default cases,
 // through the same builders.
 //
 // Specs are generic in the task payload type: Lineup[T]() instantiates
-// the whole registry at payload T, so the microbenchmark (int), the
-// graph algorithms (uint32), the serving front-end (serve.Request) and
-// the discrete-event simulator (desim.Event) share one registry without
-// a conversion layer.
+// the whole registry at payload T, so the graph algorithms (uint32),
+// the serving front-end (serve.Request) and the discrete-event
+// simulator (desim.Event) share one registry without a conversion
+// layer.
 package zoo
 
 import (
@@ -99,7 +99,7 @@ func Lineup[T any]() []Spec[T] {
 		CBPQ[T]("cbpq", cbpq.Config{}),
 		// The elimination + combining layer is on by default, so this
 		// builds the same scheduler as cbpq; the name is pinned by
-		// BENCHMARK.json and the committed trajectory artifacts.
+		// BENCHMARK.json.
 		CBPQ[T]("cbpq-elim", cbpq.Config{}),
 		MQ[T]("mq", mq.Classic(0, 4)),
 		MQ[T]("mq-batch", mq.Config{C: 4, Insert: mq.InsertBatch, Delete: mq.DeleteBatch}),

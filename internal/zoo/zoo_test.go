@@ -49,8 +49,8 @@ func TestLookup(t *testing.T) {
 }
 
 // TestNamesPinned pins the registry's names and order: BENCHMARK.json
-// resolves every one of them through smq.LookupSpec, and the recorded
-// trajectory's default lineup order starts with the exact baseline.
+// resolves every one of them through smq.LookupSpec, and the serve and
+// desim default lineups start with the exact baseline.
 func TestNamesPinned(t *testing.T) {
 	want := []string{"coarse", "cbpq", "cbpq-elim", "mq", "mq-batch", "emq",
 		"smq", "smq-skip", "reld", "klsm", "obim", "pmod", "spray"}

@@ -53,10 +53,10 @@
 //     tests assert 0 allocs/op for the SMQ, Multi-Queue and engineered
 //     MultiQueue hot paths.
 //
-// The measured effect of each such change is recorded in the repo's
-// perf trajectory: `smqbench -json` benchmarks the whole lineup on a
-// contended uniform-priority microbenchmark and emits a
-// schema-versioned report (committed as BENCH_PR<n>.json).
+// The effect of each such change is measured by the repo benchmark:
+// `bash bench/run.sh` (declared in BENCHMARK.json) runs verified
+// SSSP, Process, hold and serve workloads at more than one worker and
+// reports throughput per scheduler with per-layer shares alongside.
 //
 // # Batching
 //
@@ -121,7 +121,7 @@
 // the Spec registry: Lineup lists the whole zoo (exact coarse baseline
 // first) and LookupSpec resolves one name. A Spec bundles the factory
 // — Build(workers, seed) — with the scheduler's RankBound, so generic
-// drivers (perf trajectory, serving front-end, simulation engine) can
+// drivers (repo benchmark, serving front-end, simulation engine) can
 // construct any scheduler by name and reason about its relaxation
 // without a hand-maintained switch:
 //
@@ -141,11 +141,11 @@
 // correctly with no synchronization beyond the scheduler itself. The
 // k-LSM's worst-case (P−1)·k+P and the coarse queue's 0 are hard
 // guarantees (RankBound reports exact=true; the desim engine's
-// causality check must count zero violations, and the committed
-// trajectory artifacts machine-check that claim); the Multi-Queue
-// family's Theorem-1 bounds are expectation-scale, so violations are
-// possible but counted; OBIM-style schedulers report no usable bound
-// and run unchecked.
+// causality check must count zero violations, and every desim report
+// is machine-checked for that claim before it is written); the
+// Multi-Queue family's Theorem-1 bounds are expectation-scale, so
+// violations are possible but counted; OBIM-style schedulers report no
+// usable bound and run unchecked.
 //
 // # Priorities
 //

@@ -122,9 +122,9 @@
 //
 // # Lock-free batches
 //
-// PopN drains the same decision loop as Pop: each consecutive sorted
-// head run is claimed with one CAS on the packed word (bounded so the
-// run never overtakes a smaller exchange entry), and exchange takes
+// There is one pop loop, PopN (Pop is PopN of one): each consecutive
+// sorted head run is claimed with one CAS on the packed word (bounded so
+// the run never overtakes a smaller exchange entry), and exchange takes
 // fill single slots of the batch. Because concurrent publishes can
 // slip between two individually linearized claims, a batch is
 // ascending in the absence of concurrent pushes but globally it is a
@@ -410,6 +410,7 @@ type worker[T any] struct {
 	merge    []pq.Item[T]
 	merge2   []pq.Item[T]
 	exgTaken []*exgSlot[T]
+	one      [1]pq.Item[T] // Pop's destination
 
 	// built tracks the candidate chunks of the current structural
 	// attempt; free pools recycled CAS losers (interior/buf chunks) and
@@ -673,67 +674,15 @@ func (w *worker[T]) exgTake(h *chunk[T], hw uint64, sl *exgSlot[T]) (uint64, T, 
 }
 
 // Pop removes and returns a minimum-priority task, or ok=false when the
-// queue is empty. The hot path is one CAS on the head's packed word,
-// preceded by an exchange scan; the CAS doubles as the validation that
-// no smaller entry was published concurrently (see the package docs'
-// elimination section for the linearization argument).
+// queue is empty: PopN into the worker's one-slot destination.
 func (w *worker[T]) Pop() (uint64, T, bool) {
-	q := w.q
-	var zero T
-	for {
-		s := q.root.Load()
-		h := s.head
-		hw := h.idx.Load()
-		if hw&headFrozen != 0 {
-			q.rebuild(w, s)
-			continue
-		}
-		v := hw & headIdxMask
-		ex := q.exgScan(h)
-		bm := s.buf.bmin.Load()
-		limit := min(ex.readyP, ex.pendP, bm)
-		if v < uint64(h.n) && h.items[v].P <= limit {
-			// Head claim. Success proves the publish counter is
-			// unchanged since the scan, so every exchange or buf entry
-			// present at this instant was accounted for and has
-			// priority >= items[v].P.
-			if h.idx.CompareAndSwap(hw, hw+1) {
-				it := h.items[v]
-				h.items[v].V = zero
-				w.c.Pops++
-				return it.P, it.V, true
-			}
-			w.c.LockFails++
-			continue
-		}
-		if ex.ready != nil && ex.readyP <= ex.pendP && ex.readyP <= bm {
-			if p, val, ok := w.exgTake(h, hw, ex.ready); ok {
-				return p, val, true
-			}
-			continue
-		}
-		if ex.any && min(ex.readyP, ex.pendP) < bm {
-			// The smallest possibly-present entry is mid-publish or
-			// reserved by another pop; both resolve within a few steps
-			// of their owner. (A smaller buf entry instead falls through
-			// to the rebuild below, which is what surfaces buf.)
-			runtime.Gosched()
-			continue
-		}
-		// Report empty only from a consistent snapshot: the head was
-		// observed drained with the freeze bit clear, the exchange scan
-		// found nothing, buf.ctl == 0 rules out both pending buf
-		// entries and an in-flight rebuild of s (a rebuild freezes buf
-		// — making ctl nonzero forever — before it touches the head or
-		// the root), and re-reading the packed word unchanged proves no
-		// exchange publish landed anywhere in the window. That second
-		// read is the linearization point.
-		if v >= uint64(h.n) && s.buf.ctl.Load() == 0 && len(s.live) == 0 && h.idx.Load() == hw {
-			w.c.EmptyPops++
-			return 0, zero, false
-		}
-		q.rebuild(w, s)
+	if w.PopN(w.one[:]) == 0 {
+		var zero T
+		return 0, zero, false
 	}
+	it := w.one[0]
+	w.one[0] = pq.Item[T]{}
+	return it.P, it.V, true
 }
 
 // PushN inserts a batch (see sched.Worker). The batch is sorted once;
@@ -817,12 +766,16 @@ func (w *worker[T]) PushN(ps []uint64, vs []T) {
 	w.batch = w.batch[:0]
 }
 
-// PopN removes up to len(dst) tasks. Each consecutive sorted head run
-// is claimed with one CAS on the packed word — bounded so the run
-// never overtakes a smaller exchange entry — and exchange takes fill
-// single batch slots. Every claimed task is individually exact at its
-// own linearization point; the batch is ascending in the absence of
-// concurrent pushes (see the package docs on batches).
+// PopN removes up to len(dst) minimum-priority tasks; 0 means the queue
+// is empty. The hot path is one CAS on the head's packed word, preceded
+// by an exchange scan; the CAS doubles as the validation that no smaller
+// entry was published concurrently (see the package docs' elimination
+// section for the linearization argument). Each consecutive sorted head
+// run is claimed with one such CAS — bounded so the run never overtakes
+// a smaller exchange entry — and exchange takes fill single batch slots.
+// Every claimed task is individually exact at its own linearization
+// point; the batch is ascending in the absence of concurrent pushes (see
+// the package docs on batches).
 func (w *worker[T]) PopN(dst []sched.Task[T]) int {
 	if len(dst) == 0 {
 		return 0
@@ -847,6 +800,10 @@ func (w *worker[T]) PopN(dst []sched.Task[T]) int {
 			for end > v+1 && h.items[end-1].P > limit {
 				end--
 			}
+			// Head claim. Success proves the publish counter is
+			// unchanged since the scan, so every exchange or buf entry
+			// present at this instant was accounted for and has
+			// priority >= items[end-1].P.
 			if h.idx.CompareAndSwap(hw, hw+(end-v)) {
 				for i := v; i < end; i++ {
 					dst[n] = h.items[i]
@@ -867,10 +824,21 @@ func (w *worker[T]) PopN(dst []sched.Task[T]) int {
 			continue
 		}
 		if ex.any && min(ex.readyP, ex.pendP) < bm {
+			// The smallest possibly-present entry is mid-publish or
+			// reserved by another pop; both resolve within a few steps
+			// of their owner. (A smaller buf entry instead falls through
+			// to the rebuild below, which is what surfaces buf.)
 			runtime.Gosched()
 			continue
 		}
-		// Same consistent-snapshot emptiness argument as Pop.
+		// Report empty only from a consistent snapshot: the head was
+		// observed drained with the freeze bit clear, the exchange scan
+		// found nothing, buf.ctl == 0 rules out both pending buf
+		// entries and an in-flight rebuild of s (a rebuild freezes buf
+		// — making ctl nonzero forever — before it touches the head or
+		// the root), and re-reading the packed word unchanged proves no
+		// exchange publish landed anywhere in the window. That second
+		// read is the linearization point.
 		if v >= uint64(h.n) && s.buf.ctl.Load() == 0 && len(s.live) == 0 && h.idx.Load() == hw {
 			break
 		}

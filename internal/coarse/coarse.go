@@ -39,8 +39,12 @@ type Sched[T any] struct {
 }
 
 type worker[T any] struct {
-	s *Sched[T]
-	c *sched.Counters
+	s   *Sched[T]
+	c   *sched.Counters
+	one [1]pq.Item[T] // Pop's destination
+	// Workers sit in one contiguous slice; a trailing cache line keeps
+	// one worker's destination off its neighbour's line.
+	_ [contend.CacheLineSize]byte
 }
 
 // Validate reports whether the configuration can build a scheduler:
@@ -106,17 +110,16 @@ func (w *worker[T]) Push(p uint64, v T) {
 	w.s.mu.Unlock()
 }
 
-// Pop removes the exact global minimum under the global lock.
+// Pop removes the exact global minimum: PopN into the worker's one-slot
+// destination.
 func (w *worker[T]) Pop() (uint64, T, bool) {
-	w.s.mu.Lock()
-	p, v, ok := w.s.heap.Pop()
-	w.s.mu.Unlock()
-	if ok {
-		w.c.Pops++
-	} else {
-		w.c.EmptyPops++
+	if w.PopN(w.one[:]) == 0 {
+		var zero T
+		return pq.InfPriority, zero, false
 	}
-	return p, v, ok
+	it := w.one[0]
+	w.one[0] = pq.Item[T]{}
+	return it.P, it.V, true
 }
 
 // PushN inserts the whole batch under ONE global lock acquisition —

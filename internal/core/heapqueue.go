@@ -108,6 +108,18 @@ func (q *heapQueue[T]) PushLocalBatch(items []pq.Item[T]) {
 // published batch if that one's top beats both — the scalar case of
 // PopLocalBatch, which keeps the surplus of a batch in run instead of
 // sending it back through the heap.
+//
+// It is PopLocalBatch(1, …) written out (sched's TestPopIsPopNOfOne pins
+// that the two pop the same sequence), kept — with smqWorker.Pop above
+// it — because the SMQ's scalar pop is a few tens of nanoseconds and the
+// batch path's merge loop shows at that scale: with Pop routed through
+// PopN and PopLocalBatch, bench's `hold` (2 cores, W = 2, 15 s, 10
+// rotating rounds) read tasks_per_s.smq 14.82 M/s [q1 14.36, q3 15.43]
+// → 13.97 [12.96, 14.61], 2 of 10 rounds won, below the parent's
+// quartiles; the sizing run before it 15.45 → 14.45 and, at one
+// worker, 7.60 → 7.23. Every other scheduler's Pop is PopN of one; the
+// callers select here by which method they invoke, and the benchmark
+// has a workload on each side (`hold` scalar, the other four batched).
 func (q *heapQueue[T]) PopLocal() (p uint64, v T, ok bool) {
 	s := q.state.Load()
 	best, fromRun := q.heap.Top(), false

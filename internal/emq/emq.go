@@ -21,7 +21,10 @@
 //     flushed into a sticky queue under a single lock acquisition when
 //     it overflows or stickiness expires, and a deletion buffer that
 //     pre-pops a batch of DeleteBuffer tasks from the locked winner of
-//     the two-choice comparison and then serves them lock-free.
+//     the two-choice comparison and then serves them lock-free. The
+//     deletion buffer is the unit of extraction for Pop and PopN alike
+//     (Pop is PopN of one): a PopN larger than the buffer refills it
+//     as often as it runs dry, each time from a fresh comparison.
 //
 // Queue sampling reuses the weighted NUMA distribution of internal/numa
 // (§4 of the SMQ paper), so the NUMA scenario carries over: with
@@ -72,7 +75,9 @@ type Config struct {
 	InsertBuffer int
 	// DeleteBuffer is the deletion buffer capacity: a refill pre-pops up
 	// to this many tasks from the locked two-choice winner and serves
-	// them lock-free. 1 disables buffering. Default 16.
+	// them lock-free, to Pop and PopN alike — no lock acquisition takes
+	// more, whatever the size of PopN's destination. 1 disables
+	// buffering. Default 16.
 	DeleteBuffer int
 	// HeapArity is the per-queue heap fan-out. Default 8 (the engineered
 	// MultiQueue favours wider heaps than the classic MQ's 4: buffered
@@ -276,6 +281,7 @@ type worker[T any] struct {
 	insBuf []pq.Item[T] // insertion buffer
 	delBuf []pq.Item[T] // deletion buffer (served front to back)
 	delIdx int
+	one    [1]pq.Item[T] // Pop's destination
 
 	sweepSkip []int // queues the sweep's try-lock pass skipped (reused)
 
@@ -304,21 +310,17 @@ func (w *worker[T]) resampleSlot(slot int) {
 	}
 }
 
-// tick retires one operation from the stickiness budget; on expiry the
-// insertion buffer is published and the sticky pair resampled.
-func (w *worker[T]) tick() { w.tickN(1) }
-
-// tickN retires n operations from the stickiness budget at once — a
-// batched PushN/PopN is one decision point, so it spends its whole
-// size in one subtraction instead of n decrements.
+// tickN retires n operations from the stickiness budget, exactly as n
+// single ticks would: each time the budget expires the insertion buffer
+// is published and the sticky pair resampled.
 func (w *worker[T]) tickN(n int) {
-	w.stick -= n
-	if w.stick > 0 {
-		return
+	for n >= w.stick {
+		n -= w.stick
+		w.flushInserts()
+		w.resample()
+		w.stick = w.s.cfg.Stickiness
 	}
-	w.flushInserts()
-	w.resample()
-	w.stick = w.s.cfg.Stickiness
+	w.stick -= n
 }
 
 // Push appends to the insertion buffer, flushing to a sticky queue when
@@ -329,7 +331,7 @@ func (w *worker[T]) Push(p uint64, v T) {
 	if len(w.insBuf) >= w.s.cfg.InsertBuffer {
 		w.flushInserts()
 	}
-	w.tick()
+	w.tickN(1)
 }
 
 // flushInserts publishes the whole insertion buffer into a sticky queue
@@ -376,92 +378,61 @@ func (w *worker[T]) PushN(ps []uint64, vs []T) {
 	w.tickN(len(ps))
 }
 
-// PopN is the batched delete: leftover deletion-buffer tasks are served
-// first (one copy), then a single two-choice refill extracts up to the
-// rest of dst directly from the locked winner — the deletion-buffer
-// mechanism with the caller's slice as the buffer, skipping the
-// intermediate copy entirely, including on the sweep fallback.
+// Pop is PopN into the worker's one-slot destination.
+func (w *worker[T]) Pop() (uint64, T, bool) {
+	if w.PopN(w.one[:]) == 0 {
+		var zero T
+		return pq.InfPriority, zero, false
+	}
+	it := w.one[0]
+	w.one[0] = pq.Item[T]{}
+	return it.P, it.V, true
+}
+
+// PopN serves dst from the deletion buffer, refilling it with
+// DeleteBuffer tasks from the sticky pair (or, failing that, a global
+// sweep) whenever it runs dry. The buffer is the unit of extraction
+// whatever len(dst) is, and every served task retires one operation
+// from the stickiness budget, so k Pops and one PopN of k pop the same
+// sequence.
 func (w *worker[T]) PopN(dst []sched.Task[T]) int {
 	if len(dst) == 0 {
 		return 0
 	}
 	n := 0
-	if w.delIdx < len(w.delBuf) {
-		k := copy(dst, w.delBuf[w.delIdx:])
-		clear(w.delBuf[w.delIdx : w.delIdx+k])
-		w.delIdx += k
-		n = k
-	}
-	flushed := false
 	for n < len(dst) {
-		got := w.refillInto(dst[n:])
-		if got > 0 {
-			n += got
-			break
-		}
-		if !flushed && len(w.insBuf) > 0 {
+		if w.delIdx == len(w.delBuf) && !w.refill() {
+			if len(w.insBuf) == 0 {
+				break
+			}
 			// Our unflushed insertion buffer may hold the only remaining
 			// tasks; publish it and retry so tasks can never strand.
 			w.flushInserts()
-			flushed = true
 			continue
 		}
-		break
+		k := copy(dst[n:], w.delBuf[w.delIdx:])
+		clear(w.delBuf[w.delIdx : w.delIdx+k])
+		w.delIdx += k
+		n += k
+		w.c.Pops += uint64(k)
+		w.tickN(k)
 	}
-	if n > 0 {
-		w.c.Pops += uint64(n)
-	} else {
+	if n == 0 {
 		w.c.EmptyPops++
+		w.tickN(1)
 	}
-	w.tickN(max(n, 1))
 	return n
 }
 
-// Pop serves the deletion buffer, refilling it from the sticky pair (or,
-// failing that, a global sweep) when it runs dry.
-func (w *worker[T]) Pop() (uint64, T, bool) {
-	for round := 0; ; round++ {
-		if w.delIdx < len(w.delBuf) {
-			it := w.delBuf[w.delIdx]
-			var zero pq.Item[T]
-			w.delBuf[w.delIdx] = zero
-			w.delIdx++
-			w.c.Pops++
-			w.tick()
-			return it.P, it.V, true
-		}
-		if w.refill() {
-			continue
-		}
-		if round == 0 && len(w.insBuf) > 0 {
-			// Our unflushed insertion buffer may hold the only remaining
-			// tasks; publish it and retry so tasks can never strand.
-			w.flushInserts()
-			continue
-		}
-		w.c.EmptyPops++
-		w.tick()
-		var zero T
-		return pq.InfPriority, zero, false
-	}
-}
-
-// refill pre-pops a batch into the deletion buffer; it is the scalar
-// wrapper over refillInto with the worker-owned buffer as the target.
+// refill pre-pops up to DeleteBuffer tasks into the deletion buffer from
+// the two-choice winner of the sticky pair, comparing the pair's cached
+// tops without locking either queue and popping the whole run under the
+// winner's single lock acquisition. Lock failures resample the contended
+// slot; empty pairs resample both. After bounded attempts it falls back
+// to a full sweep so spurious emptiness is rare. It reports whether the
+// buffer holds anything.
 func (w *worker[T]) refill() bool {
-	got := w.refillInto(w.delBuf[:w.s.cfg.DeleteBuffer])
-	w.delBuf = w.delBuf[:got]
 	w.delIdx = 0
-	return got > 0
-}
-
-// refillInto extracts up to len(dst) tasks into dst from the two-choice
-// winner of the sticky pair, comparing the pair's cached tops without
-// locking either queue and popping the whole run under the winner's
-// single lock acquisition. Lock failures resample the contended slot;
-// empty pairs resample both. After bounded attempts it falls back to a
-// full sweep so spurious emptiness is rare. Returns the task count.
-func (w *worker[T]) refillInto(dst []pq.Item[T]) int {
 	for attempt := 0; attempt < 4; attempt++ {
 		slot := 0
 		if w.s.queues[w.sticky[1]].top.Load() < w.s.queues[w.sticky[0]].top.Load() {
@@ -478,25 +449,25 @@ func (w *worker[T]) refillInto(dst []pq.Item[T]) int {
 			w.resampleSlot(slot)
 			continue
 		}
-		got := len(q.popBatch(len(dst), dst[:0]))
+		w.delBuf = q.popBatch(w.s.cfg.DeleteBuffer, w.delBuf[:0])
 		q.mu.Unlock()
-		if got > 0 {
-			return got
+		if len(w.delBuf) > 0 {
+			return true
 		}
 		w.resample()
 	}
-	return w.sweepRefillInto(dst)
+	return w.sweepRefill()
 }
 
-// sweepRefillInto scans every queue once from a random start and fills
-// dst from the first non-empty one. It returns 0 only when every queue
-// was observed empty.
+// sweepRefill scans every queue once from a random start and fills the
+// deletion buffer from the first non-empty one. It returns false only
+// when every queue was observed empty.
 //
 // The first pass uses try-locks (counting failures in LockFails) so the
 // cold path never blocks behind a queue busy serving other workers;
 // queues skipped by the first pass are re-visited with a blocking lock,
 // preserving the every-queue-observed guarantee.
-func (w *worker[T]) sweepRefillInto(dst []pq.Item[T]) int {
+func (w *worker[T]) sweepRefill() bool {
 	m := len(w.s.queues)
 	start := w.rng.Intn(m)
 	w.sweepSkip = w.sweepSkip[:0]
@@ -511,20 +482,20 @@ func (w *worker[T]) sweepRefillInto(dst []pq.Item[T]) int {
 			w.sweepSkip = append(w.sweepSkip, qi)
 			continue
 		}
-		got := len(q.popBatch(len(dst), dst[:0]))
+		w.delBuf = q.popBatch(w.s.cfg.DeleteBuffer, w.delBuf[:0])
 		q.mu.Unlock()
-		if got > 0 {
-			return got
+		if len(w.delBuf) > 0 {
+			return true
 		}
 	}
 	for _, qi := range w.sweepSkip {
 		q := &w.s.queues[qi]
 		q.mu.Lock()
-		got := len(q.popBatch(len(dst), dst[:0]))
+		w.delBuf = q.popBatch(w.s.cfg.DeleteBuffer, w.delBuf[:0])
 		q.mu.Unlock()
-		if got > 0 {
-			return got
+		if len(w.delBuf) > 0 {
+			return true
 		}
 	}
-	return 0
+	return false
 }

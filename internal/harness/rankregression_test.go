@@ -296,3 +296,20 @@ func TestWorkIncreaseRegressionBatchedDriver(t *testing.T) {
 		t.Errorf("smq at 2 workers runs %.3f times the sequential tasks on a road grid (median of %.3f), want <= 1.10", median, increase)
 	}
 }
+
+// TestFig9ColumnsAreDistinctConfigurations pins that the batchDelete axis
+// of the fig9/fig13 grids reaches the run: through the batched driver's
+// PopN the columns must pop in different orders, the rank error growing
+// with the delete batch. (While PopN sized its extraction by the caller's
+// slice alone, every column drained in one and the same order.)
+func TestFig9ColumnsAreDistinctConfigurations(t *testing.T) {
+	prev := -1.0
+	for ci, size := range batchSizes {
+		st := ProbeRankLockstepBatched(fig9Spec(0, ci), 4, 20000, 8)
+		t.Logf("batchDelete=%d: mean rank error %.2f", size, st.MeanDisplacement)
+		if st.MeanDisplacement <= prev {
+			t.Errorf("batchDelete=%d: mean rank error %.2f, not above the previous column's %.2f", size, st.MeanDisplacement, prev)
+		}
+		prev = st.MeanDisplacement
+	}
+}

@@ -435,12 +435,13 @@ func planFig7(cfg RunConfig) (*Plan, error) {
 }
 
 func planFig9(cfg RunConfig) (*Plan, error) {
-	return planOneGrid("fig9", "Figures 9-10 — MQ insert=TL, delete=batch", "pinsert", tlLabels(), "batchDelete", batchLabels(), cfg,
-		func(ri, ci int) SchedulerSpec {
-			return zoo.MQ[uint32]("mq", mq.Config{C: 4,
-				Insert: mq.InsertTemporalLocality, PInsertChange: tlProbs[ri].p,
-				Delete: mq.DeleteBatch, BatchDelete: batchSizes[ci]})
-		})
+	return planOneGrid("fig9", "Figures 9-10 — MQ insert=TL, delete=batch", "pinsert", tlLabels(), "batchDelete", batchLabels(), cfg, fig9Spec)
+}
+
+func fig9Spec(ri, ci int) SchedulerSpec {
+	return zoo.MQ[uint32]("mq", mq.Config{C: 4,
+		Insert: mq.InsertTemporalLocality, PInsertChange: tlProbs[ri].p,
+		Delete: mq.DeleteBatch, BatchDelete: batchSizes[ci]})
 }
 
 func planFig11(cfg RunConfig) (*Plan, error) {

@@ -326,21 +326,11 @@ func (g *globalLSM[T]) insertBlocks(bs []*block[T], c *sched.Counters) {
 	g.mu.Unlock()
 }
 
-// pop removes the global minimum under the lock.
-func (g *globalLSM[T]) pop(c *sched.Counters) (pq.Item[T], bool) {
-	g.lock(c)
-	it, ok := g.l.pop()
-	g.top.Store(g.l.min())
-	g.mu.Unlock()
-	return it, ok
-}
-
 // popN removes up to len(dst) tasks whose priority beats bound under a
-// single lock acquisition — the batched counterpart of the per-task
-// local-vs-global race in Pop. The bound keeps the batched delete as
-// honest as the scalar one: the moment the global minimum stops
-// beating the caller's local minimum, the drain stops and the caller
-// re-runs the comparison.
+// single lock acquisition. The bound keeps a batched delete as honest
+// as a delete of one: the moment the global minimum stops beating the
+// caller's local minimum, the drain stops and the caller re-runs the
+// comparison.
 func (g *globalLSM[T]) popN(dst []pq.Item[T], bound uint64, c *sched.Counters) int {
 	g.lock(c)
 	n := 0
@@ -408,7 +398,8 @@ type worker[T any] struct {
 	c     *sched.Counters
 	local lsm[T]
 
-	spill []*block[T] // reusable scratch for overflow batches
+	spill []*block[T]   // reusable scratch for overflow batches
+	one   [1]pq.Item[T] // Pop's destination
 
 	// Workers sit in one contiguous slice and mutate their local LSM
 	// headers on every operation; a trailing cache line keeps them off
@@ -478,19 +469,27 @@ func (w *worker[T]) spillOverflow() {
 	w.spill = w.spill[:0]
 }
 
-// Pop removes the better of the two minima this worker can see: its
-// local LSM's minimum (no synchronization) or the global LSM's (under
-// the global lock). The local preference on ties is what makes the
-// operation relaxed — up to k better tasks may hide in each other
-// worker's local LSM. ok=false means this worker observed both LSMs
+// Pop is PopN into the worker's one-slot destination.
+func (w *worker[T]) Pop() (uint64, T, bool) {
+	if w.PopN(w.one[:]) == 0 {
+		var zero T
+		return pq.InfPriority, zero, false
+	}
+	it := w.one[0]
+	w.one[0] = pq.Item[T]{}
+	return it.P, it.V, true
+}
+
+// PopN fills dst by repeating the relaxed DeleteMin: remove the better
+// of the two minima this worker can see, its local LSM's minimum (no
+// synchronization) or the global LSM's (under the global lock). The
+// local preference on ties is what makes the operation relaxed — up to
+// k better tasks may hide in each other worker's local LSM. A winning
+// global minimum is drained in one locked popN that keeps taking tasks
+// while the global top stays better than the local minimum — one lock
+// acquisition for the run. 0 means this worker observed both LSMs
 // empty; tasks may still sit in other workers' local LSMs (spurious
 // emptiness, handled by the sched.Pending protocol).
-// PopN fills dst with the batched form of Pop's local-vs-global race:
-// each local winner is removed synchronization-free as before, but a
-// winning global minimum is drained in one locked popN that keeps
-// taking tasks while the global top stays better than the local
-// minimum — one lock acquisition where the scalar loop would pay one
-// per task.
 func (w *worker[T]) PopN(dst []sched.Task[T]) int {
 	if len(dst) == 0 {
 		return 0
@@ -508,13 +507,9 @@ func (w *worker[T]) PopN(dst []sched.Task[T]) int {
 			n++
 			continue
 		}
-		got := w.s.global.popN(dst[n:], localTop, w.c)
-		if got == 0 {
-			// The global drained between the peek and the lock;
-			// re-examine both minima.
-			continue
-		}
-		n += got
+		// 0 means the global drained between the peek and the lock:
+		// re-examine both minima.
+		n += w.s.global.popN(dst[n:], localTop, w.c)
 	}
 	if n > 0 {
 		w.c.Pops += uint64(n)
@@ -522,26 +517,4 @@ func (w *worker[T]) PopN(dst []sched.Task[T]) int {
 		w.c.EmptyPops++
 	}
 	return n
-}
-
-func (w *worker[T]) Pop() (uint64, T, bool) {
-	for {
-		localTop := w.local.min()
-		globalTop := w.s.global.top.Load()
-		if localTop <= globalTop {
-			if localTop == pq.InfPriority {
-				w.c.EmptyPops++
-				var zero T
-				return pq.InfPriority, zero, false
-			}
-			it, _ := w.local.pop()
-			w.c.Pops++
-			return it.P, it.V, true
-		}
-		if it, ok := w.s.global.pop(w.c); ok {
-			w.c.Pops++
-			return it.P, it.V, true
-		}
-		// The global drained between the peek and the lock; re-examine.
-	}
 }

@@ -15,6 +15,14 @@
 // the classic behaviour is the p=1 special case. Task batching (policy
 // *Batch) moves whole batches through a thread-local buffer, trading rank
 // for synchronization. Both match Appendix C's parameter grids.
+//
+// There is one delete path, PopN; Pop is PopN of one. Under DeleteBatch
+// the thread-local delete buffer is the unit of extraction for both: a
+// dry buffer is refilled with BatchDelete tasks (fewer only if the winner
+// holds fewer) from a two-choice winner and the caller is served from it,
+// whatever size it asked for.
+// Without a delete buffer PopN extracts the caller's count from one
+// winner straight into the caller's slice.
 package mq
 
 import (
@@ -76,7 +84,8 @@ type Config struct {
 	// performs a fresh two-choice pick. Default 1 (classic).
 	PDeleteChange float64
 	// BatchInsert / BatchDelete are the batch sizes for the batching
-	// policies. Default 8.
+	// policies. Default 8. Under DeleteBatch, BatchDelete is the number
+	// of tasks one lock acquisition extracts, for Pop and PopN alike.
 	BatchInsert int
 	BatchDelete int
 	// HeapArity is the per-queue heap fan-out. Default 4.
@@ -226,14 +235,6 @@ func (q *lockQueue[T]) pushAll(items []pq.Item[T]) {
 	}
 }
 
-func (q *lockQueue[T]) pop() (uint64, T, bool) {
-	p, v, ok := q.heap.Pop()
-	if q.peek {
-		q.top.Store(q.heap.Top())
-	}
-	return p, v, ok
-}
-
 func (q *lockQueue[T]) popBatch(k int, dst []pq.Item[T]) []pq.Item[T] {
 	dst = q.heap.PopBatch(k, dst)
 	if q.peek {
@@ -279,6 +280,9 @@ func New[T any](cfg Config) *MQ[T] {
 		w.c = &s.counters[i]
 		w.lastIns = -1
 		w.lastDel = -1
+		if cfg.Delete == DeleteBatch {
+			w.delBuf = make([]pq.Item[T], 0, cfg.BatchDelete)
+		}
 	}
 	return s
 }
@@ -317,8 +321,9 @@ type mqWorker[T any] struct {
 	lastDel int // temporal-locality delete queue
 
 	insBuf []pq.Item[T] // batching insert buffer
-	delBuf []pq.Item[T] // batching delete buffer
+	delBuf []pq.Item[T] // batching delete buffer (served front to back)
 	delIdx int
+	one    [1]pq.Item[T] // Pop's destination
 
 	// bulk is the PushN zip scratch (pairs assembled before the single
 	// locked pushAll); reused in place, zeroed after each batch.
@@ -422,40 +427,46 @@ func (w *mqWorker[T]) flushInsertBuffer() {
 	}
 }
 
-// Pop removes a task according to the configured delete policy.
+// Pop is PopN into the worker's one-slot destination.
 func (w *mqWorker[T]) Pop() (uint64, T, bool) {
-	p, v, ok := w.popPolicy()
-	if !ok && len(w.insBuf) > 0 {
-		// Our unflushed insert batch may hold the only remaining tasks;
-		// publish it and retry so tasks can never strand (liveness).
-		w.flushInsertBuffer()
-		p, v, ok = w.popPolicy()
+	if w.PopN(w.one[:]) == 0 {
+		var zero T
+		return pq.InfPriority, zero, false
 	}
-	if ok {
-		w.c.Pops++
-	} else {
-		w.c.EmptyPops++
-	}
-	return p, v, ok
+	it := w.one[0]
+	w.one[0] = pq.Item[T]{}
+	return it.P, it.V, true
 }
 
-// PopN is the batched delete: one two-choice decision and one lock
-// acquisition serve the whole batch, extracting up to len(dst) tasks
-// from the winning queue in a single popBatch (the DeleteBatch policy's
-// trade, generalized to every delete policy and to caller-sized
-// batches). Leftovers in the DeleteBatch thread-local buffer are served
-// first so scalar and batched pops interleave without reordering the
-// buffered run.
+// PopN is the delete, scalar (Pop) and batched alike. Without a delete
+// buffer one extraction — one queue choice, one lock acquisition —
+// serves the whole call: up to len(dst) tasks leave the winning queue
+// straight into dst (the DeleteBatch trade at the caller's size). Under
+// DeleteBatch the thread-local buffer is the unit of extraction instead:
+// dst is served from it, and a dry buffer is refilled with BatchDelete
+// tasks from a fresh two-choice winner, so k Pops and one PopN of k pop
+// the same sequence and no lock acquisition takes more than BatchDelete.
 func (w *mqWorker[T]) PopN(dst []sched.Task[T]) int {
 	if len(dst) == 0 {
 		return 0
 	}
-	n := w.popNInto(dst)
-	if n == 0 && len(w.insBuf) > 0 {
-		// Our unflushed insert batch may hold the only remaining tasks;
-		// publish it and retry so tasks can never strand (liveness).
-		w.flushInsertBuffer()
-		n = w.popNInto(dst)
+	n := 0
+	if w.s.cfg.Delete != DeleteBatch {
+		n = w.extract(dst)
+	} else {
+		for n < len(dst) {
+			if w.delIdx == len(w.delBuf) {
+				w.delBuf = w.delBuf[:w.extract(w.delBuf[:w.s.cfg.BatchDelete])]
+				w.delIdx = 0
+				if len(w.delBuf) == 0 {
+					break
+				}
+			}
+			k := copy(dst[n:], w.delBuf[w.delIdx:])
+			clear(w.delBuf[w.delIdx : w.delIdx+k])
+			w.delIdx += k
+			n += k
+		}
 	}
 	if n > 0 {
 		w.c.Pops += uint64(n)
@@ -465,309 +476,131 @@ func (w *mqWorker[T]) PopN(dst []sched.Task[T]) int {
 	return n
 }
 
-func (w *mqWorker[T]) popNInto(dst []pq.Item[T]) int {
-	n := 0
-	if w.delIdx < len(w.delBuf) {
-		k := copy(dst, w.delBuf[w.delIdx:])
-		clear(w.delBuf[w.delIdx : w.delIdx+k])
-		w.delIdx += k
-		n = k
-		if n == len(dst) {
+// extract is one extraction by the configured delete policy: up to
+// len(dst) tasks into dst from the policy's choice of queue (RELD: of
+// the worker's own block). It returns the count.
+func (w *mqWorker[T]) extract(dst []pq.Item[T]) int {
+	n := w.extractPolicy(dst)
+	if n == 0 && len(w.insBuf) > 0 {
+		// Our unflushed insert batch may hold the only remaining tasks;
+		// publish it and retry so tasks can never strand (liveness).
+		w.flushInsertBuffer()
+		n = w.extractPolicy(dst)
+	}
+	return n
+}
+
+func (w *mqWorker[T]) extractPolicy(dst []pq.Item[T]) int {
+	switch w.s.cfg.Delete {
+	case DeleteLocal:
+		return w.extractLocal(dst)
+	case DeleteTemporalLocality:
+		// With probability 1−PDeleteChange the extraction reuses the
+		// previous delete queue, falling through to a fresh two-choice
+		// pick on a miss.
+		if w.lastDel >= 0 && !w.rng.Bernoulli(w.s.cfg.PDeleteChange) {
+			q := &w.s.queues[w.lastDel]
+			if q.mu.TryLock() {
+				n := len(q.popBatch(len(dst), dst[:0]))
+				q.mu.Unlock()
+				if n > 0 {
+					return n
+				}
+			} else {
+				w.c.LockFails++
+			}
+		}
+	}
+	return w.extractRandom2(dst)
+}
+
+// extractRandom2 is Listing 1's delete: extract from the better of two
+// random queues. After bounded failed attempts it falls back to a full
+// sweep so that spurious emptiness is rare.
+func (w *mqWorker[T]) extractRandom2(dst []pq.Item[T]) int {
+	for attempt := 0; attempt < 4; attempt++ {
+		qi, ok := w.lockWinner()
+		if !ok {
+			w.c.LockFails++
+			continue
+		}
+		q := &w.s.queues[qi]
+		n := len(q.popBatch(len(dst), dst[:0]))
+		q.mu.Unlock()
+		if n > 0 {
+			w.lastDel = qi
 			return n
 		}
 	}
-	if w.s.cfg.Delete == DeleteLocal {
-		return w.popNLocal(dst, n)
-	}
-	// Temporal locality carries over to batches: with probability
-	// 1−PDeleteChange the whole batch drains from the previous delete
-	// queue (the same reuse the scalar popTemporalLocality applies per
-	// task), falling through to a fresh two-choice pick on a miss.
-	if w.lastDel >= 0 && !w.rng.Bernoulli(w.s.cfg.PDeleteChange) {
-		q := &w.s.queues[w.lastDel]
-		if q.mu.TryLock() {
-			got := q.popBatch(len(dst)-n, dst[:n])
-			q.mu.Unlock()
-			if len(got) > n {
-				return len(got)
-			}
-		} else {
-			w.c.LockFails++
-		}
-	}
-	return w.popNRandom2(dst, n)
+	return w.sweep(dst)
 }
 
-// popNRandom2 extracts up to len(dst)-n tasks from the winner of one
-// two-choice pick into dst[n:], honouring PeekTops. The scalar sweep
-// remains the cold-path fallback so spurious emptiness stays rare.
-func (w *mqWorker[T]) popNRandom2(dst []pq.Item[T], n int) int {
-	m := len(w.s.queues)
-	for attempt := 0; attempt < 4; attempt++ {
-		var (
-			q  *lockQueue[T]
-			qi int
-		)
-		if w.s.cfg.PeekTops {
-			i1 := w.smp.Sample()
-			i2 := i1
-			if m > 1 {
-				i2 = w.smp.SampleOther(i1)
-			}
-			qi = i1
-			if w.s.queues[i2].top.Load() < w.s.queues[i1].top.Load() {
-				qi = i2
-			}
-			q = &w.s.queues[qi]
-			if !q.mu.TryLock() {
-				w.c.LockFails++
-				continue
-			}
-		} else {
-			i1 := w.smp.Sample()
-			i2 := i1
-			if m > 1 {
-				i2 = w.smp.SampleOther(i1)
-			}
-			q1, q2 := &w.s.queues[i1], &w.s.queues[i2]
-			if !q1.mu.TryLock() {
-				w.c.LockFails++
-				continue
-			}
-			if i2 != i1 && !q2.mu.TryLock() {
-				q1.mu.Unlock()
-				w.c.LockFails++
-				continue
-			}
-			qi, q = i1, q1
-			if i2 != i1 {
-				loser := q2
-				if q2.heap.Top() < q1.heap.Top() {
-					qi, q = i2, q2
-					loser = q1
-				}
-				loser.mu.Unlock()
-			}
+// lockWinner samples two distinct random queues and try-locks the one
+// with the better top; ok=false means a try-lock failed and nothing is
+// held.
+func (w *mqWorker[T]) lockWinner() (qi int, ok bool) {
+	qi = w.smp.Sample()
+	q := &w.s.queues[qi]
+	if len(w.s.queues) == 1 {
+		return qi, q.mu.TryLock()
+	}
+	i2 := w.smp.SampleOther(qi)
+	q2 := &w.s.queues[i2]
+	if w.s.cfg.PeekTops {
+		// Compare the atomically cached tops without taking either lock
+		// and lock only the winner. A stale cached top is a benign extra
+		// relaxation (the popped task is still a recent top).
+		if q2.top.Load() < q.top.Load() {
+			qi, q = i2, q2
 		}
-		got := q.popBatch(len(dst)-n, dst[:n])
+		return qi, q.mu.TryLock()
+	}
+	if !q.mu.TryLock() {
+		return qi, false
+	}
+	if !q2.mu.TryLock() {
 		q.mu.Unlock()
-		if len(got) > n {
-			w.lastDel = qi
-			return len(got)
-		}
+		return qi, false
 	}
-	if n > 0 {
-		// Tasks already in hand (delete-buffer leftovers): don't pay a
-		// full-lineup sweep for a top-up that may legitimately fail.
-		return n
+	// Release the loser right after the top comparison (Listing 1 only
+	// needs both locks for the comparison itself); holding it across the
+	// winner's extraction would serialize unrelated workers against the
+	// loser queue under contention.
+	if q2.heap.Top() < q.heap.Top() {
+		qi, q2 = i2, q
 	}
-	if p, v, ok := w.sweep(); ok {
-		dst[n] = pq.Item[T]{P: p, V: v}
-		return n + 1
-	}
-	return n
+	q2.mu.Unlock()
+	return qi, true
 }
 
-// popNLocal is the RELD batched delete: drain the worker's own queue
-// block, one lock acquisition per non-empty queue, sweeping globally
-// only when the block is empty.
-func (w *mqWorker[T]) popNLocal(dst []pq.Item[T], n int) int {
+// extractLocal is the RELD delete: drain the worker's own queue block,
+// one lock acquisition per non-empty queue, sweeping globally only when
+// the block is empty so tasks cannot strand.
+func (w *mqWorker[T]) extractLocal(dst []pq.Item[T]) int {
 	base := w.id * w.s.cfg.C
+	n := 0
 	for off := 0; off < w.s.cfg.C && n < len(dst); off++ {
 		q := &w.s.queues[base+off]
 		q.mu.Lock()
-		got := q.popBatch(len(dst)-n, dst[:n])
+		n = len(q.popBatch(len(dst)-n, dst[:n]))
 		q.mu.Unlock()
-		n = len(got)
 	}
 	if n > 0 {
 		return n
 	}
-	if p, v, ok := w.sweep(); ok {
-		dst[n] = pq.Item[T]{P: p, V: v}
-		return n + 1
-	}
-	return n
+	return w.sweep(dst)
 }
 
-func (w *mqWorker[T]) popPolicy() (uint64, T, bool) {
-	switch w.s.cfg.Delete {
-	case DeleteBatch:
-		return w.popBatch()
-	case DeleteLocal:
-		return w.popLocal()
-	default:
-		return w.popTemporalLocality()
-	}
-}
-
-// popTemporalLocality reuses the previous queue with probability
-// 1−PDeleteChange; otherwise (and on any miss) it performs the classic
-// two-choice pick.
-func (w *mqWorker[T]) popTemporalLocality() (uint64, T, bool) {
-	if w.lastDel >= 0 && !w.rng.Bernoulli(w.s.cfg.PDeleteChange) {
-		q := &w.s.queues[w.lastDel]
-		if q.mu.TryLock() {
-			p, v, ok := q.pop()
-			q.mu.Unlock()
-			if ok {
-				return p, v, true
-			}
-		} else {
-			w.c.LockFails++
-		}
-	}
-	return w.popRandom2(1)
-}
-
-// popBatch refills the thread-local delete buffer with a two-choice batch
-// extraction when empty.
-func (w *mqWorker[T]) popBatch() (uint64, T, bool) {
-	if w.delIdx < len(w.delBuf) {
-		it := w.delBuf[w.delIdx]
-		var zero pq.Item[T]
-		w.delBuf[w.delIdx] = zero
-		w.delIdx++
-		return it.P, it.V, true
-	}
-	return w.popRandom2(w.s.cfg.BatchDelete)
-}
-
-// popLocal implements RELD: always delete from the worker's own queue
-// block; sweep globally only when it is empty.
-func (w *mqWorker[T]) popLocal() (uint64, T, bool) {
-	base := w.id * w.s.cfg.C
-	for off := 0; off < w.s.cfg.C; off++ {
-		q := &w.s.queues[base+off]
-		q.mu.Lock()
-		p, v, ok := q.pop()
-		q.mu.Unlock()
-		if ok {
-			return p, v, true
-		}
-	}
-	return w.sweep()
-}
-
-// popRandom2 is Listing 1's delete: lock two distinct random queues,
-// extract batch tasks from the one with the better top. batch == 1 gives
-// the classic single-task delete. After bounded failed attempts it falls
-// back to a full sweep so that spurious emptiness is rare.
-func (w *mqWorker[T]) popRandom2(batch int) (uint64, T, bool) {
-	if w.s.cfg.PeekTops {
-		return w.popRandom2Peek(batch)
-	}
-	m := len(w.s.queues)
-	for attempt := 0; attempt < 4; attempt++ {
-		i1 := w.smp.Sample()
-		i2 := i1
-		if m > 1 {
-			i2 = w.smp.SampleOther(i1)
-		}
-		q1, q2 := &w.s.queues[i1], &w.s.queues[i2]
-		if !q1.mu.TryLock() {
-			w.c.LockFails++
-			continue
-		}
-		if i2 != i1 && !q2.mu.TryLock() {
-			q1.mu.Unlock()
-			w.c.LockFails++
-			continue
-		}
-		qi, q := i1, q1
-		if i2 != i1 {
-			// Release the loser right after the top comparison (Listing 1
-			// only needs both locks for the comparison itself); holding it
-			// across the winner's extraction would serialize unrelated
-			// workers against the loser queue under contention.
-			loser := q2
-			if q2.heap.Top() < q1.heap.Top() {
-				qi, q = i2, q2
-				loser = q1
-			}
-			loser.mu.Unlock()
-		}
-		var (
-			p  uint64
-			v  T
-			ok bool
-		)
-		if batch <= 1 {
-			p, v, ok = q.pop()
-		} else {
-			w.delBuf = q.popBatch(batch, w.delBuf[:0])
-			w.delIdx = 0
-			if len(w.delBuf) > 0 {
-				it := w.delBuf[0]
-				w.delIdx = 1
-				p, v, ok = it.P, it.V, true
-			}
-		}
-		q.mu.Unlock()
-		if ok {
-			w.lastDel = qi
-			return p, v, true
-		}
-	}
-	return w.sweep()
-}
-
-// popRandom2Peek is the PeekTops variant of the two-choice delete: it
-// compares the queues' atomically cached tops without taking either
-// lock, then locks only the winner. Staleness of the cached top is a
-// benign extra relaxation (the popped task is still a recent top).
-func (w *mqWorker[T]) popRandom2Peek(batch int) (uint64, T, bool) {
-	m := len(w.s.queues)
-	for attempt := 0; attempt < 4; attempt++ {
-		i1 := w.smp.Sample()
-		i2 := i1
-		if m > 1 {
-			i2 = w.smp.SampleOther(i1)
-		}
-		qi := i1
-		if w.s.queues[i2].top.Load() < w.s.queues[i1].top.Load() {
-			qi = i2
-		}
-		q := &w.s.queues[qi]
-		if !q.mu.TryLock() {
-			w.c.LockFails++
-			continue
-		}
-		var (
-			p  uint64
-			v  T
-			ok bool
-		)
-		if batch <= 1 {
-			p, v, ok = q.pop()
-		} else {
-			w.delBuf = q.popBatch(batch, w.delBuf[:0])
-			w.delIdx = 0
-			if len(w.delBuf) > 0 {
-				it := w.delBuf[0]
-				w.delIdx = 1
-				p, v, ok = it.P, it.V, true
-			}
-		}
-		q.mu.Unlock()
-		if ok {
-			w.lastDel = qi
-			return p, v, true
-		}
-	}
-	return w.sweep()
-}
-
-// sweep scans every queue once from a random start, popping the first
-// task found. It returns false only when every queue was observed empty,
-// which makes spurious Pop failures rare (they can still happen — the
-// contract allows it).
+// sweep scans every queue once from a random start and pops the first
+// task found into dst[0]. It returns 0 only when every queue was
+// observed empty, which makes spurious Pop failures rare (they can still
+// happen — the contract allows it).
 //
 // The first pass uses try-locks (counting failures in LockFails) so a
 // sweeping worker never stalls behind a queue that is busy serving
 // others; only queues skipped by the first pass are re-visited with a
 // blocking lock, preserving the every-queue-observed guarantee.
-func (w *mqWorker[T]) sweep() (uint64, T, bool) {
+func (w *mqWorker[T]) sweep(dst []pq.Item[T]) int {
 	m := len(w.s.queues)
 	start := w.rng.Intn(m)
 	w.sweepSkip = w.sweepSkip[:0]
@@ -782,23 +615,22 @@ func (w *mqWorker[T]) sweep() (uint64, T, bool) {
 			w.sweepSkip = append(w.sweepSkip, qi)
 			continue
 		}
-		p, v, ok := q.pop()
+		n := len(q.popBatch(1, dst[:0]))
 		q.mu.Unlock()
-		if ok {
+		if n > 0 {
 			w.lastDel = qi
-			return p, v, true
+			return n
 		}
 	}
 	for _, qi := range w.sweepSkip {
 		q := &w.s.queues[qi]
 		q.mu.Lock()
-		p, v, ok := q.pop()
+		n := len(q.popBatch(1, dst[:0]))
 		q.mu.Unlock()
-		if ok {
+		if n > 0 {
 			w.lastDel = qi
-			return p, v, true
+			return n
 		}
 	}
-	var zero T
-	return pq.InfPriority, zero, false
+	return 0
 }

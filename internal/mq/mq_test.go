@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -360,5 +361,94 @@ func TestSweepDoesNotBlockOnHeldLock(t *testing.T) {
 	}
 	if st := s.Stats(); st.LockFails == 0 {
 		t.Fatalf("expected try-lock failures against the held queue, got %+v", st)
+	}
+}
+
+// drainOrder fills a one-worker scheduler with a fixed task set and
+// returns the priorities in the order pop yields them.
+func drainOrder(t *testing.T, cfg Config, pop func(w sched.Worker[int], dst []sched.Task[int]) int) []uint64 {
+	t.Helper()
+	const total = 2000
+	cfg.Workers, cfg.C, cfg.Seed = 1, 4, 42
+	w := New[int](cfg).Worker(0)
+	for i := 0; i < total; i++ {
+		w.Push(uint64(i*7919%1009), i)
+	}
+	var order []uint64
+	dst := make([]sched.Task[int], 8)
+	for {
+		n := pop(w, dst)
+		if n == 0 {
+			break
+		}
+		for _, it := range dst[:n] {
+			order = append(order, it.P)
+		}
+	}
+	if len(order) != total {
+		t.Fatalf("drained %d of %d tasks", len(order), total)
+	}
+	return order
+}
+
+// TestDeleteBatchIsTheUnitOfExtraction pins that BatchDelete governs
+// PopN exactly as it governs Pop: the knob changes what a PopN-driven
+// drain pops, a PopN of one pops what Pop pops, and no lock acquisition
+// extracts more than BatchDelete tasks however large dst is.
+func TestDeleteBatchIsTheUnitOfExtraction(t *testing.T) {
+	popN1 := func(w sched.Worker[int], dst []sched.Task[int]) int { return w.PopN(dst[:1]) }
+	scalar := func(w sched.Worker[int], dst []sched.Task[int]) int {
+		p, v, ok := w.Pop()
+		if !ok {
+			return 0
+		}
+		dst[0] = sched.Task[int]{P: p, V: v}
+		return 1
+	}
+	orders := map[int][]uint64{}
+	for _, batch := range []int{2, 32} {
+		cfg := Config{Delete: DeleteBatch, BatchDelete: batch}
+		orders[batch] = drainOrder(t, cfg, popN1)
+		if !slices.Equal(orders[batch], drainOrder(t, cfg, scalar)) {
+			t.Errorf("BatchDelete=%d: PopN(dst[:1]) and Pop drain in different orders", batch)
+		}
+	}
+	if slices.Equal(orders[2], orders[32]) {
+		t.Error("BatchDelete 2 and 32 drain in the same order through PopN: the knob is not reaching it")
+	}
+
+	// Two queues, so every two-choice pick compares both: queue 0 holds
+	// 0, 10, 20, …, queue 1 holds 5, 15, 25, …. A delete that takes at
+	// most two tasks per acquisition alternates between them pair by
+	// pair; one that takes a caller-sized run from the winner does not.
+	for _, peek := range []bool{false, true} {
+		s := New[int](Config{Workers: 1, C: 2, Delete: DeleteBatch, BatchDelete: 2, PeekTops: peek})
+		var lists [2][]uint64
+		for i := 0; i < 40; i++ {
+			for qi := range lists {
+				p := uint64(10*i + 5*qi)
+				s.queues[qi].push(p, 0)
+				lists[qi] = append(lists[qi], p)
+			}
+		}
+		var want, got []uint64
+		for len(lists[0])+len(lists[1]) > 0 {
+			qi := 0
+			if len(lists[0]) == 0 || len(lists[1]) > 0 && lists[1][0] < lists[0][0] {
+				qi = 1
+			}
+			k := min(2, len(lists[qi]))
+			want = append(want, lists[qi][:k]...)
+			lists[qi] = lists[qi][k:]
+		}
+		dst := make([]sched.Task[int], 8)
+		for n := s.Worker(0).PopN(dst); n > 0; n = s.Worker(0).PopN(dst) {
+			for _, it := range dst[:n] {
+				got = append(got, it.P)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("peek=%v: PopN(dst[:8]) under BatchDelete=2 popped\n %v\nwant two tasks per two-choice winner:\n %v", peek, got, want)
+		}
 	}
 }

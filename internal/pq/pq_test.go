@@ -14,7 +14,6 @@ func makers() map[string]func() Queue[int] {
 		"dheap2":   func() Queue[int] { return NewDHeap[int](2) },
 		"dheap4":   func() Queue[int] { return NewDHeap[int](4) },
 		"dheap8":   func() Queue[int] { return NewDHeap[int](8) },
-		"pairing":  func() Queue[int] { return NewPairingHeap[int]() },
 		"skiplist": func() Queue[int] { return NewSeqSkipList[int](1) },
 	}
 }
@@ -178,27 +177,6 @@ func TestDHeapPopBatch(t *testing.T) {
 	}
 }
 
-func TestPairingPopBatchAndReuse(t *testing.T) {
-	h := NewPairingHeap[string]()
-	h.Push(3, "c")
-	h.Push(1, "a")
-	h.Push(2, "b")
-	got := h.PopBatch(2, nil)
-	if len(got) != 2 || got[0].V != "a" || got[1].V != "b" {
-		t.Fatalf("PopBatch = %v", got)
-	}
-	// Freelist reuse must not corrupt subsequent pushes.
-	h.Push(0, "z")
-	p, v, ok := h.Pop()
-	if !ok || p != 0 || v != "z" {
-		t.Fatalf("after reuse Pop = (%d,%q,%v)", p, v, ok)
-	}
-	p, v, ok = h.Pop()
-	if !ok || p != 3 || v != "c" {
-		t.Fatalf("final Pop = (%d,%q,%v)", p, v, ok)
-	}
-}
-
 func TestDHeapClear(t *testing.T) {
 	h := NewDHeapCap[int](4, 64)
 	for i := 0; i < 50; i++ {
@@ -260,9 +238,6 @@ func BenchmarkLocalQueue_DHeap4(b *testing.B) {
 }
 func BenchmarkLocalQueue_DHeap8(b *testing.B) {
 	benchQueue(b, func() Queue[int] { return NewDHeap[int](8) })
-}
-func BenchmarkLocalQueue_Pairing(b *testing.B) {
-	benchQueue(b, func() Queue[int] { return NewPairingHeap[int]() })
 }
 func BenchmarkLocalQueue_SkipList(b *testing.B) {
 	benchQueue(b, func() Queue[int] { return NewSeqSkipList[int](1) })

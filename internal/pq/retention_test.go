@@ -63,10 +63,6 @@ func TestSeqSkipListReleasesPoppedPayloads(t *testing.T) {
 	testPayloadReleased(t, "SeqSkipList", NewSeqSkipList[*[64]byte](1))
 }
 
-func TestPairingHeapReleasesPoppedPayloads(t *testing.T) {
-	testPayloadReleased(t, "PairingHeap", NewPairingHeap[*[64]byte]())
-}
-
 // TestDHeapPopBatchReleasesSlots covers the batched extraction path the
 // schedulers actually use (PopBatch → Pop), with the batch destination
 // cleared by the caller as the scheduler buffers do.

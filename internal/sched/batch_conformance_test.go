@@ -8,6 +8,7 @@ package sched_test
 // and scalar/batch interleavings.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,6 +229,80 @@ func TestBatchConformanceConcurrent(t *testing.T) {
 			st := s.Stats()
 			if st.Pushes != uint64(total) || st.Pops != st.Pushes {
 				t.Errorf("stats after batched drain: %+v", st)
+			}
+		})
+	}
+}
+
+// TestPopIsPopNOfOne pins the sched.Worker contract that Pop returns
+// what PopN with a one-slot destination would: two schedulers built from
+// the same seed and seeded identically are drained round-robin over all
+// handles by one goroutine, one through Pop and one through PopN(dst[:1]),
+// and must yield the same task sequence and the same Stats. For the
+// schedulers whose Pop is a wrapper this guards the wrapper; for those
+// that keep a scalar fast path (the SMQ family) it pins that the fast
+// path is still the batch path at k = 1.
+func TestPopIsPopNOfOne(t *testing.T) {
+	const workers, total = 3, 3000
+	for _, tc := range conformanceSchedulers() {
+		t.Run(tc.Name, func(t *testing.T) {
+			t.Parallel()
+			drain := func(pop func(w sched.Worker[uint32]) (sched.Task[uint32], bool)) ([]sched.Task[uint32], sched.Stats) {
+				s := tc.Build(workers, 7)
+				hs := make([]sched.Worker[uint32], workers)
+				for i := range hs {
+					hs[i] = s.Worker(i)
+				}
+				// Seed through every handle, scalar and batched pushes mixed.
+				for next := 0; next < total; {
+					w := hs[next%workers]
+					if next%2 == 0 {
+						w.Push(uint64(next*7919%509), uint32(next))
+						next++
+						continue
+					}
+					n := min(5, total-next)
+					ps, vs := make([]uint64, n), make([]uint32, n)
+					for i := range ps {
+						ps[i], vs[i] = uint64((next+i)*7919%509), uint32(next+i)
+					}
+					w.PushN(ps, vs)
+					next += n
+				}
+				var seq []sched.Task[uint32]
+				for failed := 0; failed < 2*workers; {
+					for _, w := range hs {
+						if task, ok := pop(w); ok {
+							seq = append(seq, task)
+							failed = 0
+						} else {
+							failed++
+						}
+					}
+				}
+				return seq, s.Stats()
+			}
+			scalar, scalarStats := drain(func(w sched.Worker[uint32]) (sched.Task[uint32], bool) {
+				p, v, ok := w.Pop()
+				return sched.Task[uint32]{P: p, V: v}, ok
+			})
+			dst := make([]sched.Task[uint32], 4)
+			batched, batchedStats := drain(func(w sched.Worker[uint32]) (sched.Task[uint32], bool) {
+				n := w.PopN(dst[:1])
+				return dst[0], n == 1
+			})
+			if len(scalar) != total {
+				t.Fatalf("Pop drained %d of %d tasks", len(scalar), total)
+			}
+			if !slices.Equal(scalar, batched) {
+				i := 0
+				for i < len(scalar) && i < len(batched) && scalar[i] == batched[i] {
+					i++
+				}
+				t.Fatalf("Pop and PopN(dst[:1]) diverge at pop %d of %d/%d", i, len(scalar), len(batched))
+			}
+			if scalarStats != batchedStats {
+				t.Fatalf("Stats differ:\n Pop  %+v\n PopN %+v", scalarStats, batchedStats)
 			}
 		})
 	}

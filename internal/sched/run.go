@@ -87,19 +87,6 @@ type runWorker[T any] struct {
 	tasks, stale uint64
 }
 
-// A popped batch is private to its worker until its last body returns:
-// no thief can take its tasks, and an SMQ owner refills a taken steal
-// buffer only on its next operation. With coarse bodies that buys nothing and starves
-// the other workers (flat-seeded 20 µs jobs on two SMQ workers split 18:2
-// at a fixed batch of 8), so a worker sizes its pops to keep one batch's
-// bodies within batchBudget. It times the body loop of every batch while
-// below the full batch (one slow task then costs one short pop) and of
-// one batch in retimeEvery at it — a clock read per 64 tasks.
-const (
-	batchBudget = 10 * time.Microsecond
-	retimeEvery = 16
-)
-
 // Run is the run-to-completion worker loop, the only one outside
 // internal/serve: one goroutine per worker pops up to batch tasks per
 // PopN, calls body for each, and publishes everything the batch emitted
@@ -108,8 +95,11 @@ const (
 // batch commits the worker to its tasks before it looks at the queues
 // again, and for the Multi-Queue family the whole batch comes from ONE
 // two-choice winner (road-graph SSSP through the classic MQ runs ~30%
-// more tasks at 64 than at 8). It is an upper bound: workers start at 1
-// and pop fewer while their bodies are slow (see batchBudget).
+// more tasks at 64 than at 8). A popped batch is private to its worker
+// until its last body returns, but the tasks behind it are not: an SMQ
+// owner republishes its steal buffer on every operation, sized to the
+// batch it just took, so coarse bodies still spread across workers
+// (TestProcessSpreadsCoarseTasks).
 //
 // The caller registers every seed task with pending before calling, so
 // Run closes the stream on entry and workers exit on Quiesced(). It
@@ -127,15 +117,9 @@ func Run[T any](s Scheduler[T], pending *Pending, workers, batch int, body Body[
 			w, st := s.Worker(wid), &state[wid].Value
 			st.out.w, st.out.pending = w, pending
 			popBuf := make([]Task[T], batch)
-			n, batches := 1, 0
-			if workers == 1 {
-				// Nobody to hold tasks back from: full batches, untimed,
-				// which also keeps one-worker runs deterministic.
-				n = batch
-			}
 			var b Backoff
 			for {
-				k := w.PopN(popBuf[:n])
+				k := w.PopN(popBuf)
 				if k == 0 {
 					if pending.Quiesced() {
 						return
@@ -145,20 +129,10 @@ func Run[T any](s Scheduler[T], pending *Pending, workers, batch int, body Body[
 				}
 				b.Reset()
 				st.tasks += uint64(k)
-				timed := n < batch || workers > 1 && batch > 1 && batches%retimeEvery == 0
-				batches++
-				var t0 time.Duration
-				if timed {
-					t0 = time.Since(start)
-				}
 				for i := 0; i < k; i++ {
 					if body(wid, &st.out, popBuf[i].P, popBuf[i].V) {
 						st.stale++
 					}
-				}
-				if timed { // size the next pops to batchBudget
-					bodies := max(1, time.Since(start)-t0)
-					n = max(1, min(batch, int(batchBudget*time.Duration(k)/bodies)))
 				}
 				clear(popBuf[:k])
 				st.out.publish(k)

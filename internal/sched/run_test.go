@@ -1,10 +1,8 @@
 package sched_test
 
 import (
-	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/coarse"
 	"repro/internal/core"
@@ -116,72 +114,5 @@ func TestSinkIsAWorker(t *testing.T) {
 	out.Flush()
 	if got, reg := s.Stats().Pushes, pending.Load(); got != 5 || reg != 5 || out.Len() != 0 {
 		t.Fatalf("after Flush: %d pushed, Pending %d, Len %d, want 5, 5 and 0", got, reg, out.Len())
-	}
-}
-
-// popSizes records the capacity of every PopN each worker issues.
-type popSizes struct {
-	sched.Scheduler[uint32]
-	sizes [][]int // by worker
-}
-
-func (r *popSizes) Worker(i int) sched.Worker[uint32] {
-	return &popSizesWorker{Worker: r.Scheduler.Worker(i), sizes: &r.sizes[i]}
-}
-
-type popSizesWorker struct {
-	sched.Worker[uint32]
-	sizes *[]int
-}
-
-func (w *popSizesWorker) PopN(dst []sched.Task[uint32]) int {
-	*w.sizes = append(*w.sizes, len(dst))
-	return w.Worker.PopN(dst)
-}
-
-// TestRunFitsBatchToBodyCost pins the batch sizing: with company a
-// worker starts at one task per pop, reaches the full batch when bodies
-// are cheap, and stays at one when a single body already exceeds the
-// batch budget — so coarse tasks are never held back in a popped batch.
-// A lone worker pops full batches throughout.
-func TestRunFitsBatchToBodyCost(t *testing.T) {
-	const batch, tasks = 8, 800
-	run := func(workers int, body func()) [][]int {
-		var pending sched.Pending
-		r := &popSizes{
-			Scheduler: coarse.New[uint32](coarse.Config{Workers: workers}),
-			sizes:     make([][]int, workers),
-		}
-		seeds := sched.NewSink(r.Scheduler.Worker(0), &pending)
-		for i := uint32(0); i < tasks; i++ {
-			seeds.Push(uint64(i), i)
-		}
-		seeds.Flush()
-		sched.Run(r, &pending, workers, batch, func(int, *sched.Sink[uint32], uint64, uint32) bool {
-			body()
-			return false
-		})
-		return r.sizes
-	}
-	slow := func() {
-		for start := time.Now(); time.Since(start) < 50*time.Microsecond; {
-		}
-	}
-
-	cheap := run(2, func() {})
-	if cheap[0][0] != 1 || cheap[1][0] != 1 || max(slices.Max(cheap[0]), slices.Max(cheap[1])) != batch {
-		t.Errorf("cheap bodies: pops of size %v, want each worker to start at 1 and some pop to reach %d", cheap, batch)
-	}
-	for wid, sizes := range run(2, slow) {
-		for i, n := range sizes {
-			if n != 1 {
-				t.Fatalf("50 µs bodies: worker %d's pop %d of size %d, want every pop of size 1", wid, i, n)
-			}
-		}
-	}
-	for i, n := range run(1, slow)[0] {
-		if n != batch {
-			t.Fatalf("lone worker: pop %d of size %d, want every pop of size %d", i, n, batch)
-		}
 	}
 }

@@ -54,6 +54,12 @@ type Task[T any] = pq.Item[T]
 // of a batched operation grows with the batch size; callers trade
 // rank for throughput exactly as with the schedulers' internal
 // buffers.
+//
+// Pop() returns what PopN with a one-slot destination would, counters
+// included: there is one delete path per scheduler, and Pop is its
+// k = 1 case (TestPopIsPopNOfOne). An implementation keeps a separate
+// scalar fast path only with the measurement that pays for it in its
+// comment.
 type Worker[T any] interface {
 	// Push inserts a task.
 	Push(p uint64, v T)

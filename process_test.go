@@ -181,10 +181,11 @@ func TestProcessSSSPMatchesDijkstra(t *testing.T) {
 // TestProcessSpreadsCoarseTasks seeds every job at worker 0 of a
 // two-worker SMQ and gives each a body that blocks for about a
 // millisecond (sleeping, so the outcome does not depend on how many
-// cores the machine has to spare). Jobs that coarse must be popped one
-// at a time: the owner then refills its one-task steal buffer between
-// any two of them and the thief takes every other job. At a fixed pop
-// batch of 8 the thief would get one job per eight of the owner's.
+// cores the machine has to spare). Jobs that coarse must not wait
+// behind the owner's popped batch: the owner republishes as many tasks
+// as each pop took, so the thief takes a batch for every batch of the
+// owner's. An owner that offered StealSize = 1 task per pop of 8 would
+// leave the thief one job in nine.
 func TestProcessSpreadsCoarseTasks(t *testing.T) {
 	const workers, jobs = 2, 300
 	s := smq.NewStealingMQ[int](smq.SMQConfig{Workers: workers, StealSize: 1})

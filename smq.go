@@ -64,9 +64,9 @@
 // PopN(dst) — with scheduler-specific fast paths: the Multi-Queues
 // place or extract a whole batch under a single sampled lock, the SMQ
 // drains its steal buffer and local heap in one pass, the engineered
-// MultiQueue routes batches through its insertion/deletion buffers
-// (filling the caller's slice directly), and the k-LSM turns a batch
-// into one sorted LSM block, skipping the per-element merge cascade.
+// MultiQueue routes batches through its insertion/deletion buffers,
+// and the k-LSM turns a batch into one sorted LSM block, skipping the
+// per-element merge cascade.
 // Batches amortize the fixed per-operation costs — queue sampling,
 // lock round trips, atomic counter traffic — that dominate once a
 // workload relaxes many neighbours per popped task. The trade is the
@@ -89,11 +89,9 @@
 // workers re-poll. m is counted off the buffer; the *Pending that
 // Process hands its callback, kept for the Inc-before-Push protocol, is
 // a worker-private counter nothing reads (Inc only). A popped batch is
-// private to its worker until its last body returns, a good trade only
-// while bodies are short: workers start at one task per pop and size
-// later pops to about 10 µs of bodies, so sub-microsecond bodies run at
-// the full 8 and a 20 µs body is popped alone — stealable, the SMQ's
-// steal buffer refilled on every pop, as under a scalar loop.
+// private to its worker until its last body returns; the tasks behind it
+// are not — the SMQ refills its steal buffer on every pop, with as many
+// tasks as the pop took — so coarse bodies still spread across workers.
 //
 // # Serving
 //
@@ -470,11 +468,10 @@ const processBatch = 8
 // through worker 0 (pending is incremented for them automatically).
 //
 // Process runs on the batched worker loop of the built-in workloads:
-// a worker pops up to 8 tasks at a time (sized to about 10 µs of fn, so
-// coarse tasks are popped one by one and stay stealable), and the
-// handle it gives fn buffers — follow-on tasks become visible to the
-// scheduler, in one PushN, at the end of the worker's current batch (or
-// as soon as fn calls the handle's Pop or PopN). The run's shared
+// a worker pops up to 8 tasks at a time, and the handle it gives fn
+// buffers — follow-on tasks become visible to the scheduler, in one
+// PushN, at the end of the worker's current batch (or as soon as fn
+// calls the handle's Pop or PopN). The run's shared
 // counter is updated once per batch, before that PushN, with the number
 // of tasks fn pushed: the run cannot end while buffered tasks exist. The
 // pending passed to fn is a worker-private counter nothing reads: only

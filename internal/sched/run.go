@@ -87,26 +87,50 @@ type runWorker[T any] struct {
 	tasks, stale uint64
 }
 
-// Run is the run-to-completion worker loop, the only one outside
-// internal/serve: one goroutine per worker pops up to batch tasks per
-// PopN, calls body for each, and publishes everything the batch emitted
-// through the worker's Sink — one Pending add (+emitted −popped), then
-// one PushN. batch is a rank trade, not just a throughput knob: a popped
-// batch commits the worker to its tasks before it looks at the queues
-// again, and for the Multi-Queue family the whole batch comes from ONE
-// two-choice winner (road-graph SSSP through the classic MQ runs ~30%
-// more tasks at 64 than at 8). A popped batch is private to its worker
-// until its last body returns, but the tasks behind it are not: an SMQ
-// owner republishes its steal buffer on every operation, sized to the
-// batch it just took, so coarse bodies still spread across workers
-// (TestProcessSpreadsCoarseTasks).
-//
-// The caller registers every seed task with pending before calling, so
-// Run closes the stream on entry and workers exit on Quiesced(). It
-// returns the tasks processed, how many of them body reported stale, and
-// the wall-clock time of the parallel phase.
+// Feed is worker 0's ingest step in Stream: without blocking, it moves
+// what arrived from outside the worker set into out (Push, then Flush so
+// that Pending covers it) and reports whether that was progress — the
+// worker's idle episode ends — and whether the stream is still open.
+type Feed[T any] func(out *Sink[T]) (progress, open bool)
+
+// Run is the run-to-completion case of Stream: every task descends from
+// seeds the caller registered with pending before calling, so the stream
+// is closed on entry, nothing is fed and nobody parks.
 func Run[T any](s Scheduler[T], pending *Pending, workers, batch int, body Body[T]) (tasks, stale uint64, elapsed time.Duration) {
 	pending.Close()
+	return Stream(s, pending, workers, batch, body, nil, nil)
+}
+
+// Stream is the worker loop, the only one in the repository: one
+// goroutine per worker pops up to batch tasks per PopN, calls body for
+// each, and publishes everything the batch emitted through the worker's
+// Sink — one Pending add (+emitted −popped), then one PushN. batch is a
+// rank trade, not just a throughput knob: a popped batch commits the
+// worker to its tasks before it looks at the queues again, and for the
+// Multi-Queue family the whole batch comes from ONE two-choice winner
+// (road-graph SSSP through the classic MQ runs ~30% more tasks at 64 than
+// at 8). A popped batch is private to its worker until its last body
+// returns, but the tasks behind it are not: an SMQ owner republishes its
+// steal buffer on every operation, sized to the batch it just took, so
+// coarse bodies still spread across workers
+// (TestProcessSpreadsCoarseTasks).
+//
+// Worker 0 polls feed before every PopN (internal/serve says why the
+// ingesting side must be a worker that also pops). When feed reports the
+// stream ended it is not called again, and the loop closes pending —
+// after the final external Inc, as Close requires. Workers exit on
+// Quiesced(), so a queue that drains to empty while the stream is open
+// ends nothing. A nil feed is a stream the caller already closed.
+//
+// park, when non-nil, is offered to any worker but worker 0 — the one
+// that feeds — whose idle episode has reached the sleep tier: it blocks
+// for as long as the caller's policy keeps the slot parked and returns
+// true, or refuses with false and the worker sleeps. Whoever wakes parked
+// workers must wake them all once the stream ends.
+//
+// Stream returns the tasks processed, how many of them body reported
+// stale, and the wall-clock time of the parallel phase.
+func Stream[T any](s Scheduler[T], pending *Pending, workers, batch int, body Body[T], feed Feed[T], park func(wid int) bool) (tasks, stale uint64, elapsed time.Duration) {
 	state := make([]contend.Padded[runWorker[T]], workers)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -117,14 +141,28 @@ func Run[T any](s Scheduler[T], pending *Pending, workers, batch int, body Body[
 			w, st := s.Worker(wid), &state[wid].Value
 			st.out.w, st.out.pending = w, pending
 			popBuf := make([]Task[T], batch)
+			feeding := wid == 0 && feed != nil
 			var b Backoff
 			for {
+				progress := false
+				if feeding {
+					if progress, feeding = feed(&st.out); !feeding {
+						st.out.Flush()
+						pending.Close()
+					}
+				}
 				k := w.PopN(popBuf)
 				if k == 0 {
-					if pending.Quiesced() {
+					switch {
+					case progress:
+						b.Reset()
+					case pending.Quiesced():
 						return
+					case wid != 0 && park != nil && b.Sleeping() && park(wid):
+						b.Reset()
+					default:
+						b.Wait()
 					}
-					b.Wait()
 					continue
 				}
 				b.Reset()

@@ -116,3 +116,89 @@ func TestSinkIsAWorker(t *testing.T) {
 		t.Fatalf("after Flush: %d pushed, Pending %d, Len %d, want 5, 5 and 0", got, reg, out.Len())
 	}
 }
+
+// TestStreamFeedsAndParks drives the streaming form directly. The feed
+// emits a batch, then nothing until some worker has parked — so between
+// batches the queue is empty and Pending zero with the stream still
+// open, the state a run-to-completion loop would exit in — then wakes
+// the parked workers and emits the next; bodies emit follow-ons. Every
+// fed task and every follow-on must run exactly once, park must never be
+// offered to worker 0, and the loop must outlive the empty gaps and
+// return only once feed has reported the stream ended.
+func TestStreamFeedsAndParks(t *testing.T) {
+	const workers, batches, perBatch, chain = 3, 4, 16, 3
+	const fed = batches * perBatch
+	var (
+		pending sched.Pending
+		offers  [workers]atomic.Int32
+		parked  atomic.Int32
+		ended   atomic.Bool
+		seen    [fed * (chain + 1)]atomic.Int32
+		wake    = make(chan struct{})
+		emitted int // owned by worker 0
+	)
+	park := func(wid int) bool {
+		offers[wid].Add(1)
+		if ended.Load() {
+			return false
+		}
+		parked.Add(1)
+		<-wake // one token per parked worker, or the close at the end
+		return true
+	}
+	feed := func(out *sched.Sink[uint32]) (progress, open bool) {
+		if ended.Load() {
+			t.Error("feed called after it reported the stream ended")
+		}
+		if emitted == batches {
+			ended.Store(true)
+			close(wake)
+			return false, false
+		}
+		if emitted > 0 && parked.Load() == 0 {
+			return false, true
+		}
+		if pending.Closed() {
+			t.Error("Pending closed while the stream is open")
+		}
+		for n := parked.Swap(0); n > 0; n-- {
+			wake <- struct{}{}
+		}
+		for i := 0; i < perBatch; i++ {
+			out.Push(0, uint32((emitted*perBatch+i)*(chain+1)))
+		}
+		out.Flush()
+		emitted++
+		return true, true
+	}
+	s := core.NewStealingMQ[uint32](core.Config{Workers: workers})
+	tasks, _, _ := sched.Stream(s, &pending, workers, 8,
+		func(_ int, out *sched.Sink[uint32], p uint64, id uint32) bool {
+			seen[id].Add(1)
+			if (id+1)%(chain+1) != 0 {
+				out.Push(p+1, id+1)
+			}
+			return false
+		}, feed, park)
+	if !ended.Load() {
+		t.Fatal("Stream returned before feed reported the stream ended")
+	}
+	if want := uint64(len(seen)); tasks != want {
+		t.Errorf("%d tasks, want %d fed + %d follow-ons", tasks, fed, fed*chain)
+	}
+	for id := range seen {
+		if n := seen[id].Load(); n != 1 {
+			t.Errorf("task %d ran %d times", id, n)
+			break
+		}
+	}
+	if n := offers[0].Load(); n != 0 {
+		t.Errorf("park offered to worker 0 %d times", n)
+	}
+	if offers[1].Load()+offers[2].Load() == 0 {
+		t.Error("park never offered to an idle worker")
+	}
+	if !pending.Quiesced() {
+		t.Errorf("Pending = %d, closed %v after the run", pending.Load(), pending.Closed())
+	}
+}

@@ -198,17 +198,18 @@ func SumCounters(cs []Counters) Stats {
 // Whether that is also the end of the run depends on who can still
 // create tasks. Pending therefore distinguishes two conditions:
 //
-//   - Done() — momentarily idle. Correct as a termination signal only
-//     for run-to-completion workloads, where every task descends from
-//     seeds registered before workers start: once the count hits zero
-//     no source of new work remains. The graph drivers in
-//     internal/algos are this shape.
-//   - Quiesced() — drained AND closed. An open-loop service ingests
-//     tasks from outside the worker set, so the count legitimately
-//     hits zero between arrival bursts; a worker that exits on Done()
-//     there abandons the stream early. The ingestion side must call
-//     Close() after registering (Inc'ing) its final task, and workers
-//     exit only on Quiesced(). internal/serve is this shape.
+//   - Done() — momentarily idle. A termination signal only where every
+//     task descends from seeds registered before workers start, so that
+//     once the count hits zero no source of new work remains; the
+//     schedulers' own drain tests use it that way.
+//   - Quiesced() — drained AND closed. This is what the worker loop
+//     exits on, in both of its forms. Run is the closed stream: all work
+//     descends from the seeds, and it closes on entry. Stream with a
+//     feed is the open one (internal/serve): tasks arrive from outside
+//     the worker set, so the count legitimately hits zero between
+//     arrival bursts, and a worker that exited on Done() there would
+//     abandon the stream early. The loop calls Close() once the feed
+//     reports the stream ended — after the Inc of its final task.
 //
 // Close() is a promise about future Incs from OUTSIDE the worker set:
 // after Close, only workers may register new tasks, and only as
@@ -219,7 +220,7 @@ func SumCounters(cs []Counters) Stats {
 //
 // # Delta batching
 //
-// The worker loop (Run) folds a whole batch's accounting into one atomic
+// The worker loop (Stream) folds a whole batch's accounting into one atomic
 // add: after popping k tasks, processing all of them, and collecting m
 // follow-on tasks in the worker's Sink, a single Inc(m−k) immediately
 // before the PushN that publishes the m tasks is equivalent to m
@@ -323,9 +324,9 @@ func (b *Backoff) Wait() {
 }
 
 // Sleeping reports whether the idle episode has outlasted the spin
-// budget, so that every further Wait sleeps — the signal elastic worker
-// pools use to consider parking a slot entirely instead of paying the
-// wake-up latency tax per task burst.
+// budget, so that every further Wait sleeps — the point at which Stream
+// offers the slot to its park hook instead, so that an elastic pool does
+// not pay the wake-up latency tax per task burst.
 func (b *Backoff) Sleeping() bool { return b.sleeps > 0 }
 
 // Reset ends the idle episode, after a successful Pop.

@@ -4,33 +4,34 @@
 // pending-task watermark, and executes tasks on an elastic worker pool
 // that parks idle worker slots instead of spinning.
 //
-// The package exists because the repository's other drivers
-// (internal/algos, internal/perfbench) are run-to-completion: all work
-// descends from seeds registered before workers start, so a worker may
-// exit the moment the in-flight counter touches zero. A service is the
-// opposite shape — the queue legitimately drains to empty between
-// arrival bursts — which forces three structural changes:
+// The repository's other drivers (internal/algos, internal/desim) are
+// run-to-completion: all work descends from seeds registered before
+// workers start. A service is the opposite shape — the queue
+// legitimately drains to empty between arrival bursts. Both run on the
+// one worker loop, sched.Stream; a service gives it a feed and a park
+// hook, for three reasons:
 //
-//   - Termination switches from emptiness (sched.Pending.Done) to
-//     quiescence (Close + Quiesced): workers exit only once the ingest
-//     stream is closed AND the count is zero. See the Pending docs.
+//   - Termination is quiescence, not emptiness: workers exit only once
+//     the ingest stream has ended AND the in-flight count is zero. The
+//     loop closes sched.Pending when the feed says so. See its docs.
 //   - Ingestion must flow through a worker handle. Scheduler handles
 //     are single-goroutine, and several schedulers bury pushed tasks in
 //     handle-local structures (the k-LSM's local LSM, the SMQ's local
 //     heap, the engineered MultiQueue's insertion buffer) that only the
 //     owning worker can drain. A push-only ingester goroutine would
-//     therefore strand its own tail of tasks. Worker 0 is instead a
-//     hybrid: it alternates channel drains with PopN/process rounds, so
-//     whatever its pushes leave in worker-0-local state it processes
-//     itself, and it never blocks on the channel.
-//   - Idle workers must cost ~0 CPU. The pool parks surplus workers on
-//     per-worker wake channels once their backoff reaches the sleep
-//     tier, and the ingester unparks them as pending work grows.
+//     therefore strand its own tail of tasks. Service.feed instead runs
+//     on worker 0 between PopN rounds and never blocks on the channel,
+//     so whatever its pushes leave in worker-0-local state worker 0
+//     processes itself.
+//   - Idle workers must cost ~0 CPU. Once a worker's backoff reaches the
+//     sleep tier the loop offers it pool.park, which parks surplus
+//     workers on per-worker wake channels; the feed unparks them as
+//     pending work grows, and all of them when the stream ends.
 //
-// A worker only offers to park after its own PopN returned zero, which
-// for every scheduler in the zoo implies its handle-local structures
-// are empty — so a parked worker can never hold buried tasks, and the
-// zero-lost-tasks ledger (ingested = completed + shed) holds at
+// A worker is only offered to park after its own PopN returned zero,
+// which for every scheduler in the zoo implies its handle-local
+// structures are empty — so a parked worker can never hold buried tasks,
+// and the zero-lost-tasks ledger (ingested = completed + shed) holds at
 // shutdown.
 package serve
 
@@ -40,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/contend"
 	"repro/internal/perfbench"
 	"repro/internal/sched"
 )
@@ -126,15 +128,21 @@ func (c *Config) normalize() error {
 	if c.TasksPerWorker == 0 {
 		c.TasksPerWorker = 256
 	}
+	if c.TasksPerWorker < 0 {
+		return fmt.Errorf("serve: TasksPerWorker = %d", c.TasksPerWorker)
+	}
 	if c.InBuffer == 0 {
 		c.InBuffer = 4096
+	}
+	if c.InBuffer < 0 {
+		return fmt.Errorf("serve: InBuffer = %d", c.InBuffer)
 	}
 	return nil
 }
 
 // serveBatch is the PopN batch size of the serving workers, and
-// ingestBatch the channel-drain batch the ingester folds into one
-// PushN. Both amortize per-operation scheduler costs; the ingest batch
+// ingestBatch the channel-drain batch the feed folds into one PushN.
+// Both amortize per-operation scheduler costs; the ingest batch
 // additionally folds the Pending accounting into one atomic add.
 const (
 	serveBatch  = 8
@@ -179,29 +187,40 @@ type workerLocal struct {
 	hist      []perfbench.Histogram
 }
 
-// ingestStats is owned by the ingest worker; read after quiescence.
-type ingestStats struct {
+// ingest is the feed's state, owned by worker 0; the counters are read
+// after quiescence.
+type ingest struct {
 	ingested     uint64
 	shed         uint64
 	shedByTenant []uint64
 	stalls       uint64
 	stallNs      int64
+	batch        []Request // the drain in hand; held across feeds while stalled
+	eof          bool      // the channel has closed (a batch may still be held)
+	shedding     bool
+	stalled      bool // a PolicyStall episode is open, since stallStart
+	stallStart   time.Time
 }
 
 // Service is an open-loop priority-task service over one scheduler.
 // Create with New, feed via In, close In when the stream ends, then
 // Wait for quiescence and the run's Stats.
 type Service struct {
-	cfg     Config
-	s       sched.Scheduler[Request]
-	in      chan Request
-	epoch   time.Time
+	cfg   Config
+	s     sched.Scheduler[Request]
+	in    chan Request
+	epoch time.Time
+	// pending takes an atomic add per popped batch from every worker, so
+	// it gets a cache line of its own: sharing one with cfg and in, which
+	// the feed reads every round, or with anything a task body reads
+	// (hence body's captures) cost serve-drain 4-13 % of its rate.
+	_       [contend.CacheLineSize]byte
 	pending sched.Pending
+	_       [contend.CacheLineSize]byte
 	pool    pool
 	locals  []workerLocal
-	ing     ingestStats
-	wg      sync.WaitGroup
-	started bool
+	ing     ingest
+	done    chan struct{}
 }
 
 // New builds a Service over s. The scheduler must have been created
@@ -235,31 +254,25 @@ func (sv *Service) In() chan<- Request { return sv.in }
 // Valid after Start.
 func (sv *Service) Epoch() time.Time { return sv.epoch }
 
-// Start launches the ingest worker and the pool workers.
+// Start launches the workers: one sched.Stream, fed on worker 0, the
+// pool's policy behind the park hook of the others.
 func (sv *Service) Start() {
-	if sv.started {
+	if sv.done != nil {
 		panic("serve: Start called twice")
 	}
-	sv.started = true
+	sv.done = make(chan struct{})
 	sv.epoch = time.Now()
 	sv.pool.init(sv.cfg.MinWorkers, sv.cfg.Workers-1, sv.epoch)
-	sv.wg.Add(sv.cfg.Workers)
 	go func() {
-		defer sv.wg.Done()
-		sv.runIngest()
+		defer close(sv.done)
+		sched.Stream(sv.s, &sv.pending, sv.cfg.Workers, serveBatch, sv.body(), sv.feed, sv.pool.park)
 	}()
-	for wid := 1; wid < sv.cfg.Workers; wid++ {
-		go func(wid int) {
-			defer sv.wg.Done()
-			sv.runPoolWorker(wid)
-		}(wid)
-	}
 }
 
 // Wait blocks until the ingest channel has been closed and every task
 // has been executed, then returns the run's accounting.
 func (sv *Service) Wait() *Stats {
-	sv.wg.Wait()
+	<-sv.done
 	end := time.Now()
 	st := &Stats{
 		Ingested:  sv.ing.ingested,
@@ -291,9 +304,9 @@ var spinSink atomic.Uint64
 // spinWork burns the request's synthetic service cost: one atomic load
 // per unit, roughly a nanosecond each. It is kept out of line so that
 // the loop sits at a fixed offset from a 32-byte-aligned entry: inlined
-// into process it straddled a cache line in every second build (any
-// change to the size of code linked earlier flips it) and cost the whole
-// service 4-10 % of its drain rate.
+// into the task body it straddled a cache line in every second build
+// (any change to the size of code linked earlier flips it) and cost the
+// whole service 4-10 % of its drain rate.
 //
 //go:noinline
 func spinWork(units uint32) {
@@ -302,138 +315,105 @@ func spinWork(units uint32) {
 	}
 }
 
-// process executes one popped request and records its sojourn time.
-func (sv *Service) process(local *workerLocal, t sched.Task[Request]) {
-	spinWork(t.V.Cost)
-	soj := time.Since(sv.epoch).Nanoseconds() - t.V.Enq
-	if soj < 0 {
-		// The generator may run a hair ahead of schedule; clamp.
-		soj = 0
+// body is the task body: execute one popped request and record its
+// sojourn time. It captures locals and epoch so that nothing read per
+// task lives in Service, next to words worker 0 writes per request.
+func (sv *Service) body() sched.Body[Request] {
+	locals, epoch := sv.locals, sv.epoch
+	return func(wid int, _ *sched.Sink[Request], _ uint64, r Request) bool {
+		spinWork(r.Cost)
+		soj := time.Since(epoch).Nanoseconds() - r.Enq
+		if soj < 0 {
+			// The generator may run a hair ahead of schedule; clamp.
+			soj = 0
+		}
+		local := &locals[wid]
+		local.hist[r.Tenant].Record(uint64(soj))
+		local.completed[r.Tenant]++
+		return false
 	}
-	local.hist[t.V.Tenant].Record(uint64(soj))
-	local.completed[t.V.Tenant]++
 }
 
-// runIngest is worker 0: the hybrid ingest-and-process loop. Each
-// round drains up to ingestBatch requests without blocking, applies
-// admission control, publishes the admitted batch through its worker
-// handle (Inc before PushN, so Pending can never dip to zero while the
-// batch is buried in worker-local structures), rescales the pool, and
-// then runs one PopN/process round so tasks its own pushes left in
-// worker-0-local state cannot strand. When the channel closes it turns
-// into a plain worker until quiescence.
-func (sv *Service) runIngest() {
-	w := sv.s.Worker(0)
-	local := &sv.locals[0]
-	popBuf := make([]sched.Task[Request], serveBatch)
-	ps := make([]uint64, 0, ingestBatch)
-	vs := make([]Request, 0, ingestBatch)
-	var b sched.Backoff
-	open := true
-	shedding := false
-	for {
-		progress := false
-		if open {
-			ps, vs = ps[:0], vs[:0]
-		recv:
-			for len(vs) < ingestBatch {
-				select {
-				case r, ok := <-sv.in:
-					if !ok {
-						open = false
-						break recv
-					}
-					sv.ing.ingested++
-					vs = append(vs, r)
-				default:
-					break recv
-				}
-			}
-			if len(vs) > 0 {
-				progress = true
-				vs = sv.admit(w, local, vs, &shedding)
-				if len(vs) > 0 {
-					for _, r := range vs {
-						ps = append(ps, uint64(r.Enq))
-					}
-					sv.pending.Inc(int64(len(vs)))
-					w.PushN(ps, vs)
-				}
-				sv.pool.scaleTo(sv.desiredWorkers(), time.Now())
-			}
-			if !open {
-				// Final external Inc has been issued; from here only
-				// workers create tasks (none do), so Quiesced() is
-				// armed. Wake every parked worker so it can observe
-				// quiescence and exit; parking is refused after close.
-				sv.pending.Close()
-				sv.pool.close(time.Now())
-			}
+// feed is worker 0's ingest step (a sched.Feed). Each round drains up to
+// ingestBatch requests without blocking, applies admission control,
+// publishes the admitted batch through the worker's sink (Inc before
+// PushN, so Pending can never dip to zero while the batch is buried in
+// worker-local structures) and rescales the pool. While a PolicyStall
+// episode holds a batch the feed reports no progress and leaves the
+// channel alone — backpressuring it, and through it the generator — and
+// worker 0 helps drain through the loop. The stream ends when the channel
+// has closed and nothing is held; every parked worker is then woken so it
+// can observe quiescence and exit (parking is refused from there on).
+func (sv *Service) feed(out *sched.Sink[Request]) (progress, open bool) {
+	ing := &sv.ing
+	if ing.stalled {
+		if sv.pending.Load() > sv.cfg.LowWater {
+			return false, true
 		}
-		if k := w.PopN(popBuf); k > 0 {
-			progress = true
-			for i := 0; i < k; i++ {
-				sv.process(local, popBuf[i])
+		ing.stalled = false
+		ing.stallNs += time.Since(ing.stallStart).Nanoseconds()
+	} else if ing.recv(sv.in); len(ing.batch) > 0 && !sv.admit() {
+		return true, true
+	}
+	if len(ing.batch) > 0 {
+		for _, r := range ing.batch {
+			out.Push(uint64(r.Enq), r)
+		}
+		out.Flush()
+		ing.batch = ing.batch[:0]
+		sv.pool.scaleTo(sv.desiredWorkers(), time.Now())
+		progress = true
+	}
+	if ing.eof {
+		sv.pool.close(time.Now())
+	}
+	return progress, !ing.eof
+}
+
+// recv drains up to ingestBatch requests from in without blocking.
+func (ing *ingest) recv(in <-chan Request) {
+	for len(ing.batch) < ingestBatch {
+		select {
+		case r, ok := <-in:
+			if !ok {
+				ing.eof = true
+				return
 			}
-			sv.pending.Inc(int64(-k))
-		}
-		if progress {
-			b.Reset()
-			continue
-		}
-		if !open && sv.pending.Quiesced() {
+			ing.ingested++
+			ing.batch = append(ing.batch, r)
+		default:
 			return
 		}
-		// PopN may spuriously fail while tasks sit in shared
-		// structures, but no task can strand: parking refuses to go
-		// below MinWorkers >= 1, so some pool worker is always
-		// polling (at worst at the backoff sleep cap's cadence).
-		b.Wait()
 	}
 }
 
 // admit applies the admission policy to a freshly drained batch and
-// returns the admitted suffix. PolicyShed drops requests while the
-// hysteresis flag is set; PolicyStall blocks ingestion — processing
-// all the while — until pending falls to the low watermark, then
-// admits the whole batch.
-func (sv *Service) admit(w sched.Worker[Request], local *workerLocal, vs []Request, shedding *bool) []Request {
+// reports whether it may be published now. PolicyShed drops the batch
+// while the hysteresis flag is set; PolicyStall opens an episode that
+// holds it until pending has fallen to the low watermark (see feed).
+func (sv *Service) admit() bool {
+	ing := &sv.ing
 	pend := sv.pending.Load()
-	if *shedding && pend <= sv.cfg.LowWater {
-		*shedding = false
+	if ing.shedding && pend <= sv.cfg.LowWater {
+		ing.shedding = false
 	}
-	if !*shedding && pend <= sv.cfg.HighWater {
-		return vs
+	if !ing.shedding && pend <= sv.cfg.HighWater {
+		return true
 	}
 	if sv.cfg.Policy == PolicyShed {
-		*shedding = true
-		for _, r := range vs {
-			sv.ing.shed++
-			sv.ing.shedByTenant[r.Tenant]++
+		ing.shedding = true
+		for _, r := range ing.batch {
+			ing.shed++
+			ing.shedByTenant[r.Tenant]++
 		}
-		return vs[:0]
+		ing.batch = ing.batch[:0]
+		return false
 	}
-	// PolicyStall: all hands on deck, then help drain. The held batch
-	// backpressures the channel, and the channel the generator.
-	sv.ing.stalls++
-	start := time.Now()
-	sv.pool.scaleTo(sv.cfg.Workers-1, start)
-	popBuf := make([]sched.Task[Request], serveBatch)
-	var b sched.Backoff
-	for sv.pending.Load() > sv.cfg.LowWater {
-		k := w.PopN(popBuf)
-		if k == 0 {
-			b.Wait()
-			continue
-		}
-		b.Reset()
-		for i := 0; i < k; i++ {
-			sv.process(local, popBuf[i])
-		}
-		sv.pending.Inc(int64(-k))
-	}
-	sv.ing.stallNs += time.Since(start).Nanoseconds()
-	return vs
+	// PolicyStall: all hands on deck.
+	ing.stalls++
+	ing.stalled, ing.stallStart = true, time.Now()
+	sv.pool.scaleTo(sv.cfg.Workers-1, ing.stallStart)
+	return false
 }
 
 // desiredWorkers is the pool scale target: one active pool worker per
@@ -447,38 +427,6 @@ func (sv *Service) desiredWorkers() int {
 		d = max
 	}
 	return d
-}
-
-// runPoolWorker is workers 1..n-1: pop, process, and — once backoff
-// says this slot has been idle long enough to be in the sleep tier —
-// offer to park. Parking is only offered after the worker's OWN PopN
-// returned zero, which implies its handle-local structures are empty:
-// a parked worker can never hold buried tasks.
-func (sv *Service) runPoolWorker(wid int) {
-	w := sv.s.Worker(wid)
-	local := &sv.locals[wid]
-	wake := sv.pool.channel(wid)
-	popBuf := make([]sched.Task[Request], serveBatch)
-	var b sched.Backoff
-	for {
-		if k := w.PopN(popBuf); k > 0 {
-			b.Reset()
-			for i := 0; i < k; i++ {
-				sv.process(local, popBuf[i])
-			}
-			sv.pending.Inc(int64(-k))
-			continue
-		}
-		if sv.pending.Quiesced() {
-			return
-		}
-		if b.Sleeping() && sv.pool.tryPark(wid, time.Now()) {
-			<-wake
-			b.Reset()
-			continue
-		}
-		b.Wait()
-	}
 }
 
 // pool is the elastic worker pool's shared state: which pool workers
@@ -509,8 +457,6 @@ func (p *pool) init(min, size int, now time.Time) {
 	p.lastT = now
 }
 
-func (p *pool) channel(wid int) chan struct{} { return p.wake[wid-1] }
-
 // note folds the elapsed interval into the active-worker integral.
 // Callers hold mu.
 func (p *pool) note(now time.Time) {
@@ -520,19 +466,24 @@ func (p *pool) note(now time.Time) {
 	}
 }
 
-// tryPark offers to park worker wid. Refused when the pool is at its
-// floor or the stream has closed (a post-close parker could sleep
-// through shutdown).
-func (p *pool) tryPark(wid int, now time.Time) bool {
+// park is the loop's park hook: it parks worker wid until scaleTo or
+// close wakes it. Refused at the pool's floor — MinWorkers >= 1, so some
+// worker besides worker 0 is always polling and a task in a shared
+// structure cannot strand — and once the stream has ended (a post-close
+// parker could sleep through shutdown).
+func (p *pool) park(wid int) bool {
+	now := time.Now()
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed || p.active <= p.min {
+		p.mu.Unlock()
 		return false
 	}
 	p.note(now)
 	p.active--
 	p.parks++
 	p.parked = append(p.parked, wid)
+	p.mu.Unlock()
+	<-p.wake[wid-1]
 	return true
 }
 

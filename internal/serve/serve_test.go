@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // runService builds the named scheduler, runs one open-loop load
@@ -132,6 +134,75 @@ func TestServeStallPolicy(t *testing.T) {
 	if st.Stalls == 0 || st.StallDur == 0 {
 		t.Fatalf("overloaded run recorded no backpressure (stalls=%d dur=%v)",
 			st.Stalls, st.StallDur)
+	}
+}
+
+// TestServeCloseDuringStall closes the channel while a batch is held
+// above the high watermark: every request is in the channel, and the
+// channel closed, before the service starts, so the final drain finds the
+// close together with a short batch that the stall has to hold. The
+// stream must not end until that batch has been admitted.
+func TestServeCloseDuringStall(t *testing.T) {
+	const n = 30*ingestBatch + 17
+	for _, name := range []string{"smq", "mq", "klsm"} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Build(name, 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := New(s, Config{Workers: 2, HighWater: 8, LowWater: 2, Policy: PolicyStall})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				svc.In() <- Request{Cost: 2000, Enq: int64(i)}
+			}
+			close(svc.In())
+			svc.Start()
+			st := svc.Wait()
+			checkLedger(t, name, st, n)
+			if st.Stalls == 0 || st.Shed != 0 || st.Completed != n {
+				t.Fatalf("%s: stalls %d, shed %d, completed %d of %d", name, st.Stalls, st.Shed, st.Completed, n)
+			}
+		})
+	}
+}
+
+// TestNewRejectsInvalidConfig: an invalid Config is an error from New,
+// never a panic and never a service that silently misbehaves.
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	s, err := Build("smq", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Build("smq", 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		s    sched.Scheduler[Request]
+		cfg  Config
+		want string
+	}{
+		{"defaults", s, Config{Workers: 4}, ""},
+		{"one worker", s, Config{Workers: 1}, "Workers = 1"},
+		{"MinWorkers negative", s, Config{Workers: 4, MinWorkers: -1}, "MinWorkers = -1"},
+		{"MinWorkers takes the ingest slot", s, Config{Workers: 4, MinWorkers: 4}, "MinWorkers = 4"},
+		{"LowWater above HighWater", s, Config{Workers: 4, HighWater: 8, LowWater: 9}, "LowWater 9"},
+		{"LowWater negative", s, Config{Workers: 4, LowWater: -1}, "LowWater -1"},
+		{"Tenants negative", s, Config{Workers: 4, Tenants: -2}, "Tenants = -2"},
+		{"TasksPerWorker negative", s, Config{Workers: 4, TasksPerWorker: -1}, "TasksPerWorker = -1"},
+		{"InBuffer negative", s, Config{Workers: 4, InBuffer: -1}, "InBuffer = -1"},
+		{"scheduler of another size", s3, Config{Workers: 4}, "scheduler has 3 worker slots"},
+	} {
+		svc, err := New(tc.s, tc.cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || svc != nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: New = (%v, %v), want an error containing %q", tc.name, svc, err, tc.want)
+		}
 	}
 }
 

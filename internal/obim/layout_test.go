@@ -1,0 +1,29 @@
+package obim
+
+import (
+	"testing"
+	"unsafe"
+
+	"repro/internal/contend"
+)
+
+// TestChunkQueuePadding pins the hand-computed pad in chunkQueue: a
+// bag's per-node queues live in one contiguous slice and each one's
+// mutex is taken by every worker of its node, so the element must be
+// exactly one cache line.
+func TestChunkQueuePadding(t *testing.T) {
+	if sz := unsafe.Sizeof(chunkQueue[int]{}); sz != contend.CacheLineSize {
+		t.Fatalf("chunkQueue size %d, want exactly %d; fix the pad array", sz, contend.CacheLineSize)
+	}
+}
+
+// TestWorkerPadding checks that adjacent workers in the contiguous
+// workers slice cannot share a cache line through the fields every Push
+// and Pop writes (the chunk pointers, the free list, the adapt counter).
+func TestWorkerPadding(t *testing.T) {
+	ws := make([]worker[int], 2)
+	end := uintptr(unsafe.Pointer(&ws[0].popsSinceAdapt)) + unsafe.Sizeof(ws[0].popsSinceAdapt)
+	if next := uintptr(unsafe.Pointer(&ws[1])); next-end < contend.CacheLineSize {
+		t.Fatalf("adjacent workers' hot fields only %d bytes apart, want >= %d", next-end, contend.CacheLineSize)
+	}
+}

@@ -7,12 +7,20 @@
 //
 // Tasks are grouped into priority "bags": all tasks whose priority maps
 // to the same bucket (priority >> Delta) are unordered relative to each
-// other. A bag holds chunks — fixed-size task batches — on one stack per
-// virtual NUMA node. Workers fill a thread-local push chunk and publish
-// it to the bag for its bucket; they drain a thread-local pop chunk taken
-// from the lowest non-empty bag, preferring their own node's stack and
-// stealing chunks from other nodes otherwise. A global "minimum bucket"
-// hint steers workers toward the best available priority class.
+// other. A bag holds chunks — fixed-size task batches — in one FIFO queue
+// per virtual NUMA node (Galois's PerSocketChunkFIFO). Workers fill a
+// thread-local push chunk and publish it at the tail of the bag for its
+// bucket; they drain a thread-local pop chunk taken from the head of the
+// lowest non-empty bag, preferring their own node's queue and stealing
+// chunks from other nodes otherwise. A global "minimum bucket" hint
+// steers workers toward the best available priority class.
+//
+// The chunk order is the scheduler's rank quality inside a bucket: a bag
+// that hands out its newest chunk first turns one bucket into depth-first
+// label correcting (on a power-law SSSP, ten times Dijkstra's tasks at
+// the default Delta), oldest-first keeps it breadth-first. Chunks are
+// recycled, not allocated: the worker that drains one keeps it on a small
+// free list and fills it again as its next push chunk.
 //
 // OBIM's weakness — the reason the paper's SMQ beats it on SSSP-like
 // workloads — is that Delta is workload-specific: too coarse wastes work
@@ -37,10 +45,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/contend"
 	"repro/internal/numa"
 	"repro/internal/pq"
 	"repro/internal/sched"
-	"repro/internal/xrand"
 )
 
 // Config parameterizes OBIM and PMOD.
@@ -58,13 +66,14 @@ type Config struct {
 	// on the leader worker. Default 2048.
 	AdaptInterval int
 	// NUMANodes is the number of virtual sockets for per-node chunk
-	// stacks. Default 1.
+	// queues. Default 1.
 	NUMANodes int
 	// PruneBags bounds the global bag map: when the number of bags
 	// reaches this threshold, drained bags are retired and removed so
 	// long runs (or PMOD's shifting Δ) cannot leak memory. Default 4096.
 	PruneBags int
-	// Seed makes runs reproducible.
+	// Seed is unused: OBIM makes no random choice. The field is accepted
+	// so the zoo builders can fill every family's Config uniformly.
 	Seed uint64
 }
 
@@ -113,9 +122,6 @@ func (c Config) WithDefaults() Config {
 	if c.PruneBags == 0 {
 		c.PruneBags = 4096
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
@@ -127,54 +133,63 @@ func (c *Config) normalize() {
 }
 
 // chunk is a batch of same-bucket tasks. Chunks move between workers as a
-// unit; items are drained LIFO (order inside a bag is irrelevant).
+// unit; items are drained LIFO (order inside a chunk is irrelevant). A
+// chunk has one owner at a time — the worker filling it, the bag queue it
+// is linked in, the worker draining it, that worker's free list — so the
+// queue mutex is all that synchronizes it.
 type chunk[T any] struct {
 	items []pq.Item[T]
 	next  *chunk[T]
 }
 
-// chunkStack is one NUMA node's stack of a bag's chunks.
-type chunkStack[T any] struct {
-	mu  sync.Mutex
-	top *chunk[T]
-	_   [40]byte
+// chunkQueue is one NUMA node's FIFO of a bag's chunks. A bag's queues
+// are adjacent in one slice, so each is padded to exactly one cache line.
+type chunkQueue[T any] struct {
+	mu   sync.Mutex
+	head *chunk[T] // oldest chunk, the next one served
+	tail *chunk[T] // newest chunk; meaningful only while head != nil
+	_    [contend.CacheLineSize - 24]byte
 }
 
-func (s *chunkStack[T]) pop() *chunk[T] {
-	s.mu.Lock()
-	c := s.top
+func (q *chunkQueue[T]) pop() *chunk[T] {
+	q.mu.Lock()
+	c := q.head
 	if c != nil {
-		s.top = c.next
+		q.head = c.next
 		c.next = nil
 	}
-	s.mu.Unlock()
+	q.mu.Unlock()
 	return c
 }
 
 // bag holds every task of one priority class.
 type bag[T any] struct {
 	key    uint64 // priority-range start: (p>>Δ)<<Δ at creation time
-	stacks []chunkStack[T]
+	queues []chunkQueue[T]
 	size   atomic.Int64 // approximate task count, drives PMOD
-	// retired is set (under all stack locks) when the pruner removes
+	// retired is set (under all queue locks) when the pruner removes
 	// the bag from the global map; no chunk may be added afterwards.
 	retired atomic.Bool
 }
 
-// pushChunk links c onto the bag's stack for node, unless the bag has
-// been retired — the check happens under the stack lock, which is the
-// same lock the pruner holds while retiring, so a chunk can never land
-// in a dropped bag.
+// pushChunk links c at the tail of the bag's queue for node, unless the
+// bag has been retired — the check happens under the queue lock, which is
+// the same lock the pruner holds while retiring, so a chunk can never
+// land in a dropped bag.
 func (b *bag[T]) pushChunk(node int, c *chunk[T]) bool {
-	st := &b.stacks[node]
-	st.mu.Lock()
+	q := &b.queues[node]
+	q.mu.Lock()
 	if b.retired.Load() {
-		st.mu.Unlock()
+		q.mu.Unlock()
 		return false
 	}
-	c.next = st.top
-	st.top = c
-	st.mu.Unlock()
+	if q.head == nil {
+		q.head = c
+	} else {
+		q.tail.next = c
+	}
+	q.tail = c
+	q.mu.Unlock()
 	return true
 }
 
@@ -218,7 +233,6 @@ func New[T any](cfg Config) *Sched[T] {
 			s:    s,
 			id:   i,
 			node: s.topo.NodeOfWorker(i),
-			rng:  xrand.New(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15),
 			c:    &s.counters[i],
 			bags: make(map[uint64]*bag[T]),
 		}
@@ -270,7 +284,7 @@ func (s *Sched[T]) bagFor(key uint64) *bag[T] {
 	if len(s.bags) >= s.cfg.PruneBags {
 		s.pruneLocked()
 	}
-	b = &bag[T]{key: key, stacks: make([]chunkStack[T], s.topo.Nodes)}
+	b = &bag[T]{key: key, queues: make([]chunkQueue[T], s.topo.Nodes)}
 	s.bags[key] = b
 	i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= key })
 	s.keys = append(s.keys, 0)
@@ -280,20 +294,20 @@ func (s *Sched[T]) bagFor(key uint64) *bag[T] {
 }
 
 // pruneLocked retires and removes every fully drained bag. Caller holds
-// the write lock. For each candidate, all of its stack locks are taken;
-// only if every stack is empty is the bag retired — pushChunk checks the
-// retired flag under the same stack lock, so no task can slip into a
+// the write lock. For each candidate, all of its queue locks are taken;
+// only if every queue is empty is the bag retired — pushChunk checks the
+// retired flag under the same queue lock, so no task can slip into a
 // retired bag.
 func (s *Sched[T]) pruneLocked() {
 	keep := s.keys[:0]
 	for _, key := range s.keys {
 		b := s.bags[key]
-		for i := range b.stacks {
-			b.stacks[i].mu.Lock()
+		for i := range b.queues {
+			b.queues[i].mu.Lock()
 		}
 		empty := true
-		for i := range b.stacks {
-			if b.stacks[i].top != nil {
+		for i := range b.queues {
+			if b.queues[i].head != nil {
 				empty = false
 				break
 			}
@@ -305,8 +319,8 @@ func (s *Sched[T]) pruneLocked() {
 		} else {
 			keep = append(keep, key)
 		}
-		for i := len(b.stacks) - 1; i >= 0; i-- {
-			b.stacks[i].mu.Unlock()
+		for i := len(b.queues) - 1; i >= 0; i-- {
+			b.queues[i].mu.Unlock()
 		}
 	}
 	// keep reuses s.keys' backing array; clear the tail for GC hygiene.
@@ -345,23 +359,31 @@ func (s *Sched[T]) raiseHint(from, to uint64) {
 	}
 }
 
-// worker is the per-goroutine handle.
+// freeChunks bounds a worker's free list: enough to cover a run of
+// bucket changes (one published chunk each) between two refills; what a
+// worker drains beyond it is left to the GC.
+const freeChunks = 64
+
+// worker is the per-goroutine handle. Workers are adjacent in one slice
+// and every field below c is written per task, hence the trailing pad.
 type worker[T any] struct {
 	s    *Sched[T]
 	id   int
 	node int
-	rng  *xrand.Rand
 	c    *sched.Counters
 
 	bags map[uint64]*bag[T] // thread-local bag cache (mirrors the global map)
 
-	pushKey   uint64
-	pushChunk []pq.Item[T]
+	pushKey uint64
+	push    *chunk[T] // open push chunk: nil, or holding 1..ChunkSize-1 tasks of pushKey
+	pop     *chunk[T] // chunk being drained, nil before the first refill
 
-	popKey   uint64
-	popChunk []pq.Item[T]
+	free  *chunk[T] // drained chunks (all slots zero), linked through next
+	nfree int
 
 	popsSinceAdapt int
+
+	_ [contend.CacheLineSize]byte
 }
 
 // Push buffers the task in the worker's current push chunk, publishing
@@ -369,19 +391,31 @@ type worker[T any] struct {
 func (w *worker[T]) Push(p uint64, v T) {
 	w.c.Pushes++
 	key := w.s.bucketKey(p)
-	if len(w.pushChunk) > 0 && (key != w.pushKey || len(w.pushChunk) >= w.s.cfg.ChunkSize) {
+	if w.push != nil && key != w.pushKey {
 		w.flushPush()
 	}
-	if len(w.pushChunk) == 0 {
-		w.pushKey = key
-		if w.pushChunk == nil {
-			w.pushChunk = make([]pq.Item[T], 0, w.s.cfg.ChunkSize)
-		}
+	c := w.push
+	if c == nil {
+		c = w.takeChunk()
+		w.push, w.pushKey = c, key
 	}
-	w.pushChunk = append(w.pushChunk, pq.Item[T]{P: p, V: v})
-	if len(w.pushChunk) >= w.s.cfg.ChunkSize {
+	c.items = append(c.items, pq.Item[T]{P: p, V: v})
+	if len(c.items) >= w.s.cfg.ChunkSize {
 		w.flushPush()
 	}
+}
+
+// takeChunk returns an empty chunk: the last one this worker drained, or
+// a new one when the free list is empty.
+func (w *worker[T]) takeChunk() *chunk[T] {
+	c := w.free
+	if c == nil {
+		return &chunk[T]{items: make([]pq.Item[T], 0, w.s.cfg.ChunkSize)}
+	}
+	w.free = c.next
+	c.next = nil
+	w.nfree--
+	return c
 }
 
 // PushN / PopN use the generic scalar fallbacks: OBIM already moves
@@ -411,24 +445,23 @@ func (w *worker[T]) cachedBag(key uint64) *bag[T] {
 	return b
 }
 
-// flushPush publishes the open push chunk to its bag, retrying through
-// the global map if the cached bag was retired under us.
+// flushPush publishes the open push chunk (the caller checks there is
+// one) to its bag, retrying through the global map if the cached bag was
+// retired under us.
 func (w *worker[T]) flushPush() {
-	if len(w.pushChunk) == 0 {
-		return
-	}
-	c := &chunk[T]{items: w.pushChunk}
+	c := w.push
+	w.push = nil
+	n := int64(len(c.items)) // c is another worker's once it is linked
 	for {
 		b := w.cachedBag(w.pushKey)
 		if b.pushChunk(w.node, c) {
-			b.size.Add(int64(len(c.items)))
+			b.size.Add(n)
 			break
 		}
 		// Retired between lookup and push: refresh and retry.
 		delete(w.bags, w.pushKey)
 	}
 	w.s.lowerHint(w.pushKey)
-	w.pushChunk = make([]pq.Item[T], 0, w.s.cfg.ChunkSize)
 }
 
 // Pop drains the worker's pop chunk, refilling it from the lowest
@@ -438,17 +471,19 @@ func (w *worker[T]) Pop() (uint64, T, bool) {
 		w.maybeAdapt()
 	}
 	for {
-		if n := len(w.popChunk); n > 0 {
-			it := w.popChunk[n-1]
-			var zero pq.Item[T]
-			w.popChunk[n-1] = zero
-			w.popChunk = w.popChunk[:n-1]
-			w.c.Pops++
-			return it.P, it.V, true
+		if c := w.pop; c != nil {
+			if n := len(c.items); n > 0 {
+				it := c.items[n-1]
+				// Zeroed as drained: a recycled chunk holds no payload.
+				c.items[n-1] = pq.Item[T]{}
+				c.items = c.items[:n-1]
+				w.c.Pops++
+				return it.P, it.V, true
+			}
 		}
 		if !w.refill(false) {
 			// Our own unpublished push chunk may hold the only work.
-			if len(w.pushChunk) > 0 {
+			if w.push != nil {
 				w.flushPush()
 				continue
 			}
@@ -463,8 +498,9 @@ func (w *worker[T]) Pop() (uint64, T, bool) {
 	}
 }
 
-// refill grabs a chunk from the lowest non-empty bag, scanning keys in
-// ascending order starting from the hint (or from zero when full is set).
+// refill grabs the oldest chunk of the lowest non-empty bag, scanning
+// keys in ascending order starting from the hint (or from zero when full
+// is set), and moves the chunk it replaces to the free list.
 func (w *worker[T]) refill(full bool) bool {
 	s := w.s
 	start := uint64(0)
@@ -478,15 +514,15 @@ func (w *worker[T]) refill(full bool) bool {
 	idx := sort.Search(len(keys), func(i int) bool { return keys[i] >= start })
 	for ; idx < len(keys); idx++ {
 		b := s.bags[keys[idx]]
-		c := b.stacks[w.node].pop()
+		c := b.queues[w.node].pop()
 		if c == nil {
-			// Steal a chunk from another node's stack.
-			for off := 1; off < len(b.stacks); off++ {
+			// Steal a chunk from another node's queue.
+			for off := 1; off < len(b.queues); off++ {
 				n := w.node + off
-				if n >= len(b.stacks) {
-					n -= len(b.stacks)
+				if n >= len(b.queues) {
+					n -= len(b.queues)
 				}
-				if c = b.stacks[n].pop(); c != nil {
+				if c = b.queues[n].pop(); c != nil {
 					w.c.Steals++
 					w.c.StolenTask += uint64(len(c.items))
 					w.c.Remote++
@@ -502,14 +538,18 @@ func (w *worker[T]) refill(full bool) bool {
 			b.size.Add(-int64(len(c.items)))
 			// Record the observed bag occupancy at refill time; these
 			// samples drive PMOD's merge/split decisions.
-			w.popKey = key
 			s.refills.Add(1)
 			sz := b.size.Load()
 			if sz < 0 {
 				sz = 0
 			}
 			s.sumBagSize.Add(uint64(sz) + uint64(len(c.items)))
-			w.popChunk = c.items
+			if old := w.pop; old != nil && w.nfree < freeChunks {
+				old.next = w.free
+				w.free = old
+				w.nfree++
+			}
+			w.pop = c
 			s.raiseHint(hintBefore, key)
 			return true
 		}

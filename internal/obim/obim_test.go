@@ -74,6 +74,31 @@ func TestBucketOrderingRespected(t *testing.T) {
 	}
 }
 
+// TestBagServesChunksOldestFirst pins the order inside one bucket: a bag
+// is a FIFO of chunks, so label-correcting work that lands in one bucket
+// is served breadth-first. (Newest-first made SSSP on a power-law graph
+// run ten times Dijkstra's tasks.) The order inside a chunk is free.
+func TestBagServesChunksOldestFirst(t *testing.T) {
+	const chunkSize, chunks = 8, 3
+	s := New[int](Config{Workers: 1, Delta: 32, ChunkSize: chunkSize})
+	w := s.Worker(0)
+	for i := 0; i < chunks*chunkSize; i++ {
+		w.Push(uint64(i), i) // value i is in the (i/chunkSize)-th chunk published
+	}
+	if got := s.BagCount(); got != 1 {
+		t.Fatalf("%d bags, want everything in one", got)
+	}
+	for i := 0; i < chunks*chunkSize; i++ {
+		_, v, ok := w.Pop()
+		if !ok {
+			t.Fatalf("drained early at %d", i)
+		}
+		if v/chunkSize != i/chunkSize {
+			t.Fatalf("pop %d returned a task of chunk %d, want chunk %d (oldest first)", i, v/chunkSize, i/chunkSize)
+		}
+	}
+}
+
 func TestSmallDeltaExactOrder(t *testing.T) {
 	// Delta such that each priority is its own bucket and chunk size 1:
 	// OBIM degenerates to strict priority order for one worker. Delta=0
@@ -164,6 +189,42 @@ func TestPushChunkFlushOnIdle(t *testing.T) {
 	}
 	if !got[70] || !got[90] {
 		t.Fatalf("wrong values: %v", got)
+	}
+}
+
+// TestRecycledChunksHoldNoPayload checks the other half of recycling: a
+// drained chunk goes to the worker's free list with every slot zeroed,
+// or the list would keep up to freeChunks*ChunkSize popped payloads
+// reachable for as long as the scheduler lives.
+func TestRecycledChunksHoldNoPayload(t *testing.T) {
+	s := New[*[64]byte](Config{Workers: 1, Delta: 4, ChunkSize: 8})
+	w := &s.workers[0]
+	const n = 400
+	for i := 0; i < n; i++ {
+		w.Push(uint64(i), &[64]byte{byte(i)})
+	}
+	for i := 0; i < n; i++ {
+		if _, _, ok := w.Pop(); !ok {
+			t.Fatalf("drained early at %d", i)
+		}
+	}
+	if w.nfree == 0 {
+		t.Fatal("nothing was recycled")
+	}
+	listed := 0
+	for c := w.free; c != nil; c = c.next {
+		listed++
+		if len(c.items) != 0 {
+			t.Fatalf("free chunk %d has length %d, want 0", listed, len(c.items))
+		}
+		for i, it := range c.items[:cap(c.items)] {
+			if it.V != nil || it.P != 0 {
+				t.Fatalf("free chunk %d slot %d still holds (%d, %p)", listed, i, it.P, it.V)
+			}
+		}
+	}
+	if listed != w.nfree || listed > freeChunks {
+		t.Fatalf("free list has %d chunks, nfree = %d, bound %d", listed, w.nfree, freeChunks)
 	}
 }
 

@@ -409,7 +409,8 @@ func NewKLSM[T any](cfg KLSMConfig) Scheduler[T] {
 }
 
 // NewOBIM builds the Galois OBIM baseline (priority bags keyed by
-// priority >> delta, chunked per virtual node).
+// priority >> delta; each bag a FIFO of recycled task chunks per virtual
+// node, served oldest chunk first).
 func NewOBIM[T any](cfg OBIMConfig) Scheduler[T] {
 	return obim.New[T](cfg)
 }

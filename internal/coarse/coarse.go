@@ -29,6 +29,10 @@ type Config struct {
 // Sched is the coarse-locked global priority queue. The lock word sits
 // on its own cache line: with every worker hammering it, sharing a line
 // with the heap pointer would add a second invalidation per operation.
+// The heap stays behind that pointer, unlike mq's and core's embedded
+// headers: a waiter spins on the lock line while the holder rewrites the
+// header, and with the header one or two lines away hold ran 2.44 and
+// 2.56 M pairs/s against 2.62 with it allocated elsewhere.
 type Sched[T any] struct {
 	cfg      Config
 	mu       contend.Lock

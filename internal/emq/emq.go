@@ -163,15 +163,17 @@ func (c *Config) normalize() {
 // sticky two-choice comparison (the engineered MultiQueue never locks a
 // queue just to inspect its top).
 //
-// The queues live in one contiguous slice, hand-padded to exactly one
-// cache line (mu 4B + 4B alignment + heap pointer 8B + top 8B = 24B,
-// plus 40B pad) so adjacent queues' lock words and cached tops never
-// share a line; see TestLockQueuePadding.
+// The queues live in one contiguous slice and each is exactly one cache
+// line holding the lock word, the heap header and the cached top. The
+// header is embedded by value for the reason mq.lockQueue gives: on
+// their own the 40-byte headers share lines two by two, and every
+// locked operation pays a second line for a header the lock's line has
+// room for. TestLockQueuePadding pins the layout.
 type lockQueue[T any] struct {
 	mu   contend.Lock
-	heap *pq.DHeap[T]
+	heap pq.DHeap[T]
 	top  atomic.Uint64 // cached heap top (InfPriority when empty)
-	_    [contend.CacheLineSize - 24]byte
+	_    [contend.CacheLineSize - 56]byte
 }
 
 // The helpers below must be called with q.mu held; they keep the cached
@@ -222,7 +224,7 @@ func New[T any](cfg Config) *EMQ[T] {
 		counters: make([]sched.Counters, cfg.Workers),
 	}
 	for i := range s.queues {
-		s.queues[i].heap = pq.NewDHeapCap[T](cfg.HeapArity, 64)
+		s.queues[i].heap = *pq.NewDHeapCap[T](cfg.HeapArity, 64)
 		s.queues[i].top.Store(pq.InfPriority)
 	}
 	k := 1.0

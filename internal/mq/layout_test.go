@@ -3,14 +3,38 @@ package mq
 import (
 	"testing"
 	"unsafe"
+
+	"repro/internal/contend"
+	"repro/internal/pq"
 )
 
-// TestLockQueuePadding pins the hand-computed pad in lockQueue: queues
-// live in a contiguous slice, so the false-sharing-free layout depends
-// on the element size being exactly a cache-line multiple.
+// TestLockQueuePadding pins what lockQueue's layout is for: a queue is
+// exactly one cache line, and the heap header (embedded by value — a
+// pointer field does not compile below) and the cached top sit in it with
+// the lock word. Lines are counted from the slice base, so the check does
+// not depend on how the allocator aligned this slice. Adjacent queues'
+// headers are then a line apart; as separate 48-byte objects they shared
+// lines.
 func TestLockQueuePadding(t *testing.T) {
-	if sz := unsafe.Sizeof(lockQueue[int]{}); sz%64 != 0 {
-		t.Fatalf("lockQueue size %d is not a multiple of 64; fix the pad array", sz)
+	const line = contend.CacheLineSize
+	if sz := unsafe.Sizeof(lockQueue[int]{}); sz != line {
+		t.Fatalf("lockQueue size %d, want one %d-byte cache line; fix the pad array", sz, line)
+	}
+	qs := New[int](Classic(2, 4)).queues
+	base := uintptr(unsafe.Pointer(&qs[0]))
+	for i := range qs {
+		var h *pq.DHeap[int] = &qs[i].heap
+		lo := uintptr(unsafe.Pointer(h)) - base
+		hi := uintptr(unsafe.Pointer(&qs[i].top)) + unsafe.Sizeof(qs[i].top) - 1 - base
+		if lo/line != uintptr(i) || hi/line != uintptr(i) {
+			t.Errorf("queue %d: heap header and cached top span bytes %d..%d of the slice, not inside line %d", i, lo, hi, i)
+		}
+		if i > 0 {
+			var prev *pq.DHeap[int] = &qs[i-1].heap
+			if d := uintptr(unsafe.Pointer(h)) - uintptr(unsafe.Pointer(prev)); d < line {
+				t.Errorf("queues %d and %d: heap headers %d bytes apart, want >= %d", i-1, i, d, line)
+			}
+		}
 	}
 }
 

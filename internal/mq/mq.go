@@ -200,17 +200,21 @@ func RELD(workers int) Config {
 // PeekTops delete path.
 //
 // The queues live in one contiguous slice (pointer-free indexing on the
-// two-choice hot path), so the header is hand-padded to exactly one
-// cache line: mu (4B) + peek (1B) + 3B alignment + heap pointer (8B) +
-// top (8B) = 24B, plus 40B of pad. Adjacent queues' lock words and
-// cached tops — the two words every worker hammers — therefore never
-// share a line. TestLockQueuePadding pins the arithmetic.
+// two-choice hot path) and each is exactly one cache line holding all
+// three things an operation touches before it reaches the items: the
+// lock word, the heap header and the cached top. The header is embedded
+// by value, as in core.heapQueue: allocated on their own, the 40-byte
+// headers fall in the 48-byte size class back to back, so two queues'
+// items headers — written on every push and pop — share a line, and a
+// top comparison chases lock line → header line → item line. In one
+// line, taking the lock brings the header with it.
+// TestLockQueuePadding pins the layout.
 type lockQueue[T any] struct {
 	mu   contend.Lock
 	peek bool // maintain the cached top? (Config.PeekTops)
-	heap *pq.DHeap[T]
+	heap pq.DHeap[T]
 	top  atomic.Uint64 // cached heap top (InfPriority when empty)
-	_    [contend.CacheLineSize - 24]byte
+	_    [contend.CacheLineSize - 56]byte
 }
 
 // The following helpers must be called with q.mu held; they keep the
@@ -263,7 +267,7 @@ func New[T any](cfg Config) *MQ[T] {
 		counters: make([]sched.Counters, cfg.Workers),
 	}
 	for i := range s.queues {
-		s.queues[i].heap = pq.NewDHeapCap[T](cfg.HeapArity, 64)
+		s.queues[i].heap = *pq.NewDHeapCap[T](cfg.HeapArity, 64)
 		s.queues[i].peek = cfg.PeekTops
 		s.queues[i].top.Store(pq.InfPriority)
 	}

@@ -1,5 +1,7 @@
 package pq
 
+import "math/bits"
+
 // DHeap is a sequential d-ary min-heap. The paper's SMQ uses d = 4
 // thread-local heaps (§4): a wider fan-out shortens the sift-down path and
 // keeps more of each level in one cache line, which is why it outperforms
@@ -155,12 +157,30 @@ func (h *DHeap[T]) Clear() {
 	h.items = h.items[:0]
 }
 
-// The sift loops are the hottest code in the repository — the CPU
-// profile of the Multi-Queue throughput bench puts ~45% of all cycles
-// in siftDown — so both hoist the slice header and arity into locals
-// (one bounds-checked load per access instead of re-reading through h)
-// and track the best child's priority in a register instead of
-// re-loading items[best].P once per comparison.
+// Sift-down picks the best child without a branch. Which sibling is
+// smallest is a coin flip the predictor cannot learn: written as
+// `if p < bestP`, the scan mispredicts about once per level, and that was
+// a third of SMQ's cycles on SSSP. The select below is a data dependency
+// instead. Measured on the 2-core host, hold pattern, d = 4, 16-byte
+// items, ns per pop+push pair (BenchmarkLocalQueue_DHeap4): 2^10 resident
+// 90 -> 54, 2^13 121 -> 74, 2^16 141 -> 84; d = 2 and d = 8 gain the same
+// way, so there is one loop for every arity.
+//
+// It loses where the branch used to win: each level's address now waits
+// for the previous level's loads, whereas the branchy scan ran ahead down
+// the predicted child and overlapped their cache misses. On a heap another
+// core wrote last (every level a coherence miss) that overlap was worth
+// more than the mispredictions cost: -11% on the bench's hold workload for
+// mq (3.22 -> 2.86 M pairs/s) while its heap headers were separate
+// allocations, and -8% for coarse's one shared heap, which is still owed.
+// mq and emq now keep the header in the lock's line (see mq.lockQueue),
+// which repaid theirs; a structure whose nodes are mostly remote misses,
+// such as cbpq's chunks, should not copy this loop.
+//
+// The borrow of a 64-bit subtract is exact over the whole uint64 range
+// and keeps the strict-less tie-break (the first of equal siblings wins),
+// so pop sequences are unchanged; the sign of p-bestP is not, see
+// TestDHeapMatchesReferenceSiftDown.
 
 func (h *DHeap[T]) siftUp(i int) {
 	items := h.items
@@ -188,13 +208,9 @@ func (h *DHeap[T]) siftUp(i int) {
 	items[i] = it
 }
 
-func (h *DHeap[T]) siftDown(i int) {
-	h.siftDownItem(i, h.items[i])
-}
-
 // siftDownItem sifts it down from position i. The slot at i is treated
-// as vacant: callers either pass items[i] itself (siftDown) or an
-// element displaced from elsewhere that logically replaces it (Pop).
+// as vacant: Pop passes the element displaced from the tail, which
+// logically replaces it.
 func (h *DHeap[T]) siftDownItem(i int, it Item[T]) {
 	h.siftDownItemN(i, it, len(h.items))
 }
@@ -217,9 +233,10 @@ func (h *DHeap[T]) siftDownItemN(i int, it Item[T], n int) {
 		best := first
 		bestP := items[first].P
 		for c := first + 1; c < end; c++ {
-			if p := items[c].P; p < bestP {
-				best, bestP = c, p
-			}
+			p := items[c].P
+			_, lt := bits.Sub64(p, bestP, 0) // the borrow: 1 iff p < bestP
+			bestP ^= (bestP ^ p) & -lt
+			best ^= (best ^ c) & -int(lt)
 		}
 		if bestP >= it.P {
 			break

@@ -1,7 +1,11 @@
 package pq
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -215,30 +219,258 @@ func TestSkipListManyLevels(t *testing.T) {
 	}
 }
 
-func benchQueue(b *testing.B, mk func() Queue[int]) {
-	q := mk()
-	const window = 1024
-	for i := 0; i < window; i++ {
-		q.Push(uint64(i*2654435761)%100000, i)
+// refSiftDown is the sift-down DHeap had before its child selection went
+// branch-free, verbatim: the oracle for the exact (P, V) order below.
+func refSiftDown[T any](items []Item[T], d, i int, it Item[T], n int) {
+	for {
+		first := i*d + 1
+		if first >= n {
+			break
+		}
+		end := first + d
+		if end > n {
+			end = n
+		}
+		best := first
+		bestP := items[first].P
+		for c := first + 1; c < end; c++ {
+			if p := items[c].P; p < bestP {
+				best, bestP = c, p
+			}
+		}
+		if bestP >= it.P {
+			break
+		}
+		items[i] = items[best]
+		i = best
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, v, _ := q.Pop()
-		q.Push(p+uint64(i%64), v)
+	items[i] = it
+}
+
+// refPop is DHeap.Pop over refSiftDown.
+func refPop[T any](h *DHeap[T]) Item[T] {
+	top := h.items[0]
+	last := len(h.items) - 1
+	moved := h.items[last]
+	h.items = h.items[:last]
+	if last > 0 {
+		refSiftDown(h.items, h.d, 0, moved, last)
+	}
+	return top
+}
+
+// orderCases are priority streams on which a shortcut in the child
+// selection breaks: a select on the sign of p-bestP, or a signed compare,
+// is right whenever all priorities are below 2^63 and close together —
+// which is every other test in this file — and wrong across the middle
+// or the ends of the range. Ties pin the strict-less tie-break: the first
+// of equal siblings wins, and which payload comes out first depends on it.
+func orderCases(n int) []orderCase {
+	rng := rand.New(rand.NewSource(int64(n)))
+	edges := []uint64{0, 1, 1<<63 - 1, 1 << 63, 1<<63 + 1, math.MaxUint64 - 1}
+	full, high, edge, ties := make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	for i := 0; i < n; i++ {
+		full[i] = rng.Uint64()
+		high[i] = rng.Uint64() | 1<<63
+		edge[i] = edges[rng.Intn(len(edges))]
+		ties[i] = edges[i/17%len(edges)] // 17 equal priorities in a row
+	}
+	return []orderCase{{"full-range", full}, {"high-half", high}, {"edges", edge}, {"tie-runs", ties}}
+}
+
+type orderCase struct {
+	name string
+	ps   []uint64
+}
+
+// TestDHeapMatchesReferenceSiftDown checks that Pop and PopBatch return
+// the exact (P, V) sequence of the branchy reference, over the whole
+// uint64 range and for sizes whose last sibling group is partial (a drain
+// passes through every size below its start). The tie order is part of
+// the contract: -exp theory's byte-identity and the lockstep
+// work-increase table replay pop sequences.
+func TestDHeapMatchesReferenceSiftDown(t *testing.T) {
+	for _, d := range []int{2, 3, 4, 8} {
+		for _, n := range []int{d + 2, 8*d + 3, 1000} {
+			for _, c := range orderCases(n) {
+				name, ps := c.name, c.ps
+				scalar, batch, ref := NewDHeap[int](d), NewDHeap[int](d), NewDHeap[int](d)
+				for i, p := range ps {
+					scalar.Push(p, i)
+					batch.Push(p, i)
+					ref.Push(p, i)
+				}
+				var got []Item[int]
+				for k := 1; batch.Len() > 0; k = k%7 + 1 {
+					got = batch.PopBatch(k, got)
+				}
+				for i := 0; i < n; i++ {
+					want := refPop(ref)
+					if p, v, ok := scalar.Pop(); !ok || p != want.P || v != want.V {
+						t.Fatalf("d=%d n=%d %s: Pop %d = (%d,%d,%v), reference (%d,%d)", d, n, name, i, p, v, ok, want.P, want.V)
+					}
+					if got[i] != want {
+						t.Fatalf("d=%d n=%d %s: PopBatch item %d = %v, reference %v", d, n, name, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// dheapScript encodes a FuzzDHeapOrder input: the arity index, then ps
+// pushed in batches of up to 5 with a scalar push between them, then a
+// drain alternating PopBatch(3) and Pop.
+func dheapScript(arity byte, ps []uint64) []byte {
+	out := []byte{arity}
+	drains := (len(ps) + 3) / 4 // each drain step pops 3 + 1
+	for len(ps) > 0 {
+		k := min(5, len(ps)-1)
+		out = append(out, byte(k<<2|3))
+		for _, p := range ps[:k] {
+			out = binary.LittleEndian.AppendUint64(out, p)
+		}
+		out = append(out, 0)
+		out = binary.LittleEndian.AppendUint64(out, ps[k])
+		ps = ps[k+1:]
+	}
+	for ; drains > 0; drains-- {
+		out = append(out, 3<<2|2, 1)
+	}
+	return out
+}
+
+// FuzzDHeapOrder drives a DHeap with an op stream decoded from the input
+// and checks it op by op against a sorted slice: every pop returns the
+// smallest priority queued, Len and Top agree, and each payload comes out
+// once, with the priority it went in with. Byte 0 picks the arity; each
+// op is one byte (low two bits: Push, Pop, PopBatch, PushBatch; the rest:
+// k) and each pushed priority the next eight.
+func FuzzDHeapOrder(f *testing.F) {
+	for a := byte(0); a < 4; a++ {
+		for _, c := range orderCases(37 + int(a)) {
+			f.Add(dheapScript(a, c.ps))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		h := NewDHeap[int]([]int{2, 3, 4, 8}[data[0]&3])
+		data = data[1:]
+		var sorted []uint64 // the oracle: priorities queued, ascending
+		var pushed []uint64 // payload -> its priority
+		var popped []bool   // payload -> already returned
+		var batch []Item[int]
+		next := func() (Item[int], bool) {
+			if len(data) < 8 {
+				return Item[int]{}, false
+			}
+			it := Item[int]{P: binary.LittleEndian.Uint64(data), V: len(pushed)}
+			data = data[8:]
+			i, _ := slices.BinarySearch(sorted, it.P)
+			sorted = slices.Insert(sorted, i, it.P)
+			pushed = append(pushed, it.P)
+			popped = append(popped, false)
+			return it, true
+		}
+		check := func(it Item[int]) {
+			if it.P != sorted[0] {
+				t.Fatalf("popped priority %d, smallest queued is %d", it.P, sorted[0])
+			}
+			sorted = sorted[1:]
+			if it.V < 0 || it.V >= len(pushed) || popped[it.V] || pushed[it.V] != it.P {
+				t.Fatalf("popped (%d,%d): payload unknown, repeated or under another priority", it.P, it.V)
+			}
+			popped[it.V] = true
+		}
+		for len(data) > 0 {
+			op, k := data[0]&3, int(data[0]>>2)
+			data = data[1:]
+			switch op {
+			case 0:
+				if it, ok := next(); ok {
+					h.Push(it.P, it.V)
+				}
+			case 1:
+				p, v, ok := h.Pop()
+				if ok != (len(sorted) > 0) {
+					t.Fatalf("Pop ok = %v with %d queued", ok, len(sorted))
+				}
+				if ok {
+					check(Item[int]{P: p, V: v})
+				}
+			case 2:
+				batch = h.PopBatch(k, batch[:0])
+				if want := min(k, len(sorted)); len(batch) != want {
+					t.Fatalf("PopBatch(%d) returned %d items with %d queued", k, len(batch), len(sorted))
+				}
+				for _, it := range batch {
+					check(it)
+				}
+			case 3:
+				batch = batch[:0]
+				for ; k > 0; k-- {
+					if it, ok := next(); ok {
+						batch = append(batch, it)
+					}
+				}
+				h.PushBatch(batch)
+			}
+			if h.Len() != len(sorted) {
+				t.Fatalf("Len = %d, oracle holds %d", h.Len(), len(sorted))
+			}
+			want := uint64(InfPriority)
+			if len(sorted) > 0 {
+				want = sorted[0]
+			}
+			if h.Top() != want {
+				t.Fatalf("Top = %d, want %d", h.Top(), want)
+			}
+		}
+	})
+}
+
+// benchQueue runs the hold pattern (pop the minimum, push it back a
+// little later) on mk's queue at three resident sizes: 2^10 is five d = 4
+// levels in L1, 2^13 is the size an SMQ worker's heap reaches on the
+// graph workloads, and 2^16 is the bench's hold prefill, past L2 with a
+// 16-byte item.
+func benchQueue[T any](b *testing.B, payload string, mk func() Queue[T]) {
+	for _, resident := range []int{1 << 10, 1 << 13, 1 << 16} {
+		b.Run(fmt.Sprintf("%s/%d", payload, resident), func(b *testing.B) {
+			q := mk()
+			var v T
+			for i := 0; i < resident; i++ {
+				q.Push(uint64(i*2654435761)%100000, v)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, v, _ := q.Pop()
+				q.Push(p+uint64(i%64), v)
+			}
+		})
 	}
 }
 
 // BenchmarkLocalQueue_* is the §4 "optimal local data structure" ablation:
-// it measures the push/pop cycle cost of each candidate thread-local queue.
+// it measures the push/pop cycle cost of each candidate thread-local
+// queue, with the int payload of the tests and the uint32 one of the
+// graph workloads and bench/ — the instantiation the schedulers run.
+// Both make a 16-byte item, four siblings to a cache line.
 func BenchmarkLocalQueue_DHeap2(b *testing.B) {
-	benchQueue(b, func() Queue[int] { return NewDHeap[int](2) })
+	benchQueue(b, "int", func() Queue[int] { return NewDHeap[int](2) })
+	benchQueue(b, "uint32", func() Queue[uint32] { return NewDHeap[uint32](2) })
 }
 func BenchmarkLocalQueue_DHeap4(b *testing.B) {
-	benchQueue(b, func() Queue[int] { return NewDHeap[int](4) })
+	benchQueue(b, "int", func() Queue[int] { return NewDHeap[int](4) })
+	benchQueue(b, "uint32", func() Queue[uint32] { return NewDHeap[uint32](4) })
 }
 func BenchmarkLocalQueue_DHeap8(b *testing.B) {
-	benchQueue(b, func() Queue[int] { return NewDHeap[int](8) })
+	benchQueue(b, "int", func() Queue[int] { return NewDHeap[int](8) })
+	benchQueue(b, "uint32", func() Queue[uint32] { return NewDHeap[uint32](8) })
 }
 func BenchmarkLocalQueue_SkipList(b *testing.B) {
-	benchQueue(b, func() Queue[int] { return NewSeqSkipList[int](1) })
+	benchQueue(b, "int", func() Queue[int] { return NewSeqSkipList[int](1) })
+	benchQueue(b, "uint32", func() Queue[uint32] { return NewSeqSkipList[uint32](1) })
 }

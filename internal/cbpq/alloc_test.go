@@ -7,6 +7,7 @@
 package cbpq
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/xrand"
@@ -19,10 +20,11 @@ import (
 // What the design guarantees instead is amortization, and these gates
 // pin each facet of it separately:
 //
-//   - draining pays one rebuild (a handful of chunk/spine allocations)
-//     per ~ChunkCap pops;
+//   - draining pays one rebuild (a handful of chunk allocations, the
+//     front segment and the segment index) per ~ChunkCap pops;
 //   - inserts into interior chunks are allocation-free CAS publishes,
-//     paying one split per ~ChunkCap/2 inserts into a given chunk;
+//     paying one split per ~ChunkCap/2 inserts into a given chunk, and
+//     a split's bytes do not grow with the number of resident chunks;
 //   - an insert below the head's range used to be the documented worst
 //     case (one first-chunk rebuild each); the elimination layer now
 //     absorbs such inserts into the exchange array, where a pop takes
@@ -73,6 +75,36 @@ func TestSteadyStateInsertAllocs(t *testing.T) {
 	})
 	if allocs > 0.8 {
 		t.Fatalf("steady-state push allocates %.3f allocs/op, want <= 0.8 (split amortization regressed)", allocs)
+	}
+}
+
+// TestSplitCostIndependentOfResidentSize pins the segmented spine: a
+// split rewrites one segment and copies the segment index, so what a
+// uniform insert allocates — its share of a split — must not grow with
+// the number of resident chunks. A spine copied whole on every split
+// makes an insert into 2^17 resident tasks allocate about five times
+// what one into 2^12 does.
+func TestSplitCostIndependentOfResidentSize(t *testing.T) {
+	perInsert := func(resident int) float64 {
+		s := New[int](Config{Workers: 1})
+		w := s.Worker(0)
+		rng := xrand.New(42)
+		for i := 0; i < resident; i++ {
+			w.Push(uint64(rng.Intn(1<<30)), i)
+		}
+		const inserts = 1 << 13
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < inserts; i++ {
+			w.Push(uint64(rng.Intn(1<<30)), i)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / inserts
+	}
+	small, large := perInsert(1<<12), perInsert(1<<17)
+	t.Logf("bytes allocated per insert: %.0f at 2^12 resident, %.0f at 2^17", small, large)
+	if large >= 2*small {
+		t.Fatalf("an insert allocates %.0f B with 2^17 tasks resident against %.0f B with 2^12 — a split's cost grows with the queue", large, small)
 	}
 }
 

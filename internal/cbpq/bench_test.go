@@ -17,31 +17,41 @@ func BenchmarkCBPQ_Throughput(b *testing.B) {
 	}
 }
 
+// residents are the prefill sizes of the hold-pattern benchmarks: about
+// 40, 600 and 2 500 interior chunks at the default ChunkCap, so a
+// per-split cost that grows with the chunk count shows as a rising
+// ns/op across the three.
+var residents = []int{1 << 12, 1 << 16, 1 << 18}
+
 // BenchmarkCBPQ_Batch runs PopN→PushN pairs: one index-word CAS claims
 // the pop run, one count-word CAS per touched chunk publishes the push
 // batch. Reports ns per batch pair.
 func BenchmarkCBPQ_Batch(b *testing.B) {
 	const batch = 8
-	q := New[int](Config{Workers: 1})
-	w := q.Worker(0)
-	rng := xrand.New(1)
-	for i := 0; i < 1<<12; i++ {
-		w.Push(uint64(rng.Intn(1_000_000)), i)
-	}
-	dst := make([]sched.Task[int], batch)
-	ps := make([]uint64, batch)
-	vs := make([]int, batch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := w.PopN(dst)
-		for j := 0; j < batch; j++ {
-			base := uint64(rng.Intn(1_000_000))
-			if j < n {
-				base = dst[j].P + uint64(rng.Intn(64))
+	for _, resident := range residents {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			q := New[int](Config{Workers: 1})
+			w := q.Worker(0)
+			rng := xrand.New(1)
+			for i := 0; i < resident; i++ {
+				w.Push(uint64(rng.Intn(1_000_000)), i)
 			}
-			ps[j], vs[j] = base, j
-		}
-		w.PushN(ps, vs)
+			dst := make([]sched.Task[int], batch)
+			ps := make([]uint64, batch)
+			vs := make([]int, batch)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := w.PopN(dst)
+				for j := 0; j < batch; j++ {
+					base := uint64(rng.Intn(1_000_000))
+					if j < n {
+						base = dst[j].P + uint64(rng.Intn(64))
+					}
+					ps[j], vs[j] = base, j
+				}
+				w.PushN(ps, vs)
+			}
+		})
 	}
 }
 
@@ -83,21 +93,23 @@ func BenchmarkCBPQ_Hold(b *testing.B) {
 		{"elim", Config{Workers: 1}},
 		{"noelim", Config{Workers: 1, DisableElimination: true}},
 	} {
-		b.Run(tc.name, func(b *testing.B) {
-			q := New[int](tc.cfg)
-			w := q.Worker(0)
-			rng := xrand.New(1)
-			for i := 0; i < 1<<12; i++ {
-				w.Push(1<<20+uint64(rng.Intn(1_000_000)), i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, v, ok := w.Pop()
-				if !ok {
-					b.Fatal("queue drained")
+		for _, resident := range residents {
+			b.Run(fmt.Sprintf("%s/resident=%d", tc.name, resident), func(b *testing.B) {
+				q := New[int](tc.cfg)
+				w := q.Worker(0)
+				rng := xrand.New(1)
+				for i := 0; i < resident; i++ {
+					w.Push(1<<20+uint64(rng.Intn(1_000_000)), i)
 				}
-				w.Push(p+uint64(rng.Intn(64)), v)
-			}
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p, v, ok := w.Pop()
+					if !ok {
+						b.Fatal("queue drained")
+					}
+					w.Push(p+uint64(rng.Intn(64)), v)
+				}
+			})
+		}
 	}
 }

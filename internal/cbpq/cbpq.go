@@ -21,7 +21,7 @@
 // All shared state hangs off a single atomic root pointer to an
 // immutable spine, plus a per-queue exchange array:
 //
-//		spine{ head, buf, live[] }
+//		spine{ head, buf, segs[], smins[] }
 //
 //	  - head is the sorted first chunk. Its idx word packs three fields:
 //	    a freeze bit (bit 63), an exchange publish counter, and the pop
@@ -34,10 +34,14 @@
 //	    clean claim cut, and because every claim is a CAS that fails
 //	    against a frozen word, the word is immutable after the freeze
 //	    and all helpers read the same cut from it directly.
-//	  - live[] are the interior chunks, ascending by their range lower
-//	    bound min; an insert with priority p targets the last chunk with
-//	    min <= p and CAS-bumps its count word, then release-publishes the
-//	    slot's ready flag.
+//	  - segs[] hold the interior chunks, ascending by their range lower
+//	    bound min, in immutable segments of at most segCap (32) chunks,
+//	    each with a flat array of its chunks' mins; smins[j] is segment
+//	    j's first min. An insert with priority p targets the last chunk
+//	    with min <= p — two binary searches, over smins and then the
+//	    segment's mins — and CAS-bumps its count word, then
+//	    release-publishes the slot's ready flag. A new spine shares
+//	    every segment its structural change did not touch (see spine.go).
 //	  - the exchange array (exg) absorbs below-head inserts: a Push
 //	    whose priority falls inside the head's own range parks its
 //	    entry in a free slot and linearizes it by bumping the publish
@@ -100,14 +104,14 @@
 // of the failed pop.
 //
 // What the elimination layer buys, measured (bench, `--sched cbpq
-// --seconds 5`, two runs each, 2 cores, W = 2, layer on vs
-// DisableElimination): on `hold` — the decremental-key pattern itself,
-// every pop reinserted just above the minimum — 1.87 / 1.89 against
-// 1.44 / 1.55 M pairs/s, +26 %; on `sssp-road` 3.80 / 3.87 against
-// 4.00 / 4.04 M useful tasks/s, 4 % the other way; `sssp-rmat`,
-// `process-road` and `serve-drain` inside the run-to-run spread.
-// Combining alone already turns N misses into one rebuild; elimination
-// pays where the misses are the whole workload.
+// --seconds 15`, 8 alternating pairs, 2-vCPU Xeon VM, W = 2, layer on
+// vs DisableElimination): nothing, on the segmented spine. On `hold` —
+// the decremental-key pattern itself, every pop reinserted just above
+// the minimum — 3.34 against 3.63 M tasks/s (medians), the layer off
+// winning 7 of 8 pairs; on `sssp-road` 5.95 against 6.46, off winning
+// 7 of 8; on `sssp-rmat` two pairs, both won by the layer (4.35 / 5.09
+// against 4.07 / 4.55). Combining alone already turns N misses into one
+// rebuild, and a rebuild no longer copies the spine whole.
 //
 // # Freeze / split / rebuild
 //
@@ -120,10 +124,13 @@
 // recycle their never-published candidate chunks into a per-worker
 // freelist (published chunks are never pooled, so the root CAS cannot
 // ABA) and retry against the new spine. A full interior chunk splits
-// into two halves around its median; a rebuild replaces the head with
+// into two halves around its median, rewriting its segment (cut into
+// halves once it outgrows segCap); a rebuild replaces the head with
 // one freshly sorted from its frozen survivors plus the frozen buf and
-// the settled exchange entries, pulling in whole interior chunks until
-// the new head is full. Any thread can help: after a complete freeze
+// the settled exchange entries, pulling in whole interior chunks across
+// segments until the new head is full, and rewrites only the front
+// segment: the spill chunks plus the unpulled rest of the segment the
+// pull stopped in. Any thread can help: after a complete freeze
 // the frozen membership is identical for all helpers, so all
 // candidates are equivalent and whichever CAS wins is correct. Only
 // the winner resets the merged exchange slots; until it does they are
@@ -139,10 +146,12 @@
 // slip between two individually linearized claims, a batch is
 // ascending in the absence of concurrent pushes but globally it is a
 // sequence of exact scalar pops, which is the sched.Worker contract.
-// PushN sorts the batch once into a per-worker scratch, publishes
-// below-head singletons through the exchange, and publishes each
-// remaining same-chunk run with a single count-word CAS on the owning
-// chunk — one CAS per touched chunk, not per element.
+// PushN sorts the batch once into a per-worker scratch (sortItems in
+// sort.go: a presorted scan, insertion sort or a radix sort on the
+// keys, never a comparator call), publishes below-head singletons
+// through the exchange, and publishes each remaining same-chunk run
+// with a single count-word CAS on the owning chunk — one CAS per
+// touched chunk, not per element.
 //
 // # Progress and allocation
 //
@@ -153,10 +162,17 @@
 // — which a reader spins out with Gosched (bounded by the publishing
 // thread being scheduled across a few instructions, as in the original
 // CBPQ's frozenness wait). Steady-state allocation is amortized
-// O(1/ChunkCap) chunks per operation; on the decremental-key workload
-// the exchange absorbs push/pop pairs for one small immutable entry
-// allocation each (boxing is what makes concurrent readers of a
-// recycling slot race-free) instead of a full rebuild. Rebuilds
+// O(1/ChunkCap) chunks per operation, and no structural change copies
+// the spine whole: with L interior chunks (about 630 on RMAT-16 SSSP) a
+// split copies O(segCap + L/segCap) pointers and mins — its segment,
+// cut in two at most, plus the segment index — and a rebuild
+// O(segCap + L/segCap) plus its spill, so neither the copy nor its GC
+// write barriers grow with the queue
+// (TestSplitCostIndependentOfResidentSize pins this). On the
+// decremental-key workload the exchange absorbs push/pop pairs for one
+// small immutable entry allocation each (boxing is what makes
+// concurrent readers of a recycling slot race-free) instead of a full
+// rebuild. Rebuilds
 // allocate a handful of chunks per ChunkCap pops, CAS losers recycle
 // through the per-worker freelist, and popped or recycled slots are
 // zeroed so the queue retains no payload memory (see the retention
@@ -167,7 +183,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/contend"
@@ -181,6 +196,18 @@ import (
 // measured on the hold and uniform microbenchmarks it beats both 64
 // (split churn) and 256 (head-rebuild copy cost scales with the head,
 // which is sized as a multiple of ChunkCap).
+//
+// Swept on the segmented spine (bench `--sched cbpq --seconds 15`, two
+// runs each, M useful tasks/s at W = 2 on a 2-vCPU Xeon VM), the
+// workloads disagree:
+//
+//	ChunkCap     64          128         256         512
+//	sssp-rmat    4.61 4.77   5.16 5.92   6.55 6.55   7.21 6.30
+//	sssp-road    5.58 4.72   6.54 5.53   7.24 5.99   7.81 7.67
+//	hold         3.36 3.58   3.44 3.48   2.72 2.76   1.98 2.15
+//
+// The SSSP workloads gain from larger chunks and hold loses, the trade
+// named above. Moving the default needs paired runs of its own.
 const DefaultChunkCap = 128
 
 // maxFreeChunks bounds the per-worker freelist of recycled candidate
@@ -267,12 +294,15 @@ type Config struct {
 	ChunkCap int
 	// DisableElimination turns off the exchange-array elimination layer,
 	// leaving only the combining (buf + rebuild) path for below-head
-	// inserts. The layer is worth +26 % on `hold` (1.88 against 1.50 M
-	// pairs/s at W = 2), costs 4 % on `sssp-road` and is a wash on the
-	// other bench workloads (package doc, "Elimination and combining"), so
-	// it stays the default; the knob stays because the conformance suite's
-	// noelim variants are the only tests that keep buf + rebuild under
-	// load. (The zoo's cbpq-elim spec is an alias of the default.)
+	// inserts. On the segmented spine the layer no longer pays: with it
+	// off, `hold` runs 3.63 against 3.34 M tasks/s and `sssp-road` 6.46
+	// against 5.95 at W = 2, off winning 7 of 8 pairs on each, while two
+	// `sssp-rmat` pairs went to the layer (package doc, "Elimination and
+	// combining"). It stays the default until a change of its own flips
+	// or removes it with paired runs; the knob stays because the
+	// conformance suite's noelim variants are the only tests that keep
+	// buf + rebuild under load. (The zoo's cbpq-elim spec is an alias of
+	// the default.)
 	DisableElimination bool
 }
 
@@ -351,39 +381,6 @@ type exgSlot[T any] struct {
 	_  [contend.CacheLineSize - 8]byte
 }
 
-// spine is the immutable root snapshot: the sorted head, the head-range
-// insertion buffer, and the interior chunks ascending by min. Every
-// structural change installs a fresh spine with one CAS. mins mirrors
-// live[i].min in a flat pointer-free array so the per-push binary
-// search probes one cache-resident uint64 run instead of chasing a
-// chunk pointer per probe.
-type spine[T any] struct {
-	head *chunk[T]
-	buf  *chunk[T]
-	live []*chunk[T]
-	mins []uint64
-}
-
-// targetIdx returns the index in live of the chunk owning priority p
-// (the last chunk with min <= p), or -1 when p belongs to the head
-// range and must go through the exchange or buf.
-func (s *spine[T]) targetIdx(p uint64) int {
-	mins := s.mins
-	if len(mins) == 0 || p < mins[0] {
-		return -1
-	}
-	lo, hi := 0, len(mins)
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if mins[mid] <= p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Queue is a lock-free chunked priority queue. Create with New, then
 // hand each goroutine its own Worker.
 type Queue[T any] struct {
@@ -418,11 +415,15 @@ type worker[T any] struct {
 	// batch holds PushN's sorted copy; merge is the rebuild/split
 	// scratch (distinct because PushN drives rebuilds mid-batch) and
 	// merge2 its partner for the sorted-run merge (the two swap roles);
-	// exgTaken is the rebuild's collected-exchange-slot scratch.
+	// exgTaken is the rebuild's collected-exchange-slot scratch; run
+	// lists the chunks of the segments a structural change rewrites;
+	// radix is sortItems' ping-pong buffer.
 	batch    []pq.Item[T]
 	merge    []pq.Item[T]
 	merge2   []pq.Item[T]
 	exgTaken []*exgSlot[T]
+	run      []*chunk[T]
+	radix    []pq.Item[T]
 	one      [1]pq.Item[T] // Pop's destination
 
 	// built tracks the candidate chunks of the current structural
@@ -492,12 +493,11 @@ func (w *worker[T]) push1(p uint64, v T) {
 	q := w.q
 	for {
 		s := q.root.Load()
-		if k := s.targetIdx(p); k >= 0 {
-			c := s.live[k]
-			if c.tryAppend(w, p, v) {
+		if j, k := s.locate(p); j >= 0 {
+			if s.segs[j].chunks[k].tryAppend(w, p, v) {
 				return
 			}
-			q.split(w, s, k)
+			q.split(w, s, j, k)
 			continue
 		}
 		if w.exgPublish(s.head, p, v) {
@@ -714,7 +714,7 @@ func (w *worker[T]) PushN(ps []uint64, vs []T) {
 	for i, p := range ps {
 		batch = append(batch, pq.Item[T]{P: p, V: vs[i]})
 	}
-	slices.SortFunc(batch, itemCmp)
+	sortItems(batch, &w.radix)
 	w.batch = batch
 
 	var lastBuf *chunk[T]
@@ -722,26 +722,22 @@ func (w *worker[T]) PushN(ps []uint64, vs []T) {
 	for i < len(batch) {
 		s := q.root.Load()
 		p := batch[i].P
-		if k := s.targetIdx(p); k >= 0 {
-			c := s.live[k]
-			hi := uint64(1<<64 - 1)
-			if k+1 < len(s.live) {
-				hi = s.live[k+1].min
-			}
+		if sj, sk := s.locate(p); sj >= 0 {
+			hi := s.nextMin(sj, sk)
 			j := i + 1
 			for j < len(batch) && batch[j].P < hi {
 				j++
 			}
-			if n := c.tryAppendRun(w, batch[i:j]); n > 0 {
+			if n := s.segs[sj].chunks[sk].tryAppendRun(w, batch[i:j]); n > 0 {
 				i += n
 				continue
 			}
-			q.split(w, s, k)
+			q.split(w, s, sj, sk)
 			continue
 		}
 		hi := uint64(1<<64 - 1)
-		if len(s.live) > 0 {
-			hi = s.live[0].min
+		if len(s.smins) > 0 {
+			hi = s.smins[0]
 		}
 		j := i + 1
 		for j < len(batch) && batch[j].P < hi {
@@ -852,7 +848,7 @@ func (w *worker[T]) PopN(dst []sched.Task[T]) int {
 		// the root), and re-reading the packed word unchanged proves no
 		// exchange publish landed anywhere in the window. That second
 		// read is the linearization point.
-		if v >= uint64(h.n) && s.buf.ctl.Load() == 0 && len(s.live) == 0 && h.idx.Load() == hw {
+		if v >= uint64(h.n) && s.buf.ctl.Load() == 0 && len(s.segs) == 0 && h.idx.Load() == hw {
 			break
 		}
 		q.rebuild(w, s)
@@ -1040,18 +1036,22 @@ func (q *Queue[T]) rebuild(w *worker[T], s *spine[T]) {
 	// counts, so concurrent helpers still build equivalent candidates.
 	cap_ := q.cfg.ChunkCap
 	hcap := q.headCap
-	live := s.live
 	pullTo := max(hcap-cap_, min(hcap, cap_))
-	for len(m) < pullTo && len(live) > 0 {
-		ln := freezeLive(live[0])
-		m = append(m, live[0].items[:ln]...)
-		live = live[1:]
+	j, k := 0, 0 // the next chunk to pull is s.segs[j].chunks[k]
+	for len(m) < pullTo && j < len(s.segs) {
+		sg := s.segs[j]
+		c := sg.chunks[k]
+		ln := freezeLive(c)
+		m = append(m, c.items[:ln]...)
+		if k++; k == sg.n {
+			j, k = j+1, 0
+		}
 	}
 	// In the hold steady state the merge set is dominated by the
 	// already-sorted survivor run, so sort only the unordered tail and
 	// merge the two runs instead of re-sorting the whole set.
 	if sorted < len(m) {
-		slices.SortFunc(m[sorted:], itemCmp)
+		sortItems(m[sorted:], &w.radix)
 		if sorted > 0 {
 			m = w.mergeRuns(m, sorted)
 		}
@@ -1079,18 +1079,25 @@ func (q *Queue[T]) rebuild(w *worker[T], s *spine[T]) {
 	// and splits almost immediately).
 	rest := m[nh:]
 	nspill := max(1, len(rest)/max(1, cap_/2))
-	newLive := make([]*chunk[T], 0, nspill+len(live))
-	mins2 := make([]uint64, 0, cap(newLive))
+	run := w.run[:0]
 	for n := nspill; len(rest) > 0; n-- {
 		r := (len(rest) + n - 1) / n
-		newLive = append(newLive, w.prefill(rest[0].P, rest[:r]))
-		mins2 = append(mins2, rest[0].P)
+		run = append(run, w.prefill(rest[0].P, rest[:r]))
 		rest = rest[r:]
 	}
-	newLive = append(newLive, live...)
-	mins2 = append(mins2, s.mins[len(s.mins)-len(live):]...)
-
-	s2 := &spine[T]{head: head2, buf: w.getChunk(), live: newLive, mins: mins2}
+	// Only the front segment is rewritten: the spill chunks plus the
+	// unpulled rest of the segment the pull stopped in. Every later
+	// segment is shared, as are all of them when the pull stopped on a
+	// segment boundary and nothing spilled.
+	hi := j
+	if j < len(s.segs) && (k > 0 || len(run) > 0) {
+		sg := s.segs[j]
+		run = append(run, sg.chunks[k:sg.n]...)
+		hi++
+	}
+	s2 := s.rewrite(head2, w.getChunk(), 0, hi, run)
+	clear(run)
+	w.run = run[:0]
 	if q.root.CompareAndSwap(s, s2) {
 		w.commitBuilt()
 		if bn+len(ex) > 0 {
@@ -1144,43 +1151,37 @@ func (w *worker[T]) mergeRuns(m []pq.Item[T], k int) []pq.Item[T] {
 	return out
 }
 
-// split replaces the frozen (or about-to-freeze) live chunk s.live[k]
+// split replaces the frozen (or about-to-freeze) interior chunk (j, k)
 // with two halves around its median — or a single thawed copy when it
-// holds fewer than two entries. Like rebuild, any thread can help and
-// one root CAS wins. The head and its exchange entries are untouched:
-// a split never changes live[0].min, so "below head" stays below head.
-func (q *Queue[T]) split(w *worker[T], s *spine[T], k int) {
+// holds fewer than two entries — rewriting segment j alone. Like
+// rebuild, any thread can help and one root CAS wins. The head and its
+// exchange entries are untouched: a split never changes the first
+// interior min, so "below head" stays below head.
+func (q *Queue[T]) split(w *worker[T], s *spine[T], j, k int) {
 	if q.root.Load() != s {
 		return
 	}
-	c := s.live[k]
+	sg := s.segs[j]
+	c := sg.chunks[k]
 	n := freezeLive(c)
 	m := w.merge[:0]
 	m = append(m, c.items[:n]...)
 
-	var repl []*chunk[T]
+	run := append(w.run[:0], sg.chunks[:k]...)
 	if len(m) < 2 {
-		repl = []*chunk[T]{w.prefill(c.min, m)}
+		run = append(run, w.prefill(c.min, m))
 	} else {
 		// A split only needs the median boundary, not sorted halves:
 		// interior chunk membership is unordered by design (ordering is
 		// established when a rebuild pulls the chunk into a sorted
 		// head), so a quickselect partition replaces the full sort.
-		mid := partitionMid(m)
-		repl = []*chunk[T]{w.prefill(c.min, m[:mid]), w.prefill(m[mid].P, m[mid:])}
+		mid := partitionMid(m, &w.radix)
+		run = append(run, w.prefill(c.min, m[:mid]), w.prefill(m[mid].P, m[mid:]))
 	}
-	newLive := make([]*chunk[T], 0, len(s.live)+1)
-	newLive = append(newLive, s.live[:k]...)
-	newLive = append(newLive, repl...)
-	newLive = append(newLive, s.live[k+1:]...)
-	mins2 := make([]uint64, 0, len(s.mins)+1)
-	mins2 = append(mins2, s.mins[:k]...)
-	for _, rc := range repl {
-		mins2 = append(mins2, rc.min)
-	}
-	mins2 = append(mins2, s.mins[k+1:]...)
-
-	s2 := &spine[T]{head: s.head, buf: s.buf, live: newLive, mins: mins2}
+	run = append(run, sg.chunks[k+1:sg.n]...)
+	s2 := s.rewrite(s.head, s.buf, j, j+1, run)
+	clear(run)
+	w.run = run[:0]
 	if q.root.CompareAndSwap(s, s2) {
 		w.commitBuilt()
 	} else {
@@ -1189,54 +1190,6 @@ func (q *Queue[T]) split(w *worker[T], s *spine[T], k int) {
 	}
 	clear(m)
 	w.merge = m[:0]
-}
-
-// partitionMid reorders m (len >= 2) so that every element of m[:mid]
-// is <= every element of m[mid:] and m[mid] holds exactly the value a
-// full sort would place at mid, where mid = len(m)/2. Hoare-partition
-// quickselect with median-of-three pivots, falling back to a sort once
-// the segment straddling mid is small. Deterministic (no randomness),
-// so concurrent helpers partitioning identical frozen snapshots still
-// build equivalent split candidates; expected O(n) versus the
-// O(n log n) full sort it replaces, and n is bounded by ChunkCap.
-func partitionMid[T any](m []pq.Item[T]) int {
-	mid := len(m) / 2
-	lo, hi := 0, len(m)
-	for hi-lo > 8 {
-		p := med3(m[lo].P, m[(lo+hi)/2].P, m[hi-1].P)
-		i, j := lo-1, hi
-		for {
-			for i++; m[i].P < p; i++ {
-			}
-			for j--; m[j].P > p; j-- {
-			}
-			if i >= j {
-				break
-			}
-			m[i], m[j] = m[j], m[i]
-		}
-		// Hoare invariant: m[lo:j+1] <= p <= m[j+1:hi], and with a
-		// median-of-three pivot j lands strictly inside the segment, so
-		// narrowing to the side holding mid always makes progress.
-		if mid <= j {
-			hi = j + 1
-		} else {
-			lo = j + 1
-		}
-	}
-	slices.SortFunc(m[lo:hi], itemCmp)
-	return mid
-}
-
-// med3 returns the median of three priorities.
-func med3(a, b, c uint64) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-	}
-	return max(a, b)
 }
 
 // prefill builds a fully published live chunk holding items, with range
@@ -1327,14 +1280,4 @@ func (w *worker[T]) recycleBuilt() {
 	}
 	clear(w.built)
 	w.built = w.built[:0]
-}
-
-func itemCmp[T any](a, b pq.Item[T]) int {
-	switch {
-	case a.P < b.P:
-		return -1
-	case a.P > b.P:
-		return 1
-	}
-	return 0
 }

@@ -2,6 +2,7 @@ package cbpq
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -12,11 +13,143 @@ import (
 	"repro/internal/sched"
 )
 
+// Op codes of the byte streams runOps interprets. An op byte's low two
+// bits pick the operation; for the batch ops the next four bits give the
+// batch length minus one. A Push or PushN is followed by its keys, each
+// eight little-endian bytes, so keys span the full uint64 range.
+const (
+	opPush = iota
+	opPop
+	opPushN
+	opPopN
+)
+
+// fuzzCaps are the chunk capacities a fuzz input's first byte selects
+// from: the smallest (a split every few inserts and a segment cut every
+// few dozen), a small one, and the default.
+var fuzzCaps = [...]int{4, 8, DefaultChunkCap}
+
+// runOps drives q's worker 0 through the op stream ops (stopping at the
+// first op whose keys are cut short) against a sorted-multiset oracle:
+// every pop must return the oracle's exact minimum, PopN(k) exactly the
+// min(k, count) smallest in ascending order, and every payload —
+// a push's sequence number — must come out exactly once with the
+// priority it went in with. After each structural step (a new root) the
+// spine's shape is checked; at the end the queue must drain exactly to
+// the oracle and the counters must balance.
+func runOps(t *testing.T, q *Queue[int], ops []byte) {
+	t.Helper()
+	w := q.Worker(0)
+	var oracle []uint64 // ascending multiset of the queued priorities
+	var prio []uint64   // prio[v] is the priority payload v was pushed with
+	var popped []bool
+	push := func(p uint64) {
+		i, _ := slices.BinarySearch(oracle, p)
+		oracle = slices.Insert(oracle, i, p)
+		prio = append(prio, p)
+		popped = append(popped, false)
+	}
+	take := func(op int, p uint64, v int) {
+		if len(oracle) == 0 || p != oracle[0] {
+			t.Fatalf("op %d: popped %d, oracle minimum %v", op, p, oracle[:min(1, len(oracle))])
+		}
+		if v < 0 || v >= len(prio) || popped[v] || prio[v] != p {
+			t.Fatalf("op %d: payload %d popped at priority %d is not a live push of it", op, v, p)
+		}
+		popped[v] = true
+		oracle = oracle[1:]
+	}
+	dst := make([]sched.Task[int], 16)
+	var ps []uint64
+	var vs []int
+	last := q.root.Load()
+	for op := 0; len(ops) > 0; op++ {
+		code, k := ops[0]&3, 1+int(ops[0]>>2)&15
+		ops = ops[1:]
+		switch code {
+		case opPush, opPushN:
+			if code == opPush {
+				k = 1
+			}
+			if len(ops) < 8*k {
+				ops = nil
+				continue
+			}
+			ps, vs = ps[:0], vs[:0]
+			for i := 0; i < k; i++ {
+				p := binary.LittleEndian.Uint64(ops[8*i:])
+				ps, vs = append(ps, p), append(vs, len(prio))
+				push(p)
+			}
+			ops = ops[8*k:]
+			if code == opPush {
+				w.Push(ps[0], vs[0])
+			} else {
+				w.PushN(ps, vs)
+			}
+		case opPop:
+			p, v, ok := w.Pop()
+			if ok != (len(oracle) > 0) {
+				t.Fatalf("op %d: Pop ok = %v with %d queued", op, ok, len(oracle))
+			}
+			if ok {
+				take(op, p, v)
+			}
+		case opPopN:
+			n := w.PopN(dst[:k])
+			if want := min(k, len(oracle)); n != want {
+				t.Fatalf("op %d: PopN(%d) = %d with %d queued", op, k, n, len(oracle))
+			}
+			for _, it := range dst[:n] {
+				take(op, it.P, it.V)
+			}
+		}
+		if s := q.root.Load(); s != last {
+			checkSpine(t, q)
+			last = s
+		}
+	}
+	for len(oracle) > 0 {
+		p, v, ok := w.Pop()
+		if !ok {
+			t.Fatalf("drain: queue empty with %d queued", len(oracle))
+		}
+		take(-1, p, v)
+	}
+	if _, _, ok := w.Pop(); ok {
+		t.Fatal("drain: queue still non-empty after the oracle drained")
+	}
+	if st := q.Stats(); st.Pushes != uint64(len(prio)) || st.Pops != uint64(len(prio)) {
+		t.Fatalf("stats: pushes=%d pops=%d, want %d each", st.Pushes, st.Pops, len(prio))
+	}
+}
+
+// exactStream encodes TestSequentialExact's op stream: n ops of a random
+// push/pop mix (two pushes per pop on average, never popping an empty
+// model) over priorities below 1000, so duplicates are common.
+func exactStream(n int) []byte {
+	rng := rand.New(rand.NewSource(42))
+	var ops []byte
+	queued := 0
+	for op := 0; op < n; op++ {
+		if queued == 0 || rng.Intn(3) != 0 {
+			ops = binary.LittleEndian.AppendUint64(append(ops, opPush), uint64(rng.Intn(1000)))
+			queued++
+		} else {
+			ops = append(ops, opPop)
+			queued--
+		}
+	}
+	return ops
+}
+
 // TestSequentialExact drives a single worker through a random push/pop
 // mix against a reference model: every pop must return the exact
 // minimum of the live set, for both the default and a tiny chunk
-// capacity (the latter forces constant splits and rebuilds).
+// capacity (the latter forces constant splits, rebuilds and segment
+// cuts, and the spine's shape is checked after each).
 func TestSequentialExact(t *testing.T) {
+	ops := exactStream(20000)
 	for _, cfg := range []Config{
 		{Workers: 1},
 		{Workers: 1, ChunkCap: 4},
@@ -24,87 +157,107 @@ func TestSequentialExact(t *testing.T) {
 		{Workers: 1, DisableElimination: true},
 		{Workers: 1, ChunkCap: 8, DisableElimination: true},
 	} {
-		cap_ := cfg.ChunkCap
-		q := New[int](cfg)
-		w := q.Worker(0)
-		rng := rand.New(rand.NewSource(42))
-		var model []uint64
-		for op := 0; op < 20000; op++ {
-			if len(model) == 0 || rng.Intn(3) != 0 {
-				p := uint64(rng.Intn(1000))
-				w.Push(p, int(p))
-				model = append(model, p)
-			} else {
-				mi := 0
-				for i, p := range model {
-					if p < model[mi] {
-						mi = i
-					}
-				}
-				want := model[mi]
-				model[mi] = model[len(model)-1]
-				model = model[:len(model)-1]
-				p, v, ok := w.Pop()
-				if !ok {
-					t.Fatalf("cap=%d op=%d: Pop empty with %d modeled entries", cap_, op, len(model)+1)
-				}
-				if p != want {
-					t.Fatalf("cap=%d op=%d: Pop = %d, want exact min %d", cap_, op, p, want)
-				}
-				if uint64(v) != p {
-					t.Fatalf("cap=%d op=%d: payload %d does not match priority %d", cap_, op, v, p)
-				}
-			}
-		}
-		for range model {
-			if _, _, ok := w.Pop(); !ok {
-				t.Fatalf("cap=%d: queue drained before the model", cap_)
-			}
-		}
-		if _, _, ok := w.Pop(); ok {
-			t.Fatalf("cap=%d: queue still non-empty after the model drained", cap_)
-		}
+		runOps(t, New[int](cfg), ops)
 	}
 }
 
-// TestBatchExact checks that PushN batches pop back in exact global
-// order via PopN, across chunk boundaries and with duplicates.
-func TestBatchExact(t *testing.T) {
-	q := New[int](Config{Workers: 1, ChunkCap: 8})
-	w := q.Worker(0)
-	rng := rand.New(rand.NewSource(7))
-	const n = 5000
-	ps := make([]uint64, n)
-	vs := make([]int, n)
-	for i := range ps {
-		ps[i] = uint64(rng.Intn(300))
-		vs[i] = i
+// batchStream encodes n ops drawn from all four operations with
+// full-range keys. Batch pushes are drawn twice as often as the others,
+// so the queue grows across many segments and PushN's sorted runs meet
+// chunk and segment boundaries.
+func batchStream(n int) []byte {
+	rng := rand.New(rand.NewSource(43))
+	var ops []byte
+	for op := 0; op < n; op++ {
+		code := [...]byte{opPush, opPop, opPushN, opPushN, opPopN}[rng.Intn(5)]
+		k := rng.Intn(16)
+		ops = append(ops, code|byte(k)<<2)
+		switch code {
+		case opPush:
+			k = 0
+		case opPop, opPopN:
+			continue
+		}
+		for ; k >= 0; k-- {
+			ops = binary.LittleEndian.AppendUint64(ops, rng.Uint64())
+		}
 	}
-	w.PushN(ps[:n/2], vs[:n/2])
-	w.PushN(ps[n/2:], vs[n/2:])
+	return ops
+}
 
-	var got []uint64
-	dst := make([]sched.Task[int], 64)
-	for {
-		k := w.PopN(dst)
-		if k == 0 {
-			break
-		}
-		for _, it := range dst[:k] {
-			got = append(got, it.P)
-		}
-	}
-	if len(got) != n {
-		t.Fatalf("popped %d of %d", len(got), n)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("PopN out of order at %d: %d after %d", i, got[i], got[i-1])
+// FuzzCBPQOrder checks one worker — which is exact — against the
+// sorted-multiset oracle of runOps. The first input byte picks the chunk
+// capacity from fuzzCaps, the rest is the op stream. Seeded at each
+// capacity with the start of TestSequentialExact's stream and of
+// TestBatchExact's, so plain `go test` replays both. The seeds stay a
+// few hundred bytes: the fuzzer's minimizer is quadratic in the length
+// of every new input it keeps, and seeds of kilobytes stall it for its
+// whole time budget.
+func FuzzCBPQOrder(f *testing.F) {
+	for _, ops := range [][]byte{exactStream(64), batchStream(16)} {
+		for sel := range fuzzCaps {
+			f.Add(append([]byte{byte(sel)}, ops...))
 		}
 	}
-	st := q.Stats()
-	if st.Pushes != n || st.Pops != n {
-		t.Fatalf("stats: pushes=%d pops=%d, want %d each", st.Pushes, st.Pops, n)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		runOps(t, New[int](Config{Workers: 1, ChunkCap: fuzzCaps[int(data[0])%len(fuzzCaps)]}), data[1:])
+	})
+}
+
+// TestBatchExact checks that PushN batches pop back in exact global
+// order via PopN, across chunk boundaries and with duplicates. First
+// runOps replays a long batch stream with full-range keys against its
+// oracle, so PushN's sorted runs meet segment boundaries; then two
+// 2500-task batches go in at once. At ChunkCap 4 both cross many segment
+// cuts, and the spine's shape is checked after every structural step or
+// batch.
+func TestBatchExact(t *testing.T) {
+	for _, cap_ := range fuzzCaps {
+		runOps(t, New[int](Config{Workers: 1, ChunkCap: cap_}), batchStream(1000))
+	}
+	for _, cap_ := range []int{4, 8} {
+		q := New[int](Config{Workers: 1, ChunkCap: cap_})
+		w := q.Worker(0)
+		rng := rand.New(rand.NewSource(7))
+		const n = 5000
+		ps := make([]uint64, n)
+		vs := make([]int, n)
+		for i := range ps {
+			ps[i] = uint64(rng.Intn(300))
+			vs[i] = i
+		}
+		w.PushN(ps[:n/2], vs[:n/2])
+		checkSpine(t, q)
+		w.PushN(ps[n/2:], vs[n/2:])
+		checkSpine(t, q)
+
+		var got []uint64
+		dst := make([]sched.Task[int], 64)
+		for {
+			k := w.PopN(dst)
+			if k == 0 {
+				break
+			}
+			checkSpine(t, q)
+			for _, it := range dst[:k] {
+				got = append(got, it.P)
+			}
+		}
+		if len(got) != n {
+			t.Fatalf("cap=%d: popped %d of %d", cap_, len(got), n)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] < got[i-1] {
+				t.Fatalf("cap=%d: PopN out of order at %d: %d after %d", cap_, i, got[i], got[i-1])
+			}
+		}
+		st := q.Stats()
+		if st.Pushes != n || st.Pops != n {
+			t.Fatalf("cap=%d: stats: pushes=%d pops=%d, want %d each", cap_, st.Pushes, st.Pops, n)
+		}
 	}
 }
 

@@ -16,13 +16,23 @@ import (
 	"repro/internal/sched"
 )
 
-// stressRun hammers one queue with a mixed scalar/batch workload and
-// verifies conservation (pushed == popped + remaining) plus exact
-// ascending order on the final drain.
-func stressRun(t *testing.T, workers, perWorker, chunkCap int) {
+// stressRun hammers one queue, first prefilled with prefill tasks, with
+// a mixed scalar/batch workload and verifies conservation (pushed ==
+// popped + remaining) plus exact ascending order on the final drain.
+// The mix pops a little more than it pushes, so a prefill keeps the
+// queue resident-heavy throughout; with one, the run also asserts that
+// the spine still held at least 3 segments when the workers stopped, so
+// splits and rebuilds raced across segment boundaries the whole time.
+func stressRun(t *testing.T, workers, perWorker, chunkCap, prefill int) {
 	t.Helper()
 	q := New[uint64](Config{Workers: workers, ChunkCap: chunkCap})
 	var pushed, popped atomic.Uint64
+	seed := q.Worker(0)
+	rng := rand.New(rand.NewSource(int64(prefill)))
+	for i := 0; i < prefill; i++ {
+		seed.Push(uint64(rng.Intn(1<<14)), uint64(i))
+	}
+	pushed.Add(uint64(prefill))
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
@@ -58,6 +68,9 @@ func stressRun(t *testing.T, workers, perWorker, chunkCap int) {
 		}(wi)
 	}
 	wg.Wait()
+	if segs := len(q.root.Load().segs); prefill > 0 && segs < 3 {
+		t.Fatalf("resident-heavy run ended with %d segments, want >= 3 (prefill %d, ChunkCap %d)", segs, prefill, chunkCap)
+	}
 
 	w := q.Worker(0)
 	prev := uint64(0)
@@ -84,14 +97,20 @@ func stressRun(t *testing.T, workers, perWorker, chunkCap int) {
 }
 
 // TestStressMixed soaks the default and a split-heavy tiny chunk
-// capacity at full parallelism.
+// capacity at full parallelism, the latter once from empty and once
+// resident-heavy: 2^17 prefilled tasks in ChunkCap 8 chunks span
+// hundreds of segments, which no run from empty is guaranteed to reach.
 func TestStressMixed(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
 	}
-	for _, cap_ := range []int{0, 8} {
-		stressRun(t, workers, 60000, cap_)
+	for _, tc := range []struct{ cap_, perWorker, prefill int }{
+		{0, 60000, 0},
+		{8, 60000, 0},
+		{8, 20000, 1 << 17},
+	} {
+		stressRun(t, workers, tc.perWorker, tc.cap_, tc.prefill)
 	}
 }
 
@@ -101,7 +120,7 @@ func TestStressMixed(t *testing.T) {
 func TestStressOversubscribed(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(prev)
-	stressRun(t, 3*prev+2, 20000, 8)
+	stressRun(t, 3*prev+2, 20000, 8, 0)
 }
 
 // TestStressExactness soaks the timestamped displacement checker

@@ -9,41 +9,53 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/graph"
 )
 
 func main() {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "graphgen:", err)
+		os.Exit(1)
+	}
+}
+
+// run is graphgen on its arguments.
+func run(args []string) error {
+	fs := flag.NewFlagSet("graphgen", flag.ContinueOnError)
 	var (
-		typ       = flag.String("type", "road", "generator: road, rmat, uniform")
-		rows      = flag.Int("rows", 128, "road grid rows")
-		cols      = flag.Int("cols", 128, "road grid cols")
-		rmatScale = flag.Int("rmatscale", 14, "RMAT: log2 of vertex count")
-		ef        = flag.Int("ef", 16, "RMAT: edges per vertex")
-		n         = flag.Int("n", 10000, "uniform: vertex count")
-		m         = flag.Int("m", 100000, "uniform: edge count")
-		maxW      = flag.Uint("maxw", 255, "uniform: maximum edge weight")
-		seed      = flag.Uint64("seed", 42, "generator seed")
-		in        = flag.String("in", "", "read an existing graph (bin or dimacs by extension) instead of generating")
-		out       = flag.String("o", "", "output path (required)")
-		outFormat = flag.String("outformat", "bin", "output format: bin or dimacs")
-		stat      = flag.Bool("stat", true, "print graph statistics to stderr")
+		typ       = fs.String("type", "road", "generator: road, rmat, uniform")
+		rows      = fs.Int("rows", 128, "road grid rows")
+		cols      = fs.Int("cols", 128, "road grid cols")
+		rmatScale = fs.Int("rmatscale", 14, "RMAT: log2 of vertex count")
+		ef        = fs.Int("ef", 16, "RMAT: edges per vertex")
+		n         = fs.Int("n", 10000, "uniform: vertex count")
+		m         = fs.Int("m", 100000, "uniform: edge count")
+		maxW      = fs.Uint("maxw", 255, "uniform: maximum edge weight")
+		seed      = fs.Uint64("seed", 42, "generator seed")
+		in        = fs.String("in", "", "read an existing graph (bin or dimacs by extension) instead of generating")
+		out       = fs.String("o", "", "output path (required)")
+		outFormat = fs.String("outformat", "bin", "output format: bin or dimacs")
+		stat      = fs.Bool("stat", true, "print graph statistics to stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *out == "" {
-		fatal(fmt.Errorf("-o is required"))
+		return fmt.Errorf("-o is required")
 	}
 
 	var g *graph.CSR
-	var err error
 	if *in != "" {
-		g, err = readGraph(*in)
-		if err != nil {
-			fatal(err)
+		var err error
+		if g, err = readGraph(*in); err != nil {
+			return err
 		}
 	} else {
 		switch *typ {
@@ -54,25 +66,12 @@ func main() {
 		case "uniform":
 			g = graph.GenerateUniformRandom(*n, *m, uint32(*maxW), *seed)
 		default:
-			fatal(fmt.Errorf("unknown generator %q", *typ))
+			return fmt.Errorf("unknown generator %q", *typ)
 		}
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	switch *outFormat {
-	case "bin":
-		err = graph.WriteBinary(f, g)
-	case "dimacs":
-		err = graph.WriteDIMACS(f, g)
-	default:
-		err = fmt.Errorf("unknown output format %q", *outFormat)
-	}
-	if err != nil {
-		fatal(err)
+	if err := writeGraph(*out, *outFormat, g); err != nil {
+		return err
 	}
 
 	if *stat {
@@ -80,6 +79,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s: |V|=%d |E|=%d maxdeg=%d avgdeg=%.2f coords=%v\n",
 			s.Name, s.N, s.M, s.MaxDeg, s.AvgDeg, s.HasCoords)
 	}
+	return nil
+}
+
+// writeGraph writes g to path in format. A failed write or close removes
+// the file, so a later -in never reads back a truncated graph; a close
+// can fail on a write the kernel deferred.
+func writeGraph(path, format string, g *graph.CSR) error {
+	var write func(io.Writer, *graph.CSR) error
+	switch format {
+	case "bin":
+		write = graph.WriteBinary
+	case "dimacs":
+		write = graph.WriteDIMACS
+	default:
+		return fmt.Errorf("unknown output format %q", format)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err = write(f, g); err == nil {
+		err = f.Close()
+	} else {
+		f.Close()
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }
 
 func readGraph(path string) (*graph.CSR, error) {
@@ -92,9 +120,4 @@ func readGraph(path string) (*graph.CSR, error) {
 		return graph.ReadDIMACS(f)
 	}
 	return graph.ReadBinary(f)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "graphgen:", err)
-	os.Exit(1)
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -65,13 +66,37 @@ func TestWriteCoordsWithoutCoords(t *testing.T) {
 	}
 }
 
+// declaredVertices is the vertex count on in's first DIMACS problem
+// line, or 0 when there is none.
+func declaredVertices(in string) int64 {
+	for _, line := range strings.Split(in, "\n") {
+		if line = strings.TrimSpace(line); strings.HasPrefix(line, "p") {
+			if fields := strings.Fields(line); len(fields) == 4 {
+				n, _ := strconv.ParseInt(fields[2], 10, 64)
+				return n
+			}
+			return 0
+		}
+	}
+	return 0
+}
+
 func FuzzReadDIMACS(f *testing.F) {
 	f.Add("p sp 3 2\na 1 2 10\na 2 3 20\n")
 	f.Add("c x\np sp 1 0\n")
 	f.Add("a 1 2 3\n")
 	f.Add("p sp 0 0\n")
 	f.Add("p sp 2 1\na 1 2 4294967295\n")
+	for _, in := range []string{dimacsHugeM, dimacsWideN, dimacsSecondP, dimacsShort, dimacsOver} {
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
+		// A legal header makes Build allocate N+1 offsets: that is size,
+		// not a bug, and past 2^20 vertices it would run a fuzz worker
+		// out of memory. Counts past uint32 are rejected, so kept.
+		if n := declaredVertices(in); n > 1<<20 && n <= math.MaxUint32 {
+			t.Skip()
+		}
 		// Must never panic; errors are fine.
 		g, err := ReadDIMACS(strings.NewReader(in))
 		if err == nil && g != nil {
@@ -92,6 +117,12 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
+	for _, c := range hostileBinary {
+		f.Add(c.in)
+	}
+	// No vertex-count skip here, unlike FuzzReadDIMACS: ReadBinary's
+	// arrays are read from the input, so what it allocates is bounded by
+	// the input's length.
 	f.Fuzz(func(t *testing.T, in []byte) {
 		g, err := ReadBinary(bytes.NewReader(in))
 		if err == nil && g != nil {

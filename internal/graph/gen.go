@@ -17,6 +17,12 @@ import (
 // degree and high-diameter — exactly the properties this generator
 // reproduces, and the ones that make scheduling order matter for
 // SSSP/A*.
+//
+// The graph drawn for a seed is part of the benchmark's definition:
+// every bench workload and harness experiment takes its input from here,
+// so a change to the output, however small, changes every measured
+// number and belongs in a [benchmark]-tagged change of its own.
+// TestBenchmarkInputsPinned holds the output fixed bit for bit.
 func GenerateRoadGrid(rows, cols int, seed uint64) *CSR {
 	if rows < 1 || cols < 1 {
 		panic("graph: grid dimensions must be positive")
@@ -44,7 +50,9 @@ func GenerateRoadGrid(rows, cols int, seed uint64) *CSR {
 		}
 		return w
 	}
-	var edges []Edge
+	// Sized as if every cell had its diagonal, so append never
+	// reallocates.
+	edges := make([]Edge, 0, 2*(rows*(cols-1)+(rows-1)*cols+(rows-1)*(cols-1)))
 	addUndirected := func(u, v uint32) {
 		w := roadWeight(u, v)
 		edges = append(edges, Edge{U: u, V: v, W: w}, Edge{U: v, V: u, W: w})
@@ -84,6 +92,9 @@ func DefaultRMATParams() RMATParams {
 // Table 1). Degree skew and low diameter — the properties that flatten
 // task priorities on social graphs — come from the recursive quadrant
 // bias.
+//
+// As with GenerateRoadGrid, the graph drawn for a seed is part of the
+// benchmark's definition and TestBenchmarkInputsPinned holds it fixed.
 func GenerateRMAT(scale, edgeFactor int, params RMATParams, seed uint64) *CSR {
 	if scale < 1 || scale > 30 {
 		panic("graph: RMAT scale out of range [1,30]")
@@ -95,30 +106,52 @@ func GenerateRMAT(scale, edgeFactor int, params RMATParams, seed uint64) *CSR {
 	n := 1 << scale
 	m := edgeFactor * n
 	edges := make([]Edge, 0, m)
+	// Each level draws r = Float64() and takes the first of r < A,
+	// r < A+B, r < A+B+C that holds. r is k·2^-53 for the 53-bit
+	// k = Uint64()>>11, so each compare is k < T on an integer threshold
+	// (rmatThreshold), and the arm taken is the count q of thresholds k has
+	// reached, once each threshold is raised to the one before it: that
+	// keeps partial sums that fall out of order (a negative B or C) on the
+	// arm the first match picks. Arm q sets v's bit to q&1 and u's to q>>1.
 	ab := params.A + params.B
 	abc := ab + params.C
+	tA := rmatThreshold(params.A)
+	tAB := max(rmatThreshold(ab), tA)
+	tABC := max(rmatThreshold(abc), tAB)
 	for i := 0; i < m; i++ {
-		u, v := 0, 0
-		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < params.A:
-				// top-left: no bits set
-			case r < ab:
-				v |= 1 << bit
-			case r < abc:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+		var u, v uint64
+		for range scale {
+			k := rng.Uint64() >> 11
+			// k and the thresholds are at most 2^53: k-T wraps, setting
+			// the sign bit, exactly when k < T.
+			q := 3 - ((k-tA)>>63 + (k-tAB)>>63 + (k-tABC)>>63)
+			// Bits enter at the top and shift down a place per level,
+			// which keeps every shift count constant.
+			v = v>>1 | q<<63
+			u = u>>1 | (q>>1)<<63
 		}
+		u >>= 64 - scale
+		v >>= 64 - scale
 		if u == v {
 			continue // drop self-loops
 		}
 		edges = append(edges, Edge{U: uint32(u), V: uint32(v), W: uint32(rng.Intn(256))})
 	}
 	return MustBuild(n, edges, nil)
+}
+
+// rmatThreshold is the integer T with k < T exactly when
+// float64(k)·2^-53 < t, for every k in [0, 2^53): t·2^53 is exact, so T
+// is its ceiling. No k passes a t that is not above zero (NaN included),
+// and every k passes a t of one or more.
+func rmatThreshold(t float64) uint64 {
+	switch {
+	case !(t > 0):
+		return 0
+	case t >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(t * (1 << 53)))
 }
 
 // GenerateUniformRandom builds an Erdős–Rényi-style directed graph with n

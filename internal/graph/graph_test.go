@@ -2,7 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -206,6 +210,11 @@ func TestDIMACSErrors(t *testing.T) {
 		"bad arc":       "p sp 2 1\na 1 two 1\n",
 		"unknown":       "p sp 2 1\nz 1 2 3\n",
 		"missing plist": "c only comments\n",
+		"huge m":        dimacsHugeM,
+		"n past uint32": dimacsWideN,
+		"second plist":  dimacsSecondP,
+		"arcs short":    dimacsShort,
+		"arcs over":     dimacsOver,
 	}
 	for name, in := range cases {
 		if _, err := ReadDIMACS(strings.NewReader(in)); err == nil {
@@ -248,9 +257,75 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// Hostile DIMACS inputs: each once made the reader panic or accept a
+// graph it should not. FuzzReadDIMACS seeds on them too.
+const (
+	dimacsHugeM   = "p sp 1 9000000000000000000\n" // preallocated from the header
+	dimacsWideN   = "p sp 4294967296 0\n"          // vertex ids are uint32
+	dimacsSecondP = "p sp 3 1\na 1 2 3\np sp 3 1\na 2 3 4\n"
+	dimacsShort   = "p sp 3 2\na 1 2 10\n" // a truncated file
+	dimacsOver    = "p sp 3 1\na 1 2 10\na 2 3 20\n"
+)
+
+// binaryHeader is a WriteBinary header with the given fields and nothing
+// after it.
+func binaryHeader(n, m, coords uint64) []byte {
+	var buf bytes.Buffer
+	for _, h := range []uint64{uint64(binMagic), n, m, coords} {
+		binary.Write(&buf, binary.LittleEndian, h)
+	}
+	return buf.Bytes()
+}
+
+// hostileBinary are headers that once made ReadBinary panic or allocate
+// far past the input's length. FuzzReadBinary seeds on them too.
+var hostileBinary = []struct {
+	name string
+	in   []byte
+}{
+	{"n = 2^62", binaryHeader(1<<62, 0, 0)},
+	{"n past uint32", binaryHeader(1<<32, 0, 0)},
+	{"m past bound", binaryHeader(2, 1<<40, 0)},
+	{"coords flag 2", binaryHeader(2, 0, 2)},
+	{"n = 2^31, empty", binaryHeader(1<<31, 1<<34, 1)},
+}
+
 func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph at all............."))); err == nil {
-		t.Fatal("garbage accepted")
+		t.Error("garbage accepted")
+	}
+	for _, c := range hostileBinary {
+		if _, err := ReadBinary(bytes.NewReader(c.in)); err == nil {
+			t.Errorf("%s: accepted invalid input", c.name)
+		}
+	}
+}
+
+// TestBinaryTruncated cuts a written graph at every length: each cut
+// past the header must fail with io.ErrUnexpectedEOF, and a header that
+// claims 2^31 vertices and 2^34 edges over 1 KB of data must fail having
+// allocated about the data, not the claim (~200 GB).
+func TestBinaryTruncated(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, GenerateRoadGrid(3, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	for cut := 32; cut < len(full); cut++ {
+		if _, err := ReadBinary(bytes.NewReader(full[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d of %d bytes: err = %v, want io.ErrUnexpectedEOF", cut, len(full), err)
+		}
+	}
+	in := append(binaryHeader(1<<31, 1<<34, 1), make([]byte, 1024)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short body: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Fatalf("short body: allocated %d bytes", alloc)
 	}
 }
 

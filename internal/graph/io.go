@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -12,11 +13,12 @@ import (
 // ReadDIMACS parses a 9th DIMACS Implementation Challenge shortest-path
 // graph ("p sp N M" header, "a U V W" arc lines, 1-based vertex ids) —
 // the format of the paper's USA/WEST road inputs. Comments ("c ...") are
-// ignored.
+// ignored. The file must hold one problem line and exactly M arcs, so a
+// truncated file is an error, not a smaller graph.
 func ReadDIMACS(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var n int
+	var n, m int
 	var edges []Edge
 	line := 0
 	for sc.Scan() {
@@ -27,20 +29,24 @@ func ReadDIMACS(r io.Reader) (*CSR, error) {
 		}
 		switch text[0] {
 		case 'p':
+			if n != 0 {
+				return nil, fmt.Errorf("graph: line %d: second problem line", line)
+			}
 			fields := strings.Fields(text)
 			if len(fields) != 4 || fields[1] != "sp" {
 				return nil, fmt.Errorf("graph: line %d: bad problem line %q", line, text)
 			}
 			var err error
 			n, err = strconv.Atoi(fields[2])
-			if err != nil || n <= 0 {
+			if err != nil || n <= 0 || uint64(n) > math.MaxUint32 { // ids are uint32
 				return nil, fmt.Errorf("graph: line %d: bad vertex count %q", line, fields[2])
 			}
-			m, err := strconv.Atoi(fields[3])
+			m, err = strconv.Atoi(fields[3])
 			if err != nil || m < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad edge count %q", line, fields[3])
 			}
-			edges = make([]Edge, 0, m)
+			// The header is a claim, not a size: append grows past this.
+			edges = make([]Edge, 0, min(m, preallocLimit))
 		case 'a':
 			if n == 0 {
 				return nil, fmt.Errorf("graph: line %d: arc before problem line", line)
@@ -69,8 +75,15 @@ func ReadDIMACS(r io.Reader) (*CSR, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("graph: missing problem line")
 	}
+	if len(edges) != m {
+		return nil, fmt.Errorf("graph: %d arcs, problem line declares %d", len(edges), m)
+	}
 	return Build(n, edges, nil)
 }
+
+// preallocLimit caps what a reader allocates on a header's word alone;
+// past it, storage grows with the data actually read.
+const preallocLimit = 1 << 16
 
 // WriteDIMACS emits the graph in DIMACS shortest-path format.
 func WriteDIMACS(w io.Writer, g *CSR) error {
@@ -125,7 +138,10 @@ func WriteBinary(w io.Writer, g *CSR) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary.
+// ReadBinary deserializes a graph written by WriteBinary. It reads each
+// array in bounded chunks, so a truncated file fails with
+// io.ErrUnexpectedEOF having allocated about what it held, not what its
+// header claimed.
 func ReadBinary(r io.Reader) (*CSR, error) {
 	br := bufio.NewReader(r)
 	var hdr [4]uint64
@@ -137,33 +153,29 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 	if uint32(hdr[0]) != binMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x", hdr[0])
 	}
+	if hdr[1] == 0 || hdr[1] > math.MaxUint32 || hdr[2] > 1<<34 || hdr[3] > 1 {
+		return nil, fmt.Errorf("graph: implausible header n=%d m=%d coords=%d", hdr[1], hdr[2], hdr[3])
+	}
 	n, m := int(hdr[1]), int(hdr[2])
-	if n <= 0 || m < 0 || m > 1<<34 {
-		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n, m)
-	}
-	g := &CSR{
-		N:       n,
-		Offsets: make([]int64, n+1),
-		Targets: make([]uint32, m),
-		Weights: make([]uint32, m),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
+	g := &CSR{N: n}
+	var err error
+	if g.Offsets, err = readLE[int64](br, n+1); err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Targets); err != nil {
+	if g.Targets, err = readLE[uint32](br, m); err != nil {
 		return nil, fmt.Errorf("graph: reading targets: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
+	if g.Weights, err = readLE[uint32](br, m); err != nil {
 		return nil, fmt.Errorf("graph: reading weights: %w", err)
 	}
 	if hdr[3] == 1 {
+		xy, err := readLE[float64](br, 2*n)
+		if err != nil {
+			return nil, fmt.Errorf("graph: reading coords: %w", err)
+		}
 		g.Coords = make([]Coord, n)
-		buf := make([]float64, 2)
 		for i := range g.Coords {
-			if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
-				return nil, fmt.Errorf("graph: reading coords: %w", err)
-			}
-			g.Coords[i] = Coord{X: buf[0], Y: buf[1]}
+			g.Coords[i] = Coord{X: xy[2*i], Y: xy[2*i+1]}
 		}
 	}
 	// Validate structural invariants so corrupt files fail loudly.
@@ -181,4 +193,25 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 		}
 	}
 	return g, nil
+}
+
+// readLE reads count little-endian values, preallocLimit at a time. The
+// slice grows geometrically with what was read and is exactly count long
+// at the end.
+func readLE[T int64 | uint32 | float64](r io.Reader, count int) ([]T, error) {
+	out := make([]T, 0, min(count, preallocLimit))
+	for len(out) < count {
+		k := min(count-len(out), preallocLimit)
+		if len(out)+k > cap(out) {
+			out = append(make([]T, 0, min(count, max(2*cap(out), len(out)+k))), out...)
+		}
+		if err := binary.Read(r, binary.LittleEndian, out[len(out):len(out)+k]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
+			return nil, err
+		}
+		out = out[:len(out)+k]
+	}
+	return out, nil
 }

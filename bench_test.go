@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/algos"
 	"repro/internal/core"
-	"repro/internal/emq"
 	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/klsm"
@@ -308,8 +307,9 @@ func BenchmarkEMQ_Ablation(b *testing.B) {
 		for _, buf := range []int{1, 16, 64} {
 			b.Run(fmt.Sprintf("stick=%d/buf=%d", stick, buf), func(b *testing.B) {
 				benchSSSP(b, func() sched.Scheduler[uint32] {
-					return emq.New[uint32](emq.Config{Workers: benchWorkers,
-						Stickiness: stick, InsertBuffer: buf, DeleteBuffer: buf})
+					cfg := mq.Engineered(benchWorkers)
+					cfg.Stickiness, cfg.BatchInsert, cfg.BatchDelete = stick, buf, buf
+					return mq.New[uint32](cfg)
 				}, road)
 			})
 		}

@@ -27,8 +27,9 @@
 // Every experiment prints the same row/series structure as the paper
 // artifact it reproduces (speedups and work increases per cell); -list
 // prints the experiment ↔ artifact mapping. The emq experiment covers
-// the engineered MultiQueue follow-up baseline (Williams et al. 2021)
-// with its stickiness × buffer-size grid; the klsm experiment sweeps
+// the engineered MultiQueue follow-up baseline (Williams et al. 2021),
+// the Multi-Queue with queue stickiness (mq.Engineered), with its
+// stickiness × buffer-size grid; the klsm experiment sweeps
 // the k-LSM's relaxation bound (Wimmer et al. 2015, k = 4..4096), the
 // strongest non-Multi-Queue baseline of the paper's Figure 2 lineup,
 // which both experiments' schedulers also join. The geom experiment runs the

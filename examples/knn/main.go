@@ -44,7 +44,7 @@ func main() {
 			return smq.NewClassicMultiQueue[uint32](*workers, 4)
 		}},
 		{"EMQ", func() smq.Scheduler[uint32] {
-			return smq.NewEngineeredMQ[uint32](smq.EMQConfig{Workers: *workers})
+			return smq.NewEngineeredMQ[uint32](*workers)
 		}},
 	} {
 		g, res := smq.KNNGraph(ps, *k, e.mk())

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/emq"
 	"repro/internal/graph"
 	"repro/internal/mq"
 	"repro/internal/obim"
@@ -47,11 +46,12 @@ func schedulers(workers int) map[string]func() sched.Scheduler[uint32] {
 			return spray.New[uint32](spray.Config{Workers: workers})
 		},
 		"emq": func() sched.Scheduler[uint32] {
-			return emq.New[uint32](emq.Config{Workers: workers})
+			return mq.New[uint32](mq.Engineered(workers))
 		},
 		"emq_unbuffered": func() sched.Scheduler[uint32] {
-			return emq.New[uint32](emq.Config{Workers: workers,
-				Stickiness: 1, InsertBuffer: 1, DeleteBuffer: 1})
+			cfg := mq.Engineered(workers)
+			cfg.Stickiness, cfg.BatchInsert, cfg.BatchDelete = 1, 1, 1
+			return mq.New[uint32](cfg)
 		},
 	}
 }

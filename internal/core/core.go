@@ -43,6 +43,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/contend"
 	"repro/internal/numa"
@@ -98,7 +99,7 @@ func (c Config) Validate() error {
 	if c.StealSize < 0 {
 		return fmt.Errorf("core: Config.StealSize = %d, must be >= 0", c.StealSize)
 	}
-	if c.StealProb > 1 {
+	if !(c.StealProb <= 1) {
 		return fmt.Errorf("core: Config.StealProb = %g, must be a probability <= 1", c.StealProb)
 	}
 	if c.HeapArity < 0 || c.HeapArity == 1 {
@@ -107,8 +108,8 @@ func (c Config) Validate() error {
 	if c.NUMANodes < 0 {
 		return fmt.Errorf("core: Config.NUMANodes = %d, must be >= 0", c.NUMANodes)
 	}
-	if c.NUMAWeightK < 0 {
-		return fmt.Errorf("core: Config.NUMAWeightK = %g, must be >= 0", c.NUMAWeightK)
+	if !(c.NUMAWeightK >= 0) || math.IsInf(c.NUMAWeightK, 1) {
+		return fmt.Errorf("core: Config.NUMAWeightK = %g, must be finite and >= 0", c.NUMAWeightK)
 	}
 	if c.StealTries < 0 {
 		return fmt.Errorf("core: Config.StealTries = %d, must be >= 0", c.StealTries)

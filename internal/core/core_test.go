@@ -524,6 +524,24 @@ func TestStatsRemoteCounting(t *testing.T) {
 	}
 }
 
+// TestHugeNUMAWeightDoesNotHang: with one queue per virtual node, a
+// weight K so large that the own-node probability rounds to 1 made the
+// victim draw, which must avoid the worker's own queue, spin forever.
+func TestHugeNUMAWeightDoesNotHang(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w := NewStealingMQ[int](Config{Workers: 2, NUMANodes: 2, NUMAWeightK: 1e17, StealProb: 1}).Worker(0)
+		w.Push(1, 1)
+		w.Pop()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Push and Pop with NUMAWeightK = 1e17 still running after 5 s")
+	}
+}
+
 // TestSingleWorkerEmptyPopSkipsStealFallback: with one worker there is
 // no victim, so an empty Pop must not spin through the StealTries
 // fallback loop (every stealFrom against our own id is a no-op). The

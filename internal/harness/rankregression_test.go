@@ -8,9 +8,9 @@ import (
 	"repro/internal/algos"
 	"repro/internal/cbpq"
 	"repro/internal/core"
-	"repro/internal/emq"
 	"repro/internal/graph"
 	"repro/internal/klsm"
+	"repro/internal/mq"
 	"repro/internal/sched"
 	"repro/internal/zoo"
 )
@@ -22,15 +22,15 @@ var klsmStrict = zoo.KLSM[uint32]("klsm-strict", klsm.Config{Relaxation: klsm.St
 // engineered MultiQueue to in lockstep (γ=0) mode. The EMQ's relaxation
 // comes from three multiplicative sources: the two-choice sampling over
 // m = C·workers queues (expected displacement O(m), as for the classic
-// Multi-Queue), the deletion buffer (a refill locks in a run of up to
-// DeleteBuffer tasks, delaying cross-queue re-comparison), and
+// Multi-Queue), the delete buffer (a refill locks in a run of up to
+// BatchDelete tasks, delaying cross-queue re-comparison), and
 // stickiness (up to Stickiness operations reuse a stale queue pair).
-// The product m·DeleteBuffer·Stickiness bounds the window of tasks a
+// The product m·BatchDelete·Stickiness bounds the window of tasks a
 // worker can run ahead of the global minimum; the constant in front is
 // empirical headroom (measured lockstep means sit well below a tenth of
 // this at the probe's scale — see TestRankErrorRegression).
-func emqRankErrorBound(workers, c, deleteBuffer, stickiness int) float64 {
-	return float64(c*workers) * float64(deleteBuffer) * float64(stickiness)
+func emqRankErrorBound(workers int, cfg mq.Config) float64 {
+	return float64(cfg.C*workers) * float64(cfg.BatchDelete) * float64(cfg.Stickiness)
 }
 
 // TestRankErrorRegression pins the relative rank quality of the
@@ -55,12 +55,11 @@ func TestRankErrorRegression(t *testing.T) {
 		tasks   = 20000
 	)
 
-	emqCfg := emq.Config{}.WithDefaults()
 	emqStats := ProbeRankLockstep(registered("emq"), workers, tasks)
 	if math.IsNaN(emqStats.MeanDisplacement) || math.IsInf(emqStats.MeanDisplacement, 0) {
 		t.Fatalf("EMQ mean rank error is not finite: %v", emqStats.MeanDisplacement)
 	}
-	bound := emqRankErrorBound(workers, emqCfg.C, emqCfg.DeleteBuffer, emqCfg.Stickiness)
+	bound := emqRankErrorBound(workers, mq.Engineered(workers))
 	if emqStats.MeanDisplacement > bound {
 		t.Errorf("EMQ mean rank error %.2f exceeds documented bound %.0f",
 			emqStats.MeanDisplacement, bound)
@@ -125,8 +124,8 @@ func TestRankErrorRegression(t *testing.T) {
 // envelope gains a batch-sized term relative to the scalar bounds:
 //
 //   - the EMQ's refill serves up to batch tasks from one locked winner
-//     — the same window its DeleteBuffer already opens, so with
-//     batch <= DeleteBuffer the scalar envelope applies unchanged;
+//     — the same window its BatchDelete already opens, so with
+//     batch <= BatchDelete the scalar envelope applies unchanged;
 //   - the k-LSM may drain up to batch tasks from the global LSM under
 //     one lock while each drained task can skip the usual
 //     (P−1)·k tasks hiding in other locals, adding at most batch−1 to
@@ -144,12 +143,11 @@ func TestRankErrorRegressionBatched(t *testing.T) {
 		batch   = 8
 	)
 
-	emqCfg := emq.Config{}.WithDefaults()
 	emqStats := ProbeRankLockstepBatched(registered("emq"), workers, tasks, batch)
 	if math.IsNaN(emqStats.MeanDisplacement) || math.IsInf(emqStats.MeanDisplacement, 0) {
 		t.Fatalf("batched EMQ mean rank error is not finite: %v", emqStats.MeanDisplacement)
 	}
-	if bound := emqRankErrorBound(workers, emqCfg.C, emqCfg.DeleteBuffer, emqCfg.Stickiness); emqStats.MeanDisplacement > bound {
+	if bound := emqRankErrorBound(workers, mq.Engineered(workers)); emqStats.MeanDisplacement > bound {
 		t.Errorf("batched EMQ mean rank error %.2f exceeds documented bound %.0f",
 			emqStats.MeanDisplacement, bound)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/emq"
 	"repro/internal/graph"
 	"repro/internal/klsm"
 	"repro/internal/mq"
@@ -528,8 +527,9 @@ func planEMQ(cfg RunConfig) (*Plan, error) {
 	}
 	return planOneGrid("emq", "Engineered MultiQueue — Williams et al. 2021", "stickiness", rows, "buffer", cols, cfg,
 		func(ri, ci int) SchedulerSpec {
-			return zoo.EMQ[uint32]("emq", emq.Config{Stickiness: emqStickiness[ri],
-				InsertBuffer: emqBuffers[ci], DeleteBuffer: emqBuffers[ci]})
+			cfg := mq.Engineered(0)
+			cfg.Stickiness, cfg.BatchInsert, cfg.BatchDelete = emqStickiness[ri], emqBuffers[ci], emqBuffers[ci]
+			return zoo.MQ[uint32]("emq", cfg)
 		})
 }
 
@@ -611,7 +611,9 @@ func planNUMA(cfg RunConfig) (*Plan, error) {
 			return zoo.SMQSkip[uint32]("smq-skip", core.Config{NUMANodes: 2, NUMAWeightK: k})
 		}},
 		{"EMQ", func(k float64) SchedulerSpec {
-			return zoo.EMQ[uint32]("emq", emq.Config{NUMANodes: 2, NUMAWeightK: k})
+			cfg := mq.Engineered(0)
+			cfg.NUMANodes, cfg.NUMAWeightK = 2, k
+			return zoo.MQ[uint32]("emq", cfg)
 		}},
 	}
 	// cells[variant][workload][kIndex]

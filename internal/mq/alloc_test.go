@@ -38,23 +38,37 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		"temporal":    {Workers: 1, C: 4, PInsertChange: 1.0 / 16, PDeleteChange: 1.0 / 16},
 		"peek":        {Workers: 1, C: 4, PeekTops: true},
 	} {
-		t.Run(name, func(t *testing.T) {
-			s := New[int](cfg)
-			w := s.Worker(0)
-			rng := xrand.New(42)
-			warmWalk(w, rng)
-			allocs := testing.AllocsPerRun(2000, func() {
-				p, v, ok := w.Pop()
-				if !ok {
-					w.Push(uint64(rng.Intn(1<<20)), 0)
-					return
-				}
-				w.Push(p+uint64(rng.Intn(64)), v)
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state pop+push allocates %.3f allocs/op, want 0", allocs)
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkPairAllocFree(t, cfg) })
+	}
+	// The engineered MultiQueue: Williams et al.'s defaults, unit
+	// buffers, and a wide sticky configuration.
+	t.Run("engineered", func(t *testing.T) {
+		for name, cfg := range map[string]Config{
+			"default":    Engineered(1),
+			"no_buffers": sticky(1, 0, 1, 1, 1),
+			"big":        sticky(1, 4, 64, 64, 64),
+		} {
+			t.Run(name, func(t *testing.T) { checkPairAllocFree(t, cfg) })
+		}
+	})
+}
+
+// checkPairAllocFree fails t if a warm pop→push pair under cfg allocates.
+func checkPairAllocFree(t *testing.T, cfg Config) {
+	s := New[int](cfg)
+	w := s.Worker(0)
+	rng := xrand.New(42)
+	warmWalk(w, rng)
+	allocs := testing.AllocsPerRun(2000, func() {
+		p, v, ok := w.Pop()
+		if !ok {
+			w.Push(uint64(rng.Intn(1<<20)), 0)
+			return
+		}
+		w.Push(p+uint64(rng.Intn(64)), v)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state pop+push allocates %.3f allocs/op, want 0", allocs)
 	}
 }
 
@@ -69,23 +83,35 @@ func TestSteadyStateBatchAllocFree(t *testing.T) {
 		"batch_batch": {Workers: 1, C: 4, Insert: InsertBatch, Delete: DeleteBatch},
 		"peek":        {Workers: 1, C: 4, PeekTops: true},
 	} {
-		t.Run(name, func(t *testing.T) {
-			s := New[int](cfg)
-			w := s.Worker(0)
-			rng := xrand.New(42)
-			warmWalk(w, rng)
-			const batch = 16
-			dst := make([]sched.Task[int], batch)
-			ps := make([]uint64, 0, batch)
-			vs := make([]int, 0, batch)
-			runBatchPair(w, dst, &ps, &vs, rng) // warm the zip scratch
-			allocs := testing.AllocsPerRun(2000, func() {
-				runBatchPair(w, dst, &ps, &vs, rng)
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state batch pop+push allocates %.3f allocs/op, want 0", allocs)
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkBatchPairAllocFree(t, cfg) })
+	}
+	t.Run("engineered", func(t *testing.T) {
+		for name, cfg := range map[string]Config{
+			"default": Engineered(1),
+			"big":     sticky(1, 4, 64, 64, 64),
+		} {
+			t.Run(name, func(t *testing.T) { checkBatchPairAllocFree(t, cfg) })
+		}
+	})
+}
+
+// checkBatchPairAllocFree fails t if a warm PopN→PushN pair under cfg
+// allocates.
+func checkBatchPairAllocFree(t *testing.T, cfg Config) {
+	s := New[int](cfg)
+	w := s.Worker(0)
+	rng := xrand.New(42)
+	warmWalk(w, rng)
+	const batch = 16
+	dst := make([]sched.Task[int], batch)
+	ps := make([]uint64, 0, batch)
+	vs := make([]int, 0, batch)
+	runBatchPair(w, dst, &ps, &vs, rng) // warm the zip scratch
+	allocs := testing.AllocsPerRun(2000, func() {
+		runBatchPair(w, dst, &ps, &vs, rng)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state batch pop+push allocates %.3f allocs/op, want 0", allocs)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package mq implements the classic Multi-Queue scheduler (§2.1,
-// Listing 1) and the paper's two optimisations — task batching and
+// Listing 1), the paper's two optimisations — task batching and
 // temporal locality (§2.1, Appendix C) — in all four insert×delete
-// combinations, plus the RELD (random-enqueue local-dequeue) baseline
-// from Jeffrey et al. [14].
+// combinations, the RELD (random-enqueue local-dequeue) baseline from
+// Jeffrey et al. [14], and the engineered MultiQueue of Williams, Sanders
+// and Dementiev (below).
 //
 // The classic Multi-Queue keeps m = C·T sequential heaps, each behind a
 // try-lock. insert picks a uniformly random queue; delete picks two
@@ -23,10 +24,28 @@
 // whatever size it asked for.
 // Without a delete buffer PopN extracts the caller's count from one
 // winner straight into the caller's slice.
+//
+// # Engineered MultiQueue
+//
+// Williams, Sanders and Dementiev, "Engineering MultiQueues: Fast Relaxed
+// Concurrent Priority Queues" (2021), add two ideas to the Multi-Queue of
+// Rihani, Sanders and Dementiev. Their operation buffers are the
+// InsertBatch and DeleteBatch policies; their queue stickiness is
+// Config.Stickiness. With Stickiness s > 0 a worker holds a sticky pair
+// of queues for s operations, pushes and pops counted together: the
+// insert buffer flushes into a random member of the pair, and a delete
+// refill locks the member with the better cached top. A failed try-lock
+// resamples that member, and a pair that looks empty is resampled whole.
+// When the s operations are spent the insert buffer is flushed and a
+// fresh pair drawn. Stickiness trades rank for locality: the same heaps
+// stay cache-hot and the same locks uncontended. It is defined on the
+// buffered, peeking Multi-Queue only (InsertBatch, DeleteBatch and
+// PeekTops); Engineered is Williams et al.'s configuration.
 package mq
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/contend"
@@ -96,6 +115,12 @@ type Config struct {
 	// WITHOUT locking both queues, locking only the winner. The cached
 	// top can be momentarily stale — another (benign) relaxation.
 	PeekTops bool
+	// Stickiness > 0 is the engineered MultiQueue's queue stickiness: a
+	// worker keeps its sticky queue pair for Stickiness operations, its
+	// pushes and pops counted together, before drawing a fresh pair (see
+	// the package documentation). It requires Insert = InsertBatch,
+	// Delete = DeleteBatch and PeekTops. Default 0 (off).
+	Stickiness int
 	// Seed makes runs reproducible.
 	Seed uint64
 	// NUMANodes > 1 enables weighted queue sampling with divisor
@@ -122,10 +147,10 @@ func (c Config) Validate() error {
 	if c.Delete < DeleteTemporalLocality || c.Delete > DeleteLocal {
 		return fmt.Errorf("mq: unknown DeletePolicy %d", c.Delete)
 	}
-	if c.PInsertChange < 0 || c.PInsertChange > 1 {
+	if !(c.PInsertChange >= 0 && c.PInsertChange <= 1) {
 		return fmt.Errorf("mq: Config.PInsertChange = %g, must be a probability in [0, 1]", c.PInsertChange)
 	}
-	if c.PDeleteChange < 0 || c.PDeleteChange > 1 {
+	if !(c.PDeleteChange >= 0 && c.PDeleteChange <= 1) {
 		return fmt.Errorf("mq: Config.PDeleteChange = %g, must be a probability in [0, 1]", c.PDeleteChange)
 	}
 	if c.BatchInsert < 0 {
@@ -140,8 +165,14 @@ func (c Config) Validate() error {
 	if c.NUMANodes < 0 {
 		return fmt.Errorf("mq: Config.NUMANodes = %d, must be >= 0", c.NUMANodes)
 	}
-	if c.NUMAWeightK < 0 {
-		return fmt.Errorf("mq: Config.NUMAWeightK = %g, must be >= 0", c.NUMAWeightK)
+	if !(c.NUMAWeightK >= 0) || math.IsInf(c.NUMAWeightK, 1) {
+		return fmt.Errorf("mq: Config.NUMAWeightK = %g, must be finite and >= 0", c.NUMAWeightK)
+	}
+	if c.Stickiness < 0 {
+		return fmt.Errorf("mq: Config.Stickiness = %d, must be >= 0", c.Stickiness)
+	}
+	if c.Stickiness > 0 && (c.Insert != InsertBatch || c.Delete != DeleteBatch || !c.PeekTops) {
+		return fmt.Errorf("mq: Config.Stickiness = %d needs Insert = InsertBatch, Delete = DeleteBatch and PeekTops", c.Stickiness)
 	}
 	return nil
 }
@@ -195,6 +226,16 @@ func RELD(workers int) Config {
 	return Config{Workers: workers, C: 1, Delete: DeleteLocal}
 }
 
+// Engineered returns the engineered MultiQueue of Williams et al. at
+// their recommended configuration: m = 2·workers 8-ary heaps (buffered
+// bulk operations amortize the deeper comparisons), insert and delete
+// buffers of 16, cached tops, and sticky queue pairs kept for 16
+// operations.
+func Engineered(workers int) Config {
+	return Config{Workers: workers, C: 2, Insert: InsertBatch, Delete: DeleteBatch,
+		BatchInsert: 16, BatchDelete: 16, HeapArity: 8, PeekTops: true, Stickiness: 16}
+}
+
 // lockQueue is one of the m sequential heaps behind a try-lock. The
 // cached top is maintained under the lock and read lock-free by the
 // PeekTops delete path.
@@ -221,30 +262,35 @@ type lockQueue[T any] struct {
 // cached top coherent with the heap. Only the PeekTops delete path ever
 // reads the cached top, so non-peek configurations skip the maintenance
 // entirely — an atomic store is a full fence (XCHG on amd64) and paying
-// one per heap operation for an unused cache is measurable.
+// one per heap operation for an unused cache is measurable — and peek
+// configurations skip the store when the top is unchanged, e.g. after a
+// flushed batch whose best task is worse than the resident top.
 
 func (q *lockQueue[T]) push(p uint64, v T) {
 	q.heap.Push(p, v)
-	if q.peek {
-		q.top.Store(q.heap.Top())
-	}
+	q.syncTop()
 }
 
 func (q *lockQueue[T]) pushAll(items []pq.Item[T]) {
 	for _, it := range items {
 		q.heap.PushItem(it)
 	}
-	if q.peek {
-		q.top.Store(q.heap.Top())
-	}
+	q.syncTop()
 }
 
 func (q *lockQueue[T]) popBatch(k int, dst []pq.Item[T]) []pq.Item[T] {
 	dst = q.heap.PopBatch(k, dst)
-	if q.peek {
-		q.top.Store(q.heap.Top())
-	}
+	q.syncTop()
 	return dst
+}
+
+func (q *lockQueue[T]) syncTop() {
+	if !q.peek {
+		return
+	}
+	if t := q.heap.Top(); t != q.top.Load() {
+		q.top.Store(t)
+	}
 }
 
 // MQ is the Multi-Queue scheduler family.
@@ -287,6 +333,10 @@ func New[T any](cfg Config) *MQ[T] {
 		if cfg.Delete == DeleteBatch {
 			w.delBuf = make([]pq.Item[T], 0, cfg.BatchDelete)
 		}
+		if cfg.Stickiness > 0 {
+			w.resample()
+			w.stick = cfg.Stickiness
+		}
 	}
 	return s
 }
@@ -324,6 +374,9 @@ type mqWorker[T any] struct {
 	lastIns int // temporal-locality insert queue
 	lastDel int // temporal-locality delete queue
 
+	sticky [2]int // the sticky queue pair (Stickiness > 0)
+	stick  int    // operations left before the pair is resampled
+
 	insBuf []pq.Item[T] // batching insert buffer
 	delBuf []pq.Item[T] // batching delete buffer (served front to back)
 	delIdx int
@@ -350,6 +403,7 @@ func (w *mqWorker[T]) Push(p uint64, v T) {
 		if len(w.insBuf) >= w.s.cfg.BatchInsert {
 			w.flushInsertBuffer()
 		}
+		w.tickN(1)
 	default: // InsertTemporalLocality (classic when PInsertChange == 1)
 		if w.lastIns < 0 || w.rng.Bernoulli(w.s.cfg.PInsertChange) {
 			w.lastIns = w.smp.Sample()
@@ -373,7 +427,8 @@ func (w *mqWorker[T]) Push(p uint64, v T) {
 // made once per batch — placing a batch on one queue is the same
 // relaxation-for-synchronization trade the InsertBatch policy makes).
 // Under the InsertBatch policy the batch routes through the insert
-// buffer, flushing at each capacity crossing.
+// buffer, flushing at each capacity crossing, and spends its stickiness
+// budget in one tickN.
 func (w *mqWorker[T]) PushN(ps []uint64, vs []T) {
 	sched.CheckPushN(len(ps), len(vs))
 	if len(ps) == 0 {
@@ -387,6 +442,7 @@ func (w *mqWorker[T]) PushN(ps []uint64, vs []T) {
 				w.flushInsertBuffer()
 			}
 		}
+		w.tickN(len(ps))
 		return
 	}
 	w.bulk = w.bulk[:0]
@@ -411,16 +467,29 @@ func (w *mqWorker[T]) PushN(ps []uint64, vs []T) {
 }
 
 // flushInsertBuffer moves the whole insert batch into one random queue
-// under a single lock acquisition.
+// — under Stickiness, a random member of the sticky pair — under a
+// single lock acquisition. A failed try-lock draws another queue; under
+// Stickiness it resamples that member of the pair.
 func (w *mqWorker[T]) flushInsertBuffer() {
 	if len(w.insBuf) == 0 {
 		return
 	}
+	sticky := w.s.cfg.Stickiness > 0
+	slot := 0
+	if sticky && w.rng.OneIn(2) {
+		slot = 1
+	}
 	for {
-		qi := w.smp.Sample()
+		qi := w.sticky[slot]
+		if !sticky {
+			qi = w.smp.Sample()
+		}
 		q := &w.s.queues[qi]
 		if !q.mu.TryLock() {
 			w.c.LockFails++
+			if sticky {
+				w.resampleSlot(slot)
+			}
 			continue
 		}
 		q.pushAll(w.insBuf)
@@ -429,6 +498,40 @@ func (w *mqWorker[T]) flushInsertBuffer() {
 		w.insBuf = w.insBuf[:0]
 		return
 	}
+}
+
+// resample draws a fresh sticky queue pair.
+func (w *mqWorker[T]) resample() {
+	w.sticky[0] = w.smp.Sample()
+	w.sticky[1] = w.sticky[0]
+	if len(w.s.queues) > 1 {
+		w.sticky[1] = w.smp.SampleOther(w.sticky[0])
+	}
+}
+
+// resampleSlot replaces one member of the sticky pair after a failed
+// try-lock: contention means another worker is using that queue.
+func (w *mqWorker[T]) resampleSlot(slot int) {
+	if len(w.s.queues) > 1 {
+		w.sticky[slot] = w.smp.SampleOther(w.sticky[1-slot])
+	}
+}
+
+// tickN retires n operations from the stickiness budget, exactly as n
+// single ticks would: each time the budget runs out the insert buffer is
+// published and a fresh sticky pair drawn. Without Stickiness it does
+// nothing.
+func (w *mqWorker[T]) tickN(n int) {
+	if w.s.cfg.Stickiness == 0 {
+		return
+	}
+	for n >= w.stick {
+		n -= w.stick
+		w.flushInsertBuffer()
+		w.resample()
+		w.stick = w.s.cfg.Stickiness
+	}
+	w.stick -= n
 }
 
 // Pop is PopN into the worker's one-slot destination.
@@ -450,6 +553,8 @@ func (w *mqWorker[T]) Pop() (uint64, T, bool) {
 // dst is served from it, and a dry buffer is refilled with BatchDelete
 // tasks from a fresh two-choice winner, so k Pops and one PopN of k pop
 // the same sequence and no lock acquisition takes more than BatchDelete.
+// Every task served, and an empty PopN, spends one operation of the
+// stickiness budget.
 func (w *mqWorker[T]) PopN(dst []sched.Task[T]) int {
 	if len(dst) == 0 {
 		return 0
@@ -470,12 +575,14 @@ func (w *mqWorker[T]) PopN(dst []sched.Task[T]) int {
 			clear(w.delBuf[w.delIdx : w.delIdx+k])
 			w.delIdx += k
 			n += k
+			w.tickN(k)
 		}
 	}
 	if n > 0 {
 		w.c.Pops += uint64(n)
 	} else {
 		w.c.EmptyPops++
+		w.tickN(1)
 	}
 	return n
 }
@@ -519,13 +626,13 @@ func (w *mqWorker[T]) extractPolicy(dst []pq.Item[T]) int {
 }
 
 // extractRandom2 is Listing 1's delete: extract from the better of two
-// random queues. After bounded failed attempts it falls back to a full
-// sweep so that spurious emptiness is rare.
+// random queues (under Stickiness, of the sticky pair). After bounded
+// failed attempts it falls back to a full sweep so that spurious
+// emptiness is rare.
 func (w *mqWorker[T]) extractRandom2(dst []pq.Item[T]) int {
 	for attempt := 0; attempt < 4; attempt++ {
 		qi, ok := w.lockWinner()
 		if !ok {
-			w.c.LockFails++
 			continue
 		}
 		q := &w.s.queues[qi]
@@ -535,45 +642,71 @@ func (w *mqWorker[T]) extractRandom2(dst []pq.Item[T]) int {
 			w.lastDel = qi
 			return n
 		}
+		if w.s.cfg.Stickiness > 0 {
+			w.resample()
+		}
 	}
 	return w.sweep(dst)
 }
 
-// lockWinner samples two distinct random queues and try-locks the one
-// with the better top; ok=false means a try-lock failed and nothing is
-// held.
+// lockWinner try-locks the better of two queues — two distinct random
+// ones, or under Stickiness the sticky pair. ok=false means nothing is
+// held: a try-lock failed (counted in LockFails; under Stickiness that
+// member of the pair is resampled), or the winner's cached top says it
+// is empty (under Stickiness the pair is resampled), which spares a lock
+// round trip that could pop nothing.
 func (w *mqWorker[T]) lockWinner() (qi int, ok bool) {
-	qi = w.smp.Sample()
-	q := &w.s.queues[qi]
-	if len(w.s.queues) == 1 {
-		return qi, q.mu.TryLock()
-	}
-	i2 := w.smp.SampleOther(qi)
-	q2 := &w.s.queues[i2]
-	if w.s.cfg.PeekTops {
+	sticky := w.s.cfg.Stickiness > 0
+	slot := 0
+	if sticky {
+		qi = w.sticky[0]
+		if w.s.queues[w.sticky[1]].top.Load() < w.s.queues[qi].top.Load() {
+			qi, slot = w.sticky[1], 1
+		}
+	} else if qi = w.smp.Sample(); len(w.s.queues) > 1 {
+		i2 := w.smp.SampleOther(qi)
+		q, q2 := &w.s.queues[qi], &w.s.queues[i2]
+		if !w.s.cfg.PeekTops {
+			if !q.mu.TryLock() {
+				w.c.LockFails++
+				return qi, false
+			}
+			if !q2.mu.TryLock() {
+				q.mu.Unlock()
+				w.c.LockFails++
+				return qi, false
+			}
+			// Release the loser right after the top comparison (Listing 1
+			// only needs both locks for the comparison itself); holding it
+			// across the winner's extraction would serialize unrelated
+			// workers against the loser queue under contention.
+			if q2.heap.Top() < q.heap.Top() {
+				qi, q2 = i2, q
+			}
+			q2.mu.Unlock()
+			return qi, true
+		}
 		// Compare the atomically cached tops without taking either lock
 		// and lock only the winner. A stale cached top is a benign extra
 		// relaxation (the popped task is still a recent top).
 		if q2.top.Load() < q.top.Load() {
-			qi, q = i2, q2
+			qi = i2
 		}
-		return qi, q.mu.TryLock()
+	}
+	q := &w.s.queues[qi]
+	if w.s.cfg.PeekTops && q.top.Load() == pq.InfPriority {
+		if sticky {
+			w.resample()
+		}
+		return qi, false
 	}
 	if !q.mu.TryLock() {
+		w.c.LockFails++
+		if sticky {
+			w.resampleSlot(slot)
+		}
 		return qi, false
 	}
-	if !q2.mu.TryLock() {
-		q.mu.Unlock()
-		return qi, false
-	}
-	// Release the loser right after the top comparison (Listing 1 only
-	// needs both locks for the comparison itself); holding it across the
-	// winner's extraction would serialize unrelated workers against the
-	// loser queue under contention.
-	if q2.heap.Top() < q.heap.Top() {
-		qi, q2 = i2, q
-	}
-	q2.mu.Unlock()
 	return qi, true
 }
 
@@ -595,10 +728,10 @@ func (w *mqWorker[T]) extractLocal(dst []pq.Item[T]) int {
 	return w.sweep(dst)
 }
 
-// sweep scans every queue once from a random start and pops the first
-// task found into dst[0]. It returns 0 only when every queue was
-// observed empty, which makes spurious Pop failures rare (they can still
-// happen — the contract allows it).
+// sweep scans every queue once from a random start and extracts up to
+// len(dst) tasks into dst from the first non-empty one. It returns 0
+// only when every queue was observed empty, which makes spurious Pop
+// failures rare (they can still happen — the contract allows it).
 //
 // The first pass uses try-locks (counting failures in LockFails) so a
 // sweeping worker never stalls behind a queue that is busy serving
@@ -619,7 +752,7 @@ func (w *mqWorker[T]) sweep(dst []pq.Item[T]) int {
 			w.sweepSkip = append(w.sweepSkip, qi)
 			continue
 		}
-		n := len(q.popBatch(1, dst[:0]))
+		n := len(q.popBatch(len(dst), dst[:0]))
 		q.mu.Unlock()
 		if n > 0 {
 			w.lastDel = qi
@@ -629,7 +762,7 @@ func (w *mqWorker[T]) sweep(dst []pq.Item[T]) int {
 	for _, qi := range w.sweepSkip {
 		q := &w.s.queues[qi]
 		q.mu.Lock()
-		n := len(q.popBatch(1, dst[:0]))
+		n := len(q.popBatch(len(dst), dst[:0]))
 		q.mu.Unlock()
 		if n > 0 {
 			w.lastDel = qi

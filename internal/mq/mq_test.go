@@ -1,10 +1,12 @@
 package mq
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/pq"
 	"repro/internal/sched"
@@ -12,8 +14,20 @@ import (
 
 const pqInf = pq.InfPriority
 
+// sticky is Engineered(workers) with C, the stickiness and the insert and
+// delete buffer sizes replaced where the argument is not zero.
+func sticky(workers, c, stick, ins, del int) Config {
+	cfg := Engineered(workers)
+	cfg.C = cmp.Or(c, cfg.C)
+	cfg.Stickiness = cmp.Or(stick, cfg.Stickiness)
+	cfg.BatchInsert = cmp.Or(ins, cfg.BatchInsert)
+	cfg.BatchDelete = cmp.Or(del, cfg.BatchDelete)
+	return cfg
+}
+
 // configs enumerates representative configurations across the policy
-// matrix (Appendix C's four combinations, the classic queue, and RELD).
+// matrix (Appendix C's four combinations, the classic queue, RELD and the
+// engineered MultiQueue).
 func configs(workers int) map[string]Config {
 	return map[string]Config{
 		"classic":   Classic(workers, 4),
@@ -31,6 +45,9 @@ func configs(workers int) map[string]Config {
 		"peek": {Workers: workers, C: 4, PeekTops: true},
 		"peek_batch": {Workers: workers, C: 4, PeekTops: true,
 			Delete: DeleteBatch, BatchDelete: 8},
+		"engineered":            Engineered(workers),
+		"engineered_unbuffered": sticky(workers, 1, 1, 1, 1),
+		"engineered_3_7_5":      sticky(workers, 0, 3, 7, 5),
 	}
 }
 
@@ -58,48 +75,76 @@ func TestPeekTopsTracksHeap(t *testing.T) {
 	}
 }
 
+// TestDefaults pins what normalization fills in: the classic defaults
+// for the zero configuration, and only the seed and K for Engineered,
+// which is Williams et al.'s configuration.
 func TestDefaults(t *testing.T) {
-	c := Config{Workers: 2}
-	c.normalize()
-	if c.C != 4 || c.PInsertChange != 1 || c.PDeleteChange != 1 || c.BatchInsert != 8 || c.BatchDelete != 8 {
-		t.Fatalf("bad defaults: %+v", c)
+	for _, tc := range []struct {
+		name      string
+		cfg, want Config
+	}{
+		{"zero", Config{Workers: 2}, Config{Workers: 2, C: 4, PInsertChange: 1, PDeleteChange: 1,
+			BatchInsert: 8, BatchDelete: 8, HeapArity: pq.DefaultArity, Seed: 1, NUMAWeightK: 8}},
+		{"Engineered", Engineered(3), Config{Workers: 3, C: 2, Insert: InsertBatch, Delete: DeleteBatch,
+			PInsertChange: 1, PDeleteChange: 1, BatchInsert: 16, BatchDelete: 16, HeapArity: 8,
+			PeekTops: true, Stickiness: 16, Seed: 1, NUMAWeightK: 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.cfg
+			c.normalize()
+			if c != tc.want {
+				t.Fatalf("normalized to %+v, want %+v", c, tc.want)
+			}
+		})
 	}
 }
 
 func TestWorkersPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Workers=0 did not panic")
-		}
-	}()
-	New[int](Config{})
+	for name, build := range map[string]func(){
+		"zero workers":        func() { New[int](Config{}) },
+		"worker out of range": func() { New[int](Engineered(2)).Worker(2) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("did not panic")
+				}
+			}()
+			build()
+		})
+	}
 }
 
 func TestSingleThreadedDrain(t *testing.T) {
 	// Every configuration must return exactly the pushed multiset.
 	for name, cfg := range configs(1) {
-		s := New[int](cfg)
-		w := s.Worker(0)
-		const n = 2000
-		for i := 0; i < n; i++ {
-			w.Push(uint64((i*7)%501), i)
-		}
-		seen := make([]bool, n)
-		count := 0
-		for {
-			_, v, ok := w.Pop()
-			if !ok {
-				break
+		t.Run(name, func(t *testing.T) {
+			s := New[int](cfg)
+			w := s.Worker(0)
+			const n = 2000
+			for i := 0; i < n; i++ {
+				w.Push(uint64((i*7)%501), i)
 			}
-			if seen[v] {
-				t.Fatalf("%s: value %d popped twice", name, v)
+			seen := make([]bool, n)
+			count := 0
+			for {
+				_, v, ok := w.Pop()
+				if !ok {
+					break
+				}
+				if seen[v] {
+					t.Fatalf("value %d popped twice", v)
+				}
+				seen[v] = true
+				count++
 			}
-			seen[v] = true
-			count++
-		}
-		if count != n {
-			t.Fatalf("%s: popped %d, want %d", name, count, n)
-		}
+			if count != n {
+				t.Fatalf("popped %d, want %d", count, n)
+			}
+			if st := s.Stats(); st.Pushes != n || st.Pops != n || st.EmptyPops != 1 {
+				t.Fatalf("stats %+v", st)
+			}
+		})
 	}
 }
 
@@ -210,26 +255,32 @@ func TestInsertBufferFlushedOnIdle(t *testing.T) {
 
 func TestDeleteBatchOrdering(t *testing.T) {
 	// With one queue (C=1, one worker) and delete batching, the batch is
-	// extracted in priority order.
-	cfg := Config{Workers: 1, C: 1, Delete: DeleteBatch, BatchDelete: 4}
-	s := New[int](cfg)
-	w := s.Worker(0)
-	for i := 10; i >= 1; i-- {
-		w.Push(uint64(i), i)
-	}
-	var got []uint64
-	for {
-		p, _, ok := w.Pop()
-		if !ok {
-			break
-		}
-		got = append(got, p)
-	}
-	if len(got) != 10 {
-		t.Fatalf("popped %d", len(got))
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Fatalf("single-queue batch delete out of order: %v", got)
+	// extracted in priority order, sticky or not.
+	for name, cfg := range map[string]Config{
+		"batch":      {Workers: 1, C: 1, Delete: DeleteBatch, BatchDelete: 4},
+		"engineered": sticky(1, 1, 1, 1, 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New[int](cfg)
+			w := s.Worker(0)
+			for i := 10; i >= 1; i-- {
+				w.Push(uint64(i), i)
+			}
+			var got []uint64
+			for {
+				p, _, ok := w.Pop()
+				if !ok {
+					break
+				}
+				got = append(got, p)
+			}
+			if len(got) != 10 {
+				t.Fatalf("popped %d", len(got))
+			}
+			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+				t.Fatalf("single-queue batch delete out of order: %v", got)
+			}
+		})
 	}
 }
 
@@ -320,23 +371,67 @@ func TestTemporalLocalityReusesQueue(t *testing.T) {
 	}
 }
 
+// TestStatsRemoteWiring checks the weighted sampler is wired in: with
+// two virtual nodes some accesses land off-node, and more of them with
+// K = 1 (uniform) than with K = 256.
 func TestStatsRemoteWiring(t *testing.T) {
-	cfg := Config{Workers: 4, C: 2, NUMANodes: 2, NUMAWeightK: 4}
-	s := New[int](cfg)
-	w := s.Worker(0)
-	for i := 0; i < 1000; i++ {
-		w.Push(uint64(i), i)
+	for name, base := range map[string]Config{
+		"classic":    {Workers: 4, C: 2},
+		"engineered": sticky(4, 0, 1, 1, 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			remoteFrac := func(k float64) float64 {
+				cfg := base
+				cfg.NUMANodes, cfg.NUMAWeightK, cfg.Seed = 2, k, 7
+				s := New[int](cfg)
+				for wid := 0; wid < 4; wid++ {
+					w := s.Worker(wid)
+					for i := 0; i < 3000; i++ {
+						w.Push(uint64(i), i)
+					}
+					for i := 0; i < 3000; i++ {
+						w.Pop()
+					}
+				}
+				st := s.Stats()
+				if st.Pops != 4*3000 {
+					t.Fatalf("K=%g: Pops = %d", k, st.Pops)
+				}
+				return float64(st.Remote) / float64(st.Pushes+st.Pops)
+			}
+			low, high := remoteFrac(256), remoteFrac(1)
+			if high == 0 {
+				t.Fatal("no remote accesses recorded with uniform sampling")
+			}
+			if low >= high {
+				t.Fatalf("K=256 remote fraction %.3f should be below K=1's %.3f", low, high)
+			}
+		})
 	}
-	for i := 0; i < 1000; i++ {
-		w.Pop()
-	}
-	st := s.Stats()
-	if st.Pops != 1000 {
-		t.Fatalf("Pops = %d", st.Pops)
-	}
-	// With K=4 and 2 nodes the remote ratio should be well under half.
-	if st.Remote*3 > st.Pushes+2*st.Pops {
-		t.Logf("remote=%d (informational)", st.Remote)
+}
+
+// TestHugeNUMAWeightDoesNotHang: with one queue per virtual node, a
+// weight K so large that the own-node probability rounds to 1 made every
+// draw that must avoid the own queue — the two-choice delete's second
+// sample, a sticky pair's second member — spin forever.
+func TestHugeNUMAWeightDoesNotHang(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"classic":    {Workers: 2, C: 1},
+		"engineered": sticky(2, 1, 0, 0, 0),
+	} {
+		cfg.NUMANodes, cfg.NUMAWeightK = 2, 1e17
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			w := New[int](cfg).Worker(0)
+			w.Push(1, 1)
+			w.Pop()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: New, Push and Pop with NUMAWeightK = 1e17 still running after 5 s", name)
+		}
 	}
 }
 
@@ -344,23 +439,44 @@ func TestStatsRemoteWiring(t *testing.T) {
 // try-locks, so a worker falling back to a sweep still pops a task from
 // an unlocked queue even while another queue's lock is held indefinitely
 // (previously the blocking per-queue Lock could stall the sweep behind
-// an unrelated busy queue).
+// an unrelated busy queue). The held queue has the better top, so every
+// two-choice pick, sticky or not, fails on its lock first. Like any
+// extraction, the sweep takes up to the caller's count (or a delete
+// buffer's) from the queue it finds.
 func TestSweepDoesNotBlockOnHeldLock(t *testing.T) {
-	s := New[int](Config{Workers: 1, C: 2})
-	// Plant a task directly in queue 1, keeping its cached top coherent.
-	s.queues[1].mu.Lock()
-	s.queues[1].push(5, 50)
-	s.queues[1].mu.Unlock()
-	// Hold queue 0's lock for the whole test.
-	s.queues[0].mu.Lock()
-	defer s.queues[0].mu.Unlock()
+	for name, cfg := range map[string]Config{
+		"classic":    {Workers: 1, C: 2},
+		"engineered": sticky(1, 2, 0, 0, 4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New[int](cfg)
+			// Plant tasks directly, keeping the cached tops coherent.
+			for qi, ps := range [][]uint64{{1}, {5, 6, 7}} {
+				s.queues[qi].mu.Lock()
+				for _, p := range ps {
+					s.queues[qi].push(p, 10*int(p))
+				}
+				s.queues[qi].mu.Unlock()
+			}
+			// Hold queue 0's lock for the whole test.
+			s.queues[0].mu.Lock()
+			defer s.queues[0].mu.Unlock()
 
-	p, v, ok := s.Worker(0).Pop()
-	if !ok || p != 5 || v != 50 {
-		t.Fatalf("Pop = (%d, %d, %v), want (5, 50, true)", p, v, ok)
-	}
-	if st := s.Stats(); st.LockFails == 0 {
-		t.Fatalf("expected try-lock failures against the held queue, got %+v", st)
+			w := s.Worker(0)
+			p, v, ok := w.Pop()
+			if !ok || p != 5 || v != 50 {
+				t.Fatalf("Pop = (%d, %d, %v), want (5, 50, true)", p, v, ok)
+			}
+			// Two tasks are left, so asking for more would send the
+			// sweep's blocking pass to the held lock.
+			dst := make([]sched.Task[int], 2)
+			if n := w.PopN(dst); n != 2 || dst[0].P != 6 || dst[1].P != 7 {
+				t.Fatalf("PopN = %d tasks %v, want the other two of the unlocked queue", n, dst[:n])
+			}
+			if st := s.Stats(); st.LockFails == 0 {
+				t.Fatalf("expected try-lock failures against the held queue, got %+v", st)
+			}
+		})
 	}
 }
 
@@ -396,6 +512,16 @@ func drainOrder(t *testing.T, cfg Config, pop func(w sched.Worker[int], dst []sc
 // drain pops, a PopN of one pops what Pop pops, and no lock acquisition
 // extracts more than BatchDelete tasks however large dst is.
 func TestDeleteBatchIsTheUnitOfExtraction(t *testing.T) {
+	for name, base := range map[string]Config{
+		"batch":      {Delete: DeleteBatch},
+		"peek":       {Delete: DeleteBatch, PeekTops: true},
+		"engineered": Engineered(0),
+	} {
+		t.Run(name, func(t *testing.T) { testDeleteBatchIsTheUnitOfExtraction(t, base) })
+	}
+}
+
+func testDeleteBatchIsTheUnitOfExtraction(t *testing.T, base Config) {
 	popN1 := func(w sched.Worker[int], dst []sched.Task[int]) int { return w.PopN(dst[:1]) }
 	scalar := func(w sched.Worker[int], dst []sched.Task[int]) int {
 		p, v, ok := w.Pop()
@@ -407,7 +533,8 @@ func TestDeleteBatchIsTheUnitOfExtraction(t *testing.T) {
 	}
 	orders := map[int][]uint64{}
 	for _, batch := range []int{2, 32} {
-		cfg := Config{Delete: DeleteBatch, BatchDelete: batch}
+		cfg := base
+		cfg.BatchDelete = batch
 		orders[batch] = drainOrder(t, cfg, popN1)
 		if !slices.Equal(orders[batch], drainOrder(t, cfg, scalar)) {
 			t.Errorf("BatchDelete=%d: PopN(dst[:1]) and Pop drain in different orders", batch)
@@ -417,38 +544,39 @@ func TestDeleteBatchIsTheUnitOfExtraction(t *testing.T) {
 		t.Error("BatchDelete 2 and 32 drain in the same order through PopN: the knob is not reaching it")
 	}
 
-	// Two queues, so every two-choice pick compares both: queue 0 holds
-	// 0, 10, 20, …, queue 1 holds 5, 15, 25, …. A delete that takes at
-	// most two tasks per acquisition alternates between them pair by
-	// pair; one that takes a caller-sized run from the winner does not.
-	for _, peek := range []bool{false, true} {
-		s := New[int](Config{Workers: 1, C: 2, Delete: DeleteBatch, BatchDelete: 2, PeekTops: peek})
-		var lists [2][]uint64
-		for i := 0; i < 40; i++ {
-			for qi := range lists {
-				p := uint64(10*i + 5*qi)
-				s.queues[qi].push(p, 0)
-				lists[qi] = append(lists[qi], p)
-			}
+	// Two queues, so every two-choice pick compares both (a sticky pair
+	// is both): queue 0 holds 0, 10, 20, …, queue 1 holds 5, 15, 25, ….
+	// A delete that takes at most two tasks per acquisition alternates
+	// between them pair by pair; one that takes a caller-sized run from
+	// the winner does not.
+	cfg := base
+	cfg.Workers, cfg.C, cfg.BatchDelete = 1, 2, 2
+	s := New[int](cfg)
+	var lists [2][]uint64
+	for i := 0; i < 40; i++ {
+		for qi := range lists {
+			p := uint64(10*i + 5*qi)
+			s.queues[qi].push(p, 0)
+			lists[qi] = append(lists[qi], p)
 		}
-		var want, got []uint64
-		for len(lists[0])+len(lists[1]) > 0 {
-			qi := 0
-			if len(lists[0]) == 0 || len(lists[1]) > 0 && lists[1][0] < lists[0][0] {
-				qi = 1
-			}
-			k := min(2, len(lists[qi]))
-			want = append(want, lists[qi][:k]...)
-			lists[qi] = lists[qi][k:]
+	}
+	var want, got []uint64
+	for len(lists[0])+len(lists[1]) > 0 {
+		qi := 0
+		if len(lists[0]) == 0 || len(lists[1]) > 0 && lists[1][0] < lists[0][0] {
+			qi = 1
 		}
-		dst := make([]sched.Task[int], 8)
-		for n := s.Worker(0).PopN(dst); n > 0; n = s.Worker(0).PopN(dst) {
-			for _, it := range dst[:n] {
-				got = append(got, it.P)
-			}
+		k := min(2, len(lists[qi]))
+		want = append(want, lists[qi][:k]...)
+		lists[qi] = lists[qi][k:]
+	}
+	dst := make([]sched.Task[int], 8)
+	for n := s.Worker(0).PopN(dst); n > 0; n = s.Worker(0).PopN(dst) {
+		for _, it := range dst[:n] {
+			got = append(got, it.P)
 		}
-		if !slices.Equal(got, want) {
-			t.Errorf("peek=%v: PopN(dst[:8]) under BatchDelete=2 popped\n %v\nwant two tasks per two-choice winner:\n %v", peek, got, want)
-		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("PopN(dst[:8]) under BatchDelete=2 popped\n %v\nwant two tasks per two-choice winner:\n %v", got, want)
 	}
 }

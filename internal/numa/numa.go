@@ -144,8 +144,20 @@ func (s *Sampler) Sample() int {
 	return r
 }
 
-// SampleOther draws a queue index distinct from avoid. It requires m >= 2.
+// SampleOther draws a queue index distinct from avoid, from Sample's
+// distribution conditioned on that. It requires m >= 2.
 func (s *Sampler) SampleOther(avoid int) int {
+	if !s.uniform && s.ownHi-s.ownLo == 1 && avoid == s.ownLo {
+		// avoid is the whole own block, which leaves the remote queues,
+		// uniformly. Rejection would spin forever where pOwn rounds to 1.
+		s.Total++
+		s.Remote++
+		r := s.rng.Intn(s.m - 1)
+		if r >= s.ownLo {
+			r++
+		}
+		return r
+	}
 	for {
 		q := s.Sample()
 		if q != avoid {

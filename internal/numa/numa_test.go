@@ -150,6 +150,27 @@ func TestSampleOther(t *testing.T) {
 			t.Fatalf("SampleOther(0) = %d with m=2", q)
 		}
 	}
+	// With one queue per node, avoiding the own queue leaves the remote
+	// queues, uniformly, whatever K: also where K is so large that an
+	// own-node draw is certain.
+	top = New(4, 4, 1)
+	for _, k := range []float64{8, 1e17} {
+		s := NewSampler(top, 1, k, xrand.New(5))
+		const draws = 30000
+		counts := make([]int, top.NumQueues())
+		for i := 0; i < draws; i++ {
+			counts[s.SampleOther(1)]++
+		}
+		want := float64(draws) / 3
+		for q, c := range counts {
+			if q == 1 && c != 0 || q != 1 && math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
+				t.Errorf("K=%g: queue %d drawn %d times, want ~%.0f (0 for the avoided queue)", k, q, c, want)
+			}
+		}
+		if s.Total != draws || s.Remote != draws {
+			t.Errorf("K=%g: Total %d, Remote %d, want %d each", k, s.Total, s.Remote, draws)
+		}
+	}
 }
 
 func TestSamplerKLessOrEqualOneIsUniform(t *testing.T) {

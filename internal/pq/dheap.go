@@ -173,8 +173,8 @@ func (h *DHeap[T]) Clear() {
 // more than the mispredictions cost: -11% on the bench's hold workload for
 // mq (3.22 -> 2.86 M pairs/s) while its heap headers were separate
 // allocations, and -8% for coarse's one shared heap, which is still owed.
-// mq and emq now keep the header in the lock's line (see mq.lockQueue),
-// which repaid theirs; a structure whose nodes are mostly remote misses,
+// mq now keeps the header in the lock's line (see mq.lockQueue), which
+// repaid its share; a structure whose nodes are mostly remote misses,
 // such as cbpq's chunks, should not copy this loop.
 //
 // The borrow of a 64-bit subtract is exact over the whole uint64 range

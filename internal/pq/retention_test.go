@@ -79,7 +79,7 @@ func TestDHeapPopBatchReleasesSlots(t *testing.T) {
 	if len(dst) != n {
 		t.Fatalf("PopBatch returned %d items, want %d", len(dst), n)
 	}
-	clear(dst) // what mq/emq delete buffers do as entries are served
+	clear(dst) // what mq's delete buffer does as entries are served
 	got := 0
 	for attempt := 0; attempt < 20 && got < n; attempt++ {
 		runtime.GC()

@@ -7,12 +7,12 @@ package sched_test
 // and that the valid anchor configuration both validates and builds.
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cbpq"
 	"repro/internal/coarse"
 	"repro/internal/core"
-	"repro/internal/emq"
 	"repro/internal/klsm"
 	"repro/internal/mq"
 	"repro/internal/obim"
@@ -39,6 +39,13 @@ func TestConfigValidation(t *testing.T) {
 		{name: "core/negative StealSize", cfg: core.Config{Workers: 2, StealSize: -1}, valid: false},
 		{name: "core/HeapArity 1", cfg: core.Config{Workers: 2, HeapArity: 1}, valid: false},
 		{name: "core/negative NUMAWeightK", cfg: core.Config{Workers: 2, NUMAWeightK: -8}, valid: false},
+		{name: "core/NaN StealProb", cfg: core.Config{Workers: 2, StealProb: math.NaN()}, valid: false},
+		{name: "core/NaN NUMAWeightK", cfg: core.Config{Workers: 2, NUMAWeightK: math.NaN()}, valid: false},
+		{name: "core/infinite NUMAWeightK", cfg: core.Config{Workers: 2, NUMAWeightK: math.Inf(1)}, valid: false},
+		{name: "core/huge NUMAWeightK builds", cfg: core.Config{Workers: 2, NUMANodes: 2, NUMAWeightK: 1e17}, valid: true,
+			build: func() sched.Scheduler[int] {
+				return core.NewStealingMQ[int](core.Config{Workers: 2, NUMANodes: 2, NUMAWeightK: 1e17})
+			}},
 
 		// Classic MQ family
 		{name: "mq/valid", cfg: mq.Classic(2, 4), valid: true,
@@ -50,14 +57,25 @@ func TestConfigValidation(t *testing.T) {
 		{name: "mq/negative PDeleteChange", cfg: mq.Config{Workers: 2, PDeleteChange: -0.5}, valid: false},
 		{name: "mq/negative BatchDelete", cfg: mq.Config{Workers: 2, BatchDelete: -8}, valid: false},
 		{name: "mq/unknown delete policy", cfg: mq.Config{Workers: 2, Delete: 99}, valid: false},
+		{name: "mq/NaN PInsertChange", cfg: mq.Config{Workers: 2, PInsertChange: math.NaN()}, valid: false},
+		{name: "mq/NaN PDeleteChange", cfg: mq.Config{Workers: 2, PDeleteChange: math.NaN()}, valid: false},
+		{name: "mq/NaN NUMAWeightK", cfg: mq.Config{Workers: 2, NUMAWeightK: math.NaN()}, valid: false},
+		{name: "mq/infinite NUMAWeightK", cfg: mq.Config{Workers: 2, NUMAWeightK: math.Inf(1)}, valid: false},
 
-		// Engineered MQ
-		{name: "emq/valid", cfg: emq.Config{Workers: 2}, valid: true,
-			build: func() sched.Scheduler[int] { return emq.New[int](emq.Config{Workers: 2}) }},
-		{name: "emq/zero workers", cfg: emq.Config{}, valid: false},
-		{name: "emq/negative Stickiness", cfg: emq.Config{Workers: 2, Stickiness: -16}, valid: false},
-		{name: "emq/negative InsertBuffer", cfg: emq.Config{Workers: 2, InsertBuffer: -1}, valid: false},
-		{name: "emq/HeapArity 1", cfg: emq.Config{Workers: 2, HeapArity: 1}, valid: false},
+		// The engineered MultiQueue: stickiness on the buffered, peeking MQ
+		{name: "emq/valid", cfg: mq.Engineered(2), valid: true,
+			build: func() sched.Scheduler[int] { return mq.New[int](mq.Engineered(2)) }},
+		{name: "emq/zero workers", cfg: mq.Engineered(0), valid: false},
+		{name: "emq/negative Stickiness", cfg: engineered(func(c *mq.Config) { c.Workers, c.Stickiness = 2, -16 }), valid: false},
+		{name: "emq/negative InsertBuffer", cfg: engineered(func(c *mq.Config) { c.Workers, c.BatchInsert = 2, -1 }), valid: false},
+		{name: "emq/HeapArity 1", cfg: engineered(func(c *mq.Config) { c.Workers, c.HeapArity = 2, 1 }), valid: false},
+		{name: "emq/Stickiness without InsertBatch", cfg: engineered(func(c *mq.Config) {
+			c.Workers, c.Insert = 2, mq.InsertTemporalLocality
+		}), valid: false},
+		{name: "emq/Stickiness without DeleteBatch", cfg: engineered(func(c *mq.Config) {
+			c.Workers, c.Delete = 2, mq.DeleteTemporalLocality
+		}), valid: false},
+		{name: "emq/Stickiness without PeekTops", cfg: engineered(func(c *mq.Config) { c.Workers, c.PeekTops = 2, false }), valid: false},
 
 		// k-LSM
 		{name: "klsm/valid", cfg: klsm.Config{Workers: 2}, valid: true,

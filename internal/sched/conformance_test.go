@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/cbpq"
 	"repro/internal/core"
-	"repro/internal/emq"
 	"repro/internal/klsm"
 	"repro/internal/mq"
 	"repro/internal/sched"
@@ -50,13 +49,20 @@ func conformanceSchedulers() []zoo.Spec[uint32] {
 		// CBPQ/chunk8 cover the exchange layer at both chunk capacities).
 		zoo.CBPQ[uint32]("CBPQ/noelim", cbpq.Config{DisableElimination: true}),
 		zoo.CBPQ[uint32]("CBPQ/noelim-chunk8", cbpq.Config{ChunkCap: 8, DisableElimination: true}),
-		zoo.EMQ[uint32]("EMQ/unbuffered", emq.Config{Stickiness: 1, InsertBuffer: 1, DeleteBuffer: 1}),
-		zoo.EMQ[uint32]("EMQ/bigbuf", emq.Config{Stickiness: 64, InsertBuffer: 64, DeleteBuffer: 64}),
-		zoo.EMQ[uint32]("EMQ/numa", emq.Config{NUMANodes: 2, NUMAWeightK: 8}),
+		zoo.MQ[uint32]("EMQ/unbuffered", engineered(func(c *mq.Config) { c.Stickiness, c.BatchInsert, c.BatchDelete = 1, 1, 1 })),
+		zoo.MQ[uint32]("EMQ/bigbuf", engineered(func(c *mq.Config) { c.Stickiness, c.BatchInsert, c.BatchDelete = 64, 64, 64 })),
+		zoo.MQ[uint32]("EMQ/numa", engineered(func(c *mq.Config) { c.NUMANodes, c.NUMAWeightK = 2, 8 })),
 		zoo.KLSM[uint32]("KLSM/strict", klsm.Config{Relaxation: klsm.Strict}),
 		zoo.KLSM[uint32]("KLSM/k4", klsm.Config{Relaxation: 4}),
 		zoo.KLSM[uint32]("KLSM/k4096", klsm.Config{Relaxation: 4096}),
 	)
+}
+
+// engineered is mq.Engineered with edit applied.
+func engineered(edit func(*mq.Config)) mq.Config {
+	c := mq.Engineered(0)
+	edit(&c)
+	return c
 }
 
 // drainConcurrently runs the canonical Pending-protocol workload: each

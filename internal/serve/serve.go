@@ -17,7 +17,7 @@
 //   - Ingestion must flow through a worker handle. Scheduler handles
 //     are single-goroutine, and several schedulers bury pushed tasks in
 //     handle-local structures (the k-LSM's local LSM, the SMQ's local
-//     heap, the engineered MultiQueue's insertion buffer) that only the
+//     heap, a buffered Multi-Queue's insertion buffer) that only the
 //     owning worker can drain. A push-only ingester goroutine would
 //     therefore strand its own tail of tasks. Service.feed instead runs
 //     on worker 0 between PopN rounds and never blocks on the channel,

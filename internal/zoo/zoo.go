@@ -1,6 +1,6 @@
 // Package zoo is the one place that turns a scheduler configuration
 // into a labelled, buildable Spec. One builder per family (SMQ, SMQSkip,
-// MQ, EMQ, KLSM, OBIM, CBPQ, Spray, Coarse) derives the Params label and
+// MQ, KLSM, OBIM, CBPQ, Spray, Coarse) derives the Params label and
 // the rank bound from the defaults-applied configuration the scheduler
 // will actually run, so a report row can never name a configuration
 // other than the one behind it. Lineup is the canonical registry built
@@ -26,7 +26,6 @@ import (
 	"repro/internal/coarse"
 	"repro/internal/core"
 	"repro/internal/cskiplist"
-	"repro/internal/emq"
 	"repro/internal/klsm"
 	"repro/internal/mq"
 	"repro/internal/obim"
@@ -103,7 +102,7 @@ func Lineup[T any]() []Spec[T] {
 		CBPQ[T]("cbpq-elim", cbpq.Config{}),
 		MQ[T]("mq", mq.Classic(0, 4)),
 		MQ[T]("mq-batch", mq.Config{C: 4, Insert: mq.InsertBatch, Delete: mq.DeleteBatch}),
-		EMQ[T]("emq", emq.Config{}),
+		MQ[T]("emq", mq.Engineered(0)),
 		SMQ[T]("smq", core.Config{}),
 		SMQSkip[T]("smq-skip", core.Config{}),
 		MQ[T]("reld", mq.RELD(0)),
@@ -148,7 +147,7 @@ func stealing[T any](name string, cfg core.Config, build func(core.Config) *core
 }
 
 // MQ labels and builds a member of the Multi-Queue family (classic,
-// temporal-locality, batching, RELD).
+// temporal-locality, batching, RELD, engineered).
 func MQ[T any](name string, cfg mq.Config) Spec[T] {
 	c := cfg.WithDefaults()
 	params := fmt.Sprintf("C=%d", c.C)
@@ -178,6 +177,10 @@ func MQ[T any](name string, cfg mq.Config) Spec[T] {
 	if c.PeekTops {
 		params += " peektops"
 	}
+	if c.Stickiness > 0 {
+		// The engineered MultiQueue, labelled in Williams et al.'s terms.
+		params = fmt.Sprintf("C=%d stick=%d buf=%d/%d", c.C, c.Stickiness, c.BatchInsert, c.BatchDelete)
+	}
 	return Spec[T]{
 		Name: name, Params: params + numaLabel(c.NUMANodes, c.NUMAWeightK),
 		Make: func(w int, seed uint64) sched.Scheduler[T] {
@@ -186,25 +189,6 @@ func MQ[T any](name string, cfg mq.Config) Spec[T] {
 			return mq.New[T](cfg)
 		},
 		Bound: bound,
-	}
-}
-
-// EMQ labels and builds an engineered MultiQueue.
-func EMQ[T any](name string, cfg emq.Config) Spec[T] {
-	c := cfg.WithDefaults()
-	return Spec[T]{
-		Name: name,
-		Params: fmt.Sprintf("C=%d stick=%d buf=%d/%d", c.C, c.Stickiness, c.InsertBuffer, c.DeleteBuffer) +
-			numaLabel(c.NUMANodes, c.NUMAWeightK),
-		Make: func(w int, seed uint64) sched.Scheduler[T] {
-			cfg := cfg
-			cfg.Workers, cfg.Seed = w, seed
-			return emq.New[T](cfg)
-		},
-		// The buffered refills behave like a batched two-choice process
-		// over m = C·workers queues with batch = the delete-buffer
-		// capacity.
-		Bound: expectationBound(c.C, c.DeleteBuffer, 1),
 	}
 }
 

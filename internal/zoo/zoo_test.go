@@ -8,7 +8,6 @@ import (
 	"repro/internal/cbpq"
 	"repro/internal/coarse"
 	"repro/internal/core"
-	"repro/internal/emq"
 	"repro/internal/klsm"
 	"repro/internal/mq"
 	"repro/internal/obim"
@@ -96,10 +95,11 @@ func TestLineupBuildsTheWrittenOutConfigurations(t *testing.T) {
 		"mq":       mq.New[int](mq.Config{Workers: w, C: 4, Seed: seed}),
 		"mq-batch": mq.New[int](mq.Config{Workers: w, C: 4, Insert: mq.InsertBatch, Delete: mq.DeleteBatch, Seed: seed}),
 		"reld":     mq.New[int](mq.Config{Workers: w, C: 1, Delete: mq.DeleteLocal, Seed: seed}),
-		"emq":      emq.New[int](emq.Config{Workers: w, Seed: seed}),
 		"klsm":     klsm.New[int](klsm.Config{Workers: w}),
 		"obim":     obim.New[int](obim.Config{Workers: w, Seed: seed}),
 		"pmod":     obim.New[int](obim.Config{Workers: w, Adaptive: true, Seed: seed}),
+		"emq": mq.New[int](mq.Config{Workers: w, C: 2, Insert: mq.InsertBatch, Delete: mq.DeleteBatch,
+			BatchInsert: 16, BatchDelete: 16, HeapArity: 8, PeekTops: true, Stickiness: 16, Seed: seed}),
 	}
 	for name, ref := range refs {
 		spec, ok := Lookup[int](name)
@@ -121,6 +121,8 @@ func TestLineupBuildsTheWrittenOutConfigurations(t *testing.T) {
 // and that a non-default knob shows up: the label is the configuration.
 func TestParamsComeFromTheEffectiveConfig(t *testing.T) {
 	obimChunk := obim.Config{}.WithDefaults().ChunkSize
+	emqNUMA := mq.Engineered(0)
+	emqNUMA.BatchInsert, emqNUMA.BatchDelete, emqNUMA.NUMANodes, emqNUMA.NUMAWeightK = 4, 1, 2, 64
 	for _, tc := range []struct{ family, zero, explicit, want string }{
 		{"SMQ", SMQ[int]("x", core.Config{}).Params,
 			SMQ[int]("x", core.Config{}.WithDefaults()).Params, "steal=4 psteal=0.125"},
@@ -128,8 +130,8 @@ func TestParamsComeFromTheEffectiveConfig(t *testing.T) {
 			SMQSkip[int]("x", core.Config{}.WithDefaults()).Params, "steal=4 psteal=0.125"},
 		{"MQ", MQ[int]("x", mq.Config{}).Params,
 			MQ[int]("x", mq.Config{}.WithDefaults()).Params, "C=4"},
-		{"EMQ", EMQ[int]("x", emq.Config{}).Params,
-			EMQ[int]("x", emq.Config{}.WithDefaults()).Params, "C=2 stick=16 buf=16/16"},
+		{"MQ engineered", MQ[int]("x", mq.Engineered(0)).Params,
+			MQ[int]("x", mq.Engineered(0).WithDefaults()).Params, "C=2 stick=16 buf=16/16"},
 		{"KLSM", KLSM[int]("x", klsm.Config{}).Params,
 			KLSM[int]("x", klsm.Config{Relaxation: klsm.DefaultRelaxation}).Params, "k=256"},
 		{"OBIM", OBIM[int]("x", obim.Config{}).Params,
@@ -151,7 +153,7 @@ func TestParamsComeFromTheEffectiveConfig(t *testing.T) {
 		{MQ[int]("x", mq.Config{Insert: mq.InsertBatch, Delete: mq.DeleteBatch, BatchDelete: 2}).Params, "C=4 ins=batch8 del=batch2"},
 		{MQ[int]("x", mq.Config{PInsertChange: 0.25, PDeleteChange: 0.5, PeekTops: true}).Params, "C=4 ins=tl0.25 del=tl0.5 peektops"},
 		{MQ[int]("x", mq.RELD(0)).Params, "C=1 del=local"},
-		{EMQ[int]("x", emq.Config{InsertBuffer: 4, DeleteBuffer: 1, NUMANodes: 2, NUMAWeightK: 64}).Params, "C=2 stick=16 buf=4/1 numa=2 K=64"},
+		{MQ[int]("x", emqNUMA).Params, "C=2 stick=16 buf=4/1 numa=2 K=64"},
 		{KLSM[int]("x", klsm.Config{Relaxation: klsm.Strict}).Params, "k=0"},
 		{OBIM[int]("x", obim.Config{Delta: 4, Adaptive: true}).Params, fmt.Sprintf("delta=4 chunk=%d adaptive", obimChunk)},
 		{CBPQ[int]("x", cbpq.Config{ChunkCap: 8, DisableElimination: true}).Params, "chunk=8 combining"},
@@ -180,12 +182,14 @@ func TestRankBounds(t *testing.T) {
 		"pmod":      {-1, false},
 		"reld":      {-1, false},
 	}
+	unbuffered := mq.Engineered(0)
+	unbuffered.Stickiness, unbuffered.BatchInsert, unbuffered.BatchDelete = 1, 1, 1
 	specs := append(Lineup[int](),
 		SMQ[int]("smq-tuned", core.Config{StealSize: 8, StealProb: 0.25}),
 		SMQSkip[int]("smq-skip-numa", core.Config{NUMANodes: 2}),
 		MQ[int]("mq-tl", mq.Config{PDeleteChange: 1.0 / 64}),
 		MQ[int]("mq-numa", mq.Config{Insert: mq.InsertBatch, Delete: mq.DeleteBatch, NUMANodes: 2}),
-		EMQ[int]("emq-unbuffered", emq.Config{Stickiness: 1, InsertBuffer: 1, DeleteBuffer: 1}))
+		MQ[int]("emq-unbuffered", unbuffered))
 	for _, spec := range specs {
 		b, exact := spec.RankBound(w)
 		if want, ok := bounds[spec.Name]; ok {

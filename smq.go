@@ -9,9 +9,9 @@
 // Beyond the paper's own lineup, the package also provides the engineered
 // MultiQueue (EMQ) of Williams, Sanders and Dementiev, "Engineering
 // MultiQueues: Fast Relaxed Concurrent Priority Queues" (2021) — the
-// strongest published Multi-Queue follow-up, which augments the classic
-// design with queue stickiness and insertion/deletion buffers; see
-// NewEngineeredMQ and EMQConfig — and the k-LSM of Wimmer, Gruber, Träff
+// strongest published Multi-Queue follow-up, which adds queue stickiness
+// to the Multi-Queue's insertion/deletion buffers; see NewEngineeredMQ
+// and MQConfig.Stickiness — and the k-LSM of Wimmer, Gruber, Träff
 // and Tsigas, "The Lock-Free k-LSM Relaxed Priority Queue" (PPoPP 2015),
 // the strongest non-Multi-Queue baseline of the paper's evaluation: a
 // log-structured-merge queue whose relaxation is the explicit capacity
@@ -50,8 +50,8 @@
 //     are reused in place and zero vacated slots (so popped pointerful
 //     payloads are released to the GC), and the k-LSM merge path
 //     recycles retired blocks through per-LSM slab pools. Regression
-//     tests assert 0 allocs/op for the SMQ, Multi-Queue and engineered
-//     MultiQueue hot paths.
+//     tests assert 0 allocs/op for the SMQ and Multi-Queue hot paths,
+//     the engineered MultiQueue's included.
 //
 // The effect of each such change is measured by the repo benchmark:
 // `bash bench/run.sh` (declared in BENCHMARK.json) runs verified
@@ -62,10 +62,10 @@
 //
 // Every Worker also exposes bulk operations — PushN(ps, vs) and
 // PopN(dst) — with scheduler-specific fast paths: the Multi-Queues
-// place or extract a whole batch under a single sampled lock, the SMQ
-// drains its steal buffer and local heap in one pass, the engineered
-// MultiQueue routes batches through its insertion/deletion buffers,
-// and the k-LSM turns a batch into one sorted LSM block, skipping the
+// place or extract a whole batch under a single sampled lock, or route
+// it through their insertion/deletion buffers when they have them, the
+// SMQ drains its steal buffer and local heap in one pass, and the k-LSM
+// turns a batch into one sorted LSM block, skipping the
 // per-element merge cascade.
 // Batches amortize the fixed per-operation costs — queue sampling,
 // lock round trips, atomic counter traffic — that dominate once a
@@ -285,7 +285,6 @@ import (
 	"repro/internal/cbpq"
 	"repro/internal/contend"
 	"repro/internal/core"
-	"repro/internal/emq"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/klsm"
@@ -323,14 +322,10 @@ type Backoff = sched.Backoff
 // StealProb 1/8, 4-ary heaps — the paper's default configuration).
 type SMQConfig = core.Config
 
-// MQConfig configures the classic Multi-Queue family, including the task
-// batching and temporal-locality optimisations.
+// MQConfig configures the Multi-Queue family: the classic queue, its task
+// batching and temporal-locality optimisations, RELD, and the engineered
+// MultiQueue's queue stickiness.
 type MQConfig = mq.Config
-
-// EMQConfig configures the engineered MultiQueue of Williams et al.
-// (queue stickiness and insertion/deletion buffers over m = C·Workers
-// lock-protected heaps).
-type EMQConfig = emq.Config
 
 // KLSMConfig configures the k-LSM of Wimmer et al. (thread-local LSMs
 // of at most Relaxation tasks over a shared global LSM; Relaxation
@@ -392,11 +387,12 @@ func NewRELD[T any](workers int) Scheduler[T] {
 }
 
 // NewEngineeredMQ builds the engineered MultiQueue of Williams, Sanders
-// and Dementiev (2021): the classic Multi-Queue layout extended with
-// sticky queue indices that persist for a configurable number of
-// operations and with bounded per-worker insertion/deletion buffers.
-func NewEngineeredMQ[T any](cfg EMQConfig) Scheduler[T] {
-	return emq.New[T](cfg)
+// and Dementiev (2021) at their recommended configuration: the
+// Multi-Queue with insertion/deletion buffers, cached tops and sticky
+// queue pairs. NewMultiQueue builds it with other knobs (MQConfig's
+// Stickiness, BatchInsert, BatchDelete, ...).
+func NewEngineeredMQ[T any](workers int) Scheduler[T] {
+	return mq.New[T](mq.Engineered(workers))
 }
 
 // NewKLSM builds the k-LSM of Wimmer, Gruber, Träff and Tsigas (PPoPP

@@ -22,7 +22,7 @@ var publicSchedulers = map[string][]func() Scheduler[int]{
 		return NewMultiQueue[int](MQConfig{Workers: 2, Insert: InsertBatch, Delete: DeleteBatch})
 	}},
 	"NewRELD":         {func() Scheduler[int] { return NewRELD[int](2) }},
-	"NewEngineeredMQ": {func() Scheduler[int] { return NewEngineeredMQ[int](EMQConfig{Workers: 2}) }},
+	"NewEngineeredMQ": {func() Scheduler[int] { return NewEngineeredMQ[int](2) }},
 	"NewKLSM": {
 		func() Scheduler[int] { return NewKLSM[int](KLSMConfig{Workers: 2}) },
 		func() Scheduler[int] { return NewKLSM[int](KLSMConfig{Workers: 2, Relaxation: KLSMStrict}) },

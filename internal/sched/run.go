@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/contend"
@@ -87,11 +89,46 @@ type runWorker[T any] struct {
 	tasks, stale uint64
 }
 
-// Feed is worker 0's ingest step in Stream: without blocking, it moves
-// what arrived from outside the worker set into out (Push, then Flush so
-// that Pending covers it) and reports whether that was progress — the
-// worker's idle episode ends — and whether the stream is still open.
-type Feed[T any] func(out *Sink[T]) (progress, open bool)
+// Feed is the ingest step of Stream: without blocking, it moves what
+// arrived from outside the worker set into worker wid's sink out (Push,
+// then Flush so that Pending covers it) and reports whether that was
+// progress — the worker's idle episode ends — and whether the stream is
+// still open. Only worker 0's open == false ends the stream; the other
+// workers' is ignored.
+type Feed[T any] func(wid int, out *Sink[T]) (progress, open bool)
+
+// feedGate is the end-of-stream handshake between worker 0 and the idle
+// feeders. Worker 0 raises ended, then waits until inFeed is zero before
+// it closes Pending; a feeder announces itself on inFeed, then re-checks
+// ended. With both words sequentially consistent, either worker 0 sees
+// the feeder and waits for it, or the feeder sees ended and stays out —
+// so every Inc a feeder makes precedes the Close. Only the idle path
+// touches the gate.
+type feedGate struct {
+	ended  atomic.Bool
+	inFeed atomic.Int32
+}
+
+// idleFeed is a non-zero worker's feed call after an empty PopN. The
+// worker flushes what it received before it leaves the gate.
+func idleFeed[T any](g *feedGate, feed Feed[T], wid int, out *Sink[T]) (progress bool) {
+	g.inFeed.Add(1)
+	if !g.ended.Load() {
+		progress, _ = feed(wid, out)
+		out.Flush()
+	}
+	g.inFeed.Add(-1)
+	return progress
+}
+
+// end is worker 0's end of the stream: no feeder enters after ended is
+// raised, and the ones inside have flushed when inFeed reaches zero.
+func (g *feedGate) end() {
+	g.ended.Store(true)
+	for g.inFeed.Load() != 0 {
+		runtime.Gosched()
+	}
+}
 
 // Run is the run-to-completion case of Stream: every task descends from
 // seeds the caller registered with pending before calling, so the stream
@@ -115,23 +152,32 @@ func Run[T any](s Scheduler[T], pending *Pending, workers, batch int, body Body[
 // coarse bodies still spread across workers
 // (TestProcessSpreadsCoarseTasks).
 //
-// Worker 0 polls feed before every PopN (internal/serve says why the
-// ingesting side must be a worker that also pops). When feed reports the
-// stream ended it is not called again, and the loop closes pending —
+// Ingest is work-conserving. Worker 0 polls feed before every PopN, and
+// every other worker polls it after a PopN that came back empty, before
+// it backs off or parks; what a worker receives goes into its own handle
+// (internal/serve says why ingest must go through handles that also
+// pop). Worker 0 owns the end of the stream: once feed tells it the
+// stream ended it is not called again, no other worker enters feed any
+// more, and when those inside have flushed, the loop closes pending —
 // after the final external Inc, as Close requires. Workers exit on
 // Quiesced(), so a queue that drains to empty while the stream is open
-// ends nothing. A nil feed is a stream the caller already closed.
+// ends nothing. A nil feed is a stream the caller already closed: no
+// worker feeds, and the idle path only tests a flag.
 //
-// park, when non-nil, is offered to any worker but worker 0 — the one
-// that feeds — whose idle episode has reached the sleep tier: it blocks
-// for as long as the caller's policy keeps the slot parked and returns
-// true, or refuses with false and the worker sleeps. Whoever wakes parked
-// workers must wake them all once the stream ends.
+// park, when non-nil, is offered to any worker but worker 0 whose idle
+// episode has reached the sleep tier and whose last feed poll brought
+// nothing: it blocks for as long as the caller's policy keeps the slot
+// parked and returns true, or refuses with false and the worker sleeps.
+// Whoever wakes parked workers must wake them all once the stream ends.
 //
 // Stream returns the tasks processed, how many of them body reported
 // stale, and the wall-clock time of the parallel phase.
 func Stream[T any](s Scheduler[T], pending *Pending, workers, batch int, body Body[T], feed Feed[T], park func(wid int) bool) (tasks, stale uint64, elapsed time.Duration) {
 	state := make([]contend.Padded[runWorker[T]], workers)
+	var gate *contend.Padded[feedGate]
+	if feed != nil {
+		gate = new(contend.Padded[feedGate])
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for wid := range state {
@@ -142,17 +188,22 @@ func Stream[T any](s Scheduler[T], pending *Pending, workers, batch int, body Bo
 			st.out.w, st.out.pending = w, pending
 			popBuf := make([]Task[T], batch)
 			feeding := wid == 0 && feed != nil
+			idle := wid != 0 && feed != nil
 			var b Backoff
 			for {
 				progress := false
 				if feeding {
-					if progress, feeding = feed(&st.out); !feeding {
+					if progress, feeding = feed(0, &st.out); !feeding {
+						gate.Value.end()
 						st.out.Flush()
 						pending.Close()
 					}
 				}
 				k := w.PopN(popBuf)
 				if k == 0 {
+					if idle {
+						progress = idleFeed(&gate.Value, feed, wid, &st.out)
+					}
 					switch {
 					case progress:
 						b.Reset()

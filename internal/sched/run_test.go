@@ -1,8 +1,10 @@
 package sched_test
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/coarse"
 	"repro/internal/core"
@@ -146,7 +148,10 @@ func TestStreamFeedsAndParks(t *testing.T) {
 		<-wake // one token per parked worker, or the close at the end
 		return true
 	}
-	feed := func(out *sched.Sink[uint32]) (progress, open bool) {
+	feed := func(wid int, out *sched.Sink[uint32]) (progress, open bool) {
+		if wid != 0 {
+			return false, true
+		}
 		if ended.Load() {
 			t.Error("feed called after it reported the stream ended")
 		}
@@ -200,5 +205,130 @@ func TestStreamFeedsAndParks(t *testing.T) {
 	}
 	if !pending.Quiesced() {
 		t.Errorf("Pending = %d, closed %v after the run", pending.Load(), pending.Closed())
+	}
+}
+
+// popWatch wraps a scheduler's handles to record, per worker, what the
+// handle's last PopN returned (-1 before the first). A handle and its
+// worker's feed calls share one goroutine, so the record needs no
+// synchronization.
+type popWatch struct {
+	sched.Scheduler[uint32]
+	last []int
+}
+
+func (s *popWatch) Worker(i int) sched.Worker[uint32] {
+	s.last[i] = -1
+	return &popWatchWorker{Worker: s.Scheduler.Worker(i), last: &s.last[i]}
+}
+
+type popWatchWorker struct {
+	sched.Worker[uint32]
+	last *int
+}
+
+func (w *popWatchWorker) PopN(dst []sched.Task[uint32]) int {
+	*w.last = w.Worker.PopN(dst)
+	return *w.last
+}
+
+// TestStreamIdleFeed drives the work-conserving feed. Tasks come from a
+// shared source in chunks. Worker 0 takes chunks until only a reserve is
+// left, then ends the stream once the source is empty; the other workers
+// take chunks whenever the loop offers them the feed, and hold each for a
+// few milliseconds before publishing it — so the last chunk is usually
+// still in the hands of a slow idle feeder when worker 0 ends the stream. A
+// non-zero worker must be offered the feed only after its PopN came back
+// empty, never while Pending is closed (the close waits for feeders
+// inside, and none enters after it), and every task must run exactly
+// once.
+func TestStreamIdleFeed(t *testing.T) {
+	const workers, total, chunk, reserve, rounds = 3, 512, 4, 8 * 4, 5
+	before := runtime.NumGoroutine()
+	var raced, idleFed int
+	for round := 0; round < rounds; round++ {
+		var (
+			pending sched.Pending
+			next    atomic.Int64 // the source: tasks below it have been taken
+			ended   atomic.Bool  // worker 0's feed has reported the end
+			endRace atomic.Bool  // an idle feeder published a chunk after that
+			fed     atomic.Int32 // chunks idle feeders published
+			seen    [total]atomic.Int32
+		)
+		s := &popWatch{Scheduler: core.NewStealingMQ[uint32](core.Config{Workers: workers}), last: make([]int, workers)}
+		take := func(out *sched.Sink[uint32]) bool {
+			lo := next.Add(chunk) - chunk
+			for id := lo; id < min(lo+chunk, total); id++ {
+				out.Push(uint64(id), uint32(id))
+			}
+			return lo < total
+		}
+		feed := func(wid int, out *sched.Sink[uint32]) (progress, open bool) {
+			if wid == 0 {
+				if n := next.Load(); n >= total {
+					ended.Store(true)
+					return false, false
+				} else if n >= total-reserve {
+					return false, true
+				}
+				progress = take(out)
+				out.Flush()
+				return progress, true
+			}
+			if s.last[wid] != 0 {
+				t.Errorf("worker %d offered the feed after a PopN of %d", wid, s.last[wid])
+			}
+			if pending.Closed() {
+				t.Errorf("worker %d offered the feed after the stream ended", wid)
+			}
+			if !take(out) {
+				return false, true
+			}
+			time.Sleep(3 * time.Millisecond)
+			out.Flush()
+			if pending.Closed() {
+				t.Errorf("worker %d flushed fed tasks after Pending closed", wid)
+			}
+			if ended.Load() {
+				endRace.Store(true)
+			}
+			fed.Add(1)
+			return true, true
+		}
+		tasks, _, _ := sched.Stream(s, &pending, workers, 8,
+			func(_ int, _ *sched.Sink[uint32], _ uint64, id uint32) bool {
+				seen[id].Add(1)
+				return false
+			}, feed, nil)
+		if tasks != total {
+			t.Errorf("round %d: %d tasks, want %d", round, tasks, total)
+		}
+		for id := range seen {
+			if n := seen[id].Load(); n != 1 {
+				t.Errorf("round %d: task %d ran %d times", round, id, n)
+				break
+			}
+		}
+		if !pending.Quiesced() {
+			t.Errorf("round %d: Pending = %d, closed %v after the run", round, pending.Load(), pending.Closed())
+		}
+		if endRace.Load() {
+			raced++
+		}
+		idleFed += int(fed.Load())
+	}
+	// Worker 0 may take one chunk past the threshold it checked.
+	if idleFed < rounds*(reserve/chunk-1) {
+		t.Errorf("idle feeders published %d chunks in %d rounds, want at least %d per round", idleFed, rounds, reserve/chunk-1)
+	}
+	if raced == 0 {
+		t.Errorf("in none of %d rounds did the stream end while an idle feeder held a chunk", rounds)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines before, %d after", before, after)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/perfbench"
@@ -103,8 +104,8 @@ func validateServe(sr *ServeResult) error {
 	if sr.Scheduler == "" {
 		return fmt.Errorf("perfbench: serve result with empty scheduler name")
 	}
-	if sr.OfferedRatePerSec <= 0 {
-		return fmt.Errorf("perfbench: serve %s: non-positive offered rate", sr.Scheduler)
+	if !(sr.OfferedRatePerSec > 0) || math.IsInf(sr.OfferedRatePerSec, 0) {
+		return fmt.Errorf("perfbench: serve %s: offered rate %g", sr.Scheduler, sr.OfferedRatePerSec)
 	}
 	if sr.Workers < 2 {
 		return fmt.Errorf("perfbench: serve %s: workers = %d, want >= 2 (ingest worker + pool)", sr.Scheduler, sr.Workers)
@@ -115,8 +116,8 @@ func validateServe(sr *ServeResult) error {
 	if sr.Tenants < 1 {
 		return fmt.Errorf("perfbench: serve %s: tenants = %d", sr.Scheduler, sr.Tenants)
 	}
-	if sr.TenantSkew < 0 {
-		return fmt.Errorf("perfbench: serve %s: negative tenant skew", sr.Scheduler)
+	if !(sr.TenantSkew >= 0) || math.IsInf(sr.TenantSkew, 0) {
+		return fmt.Errorf("perfbench: serve %s: tenant skew %g", sr.Scheduler, sr.TenantSkew)
 	}
 	if sr.Ingested != sr.Completed+sr.Shed {
 		return fmt.Errorf("perfbench: serve %s: LOST TASKS: ingested %d != completed %d + shed %d",

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -32,7 +33,9 @@ type LoadConfig struct {
 }
 
 func (c *LoadConfig) normalize() error {
-	if c.Rate <= 0 {
+	// The whole schedule must fit a time.Duration: a rate so low that it
+	// does not (1e-300, say) made every arrival time overflow.
+	if !(c.Rate > 0) || math.IsInf(c.Rate, 0) || !(float64(c.Tasks)*float64(time.Second)/c.Rate < math.MaxInt64) {
 		return fmt.Errorf("serve: load rate %g", c.Rate)
 	}
 	if c.Tasks <= 0 {
@@ -41,14 +44,21 @@ func (c *LoadConfig) normalize() error {
 	if c.Tenants <= 0 {
 		c.Tenants = 1
 	}
+	if !(c.Skew >= 0) || math.IsInf(c.Skew, 0) {
+		return fmt.Errorf("serve: load tenant skew %g", c.Skew)
+	}
 	if c.CostMin == 0 && c.CostMax == 0 {
 		c.CostMin, c.CostMax = 50, 2000
 	}
 	if c.CostAlpha == 0 {
 		c.CostAlpha = 1.1
 	}
-	if c.CostMin <= 0 || c.CostMax < c.CostMin {
+	// Costs are drawn as float64 and carried as uint32 spin units.
+	if !(c.CostMin > 0) || !(c.CostMax >= c.CostMin) || !(c.CostMax <= math.MaxUint32) {
 		return fmt.Errorf("serve: load cost range [%g, %g]", c.CostMin, c.CostMax)
+	}
+	if !(c.CostAlpha > 0) || math.IsInf(c.CostAlpha, 0) {
+		return fmt.Errorf("serve: load cost tail exponent %g", c.CostAlpha)
 	}
 	if c.Burst < 1 {
 		c.Burst = 1

@@ -14,25 +14,35 @@
 //   - Termination is quiescence, not emptiness: workers exit only once
 //     the ingest stream has ended AND the in-flight count is zero. The
 //     loop closes sched.Pending when the feed says so. See its docs.
-//   - Ingestion must flow through a worker handle. Scheduler handles
+//   - Ingestion must flow through worker handles. Scheduler handles
 //     are single-goroutine, and several schedulers bury pushed tasks in
 //     handle-local structures (the k-LSM's local LSM, the SMQ's local
 //     heap, a buffered Multi-Queue's insertion buffer) that only the
 //     owning worker can drain. A push-only ingester goroutine would
 //     therefore strand its own tail of tasks. Service.feed instead runs
-//     on worker 0 between PopN rounds and never blocks on the channel,
-//     so whatever its pushes leave in worker-0-local state worker 0
-//     processes itself.
-//   - Idle workers must cost ~0 CPU. Once a worker's backoff reaches the
-//     sleep tier the loop offers it pool.park, which parks surplus
-//     workers on per-worker wake channels; the feed unparks them as
-//     pending work grows, and all of them when the stream ends.
+//     inside the loop and never blocks on the channel: on worker 0
+//     before every PopN, and on any other worker whose PopN came back
+//     empty. Each pushes what it drains into its own handle, so whatever
+//     that leaves in handle-local state the same worker processes
+//     itself — and under the SMQ, whose inserts stay in the inserting
+//     worker's heap, an idle worker feeds itself instead of living on
+//     batches stolen from worker 0.
+//   - Admission stays with worker 0. It alone opens and closes stall
+//     episodes, sheds, and scales and closes the pool; an idle worker
+//     drains the channel only while the policy is not engaged and
+//     pending is at most HighWater, and when it finds the channel closed
+//     it just returns — worker 0 ends the stream.
+//   - Idle workers must cost ~0 CPU. A worker whose poll of the channel
+//     brought nothing backs off, and once its backoff reaches the sleep
+//     tier the loop offers it pool.park, which parks surplus workers on
+//     per-worker wake channels; worker 0 unparks them as pending work
+//     grows, and all of them when the stream ends.
 //
-// A worker is only offered to park after its own PopN returned zero,
-// which for every scheduler in the zoo implies its handle-local
-// structures are empty — so a parked worker can never hold buried tasks,
-// and the zero-lost-tasks ledger (ingested = completed + shed) holds at
-// shutdown.
+// A worker is only offered to park after its own PopN returned zero and
+// its feed poll received nothing, which for every scheduler in the zoo
+// implies its handle-local structures are empty — so a parked worker can
+// never hold buried tasks, and the zero-lost-tasks ledger (ingested =
+// completed + shed) holds at shutdown.
 package serve
 
 import (
@@ -66,7 +76,7 @@ type Policy int
 
 const (
 	// PolicyStall pauses ingestion (backpressure up the channel) and
-	// lets the ingest worker help drain until the low watermark.
+	// lets every worker help drain until the low watermark.
 	PolicyStall Policy = iota
 	// PolicyShed drops incoming requests (counted per tenant) until
 	// pending falls below the low watermark.
@@ -179,24 +189,25 @@ type Stats struct {
 	Sched     sched.Stats
 }
 
-// workerLocal is one worker's private accounting; merged after
-// quiescence. The slices are per-tenant and separately allocated per
-// worker, so workers never write into shared backing arrays.
+// workerLocal is one worker's private state: its accounting, merged
+// after quiescence, and its ingest drain. The slices are per-tenant and
+// separately allocated per worker, so workers never write into shared
+// backing arrays; the Service pads the structs apart.
 type workerLocal struct {
 	completed []uint64
 	hist      []perfbench.Histogram
+	batch     []Request // the drain in hand; worker 0 holds it across feeds while stalled
+	ingested  uint64
 }
 
-// ingest is the feed's state, owned by worker 0; the counters are read
-// after quiescence.
+// ingest is worker 0's admission state; the counters are read after
+// quiescence.
 type ingest struct {
-	ingested     uint64
 	shed         uint64
 	shedByTenant []uint64
 	stalls       uint64
 	stallNs      int64
-	batch        []Request // the drain in hand; held across feeds while stalled
-	eof          bool      // the channel has closed (a batch may still be held)
+	eof          bool // the channel has closed (a batch may still be held)
 	shedding     bool
 	stalled      bool // a PolicyStall episode is open, since stallStart
 	stallStart   time.Time
@@ -210,6 +221,11 @@ type Service struct {
 	s     sched.Scheduler[Request]
 	in    chan Request
 	epoch time.Time
+	// episodes counts the admission policy's engagements and releases, so
+	// it is odd while the policy is engaged — a stall episode is open or
+	// shedding is on — and idle workers leave the channel to worker 0.
+	// Only worker 0 writes it.
+	episodes atomic.Uint64
 	// pending takes an atomic add per popped batch from every worker, so
 	// it gets a cache line of its own: sharing one with cfg and in, which
 	// the feed reads every round, or with anything a task body reads
@@ -218,7 +234,7 @@ type Service struct {
 	pending sched.Pending
 	_       [contend.CacheLineSize]byte
 	pool    pool
-	locals  []workerLocal
+	locals  []contend.Padded[workerLocal]
 	ing     ingest
 	done    chan struct{}
 }
@@ -236,11 +252,11 @@ func New(s sched.Scheduler[Request], cfg Config) (*Service, error) {
 		cfg:    cfg,
 		s:      s,
 		in:     make(chan Request, cfg.InBuffer),
-		locals: make([]workerLocal, cfg.Workers),
+		locals: make([]contend.Padded[workerLocal], cfg.Workers),
 	}
 	for i := range sv.locals {
-		sv.locals[i].completed = make([]uint64, cfg.Tenants)
-		sv.locals[i].hist = make([]perfbench.Histogram, cfg.Tenants)
+		sv.locals[i].Value.completed = make([]uint64, cfg.Tenants)
+		sv.locals[i].Value.hist = make([]perfbench.Histogram, cfg.Tenants)
 	}
 	sv.ing.shedByTenant = make([]uint64, cfg.Tenants)
 	return sv, nil
@@ -254,8 +270,9 @@ func (sv *Service) In() chan<- Request { return sv.in }
 // Valid after Start.
 func (sv *Service) Epoch() time.Time { return sv.epoch }
 
-// Start launches the workers: one sched.Stream, fed on worker 0, the
-// pool's policy behind the park hook of the others.
+// Start launches the workers: one sched.Stream, fed by worker 0 plus
+// any other worker that finds the scheduler empty, with the pool's
+// policy behind the park hook of the workers but worker 0.
 func (sv *Service) Start() {
 	if sv.done != nil {
 		panic("serve: Start called twice")
@@ -275,7 +292,6 @@ func (sv *Service) Wait() *Stats {
 	<-sv.done
 	end := time.Now()
 	st := &Stats{
-		Ingested:  sv.ing.ingested,
 		Shed:      sv.ing.shed,
 		Stalls:    sv.ing.stalls,
 		StallDur:  time.Duration(sv.ing.stallNs),
@@ -284,12 +300,15 @@ func (sv *Service) Wait() *Stats {
 		Sched:     sv.s.Stats(),
 	}
 	st.Parks, st.Unparks, st.MeanActiveWorkers = sv.pool.finish(end, sv.epoch)
+	for w := range sv.locals {
+		st.Ingested += sv.locals[w].Value.ingested
+	}
 	for t := 0; t < sv.cfg.Tenants; t++ {
 		ts := &st.PerTenant[t]
 		ts.Shed = sv.ing.shedByTenant[t]
 		for w := range sv.locals {
-			ts.Completed += sv.locals[w].completed[t]
-			ts.Latency.Merge(&sv.locals[w].hist[t])
+			ts.Completed += sv.locals[w].Value.completed[t]
+			ts.Latency.Merge(&sv.locals[w].Value.hist[t])
 		}
 		st.Completed += ts.Completed
 	}
@@ -327,40 +346,43 @@ func (sv *Service) body() sched.Body[Request] {
 			// The generator may run a hair ahead of schedule; clamp.
 			soj = 0
 		}
-		local := &locals[wid]
+		local := &locals[wid].Value
 		local.hist[r.Tenant].Record(uint64(soj))
 		local.completed[r.Tenant]++
 		return false
 	}
 }
 
-// feed is worker 0's ingest step (a sched.Feed). Each round drains up to
-// ingestBatch requests without blocking, applies admission control,
-// publishes the admitted batch through the worker's sink (Inc before
-// PushN, so Pending can never dip to zero while the batch is buried in
-// worker-local structures) and rescales the pool. While a PolicyStall
-// episode holds a batch the feed reports no progress and leaves the
-// channel alone — backpressuring it, and through it the generator — and
-// worker 0 helps drain through the loop. The stream ends when the channel
-// has closed and nothing is held; every parked worker is then woken so it
-// can observe quiescence and exit (parking is refused from there on).
-func (sv *Service) feed(out *sched.Sink[Request]) (progress, open bool) {
+// feed is the ingest step (a sched.Feed). On worker 0 each round drains
+// up to ingestBatch requests without blocking, applies admission
+// control, publishes the admitted batch through the worker's sink (Inc
+// before PushN, so Pending can never dip to zero while the batch is
+// buried in worker-local structures) and rescales the pool. While a
+// PolicyStall episode holds a batch the feed reports no progress and
+// leaves the channel alone — backpressuring it, and through it the
+// generator — and every worker helps drain through the loop. The stream
+// ends when the channel has closed and nothing is held; every parked
+// worker is then woken so it can observe quiescence and exit (parking is
+// refused from there on). Any other worker is here because its PopN came
+// back empty (see feedIdle).
+func (sv *Service) feed(wid int, out *sched.Sink[Request]) (progress, open bool) {
+	local := &sv.locals[wid].Value
+	if wid != 0 {
+		return sv.feedIdle(local, out), true
+	}
 	ing := &sv.ing
 	if ing.stalled {
 		if sv.pending.Load() > sv.cfg.LowWater {
 			return false, true
 		}
 		ing.stalled = false
+		sv.episodes.Add(1)
 		ing.stallNs += time.Since(ing.stallStart).Nanoseconds()
-	} else if ing.recv(sv.in); len(ing.batch) > 0 && !sv.admit() {
+	} else if ing.eof = local.recv(sv.in); len(local.batch) > 0 && !sv.admit(local) {
 		return true, true
 	}
-	if len(ing.batch) > 0 {
-		for _, r := range ing.batch {
-			out.Push(uint64(r.Enq), r)
-		}
-		out.Flush()
-		ing.batch = ing.batch[:0]
+	if len(local.batch) > 0 {
+		local.publish(out)
 		sv.pool.scaleTo(sv.desiredWorkers(), time.Now())
 		progress = true
 	}
@@ -370,51 +392,89 @@ func (sv *Service) feed(out *sched.Sink[Request]) (progress, open bool) {
 	return progress, !ing.eof
 }
 
-// recv drains up to ingestBatch requests from in without blocking.
-func (ing *ingest) recv(in <-chan Request) {
-	for len(ing.batch) < ingestBatch {
+// feedIdle is the ingest step of a worker other than worker 0, polled
+// when its PopN came back empty: it drains and publishes a batch into
+// the worker's own handle unless the admission policy is engaged or
+// pending is above HighWater. Admission — stall episodes, shedding, the
+// pool — and the end of the stream stay with worker 0.
+func (sv *Service) feedIdle(local *workerLocal, out *sched.Sink[Request]) (progress bool) {
+	if sv.engaged() || sv.pending.Load() > sv.cfg.HighWater {
+		return false
+	}
+	local.recv(sv.in)
+	if len(local.batch) == 0 {
+		return false
+	}
+	local.publish(out)
+	return true
+}
+
+// recv drains up to ingestBatch requests from in without blocking and
+// reports whether the channel has closed.
+func (l *workerLocal) recv(in <-chan Request) (eof bool) {
+	for len(l.batch) < ingestBatch {
 		select {
 		case r, ok := <-in:
 			if !ok {
-				ing.eof = true
-				return
+				return true
 			}
-			ing.ingested++
-			ing.batch = append(ing.batch, r)
+			l.ingested++
+			l.batch = append(l.batch, r)
 		default:
-			return
+			return false
 		}
 	}
+	return false
 }
 
-// admit applies the admission policy to a freshly drained batch and
-// reports whether it may be published now. PolicyShed drops the batch
-// while the hysteresis flag is set; PolicyStall opens an episode that
-// holds it until pending has fallen to the low watermark (see feed).
-func (sv *Service) admit() bool {
+// publish pushes the drain in hand through the worker's sink and flushes
+// it: one Pending add, then one PushN.
+func (l *workerLocal) publish(out *sched.Sink[Request]) {
+	for _, r := range l.batch {
+		out.Push(uint64(r.Enq), r)
+	}
+	out.Flush()
+	l.batch = l.batch[:0]
+}
+
+// admit applies the admission policy to worker 0's freshly drained batch
+// and reports whether it may be published now. PolicyShed drops the
+// batch while the hysteresis flag is set; PolicyStall opens an episode
+// that holds it until pending has fallen to the low watermark (see feed).
+// Either way the policy is engaged, and idle workers stay off the
+// channel, until it disengages.
+func (sv *Service) admit(local *workerLocal) bool {
 	ing := &sv.ing
 	pend := sv.pending.Load()
 	if ing.shedding && pend <= sv.cfg.LowWater {
 		ing.shedding = false
+		sv.episodes.Add(1)
 	}
 	if !ing.shedding && pend <= sv.cfg.HighWater {
 		return true
 	}
 	if sv.cfg.Policy == PolicyShed {
-		ing.shedding = true
-		for _, r := range ing.batch {
+		if !ing.shedding {
+			ing.shedding = true
+			sv.episodes.Add(1)
+		}
+		for _, r := range local.batch {
 			ing.shed++
 			ing.shedByTenant[r.Tenant]++
 		}
-		ing.batch = ing.batch[:0]
+		local.batch = local.batch[:0]
 		return false
 	}
 	// PolicyStall: all hands on deck.
+	sv.episodes.Add(1)
 	ing.stalls++
 	ing.stalled, ing.stallStart = true, time.Now()
 	sv.pool.scaleTo(sv.cfg.Workers-1, ing.stallStart)
 	return false
 }
+
+// engaged reports whether the admission policy is engaged.
+func (sv *Service) engaged() bool { return sv.episodes.Load()&1 != 0 }
 
 // desiredWorkers is the pool scale target: one active pool worker per
 // TasksPerWorker pending tasks, clamped to [MinWorkers, Workers-1].

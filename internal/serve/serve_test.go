@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"fmt"
+	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -336,6 +339,9 @@ func TestValidateBenchRejects(t *testing.T) {
 			ten.P99Ns = ten.P999Ns + 1
 		}, "non-monotone latency percentiles"},
 		{"missing percentile", func(r *BenchReport) { r.Serve[0].PerTenant[0].P999Ns = 0 }, "missing latency percentiles"},
+		{"NaN offered rate", func(r *BenchReport) { r.Serve[0].OfferedRatePerSec = math.NaN() }, "offered rate NaN"},
+		{"NaN tenant skew", func(r *BenchReport) { r.Serve[1].TenantSkew = math.NaN() }, "tenant skew NaN"},
+		{"negative tenant skew", func(r *BenchReport) { r.Serve[1].TenantSkew = -1 }, "tenant skew -1"},
 		{"tenant count", func(r *BenchReport) { r.Serve[0].Tenants = 3 }, "per-tenant entries"},
 		{"duplicate scheduler", func(r *BenchReport) { r.Serve[1].Scheduler = r.Serve[0].Scheduler }, "duplicate serve scheduler"},
 		{"no runs", func(r *BenchReport) { r.Serve = nil }, "no serve results"},
@@ -356,4 +362,174 @@ func TestValidateBenchRejects(t *testing.T) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestGenerateRejectsInvalidLoad: a load the samplers or the schedule
+// cannot represent is an error from Generate, never a panic inside a
+// sampler and never a generator that does not return. Each row runs
+// under a deadline.
+func TestGenerateRejectsInvalidLoad(t *testing.T) {
+	valid := LoadConfig{Rate: 1e6, Tasks: 10}
+	for _, tc := range []struct {
+		name string
+		mut  func(c *LoadConfig)
+		want string
+	}{
+		{"valid", func(*LoadConfig) {}, ""},
+		{"Rate NaN", func(c *LoadConfig) { c.Rate = math.NaN() }, "load rate NaN"},
+		{"Rate tiny", func(c *LoadConfig) { c.Rate = 1e-300 }, "load rate 1e-300"},
+		{"Rate +Inf", func(c *LoadConfig) { c.Rate = math.Inf(1) }, "load rate +Inf"},
+		{"Rate zero", func(c *LoadConfig) { c.Rate = 0 }, "load rate 0"},
+		{"Tasks zero", func(c *LoadConfig) { c.Tasks = 0 }, "load tasks 0"},
+		{"Skew negative", func(c *LoadConfig) { c.Skew = -1 }, "tenant skew -1"},
+		{"Skew NaN", func(c *LoadConfig) { c.Skew = math.NaN() }, "tenant skew NaN"},
+		{"CostMin NaN", func(c *LoadConfig) { c.CostMin, c.CostMax = math.NaN(), 100 }, "cost range [NaN, 100]"},
+		{"CostMin negative", func(c *LoadConfig) { c.CostMin, c.CostMax = -1, 100 }, "cost range [-1, 100]"},
+		{"CostMax below CostMin", func(c *LoadConfig) { c.CostMin, c.CostMax = 100, 50 }, "cost range [100, 50]"},
+		{"CostMax +Inf", func(c *LoadConfig) { c.CostMin, c.CostMax = 1, math.Inf(1) }, "cost range [1, +Inf]"},
+		{"CostMax beyond uint32", func(c *LoadConfig) { c.CostMin, c.CostMax = 1, 1e10 }, "cost range [1, 1e+10]"},
+		{"CostAlpha negative", func(c *LoadConfig) { c.CostAlpha = -1 }, "tail exponent -1"},
+		{"CostAlpha NaN", func(c *LoadConfig) { c.CostAlpha = math.NaN() }, "tail exponent NaN"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := valid
+			tc.mut(&cfg)
+			in := make(chan Request, cfg.Tasks+1)
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- fmt.Errorf("panic: %v", p)
+					}
+				}()
+				_, err := Generate(in, time.Now(), cfg)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				switch {
+				case tc.want == "" && err != nil:
+					t.Fatal(err)
+				case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+					t.Fatalf("Generate = %v, want an error containing %q", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Generate did not return")
+			}
+		})
+	}
+}
+
+// ingestWatch wraps a scheduler for the ingest tests. Worker 0's PopN
+// sleeps, so worker 0 is slow to come back to the channel. Every PushN
+// is counted per handle — the service's bodies emit nothing, so each is
+// an ingest. A pool worker's PushN is an ingest inside an open admission
+// episode if the episode was already open when the worker's PopN came
+// back, so before its feed call checked the policy: the episode count
+// was odd then and has not moved since. (A feeder that checked before
+// worker 0 opened an episode pushes after a PopN that saw an even count.)
+type ingestWatch struct {
+	sched.Scheduler[Request]
+	svc      *Service
+	slow     time.Duration
+	pushes   []atomic.Int64
+	declined atomic.Int64 // pool PopNs that came back empty inside an episode
+	inside   atomic.Int64 // pool ingests inside an open episode
+}
+
+func newIngestWatch(t *testing.T, name string, workers int, slow time.Duration) *ingestWatch {
+	t.Helper()
+	s, err := Build(name, workers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ingestWatch{Scheduler: s, slow: slow, pushes: make([]atomic.Int64, workers)}
+}
+
+func (s *ingestWatch) Worker(i int) sched.Worker[Request] {
+	return &ingestWatchWorker{Worker: s.Scheduler.Worker(i), s: s, wid: i}
+}
+
+type ingestWatchWorker struct {
+	sched.Worker[Request]
+	s        *ingestWatch
+	wid      int
+	episodes uint64 // the episode count when the last PopN returned
+}
+
+func (w *ingestWatchWorker) PopN(dst []sched.Task[Request]) int {
+	if w.wid == 0 {
+		time.Sleep(w.s.slow)
+	}
+	k := w.Worker.PopN(dst)
+	w.episodes = w.s.svc.episodes.Load()
+	if w.wid != 0 && k == 0 && w.episodes&1 != 0 {
+		w.s.declined.Add(1)
+	}
+	return k
+}
+
+func (w *ingestWatchWorker) PushN(ps []uint64, vs []Request) {
+	w.s.pushes[w.wid].Add(1)
+	if w.wid != 0 && w.episodes&1 != 0 && w.s.svc.episodes.Load() == w.episodes {
+		w.s.inside.Add(1)
+	}
+	w.Worker.PushN(ps, vs)
+}
+
+// runWatched preloads n requests, closes the channel and runs a Service
+// over the watched scheduler to quiescence.
+func runWatched(t *testing.T, w *ingestWatch, cfg Config, n int, cost uint32) *Stats {
+	t.Helper()
+	svc, err := New(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.svc = svc
+	for i := 0; i < n; i++ {
+		svc.In() <- Request{Cost: cost, Enq: int64(i)}
+	}
+	close(svc.In())
+	svc.Start()
+	st := svc.Wait()
+	checkLedger(t, "watched", st, n)
+	return st
+}
+
+// TestServeIdleWorkerIngests: while worker 0 is slow to come back to the
+// channel, a pool worker whose PopN finds nothing drains the channel into
+// its own handle.
+func TestServeIdleWorkerIngests(t *testing.T) {
+	for _, name := range []string{"smq", "mq"} {
+		t.Run(name, func(t *testing.T) {
+			w := newIngestWatch(t, name, 2, 200*time.Microsecond)
+			runWatched(t, w, Config{Workers: 2}, 4000, 50)
+			if w.pushes[1].Load() == 0 {
+				t.Fatalf("the pool worker never ingested (worker 0 pushed %d batches)", w.pushes[0].Load())
+			}
+		})
+	}
+}
+
+// TestServeNoIdleIngestDuringStall: with PolicyStall engaging again and
+// again, the pool workers are offered the feed during stall episodes and
+// leave the channel to worker 0 — no pool worker ingests while an episode
+// is open — yet they ingest between episodes.
+func TestServeNoIdleIngestDuringStall(t *testing.T) {
+	w := newIngestWatch(t, "smq", 3, 0)
+	st := runWatched(t, w, Config{Workers: 3, HighWater: 8, LowWater: 2, Policy: PolicyStall}, 30*ingestBatch, 20000)
+	if st.Stalls == 0 {
+		t.Fatal("no stall episode opened")
+	}
+	if n := w.inside.Load(); n != 0 {
+		t.Fatalf("pool workers ingested %d times inside a stall episode", n)
+	}
+	if w.declined.Load() == 0 {
+		t.Fatal("no pool worker came back empty during a stall: the check above is vacuous")
+	}
+	if w.pushes[1].Load()+w.pushes[2].Load() == 0 {
+		t.Fatal("pool workers never ingested between stall episodes")
+	}
+	t.Logf("%d stalls, pool ingests %d + %d, worker 0 %d, declined %d",
+		st.Stalls, w.pushes[1].Load(), w.pushes[2].Load(), w.pushes[0].Load(), w.declined.Load())
 }

@@ -66,9 +66,9 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	// Bucket crossings: 1024-wide buckets on a ring of four (priorities
 	// wrap, so no bag is ever created after the prefill), a task set
 	// that clusters within 64 and so alternates between two buckets
-	// every time it passes a boundary. The prefill alternates buckets,
-	// which gives each of the tasks+1 tasks its own chunk; one task is
-	// taken out, and the rest can never occupy more chunks than that.
+	// every time it passes a boundary. The worker keeps one open chunk
+	// per bucket, so the walk needs at most one per bucket of the ring
+	// and the pop chunk; the warm-up walk makes them all.
 	t.Run("cross", func(t *testing.T) {
 		const (
 			tasks = 48 // fewer than freeChunks: the free list never overflows
@@ -100,4 +100,43 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			t.Fatalf("only %d pushes crossed a bucket; the walk does not test what it says", crossings)
 		}
 	})
+}
+
+// TestSteadyStateOneChunkPerBucket is the timing-free gate for small Δ:
+// each worker pushes rounds tasks to each of buckets buckets, changing
+// bucket on every push. Once a (worker, bucket) has its open chunk, the
+// pushes that follow must allocate nothing, so the walk is counted
+// against one that pushes a single task per (worker, bucket) and pays
+// for every chunk, mirror entry and bag. A worker with one open chunk
+// in all would publish a chunk on every bucket change: one per task.
+func TestSteadyStateOneChunkPerBucket(t *testing.T) {
+	const (
+		workers = 2
+		buckets = 32
+		rounds  = 48 // fewer than ChunkSize: no chunk fills
+	)
+	var s *Sched[int]
+	walk := func(rounds int) func() {
+		return func() {
+			s = New[int](Config{Workers: workers, Delta: 1})
+			for r := 0; r < rounds; r++ {
+				for i := range s.workers {
+					for b := buckets - 1; b >= 0; b-- {
+						s.workers[i].Push(uint64(b)<<1|uint64(r&1), r)
+					}
+				}
+			}
+		}
+	}
+	first := testing.AllocsPerRun(1, walk(1))
+	all := testing.AllocsPerRun(1, walk(rounds))
+	if all > first {
+		t.Fatalf("%d rounds over %d buckets allocate %.0f times, one round %.0f: the %d rounds after the first allocate %.0f",
+			rounds, buckets, all, first, rounds-1, all-first)
+	}
+	for i := range s.workers {
+		if n := len(s.workers[i].open); n != buckets {
+			t.Fatalf("worker %d holds %d open chunks, want one per bucket (%d)", i, n, buckets)
+		}
+	}
 }

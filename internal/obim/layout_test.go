@@ -27,3 +27,18 @@ func TestWorkerPadding(t *testing.T) {
 		t.Fatalf("adjacent workers' hot fields only %d bytes apart, want >= %d", next-end, contend.CacheLineSize)
 	}
 }
+
+// TestDeltaPadding checks that PMOD's Δ, which every Push loads, shares
+// no cache line with the fields around it: the mutex, the hint and the
+// statistics window after it are written by refills.
+func TestDeltaPadding(t *testing.T) {
+	var s Sched[int]
+	start := unsafe.Offsetof(s.delta)
+	end := start + unsafe.Sizeof(s.delta)
+	if before := unsafe.Offsetof(s.topo) + unsafe.Sizeof(s.topo); start-before < contend.CacheLineSize {
+		t.Fatalf("delta only %d bytes after topo, want >= %d", start-before, contend.CacheLineSize)
+	}
+	if after := unsafe.Offsetof(s.mu); after-end < contend.CacheLineSize {
+		t.Fatalf("mu only %d bytes after delta, want >= %d", after-end, contend.CacheLineSize)
+	}
+}

@@ -8,19 +8,29 @@
 // Tasks are grouped into priority "bags": all tasks whose priority maps
 // to the same bucket (priority >> Delta) are unordered relative to each
 // other. A bag holds chunks — fixed-size task batches — in one FIFO queue
-// per virtual NUMA node (Galois's PerSocketChunkFIFO). Workers fill a
-// thread-local push chunk and publish it at the tail of the bag for its
-// bucket; they drain a thread-local pop chunk taken from the head of the
-// lowest non-empty bag, preferring their own node's queue and stealing
-// chunks from other nodes otherwise. A global "minimum bucket" hint
-// steers workers toward the best available priority class.
+// per virtual NUMA node (Galois's PerSocketChunkFIFO). As in Galois, a
+// worker keeps one open push chunk per bag it pushes to, in its local
+// mirror of the bag map: a push appends to its bucket's open chunk, and
+// only a full chunk is published, at the tail of its bag. Workers drain
+// a thread-local pop chunk taken from the head of the lowest non-empty
+// bag, preferring their own node's queue and stealing chunks from other
+// nodes otherwise. A global "minimum bucket" hint steers workers toward
+// the best available priority class.
+//
+// An open chunk is its owner's alone. A refill serves the lower of the
+// lowest published chunk and the owner's lowest-keyed open chunk, the
+// published one on a tie, so a worker takes its own tasks back in
+// priority order and reports empty only when it holds none. A worker
+// with a single open chunk would publish it on every bucket change: at
+// small Delta a scattered relaxation pushes one-item chunks, and the
+// bags turn into a list of single tasks behind a lock each.
 //
 // The chunk order is the scheduler's rank quality inside a bucket: a bag
 // that hands out its newest chunk first turns one bucket into depth-first
 // label correcting (on a power-law SSSP, ten times Dijkstra's tasks at
 // the default Delta), oldest-first keeps it breadth-first. Chunks are
 // recycled, not allocated: the worker that drains one keeps it on a small
-// free list and fills it again as its next push chunk.
+// free list and fills it again as its next open chunk.
 //
 // OBIM's weakness — the reason the paper's SMQ beats it on SSSP-like
 // workloads — is that Delta is workload-specific: too coarse wastes work
@@ -33,13 +43,15 @@
 // nearly empty it merges priority classes (Delta+1); when bags grow far
 // beyond the chunk size it splits them (Delta−1). Bags are keyed by the
 // *range start* of their priority interval, (p>>Δ)<<Δ, so keys remain
-// mutually ordered as Δ changes and old bags drain naturally.
+// mutually ordered as Δ changes and old bags drain naturally. A worker
+// taking back its own open chunk observes a bag of that chunk's length.
 //
 // Neither scheduler provides rank guarantees; both are included as
 // faithful-in-structure baselines for the evaluation harness.
 package obim
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -56,7 +68,11 @@ type Config struct {
 	// Workers is the number of worker slots. Required.
 	Workers int
 	// Delta is the priority shift defining buckets (bucket = p >> Delta).
-	// Default 10; Appendix B sweeps it per benchmark.
+	// Default 10; Appendix B sweeps it per benchmark. Measured with SSSP
+	// at W = 2 on two vCPUs, Delta = 1 / 2 / 4 / 6 / 10 ran RMAT-16/16 at
+	// 6.1 / 6.0 / 6.2 / 7.7 / 10.4 M useful tasks/s and a 400 × 400 road
+	// grid at 6.3 / 8.1 / 10.8 / 14.1 / 18.2 (one open push chunk per
+	// worker in all, not per bag: RMAT 0.8 / 0.7 / 0.9 / 1.8 / 10.3).
 	Delta uint32
 	// ChunkSize is the number of tasks per chunk. Default 64 (Galois).
 	ChunkSize int
@@ -198,16 +214,23 @@ type Sched[T any] struct {
 	cfg  Config
 	topo numa.Topology
 
+	// delta is PMOD's current Δ: every PMOD Push loads it, only the
+	// leader stores it, so it gets a line of its own, away from the
+	// mutex, the hint and the statistics that refills write.
+	_     [contend.CacheLineSize]byte
+	delta atomic.Uint32
+	_     [contend.CacheLineSize]byte
+
 	mu   sync.RWMutex
 	bags map[uint64]*bag[T]
 	keys []uint64 // sorted bag keys
 
 	minHint atomic.Uint64 // lower bound candidate for lowest non-empty key
-	delta   atomic.Uint32 // current Δ (mutable only when Adaptive)
 
-	// PMOD statistics window.
+	// PMOD statistics window, written only when Adaptive.
 	refills    atomic.Uint64
 	sumBagSize atomic.Uint64
+
 	deltaUps   atomic.Uint64
 	deltaDowns atomic.Uint64
 	pruned     atomic.Uint64
@@ -234,7 +257,6 @@ func New[T any](cfg Config) *Sched[T] {
 			id:   i,
 			node: s.topo.NodeOfWorker(i),
 			c:    &s.counters[i],
-			bags: make(map[uint64]*bag[T]),
 		}
 	}
 	return s
@@ -262,9 +284,13 @@ func (s *Sched[T]) DeltaAdjustments() (up, down uint64) {
 	return s.deltaUps.Load(), s.deltaDowns.Load()
 }
 
-// bucketKey maps a priority to its bag key under the current Δ.
+// bucketKey maps a priority to its bag key under the current Δ. Only
+// PMOD changes Δ, so OBIM reads it from the immutable configuration.
 func (s *Sched[T]) bucketKey(p uint64) uint64 {
-	d := s.delta.Load()
+	d := s.cfg.Delta
+	if s.cfg.Adaptive {
+		d = s.delta.Load()
+	}
 	return p >> d << d
 }
 
@@ -359,10 +385,45 @@ func (s *Sched[T]) raiseHint(from, to uint64) {
 	}
 }
 
-// freeChunks bounds a worker's free list: enough to cover a run of
-// bucket changes (one published chunk each) between two refills; what a
-// worker drains beyond it is left to the GC.
+// freeChunks bounds a worker's free list: enough to reopen a chunk for
+// each bucket a run of pushes touches between two refills; what a worker
+// drains beyond it is left to the GC.
 const freeChunks = 64
+
+// localBag is a worker's entry for one bag key: the global bag it
+// resolved for the key, and the worker's open push chunk for it.
+type localBag[T any] struct {
+	key  uint64
+	b    *bag[T]   // possibly retired since; re-resolved when a chunk is published
+	open *chunk[T] // nil, or 1..ChunkSize-1 tasks only this worker can see
+	at   int       // index in the worker's openHeap while open != nil
+}
+
+// openHeap is a min-heap on key (through container/heap) of the entries
+// holding an open chunk, so a refill reads the worker's lowest open key
+// in O(1) and a published chunk leaves it from anywhere.
+type openHeap[T any] []*localBag[T]
+
+func (h openHeap[T]) Len() int           { return len(h) }
+func (h openHeap[T]) Less(i, j int) bool { return h[i].key < h[j].key }
+func (h openHeap[T]) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].at, h[j].at = i, j
+}
+
+func (h *openHeap[T]) Push(x any) {
+	lb := x.(*localBag[T])
+	lb.at = len(*h)
+	*h = append(*h, lb)
+}
+
+func (h *openHeap[T]) Pop() any {
+	s := *h
+	lb := s[len(s)-1]
+	s[len(s)-1] = nil
+	*h = s[:len(s)-1]
+	return lb
+}
 
 // worker is the per-goroutine handle. Workers are adjacent in one slice
 // and every field below c is written per task, hence the trailing pad.
@@ -372,11 +433,15 @@ type worker[T any] struct {
 	node int
 	c    *sched.Counters
 
-	bags map[uint64]*bag[T] // thread-local bag cache (mirrors the global map)
+	// bags mirrors the global map for the keys this worker pushes to
+	// (OBIM's "global map mirrored locally for cache efficiency") and
+	// holds the worker's open push chunk per key; open lists the entries
+	// that have one. Both are allocated on first use.
+	bags map[uint64]*localBag[T]
+	open openHeap[T]
 
-	pushKey uint64
-	push    *chunk[T] // open push chunk: nil, or holding 1..ChunkSize-1 tasks of pushKey
-	pop     *chunk[T] // chunk being drained, nil before the first refill
+	push *localBag[T] // entry last pushed to; its chunk may be closed
+	pop  *chunk[T]    // chunk being drained, nil before the first refill
 
 	free  *chunk[T] // drained chunks (all slots zero), linked through next
 	nfree int
@@ -386,18 +451,23 @@ type worker[T any] struct {
 	_ [contend.CacheLineSize]byte
 }
 
-// Push buffers the task in the worker's current push chunk, publishing
-// the chunk when the bucket changes or the chunk fills up.
+// Push appends the task to the worker's open chunk for its bucket. A
+// push to the bucket pushed to last finds its entry without a lookup; a
+// push to another bucket looks its entry up in the mirror, and the chunk
+// of the bucket it leaves stays open. Only a full chunk is published.
 func (w *worker[T]) Push(p uint64, v T) {
 	w.c.Pushes++
 	key := w.s.bucketKey(p)
-	if w.push != nil && key != w.pushKey {
-		w.flushPush()
+	lb := w.push
+	if lb == nil || lb.key != key {
+		lb = w.localBag(key)
+		w.push = lb
 	}
-	c := w.push
+	c := lb.open
 	if c == nil {
 		c = w.takeChunk()
-		w.push, w.pushKey = c, key
+		lb.open = c
+		heap.Push(&w.open, lb)
 	}
 	c.items = append(c.items, pq.Item[T]{P: p, V: v})
 	if len(c.items) >= w.s.cfg.ChunkSize {
@@ -419,53 +489,62 @@ func (w *worker[T]) takeChunk() *chunk[T] {
 }
 
 // PushN / PopN use the generic scalar fallbacks: OBIM already moves
-// tasks in chunk-sized batches internally (the push chunk is flushed
-// per bucket, the pop chunk is refilled per bag grab), so an extra
-// batching layer on top would only re-buffer already-buffered work.
+// tasks in chunk-sized batches internally (a chunk is published when it
+// fills, the pop chunk is refilled per bag grab), so an extra batching
+// layer on top would only re-buffer already-buffered work.
 func (w *worker[T]) PushN(ps []uint64, vs []T) { sched.PushNLoop[T](w, ps, vs) }
 
 func (w *worker[T]) PopN(dst []sched.Task[T]) int { return sched.PopNLoop[T](w, dst) }
 
-// cachedBag resolves a bag key through the thread-local mirror first
-// (OBIM's "global map mirrored locally for cache efficiency"), dropping
-// entries the pruner has retired.
-func (w *worker[T]) cachedBag(key uint64) *bag[T] {
-	if b, ok := w.bags[key]; ok {
-		if !b.retired.Load() {
-			return b
+// localBag returns the worker's entry for key, resolving the bag through
+// the global map when the key is new to the mirror.
+func (w *worker[T]) localBag(key uint64) *localBag[T] {
+	if lb := w.bags[key]; lb != nil {
+		return lb
+	}
+	if w.bags == nil {
+		w.bags = make(map[uint64]*localBag[T])
+	} else if len(w.bags) >= max(w.s.cfg.PruneBags, 2*len(w.open)) {
+		// The mirror must not outgrow the global map: drop the entries
+		// without an open chunk. The bound grows with the open chunks,
+		// which must stay, so a sweep frees at least as many as it keeps.
+		for k, lb := range w.bags {
+			if lb.open == nil && lb != w.push {
+				delete(w.bags, k)
+			}
 		}
-		delete(w.bags, key)
 	}
-	b := w.s.bagFor(key)
-	if len(w.bags) >= w.s.cfg.PruneBags {
-		// The thread-local mirror must not outgrow the global map.
-		clear(w.bags)
-	}
-	w.bags[key] = b
-	return b
+	lb := &localBag[T]{key: key, b: w.s.bagFor(key)}
+	w.bags[key] = lb
+	return lb
 }
 
-// flushPush publishes the open push chunk (the caller checks there is
-// one) to its bag, retrying through the global map if the cached bag was
-// retired under us.
+// closeOpen takes lb's open chunk out of the worker's open set.
+func (w *worker[T]) closeOpen(lb *localBag[T]) *chunk[T] {
+	c := lb.open
+	lb.open = nil
+	heap.Remove(&w.open, lb.at)
+	return c
+}
+
+// flushPush publishes the full push chunk at the tail of its bag,
+// re-resolving the bag through the global map if the pruner retired it.
 func (w *worker[T]) flushPush() {
-	c := w.push
-	w.push = nil
+	lb := w.push
+	c := w.closeOpen(lb)
 	n := int64(len(c.items)) // c is another worker's once it is linked
-	for {
-		b := w.cachedBag(w.pushKey)
-		if b.pushChunk(w.node, c) {
-			b.size.Add(n)
-			break
-		}
-		// Retired between lookup and push: refresh and retry.
-		delete(w.bags, w.pushKey)
+	for !lb.b.pushChunk(w.node, c) {
+		// Retired since the entry resolved it: the global map has a
+		// live bag for the key, or makes one.
+		lb.b = w.s.bagFor(lb.key)
 	}
-	w.s.lowerHint(w.pushKey)
+	lb.b.size.Add(n)
+	w.s.lowerHint(lb.key)
 }
 
-// Pop drains the worker's pop chunk, refilling it from the lowest
-// non-empty bag when exhausted.
+// Pop drains the worker's pop chunk and refills it when exhausted. It
+// reports empty only when the worker holds no open chunk: a refill that
+// finds no published chunk takes back the worker's own.
 func (w *worker[T]) Pop() (uint64, T, bool) {
 	if w.s.cfg.Adaptive {
 		w.maybeAdapt()
@@ -481,38 +560,38 @@ func (w *worker[T]) Pop() (uint64, T, bool) {
 				return it.P, it.V, true
 			}
 		}
-		if !w.refill(false) {
-			// Our own unpublished push chunk may hold the only work.
-			if w.push != nil {
-				w.flushPush()
-				continue
-			}
-			// Full scan ignoring the hint: the hint may legitimately
-			// have been raised past a racing push (see raiseHint).
-			if !w.refill(true) {
-				w.c.EmptyPops++
-				var zero T
-				return pq.InfPriority, zero, false
-			}
+		// Full scan ignoring the hint: the hint may legitimately have
+		// been raised past a racing push (see raiseHint).
+		if !w.refill(false) && !w.refill(true) {
+			w.c.EmptyPops++
+			var zero T
+			return pq.InfPriority, zero, false
 		}
 	}
 }
 
-// refill grabs the oldest chunk of the lowest non-empty bag, scanning
-// keys in ascending order starting from the hint (or from zero when full
-// is set), and moves the chunk it replaces to the free list.
+// refill replaces the pop chunk with the lower of two candidates, a
+// published chunk winning a tie: the oldest chunk of the lowest
+// non-empty bag, scanning keys in ascending order from the hint (or from
+// zero when full is set), and the worker's lowest-keyed open chunk,
+// which it finds by key wherever the hint is and whether or not its bag
+// was retired. The replaced chunk goes to the free list.
 func (w *worker[T]) refill(full bool) bool {
 	s := w.s
-	start := uint64(0)
-	if !full {
-		start = s.minHint.Load()
-	}
 	hintBefore := s.minHint.Load()
+	start := hintBefore
+	if full {
+		start = 0
+	}
+	var own *localBag[T]
+	if len(w.open) > 0 {
+		own = w.open[0]
+	}
 
 	s.mu.RLock()
 	keys := s.keys
 	idx := sort.Search(len(keys), func(i int) bool { return keys[i] >= start })
-	for ; idx < len(keys); idx++ {
+	for ; idx < len(keys) && (own == nil || keys[idx] <= own.key); idx++ {
 		b := s.bags[keys[idx]]
 		c := b.queues[w.node].pop()
 		if c == nil {
@@ -536,26 +615,46 @@ func (w *worker[T]) refill(full bool) bool {
 			key := keys[idx]
 			s.mu.RUnlock()
 			b.size.Add(-int64(len(c.items)))
-			// Record the observed bag occupancy at refill time; these
-			// samples drive PMOD's merge/split decisions.
-			s.refills.Add(1)
-			sz := b.size.Load()
-			if sz < 0 {
-				sz = 0
+			if s.cfg.Adaptive {
+				// Record the observed bag occupancy at refill time;
+				// these samples drive PMOD's merge/split decisions.
+				sz := max(b.size.Load(), 0)
+				s.sample(uint64(sz) + uint64(len(c.items)))
 			}
-			s.sumBagSize.Add(uint64(sz) + uint64(len(c.items)))
-			if old := w.pop; old != nil && w.nfree < freeChunks {
-				old.next = w.free
-				w.free = old
-				w.nfree++
-			}
-			w.pop = c
+			w.swapPop(c)
 			s.raiseHint(hintBefore, key)
 			return true
 		}
 	}
 	s.mu.RUnlock()
-	return false
+	if own == nil {
+		return false
+	}
+	c := w.closeOpen(own)
+	if s.cfg.Adaptive {
+		// The chunk is all the worker sees of its bag.
+		s.sample(uint64(len(c.items)))
+	}
+	w.swapPop(c)
+	// Every bag from the hint up to own.key was empty when scanned.
+	s.raiseHint(hintBefore, own.key)
+	return true
+}
+
+// swapPop makes c the pop chunk and recycles the drained one it replaces.
+func (w *worker[T]) swapPop(c *chunk[T]) {
+	if old := w.pop; old != nil && w.nfree < freeChunks {
+		old.next = w.free
+		w.free = old
+		w.nfree++
+	}
+	w.pop = c
+}
+
+// sample records one refill's bag occupancy for PMOD.
+func (s *Sched[T]) sample(size uint64) {
+	s.refills.Add(1)
+	s.sumBagSize.Add(size)
 }
 
 // maybeAdapt runs PMOD's Δ adjustment on the leader worker: merge

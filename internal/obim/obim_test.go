@@ -378,3 +378,218 @@ func TestHintRecoveryAfterRace(t *testing.T) {
 		t.Fatalf("drained %d, want 60", count)
 	}
 }
+
+// TestOpenChunksServeInBucketOrder: a lone worker whose pushes cycle
+// through many buckets, lowest last, keeps one open chunk per bucket and
+// takes them back lowest key first, so its pops come out in bucket order.
+func TestOpenChunksServeInBucketOrder(t *testing.T) {
+	const buckets, rounds = 24, 10 // rounds < ChunkSize: nothing is published
+	s := New[int](Config{Workers: 1, Delta: 1, ChunkSize: 64})
+	w := &s.workers[0]
+	for r := 0; r < rounds; r++ {
+		for b := buckets - 1; b >= 0; b-- {
+			w.Push(uint64(b)<<1|uint64(r&1), b)
+		}
+	}
+	if len(w.open) != buckets {
+		t.Fatalf("%d open chunks, want one per bucket (%d)", len(w.open), buckets)
+	}
+	prev := uint64(0)
+	for i := 0; i < buckets*rounds; i++ {
+		p, _, ok := w.Pop()
+		if !ok {
+			t.Fatalf("drained early at %d", i)
+		}
+		if p>>1 < prev {
+			t.Fatalf("pop %d: bucket %d after bucket %d", i, p>>1, prev)
+		}
+		prev = p >> 1
+	}
+	if _, _, ok := w.Pop(); ok {
+		t.Fatal("Pop returned a task after the drain")
+	}
+}
+
+// TestOpenChunksDrainedByOwner: open chunks belong to their owner, whose
+// Pop reports empty only once it holds none.
+func TestOpenChunksDrainedByOwner(t *testing.T) {
+	const n = 500
+	s := New[int](Config{Workers: 2, Delta: 2, ChunkSize: 64})
+	owner, other := &s.workers[0], &s.workers[1]
+	for i := 0; i < n; i++ {
+		owner.Push(uint64(i*37%1000), i) // 250 buckets, a few tasks each
+	}
+	if _, _, ok := other.Pop(); ok {
+		t.Fatal("another worker popped a task from an open chunk")
+	}
+	seen := make([]bool, n)
+	for i := 0; i < n; i++ {
+		_, v, ok := owner.Pop()
+		if !ok {
+			t.Fatalf("owner's Pop reported empty after %d of %d tasks", i, n)
+		}
+		if seen[v] {
+			t.Fatalf("task %d popped twice", v)
+		}
+		seen[v] = true
+	}
+	if _, _, ok := owner.Pop(); ok {
+		t.Fatal("Pop returned a task after the drain")
+	}
+	if len(owner.open) != 0 {
+		t.Fatalf("an empty Pop left %d open chunks", len(owner.open))
+	}
+	for key, lb := range owner.bags {
+		if lb.open != nil {
+			t.Fatalf("an empty Pop left key %d's chunk open", key)
+		}
+	}
+}
+
+// TestOpenChunkOutlivesRetiredBag: the pruner retires bags that hold no
+// published chunk, which includes a bag whose only tasks sit in an open
+// chunk. Its owner must still be served them, and a chunk that fills
+// afterwards is published to a live bag.
+func TestOpenChunkOutlivesRetiredBag(t *testing.T) {
+	const chunkSize = 8
+	s := New[int](Config{Workers: 1, Delta: 1, ChunkSize: chunkSize, PruneBags: 2})
+	w := &s.workers[0]
+	w.Push(0, 0) // key 0: one task, open
+	for i := 1; i <= 4; i++ {
+		w.Push(uint64(i)<<4, i) // new keys, each a new bag: the pruner runs
+	}
+	lb := w.bags[0]
+	if lb == nil || lb.open == nil {
+		t.Fatal("key 0 has no open chunk")
+	}
+	if !lb.b.retired.Load() || s.PrunedBags() == 0 {
+		t.Fatalf("key 0's bag was not retired (pruned %d)", s.PrunedBags())
+	}
+	// Fill key 0's chunk: its publication must find a live bag.
+	for i := 1; i < chunkSize; i++ {
+		w.Push(1, 100+i)
+	}
+	if lb.open != nil || lb.b.retired.Load() {
+		t.Fatalf("a full chunk was not published to a live bag (open %p, retired %v)", lb.open, lb.b.retired.Load())
+	}
+	w.Push(0, 200) // and key 0 opens again
+	got := map[int]bool{}
+	for {
+		_, v, ok := w.Pop()
+		if !ok {
+			break
+		}
+		if got[v] {
+			t.Fatalf("task %d popped twice", v)
+		}
+		got[v] = true
+	}
+	if want := 4 + chunkSize + 1; len(got) != want {
+		t.Fatalf("popped %d tasks, want %d", len(got), want)
+	}
+	if !got[0] || !got[200] {
+		t.Fatalf("lost a task of the retired key 0: %v", got)
+	}
+}
+
+// TestOpenChunksNoLostTasksPruning: at Δ 1 every few pushes open a chunk,
+// four workers take their own back while others publish full ones, and
+// the pruner retires bags under all of them — race it with -race.
+func TestOpenChunksNoLostTasksPruning(t *testing.T) {
+	const workers, perWorker = 4, 5000
+	s := New[int](Config{Workers: workers, Delta: 1, ChunkSize: 8, PruneBags: 8})
+	total := workers * perWorker
+	var pending sched.Pending
+	pending.Inc(int64(total))
+	seen := make([]int32, total)
+	var mu sync.Mutex
+	record := func(v int) {
+		mu.Lock()
+		seen[v]++
+		mu.Unlock()
+		pending.Dec()
+	}
+	var wg sync.WaitGroup
+	for wid := 0; wid < workers; wid++ {
+		wg.Add(1)
+		go func(wid int) {
+			defer wg.Done()
+			w := s.Worker(wid)
+			for i := 0; i < perWorker; i++ {
+				v := wid*perWorker + i
+				// 64 buckets, visited in a stride that changes bucket on
+				// every push, drifting upward.
+				w.Push(uint64(i/16+(i*7)%64)<<1, v)
+				if i%4 == 0 {
+					if _, got, ok := w.Pop(); ok {
+						record(got)
+					}
+				}
+			}
+			var b sched.Backoff
+			for !pending.Done() {
+				_, got, ok := w.Pop()
+				if !ok {
+					b.Wait()
+					continue
+				}
+				b.Reset()
+				record(got)
+			}
+		}(wid)
+	}
+	wg.Wait()
+	for v, c := range seen {
+		if c != 1 {
+			t.Fatalf("task %d seen %d times", v, c)
+		}
+	}
+	if s.PrunedBags() == 0 {
+		t.Fatal("pruner never fired")
+	}
+}
+
+// TestRefillServesLowerCandidate: a refill serves the lower of the lowest
+// published chunk and the worker's own lowest open chunk, the published
+// one on a tie.
+func TestRefillServesLowerCandidate(t *testing.T) {
+	const chunkSize = 4
+	s := New[int](Config{Workers: 2, Delta: 4, ChunkSize: chunkSize})
+	w0, w1 := &s.workers[0], &s.workers[1]
+	w0.Push(16, -1) // w0's open chunk at key 16
+	for i := 0; i < chunkSize; i++ {
+		w1.Push(17, i) // a full chunk at key 16, published
+	}
+	for i := 0; i < chunkSize; i++ {
+		if _, v, _ := w0.Pop(); v < 0 {
+			t.Fatalf("pop %d: the own open chunk was served before the published one of the same key", i)
+		}
+	}
+	if _, v, ok := w0.Pop(); !ok || v != -1 {
+		t.Fatalf("Pop = (%d, %v), want the own task -1", v, ok)
+	}
+	w0.Push(0, -2) // open at key 0, below a published chunk at 32
+	for i := 0; i < chunkSize; i++ {
+		w1.Push(32, 10+i)
+	}
+	if _, v, ok := w0.Pop(); !ok || v != -2 {
+		t.Fatalf("Pop = (%d, %v), want the own task -2 below the published chunk", v, ok)
+	}
+}
+
+// TestMirrorSweepKeepsOpenChunks: the sweep that bounds the mirror drops
+// closed entries only, so a bucket never has two open chunks.
+func TestMirrorSweepKeepsOpenChunks(t *testing.T) {
+	s := New[int](Config{Workers: 1, Delta: 1, ChunkSize: 2, PruneBags: 2})
+	w := &s.workers[0]
+	w.Push(0, 0) // key 0 stays open
+	for k := 1; k <= 10; k++ {
+		w.Push(uint64(k)<<4, k) // open and publish: closed entries pile up
+		w.Push(uint64(k)<<4, k)
+	}
+	w.Push(1000, 0) // a new key: the mirror is swept
+	w.Push(1, 0)    // key 0 again: its chunk fills and is published
+	if n := len(w.open); n != 1 {
+		t.Fatalf("%d open chunks, want 1 (key 1000's): the sweep dropped key 0's open entry", n)
+	}
+}

@@ -32,6 +32,19 @@ import (
 // publishes the next best batch in the same operation. Thieves therefore
 // always see the batch the owner would run next, and the owner never
 // works around its own best tasks while they wait for a thief.
+//
+// The owner's scalar pop from the heap is deferred. PopLocal returns the
+// heap's root without removing it and records the removal as owed
+// (popped); the owner's next local operation pays it. A PushLocal pays it
+// with ReplaceTop, which puts the new task in the root's place with one
+// sift-down, where Pop then Push costs a sift-down and a sift-up: the
+// hold pattern of a scheduler — pop a task, push what it spawns — costs
+// one sift per pair. Every other owner operation — PopLocal,
+// PopLocalBatch, TopLocal, PushLocalBatch, and refill with its empty
+// check — first settles the owed removal with the eager Pop. Thieves
+// read only state, top and buf, and a deferred task never reaches buf
+// (refill settles before it fills the array), so the steal protocol is
+// the one above. The batch paths stay eager.
 type heapQueue[T any] struct {
 	// Owner-only words: touched on every local push and pop, never by
 	// thieves. The heap header is embedded by value: allocated on its own,
@@ -43,7 +56,10 @@ type heapQueue[T any] struct {
 	// priority order from runIdx on.
 	run    []pq.Item[T]
 	runIdx int
-	_      [2*contend.CacheLineSize - 80]byte // owner words end on a line boundary
+	// popped: the heap's root is the task PopLocal last returned, its
+	// removal owed (see above).
+	popped bool
+	_      [2*contend.CacheLineSize - 81]byte // owner words end on a line boundary
 
 	// Thief-shared words: every victim probe loads state and top, and
 	// every claim CASes state. Keeping them off the owner's lines means
@@ -83,9 +99,16 @@ func newHeapQueue[T any](arity, stealSize int) *heapQueue[T] {
 }
 
 // PushLocal adds a task to the heap and replenishes the steal buffer if
-// its previous batch was taken.
+// its previous batch was taken. After a PopLocal whose removal is still
+// owed it replaces the heap's root instead: one sift for the pop and the
+// push together.
 func (q *heapQueue[T]) PushLocal(p uint64, v T) {
-	q.heap.Push(p, v)
+	if q.popped {
+		q.popped = false
+		q.heap.ReplaceTop(p, v)
+	} else {
+		q.heap.Push(p, v)
+	}
 	if s := q.state.Load(); s&bufReleased != 0 {
 		q.refill(s, q.stealSize)
 	}
@@ -97,6 +120,7 @@ func (q *heapQueue[T]) PushLocal(p uint64, v T) {
 // batch together; the owner's pops see the published batch, so nothing
 // it publishes is hidden from them.
 func (q *heapQueue[T]) PushLocalBatch(items []pq.Item[T]) {
+	q.settle()
 	q.heap.PushBatch(items)
 	if s := q.state.Load(); s&bufReleased != 0 {
 		q.refill(s, q.stealSize)
@@ -107,7 +131,12 @@ func (q *heapQueue[T]) PushLocalBatch(items []pq.Item[T]) {
 // what is left of the batches it took back, after taking back the
 // published batch if that one's top beats both — the scalar case of
 // PopLocalBatch, which keeps the surplus of a batch in run instead of
-// sending it back through the heap.
+// sending it back through the heap. It first settles the removal a
+// previous PopLocal left owed. A task it takes from the heap stays in the
+// heap's root, its removal owed in turn: a PushLocal that follows folds
+// it into a ReplaceTop, and any other owner operation settles it (see
+// heapQueue). A refill in this same call settles it at once, so only a
+// pop that republishes nothing defers.
 //
 // It is PopLocalBatch(1, …) written out (sched's TestPopIsPopNOfOne pins
 // that the two pop the same sequence), kept — with smqWorker.Pop above
@@ -120,7 +149,13 @@ func (q *heapQueue[T]) PushLocalBatch(items []pq.Item[T]) {
 // worker, 7.60 → 7.23. Every other scheduler's Pop is PopN of one; the
 // callers select here by which method they invoke, and the benchmark
 // has a workload on each side (`hold` scalar, the other four batched).
+// The deferral (with the keys-apart heap under it) then took `hold`
+// from 11.56 M/s [q1 11.42, q3 11.67] to 14.98, 10 of 10 pairs, and from
+// 11.80 to 16.46 at seed 2, 4 of 4, on a slower host than the figures
+// above; traced, a scalar pop costs 80 ns instead of 173 and the push
+// after it, which now pays the one sift, 126 instead of 77.
 func (q *heapQueue[T]) PopLocal() (p uint64, v T, ok bool) {
+	q.settle()
 	s := q.state.Load()
 	best, fromRun := q.heap.Top(), false
 	if q.runIdx < len(q.run) && q.run[q.runIdx].P <= best {
@@ -139,12 +174,22 @@ func (q *heapQueue[T]) PopLocal() (p uint64, v T, ok bool) {
 		it := q.popRun()
 		p, v, ok = it.P, it.V, true
 	} else {
-		p, v, ok = q.heap.Pop()
+		p, v, ok = q.heap.Peek()
+		q.popped = ok
 	}
 	if mine || s&bufReleased != 0 {
 		q.refill(s, q.stealSize)
 	}
 	return p, v, ok
+}
+
+// settle removes the task PopLocal returned last from the heap, if its
+// removal is still owed.
+func (q *heapQueue[T]) settle() {
+	if q.popped {
+		q.popped = false
+		q.heap.Pop()
+	}
 }
 
 // PopLocalBatch appends the owner's best k tasks to dst in priority
@@ -154,6 +199,7 @@ func (q *heapQueue[T]) PopLocal() (p uint64, v T, ok bool) {
 // if the buffer is free — taken back just now, or released by a thief —
 // so that a thief is offered as much as the owner just took.
 func (q *heapQueue[T]) PopLocalBatch(k int, dst []pq.Item[T]) []pq.Item[T] {
+	q.settle()
 	s := q.state.Load()
 	published := s&(bufClaimed|bufReleased) == 0
 	mine := false // the owner holds the claim
@@ -227,6 +273,7 @@ func (q *heapQueue[T]) takeBack() {
 // TopLocal is the owner's view: the best of the heap top, the batches it
 // took back and the not-yet-claimed published batch.
 func (q *heapQueue[T]) TopLocal() uint64 {
+	q.settle()
 	top := min(q.heap.Top(), q.Top())
 	if q.runIdx < len(q.run) {
 		top = min(top, q.run[q.runIdx].P)
@@ -270,6 +317,7 @@ func (q *heapQueue[T]) Steal(dst []pq.Item[T]) []pq.Item[T] {
 // word, is released, or carries the owner's own claim, which an empty
 // heap turns into a release.
 func (q *heapQueue[T]) refill(s uint64, n int) {
+	q.settle()
 	if q.heap.Len() == 0 {
 		if s&bufReleased == 0 {
 			q.state.Store(s | bufReleased)

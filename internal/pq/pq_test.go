@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // makers enumerates every sequential queue implementation so each test
@@ -205,6 +206,33 @@ func TestDHeapArityPanics(t *testing.T) {
 	NewDHeap[int](1)
 }
 
+// TestDHeapLayout pins what the embedding structs and the sift count
+// on: the header fits 40 bytes (mq.lockQueue is one cache line and
+// core.heapQueue's owner words two, with the header inside), and every
+// sibling group of keys starts on a boundary of its own size, from the
+// first allocation through every growth.
+func TestDHeapLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(DHeap[int]{}); sz > 40 {
+		t.Fatalf("DHeap header is %d bytes, want <= 40", sz)
+	}
+	for _, d := range []int{2, 4, 8} {
+		for _, h := range []*DHeap[int]{NewDHeap[int](d), NewDHeapCap[int](d, 1000)} {
+			lastCap := -1
+			for i := 0; i < 5000; i++ {
+				h.Push(uint64(i), i)
+				if cap(h.keys) == lastCap {
+					continue
+				}
+				lastCap = cap(h.keys)
+				// The children of slot 0 start at slot 1.
+				if at := uintptr(unsafe.Pointer(unsafe.SliceData(h.keys))) + 8; at%uintptr(8*d) != 0 {
+					t.Fatalf("d=%d, capacity %d: first sibling group at address %#x, not %d-byte aligned", d, lastCap, at, 8*d)
+				}
+			}
+		}
+	}
+}
+
 func TestSkipListManyLevels(t *testing.T) {
 	s := NewSeqSkipList[int](123)
 	const n = 10000
@@ -247,8 +275,34 @@ func refSiftDown[T any](items []Item[T], d, i int, it Item[T], n int) {
 	items[i] = it
 }
 
+// refHeap is the reference heap of the order tests: Items in one slice,
+// the layout DHeap had when refSiftDown was its sift, so that the oracle
+// shares no code or field with the heap under test.
+type refHeap[T any] struct {
+	d     int
+	items []Item[T]
+}
+
+func newRefHeap[T any](d int) *refHeap[T] { return &refHeap[T]{d: d} }
+
+// Push is DHeap.Push as it was over Items.
+func (h *refHeap[T]) Push(p uint64, v T) {
+	h.items = append(h.items, Item[T]{P: p, V: v})
+	i := len(h.items) - 1
+	it := h.items[i]
+	for i > 0 {
+		parent := (i - 1) / h.d
+		if h.items[parent].P <= it.P {
+			break
+		}
+		h.items[i] = h.items[parent]
+		i = parent
+	}
+	h.items[i] = it
+}
+
 // refPop is DHeap.Pop over refSiftDown.
-func refPop[T any](h *DHeap[T]) Item[T] {
+func refPop[T any](h *refHeap[T]) Item[T] {
 	top := h.items[0]
 	last := len(h.items) - 1
 	moved := h.items[last]
@@ -294,7 +348,7 @@ func TestDHeapMatchesReferenceSiftDown(t *testing.T) {
 		for _, n := range []int{d + 2, 8*d + 3, 1000} {
 			for _, c := range orderCases(n) {
 				name, ps := c.name, c.ps
-				scalar, batch, ref := NewDHeap[int](d), NewDHeap[int](d), NewDHeap[int](d)
+				scalar, batch, ref := NewDHeap[int](d), NewDHeap[int](d), newRefHeap[int](d)
 				for i, p := range ps {
 					scalar.Push(p, i)
 					batch.Push(p, i)
@@ -318,24 +372,63 @@ func TestDHeapMatchesReferenceSiftDown(t *testing.T) {
 	}
 }
 
+// TestDHeapBatchPushesMatchReference checks that the batched inserts
+// build the heap a loop of Push builds: PushBatch and PushPairs, fed the
+// priority streams of orderCases in runs of 1 to 7, pop the exact (P, V)
+// sequence of the branchy reference built by scalar pushes.
+func TestDHeapBatchPushesMatchReference(t *testing.T) {
+	for _, d := range []int{2, 3, 4, 8} {
+		for _, c := range orderCases(8*d + 3) {
+			batch, pairs, ref := NewDHeap[int](d), NewDHeap[int](d), newRefHeap[int](d)
+			for i, p := range c.ps {
+				ref.Push(p, i)
+			}
+			for i, k := 0, 1; i < len(c.ps); i, k = i+k, k%7+1 {
+				end := min(i+k, len(c.ps))
+				var items []Item[int]
+				var vs []int
+				for j := i; j < end; j++ {
+					items = append(items, Item[int]{P: c.ps[j], V: j})
+					vs = append(vs, j)
+				}
+				batch.PushBatch(items)
+				pairs.PushPairs(c.ps[i:end], vs)
+			}
+			for i := range c.ps {
+				want := refPop(ref)
+				for name, h := range map[string]*DHeap[int]{"PushBatch": batch, "PushPairs": pairs} {
+					if p, v, ok := h.Pop(); !ok || p != want.P || v != want.V {
+						t.Fatalf("d=%d %s, %s: Pop %d = (%d,%d,%v), reference (%d,%d)", d, c.name, name, i, p, v, ok, want.P, want.V)
+					}
+				}
+			}
+		}
+	}
+}
+
 // dheapScript encodes a FuzzDHeapOrder input: the arity index, then ps
-// pushed in batches of up to 5 with a scalar push between them, then a
-// drain alternating PopBatch(3) and Pop.
+// pushed in batches of up to 5 with a scalar push between them, then one
+// ReplaceTop per priority of ps in reverse order, then a drain
+// alternating PopBatch(3) and Pop.
 func dheapScript(arity byte, ps []uint64) []byte {
 	out := []byte{arity}
 	drains := (len(ps) + 3) / 4 // each drain step pops 3 + 1
-	for len(ps) > 0 {
-		k := min(5, len(ps)-1)
-		out = append(out, byte(k<<2|3))
-		for _, p := range ps[:k] {
+	for rest := ps; len(rest) > 0; {
+		k := min(5, len(rest)-1)
+		out = append(out, byte(k*5+3))
+		for _, p := range rest[:k] {
 			out = binary.LittleEndian.AppendUint64(out, p)
 		}
 		out = append(out, 0)
-		out = binary.LittleEndian.AppendUint64(out, ps[k])
-		ps = ps[k+1:]
+		out = binary.LittleEndian.AppendUint64(out, rest[k])
+		rest = rest[k+1:]
+	}
+	for i := len(ps) - 1; i >= 0; i-- {
+		out = append(out, 4)
+		out = binary.LittleEndian.AppendUint64(out, ps[i])
 	}
 	for ; drains > 0; drains-- {
-		out = append(out, 3<<2|2, 1)
+		out = append(out, 3*5+2, 1)
 	}
 	return out
 }
@@ -344,8 +437,10 @@ func dheapScript(arity byte, ps []uint64) []byte {
 // and checks it op by op against a sorted slice: every pop returns the
 // smallest priority queued, Len and Top agree, and each payload comes out
 // once, with the priority it went in with. Byte 0 picks the arity; each
-// op is one byte (low two bits: Push, Pop, PopBatch, PushBatch; the rest:
-// k) and each pushed priority the next eight.
+// op is one byte (the byte mod 5: Push, Pop, PopBatch, PushBatch,
+// ReplaceTop; the byte div 5: k) and each pushed priority the next
+// eight. ReplaceTop is checked as a Peek, whose task counts as popped,
+// followed by the replacement's push.
 func FuzzDHeapOrder(f *testing.F) {
 	for a := byte(0); a < 4; a++ {
 		for _, c := range orderCases(37 + int(a)) {
@@ -385,7 +480,7 @@ func FuzzDHeapOrder(f *testing.F) {
 			popped[it.V] = true
 		}
 		for len(data) > 0 {
-			op, k := data[0]&3, int(data[0]>>2)
+			op, k := data[0]%5, int(data[0]/5)
 			data = data[1:]
 			switch op {
 			case 0:
@@ -416,6 +511,19 @@ func FuzzDHeapOrder(f *testing.F) {
 					}
 				}
 				h.PushBatch(batch)
+			case 4:
+				p, v, ok := h.Peek()
+				if ok != (len(sorted) > 0) {
+					t.Fatalf("Peek ok = %v with %d queued", ok, len(sorted))
+				}
+				if ok {
+					check(Item[int]{P: p, V: v})
+				}
+				if it, more := next(); more {
+					h.ReplaceTop(it.P, it.V) // a Push when the heap is empty
+				} else if ok {
+					h.Pop() // no replacement left in the input: the peeked task goes
+				}
 			}
 			if h.Len() != len(sorted) {
 				t.Fatalf("Len = %d, oracle holds %d", h.Len(), len(sorted))
@@ -435,22 +543,46 @@ func FuzzDHeapOrder(f *testing.F) {
 // little later) on mk's queue at three resident sizes: 2^10 is five d = 4
 // levels in L1, 2^13 is the size an SMQ worker's heap reaches on the
 // graph workloads, and 2^16 is the bench's hold prefill, past L2 with a
-// 16-byte item.
+// 16-byte item. A queue with ReplaceTop also runs the cycle as one
+// ReplaceTop after a Peek (the sub-benchmark suffixed /replace), which is
+// what the SMQ owner's deferred pop makes of a pop that a push follows:
+// the difference between the two is the cost of the second sift.
 func benchQueue[T any](b *testing.B, payload string, mk func() Queue[T]) {
 	for _, resident := range []int{1 << 10, 1 << 13, 1 << 16} {
-		b.Run(fmt.Sprintf("%s/%d", payload, resident), func(b *testing.B) {
+		fill := func() Queue[T] {
 			q := mk()
 			var v T
 			for i := 0; i < resident; i++ {
 				q.Push(uint64(i*2654435761)%100000, v)
 			}
+			return q
+		}
+		b.Run(fmt.Sprintf("%s/%d", payload, resident), func(b *testing.B) {
+			q := fill()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p, v, _ := q.Pop()
 				q.Push(p+uint64(i%64), v)
 			}
 		})
+		if _, ok := mk().(replacer[T]); !ok {
+			continue
+		}
+		b.Run(fmt.Sprintf("%s/%d/replace", payload, resident), func(b *testing.B) {
+			q := fill().(replacer[T])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, v, _ := q.Peek()
+				q.ReplaceTop(p+uint64(i%64), v)
+			}
+		})
 	}
+}
+
+// replacer is the fused pop-then-push of DHeap.
+type replacer[T any] interface {
+	Peek() (uint64, T, bool)
+	ReplaceTop(uint64, T)
 }
 
 // BenchmarkLocalQueue_* is the §4 "optimal local data structure" ablation:

@@ -145,6 +145,13 @@ func TestServeStallPolicy(t *testing.T) {
 // channel closed, before the service starts, so the final drain finds the
 // close together with a short batch that the stall has to hold. The
 // stream must not end until that batch has been admitted.
+//
+// The stall is the premise, so the test makes it hold: the pool worker,
+// which may ingest whenever its PopN comes back empty and pending is at
+// or below the high watermark, is kept out of PopN — and so off the
+// channel — until worker 0 has opened an episode. Otherwise, with worker
+// 0 descheduled, the pool worker can drain the channel in watermark-sized
+// steps and no episode ever opens.
 func TestServeCloseDuringStall(t *testing.T) {
 	const n = 30*ingestBatch + 17
 	for _, name := range []string{"smq", "mq", "klsm"} {
@@ -153,10 +160,12 @@ func TestServeCloseDuringStall(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			svc, err := New(s, Config{Workers: 2, HighWater: 8, LowWater: 2, Policy: PolicyStall})
+			gated := &stallGate{Scheduler: s}
+			svc, err := New(gated, Config{Workers: 2, HighWater: 8, LowWater: 2, Policy: PolicyStall})
 			if err != nil {
 				t.Fatal(err)
 			}
+			gated.svc = svc
 			for i := 0; i < n; i++ {
 				svc.In() <- Request{Cost: 2000, Enq: int64(i)}
 			}
@@ -169,6 +178,39 @@ func TestServeCloseDuringStall(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stallGate wraps a scheduler so that the pool workers' first PopN waits
+// until worker 0 has opened an admission episode. The wait is bounded: a
+// service that never opens one fails the test's Stalls check instead of
+// hanging it.
+type stallGate struct {
+	sched.Scheduler[Request]
+	svc *Service
+}
+
+func (s *stallGate) Worker(i int) sched.Worker[Request] {
+	if i == 0 {
+		return s.Scheduler.Worker(i)
+	}
+	return &stallGateWorker{Worker: s.Scheduler.Worker(i), s: s}
+}
+
+type stallGateWorker struct {
+	sched.Worker[Request]
+	s      *stallGate
+	opened bool
+}
+
+func (w *stallGateWorker) PopN(dst []sched.Task[Request]) int {
+	if !w.opened {
+		deadline := time.Now().Add(10 * time.Second)
+		for w.s.svc.episodes.Load() == 0 && time.Now().Before(deadline) {
+			time.Sleep(50 * time.Microsecond)
+		}
+		w.opened = true
+	}
+	return w.Worker.PopN(dst)
 }
 
 // TestNewRejectsInvalidConfig: an invalid Config is an error from New,

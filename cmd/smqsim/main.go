@@ -99,8 +99,8 @@ func main() {
 // renderSchedulerList writes the -list table: every zoo scheduler with
 // its rank bound at the given worker count, its bound source, and its
 // parameter summary. A tabwriter keeps the columns aligned regardless
-// of name length (fixed printf widths silently broke once names like
-// "cbpq-elim" and long parameter strings joined the lineup).
+// of name and parameter-string length, which fixed printf widths did
+// not.
 func renderSchedulerList(out io.Writer, workers int) {
 	tw := tabwriter.NewWriter(out, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "name\tbound\tsource\tparams")

@@ -52,11 +52,11 @@ func TestRenderSchedulerListAlignment(t *testing.T) {
 	}
 
 	// Pinned rows: the two lock-free tier names are one configuration
-	// (exact bound 0, elimination on), and a relaxed row carries its
+	// (exact bound 0, combining), and a relaxed row carries its
 	// effective knobs and the bound computed from them.
 	for _, want := range []*regexp.Regexp{
-		regexp.MustCompile(`(?m)^cbpq +0 +exact +chunk=128 elim\+combining$`),
-		regexp.MustCompile(`(?m)^cbpq-elim +0 +exact +chunk=128 elim\+combining$`),
+		regexp.MustCompile(`(?m)^cbpq +0 +exact +chunk=128 combining$`),
+		regexp.MustCompile(`(?m)^cbpq-elim +0 +exact +chunk=128 combining$`),
 		regexp.MustCompile(`(?m)^klsm +772 +exact +k=256$`),
 	} {
 		if !want.MatchString(out) {

@@ -25,16 +25,13 @@ import (
 //   - inserts into interior chunks are allocation-free CAS publishes,
 //     paying one split per ~ChunkCap/2 inserts into a given chunk, and
 //     a split's bytes do not grow with the number of resident chunks;
-//   - an insert below the head's range used to be the documented worst
-//     case (one first-chunk rebuild each); the elimination layer now
-//     absorbs such inserts into the exchange array, where a pop takes
-//     them allocation-free, and the combining rebuild merges whatever
-//     the exchange cannot hold in bulk.
+//   - an insert below the head's range is the structure's worst case
+//     (without help, one first-chunk rebuild each); such inserts
+//     collect in buf, and one combining rebuild merges them in bulk.
 //
 // The hold-model microbench (pop-min + push-uniform at equal rates)
 // degenerates toward that third case as the resident set drifts to the
-// top of the key range; with elimination the common pairs cancel in
-// the exchange and the remainder amortizes through combining.
+// top of the key range, and amortizes through combining.
 
 // TestSteadyStateDrainAllocs: pops are one claim CAS on the packed head
 // word; a rebuild refills the head every ~ChunkCap pops, so a pure
@@ -108,16 +105,15 @@ func TestSplitCostIndependentOfResidentSize(t *testing.T) {
 	}
 }
 
-// TestSteadyStateDecrementalAllocs pins the elimination layer's win on
-// the formerly documented worst case: the decremental-key pattern
+// TestSteadyStateDecrementalAllocs pins the combining path's win on the
+// structure's worst case: the decremental-key pattern
 // (pop-then-push-nearby, e.g. SSSP relaxations) re-inserts below the
-// head's range every time. Before elimination every pop+push pair paid
-// one first-chunk rebuild (~8 allocations); now the pair meets in the
-// exchange array and the steady state allocates nothing, with the rare
-// parked-entry overflow amortized by a combining rebuild. The gate
-// bounds the pair at 2 allocs/op and asserts the elimination counter
-// actually fired, so the fast path cannot silently rot back into
-// per-pair rebuilds.
+// head's range every time. Without combining every pop+push pair would
+// pay one first-chunk rebuild (~8 allocations); with it the pushes
+// collect in buf and one rebuild merges a buf's worth of them. The gate
+// bounds the pair at 2 allocs/op and asserts the combining counter
+// actually fired, so the path cannot silently rot back into per-pair
+// rebuilds.
 func TestSteadyStateDecrementalAllocs(t *testing.T) {
 	s := New[int](Config{Workers: 1})
 	w := s.Worker(0)
@@ -134,9 +130,9 @@ func TestSteadyStateDecrementalAllocs(t *testing.T) {
 		w.Push(p+uint64(rng.Intn(64)), v)
 	})
 	if allocs > 2 {
-		t.Fatalf("decremental pop+push allocates %.3f allocs/op, want <= 2 (elimination/combining amortization regressed)", allocs)
+		t.Fatalf("decremental pop+push allocates %.3f allocs/op, want <= 2 (combining amortization regressed)", allocs)
 	}
-	if st := s.Stats(); st.Eliminations == 0 {
-		t.Fatalf("decremental workload recorded zero elimination hits (stats: %+v) — the exchange fast path is dead", st)
+	if st := s.Stats(); st.Combines == 0 {
+		t.Fatalf("decremental workload recorded zero combined inserts (stats: %+v) — the combining path is dead", st)
 	}
 }

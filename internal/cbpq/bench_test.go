@@ -80,36 +80,26 @@ func BenchmarkCBPQ_Pop(b *testing.B) {
 
 // BenchmarkCBPQ_Hold runs the decremental hold pattern — pop the
 // minimum, push it back slightly above the old head — the workload the
-// elimination + combining layer exists for: immediately-minimal pushes
-// meet pops in exchange slots, and the rest park (exchange or buf)
-// until a blocked pop absorbs the whole pending set in one deferred
-// rebuild. The noelim variant routes everything through the combining
-// buf alone. Reports ns per pop+push pair.
+// combining path exists for: the below-head pushes collect in buf until
+// a blocked pop merges the whole pending set in one deferred rebuild.
+// Reports ns per pop+push pair.
 func BenchmarkCBPQ_Hold(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"elim", Config{Workers: 1}},
-		{"noelim", Config{Workers: 1, DisableElimination: true}},
-	} {
-		for _, resident := range residents {
-			b.Run(fmt.Sprintf("%s/resident=%d", tc.name, resident), func(b *testing.B) {
-				q := New[int](tc.cfg)
-				w := q.Worker(0)
-				rng := xrand.New(1)
-				for i := 0; i < resident; i++ {
-					w.Push(1<<20+uint64(rng.Intn(1_000_000)), i)
+	for _, resident := range residents {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			q := New[int](Config{Workers: 1})
+			w := q.Worker(0)
+			rng := xrand.New(1)
+			for i := 0; i < resident; i++ {
+				w.Push(1<<20+uint64(rng.Intn(1_000_000)), i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, v, ok := w.Pop()
+				if !ok {
+					b.Fatal("queue drained")
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p, v, ok := w.Pop()
-					if !ok {
-						b.Fatal("queue drained")
-					}
-					w.Push(p+uint64(rng.Intn(64)), v)
-				}
-			})
-		}
+				w.Push(p+uint64(rng.Intn(64)), v)
+			}
+		})
 	}
 }

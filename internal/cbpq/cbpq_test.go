@@ -154,8 +154,6 @@ func TestSequentialExact(t *testing.T) {
 		{Workers: 1},
 		{Workers: 1, ChunkCap: 4},
 		{Workers: 1, ChunkCap: 8},
-		{Workers: 1, DisableElimination: true},
-		{Workers: 1, ChunkCap: 8, DisableElimination: true},
 	} {
 		runOps(t, New[int](cfg), ops)
 	}
@@ -376,29 +374,22 @@ type popRec struct {
 }
 
 // exactnessRun empirically checks that concurrent pops are exact (rank
-// displacement 0) while rebuilds and eliminations race them. The queue
-// is prefilled with priorities >= loPrefill whose pushes complete
-// before the concurrent phase; antagonists then push below-head
-// priorities — with elimination these land in the exchange array, so
-// racing pops must arbitrate takes against head claims, and overflow
-// forces combining rebuilds of a partially drained head — and
-// interleave pops of their own (the elimination antagonist: a pop
-// racing the publish window of a below-head push), while every pop is
-// timestamped with a shared atomic clock. Offline it asserts: no pop
-// may return a prefilled priority px while a prefilled item with
-// priority < px was continuously present across the pop's whole
-// interval — that is, an item popped only by an operation that began
-// after this pop returned, or never popped at all. Any such pair is a
-// linearizability violation (the pop did not return the minimum), and
-// it is exactly the observable signature of a freeze/claim race that
-// lets a popper take slot i while smaller frozen-but-unclaimed slots
-// are republished — or, with elimination, of a head claim or exchange
-// take that overlooked a smaller entry resident in an exchange slot.
-// The interval analysis covers exchange-slot residency with no extra
-// cases: a published exchange entry is linearized queue content, so an
-// eliminating take is just a pop with its own interval, and an entry
-// parked across another pop's whole interval is exactly the
-// "continuously present" witness the suffix-min scan looks for.
+// displacement 0) while rebuilds race them. The queue is prefilled with
+// priorities >= loPrefill whose pushes complete before the concurrent
+// phase; antagonists then push below-head priorities — these land in
+// buf, so racing head claims must notice their publish, and they force
+// combining rebuilds of a partially drained head — and interleave pops
+// of their own (a pop racing the publish window of a below-head push),
+// while every pop is timestamped with a shared atomic clock. Offline it
+// asserts: no pop may return a prefilled priority px while a prefilled
+// item with priority < px was continuously present across the pop's
+// whole interval — that is, an item popped only by an operation that
+// began after this pop returned, or never popped at all. Any such pair
+// is a linearizability violation (the pop did not return the minimum),
+// and it is exactly the observable signature of a freeze/claim race
+// that lets a popper take slot i while smaller frozen-but-unclaimed
+// slots are republished, or of a head claim that overlooked a smaller
+// entry published to buf.
 func exactnessRun(t *testing.T, poppers, prefill, antagonists, perAntagonist, chunkCap int, seed int64) {
 	t.Helper()
 	q := New[uint64](Config{Workers: poppers + antagonists + 1, ChunkCap: chunkCap})
@@ -451,10 +442,9 @@ func exactnessRun(t *testing.T, poppers, prefill, antagonists, perAntagonist, ch
 			for i := 0; i < perAntagonist; i++ {
 				w.Push(uint64(rng.Intn(int(loPrefill))), uint64(1<<40+i))
 				if i%3 == 2 {
-					// The elimination antagonist: a pop issued right
-					// behind a below-head push, racing the exchange
-					// publish/take windows. Its observations join the
-					// displacement analysis like any popper's.
+					// A pop issued right behind a below-head push,
+					// racing its buf publish window. Its observations
+					// join the displacement analysis like any popper's.
 					st := clock.Add(1)
 					p, _, ok := w.Pop()
 					en := clock.Add(1)

@@ -34,9 +34,9 @@ type spine[T any] struct {
 
 // locate returns the position of the interior chunk owning priority p —
 // the last chunk with min <= p — as segment j and index k within it, or
-// j = -1 when p belongs to the head range and must go through the
-// exchange or buf. mins ascend across segments, so the last segment
-// whose first min is <= p holds that chunk.
+// j = -1 when p belongs to the head range and must go through buf.
+// mins ascend across segments, so the last segment whose first min is
+// <= p holds that chunk.
 func (s *spine[T]) locate(p uint64) (j, k int) {
 	j = lastLE(s.smins, p)
 	if j < 0 {

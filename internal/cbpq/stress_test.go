@@ -142,15 +142,14 @@ func TestStressExactness(t *testing.T) {
 	}
 }
 
-// TestStressElimination soaks the exchange layer specifically: every
+// TestStressDecrementalHold soaks the buf + combining path: every
 // worker runs the decremental hold pattern (pop the minimum, reinsert
-// just above it — always below-head), so pushes and pops collide in the
-// exchange array constantly, with slot recycling, withdraw-on-freeze,
-// reservation flaps, and combining rebuilds all racing. Conservation is
-// checked at the end, and the run asserts the elimination path actually
-// fired — a protocol change that silently routed everything through buf
-// would soak nothing.
-func TestStressElimination(t *testing.T) {
+// just above it — always below-head), so buf appends and their publish
+// race head claims, buf freezes and combining rebuilds constantly.
+// Conservation and a sorted final drain are checked at the end, and the
+// run asserts the combining path actually fired — a change that
+// silently routed the pushes elsewhere would soak nothing.
+func TestStressDecrementalHold(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
@@ -203,8 +202,8 @@ func TestStressElimination(t *testing.T) {
 			t.Fatalf("conservation: pushed=%d popped=%d remaining=%d",
 				pushed.Load(), popped.Load(), remaining)
 		}
-		if st := q.Stats(); st.Eliminations == 0 {
-			t.Fatalf("hold soak recorded zero eliminations (stats: %+v)", st)
+		if st := q.Stats(); st.Combines == 0 {
+			t.Fatalf("hold soak recorded zero combined inserts (stats: %+v)", st)
 		}
 	}
 }

@@ -47,7 +47,7 @@ var goldenEnum = map[string]struct {
 	"serve":     {cells: 15, hash: "9818131c5544fa79"},
 	"desim":     {cells: 10, hash: "af94559d8d2b4efe"},
 	"theory":    {cells: 26, hash: "ae60b34c87d6154d"},
-	"rankprobe": {cells: 26, hash: "d5db139d8089e20f"},
+	"rankprobe": {cells: 26, hash: "26378f45fdf2e495"},
 }
 
 func TestCellEnumerationGolden(t *testing.T) {

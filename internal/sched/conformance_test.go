@@ -44,11 +44,6 @@ func conformanceSchedulers() []zoo.Spec[uint32] {
 		zoo.MQ[uint32]("MQ/numa", mq.Config{C: 4, NUMANodes: 2, NUMAWeightK: 8}),
 		// Tiny chunks force constant freeze/split/rebuild races.
 		zoo.CBPQ[uint32]("CBPQ/chunk8", cbpq.Config{ChunkCap: 8}),
-		// The pre-elimination baseline: every below-head insert goes
-		// through buf + combining rebuild (the registry's cbpq and
-		// CBPQ/chunk8 cover the exchange layer at both chunk capacities).
-		zoo.CBPQ[uint32]("CBPQ/noelim", cbpq.Config{DisableElimination: true}),
-		zoo.CBPQ[uint32]("CBPQ/noelim-chunk8", cbpq.Config{ChunkCap: 8, DisableElimination: true}),
 		zoo.MQ[uint32]("EMQ/unbuffered", engineered(func(c *mq.Config) { c.Stickiness, c.BatchInsert, c.BatchDelete = 1, 1, 1 })),
 		zoo.MQ[uint32]("EMQ/bigbuf", engineered(func(c *mq.Config) { c.Stickiness, c.BatchInsert, c.BatchDelete = 64, 64, 64 })),
 		zoo.MQ[uint32]("EMQ/numa", engineered(func(c *mq.Config) { c.NUMANodes, c.NUMAWeightK = 2, 8 })),

@@ -140,8 +140,8 @@ func TestConservationMixedBatch(t *testing.T) {
 // and checks conservation by totals: every worker seeds perWorker
 // tasks, then repeatedly pops a minimum and re-inserts it just above
 // the popped priority — the below-head re-insert every SSSP/A*-style
-// relaxation generates, and the pattern the CBPQ elimination layer
-// exists for. Re-pushed tasks are popped again, so conservation here is
+// relaxation generates, and the pattern CBPQ's combining path exists
+// for. Re-pushed tasks are popped again, so conservation here is
 // total pushes == total pops after a Pending-driven drain (the per-task
 // exactly-once check lives in conserveMixed). A PopN/PushN round is
 // mixed in so the batch paths see the same pattern.

@@ -139,14 +139,15 @@ type Stats struct {
 	Remote     uint64 // queue accesses to a different (virtual) NUMA node
 
 	// Eliminations counts pops served directly from an elimination
-	// layer: a below-minimum insert and a concurrent pop met in an
-	// exchange slot and cancelled out without touching the structure
-	// (CBPQ's exchange array). Zero for schedulers without one.
+	// layer, where a below-minimum insert and a concurrent pop cancel
+	// out without touching the structure. No scheduler in the zoo has
+	// one, so it reads 0; it stays because the repo benchmark reports
+	// it.
 	Eliminations uint64
 	// Combines counts inserts that were merged into the structure in
 	// bulk by a single combining rebuild instead of one structural
-	// operation each (CBPQ's insertion buffer plus parked exchange
-	// entries). Zero for schedulers without a combining path.
+	// operation each (CBPQ's insertion buffer). Zero for schedulers
+	// without a combining path.
 	Combines uint64
 }
 

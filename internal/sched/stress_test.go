@@ -14,8 +14,8 @@ import (
 // TestStressHoldConservation soaks the decremental hold pattern
 // (pop-min + push-below-head, conserveHold) across the whole zoo at
 // full parallelism. For the exact tiers this hammers the structural
-// worst case — for CBPQ specifically, the elimination/combining layer
-// under maximum push/pop collision — while the relaxed schedulers see
+// worst case — for CBPQ specifically, buf appends and combining
+// rebuilds under maximum push/pop collision — while the relaxed schedulers see
 // a workload whose resident set constantly drifts upward.
 func TestStressHoldConservation(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)

@@ -96,9 +96,7 @@ func Lineup[T any]() []Spec[T] {
 	return []Spec[T]{
 		Coarse[T]("coarse", coarse.Config{}),
 		CBPQ[T]("cbpq", cbpq.Config{}),
-		// The elimination + combining layer is on by default, so this
-		// builds the same scheduler as cbpq; the name is pinned by
-		// BENCHMARK.json.
+		// An alias of cbpq, kept because BENCHMARK.json pins the name.
 		CBPQ[T]("cbpq-elim", cbpq.Config{}),
 		MQ[T]("mq", mq.Classic(0, 4)),
 		MQ[T]("mq-batch", mq.Config{C: 4, Insert: mq.InsertBatch, Delete: mq.DeleteBatch}),
@@ -233,20 +231,17 @@ func OBIM[T any](name string, cfg obim.Config) Spec[T] {
 
 // CBPQ labels and builds the lock-free chunk-based priority queue.
 func CBPQ[T any](name string, cfg cbpq.Config) Spec[T] {
-	layer := "elim+combining"
-	if cfg.DisableElimination {
-		layer = "combining"
-	}
 	return Spec[T]{
-		Name: name, Params: fmt.Sprintf("chunk=%d %s", cfg.WithDefaults().ChunkCap, layer),
+		Name: name, Params: fmt.Sprintf("chunk=%d combining", cfg.WithDefaults().ChunkCap),
 		Make: func(w int, _ uint64) sched.Scheduler[T] {
 			cfg := cfg
 			cfg.Workers = w
 			return cbpq.New[T](cfg)
 		},
 		// Linearizable-exact like the coarse baseline at every chunk
-		// capacity, with or without elimination: an exchange take
-		// linearizes only after validating the head's publish counter.
+		// capacity: a head claim linearizes only if the head's publish
+		// counter shows no below-head insert since the pop read buf's
+		// minimum.
 		Bound: exactBound,
 	}
 }

@@ -137,7 +137,7 @@ func TestParamsComeFromTheEffectiveConfig(t *testing.T) {
 		{"OBIM", OBIM[int]("x", obim.Config{}).Params,
 			OBIM[int]("x", obim.Config{}.WithDefaults()).Params, fmt.Sprintf("delta=10 chunk=%d", obimChunk)},
 		{"CBPQ", CBPQ[int]("x", cbpq.Config{}).Params,
-			CBPQ[int]("x", cbpq.Config{}.WithDefaults()).Params, fmt.Sprintf("chunk=%d elim+combining", cbpq.DefaultChunkCap)},
+			CBPQ[int]("x", cbpq.Config{}.WithDefaults()).Params, fmt.Sprintf("chunk=%d combining", cbpq.DefaultChunkCap)},
 		{"Coarse", Coarse[int]("x", coarse.Config{}).Params,
 			Coarse[int]("x", coarse.Config{}.WithDefaults()).Params, fmt.Sprintf("single global heap d=%d", pq.DefaultArity)},
 		{"Spray", Spray[int]("x", spray.Config{}).Params,
@@ -156,7 +156,7 @@ func TestParamsComeFromTheEffectiveConfig(t *testing.T) {
 		{MQ[int]("x", emqNUMA).Params, "C=2 stick=16 buf=4/1 numa=2 K=64"},
 		{KLSM[int]("x", klsm.Config{Relaxation: klsm.Strict}).Params, "k=0"},
 		{OBIM[int]("x", obim.Config{Delta: 4, Adaptive: true}).Params, fmt.Sprintf("delta=4 chunk=%d adaptive", obimChunk)},
-		{CBPQ[int]("x", cbpq.Config{ChunkCap: 8, DisableElimination: true}).Params, "chunk=8 combining"},
+		{CBPQ[int]("x", cbpq.Config{ChunkCap: 8}).Params, "chunk=8 combining"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("variant labelled %q, want %q", tc.got, tc.want)

@@ -222,35 +222,22 @@
 // chunk's range forces a first-chunk rebuild (see internal/cbpq's
 // package documentation and alloc gates for the amortized bounds).
 //
-// # Elimination and combining
+// # Combining
 //
 // Decremental workloads (Dijkstra/SSSP relaxations, the hold pattern:
 // pop the minimum, push it back slightly above the old head) hammer
 // exactly that worst case — nearly every push lands below the first
-// chunk's range. The CBPQ therefore fronts its head with an
-// elimination layer in the Hendler–Shavit style, preserving the exact
-// rank bound. A below-head push first publishes its (priority, value)
-// pair in a padded per-queue exchange slot as a single immutable
-// entry, bumping the head's publish counter; a concurrent pop that
-// observes a pending entry at or below the head's minimum takes it
-// directly from the slot. Both sides linearize at the exchange CAS —
-// the pair meets in the slot, never touching chunk memory, so the pop
-// is exact by construction (the taken entry's priority is <= every
-// priority still in the head) and no rebuild happens at all.
-// Publishes that find no timely partner are not retried per-slot:
-// the parked entries form a bounded pending set (overflow beyond the
-// exchange linearizes immediately into the insertion buffer through
-// the same publish counter, deferring any structural work until an
-// entry actually blocks a pop), one thread elects itself combiner via
-// the ordinary root CAS, and a single freeze -> merge -> republish
-// rebuild absorbs the entire set plus the insertion buffer at once —
-// n pushes, one allocation burst, one
-// publication. Consistent emptiness still holds: a Pop may report
-// empty only after proving the exchange layer was drained while the
-// head it inspected was live. Stats().Eliminations and
-// Stats().Combines count the two paths; CBPQConfig.DisableElimination
-// turns the layer off for A/B measurement (the zoo's "cbpq-elim" spec
-// names the default-on configuration).
+// chunk's range. The CBPQ therefore combines them, preserving the
+// exact rank bound: a below-head push appends to an insertion buffer
+// and linearizes by bumping a publish counter in the head's claim
+// word, so a concurrent head claim that could overtake it fails and
+// retries. The buffered entries cost nothing until one of them blocks
+// a pop; that pop elects itself combiner via the ordinary root CAS,
+// and a single freeze -> merge -> republish rebuild absorbs the whole
+// buffer at once — n pushes, one allocation burst, one publication.
+// Stats().Combines counts the inserts merged this way. (The zoo's
+// "cbpq-elim" spec is an alias of "cbpq", kept because the repo
+// benchmark reports under that name.)
 //
 // # Running experiments
 //
@@ -340,8 +327,8 @@ const KLSMStrict = klsm.Strict
 type OBIMConfig = obim.Config
 
 // CBPQConfig configures the lock-free chunk-based priority queue
-// (fixed chunk capacity, elimination layer switch; see the Lock-free
-// tier and Elimination and combining sections above).
+// (fixed chunk capacity; see the Lock-free tier and Combining sections
+// above).
 type CBPQConfig = cbpq.Config
 
 // SprayConfig configures the SprayList baseline.
@@ -427,10 +414,9 @@ func NewSprayList[T any](cfg SprayConfig) Scheduler[T] {
 // partitioned by priority range, a sorted first chunk consumed through
 // a packed CAS-claimed index word, CAS-published inserts with a
 // freeze/split protocol, chunk-granular lock-free PushN/PopN fast
-// paths, and an elimination + combining front end for below-head
-// inserts. Exact (rank bound 0) and non-blocking; see the package
-// documentation's Lock-free tier and Elimination and combining
-// sections.
+// paths, and a combining insertion buffer for below-head inserts.
+// Exact (rank bound 0) and non-blocking; see the package
+// documentation's Lock-free tier and Combining sections.
 func NewCBPQ[T any](cfg CBPQConfig) Scheduler[T] {
 	return cbpq.New[T](cfg)
 }

@@ -1,21 +1,19 @@
-// Command benchcheck parses, schema-validates and merges the
-// repository's JSON artifacts: serve reports (`smqserve -json`), desim
-// reports (`smqsim -out`) and experiment fragments
-// (`smqbench -fragment`).
+// Command benchcheck validates and merges the experiment fragments
+// that `smqbench -fragment` writes.
 //
 // Usage:
 //
-//	benchcheck serve-smoke.json desim-smoke.json frag-0.json
+//	benchcheck frag-0.json merged.json
 //	benchcheck merge -o merged.json frag0.json frag1.json [...]
 //
-// The writers already validate the report they are about to write;
+// smqbench already validates the fragment it is about to write;
 // benchcheck closes the remaining gap by re-reading the bytes actually
 // on disk, so CI fails if a serialized artifact stops parsing or drifts
-// from the schema. Each section is checked by the package that owns it:
-// internal/serve enforces the zero-lost-tasks ledger, internal/desim
-// the zero-violations rule under an exact covering bound, and
-// internal/perfbench the fragment layout. Exit status is non-zero on
-// the first invalid file.
+// from the schema (internal/perfbench's Validate). Exit status is
+// non-zero on the first invalid file. The per-run rules of the serve
+// and desim experiments are not re-checked here: their runs are
+// validated when they are measured, and a run that fails becomes an
+// error cell, which `smqbench -assemble` refuses.
 //
 // The merge subcommand combines shard fragments from parallel runs
 // (different processes, machines, or CI matrix jobs) into one
@@ -26,15 +24,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"repro/internal/desim"
 	"repro/internal/perfbench"
-	"repro/internal/serve"
 )
 
 func main() {
@@ -43,7 +37,7 @@ func main() {
 		return
 	}
 	if len(os.Args) == 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck artifact.json ... | benchcheck merge [-o out.json] frag0.json frag1.json ...")
+		fmt.Fprintln(os.Stderr, "usage: benchcheck fragment.json ... | benchcheck merge [-o out.json] frag0.json frag1.json ...")
 		os.Exit(2)
 	}
 	for _, path := range os.Args[1:] {
@@ -51,57 +45,21 @@ func main() {
 		if err != nil {
 			fail(path, err)
 		}
-		summary, err := check(data)
+		r, err := load(data)
 		if err != nil {
 			fail(path, err)
 		}
-		fmt.Printf("%s: ok (schema %d, %s)\n", path, perfbench.SchemaVersion, summary)
+		fmt.Printf("%s: ok (schema %d, %d experiment fragments)\n", path, perfbench.SchemaVersion, len(r.Experiments))
 	}
 }
 
-// check validates every section an artifact carries with the owning
-// package's validator and summarizes what it found. A file with none of
-// the known sections goes through the fragment validator, which reports
-// what is wrong with its header or that it is empty.
-func check(data []byte) (string, error) {
-	var sections struct {
-		Serve, Desim, Experiments json.RawMessage
-	}
-	if err := json.Unmarshal(data, &sections); err != nil {
-		return "", err
-	}
-	var found []string
-	if sections.Serve != nil {
-		r, err := load(data, serve.ValidateBench)
-		if err != nil {
-			return "", err
-		}
-		found = append(found, fmt.Sprintf("%d serve runs", len(r.Serve)))
-	}
-	if sections.Desim != nil {
-		r, err := load(data, desim.ValidateBench)
-		if err != nil {
-			return "", err
-		}
-		found = append(found, fmt.Sprintf("%d desim runs", len(r.Desim)))
-	}
-	if sections.Experiments != nil || len(found) == 0 {
-		r, err := load(data, perfbench.Validate)
-		if err != nil {
-			return "", err
-		}
-		found = append(found, fmt.Sprintf("%d experiment fragments", len(r.Experiments)))
-	}
-	return strings.Join(found, ", "), nil
-}
-
-// load parses data as report type R and validates it.
-func load[R any](data []byte, validate func(*R) error) (*R, error) {
-	var r R
-	if err := json.Unmarshal(data, &r); err != nil {
+// load parses data as a fragment report and validates it.
+func load(data []byte) (*perfbench.Report, error) {
+	r, err := perfbench.Parse(data)
+	if err != nil {
 		return nil, err
 	}
-	return &r, validate(&r)
+	return r, perfbench.Validate(r)
 }
 
 // runMerge implements `benchcheck merge -o out.json frag.json ...`.
@@ -123,7 +81,7 @@ func runMerge(args []string) {
 		if err != nil {
 			fail(path, err)
 		}
-		r, err := load(data, perfbench.Validate)
+		r, err := load(data)
 		if err != nil {
 			fail(path, err)
 		}

@@ -157,9 +157,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	shardMode := *fragOut != "" || shardInfo != nil || opts.Cells != nil ||
-		opts.Timeout > 0 || mkExec != nil
-
 	var fragReports []*perfbench.Report
 	for _, e := range exps {
 		p, err := e.Plan(cfg)
@@ -171,29 +168,18 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		if shardMode {
-			if mkExec != nil {
-				opts.Exec = mkExec(e.ID)
-			}
-			fmt.Fprintf(os.Stderr, "running %s: %d of %d cells...\n",
-				e.ID, len(shard.Select(p, opts)), len(p.Cells))
-			results := shard.Run(p, opts)
-			summarizeStatuses(e.ID, results)
-			if *fragOut != "" {
-				fragReports = append(fragReports, shard.Fragment(p, results, shardInfo, "smqbench -fragment"))
-			} else {
-				// Full in-process coverage: assemble directly.
-				tables, err := p.Assemble(results)
-				if err != nil {
-					fatal(fmt.Errorf("experiment %s: %w", e.ID, err))
-				}
-				if err := harness.WriteTables(os.Stdout, tables, *format); err != nil {
-					fatal(err)
-				}
-			}
+		if mkExec != nil {
+			opts.Exec = mkExec(e.ID)
+		}
+		fmt.Fprintf(os.Stderr, "running %s (%s): %d of %d cells...\n",
+			e.ID, e.Paper, len(shard.Select(p, opts)), len(p.Cells))
+		results := shard.Run(p, opts)
+		summarizeStatuses(e.ID, results)
+		if *fragOut != "" {
+			fragReports = append(fragReports, shard.Fragment(p, results, shardInfo, "smqbench -fragment"))
 		} else {
-			fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Paper)
-			tables, err := p.Assemble(p.RunAll())
+			// Assemble refuses a partial grid and any non-ok cell.
+			tables, err := p.Assemble(results)
 			if err != nil {
 				fatal(fmt.Errorf("experiment %s: %w", e.ID, err))
 			}

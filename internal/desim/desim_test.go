@@ -316,106 +316,109 @@ func TestDAGMakespanIdenticalAcrossSchedulers(t *testing.T) {
 	}
 }
 
+// lookup resolves a zoo name at the Event payload.
+func lookup(t *testing.T, name string) zoo.Spec[Event] {
+	t.Helper()
+	spec, ok := zoo.Lookup[Event](name)
+	if !ok {
+		t.Fatalf("no zoo spec %q", name)
+	}
+	return spec
+}
+
 func TestRunOneUnknownScheduler(t *testing.T) {
-	if _, err := RunOne("definitely-not-a-scheduler", "cluster", BenchConfig{Workers: 2}); err == nil {
+	// A failed lookup returns the zero spec, which RunOne must refuse.
+	unknown, _ := zoo.Lookup[Event]("definitely-not-a-scheduler")
+	if _, err := RunOne(unknown, "cluster", BenchConfig{Workers: 2}); err == nil {
 		t.Fatal("want error for unknown scheduler")
 	}
-	if _, err := RunOne("smq", "not-a-model", BenchConfig{Workers: 2}); err == nil {
+	if _, err := RunOne(lookup(t, "smq"), "not-a-model", BenchConfig{Workers: 2}); err == nil {
 		t.Fatal("want error for unknown model")
 	}
 }
 
-// TestRunBenchSmoke runs a tiny grid end to end and checks the report
-// validates — the same path CI's desim smoke uses.
-func TestRunBenchSmoke(t *testing.T) {
-	r, err := RunBench(BenchConfig{
-		Workers:    2,
-		Schedulers: []string{"coarse", "cbpq", "smq", "klsm"},
-		Models:     []string{"cluster", "dag"},
-		Events:     40_000,
-		Layers:     32, Width: 32,
-		Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Desim) != 8 {
-		t.Fatalf("got %d desim results, want 8", len(r.Desim))
-	}
+// TestRunOneSmoke runs a tiny scheduler × model grid end to end: every
+// run passes validateDesim (RunOne validates internally), and every
+// scheduler of one model reports the same checksum.
+func TestRunOneSmoke(t *testing.T) {
 	wantSource := map[string]string{"coarse": "exact", "cbpq": "exact", "smq": "expectation", "klsm": "exact"}
-	for _, dr := range r.Desim {
-		if (dr.Scheduler == "klsm" || dr.Scheduler == "cbpq") && dr.Violations != 0 {
-			t.Fatalf("%s %s run has %d violations", dr.Scheduler, dr.Model, dr.Violations)
-		}
-		if dr.Scheduler == "coarse" && dr.Model == "cluster" && len(dr.PerTenant) == 0 {
-			t.Fatal("cluster run missing per-tenant section")
-		}
-		if dr.BoundSource != wantSource[dr.Scheduler] {
-			t.Fatalf("%s %s bound_source %q, want %q", dr.Scheduler, dr.Model, dr.BoundSource, wantSource[dr.Scheduler])
+	for _, model := range []string{"cluster", "dag"} {
+		var want uint64
+		for i, name := range []string{"coarse", "cbpq", "smq", "klsm"} {
+			dr, err := RunOne(lookup(t, name), model, BenchConfig{Workers: 2, Events: 40_000, Layers: 32, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (name == "klsm" || name == "cbpq") && dr.Violations != 0 {
+				t.Fatalf("%s %s run has %d violations", name, model, dr.Violations)
+			}
+			if name == "coarse" && model == "cluster" && len(dr.PerTenant) == 0 {
+				t.Fatal("cluster run missing per-tenant section")
+			}
+			if dr.BoundSource != wantSource[name] {
+				t.Fatalf("%s %s bound_source %q, want %q", name, model, dr.BoundSource, wantSource[name])
+			}
+			if i == 0 {
+				want = dr.Checksum
+			} else if dr.Checksum != want {
+				t.Fatalf("%s %s checksum %#x != coarse %#x", name, model, dr.Checksum, want)
+			}
 		}
 	}
 }
 
-// TestValidateBenchRejects feeds the validator one broken claim at a
-// time, starting from a report RunBench produced (and so accepted). The
+// TestValidateDesimRejects feeds the validator one broken claim at a
+// time, starting from runs RunOne produced (and so accepted). The
 // load-bearing case is a violation under an exact bound the window
-// covers: that artifact asserts a safety property the run disproved.
-func TestValidateBenchRejects(t *testing.T) {
-	base, err := RunBench(BenchConfig{
-		Workers:    2,
-		Schedulers: []string{"klsm", "smq", "obim"},
-		Models:     []string{"cluster"},
-		Events:     20_000,
-		Seed:       3,
-	})
-	if err != nil {
-		t.Fatal(err)
+// covers: that run asserts a safety property it disproved.
+func TestValidateDesimRejects(t *testing.T) {
+	var base []DesimResult
+	for _, name := range []string{"klsm", "smq", "obim"} {
+		dr, err := RunOne(lookup(t, name), "cluster", BenchConfig{Workers: 2, Events: 20_000, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base = append(base, dr)
 	}
 	const exact, expectation, unchecked = 0, 1, 2
 	for i, want := range []string{"exact", "expectation", "unchecked"} {
-		if got := base.Desim[i].BoundSource; got != want {
-			t.Fatalf("%s bound_source = %q, want %q", base.Desim[i].Scheduler, got, want)
+		if got := base[i].BoundSource; got != want {
+			t.Fatalf("%s bound_source = %q, want %q", base[i].Scheduler, got, want)
 		}
 	}
-	if dr := base.Desim[exact]; dr.Lookahead < dr.RankBound {
+	if dr := base[exact]; dr.Lookahead < dr.RankBound {
 		t.Fatalf("klsm window %d does not cover its bound %d", dr.Lookahead, dr.RankBound)
 	}
 	for _, tc := range []struct {
 		name string
-		mut  func(r *BenchReport)
+		run  int
+		mut  func(dr *DesimResult)
 		want string
 	}{
-		{"accepted as generated", func(*BenchReport) {}, ""},
-		{"violation under a covering exact bound", func(r *BenchReport) { r.Desim[exact].Violations = 1 },
+		{"accepted as generated", exact, func(*DesimResult) {}, ""},
+		{"violation under a covering exact bound", exact, func(dr *DesimResult) { dr.Violations = 1 },
 			"1 causality violations with lookahead"},
-		{"violation under an expectation bound is informative", func(r *BenchReport) { r.Desim[expectation].Violations = 1 }, ""},
-		{"violation reported by an unchecked run", func(r *BenchReport) { r.Desim[unchecked].Violations = 1 },
+		{"violation under an expectation bound is informative", expectation, func(dr *DesimResult) { dr.Violations = 1 }, ""},
+		{"violation reported by an unchecked run", unchecked, func(dr *DesimResult) { dr.Violations = 1 },
 			"violations reported by an unchecked run"},
-		{"exact label on an inexact bound", func(r *BenchReport) { r.Desim[expectation].BoundSource = "exact" },
+		{"exact label on an inexact bound", expectation, func(dr *DesimResult) { dr.BoundSource = "exact" },
 			"bound_source exact contradicts"},
-		{"expectation label on an exact bound", func(r *BenchReport) { r.Desim[exact].BoundSource = "expectation" },
+		{"expectation label on an exact bound", exact, func(dr *DesimResult) { dr.BoundSource = "expectation" },
 			"bound_source expectation contradicts"},
-		{"unchecked label with a window", func(r *BenchReport) { r.Desim[exact].BoundSource = "unchecked" },
+		{"unchecked label with a window", exact, func(dr *DesimResult) { dr.BoundSource = "unchecked" },
 			"bound_source unchecked but lookahead"},
-		{"exact label without a window", func(r *BenchReport) { r.Desim[unchecked].BoundSource, r.Desim[unchecked].BoundExact = "exact", true },
+		{"exact label without a window", unchecked, func(dr *DesimResult) { dr.BoundSource, dr.BoundExact = "exact", true },
 			"bound_source exact contradicts"},
-		{"missing label", func(r *BenchReport) { r.Desim[exact].BoundSource = "" }, "want exact/expectation/unchecked"},
-		{"non-monotone tenant percentiles", func(r *BenchReport) {
-			ten := &r.Desim[exact].PerTenant[0]
+		{"missing label", exact, func(dr *DesimResult) { dr.BoundSource = "" }, "want exact/expectation/unchecked"},
+		{"non-monotone tenant percentiles", exact, func(dr *DesimResult) {
+			ten := &dr.PerTenant[0]
 			ten.P50 = ten.P99 + 1
 		}, "non-monotone sojourn percentiles"},
-		{"duplicate run", func(r *BenchReport) { r.Desim[expectation].Scheduler = r.Desim[exact].Scheduler }, "duplicate desim run"},
-		{"no runs", func(r *BenchReport) { r.Desim = nil }, "no desim results"},
-		{"header", func(r *BenchReport) { r.SchemaVersion-- }, "schema_version"},
 	} {
-		r := *base
-		r.Desim = make([]DesimResult, len(base.Desim))
-		for i, dr := range base.Desim {
-			dr.PerTenant = append([]TenantDesimResult(nil), dr.PerTenant...)
-			r.Desim[i] = dr
-		}
-		tc.mut(&r)
-		err := ValidateBench(&r)
+		dr := base[tc.run]
+		dr.PerTenant = append([]TenantDesimResult(nil), dr.PerTenant...)
+		tc.mut(&dr)
+		err := validateDesim(&dr)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: %v", tc.name, err)

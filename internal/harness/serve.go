@@ -36,20 +36,17 @@ func planServe(cfg RunConfig) (*Plan, error) {
 				Params:    fmt.Sprintf("rate=%.0f", rate),
 				Threads:   workers,
 			}, func(c Cell) (CellResult, error) {
-				rep, err := serve.RunBench(serve.BenchConfig{
-					Schedulers:  []string{name},
-					Rate:        rate,
-					Tasks:       tasksPerRate,
-					Tenants:     4,
-					Skew:        0.99,
-					Workers:     workers,
-					Seed:        c.Seed,
-					GeneratedBy: "harness serve",
+				sr, err := serve.RunOne(name, serve.BenchConfig{
+					Rate:    rate,
+					Tasks:   tasksPerRate,
+					Tenants: 4,
+					Skew:    0.99,
+					Workers: workers,
+					Seed:    c.Seed,
 				})
 				if err != nil {
 					return CellResult{}, err
 				}
-				sr := rep.Serve[0]
 				t0 := sr.PerTenant[0]
 				return CellResult{
 					Tasks: uint64(sr.Completed),

@@ -5,12 +5,12 @@
 // latency percentiles. It imports nothing but the standard library, so
 // any package can carry its results in the envelope.
 //
-// The sections that ride in the envelope are owned by the packages that
-// fill them: internal/serve/bench.go and internal/desim/bench.go define
-// their result structs and validators next to RunBench, and embed
-// Header in their own report types. Throughput, contention and latency
-// trajectories are measured by the repo benchmark (`bash bench/run.sh`,
-// see BENCHMARK.json), not here.
+// The experiment fragment is the only artifact kind: the serve and
+// desim experiments validate each run where it is measured
+// (internal/serve and internal/desim RunOne) and record it as a cell
+// like any other. Throughput, contention and latency trajectories are
+// measured by the repo benchmark (`bash bench/run.sh`, see
+// BENCHMARK.json), not here.
 package perfbench
 
 import (
@@ -97,10 +97,9 @@ func Validate(r *Report) error {
 	return nil
 }
 
-// Marshal renders an artifact (a Report, or a report type embedding
-// Header) as indented JSON with a trailing newline.
-func Marshal(report any) ([]byte, error) {
-	b, err := json.MarshalIndent(report, "", "  ")
+// Marshal renders a report as indented JSON with a trailing newline.
+func Marshal(r *Report) ([]byte, error) {
+	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return nil, err
 	}

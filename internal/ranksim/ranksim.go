@@ -7,7 +7,7 @@
 // with n queues, batch size B, stealing probability p_steal and scheduler
 // unfairness γ (with γ(1/p_steal − 1) ≤ 1/(2n)), the expected rank of
 // removed elements is O(nB(1+γ)/p_steal · log((1+γ)/p_steal)), uniformly
-// over time. The cmd/ranksim tool and the `theory` experiment print the
+// over time. The `theory` experiment (`smqbench -exp theory`) prints the
 // measured rank curves next to the theorem's scaling.
 package ranksim
 

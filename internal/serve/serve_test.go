@@ -325,78 +325,59 @@ func TestServeIdleCPU(t *testing.T) {
 	}
 }
 
-// TestServeRunBench exercises the report glue end to end on a tiny
-// run: the generated report must carry a serve entry per scheduler and
-// pass ValidateBench (RunBench validates internally).
-func TestServeRunBench(t *testing.T) {
-	rep, err := RunBench(BenchConfig{
-		Schedulers: []string{"smq", "coarse"},
-		Rate:       100000, Tasks: 5000, Tenants: 2, Skew: 0.99,
-		Workers: 3, GeneratedBy: "serve_test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Serve) != 2 {
-		t.Fatalf("report carries %d serve entries, want 2", len(rep.Serve))
-	}
-	for _, sr := range rep.Serve {
-		if sr.Completed+sr.Shed != uint64(5000) {
-			t.Fatalf("%s: %d accounted of 5000", sr.Scheduler, sr.Completed+sr.Shed)
+// TestServeRunOne exercises the result glue end to end on a tiny run:
+// RunOne validates internally, and every offered task is accounted for.
+func TestServeRunOne(t *testing.T) {
+	for _, name := range []string{"smq", "coarse"} {
+		sr, err := RunOne(name, BenchConfig{Rate: 100000, Tasks: 5000, Tenants: 2, Skew: 0.99, Workers: 3, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Scheduler != name || sr.Completed+sr.Shed != uint64(5000) {
+			t.Fatalf("%s: run of %q accounted %d of 5000", name, sr.Scheduler, sr.Completed+sr.Shed)
 		}
 	}
 }
 
-// TestValidateBenchRejects feeds the validator one broken invariant at
-// a time, starting from a report RunBench produced (and so accepted):
-// the ledger, the per-tenant sums and the percentile order are the
-// claims an artifact on disk is trusted for.
-func TestValidateBenchRejects(t *testing.T) {
-	base, err := RunBench(BenchConfig{
-		Schedulers: []string{"smq", "coarse"},
-		Rate:       100000, Tasks: 2000, Tenants: 2, Skew: 0.99,
-		Workers: 3, GeneratedBy: "serve_test",
-	})
+// TestValidateServeRejects feeds the validator one broken invariant at
+// a time, starting from a run RunOne produced (and so accepted): the
+// ledger, the per-tenant sums and the percentile order are the claims a
+// serve cell is trusted for.
+func TestValidateServeRejects(t *testing.T) {
+	base, err := RunOne("smq", BenchConfig{Rate: 100000, Tasks: 2000, Tenants: 2, Skew: 0.99, Workers: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Serve[0].PerTenant[0].Completed == 0 {
+	if base.PerTenant[0].Completed == 0 {
 		t.Fatal("tenant 0 completed nothing; the percentile cases below would be vacuous")
 	}
 	for _, tc := range []struct {
 		name string
-		mut  func(r *BenchReport)
+		mut  func(sr *ServeResult)
 		want string
 	}{
-		{"accepted as generated", func(*BenchReport) {}, ""},
-		{"lost task", func(r *BenchReport) { r.Serve[0].Ingested++ }, "LOST TASKS"},
-		{"per-tenant completed off", func(r *BenchReport) { r.Serve[0].PerTenant[0].Completed-- }, "do not sum to run totals"},
-		{"per-tenant shed off", func(r *BenchReport) { r.Serve[1].PerTenant[1].Shed++ }, "do not sum to run totals"},
-		{"p50 above p99", func(r *BenchReport) {
-			ten := &r.Serve[0].PerTenant[0]
+		{"accepted as generated", func(*ServeResult) {}, ""},
+		{"lost task", func(sr *ServeResult) { sr.Ingested++ }, "LOST TASKS"},
+		{"per-tenant completed off", func(sr *ServeResult) { sr.PerTenant[0].Completed-- }, "do not sum to run totals"},
+		{"per-tenant shed off", func(sr *ServeResult) { sr.PerTenant[1].Shed++ }, "do not sum to run totals"},
+		{"p50 above p99", func(sr *ServeResult) {
+			ten := &sr.PerTenant[0]
 			ten.P50Ns = ten.P99Ns + 1
 		}, "non-monotone latency percentiles"},
-		{"p99 above p99.9", func(r *BenchReport) {
-			ten := &r.Serve[0].PerTenant[0]
+		{"p99 above p99.9", func(sr *ServeResult) {
+			ten := &sr.PerTenant[0]
 			ten.P99Ns = ten.P999Ns + 1
 		}, "non-monotone latency percentiles"},
-		{"missing percentile", func(r *BenchReport) { r.Serve[0].PerTenant[0].P999Ns = 0 }, "missing latency percentiles"},
-		{"NaN offered rate", func(r *BenchReport) { r.Serve[0].OfferedRatePerSec = math.NaN() }, "offered rate NaN"},
-		{"NaN tenant skew", func(r *BenchReport) { r.Serve[1].TenantSkew = math.NaN() }, "tenant skew NaN"},
-		{"negative tenant skew", func(r *BenchReport) { r.Serve[1].TenantSkew = -1 }, "tenant skew -1"},
-		{"tenant count", func(r *BenchReport) { r.Serve[0].Tenants = 3 }, "per-tenant entries"},
-		{"duplicate scheduler", func(r *BenchReport) { r.Serve[1].Scheduler = r.Serve[0].Scheduler }, "duplicate serve scheduler"},
-		{"no runs", func(r *BenchReport) { r.Serve = nil }, "no serve results"},
-		{"header", func(r *BenchReport) { r.GOMAXPROCS = 0 }, "gomaxprocs"},
+		{"missing percentile", func(sr *ServeResult) { sr.PerTenant[0].P999Ns = 0 }, "missing latency percentiles"},
+		{"NaN offered rate", func(sr *ServeResult) { sr.OfferedRatePerSec = math.NaN() }, "offered rate NaN"},
+		{"NaN tenant skew", func(sr *ServeResult) { sr.TenantSkew = math.NaN() }, "tenant skew NaN"},
+		{"negative tenant skew", func(sr *ServeResult) { sr.TenantSkew = -1 }, "tenant skew -1"},
+		{"tenant count", func(sr *ServeResult) { sr.Tenants = 3 }, "per-tenant entries"},
 	} {
-		r := *base
-		r.Serve = make([]ServeResult, len(base.Serve))
-		for i, sr := range base.Serve {
-			sr.PerTenant = append([]TenantServeResult(nil), sr.PerTenant...)
-			r.Serve[i] = sr
-		}
-		tc.mut(&r)
-		err := ValidateBench(&r)
+		sr := base
+		sr.PerTenant = append([]TenantServeResult(nil), base.PerTenant...)
+		tc.mut(&sr)
+		err := validateServe(&sr)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: %v", tc.name, err)

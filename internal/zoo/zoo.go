@@ -49,8 +49,9 @@ type Spec[T any] struct {
 	Bound func(workers int) (bound int64, exact bool)
 }
 
-// Build constructs the scheduler (nil-safe alias for Make kept for the
-// harness call sites that predate the unified signature).
+// Build constructs the scheduler by calling Make; it adds nothing, and a
+// zero Spec panics in either. It remains because the repo benchmark in
+// bench/ calls it.
 func (s Spec[T]) Build(workers int, seed uint64) sched.Scheduler[T] {
 	return s.Make(workers, seed)
 }

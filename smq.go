@@ -110,8 +110,8 @@
 // and per-tenant sojourn-latency histograms. Termination there uses
 // Pending.Close + Quiesced — drained AND closed — never Done alone;
 // see the sched.Pending documentation for the emptiness-vs-quiescence
-// contract. cmd/smqserve drives it from the command line, and the
-// "serve" harness experiment records an offered-load × scheduler grid.
+// contract. The "serve" harness experiment (`smqbench -exp serve`)
+// records an offered-load × scheduler grid.
 //
 // # Named schedulers
 //
@@ -130,17 +130,17 @@
 // # Simulation & safe lookahead
 //
 // RankBound is what makes a relaxed scheduler a discrete-event
-// simulation engine (internal/desim, cmd/smqsim): pushing each event at
-// priority = timestamp turns pop-driven workers into a parallel event
-// loop, and a rank-error bound B is exactly a conservative-PDES
+// simulation engine (internal/desim, `smqbench -exp desim`): pushing
+// each event at priority = timestamp turns pop-driven workers into a
+// parallel event loop, and a rank-error bound B is exactly a conservative-PDES
 // lookahead window in rank units — the scheduler never runs an event
 // with more than B smaller-timestamp events pending. A model whose
 // events tolerate executing up to B ranks early therefore simulates
 // correctly with no synchronization beyond the scheduler itself. The
 // k-LSM's worst-case (P−1)·k+P and the coarse queue's 0 are hard
 // guarantees (RankBound reports exact=true; the desim engine's
-// causality check must count zero violations, and every desim report
-// is machine-checked for that claim before it is written); the
+// causality check must count zero violations, and every desim run is
+// machine-checked for that claim before it is reported); the
 // Multi-Queue family's Theorem-1 bounds are expectation-scale, so
 // violations are possible but counted; OBIM-style schedulers report no
 // usable bound and run unchecked.

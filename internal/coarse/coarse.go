@@ -18,12 +18,11 @@ import (
 	"repro/internal/sched"
 )
 
-// Config parameterizes the coarse-locked queue.
+// Config parameterizes the coarse-locked queue. The global heap has
+// the sequential layer's default fan-out, pq.DefaultArity.
 type Config struct {
 	// Workers is the number of worker slots. Required.
 	Workers int
-	// HeapArity is the global heap fan-out. Default 4.
-	HeapArity int
 }
 
 // Sched is the coarse-locked global priority queue. The lock word sits
@@ -52,26 +51,13 @@ type worker[T any] struct {
 }
 
 // Validate reports whether the configuration can build a scheduler:
-// Workers must be positive and HeapArity zero (default) or a real
-// fan-out. New panics with exactly this error on an invalid
-// configuration, so callers that must not panic validate first.
+// Workers must be positive. New panics with exactly this error on an
+// invalid configuration, so callers that must not panic validate first.
 func (c Config) Validate() error {
 	if c.Workers <= 0 {
 		return fmt.Errorf("coarse: Config.Workers = %d, must be positive", c.Workers)
 	}
-	if c.HeapArity < 0 || c.HeapArity == 1 {
-		return fmt.Errorf("coarse: Config.HeapArity = %d, must be 0 (default) or >= 2", c.HeapArity)
-	}
 	return nil
-}
-
-// WithDefaults returns a copy with the zero HeapArity replaced by the
-// default fan-out. Construction applies it after Validate.
-func (c Config) WithDefaults() Config {
-	if c.HeapArity == 0 {
-		c.HeapArity = pq.DefaultArity
-	}
-	return c
 }
 
 // New builds a coarse-locked scheduler.
@@ -79,10 +65,9 @@ func New[T any](cfg Config) *Sched[T] {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	cfg = cfg.WithDefaults()
 	s := &Sched[T]{
 		cfg:      cfg,
-		heap:     pq.NewDHeapCap[T](cfg.HeapArity, 1024),
+		heap:     pq.NewDHeapCap[T](pq.DefaultArity, 1024),
 		workers:  make([]worker[T], cfg.Workers),
 		counters: make([]sched.Counters, cfg.Workers),
 	}

@@ -17,8 +17,7 @@ import (
 // SMQ: local pushes and pops on a warm heap must never allocate.
 func TestSteadyStateAllocFree(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"default":      {Workers: 1},
-		"insert_batch": {Workers: 1, InsertBatch: 8},
+		"default": {Workers: 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := NewStealingMQ[int](cfg)
@@ -88,8 +87,7 @@ func TestSteadyStateStealAllocFree(t *testing.T) {
 // vacated slots are zeroed, per the payload-retention discipline).
 func TestSteadyStateBatchAllocFree(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"default":      {Workers: 1},
-		"insert_batch": {Workers: 1, InsertBatch: 8},
+		"default": {Workers: 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := NewStealingMQ[int](cfg)

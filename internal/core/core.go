@@ -53,7 +53,9 @@ import (
 )
 
 // Config parameterizes both SMQ variants. The zero value of each field
-// selects the paper's default.
+// selects the paper's default. What no caller varies is fixed: an empty
+// worker probes 2·Workers victims (stealTries), and pushes go straight
+// into the local queue, with no insert buffer (see Push).
 type Config struct {
 	// Workers is the number of worker slots (and local queues). Required.
 	Workers int
@@ -75,15 +77,6 @@ type Config struct {
 	// NUMAWeightK is the remote-queue weight divisor K. Default 8 (the
 	// paper's default configuration); only used when NUMANodes > 1.
 	NUMAWeightK float64
-	// StealTries bounds the number of victims probed when the local
-	// queue is empty before Pop reports failure. Default 2·Workers.
-	StealTries int
-	// InsertBatch > 1 enables the paper's insert-buffering optimization
-	// (§2.1 Opt. 1, also applied to the SMQ in §5): consecutive pushes
-	// accumulate in a thread-local buffer that is flushed into the local
-	// queue in bulk — at the latest at the worker's next Pop, so the
-	// worker never misses its own work. Default 1 (off).
-	InsertBatch int
 }
 
 // Validate reports whether the configuration can build a scheduler:
@@ -111,12 +104,6 @@ func (c Config) Validate() error {
 	if !(c.NUMAWeightK >= 0) || math.IsInf(c.NUMAWeightK, 1) {
 		return fmt.Errorf("core: Config.NUMAWeightK = %g, must be finite and >= 0", c.NUMAWeightK)
 	}
-	if c.StealTries < 0 {
-		return fmt.Errorf("core: Config.StealTries = %d, must be >= 0", c.StealTries)
-	}
-	if c.InsertBatch < 0 {
-		return fmt.Errorf("core: Config.InsertBatch = %d, must be >= 0", c.InsertBatch)
-	}
 	return nil
 }
 
@@ -141,12 +128,6 @@ func (c Config) WithDefaults() Config {
 	if c.NUMAWeightK == 0 {
 		c.NUMAWeightK = 8
 	}
-	if c.StealTries == 0 {
-		c.StealTries = 2 * c.Workers
-	}
-	if c.InsertBatch < 1 {
-		c.InsertBatch = 1
-	}
 	return c
 }
 
@@ -156,6 +137,11 @@ func (c *Config) normalize() {
 	}
 	*c = c.WithDefaults()
 }
+
+// stealTries is how many victims, per worker slot, a worker whose local
+// queue and stolen surplus are empty probes before Pop reports failure:
+// 2·Workers probes in all.
+const stealTries = 2
 
 // stealQueue is the contract between the generic SMQ worker logic and the
 // two local-queue implementations.
@@ -206,9 +192,6 @@ type smqWorker[T any] struct {
 	// front to back (they arrive in ascending priority order).
 	stolen    []pq.Item[T]
 	stolenIdx int
-
-	// insBuf accumulates local pushes when InsertBatch > 1.
-	insBuf []pq.Item[T]
 
 	// bulk is the PushN zip scratch (priority/value pairs assembled
 	// before the single PushLocalBatch); owned by the worker, reused in
@@ -295,47 +278,25 @@ func (s *SMQ[T]) Stats() sched.Stats {
 }
 
 // Push inserts into the worker's local queue (Listing 2: insert is always
-// local — queue affinity is what makes the SMQ cache-friendly). With
-// InsertBatch > 1, pushes accumulate locally and enter the queue in bulk.
+// local — queue affinity is what makes the SMQ cache-friendly). There is
+// no insert buffer in front of the queue: the worker loop already
+// batches a task's children in sched.Sink and hands them over as one
+// PushN.
 func (w *smqWorker[T]) Push(p uint64, v T) {
 	w.c.Pushes++
-	if w.s.cfg.InsertBatch > 1 {
-		w.insBuf = append(w.insBuf, pq.Item[T]{P: p, V: v})
-		if len(w.insBuf) >= w.s.cfg.InsertBatch {
-			w.flushInserts()
-		}
-		return
-	}
 	w.q.PushLocal(p, v)
-}
-
-// flushInserts drains the insert buffer into the local queue.
-func (w *smqWorker[T]) flushInserts() {
-	w.q.PushLocalBatch(w.insBuf)
-	clear(w.insBuf)
-	w.insBuf = w.insBuf[:0]
 }
 
 // PushN inserts a whole batch into the local queue (insert affinity is
 // unchanged — the batch just pays the queue bookkeeping once): the
 // pairs are zipped into the worker's scratch run and handed to the
-// local queue as one PushLocalBatch. With InsertBatch > 1 the batch
-// routes through the insert buffer instead, flushing at capacity.
+// local queue as one PushLocalBatch.
 func (w *smqWorker[T]) PushN(ps []uint64, vs []T) {
 	sched.CheckPushN(len(ps), len(vs))
 	if len(ps) == 0 {
 		return
 	}
 	w.c.Pushes += uint64(len(ps))
-	if w.s.cfg.InsertBatch > 1 {
-		for i, p := range ps {
-			w.insBuf = append(w.insBuf, pq.Item[T]{P: p, V: vs[i]})
-		}
-		if len(w.insBuf) >= w.s.cfg.InsertBatch {
-			w.flushInserts()
-		}
-		return
-	}
 	w.bulk = w.bulk[:0]
 	for i, p := range ps {
 		w.bulk = append(w.bulk, pq.Item[T]{P: p, V: vs[i]})
@@ -351,11 +312,6 @@ func (w *smqWorker[T]) PushN(ps []uint64, vs []T) {
 //  3. otherwise (or if the steal found nothing better) take locally;
 //  4. if the local queue is empty, fall back to stealing anything.
 func (w *smqWorker[T]) Pop() (uint64, T, bool) {
-	if len(w.insBuf) > 0 {
-		// Make our own buffered inserts visible before popping, so a
-		// worker can never miss (or strand) its own work.
-		w.flushInserts()
-	}
 	if w.stolenIdx < len(w.stolen) {
 		it := w.stolen[w.stolenIdx]
 		var zero pq.Item[T]
@@ -379,7 +335,7 @@ func (w *smqWorker[T]) Pop() (uint64, T, bool) {
 	// return our own id and every stealFrom would be a guaranteed no-op,
 	// so skip straight to the failure report.
 	if w.s.cfg.Workers > 1 {
-		for try := 0; try < w.s.cfg.StealTries; try++ {
+		for range stealTries * w.s.cfg.Workers {
 			if p, v, ok := w.stealFrom(w.randomVictim(), false); ok {
 				w.c.Pops++
 				return p, v, true
@@ -412,9 +368,6 @@ func (w *smqWorker[T]) PopN(dst []sched.Task[T]) int {
 	if len(dst) == 0 {
 		return 0
 	}
-	if len(w.insBuf) > 0 {
-		w.flushInserts()
-	}
 	n := w.drainStolen(dst, 0)
 	if n < len(dst) && w.s.cfg.StealProb > 0 {
 		for i := n; i < len(dst); i++ {
@@ -435,7 +388,7 @@ func (w *smqWorker[T]) PopN(dst []sched.Task[T]) int {
 		n = len(w.q.PopLocalBatch(len(dst)-n, dst[:n]))
 	}
 	if n == 0 && w.s.cfg.Workers > 1 {
-		for try := 0; try < w.s.cfg.StealTries; try++ {
+		for range stealTries * w.s.cfg.Workers {
 			if p, v, ok := w.stealFrom(w.randomVictim(), false); ok {
 				dst[0] = pq.Item[T]{P: p, V: v}
 				n = w.drainStolen(dst, 1)

@@ -517,10 +517,10 @@ func TestStatsRemoteCounting(t *testing.T) {
 	if st.Pops != 100 {
 		t.Fatalf("Pops = %d", st.Pops)
 	}
-	// Remote is whatever the sampler saw; just ensure wiring works (the
-	// sampler Total must be >= Remote).
-	if w.smp.Remote > w.smp.Total {
-		t.Fatalf("sampler Remote %d > Total %d", w.smp.Remote, w.smp.Total)
+	// Remote is whatever worker 0's sampler saw, and each victim probe
+	// draws once and ends as one steal or one failed steal.
+	if st.Remote != w.smp.Remote || st.Remote == 0 || st.Remote > st.Steals+st.StealFails {
+		t.Fatalf("Remote = %d, sampler %d, probes %d", st.Remote, w.smp.Remote, st.Steals+st.StealFails)
 	}
 }
 
@@ -543,9 +543,10 @@ func TestHugeNUMAWeightDoesNotHang(t *testing.T) {
 }
 
 // TestSingleWorkerEmptyPopSkipsStealFallback: with one worker there is
-// no victim, so an empty Pop must not spin through the StealTries
-// fallback loop (every stealFrom against our own id is a no-op). The
-// failure must be reported immediately with no steal attempts counted.
+// no victim, so an empty Pop must not spin through the 2·Workers victim
+// probes of the fallback loop (every stealFrom against our own id is a
+// no-op). The failure must be reported immediately with no steal
+// attempts counted.
 func TestSingleWorkerEmptyPopSkipsStealFallback(t *testing.T) {
 	for name, mk := range map[string]func() *SMQ[int]{
 		"heap":     func() *SMQ[int] { return NewStealingMQ[int](Config{Workers: 1, StealProb: 1}) },

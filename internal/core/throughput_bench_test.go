@@ -29,7 +29,3 @@ func BenchmarkThroughput_SMQSkipList(b *testing.B) {
 func BenchmarkThroughput_SMQHeap_NUMA(b *testing.B) {
 	benchutil.Throughput(b, NewStealingMQ[int](Config{Workers: 4, NUMANodes: 2}), 1<<12)
 }
-
-func BenchmarkThroughput_SMQHeap_InsertBatch(b *testing.B) {
-	benchutil.Throughput(b, NewStealingMQ[int](Config{Workers: 4, InsertBatch: 8}), 1<<12)
-}

@@ -93,8 +93,6 @@ type Sampler struct {
 
 	// Remote counts samples that landed on another node.
 	Remote uint64
-	// Total counts all samples.
-	Total uint64
 }
 
 // NewSampler builds the sampler for the given worker. K is the remote
@@ -125,7 +123,6 @@ func NewSampler(t Topology, worker int, k float64, rng *xrand.Rand) *Sampler {
 
 // Sample draws one queue index from the weighted distribution.
 func (s *Sampler) Sample() int {
-	s.Total++
 	if s.uniform {
 		q := s.rng.Intn(s.m)
 		if q < s.ownLo || q >= s.ownHi {
@@ -150,7 +147,6 @@ func (s *Sampler) SampleOther(avoid int) int {
 	if !s.uniform && s.ownHi-s.ownLo == 1 && avoid == s.ownLo {
 		// avoid is the whole own block, which leaves the remote queues,
 		// uniformly. Rejection would spin forever where pOwn rounds to 1.
-		s.Total++
 		s.Remote++
 		r := s.rng.Intn(s.m - 1)
 		if r >= s.ownLo {
@@ -164,16 +160,4 @@ func (s *Sampler) SampleOther(avoid int) int {
 			return q
 		}
 	}
-}
-
-// DefaultK returns the paper's recommendation for the remote-weight
-// divisor: K grows linearly with the worker count so that the internal-
-// access ratio E_int ≈ T(1−1/K) stays controlled as threads scale (§4).
-// The paper's default configuration uses K = 8.
-func DefaultK(workers int) float64 {
-	k := float64(workers) / 4
-	if k < 8 {
-		k = 8
-	}
-	return k
 }

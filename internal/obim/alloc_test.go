@@ -38,8 +38,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	// by whichever handle reaches it, and stays with that handle — each
 	// publishes exactly one chunk per chunk it drains.
 	for name, cfg := range map[string]Config{
-		"fill":      {Workers: 2, Delta: 32},
-		"fill_numa": {Workers: 2, Delta: 32, NUMANodes: 2},
+		"fill": {Workers: 2, Delta: 32},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := New[int](cfg)

@@ -7,13 +7,20 @@ import (
 	"repro/internal/contend"
 )
 
-// TestChunkQueuePadding pins the hand-computed pad in chunkQueue: a
-// bag's per-node queues live in one contiguous slice and each one's
-// mutex is taken by every worker of its node, so the element must be
-// exactly one cache line.
+// TestChunkQueuePadding pins the hand-computed pad in chunkQueue: the
+// queue sits inline at the front of its bag, and its mutex, taken by
+// every publish and refill, must share no cache line with the bag's size
+// counter behind it, which each of them adds to after unlocking — at any
+// alignment of the bag, so the counter starts a full line after the
+// mutex's last byte.
 func TestChunkQueuePadding(t *testing.T) {
 	if sz := unsafe.Sizeof(chunkQueue[int]{}); sz != contend.CacheLineSize {
 		t.Fatalf("chunkQueue size %d, want exactly %d; fix the pad array", sz, contend.CacheLineSize)
+	}
+	var b bag[int]
+	last := unsafe.Offsetof(b.q) + unsafe.Offsetof(b.q.mu) + unsafe.Sizeof(b.q.mu) - 1
+	if gap := unsafe.Offsetof(b.size) - last; gap < contend.CacheLineSize {
+		t.Fatalf("bag size counter %d bytes after the queue mutex's last byte, want >= %d", gap, contend.CacheLineSize)
 	}
 }
 
@@ -35,8 +42,8 @@ func TestDeltaPadding(t *testing.T) {
 	var s Sched[int]
 	start := unsafe.Offsetof(s.delta)
 	end := start + unsafe.Sizeof(s.delta)
-	if before := unsafe.Offsetof(s.topo) + unsafe.Sizeof(s.topo); start-before < contend.CacheLineSize {
-		t.Fatalf("delta only %d bytes after topo, want >= %d", start-before, contend.CacheLineSize)
+	if before := unsafe.Offsetof(s.cfg) + unsafe.Sizeof(s.cfg); start-before < contend.CacheLineSize {
+		t.Fatalf("delta only %d bytes after cfg, want >= %d", start-before, contend.CacheLineSize)
 	}
 	if after := unsafe.Offsetof(s.mu); after-end < contend.CacheLineSize {
 		t.Fatalf("mu only %d bytes after delta, want >= %d", after-end, contend.CacheLineSize)

@@ -7,15 +7,16 @@
 //
 // Tasks are grouped into priority "bags": all tasks whose priority maps
 // to the same bucket (priority >> Delta) are unordered relative to each
-// other. A bag holds chunks — fixed-size task batches — in one FIFO queue
-// per virtual NUMA node (Galois's PerSocketChunkFIFO). As in Galois, a
+// other. A bag holds chunks — fixed-size task batches — in one FIFO
+// queue. (Galois keeps one such queue per socket and steals chunks
+// across sockets; this implementation follows no socket topology, so a
+// bag has one queue and there is no chunk stealing.) As in Galois, a
 // worker keeps one open push chunk per bag it pushes to, in its local
 // mirror of the bag map: a push appends to its bucket's open chunk, and
 // only a full chunk is published, at the tail of its bag. Workers drain
 // a thread-local pop chunk taken from the head of the lowest non-empty
-// bag, preferring their own node's queue and stealing chunks from other
-// nodes otherwise. A global "minimum bucket" hint steers workers toward
-// the best available priority class.
+// bag. A global "minimum bucket" hint steers workers toward the best
+// available priority class.
 //
 // An open chunk is its owner's alone. A refill serves the lower of the
 // lowest published chunk and the owner's lowest-keyed open chunk, the
@@ -58,7 +59,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/contend"
-	"repro/internal/numa"
 	"repro/internal/pq"
 	"repro/internal/sched"
 )
@@ -81,16 +81,10 @@ type Config struct {
 	// AdaptInterval is the number of pops between PMOD adaptation checks
 	// on the leader worker. Default 2048.
 	AdaptInterval int
-	// NUMANodes is the number of virtual sockets for per-node chunk
-	// queues. Default 1.
-	NUMANodes int
 	// PruneBags bounds the global bag map: when the number of bags
 	// reaches this threshold, drained bags are retired and removed so
 	// long runs (or PMOD's shifting Δ) cannot leak memory. Default 4096.
 	PruneBags int
-	// Seed is unused: OBIM makes no random choice. The field is accepted
-	// so the zoo builders can fill every family's Config uniformly.
-	Seed uint64
 }
 
 // Validate reports whether the configuration can build a scheduler:
@@ -111,9 +105,6 @@ func (c Config) Validate() error {
 	if c.AdaptInterval < 0 {
 		return fmt.Errorf("obim: Config.AdaptInterval = %d, must be >= 0", c.AdaptInterval)
 	}
-	if c.NUMANodes < 0 {
-		return fmt.Errorf("obim: Config.NUMANodes = %d, must be >= 0", c.NUMANodes)
-	}
 	if c.PruneBags < 0 || c.PruneBags == 1 {
 		return fmt.Errorf("obim: Config.PruneBags = %d, must be 0 (default) or >= 2", c.PruneBags)
 	}
@@ -131,9 +122,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.AdaptInterval == 0 {
 		c.AdaptInterval = 2048
-	}
-	if c.NUMANodes < 1 {
-		c.NUMANodes = 1
 	}
 	if c.PruneBags == 0 {
 		c.PruneBags = 4096
@@ -158,8 +146,9 @@ type chunk[T any] struct {
 	next  *chunk[T]
 }
 
-// chunkQueue is one NUMA node's FIFO of a bag's chunks. A bag's queues
-// are adjacent in one slice, so each is padded to exactly one cache line.
+// chunkQueue is a bag's FIFO of chunks, padded to exactly one cache
+// line so that the bag's size counter after it, which every publish and
+// refill adds to, never shares a line with the queue's mutex.
 type chunkQueue[T any] struct {
 	mu   sync.Mutex
 	head *chunk[T] // oldest chunk, the next one served
@@ -180,20 +169,20 @@ func (q *chunkQueue[T]) pop() *chunk[T] {
 
 // bag holds every task of one priority class.
 type bag[T any] struct {
-	key    uint64 // priority-range start: (p>>Δ)<<Δ at creation time
-	queues []chunkQueue[T]
-	size   atomic.Int64 // approximate task count, drives PMOD
-	// retired is set (under all queue locks) when the pruner removes
-	// the bag from the global map; no chunk may be added afterwards.
+	q    chunkQueue[T] // first, so its mutex starts the bag's first line
+	key  uint64        // priority-range start: (p>>Δ)<<Δ at creation time
+	size atomic.Int64  // approximate task count, drives PMOD
+	// retired is set (under the queue lock) when the pruner removes the
+	// bag from the global map; no chunk may be added afterwards.
 	retired atomic.Bool
 }
 
-// pushChunk links c at the tail of the bag's queue for node, unless the
-// bag has been retired — the check happens under the queue lock, which is
-// the same lock the pruner holds while retiring, so a chunk can never
-// land in a dropped bag.
-func (b *bag[T]) pushChunk(node int, c *chunk[T]) bool {
-	q := &b.queues[node]
+// pushChunk links c at the tail of the bag's queue, unless the bag has
+// been retired — the check happens under the queue lock, which is the
+// same lock the pruner holds while retiring, so a chunk can never land
+// in a dropped bag.
+func (b *bag[T]) pushChunk(c *chunk[T]) bool {
+	q := &b.q
 	q.mu.Lock()
 	if b.retired.Load() {
 		q.mu.Unlock()
@@ -211,8 +200,7 @@ func (b *bag[T]) pushChunk(node int, c *chunk[T]) bool {
 
 // Sched is the OBIM/PMOD scheduler.
 type Sched[T any] struct {
-	cfg  Config
-	topo numa.Topology
+	cfg Config
 
 	// delta is PMOD's current Δ: every PMOD Push loads it, only the
 	// leader stores it, so it gets a line of its own, away from the
@@ -244,7 +232,6 @@ func New[T any](cfg Config) *Sched[T] {
 	cfg.normalize()
 	s := &Sched[T]{
 		cfg:      cfg,
-		topo:     numa.New(cfg.Workers, cfg.NUMANodes, 1),
 		bags:     make(map[uint64]*bag[T]),
 		workers:  make([]worker[T], cfg.Workers),
 		counters: make([]sched.Counters, cfg.Workers),
@@ -252,12 +239,7 @@ func New[T any](cfg Config) *Sched[T] {
 	s.delta.Store(cfg.Delta)
 	s.minHint.Store(^uint64(0))
 	for i := range s.workers {
-		s.workers[i] = worker[T]{
-			s:    s,
-			id:   i,
-			node: s.topo.NodeOfWorker(i),
-			c:    &s.counters[i],
-		}
+		s.workers[i] = worker[T]{s: s, id: i, c: &s.counters[i]}
 	}
 	return s
 }
@@ -310,7 +292,7 @@ func (s *Sched[T]) bagFor(key uint64) *bag[T] {
 	if len(s.bags) >= s.cfg.PruneBags {
 		s.pruneLocked()
 	}
-	b = &bag[T]{key: key, queues: make([]chunkQueue[T], s.topo.Nodes)}
+	b = &bag[T]{key: key}
 	s.bags[key] = b
 	i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= key })
 	s.keys = append(s.keys, 0)
@@ -320,34 +302,22 @@ func (s *Sched[T]) bagFor(key uint64) *bag[T] {
 }
 
 // pruneLocked retires and removes every fully drained bag. Caller holds
-// the write lock. For each candidate, all of its queue locks are taken;
-// only if every queue is empty is the bag retired — pushChunk checks the
-// retired flag under the same queue lock, so no task can slip into a
-// retired bag.
+// the write lock. Each candidate's queue lock is taken; only if its
+// queue is empty is the bag retired — pushChunk checks the retired flag
+// under the same lock, so no task can slip into a retired bag.
 func (s *Sched[T]) pruneLocked() {
 	keep := s.keys[:0]
 	for _, key := range s.keys {
 		b := s.bags[key]
-		for i := range b.queues {
-			b.queues[i].mu.Lock()
-		}
-		empty := true
-		for i := range b.queues {
-			if b.queues[i].head != nil {
-				empty = false
-				break
-			}
-		}
-		if empty {
+		b.q.mu.Lock()
+		if b.q.head == nil {
 			b.retired.Store(true)
 			delete(s.bags, key)
 			s.pruned.Add(1)
 		} else {
 			keep = append(keep, key)
 		}
-		for i := len(b.queues) - 1; i >= 0; i-- {
-			b.queues[i].mu.Unlock()
-		}
+		b.q.mu.Unlock()
 	}
 	// keep reuses s.keys' backing array; clear the tail for GC hygiene.
 	tail := s.keys[len(keep):]
@@ -428,10 +398,9 @@ func (h *openHeap[T]) Pop() any {
 // worker is the per-goroutine handle. Workers are adjacent in one slice
 // and every field below c is written per task, hence the trailing pad.
 type worker[T any] struct {
-	s    *Sched[T]
-	id   int
-	node int
-	c    *sched.Counters
+	s  *Sched[T]
+	id int
+	c  *sched.Counters
 
 	// bags mirrors the global map for the keys this worker pushes to
 	// (OBIM's "global map mirrored locally for cache efficiency") and
@@ -533,7 +502,7 @@ func (w *worker[T]) flushPush() {
 	lb := w.push
 	c := w.closeOpen(lb)
 	n := int64(len(c.items)) // c is another worker's once it is linked
-	for !lb.b.pushChunk(w.node, c) {
+	for !lb.b.pushChunk(c) {
 		// Retired since the entry resolved it: the global map has a
 		// live bag for the key, or makes one.
 		lb.b = w.s.bagFor(lb.key)
@@ -593,23 +562,7 @@ func (w *worker[T]) refill(full bool) bool {
 	idx := sort.Search(len(keys), func(i int) bool { return keys[i] >= start })
 	for ; idx < len(keys) && (own == nil || keys[idx] <= own.key); idx++ {
 		b := s.bags[keys[idx]]
-		c := b.queues[w.node].pop()
-		if c == nil {
-			// Steal a chunk from another node's queue.
-			for off := 1; off < len(b.queues); off++ {
-				n := w.node + off
-				if n >= len(b.queues) {
-					n -= len(b.queues)
-				}
-				if c = b.queues[n].pop(); c != nil {
-					w.c.Steals++
-					w.c.StolenTask += uint64(len(c.items))
-					w.c.Remote++
-					break
-				}
-			}
-		}
-		if c != nil {
+		if c := b.q.pop(); c != nil {
 			// Capture the key before unlocking: bagFor mutates the keys
 			// backing array in place under the write lock.
 			key := keys[idx]

@@ -10,7 +10,7 @@ import (
 func TestDefaults(t *testing.T) {
 	c := Config{Workers: 1}
 	c.normalize()
-	if c.Delta != 10 || c.ChunkSize != 64 || c.NUMANodes != 1 {
+	if c.Delta != 10 || c.ChunkSize != 64 {
 		t.Fatalf("bad defaults: %+v", c)
 	}
 }
@@ -124,7 +124,6 @@ func TestNoLostTasksConcurrent(t *testing.T) {
 	}{
 		{"obim", Config{Workers: 4, Delta: 6, ChunkSize: 16}},
 		{"pmod", Config{Workers: 4, Delta: 6, ChunkSize: 16, Adaptive: true, AdaptInterval: 256}},
-		{"obim_numa", Config{Workers: 4, Delta: 6, ChunkSize: 16, NUMANodes: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New[int](tc.cfg)

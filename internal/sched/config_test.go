@@ -102,7 +102,6 @@ func TestConfigValidation(t *testing.T) {
 		{name: "coarse/valid", cfg: coarse.Config{Workers: 2}, valid: true,
 			build: func() sched.Scheduler[int] { return coarse.New[int](coarse.Config{Workers: 2}) }},
 		{name: "coarse/zero workers", cfg: coarse.Config{}, valid: false},
-		{name: "coarse/HeapArity 1", cfg: coarse.Config{Workers: 2, HeapArity: 1}, valid: false},
 
 		// Lock-free CBPQ
 		{name: "cbpq/valid", cfg: cbpq.Config{Workers: 2}, valid: true,

@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	"repro/internal/cbpq"
-	"repro/internal/core"
 	"repro/internal/klsm"
 	"repro/internal/mq"
 	"repro/internal/sched"
@@ -36,7 +35,6 @@ import (
 // the same family builders as the registry.
 func conformanceSchedulers() []zoo.Spec[uint32] {
 	return append(zoo.Lineup[uint32](),
-		zoo.SMQ[uint32]("SMQ/heap-insbatch", core.Config{InsertBatch: 8}),
 		zoo.MQ[uint32]("MQ/temporal", mq.Config{C: 4,
 			Insert: mq.InsertTemporalLocality, PInsertChange: 1.0 / 64,
 			Delete: mq.DeleteTemporalLocality, PDeleteChange: 1.0 / 64}),

@@ -232,6 +232,23 @@ func (w *popWatchWorker) PopN(dst []sched.Task[uint32]) int {
 	return *w.last
 }
 
+// settledGoroutines returns runtime.NumGoroutine once it has read the
+// same for 20 consecutive milliseconds (or after 5 s): a worker of an
+// earlier test may still be between its wg.Done() and its exit.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	deadline := time.Now().Add(5 * time.Second)
+	for stable := 0; stable < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
+}
+
 // TestStreamIdleFeed drives the work-conserving feed. Tasks come from a
 // shared source in chunks. Worker 0 takes chunks until only a reserve is
 // left, then ends the stream once the source is empty; the other workers
@@ -244,7 +261,7 @@ func (w *popWatchWorker) PopN(dst []sched.Task[uint32]) int {
 // once.
 func TestStreamIdleFeed(t *testing.T) {
 	const workers, total, chunk, reserve, rounds = 3, 512, 4, 8 * 4, 5
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	var raced, idleFed int
 	for round := 0; round < rounds; round++ {
 		var (

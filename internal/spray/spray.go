@@ -20,13 +20,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// Config parameterizes the SprayList.
+// Config parameterizes the SprayList. The spray walk is the paper's
+// recommendation for the worker count (cskiplist.DefaultSprayParams).
 type Config struct {
 	// Workers is the number of worker slots. Required.
 	Workers int
-	// Params tunes the spray walk; the zero value derives the paper's
-	// recommendation from Workers.
-	Params cskiplist.SprayParams
 	// Seed makes runs reproducible.
 	Seed uint64
 }
@@ -34,6 +32,7 @@ type Config struct {
 // Sched is the SprayList scheduler.
 type Sched[T any] struct {
 	cfg      Config
+	params   cskiplist.SprayParams // DefaultSprayParams(Workers)
 	list     *cskiplist.SkipList[T]
 	workers  []contend.Padded[worker[T]]
 	counters []sched.Counters
@@ -59,17 +58,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// WithDefaults returns a copy with the zero Seed and zero Params
-// replaced by their documented defaults (seed 1, the paper's
-// recommended spray parameters for Workers). Construction applies it
-// after Validate.
+// WithDefaults returns a copy with the zero Seed replaced by 1.
+// Construction applies it after Validate.
 func (c Config) WithDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	zero := cskiplist.SprayParams{}
-	if c.Params == zero {
-		c.Params = cskiplist.DefaultSprayParams(c.Workers)
 	}
 	return c
 }
@@ -82,6 +75,7 @@ func New[T any](cfg Config) *Sched[T] {
 	cfg = cfg.WithDefaults()
 	s := &Sched[T]{
 		cfg:      cfg,
+		params:   cskiplist.DefaultSprayParams(cfg.Workers),
 		list:     cskiplist.New[T](cfg.Seed),
 		workers:  make([]contend.Padded[worker[T]], cfg.Workers),
 		counters: make([]sched.Counters, cfg.Workers),
@@ -127,7 +121,7 @@ func (w *worker[T]) PopN(dst []sched.Task[T]) int { return sched.PopNLoop[T](w, 
 
 // Pop sprays a near-minimal element from the shared skip list.
 func (w *worker[T]) Pop() (uint64, T, bool) {
-	p, v, ok := w.s.list.Spray(w.s.cfg.Params, &w.rng)
+	p, v, ok := w.s.list.Spray(w.s.params, &w.rng)
 	if ok {
 		w.c.Pops++
 	} else {

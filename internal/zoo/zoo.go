@@ -25,10 +25,10 @@ import (
 	"repro/internal/cbpq"
 	"repro/internal/coarse"
 	"repro/internal/core"
-	"repro/internal/cskiplist"
 	"repro/internal/klsm"
 	"repro/internal/mq"
 	"repro/internal/obim"
+	"repro/internal/pq"
 	"repro/internal/ranksim"
 	"repro/internal/sched"
 	"repro/internal/spray"
@@ -131,9 +131,6 @@ func SMQSkip[T any](name string, cfg core.Config) Spec[T] {
 func stealing[T any](name string, cfg core.Config, build func(core.Config) *core.SMQ[T]) Spec[T] {
 	c := cfg.WithDefaults()
 	params := fmt.Sprintf("steal=%d psteal=%.3g", c.StealSize, c.StealProb)
-	if c.InsertBatch > 1 {
-		params += fmt.Sprintf(" insbatch=%d", c.InsertBatch)
-	}
 	return Spec[T]{
 		Name: name, Params: params + numaLabel(c.NUMANodes, c.NUMAWeightK),
 		Make: func(w int, seed uint64) sched.Scheduler[T] {
@@ -217,14 +214,11 @@ func OBIM[T any](name string, cfg obim.Config) Spec[T] {
 	if c.Adaptive {
 		params += " adaptive"
 	}
-	if c.NUMANodes > 1 {
-		params += fmt.Sprintf(" numa=%d", c.NUMANodes)
-	}
 	return Spec[T]{
 		Name: name, Params: params,
-		Make: func(w int, seed uint64) sched.Scheduler[T] {
+		Make: func(w int, _ uint64) sched.Scheduler[T] {
 			cfg := cfg
-			cfg.Workers, cfg.Seed = w, seed
+			cfg.Workers = w
 			return obim.New[T](cfg)
 		},
 	}
@@ -247,16 +241,12 @@ func CBPQ[T any](name string, cfg cbpq.Config) Spec[T] {
 	}
 }
 
-// Spray labels and builds a SprayList. Zero spray parameters are
-// resolved from the worker count at build time, so they are labelled
-// "auto" rather than with numbers no build is guaranteed to use.
+// Spray labels and builds a SprayList. Its spray parameters are derived
+// from the worker count at build time, so they are labelled "auto"
+// rather than with numbers no build is guaranteed to use.
 func Spray[T any](name string, cfg spray.Config) Spec[T] {
-	params := "spray=auto"
-	if p := cfg.Params; p != (cskiplist.SprayParams{}) {
-		params = fmt.Sprintf("height=%d jump=%d descend=%d retries=%d", p.Height, p.JumpLen, p.Descend, p.MaxRetries)
-	}
 	return Spec[T]{
-		Name: name, Params: params,
+		Name: name, Params: "spray=auto",
 		Make: func(w int, seed uint64) sched.Scheduler[T] {
 			cfg := cfg
 			cfg.Workers, cfg.Seed = w, seed
@@ -274,7 +264,7 @@ func Spray[T any](name string, cfg spray.Config) Spec[T] {
 // Coarse labels and builds the coarse-locked global heap.
 func Coarse[T any](name string, cfg coarse.Config) Spec[T] {
 	return Spec[T]{
-		Name: name, Params: fmt.Sprintf("single global heap d=%d", cfg.WithDefaults().HeapArity),
+		Name: name, Params: fmt.Sprintf("single global heap d=%d", pq.DefaultArity),
 		Make: func(w int, _ uint64) sched.Scheduler[T] {
 			cfg := cfg
 			cfg.Workers = w

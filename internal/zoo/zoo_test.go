@@ -96,8 +96,8 @@ func TestLineupBuildsTheWrittenOutConfigurations(t *testing.T) {
 		"mq-batch": mq.New[int](mq.Config{Workers: w, C: 4, Insert: mq.InsertBatch, Delete: mq.DeleteBatch, Seed: seed}),
 		"reld":     mq.New[int](mq.Config{Workers: w, C: 1, Delete: mq.DeleteLocal, Seed: seed}),
 		"klsm":     klsm.New[int](klsm.Config{Workers: w}),
-		"obim":     obim.New[int](obim.Config{Workers: w, Seed: seed}),
-		"pmod":     obim.New[int](obim.Config{Workers: w, Adaptive: true, Seed: seed}),
+		"obim":     obim.New[int](obim.Config{Workers: w}),
+		"pmod":     obim.New[int](obim.Config{Workers: w, Adaptive: true}),
 		"emq": mq.New[int](mq.Config{Workers: w, C: 2, Insert: mq.InsertBatch, Delete: mq.DeleteBatch,
 			BatchInsert: 16, BatchDelete: 16, HeapArity: 8, PeekTops: true, Stickiness: 16, Seed: seed}),
 	}
@@ -139,7 +139,7 @@ func TestParamsComeFromTheEffectiveConfig(t *testing.T) {
 		{"CBPQ", CBPQ[int]("x", cbpq.Config{}).Params,
 			CBPQ[int]("x", cbpq.Config{}.WithDefaults()).Params, fmt.Sprintf("chunk=%d combining", cbpq.DefaultChunkCap)},
 		{"Coarse", Coarse[int]("x", coarse.Config{}).Params,
-			Coarse[int]("x", coarse.Config{}.WithDefaults()).Params, fmt.Sprintf("single global heap d=%d", pq.DefaultArity)},
+			Coarse[int]("x", coarse.Config{Workers: 2}).Params, fmt.Sprintf("single global heap d=%d", pq.DefaultArity)},
 		{"Spray", Spray[int]("x", spray.Config{}).Params,
 			Spray[int]("x", spray.Config{Seed: 1}).Params, "spray=auto"},
 	} {
@@ -149,7 +149,6 @@ func TestParamsComeFromTheEffectiveConfig(t *testing.T) {
 	}
 	for _, tc := range []struct{ got, want string }{
 		{SMQ[int]("x", core.Config{StealSize: 8, StealProb: 0.25, NUMANodes: 2}).Params, "steal=8 psteal=0.25 numa=2 K=8"},
-		{SMQSkip[int]("x", core.Config{InsertBatch: 8}).Params, "steal=4 psteal=0.125 insbatch=8"},
 		{MQ[int]("x", mq.Config{Insert: mq.InsertBatch, Delete: mq.DeleteBatch, BatchDelete: 2}).Params, "C=4 ins=batch8 del=batch2"},
 		{MQ[int]("x", mq.Config{PInsertChange: 0.25, PDeleteChange: 0.5, PeekTops: true}).Params, "C=4 ins=tl0.25 del=tl0.5 peektops"},
 		{MQ[int]("x", mq.RELD(0)).Params, "C=1 del=local"},

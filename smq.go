@@ -306,7 +306,10 @@ type Pending = sched.Pending
 type Backoff = sched.Backoff
 
 // SMQConfig configures the Stealing Multi-Queue (defaults: StealSize 4,
-// StealProb 1/8, 4-ary heaps — the paper's default configuration).
+// StealProb 1/8, 4-ary heaps — the paper's default configuration). A
+// worker whose own queue is empty probes 2·Workers victims before its
+// Pop reports empty. The SMQ has no insert buffer of its own: a batch
+// of inserts goes in through PushN, as the worker loop's Sink does.
 type SMQConfig = core.Config
 
 // MQConfig configures the Multi-Queue family: the classic queue, its task
@@ -392,8 +395,8 @@ func NewKLSM[T any](cfg KLSMConfig) Scheduler[T] {
 }
 
 // NewOBIM builds the Galois OBIM baseline (priority bags keyed by
-// priority >> delta; each bag a FIFO of recycled task chunks per virtual
-// node, served oldest chunk first).
+// priority >> delta; each bag one FIFO of recycled task chunks, served
+// oldest chunk first).
 func NewOBIM[T any](cfg OBIMConfig) Scheduler[T] {
 	return obim.New[T](cfg)
 }

@@ -77,7 +77,7 @@ func TestClusterIdenticalAcrossSchedulers(t *testing.T) {
 	const workers = 4
 	base := testCluster(t, workers)
 	spec, _ := zoo.Lookup[Event]("coarse")
-	st, err := Run(spec.Build(workers, 7), base, Config{Workers: workers, Lookahead: 0})
+	st, err := Run(spec.Make(workers, 7), base, Config{Workers: workers, Lookahead: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestClusterIdenticalAcrossSchedulers(t *testing.T) {
 			}
 			// Unchecked run: this test is about model identity, not
 			// the causality window.
-			st, err := Run(spec.Build(workers, 7), m, Config{Workers: workers, Lookahead: -1})
+			st, err := Run(spec.Make(workers, 7), m, Config{Workers: workers, Lookahead: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,12 +131,12 @@ func TestKLSMWithinWorstCaseBound(t *testing.T) {
 
 	base := testCluster(t, workers)
 	cs, _ := zoo.Lookup[Event]("coarse")
-	if _, err := Run(cs.Build(workers, 7), base, Config{Workers: workers, Lookahead: 0}); err != nil {
+	if _, err := Run(cs.Make(workers, 7), base, Config{Workers: workers, Lookahead: 0}); err != nil {
 		t.Fatal(err)
 	}
 
 	m := testCluster(t, workers)
-	st, err := Run(spec.Build(workers, 7), m, Config{Workers: workers, Lookahead: bound})
+	st, err := Run(spec.Make(workers, 7), m, Config{Workers: workers, Lookahead: bound})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCoarseWithinZeroBound(t *testing.T) {
 	const workers = 4
 	m := testCluster(t, workers)
 	spec, _ := zoo.Lookup[Event]("coarse")
-	st, err := Run(spec.Build(workers, 7), m, Config{Workers: workers, Lookahead: 0})
+	st, err := Run(spec.Make(workers, 7), m, Config{Workers: workers, Lookahead: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ func TestCBPQWithinZeroBound(t *testing.T) {
 	// Cluster: zero-lookahead run vs the coarse baseline.
 	base := testCluster(t, workers)
 	cs, _ := zoo.Lookup[Event]("coarse")
-	if _, err := Run(cs.Build(workers, 7), base, Config{Workers: workers, Lookahead: 0}); err != nil {
+	if _, err := Run(cs.Make(workers, 7), base, Config{Workers: workers, Lookahead: 0}); err != nil {
 		t.Fatal(err)
 	}
 	m := testCluster(t, workers)
-	st, err := Run(spec.Build(workers, 7), m, Config{Workers: workers, Lookahead: 0})
+	st, err := Run(spec.Make(workers, 7), m, Config{Workers: workers, Lookahead: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestCBPQWithinZeroBound(t *testing.T) {
 		return d
 	}
 	dagBase := newDAG()
-	if _, err := Run(cs.Build(workers, 11), dagBase, Config{Workers: workers, Lookahead: 0}); err != nil {
+	if _, err := Run(cs.Make(workers, 11), dagBase, Config{Workers: workers, Lookahead: 0}); err != nil {
 		t.Fatal(err)
 	}
 	dm := newDAG()
-	st, err = Run(spec.Build(workers, 11), dm, Config{Workers: workers, Lookahead: 0})
+	st, err = Run(spec.Make(workers, 11), dm, Config{Workers: workers, Lookahead: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestBoundSourceLabels(t *testing.T) {
 func TestBelowBoundViolationsDetected(t *testing.T) {
 	m := testCluster(t, 1)
 	spec, _ := zoo.Lookup[Event]("mq")
-	st, err := Run(spec.Build(1, 7), m, Config{Workers: 1, Lookahead: 0})
+	st, err := Run(spec.Make(1, 7), m, Config{Workers: 1, Lookahead: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestBelowBoundViolationsDetected(t *testing.T) {
 	// it must not change the simulated outcome.
 	base := testCluster(t, 1)
 	cs, _ := zoo.Lookup[Event]("coarse")
-	if _, err := Run(cs.Build(1, 7), base, Config{Workers: 1, Lookahead: -1}); err != nil {
+	if _, err := Run(cs.Make(1, 7), base, Config{Workers: 1, Lookahead: -1}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Checksum() != base.Checksum() {
@@ -291,7 +291,7 @@ func TestDAGMakespanIdenticalAcrossSchedulers(t *testing.T) {
 	}
 	base := newDAG()
 	cs, _ := zoo.Lookup[Event]("coarse")
-	st, err := Run(cs.Build(workers, 11), base, Config{Workers: workers, Lookahead: 0})
+	st, err := Run(cs.Make(workers, 11), base, Config{Workers: workers, Lookahead: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestDAGMakespanIdenticalAcrossSchedulers(t *testing.T) {
 	for _, name := range []string{"smq", "klsm", "obim"} {
 		m := newDAG()
 		spec, _ := zoo.Lookup[Event](name)
-		if _, err := Run(spec.Build(workers, 11), m, Config{Workers: workers, Lookahead: -1}); err != nil {
+		if _, err := Run(spec.Make(workers, 11), m, Config{Workers: workers, Lookahead: -1}); err != nil {
 			t.Fatal(err)
 		}
 		if m.Makespan() != base.Makespan() {

@@ -7,10 +7,9 @@ import (
 	"repro/internal/desim"
 )
 
-// Example mirrors examples/desim: look a scheduler up by name through
-// the public Spec API, simulate a small cluster with the causality
-// window set to the scheduler's rank bound, and read the
-// order-independent results. Every value printed here is deterministic
+// Example looks a scheduler up by name through the public Spec API,
+// simulates a small cluster with the causality window set to the
+// scheduler's rank bound, and reads the order-independent results. Every value printed here is deterministic
 // by construction — model outcomes do not depend on the scheduler, the
 // worker count, or execution interleaving — so the output is pinned.
 func Example() {
@@ -27,7 +26,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	stats, err := desim.Run(spec.Build(workers, 7), model, desim.Config{
+	stats, err := desim.Run(spec.Make(workers, 7), model, desim.Config{
 		Workers:   workers,
 		Lookahead: bound,
 	})

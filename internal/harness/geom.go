@@ -109,7 +109,7 @@ func planGeom(cfg RunConfig) (*Plan, error) {
 			}, func(c Cell) (CellResult, error) {
 				var best algos.Result
 				for r := 0; r < c.Reps; r++ {
-					got, res := algos.KNNGraph(d.PS, geomK, spec.Build(c.Threads, repSeed(c.Seed, r)))
+					got, res := algos.KNNGraph(d.PS, geomK, spec.Make(c.Threads, repSeed(c.Seed, r)))
 					if validate {
 						base.ensure(d.PS)
 						if !reflect.DeepEqual(got, base.knnWant) {
@@ -130,7 +130,7 @@ func planGeom(cfg RunConfig) (*Plan, error) {
 				base.ensure(d.PS) // exactness check is unconditional for EMST
 				var best algos.Result
 				for r := 0; r < c.Reps; r++ {
-					gotW, gotE, res := algos.EuclideanMST(d.PS, geomK, spec.Build(c.Threads, repSeed(c.Seed, r)))
+					gotW, gotE, res := algos.EuclideanMST(d.PS, geomK, spec.Make(c.Threads, repSeed(c.Seed, r)))
 					if gotW != base.wantW || gotE != base.wantE {
 						return CellResult{}, fmt.Errorf("geom: %s/%s: EMST = (%d, %d), want (%d, %d)",
 							d.Name, spec.Name, gotW, gotE, base.wantW, base.wantE)

@@ -200,9 +200,6 @@ func registered(name string) SchedulerSpec {
 // additional comparison series.
 func StandardSchedulers() []SchedulerSpec {
 	return []SchedulerSpec{
-		// The first four entries are the headline lineup; root benchmarks
-		// slice them with [:4], so new series must be appended after
-		// "mq" below.
 		registered("smq"),
 		zoo.SMQ[uint32]("smq-tuned", core.Config{StealSize: 8, StealProb: 1.0 / 4}),
 		registered("smq-skip"),
@@ -265,7 +262,7 @@ func MeasureSeeded(w *Workload, spec SchedulerSpec, threads, reps int, validate 
 	}
 	var best algos.Result
 	for r := 0; r < reps; r++ {
-		res, err := w.Run(spec.Build(threads, repSeed(seed, r)), validate)
+		res, err := w.Run(spec.Make(threads, repSeed(seed, r)), validate)
 		if err != nil {
 			return Measurement{}, err
 		}

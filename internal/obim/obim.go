@@ -170,7 +170,7 @@ func (q *chunkQueue[T]) pop() *chunk[T] {
 // bag holds every task of one priority class.
 type bag[T any] struct {
 	q    chunkQueue[T] // first, so its mutex starts the bag's first line
-	key  uint64        // priority-range start: (p>>Δ)<<Δ at creation time
+	_    [8]byte       // keeps size a full line past the queue mutex
 	size atomic.Int64  // approximate task count, drives PMOD
 	// retired is set (under the queue lock) when the pruner removes the
 	// bag from the global map; no chunk may be added afterwards.
@@ -292,7 +292,7 @@ func (s *Sched[T]) bagFor(key uint64) *bag[T] {
 	if len(s.bags) >= s.cfg.PruneBags {
 		s.pruneLocked()
 	}
-	b = &bag[T]{key: key}
+	b = &bag[T]{}
 	s.bags[key] = b
 	i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= key })
 	s.keys = append(s.keys, 0)

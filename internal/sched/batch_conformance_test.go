@@ -41,7 +41,7 @@ func TestBatchConformanceEdgeCases(t *testing.T) {
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := tc.Build(2, 0)
+			s := tc.Make(2, 0)
 			w := s.Worker(0)
 
 			// Empty batch: PushN of nothing and PopN into an empty dst
@@ -100,7 +100,7 @@ func TestBatchConformanceInterleaved(t *testing.T) {
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := tc.Build(1, 0)
+			s := tc.Make(1, 0)
 			w := s.Worker(0)
 			const total = 3000
 			counts := make([]int32, total)
@@ -159,7 +159,7 @@ func TestBatchConformanceConcurrent(t *testing.T) {
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := tc.Build(workers, 0)
+			s := tc.Make(workers, 0)
 			total := workers * perWorker
 			atomicCounts := make([]atomic.Int32, total)
 			var pending sched.Pending
@@ -248,7 +248,7 @@ func TestPopIsPopNOfOne(t *testing.T) {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
 			drain := func(pop func(w sched.Worker[uint32]) (sched.Task[uint32], bool)) ([]sched.Task[uint32], sched.Stats) {
-				s := tc.Build(workers, 7)
+				s := tc.Make(workers, 7)
 				hs := make([]sched.Worker[uint32], workers)
 				for i := range hs {
 					hs[i] = s.Worker(i)

@@ -128,7 +128,7 @@ func TestConformance(t *testing.T) {
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := tc.Build(workers, 0)
+			s := tc.Make(workers, 0)
 			counts := drainConcurrently(t, s, workers, perWorker)
 
 			lost, duplicated := 0, 0
@@ -170,7 +170,7 @@ func TestConformanceSingleWorker(t *testing.T) {
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			s := tc.Build(1, 0)
+			s := tc.Make(1, 0)
 			counts := drainConcurrently(t, s, 1, perWorker)
 			for v, c := range counts {
 				if c != 1 {
@@ -192,7 +192,7 @@ func TestConformanceSingleWorker(t *testing.T) {
 func TestConformancePendingSpuriousEmpty(t *testing.T) {
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
-			s := tc.Build(2, 0)
+			s := tc.Make(2, 0)
 			var pending sched.Pending
 
 			// Worker 0 pushes one task; depending on the scheduler it may

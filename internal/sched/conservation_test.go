@@ -131,7 +131,7 @@ func TestConservationMixedBatch(t *testing.T) {
 	}
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
-			conserveMixed(t, tc.Build(workers, 0), workers, perWorker)
+			conserveMixed(t, tc.Make(workers, 0), workers, perWorker)
 		})
 	}
 }
@@ -238,7 +238,7 @@ func TestConservationHold(t *testing.T) {
 	}
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
-			conserveHold(t, tc.Build(workers, 0), workers, perWorker, rounds)
+			conserveHold(t, tc.Make(workers, 0), workers, perWorker, rounds)
 		})
 	}
 }
@@ -258,7 +258,7 @@ func TestConservationOversubscribed(t *testing.T) {
 	}
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
-			conserveMixed(t, tc.Build(workers, 0), workers, perWorker)
+			conserveMixed(t, tc.Make(workers, 0), workers, perWorker)
 		})
 	}
 }

@@ -15,8 +15,7 @@ import (
 // non-test file of the module outside this package declares a
 // sched.Backoff or asks Pending whether the run is over — Quiesced(), or
 // Done() used as a value (a WaitGroup's Done is a statement) — so nobody
-// can hand-write another pop→quiesce→backoff loop. The public alias
-// `type Backoff = sched.Backoff` in smq.go is the one allowed mention.
+// can hand-write another pop→quiesce→backoff loop.
 func TestOneWorkerLoop(t *testing.T) {
 	const root = "../.."
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -39,7 +38,7 @@ func TestOneWorkerLoop(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		statement, alias := map[*ast.CallExpr]bool{}, map[ast.Expr]bool{}
+		statement := map[*ast.CallExpr]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
@@ -48,10 +47,8 @@ func TestOneWorkerLoop(t *testing.T) {
 				}
 			case *ast.DeferStmt:
 				statement[n.Call] = true
-			case *ast.TypeSpec:
-				alias[n.Type] = rel == "smq.go" && n.Assign.IsValid()
 			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && x.Name == "sched" && n.Sel.Name == "Backoff" && !alias[n] {
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "sched" && n.Sel.Name == "Backoff" {
 					t.Errorf("%s: sched.Backoff outside internal/sched", fset.Position(n.Pos()))
 				}
 			case *ast.CallExpr:

@@ -24,7 +24,7 @@ func TestStressHoldConservation(t *testing.T) {
 	}
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
-			conserveHold(t, tc.Build(workers, 0), workers, 2000, 20000)
+			conserveHold(t, tc.Make(workers, 0), workers, 2000, 20000)
 		})
 	}
 }
@@ -38,7 +38,7 @@ func TestStressMixedConservation(t *testing.T) {
 	}
 	for _, tc := range conformanceSchedulers() {
 		t.Run(tc.Name, func(t *testing.T) {
-			conserveMixed(t, tc.Build(workers, 0), workers, 12000)
+			conserveMixed(t, tc.Make(workers, 0), workers, 12000)
 		})
 	}
 }

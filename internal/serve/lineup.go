@@ -24,5 +24,5 @@ func Build(name string, workers int, seed uint64) (sched.Scheduler[Request], err
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown scheduler %q (known: %v)", name, zoo.Names())
 	}
-	return spec.Build(workers, seed), nil
+	return spec.Make(workers, seed), nil
 }

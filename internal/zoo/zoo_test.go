@@ -23,7 +23,7 @@ import (
 func TestLineupBuildsEverySpec(t *testing.T) {
 	for _, spec := range Lineup[int]() {
 		for _, seed := range []uint64{0, 42} {
-			s := spec.Build(2, seed)
+			s := spec.Make(2, seed)
 			if s.Workers() != 2 {
 				t.Fatalf("%s: Workers() = %d, want 2", spec.Name, s.Workers())
 			}
@@ -106,7 +106,7 @@ func TestLineupBuildsTheWrittenOutConfigurations(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not registered", name)
 		}
-		gotOrder, gotStats := lockstepDrain(t, spec.Build(w, seed))
+		gotOrder, gotStats := lockstepDrain(t, spec.Make(w, seed))
 		wantOrder, wantStats := lockstepDrain(t, ref)
 		if !slices.Equal(gotOrder, wantOrder) || gotStats != wantStats {
 			t.Errorf("%s: registry build differs from the written-out configuration\n got stats %+v\nwant stats %+v",

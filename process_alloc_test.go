@@ -26,7 +26,7 @@ func TestSteadyStateProcessAllocFree(t *testing.T) {
 			spec, _ := smq.LookupSpec[int](name)
 			var before, after runtime.MemStats
 			done := 0
-			smq.Process(spec.Build(1, 5),
+			smq.Process(spec.Make(1, 5),
 				func(w smq.Worker[int]) {
 					for i := 0; i < resident; i++ {
 						w.Push(uint64(i), i)

@@ -107,7 +107,7 @@ func TestProcessConservesAcrossTheZoo(t *testing.T) {
 	for _, spec := range smq.Lineup[uint32]() {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", spec.Name, workers), func(t *testing.T) {
-				expandTree(t, spec.Build(workers, 7), depth, emitScalar)
+				expandTree(t, spec.Make(workers, 7), depth, emitScalar)
 			})
 		}
 	}
@@ -150,7 +150,7 @@ func TestProcessSSSPMatchesDijkstra(t *testing.T) {
 				dist[i].Store(smq.Unreachable)
 			}
 			dist[0].Store(0)
-			smq.Process(spec.Build(4, 11),
+			smq.Process(spec.Make(4, 11),
 				func(w smq.Worker[uint32]) { w.Push(0, 0) },
 				func(_ int, w smq.Worker[uint32], pending *smq.Pending, p uint64, u uint32) {
 					du := dist[u].Load()

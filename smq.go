@@ -10,8 +10,9 @@
 // MultiQueue (EMQ) of Williams, Sanders and Dementiev, "Engineering
 // MultiQueues: Fast Relaxed Concurrent Priority Queues" (2021) — the
 // strongest published Multi-Queue follow-up, which adds queue stickiness
-// to the Multi-Queue's insertion/deletion buffers; see NewEngineeredMQ
-// and MQConfig.Stickiness — and the k-LSM of Wimmer, Gruber, Träff
+// to the Multi-Queue's insertion/deletion buffers; the "emq" spec builds
+// it at their recommended configuration, and MQConfig.Stickiness is its
+// knob — and the k-LSM of Wimmer, Gruber, Träff
 // and Tsigas, "The Lock-Free k-LSM Relaxed Priority Queue" (PPoPP 2015),
 // the strongest non-Multi-Queue baseline of the paper's evaluation: a
 // log-structured-merge queue whose relaxation is the explicit capacity
@@ -115,17 +116,31 @@
 //
 // # Named schedulers
 //
-// Every root constructor has a named, default-configured counterpart in
-// the Spec registry: Lineup lists the whole zoo (exact coarse baseline
-// first) and LookupSpec resolves one name. A Spec bundles the factory
-// — Build(workers, seed) — with the scheduler's RankBound, so generic
+// LookupSpec(name).Make(workers, seed) is the one way to build a
+// scheduler at its default configuration: Lineup lists the whole zoo
+// (exact coarse baseline first) and LookupSpec resolves one name. A Spec
+// bundles the factory, Make, with the scheduler's RankBound, so generic
 // drivers (repo benchmark, serving front-end, simulation engine) can
 // construct any scheduler by name and reason about its relaxation
 // without a hand-maintained switch:
 //
 //	spec, _ := smq.LookupSpec[string]("klsm")
-//	s := spec.Build(8, 42)
+//	s := spec.Make(8, 42)
 //	bound, exact := spec.RankBound(8) // 1800, true
+//
+// A New* constructor exists only where a caller may turn a knob of the
+// scheduler's config (NewMultiQueue with RELD's MQConfig{C: 1, Delete:
+// DeleteLocal}, NewOBIM with PMOD's OBIMConfig{Adaptive: true}, ...);
+// each has an Example that does.
+//
+// # Exports
+//
+// An exported identifier of this package stays only if an
+// output-checked Example uses it, non-test code uses it (today that is
+// the repo benchmark in bench/), or it appears in the signature of an
+// identifier that stays; TestExportsFollowTheRule checks the rule over
+// smq.go, example_test.go and bench/. Applying it took the exports of
+// smq.go from 59 to 50.
 //
 // # Simulation & safe lookahead
 //
@@ -279,7 +294,6 @@ import (
 	"repro/internal/obim"
 	"repro/internal/ranksim"
 	"repro/internal/sched"
-	"repro/internal/spray"
 	"repro/internal/zoo"
 )
 
@@ -294,16 +308,9 @@ type Worker[T any] = sched.Worker[T]
 // PopN; see the package documentation's Batching section.
 type Task[T any] = sched.Task[T]
 
-// Stats aggregates scheduler counters (pushes, pops, steals, lock
-// failures, remote accesses).
-type Stats = sched.Stats
-
 // Pending is the in-flight task counter used for termination detection
 // with relaxed schedulers.
 type Pending = sched.Pending
-
-// Backoff is a bounded spin/yield backoff for worker retry loops.
-type Backoff = sched.Backoff
 
 // SMQConfig configures the Stealing Multi-Queue (defaults: StealSize 4,
 // StealProb 1/8, 4-ary heaps — the paper's default configuration). A
@@ -326,16 +333,13 @@ type KLSMConfig = klsm.Config
 // configuration (exact priority order through the global LSM).
 const KLSMStrict = klsm.Strict
 
-// OBIMConfig configures the OBIM and PMOD baselines.
+// OBIMConfig configures the OBIM baseline, and PMOD with Adaptive set.
 type OBIMConfig = obim.Config
 
 // CBPQConfig configures the lock-free chunk-based priority queue
 // (fixed chunk capacity; see the Lock-free tier and Combining sections
 // above).
 type CBPQConfig = cbpq.Config
-
-// SprayConfig configures the SprayList baseline.
-type SprayConfig = spray.Config
 
 // Multi-Queue policy selectors, re-exported for MQConfig.
 const (
@@ -364,27 +368,6 @@ func NewMultiQueue[T any](cfg MQConfig) Scheduler[T] {
 	return mq.New[T](cfg)
 }
 
-// NewClassicMultiQueue builds Listing 1's Multi-Queue: m = c·workers
-// lock-protected heaps, random insert, two-choice delete.
-func NewClassicMultiQueue[T any](workers, c int) Scheduler[T] {
-	return mq.New[T](mq.Classic(workers, c))
-}
-
-// NewRELD builds the random-enqueue local-dequeue baseline of Jeffrey et
-// al., evaluated in §5.
-func NewRELD[T any](workers int) Scheduler[T] {
-	return mq.New[T](mq.RELD(workers))
-}
-
-// NewEngineeredMQ builds the engineered MultiQueue of Williams, Sanders
-// and Dementiev (2021) at their recommended configuration: the
-// Multi-Queue with insertion/deletion buffers, cached tops and sticky
-// queue pairs. NewMultiQueue builds it with other knobs (MQConfig's
-// Stickiness, BatchInsert, BatchDelete, ...).
-func NewEngineeredMQ[T any](workers int) Scheduler[T] {
-	return mq.New[T](mq.Engineered(workers))
-}
-
 // NewKLSM builds the k-LSM of Wimmer, Gruber, Träff and Tsigas (PPoPP
 // 2015): per-worker log-structured-merge queues bounded by
 // cfg.Relaxation tasks, spilling whole sorted blocks into a shared
@@ -399,17 +382,6 @@ func NewKLSM[T any](cfg KLSMConfig) Scheduler[T] {
 // oldest chunk first).
 func NewOBIM[T any](cfg OBIMConfig) Scheduler[T] {
 	return obim.New[T](cfg)
-}
-
-// NewPMOD builds OBIM with PMOD's dynamic delta adaptation.
-func NewPMOD[T any](cfg OBIMConfig) Scheduler[T] {
-	cfg.Adaptive = true
-	return obim.New[T](cfg)
-}
-
-// NewSprayList builds the SprayList baseline.
-func NewSprayList[T any](cfg SprayConfig) Scheduler[T] {
-	return spray.New[T](cfg)
 }
 
 // NewCBPQ builds the lock-free chunk-based priority queue of
@@ -436,11 +408,8 @@ type Spec[T any] = zoo.Spec[T]
 // reorder or filter it.
 func Lineup[T any]() []Spec[T] { return zoo.Lineup[T]() }
 
-// LookupSpec resolves one zoo scheduler by name (see SpecNames).
+// LookupSpec resolves one zoo scheduler by name (see Lineup).
 func LookupSpec[T any](name string) (Spec[T], bool) { return zoo.Lookup[T](name) }
-
-// SpecNames lists the zoo's scheduler names in Lineup order.
-func SpecNames() []string { return zoo.Names() }
 
 // processBatch is Process's pop-batch capacity, the built-in drivers'
 // setting (see the package documentation's Batching section).

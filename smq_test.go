@@ -2,115 +2,216 @@ package smq
 
 import (
 	"go/ast"
+	"go/doc"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"maps"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sched"
 )
 
-// publicSchedulers constructs a scheduler through every public
-// constructor, keyed by the constructor's name.
-var publicSchedulers = map[string][]func() Scheduler[int]{
-	"NewStealingMQ":         {func() Scheduler[int] { return NewStealingMQ[int](SMQConfig{Workers: 2}) }},
-	"NewStealingMQSkipList": {func() Scheduler[int] { return NewStealingMQSkipList[int](SMQConfig{Workers: 2}) }},
-	"NewClassicMultiQueue":  {func() Scheduler[int] { return NewClassicMultiQueue[int](2, 4) }},
-	"NewMultiQueue": {func() Scheduler[int] {
-		return NewMultiQueue[int](MQConfig{Workers: 2, Insert: InsertBatch, Delete: DeleteBatch})
-	}},
-	"NewRELD":         {func() Scheduler[int] { return NewRELD[int](2) }},
-	"NewEngineeredMQ": {func() Scheduler[int] { return NewEngineeredMQ[int](2) }},
-	"NewKLSM": {
-		func() Scheduler[int] { return NewKLSM[int](KLSMConfig{Workers: 2}) },
-		func() Scheduler[int] { return NewKLSM[int](KLSMConfig{Workers: 2, Relaxation: KLSMStrict}) },
-	},
-	"NewCBPQ":      {func() Scheduler[int] { return NewCBPQ[int](CBPQConfig{Workers: 2}) }},
-	"NewOBIM":      {func() Scheduler[int] { return NewOBIM[int](OBIMConfig{Workers: 2}) }},
-	"NewPMOD":      {func() Scheduler[int] { return NewPMOD[int](OBIMConfig{Workers: 2}) }},
-	"NewSprayList": {func() Scheduler[int] { return NewSprayList[int](SprayConfig{Workers: 2}) }},
-}
-
-// TestPublicAPICoversEveryConstructor scans the package's non-test
-// source for exported New* functions whose result mentions Scheduler
-// and requires publicSchedulers to hold exactly those, so a new
-// constructor fails here until TestPublicAPISchedulers drains it.
-func TestPublicAPICoversEveryConstructor(t *testing.T) {
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestExportsFollowTheRule enforces the package doc's export rule: an
+// exported identifier of smq.go stays only if an output-checked Example
+// in example_test.go uses it, non-test code of the bench module uses it,
+// or it appears in the signature of an identifier that stays.
+func TestExportsFollowTheRule(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		t.Helper()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
-	exported := map[string]bool{}
-	for _, f := range pkgs["smq"].Files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "New") || fn.Type.Results == nil {
-				continue
+
+	// sig maps each exported identifier of smq.go to the part of its
+	// declaration that callers see: a function's type, a type's
+	// parameters and definition, a constant's or variable's type.
+	sig := map[string][]ast.Node{}
+	for _, d := range parse("smq.go").Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				sig[d.Name.Name] = []ast.Node{d.Type}
 			}
-			ast.Inspect(fn.Type.Results, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id.Name == "Scheduler" {
-					exported[fn.Name.Name] = true
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						sig[s.Name.Name] = []ast.Node{s.Type}
+						if s.TypeParams != nil {
+							sig[s.Name.Name] = append(sig[s.Name.Name], s.TypeParams)
+						}
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							sig[n.Name] = nil
+							if s.Type != nil {
+								sig[n.Name] = []ast.Node{s.Type}
+							}
+						}
+					}
 				}
-				return true
+			}
+		}
+	}
+
+	kept := map[string]bool{}
+	keep := func(name string) {
+		if _, ok := sig[name]; ok {
+			kept[name] = true
+		}
+	}
+	ex := parse("example_test.go")
+	for _, e := range doc.Examples(ex) {
+		if e.Output == "" && !e.EmptyOutput {
+			continue
+		}
+		packageRefs(e.Code, localName(ex), keep)
+	}
+	benchFiles, err := filepath.Glob("bench/*.go")
+	if err != nil || len(benchFiles) == 0 {
+		t.Fatalf("no bench sources: %v", err)
+	}
+	for _, path := range benchFiles {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f := parse(path)
+		if pkg := localName(f); pkg != "" {
+			packageRefs(f, pkg, keep)
+		}
+	}
+	// Close over signatures: what a kept identifier's declaration names
+	// stays with it.
+	work := slices.Collect(maps.Keys(kept))
+	for len(work) > 0 {
+		name := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, n := range sig[name] {
+			localIdents(n, func(id string) {
+				if _, ok := sig[id]; ok && !kept[id] {
+					kept[id] = true
+					work = append(work, id)
+				}
 			})
 		}
 	}
-	got, want := slices.Sorted(maps.Keys(publicSchedulers)), slices.Sorted(maps.Keys(exported))
-	if !slices.Equal(got, want) {
-		t.Errorf("publicSchedulers constructs %v, the package exports %v", got, want)
+
+	for _, name := range slices.Sorted(maps.Keys(sig)) {
+		if !kept[name] {
+			t.Errorf("smq.%s is exported, but no output-checked Example, bench/ source or kept signature uses it", name)
+		}
 	}
+	t.Logf("smq.go exports %d identifiers", len(sig))
+}
+
+// localName is the name under which f imports the root package, or ""
+// if it does not.
+func localName(f *ast.File) string {
+	for _, im := range f.Imports {
+		if im.Path.Value == `"repro"` {
+			if im.Name != nil {
+				return im.Name.Name
+			}
+			return "smq"
+		}
+	}
+	return ""
+}
+
+// packageRefs calls use with X for every pkg.X selector under n.
+func packageRefs(n ast.Node, pkg string, use func(string)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+				use(sel.Sel.Name)
+			}
+		}
+		return true
+	})
+}
+
+// localIdents calls use for every unqualified identifier under n; the
+// selected name of a pkg.X selector belongs to another package.
+func localIdents(n ast.Node, use func(string)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			localIdents(n.X, use)
+			return false
+		case *ast.Ident:
+			use(n.Name)
+		}
+		return true
+	})
 }
 
 // TestPublicAPISchedulers exercises every public constructor through the
 // facade, verifying the worker-handle contract end to end.
 func TestPublicAPISchedulers(t *testing.T) {
-	for name, mks := range publicSchedulers {
-		for _, mk := range mks {
-			s := mk()
-			if s.Workers() != 2 {
-				t.Fatalf("%s: Workers = %d", name, s.Workers())
-			}
-			const n = 2000
-			var pending Pending
-			pending.Inc(n)
-			var wg sync.WaitGroup
-			seen := make([]bool, n)
-			var mu sync.Mutex
-			for i := 0; i < 2; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					w := s.Worker(i)
-					for j := i; j < n; j += 2 {
-						w.Push(uint64(j%101), j)
+	for _, tc := range []struct {
+		name string
+		mk   func() Scheduler[int]
+	}{
+		{"NewStealingMQ", func() Scheduler[int] { return NewStealingMQ[int](SMQConfig{Workers: 2}) }},
+		{"NewStealingMQSkipList", func() Scheduler[int] { return NewStealingMQSkipList[int](SMQConfig{Workers: 2}) }},
+		{"NewMultiQueue", func() Scheduler[int] {
+			return NewMultiQueue[int](MQConfig{Workers: 2, Insert: InsertBatch, Delete: DeleteBatch})
+		}},
+		{"NewKLSM", func() Scheduler[int] { return NewKLSM[int](KLSMConfig{Workers: 2}) }},
+		{"NewKLSM/strict", func() Scheduler[int] { return NewKLSM[int](KLSMConfig{Workers: 2, Relaxation: KLSMStrict}) }},
+		{"NewCBPQ", func() Scheduler[int] { return NewCBPQ[int](CBPQConfig{Workers: 2}) }},
+		{"NewOBIM", func() Scheduler[int] { return NewOBIM[int](OBIMConfig{Workers: 2}) }},
+	} {
+		name, s := tc.name, tc.mk()
+		if s.Workers() != 2 {
+			t.Fatalf("%s: Workers = %d", name, s.Workers())
+		}
+		const n = 2000
+		var pending Pending
+		pending.Inc(n)
+		var wg sync.WaitGroup
+		seen := make([]bool, n)
+		var mu sync.Mutex
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				w := s.Worker(i)
+				for j := i; j < n; j += 2 {
+					w.Push(uint64(j%101), j)
+				}
+				var b sched.Backoff
+				for !pending.Done() {
+					_, v, ok := w.Pop()
+					if !ok {
+						b.Wait()
+						continue
 					}
-					var b Backoff
-					for !pending.Done() {
-						_, v, ok := w.Pop()
-						if !ok {
-							b.Wait()
-							continue
-						}
-						b.Reset()
-						mu.Lock()
-						if seen[v] {
-							t.Errorf("%s: duplicate %d", name, v)
-						}
-						seen[v] = true
-						mu.Unlock()
-						pending.Dec()
+					b.Reset()
+					mu.Lock()
+					if seen[v] {
+						t.Errorf("%s: duplicate %d", name, v)
 					}
-				}(i)
-			}
-			wg.Wait()
-			st := s.Stats()
-			if st.Pops != n {
-				t.Fatalf("%s: Pops = %d, want %d", name, st.Pops, n)
-			}
+					seen[v] = true
+					mu.Unlock()
+					pending.Dec()
+				}
+			}(i)
+		}
+		wg.Wait()
+		st := s.Stats()
+		if st.Pops != n {
+			t.Fatalf("%s: Pops = %d, want %d", name, st.Pops, n)
 		}
 	}
 }

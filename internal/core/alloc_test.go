@@ -56,14 +56,16 @@ func TestSteadyStateStealAllocFree(t *testing.T) {
 	rng := xrand.New(42)
 	dst := make([]sched.Task[int], 8)
 	cycle := func() {
-		for i := 0; i < 23; i++ { // as many as the cycle pops
+		for i := 0; i < 31; i++ { // as many as the cycle pops
 			w0.Push(uint64(rng.Intn(1<<20)), i)
 		}
 		w0.Pop()
 		w0.PopN(dst)
+		// 22 pops at worker 1: more than one default steal of 16.
 		for i := 0; i < 6; i++ {
 			w1.Pop()
 		}
+		w1.PopN(dst)
 		w1.PopN(dst)
 	}
 	for i := 0; i < 64; i++ { // grow the heap, the runs and the buffers

@@ -25,13 +25,35 @@ func variants() map[string]func(cfg Config) *SMQ[int] {
 func TestConfigNormalize(t *testing.T) {
 	c := Config{Workers: 2}
 	c.normalize()
-	if c.StealSize != 4 || c.StealProb != 0.125 || c.HeapArity != 4 {
+	if c.StealSize != 16 || c.StealProb != 1.0/32 || c.HeapArity != 4 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	c = Config{Workers: 2, StealProb: -1}
 	c.normalize()
 	if c.StealProb != 0 {
 		t.Fatalf("negative StealProb should normalize to 0, got %v", c.StealProb)
+	}
+}
+
+// TestLoneWorkerFlipsNoCoin: with one worker there is no victim, so Pop
+// and PopN flip no steal coin and leave the worker's generator untouched,
+// whatever StealProb says.
+func TestLoneWorkerFlipsNoCoin(t *testing.T) {
+	for name, mk := range variants() {
+		for _, p := range []float64{0, 0.5, 1} {
+			s := mk(Config{Workers: 1, StealProb: p})
+			w := &s.workers[0]
+			for i := range 64 {
+				w.Push(uint64(64-i), i)
+			}
+			before := w.rng
+			dst := make([]sched.Task[int], 8)
+			for w.Pop(); w.PopN(dst) > 0; w.Pop() {
+			}
+			if w.rng != before {
+				t.Errorf("%s StealProb=%v: a lone worker's pops drew from its generator", name, p)
+			}
+		}
 	}
 }
 
@@ -352,11 +374,11 @@ func TestHeapQueueBufferProtocol(t *testing.T) {
 // the refill offers a thief max(stealSize, k) tasks.
 func TestHeapQueueBatchPublishesWhatItTook(t *testing.T) {
 	q := newHeapQueue[int](4, 4)
-	items := make([]pq.Item[int], 40)
-	for i := range items {
-		items[i] = pq.Item[int]{P: uint64(i + 1), V: i + 1}
+	ps, vs := make([]uint64, 40), make([]int, 40)
+	for i := range ps {
+		ps[i], vs[i] = uint64(i+1), i+1
 	}
-	q.PushLocalBatch(items) // publishes 1..4
+	q.PushLocalBatch(ps, vs) // publishes 1..4
 	if q.Top() != 1 {
 		t.Fatalf("Top = %d, want 1", q.Top())
 	}

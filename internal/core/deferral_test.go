@@ -94,13 +94,13 @@ func TestOwnerDeferral(t *testing.T) {
 			pop()
 			q.PushLocal(newTask())
 		case r < 7:
-			batch = batch[:0]
+			var ps []uint64
+			var vs []*deferralTask
 			for k := rng.Intn(6); k > 0; k-- {
 				p, task := newTask()
-				batch = append(batch, pq.Item[*deferralTask]{P: p, V: task})
+				ps, vs = append(ps, p), append(vs, task)
 			}
-			q.PushLocalBatch(batch)
-			clear(batch)
+			q.PushLocalBatch(ps, vs)
 		case r < 9:
 			k := 1 + rng.Intn(5)
 			batch = q.PopLocalBatch(k, batch[:0])

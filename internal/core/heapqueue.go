@@ -114,14 +114,14 @@ func (q *heapQueue[T]) PushLocal(p uint64, v T) {
 	}
 }
 
-// PushLocalBatch adds a whole run to the heap and checks the steal
-// buffer once for the batch — one atomic state load (and at most one
-// refill) instead of one per task. A refill takes the best of heap and
-// batch together; the owner's pops see the published batch, so nothing
-// it publishes is hidden from them.
-func (q *heapQueue[T]) PushLocalBatch(items []pq.Item[T]) {
+// PushLocalBatch adds the pairs to the heap as they arrive (PushPairs)
+// and checks the steal buffer once for the batch — one atomic state load
+// (and at most one refill) instead of one per task. A refill takes the
+// best of heap and batch together; the owner's pops see the published
+// batch, so nothing it publishes is hidden from them.
+func (q *heapQueue[T]) PushLocalBatch(ps []uint64, vs []T) {
 	q.settle()
-	q.heap.PushBatch(items)
+	q.heap.PushPairs(ps, vs)
 	if s := q.state.Load(); s&bufReleased != 0 {
 		q.refill(s, q.stealSize)
 	}

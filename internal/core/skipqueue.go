@@ -29,9 +29,9 @@ func (q *skipQueue[T]) PushLocal(p uint64, v T) { q.list.Insert(p, v) }
 // PushLocalBatch has no cheaper primitive than repeated inserts: the
 // list synchronizes per node regardless, so the batch win here is only
 // the caller's amortized bookkeeping.
-func (q *skipQueue[T]) PushLocalBatch(items []pq.Item[T]) {
-	for _, it := range items {
-		q.list.Insert(it.P, it.V)
+func (q *skipQueue[T]) PushLocalBatch(ps []uint64, vs []T) {
+	for i, p := range ps {
+		q.list.Insert(p, vs[i])
 	}
 }
 

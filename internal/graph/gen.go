@@ -109,15 +109,15 @@ func GenerateRMAT(scale, edgeFactor int, params RMATParams, seed uint64) *CSR {
 	// Each level draws r = Float64() and takes the first of r < A,
 	// r < A+B, r < A+B+C that holds. r is k·2^-53 for the 53-bit
 	// k = Uint64()>>11, so each compare is k < T on an integer threshold
-	// (rmatThreshold), and the arm taken is the count q of thresholds k has
+	// (xrand.Threshold), and the arm taken is the count q of thresholds k has
 	// reached, once each threshold is raised to the one before it: that
 	// keeps partial sums that fall out of order (a negative B or C) on the
 	// arm the first match picks. Arm q sets v's bit to q&1 and u's to q>>1.
 	ab := params.A + params.B
 	abc := ab + params.C
-	tA := rmatThreshold(params.A)
-	tAB := max(rmatThreshold(ab), tA)
-	tABC := max(rmatThreshold(abc), tAB)
+	tA := xrand.Threshold(params.A)
+	tAB := max(xrand.Threshold(ab), tA)
+	tABC := max(xrand.Threshold(abc), tAB)
 	for i := 0; i < m; i++ {
 		var u, v uint64
 		for range scale {
@@ -138,20 +138,6 @@ func GenerateRMAT(scale, edgeFactor int, params RMATParams, seed uint64) *CSR {
 		edges = append(edges, Edge{U: uint32(u), V: uint32(v), W: uint32(rng.Intn(256))})
 	}
 	return MustBuild(n, edges, nil)
-}
-
-// rmatThreshold is the integer T with k < T exactly when
-// float64(k)·2^-53 < t, for every k in [0, 2^53): t·2^53 is exact, so T
-// is its ceiling. No k passes a t that is not above zero (NaN included),
-// and every k passes a t of one or more.
-func rmatThreshold(t float64) uint64 {
-	switch {
-	case !(t > 0):
-		return 0
-	case t >= 1:
-		return 1 << 53
-	}
-	return uint64(math.Ceil(t * (1 << 53)))
 }
 
 // GenerateUniformRandom builds an Erdős–Rényi-style directed graph with n

@@ -77,7 +77,7 @@ func TestBenchmarkInputsPinned(t *testing.T) {
 }
 
 // TestRMATThresholdsExact checks the algebra GenerateRMAT's descent
-// rests on: for every k a 53-bit draw can take, k < rmatThreshold(t)
+// rests on: for every k a 53-bit draw can take, k < xrand.Threshold(t)
 // decides exactly what Float64's float64(k)·2^-53 < t decides.
 func TestRMATThresholdsExact(t *testing.T) {
 	rng := xrand.New(1)
@@ -91,7 +91,7 @@ func TestRMATThresholdsExact(t *testing.T) {
 	}
 	const top = uint64(1)<<53 - 1
 	for _, th := range ts {
-		T := rmatThreshold(th)
+		T := xrand.Threshold(th)
 		if T > 1<<53 {
 			t.Fatalf("t=%v: threshold %d above 2^53", th, T)
 		}

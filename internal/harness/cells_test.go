@@ -33,7 +33,7 @@ var goldenEnum = map[string]struct {
 	"table2":    {cells: 96, hash: "92a853654ab349f2"},
 	"fig1":      {cells: 148, hash: "9436206c53f09ad8"},
 	"fig19":     {cells: 148, hash: "98431473267861e4"},
-	"fig2":      {cells: 288, hash: "be160c6091e65087"},
+	"fig2":      {cells: 288, hash: "c639be37dda1dc7b"},
 	"fig3":      {cells: 208, hash: "32b90509e8e49c03"},
 	"fig7":      {cells: 148, hash: "9114c7069be76baa"},
 	"fig9":      {cells: 124, hash: "9d5442016c15a37d"},
@@ -42,12 +42,12 @@ var goldenEnum = map[string]struct {
 	"fig15":     {cells: 20, hash: "75c0d950882b85a9"},
 	"emq":       {cells: 68, hash: "962995e3aa083c82"},
 	"klsm":      {cells: 24, hash: "ef3d06ec71668f3a"},
-	"geom":      {cells: 72, hash: "108b6c296b1dafe2"},
+	"geom":      {cells: 72, hash: "2763b022717707da"},
 	"numa":      {cells: 124, hash: "a806e9697b5d44cf"},
 	"serve":     {cells: 15, hash: "9818131c5544fa79"},
 	"desim":     {cells: 10, hash: "af94559d8d2b4efe"},
 	"theory":    {cells: 26, hash: "ae60b34c87d6154d"},
-	"rankprobe": {cells: 26, hash: "26378f45fdf2e495"},
+	"rankprobe": {cells: 26, hash: "2f0d1baf20a01169"},
 }
 
 func TestCellEnumerationGolden(t *testing.T) {

@@ -268,7 +268,7 @@ func lockstepSSSP(g *graph.CSR, src uint32, s sched.Scheduler[uint32], batch int
 //
 // The SMQ's only supply path is its steal buffer, so its row guards the
 // buffer's policy: while an owner popped around its own published batch
-// — its best StealSize tasks, waiting for the other worker's 1/8 coin —
+// — its best StealSize tasks, waiting for the other worker's steal coin —
 // the road grid ran about 1.3 times Dijkstra's tasks; with the owner
 // taking the batch back it is within a percent.
 //

@@ -122,25 +122,13 @@ func (h *DHeap[T]) Push(p uint64, v T) {
 // PushItem inserts a prepared Item.
 func (h *DHeap[T]) PushItem(it Item[T]) { h.Push(it.P, it.V) }
 
-// PushBatch inserts a run of prepared Items. Room for the whole run is
-// made in one step and the items are then sifted up one by one in index
-// order (each sift-up only inspects ancestors, so the arrangement is the
-// one a loop of Push builds), which replaces per-call growth checks with
-// one — the batched-insert primitive behind PushN.
-func (h *DHeap[T]) PushBatch(items []Item[T]) {
-	n := len(h.keys)
-	h.reserve(n + len(items))
-	h.keys = h.keys[:n+len(items)]
-	for i, it := range items {
-		h.siftUp(n+i, it.P, it.V)
-	}
-}
-
-// PushPairs inserts the parallel-slice batch ps[i]/vs[i] — the bulk
-// Worker.PushN arrives in exactly this shape, so schedulers whose
-// critical section is the insertion itself (the coarse global heap)
-// can skip the zip into an Item scratch entirely. Both slices must
-// have equal length (the caller validates).
+// PushPairs inserts the parallel-slice batch ps[i]/vs[i], the shape in
+// which Worker.PushN delivers a bulk insert, so no caller zips the pairs
+// into Items first. Room for the whole batch is made in one step and the
+// pairs are then sifted up one by one in index order (each sift-up only
+// inspects ancestors, so the arrangement is the one a loop of Push
+// builds), which replaces per-call growth checks with one. Both slices
+// must have equal length (the caller validates).
 func (h *DHeap[T]) PushPairs(ps []uint64, vs []T) {
 	n := len(h.keys)
 	h.reserve(n + len(ps))

@@ -372,34 +372,29 @@ func TestDHeapMatchesReferenceSiftDown(t *testing.T) {
 	}
 }
 
-// TestDHeapBatchPushesMatchReference checks that the batched inserts
-// build the heap a loop of Push builds: PushBatch and PushPairs, fed the
-// priority streams of orderCases in runs of 1 to 7, pop the exact (P, V)
-// sequence of the branchy reference built by scalar pushes.
+// TestDHeapBatchPushesMatchReference checks that the batched insert
+// builds the heap a loop of Push builds: PushPairs, fed the priority
+// streams of orderCases in runs of 1 to 7, pops the exact (P, V) sequence
+// of the branchy reference built by scalar pushes.
 func TestDHeapBatchPushesMatchReference(t *testing.T) {
 	for _, d := range []int{2, 3, 4, 8} {
 		for _, c := range orderCases(8*d + 3) {
-			batch, pairs, ref := NewDHeap[int](d), NewDHeap[int](d), newRefHeap[int](d)
+			pairs, ref := NewDHeap[int](d), newRefHeap[int](d)
 			for i, p := range c.ps {
 				ref.Push(p, i)
 			}
 			for i, k := 0, 1; i < len(c.ps); i, k = i+k, k%7+1 {
 				end := min(i+k, len(c.ps))
-				var items []Item[int]
 				var vs []int
 				for j := i; j < end; j++ {
-					items = append(items, Item[int]{P: c.ps[j], V: j})
 					vs = append(vs, j)
 				}
-				batch.PushBatch(items)
 				pairs.PushPairs(c.ps[i:end], vs)
 			}
 			for i := range c.ps {
 				want := refPop(ref)
-				for name, h := range map[string]*DHeap[int]{"PushBatch": batch, "PushPairs": pairs} {
-					if p, v, ok := h.Pop(); !ok || p != want.P || v != want.V {
-						t.Fatalf("d=%d %s, %s: Pop %d = (%d,%d,%v), reference (%d,%d)", d, c.name, name, i, p, v, ok, want.P, want.V)
-					}
+				if p, v, ok := pairs.Pop(); !ok || p != want.P || v != want.V {
+					t.Fatalf("d=%d %s: Pop %d = (%d,%d,%v), reference (%d,%d)", d, c.name, i, p, v, ok, want.P, want.V)
 				}
 			}
 		}
@@ -437,7 +432,7 @@ func dheapScript(arity byte, ps []uint64) []byte {
 // and checks it op by op against a sorted slice: every pop returns the
 // smallest priority queued, Len and Top agree, and each payload comes out
 // once, with the priority it went in with. Byte 0 picks the arity; each
-// op is one byte (the byte mod 5: Push, Pop, PopBatch, PushBatch,
+// op is one byte (the byte mod 5: Push, Pop, PopBatch, PushPairs,
 // ReplaceTop; the byte div 5: k) and each pushed priority the next
 // eight. ReplaceTop is checked as a Peek, whose task counts as popped,
 // followed by the replacement's push.
@@ -457,6 +452,8 @@ func FuzzDHeapOrder(f *testing.F) {
 		var pushed []uint64 // payload -> its priority
 		var popped []bool   // payload -> already returned
 		var batch []Item[int]
+		var ps []uint64
+		var vs []int
 		next := func() (Item[int], bool) {
 			if len(data) < 8 {
 				return Item[int]{}, false
@@ -504,13 +501,13 @@ func FuzzDHeapOrder(f *testing.F) {
 					check(it)
 				}
 			case 3:
-				batch = batch[:0]
+				ps, vs = ps[:0], vs[:0]
 				for ; k > 0; k-- {
 					if it, ok := next(); ok {
-						batch = append(batch, it)
+						ps, vs = append(ps, it.P), append(vs, it.V)
 					}
 				}
-				h.PushBatch(batch)
+				h.PushPairs(ps, vs)
 			case 4:
 				p, v, ok := h.Peek()
 				if ok != (len(sorted) > 0) {

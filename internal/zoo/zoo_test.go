@@ -125,9 +125,9 @@ func TestParamsComeFromTheEffectiveConfig(t *testing.T) {
 	emqNUMA.BatchInsert, emqNUMA.BatchDelete, emqNUMA.NUMANodes, emqNUMA.NUMAWeightK = 4, 1, 2, 64
 	for _, tc := range []struct{ family, zero, explicit, want string }{
 		{"SMQ", SMQ[int]("x", core.Config{}).Params,
-			SMQ[int]("x", core.Config{}.WithDefaults()).Params, "steal=4 psteal=0.125"},
+			SMQ[int]("x", core.Config{}.WithDefaults()).Params, "steal=16 psteal=0.0312"},
 		{"SMQSkip", SMQSkip[int]("x", core.Config{}).Params,
-			SMQSkip[int]("x", core.Config{}.WithDefaults()).Params, "steal=4 psteal=0.125"},
+			SMQSkip[int]("x", core.Config{}.WithDefaults()).Params, "steal=16 psteal=0.0312"},
 		{"MQ", MQ[int]("x", mq.Config{}).Params,
 			MQ[int]("x", mq.Config{}.WithDefaults()).Params, "C=4"},
 		{"MQ engineered", MQ[int]("x", mq.Engineered(0)).Params,

@@ -312,8 +312,10 @@ type Task[T any] = sched.Task[T]
 // with relaxed schedulers.
 type Pending = sched.Pending
 
-// SMQConfig configures the Stealing Multi-Queue (defaults: StealSize 4,
-// StealProb 1/8, 4-ary heaps — the paper's default configuration). A
+// SMQConfig configures the Stealing Multi-Queue (defaults: StealSize 16,
+// StealProb 1/32, 4-ary heaps). The steal defaults are a W = 2 choice
+// backed by a committed fig1 sweep (results/fig1-w2); the paper's
+// 28–128-thread setting, StealSize 4 and StealProb 1/8, stays settable. A
 // worker whose own queue is empty probes 2·Workers victims before its
 // Pop reports empty. The SMQ has no insert buffer of its own: a batch
 // of inserts goes in through PushN, as the worker loop's Sink does.

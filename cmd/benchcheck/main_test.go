@@ -5,7 +5,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -26,18 +25,15 @@ func buildBenchcheck(t *testing.T) (bin, dir string) {
 
 const header = `"schema_version": 8, "generated_by": "test", "go_version": "go", "gomaxprocs": 2, "seed": 1`
 
-func fragmentJSON(shardIdx, cellIdx int) string {
-	return `{` + header + `,
+const fragmentJSON = `{` + header + `,
   "host": {"hostname": "h", "os": "linux", "arch": "amd64", "num_cpu": 2},
   "experiments": [{
     "experiment": "theory",
     "config": "c",
-    "total_cells": 2,
-    "shard": {"index": ` + strconv.Itoa(shardIdx) + `, "total": 2},
-    "cells": [{"index": ` + strconv.Itoa(cellIdx) + `, "key": "k` + strconv.Itoa(cellIdx) + `", "kind": "sim", "seed": 1, "status": "ok", "attempts": 1}]
+    "total_cells": 1,
+    "cells": [{"index": 0, "key": "k0", "kind": "sim", "seed": 1, "status": "ok", "attempts": 1}]
   }]
 }`
-}
 
 // TestBenchcheckEndToEnd builds the tool and runs it over valid and
 // invalid fragments, pinning both exit paths and the message of the
@@ -48,10 +44,11 @@ func TestBenchcheckEndToEnd(t *testing.T) {
 		name, body string
 		reject     string // substring of the expected error; "" = accepted
 	}{
-		{"fragment", fragmentJSON(0, 0), ""},
-		{"fragment-badstatus", strings.Replace(fragmentJSON(0, 0), `"status": "ok"`, `"status": "meh"`, 1), "unknown status"},
-		{"fragment-nogomaxprocs", strings.Replace(fragmentJSON(0, 0), `"gomaxprocs": 2`, `"gomaxprocs": 0`, 1), "gomaxprocs"},
-		{"old-schema", strings.Replace(fragmentJSON(0, 0), `"schema_version": 8`, `"schema_version": 7`, 1), "schema_version = 7, want 8"},
+		{"fragment", fragmentJSON, ""},
+		{"fragment-badstatus", strings.Replace(fragmentJSON, `"status": "ok"`, `"status": "meh"`, 1), "unknown status"},
+		{"fragment-nogomaxprocs", strings.Replace(fragmentJSON, `"gomaxprocs": 2`, `"gomaxprocs": 0`, 1), "gomaxprocs"},
+		{"fragment-partial", strings.Replace(fragmentJSON, `"total_cells": 1`, `"total_cells": 2`, 1), "has 1 cells, total_cells 2"},
+		{"old-schema", strings.Replace(fragmentJSON, `"schema_version": 8`, `"schema_version": 7`, 1), "schema_version = 7, want 8"},
 		{"empty", `{` + header + `}`, "no experiment fragments"},
 		{"not-json", `{`, "unexpected end of JSON"},
 	} {
@@ -75,31 +72,5 @@ func TestBenchcheckEndToEnd(t *testing.T) {
 	out, err := exec.Command(bin).CombinedOutput()
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "usage:") {
 		t.Fatalf("no arguments: err %v, output %q; want usage and exit status 2", err, out)
-	}
-}
-
-// TestBenchcheckMerge drives the merge subcommand over two shard
-// fragments and re-validates the merged artifact with the same tool.
-func TestBenchcheckMerge(t *testing.T) {
-	bin, dir := buildBenchcheck(t)
-	f0 := filepath.Join(dir, "frag0.json")
-	f1 := filepath.Join(dir, "frag1.json")
-	merged := filepath.Join(dir, "merged.json")
-	if err := os.WriteFile(f0, []byte(fragmentJSON(0, 0)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(f1, []byte(fragmentJSON(1, 1)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if out, err := exec.Command(bin, "merge", "-o", merged, f0, f1).CombinedOutput(); err != nil {
-		t.Fatalf("merge failed: %v\n%s", err, out)
-	}
-	if out, err := exec.Command(bin, merged).CombinedOutput(); err != nil {
-		t.Fatalf("merged artifact invalid: %v\n%s", err, out)
-	}
-
-	// An incomplete grid must not merge: one shard alone covers 1 of 2.
-	if err := exec.Command(bin, "merge", "-o", filepath.Join(dir, "x.json"), f0).Run(); err == nil {
-		t.Fatal("incomplete grid merged")
 	}
 }

@@ -9,14 +9,16 @@
 //	smqbench -exp geom -scale 2 -maxthreads 4 -format tsv
 //	smqbench -exp all -format tsv > results.tsv
 //	smqbench -exp fig2 -cpuprofile fig2.prof -memprofile fig2.mprof
-//	smqbench -exp fig2 -shard 0/2 -fragment f0.json
-//	smqbench -exp fig2 -assemble merged.json
+//	smqbench -exp fig2 -celltimeout 10m -fragment fig2.json
+//	smqbench -exp fig2 -assemble fig2.json
 //
-// Every experiment is a deterministic cell grid: -listcells prints it,
-// -shard / -cells run a slice of it and -fragment writes that slice as
-// a schema-versioned JSON fragment (internal/perfbench), `benchcheck
-// merge` recombines fragments, and -assemble renders the tables from a
-// merged file without running anything. Scheduler throughput is not
+// Every experiment is a deterministic cell grid, run whole by one
+// process: -listcells prints it, -fragment writes the results of every
+// cell as a schema-versioned JSON fragment (internal/perfbench), and
+// -assemble validates such a file and renders the tables from it
+// without running anything. -celltimeout bounds each cell's wall
+// clock; after a cell exceeds it no further cell runs, since it would
+// be measured beside the one still running. Scheduler throughput is not
 // measured here: that is the repo benchmark, `bash bench/run.sh`.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the run, so
@@ -45,7 +47,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -55,7 +56,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/perfbench"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -70,15 +70,10 @@ func main() {
 		format   = flag.String("format", "text", "output format: text or tsv")
 		seed     = flag.Uint64("seed", 1, "base RNG seed; every cell derives its own from it")
 
-		shardSpec   = flag.String("shard", "", "run only this slice of the cell grid, as 'i/n' (cells with index %% n == i)")
-		cellList    = flag.String("cells", "", "run only these comma-separated cell indices (overrides -shard)")
 		listCells   = flag.Bool("listcells", false, "print the experiment's deterministic cell enumeration and exit")
-		cellTimeout = flag.Duration("celltimeout", 0, "per-cell wall-clock budget (0 = none); exceeded cells are recorded as status=timeout")
-		cellRetries = flag.Int("cellretries", 0, "extra attempts for a timed-out cell before recording the timeout")
-		subproc     = flag.Bool("subproc", false, "re-exec this binary once per cell (hard timeout isolation: the child is killed)")
-		cellPrefix  = flag.String("cellprefix", "", "command prefix for -subproc children, e.g. 'numactl --cpunodebind=0' or 'taskset -c 0-3'")
-		fragOut     = flag.String("fragment", "", "write the shard's perfbench JSON fragment to this path ('-' for stdout) instead of assembling tables")
-		assemble    = flag.String("assemble", "", "skip running: assemble tables from these comma-separated fragment/merged JSON files")
+		cellTimeout = flag.Duration("celltimeout", 0, "per-cell wall-clock budget (0 = none); an exceeded cell is recorded as status=timeout and no further cell runs")
+		fragOut     = flag.String("fragment", "", "write the run's perfbench JSON fragment to this path ('-' for stdout) instead of assembling tables")
+		assemble    = flag.String("assemble", "", "skip running: validate this fragment JSON file and assemble the tables from it")
 
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -147,18 +142,14 @@ func main() {
 	}
 
 	if *assemble != "" {
-		if err := assembleFragments(exps, cfg, strings.Split(*assemble, ","), *format); err != nil {
+		if err := assembleFragment(exps, cfg, *assemble, *format); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	opts, shardInfo, mkExec, err := shardOptions(*shardSpec, *cellList, *cellTimeout, *cellRetries, *subproc, *cellPrefix, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	var fragReports []*perfbench.Report
-	for _, e := range exps {
+	var frag *perfbench.Report
+	for ei, e := range exps {
 		p, err := e.Plan(cfg)
 		if err != nil {
 			fatal(fmt.Errorf("experiment %s: %w", e.ID, err))
@@ -168,17 +159,18 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		if mkExec != nil {
-			opts.Exec = mkExec(e.ID)
-		}
-		fmt.Fprintf(os.Stderr, "running %s (%s): %d of %d cells...\n",
-			e.ID, e.Paper, len(shard.Select(p, opts)), len(p.Cells))
-		results := shard.Run(p, opts)
-		summarizeStatuses(e.ID, results)
+		fmt.Fprintf(os.Stderr, "running %s (%s): %d cells...\n", e.ID, e.Paper, len(p.Cells))
+		results := p.RunAll(*cellTimeout)
+		timedOut := summarizeStatuses(e.ID, results)
 		if *fragOut != "" {
-			fragReports = append(fragReports, shard.Fragment(p, results, shardInfo, "smqbench -fragment"))
+			r := p.Fragment(results, "smqbench -fragment")
+			if frag == nil {
+				frag = r
+			} else {
+				frag.Experiments = append(frag.Experiments, r.Experiments...)
+			}
 		} else {
-			// Assemble refuses a partial grid and any non-ok cell.
+			// Assemble refuses any non-ok cell.
 			tables, err := p.Assemble(results)
 			if err != nil {
 				fatal(fmt.Errorf("experiment %s: %w", e.ID, err))
@@ -188,9 +180,14 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "done %s in %v\n", e.ID, time.Since(start).Round(time.Millisecond))
+		if timedOut && ei+1 < len(exps) {
+			fmt.Fprintf(os.Stderr, "%s: a timed-out cell may still be running; not running %d more experiments\n",
+				e.ID, len(exps)-ei-1)
+			break
+		}
 	}
-	if len(fragReports) > 0 {
-		if err := writeFragments(*fragOut, fragReports); err != nil {
+	if frag != nil {
+		if err := writeFragment(*fragOut, frag); err != nil {
 			fatal(err)
 		}
 	}
@@ -210,96 +207,6 @@ func renderExperimentList(out io.Writer) {
 	tw.Flush()
 }
 
-// shardOptions builds the runner options from the CLI flags, plus the
-// shard metadata recorded in emitted fragments and (for -subproc) the
-// per-experiment command factory. The -cells list (used by -subproc
-// children and targeted re-runs) overrides -shard.
-func shardOptions(shardSpec, cellList string, timeout time.Duration, retries int,
-	subproc bool, prefix string, cfg harness.RunConfig) (shard.Options, *perfbench.ShardInfo, func(string) func(int) *exec.Cmd, error) {
-	opts := shard.Options{Timeout: timeout, Retries: retries}
-	var info *perfbench.ShardInfo
-	if shardSpec != "" {
-		i, n, err := parseShard(shardSpec)
-		if err != nil {
-			return opts, nil, nil, err
-		}
-		opts.Shard, opts.Of = i, n
-		info = &perfbench.ShardInfo{Index: i, Total: n}
-	}
-	if cellList != "" {
-		idxs, err := parseCells(cellList)
-		if err != nil {
-			return opts, nil, nil, err
-		}
-		opts.Cells = idxs
-	}
-	var mkExec func(string) func(int) *exec.Cmd
-	if subproc {
-		var err error
-		if mkExec, err = subprocessExec(prefix, cfg); err != nil {
-			return opts, nil, nil, err
-		}
-	} else if prefix != "" {
-		return opts, nil, nil, fmt.Errorf("-cellprefix requires -subproc")
-	}
-	return opts, info, mkExec, nil
-}
-
-// parseCells parses the comma-separated cell index list (0-based, so
-// unlike parseThreads zero is valid).
-func parseCells(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad -cells index %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no cell indices in -cells %q", s)
-	}
-	return out, nil
-}
-
-// subprocessExec re-execs this binary for one cell: the child runs the
-// cell in-process (no -subproc recursion) and prints a one-cell
-// fragment on stdout, which the parent parses. The prefix wraps the
-// invocation for CPU/NUMA pinning (numactl, taskset).
-func subprocessExec(prefix string, cfg harness.RunConfig) (func(expID string) func(int) *exec.Cmd, error) {
-	self, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("cannot re-exec: %w", err)
-	}
-	pre := strings.Fields(prefix)
-	return func(expID string) func(int) *exec.Cmd {
-		return func(i int) *exec.Cmd {
-			ths := make([]string, len(cfg.Threads))
-			for k, t := range cfg.Threads {
-				ths[k] = strconv.Itoa(t)
-			}
-			argv := append([]string{}, pre...)
-			argv = append(argv, self,
-				"-exp", expID,
-				"-scale", strconv.Itoa(cfg.Scale),
-				"-threads", strings.Join(ths, ","),
-				"-maxthreads", strconv.Itoa(cfg.MaxThreads),
-				"-reps", strconv.Itoa(cfg.Reps),
-				"-seed", strconv.FormatUint(cfg.Seed, 10),
-				"-cells", strconv.Itoa(i),
-				"-fragment", "-")
-			if cfg.Validate {
-				argv = append(argv, "-validate")
-			}
-			return exec.Command(argv[0], argv[1:]...)
-		}
-	}, nil
-}
-
 // printCells lists the plan's enumeration, one line per cell.
 func printCells(p *harness.Plan) {
 	fmt.Printf("# %s: %d cells, config %q\n", p.Experiment, len(p.Cells), p.Config.Fingerprint())
@@ -309,9 +216,10 @@ func printCells(p *harness.Plan) {
 	}
 }
 
-// summarizeStatuses reports the shard's per-status cell counts; non-ok
-// cells are listed individually so CI logs name the failures.
-func summarizeStatuses(expID string, rs []harness.CellResult) {
+// summarizeStatuses reports the run's per-status cell counts; non-ok
+// cells are listed individually so CI logs name the failures. It
+// reports whether a cell timed out.
+func summarizeStatuses(expID string, rs []harness.CellResult) bool {
 	counts := map[string]int{}
 	for _, r := range rs {
 		counts[r.Status]++
@@ -321,19 +229,16 @@ func summarizeStatuses(expID string, rs []harness.CellResult) {
 	}
 	fmt.Fprintf(os.Stderr, "%s: %d ok, %d timeout, %d error\n",
 		expID, counts[harness.CellOK], counts[harness.CellTimeout], counts[harness.CellError])
+	return counts[harness.CellTimeout] > 0
 }
 
-// writeFragments writes the shard's fragment report — one experiment
-// fragment per -exp entry, all sharing this run's host fingerprint.
-func writeFragments(path string, reports []*perfbench.Report) error {
-	out := reports[0]
-	for _, r := range reports[1:] {
-		out.Experiments = append(out.Experiments, r.Experiments...)
-	}
-	if err := perfbench.Validate(out); err != nil {
+// writeFragment validates the run's fragment report — one experiment
+// fragment per -exp entry — and writes it.
+func writeFragment(path string, rep *perfbench.Report) error {
+	if err := perfbench.Validate(rep); err != nil {
 		return fmt.Errorf("generated fragment fails schema validation: %w", err)
 	}
-	data, err := perfbench.Marshal(out)
+	data, err := perfbench.Marshal(rep)
 	if err != nil {
 		return err
 	}
@@ -344,63 +249,32 @@ func writeFragments(path string, reports []*perfbench.Report) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// assembleFragments renders experiment tables from merged (or
-// single-shard, if complete) fragment files, without running anything.
-func assembleFragments(exps []harness.Experiment, cfg harness.RunConfig, files []string, format string) error {
-	var reports []*perfbench.Report
-	for _, f := range files {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return err
-		}
-		r, err := perfbench.Parse(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", f, err)
-		}
-		reports = append(reports, r)
+// assembleFragment renders experiment tables from a fragment file
+// without running anything. AssembleFragment validates the report
+// first, so a file that benchcheck rejects renders nothing.
+func assembleFragment(exps []harness.Experiment, cfg harness.RunConfig, file, format string) error {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return err
 	}
-	if len(reports) == 0 {
-		return fmt.Errorf("-assemble: no fragment files")
-	}
-	merged := reports[0]
-	if len(reports) > 1 {
-		var err error
-		if merged, err = perfbench.Merge(reports); err != nil {
-			return err
-		}
+	rep, err := perfbench.Parse(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", file, err)
 	}
 	for _, e := range exps {
 		p, err := e.Plan(cfg)
 		if err != nil {
 			return err
 		}
-		tables, err := shard.AssembleFragment(p, merged)
+		tables, err := p.AssembleFragment(rep)
 		if err != nil {
-			return fmt.Errorf("experiment %s: %w", e.ID, err)
+			return fmt.Errorf("%s: experiment %s: %w", file, e.ID, err)
 		}
 		if err := harness.WriteTables(os.Stdout, tables, format); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// parseShard parses "i/n".
-func parseShard(s string) (int, int, error) {
-	parts := strings.SplitN(s, "/", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad -shard %q, want i/n", s)
-	}
-	i, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-	n, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err1 != nil || err2 != nil || n < 1 || i < 0 || i >= n {
-		return 0, 0, fmt.Errorf("bad -shard %q, want i/n with 0 <= i < n", s)
-	}
-	return i, n, nil
 }
 
 func parseThreads(s string) ([]int, error) {

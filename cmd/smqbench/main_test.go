@@ -1,62 +1,65 @@
 package main
 
 import (
-	"reflect"
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"unicode/utf8"
 
 	"repro/internal/harness"
+	"repro/internal/perfbench"
 )
 
-func TestParseShard(t *testing.T) {
-	if i, n, err := parseShard("1/3"); err != nil || i != 1 || n != 3 {
-		t.Fatalf("1/3 = %d/%d, %v", i, n, err)
+// TestAssembleRefusesInvalidFragment runs the built binary's -assemble
+// on a real theory fragment whose only defect is its schema version: it
+// must exit non-zero and render nothing, as benchcheck rejects the same
+// file. The unaltered fragment is the control and renders.
+func TestAssembleRefusesInvalidFragment(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool unavailable")
 	}
-	for _, bad := range []string{"", "2", "3/3", "-1/2", "a/b", "1/0"} {
-		if _, _, err := parseShard(bad); err == nil {
-			t.Errorf("%q accepted", bad)
-		}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "smqbench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
 	}
-}
-
-func TestParseCells(t *testing.T) {
-	got, err := parseCells("0, 5,2")
-	if err != nil || !reflect.DeepEqual(got, []int{0, 5, 2}) {
-		t.Fatalf("got %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "-1", "x", ",,"} {
-		if _, err := parseCells(bad); err == nil {
-			t.Errorf("%q accepted", bad)
-		}
-	}
-}
-
-// TestSubprocessArgv pins the child invocation: the re-exec'd command
-// must target exactly one cell, print a fragment on stdout, and never
-// inherit -subproc or -shard (which would recurse or mis-slice).
-func TestSubprocessArgv(t *testing.T) {
-	cfg := harness.RunConfig{Scale: 2, Threads: []int{1, 2}, MaxThreads: 2,
-		Reps: 3, Validate: true, Seed: 9}
-	mk, err := subprocessExec("nice -n 10", cfg)
+	e, _ := harness.Find("theory")
+	p, err := e.Plan(harness.RunConfig{Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := mk("fig2")(7)
-	argv := strings.Join(cmd.Args, " ")
-	if !strings.HasPrefix(argv, "nice -n 10 ") {
-		t.Fatalf("prefix not applied: %q", argv)
+	good, err := perfbench.Marshal(p.Fragment(p.RunAll(0), "test"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"-exp fig2", "-cells 7", "-fragment -", "-seed 9",
-		"-scale 2", "-threads 1,2", "-maxthreads 2", "-reps 3", "-validate"} {
-		if !strings.Contains(argv, want) {
-			t.Errorf("argv missing %q: %q", want, argv)
+	old := bytes.Replace(good, []byte(`"schema_version": 8`), []byte(`"schema_version": 7`), 1)
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		reject string // substring of the expected error; "" = renders
+	}{
+		{"good", good, ""},
+		{"schema-7", old, "schema_version = 7, want 8"},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(path, tc.body, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, bad := range []string{"-subproc", "-shard"} {
-		if strings.Contains(argv, bad) {
-			t.Errorf("argv must not carry %q: %q", bad, argv)
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, "-exp", "theory", "-seed", "21", "-format", "tsv", "-assemble", path)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		switch {
+		case tc.reject == "" && (err != nil || stdout.Len() == 0):
+			t.Errorf("%s: not rendered: %v\n%s", tc.name, err, stderr.String())
+		case tc.reject != "" && err == nil:
+			t.Errorf("%s: exit status 0, rendered:\n%s", tc.name, stdout.String())
+		case tc.reject != "" && (stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.reject)):
+			t.Errorf("%s: stderr %q does not mention %q, or tables rendered", tc.name, stderr.String(), tc.reject)
 		}
 	}
 }

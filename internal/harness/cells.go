@@ -9,14 +9,15 @@ import (
 	"repro/internal/perfbench"
 )
 
-// This file is the spec layer of the experiment pipeline: every
-// experiment declares a deterministic, enumerable list of cells — the
-// independently runnable measurement units of its grid — instead of a
-// closure that runs the whole grid monolithically. The enumeration is a
-// pure function of the RunConfig, so two processes given the same
-// config agree on every cell's index, key and derived seed; that
-// agreement is what lets internal/shard split one grid across
-// processes (or machines) and reassemble the fragments afterwards.
+// This file is the experiment pipeline: every experiment declares a
+// deterministic, enumerable list of cells — the independently runnable
+// measurement units of its grid — instead of a closure that runs the
+// whole grid monolithically. A Plan runs all of its cells in one
+// process, packages the results as one complete perfbench fragment, and
+// renders the tables from such a fragment. The enumeration is a pure
+// function of the RunConfig, so the process that writes a fragment and
+// the one that assembles it agree on every cell's index, key and
+// derived seed.
 
 // The cell identity, its outcome and the status values are defined once,
 // JSON-tagged, in internal/perfbench — the fragment artifact stores
@@ -122,24 +123,59 @@ func (p *Plan) RunCell(i int) CellResult {
 	return res
 }
 
-// RunAll executes every cell sequentially in enumeration order — the
-// in-process path behind Experiment.Run.
-func (p *Plan) RunAll() []CellResult {
-	out := make([]CellResult, len(p.Cells))
+// RunAll executes every cell sequentially in enumeration order, in this
+// process. With timeout > 0 each cell runs on its own goroutine under
+// that wall-clock budget. Go cannot stop a goroutine, so a cell that
+// exceeds it is recorded as CellTimeout and left running, and no later
+// cell is run: each would be measured beside the stray one, so each is
+// recorded as a CellError instead. The caller should exit soon after,
+// which ends the stray goroutine. An error cell does not stop the run.
+func (p *Plan) RunAll(timeout time.Duration) []CellResult {
+	out := make([]CellResult, 0, len(p.Cells))
 	for i := range p.Cells {
-		out[i] = p.RunCell(i)
+		res := p.runTimed(i, timeout)
+		out = append(out, res)
+		if res.Status == CellTimeout {
+			for _, c := range p.Cells[i+1:] {
+				out = append(out, CellResult{Cell: c, Status: CellError,
+					Error: fmt.Sprintf("not run: cell %d timed out and may still be running", i)})
+			}
+			break
+		}
 	}
 	return out
 }
 
+// runTimed runs cell i, abandoning it to a CellTimeout result once the
+// budget (if any) expires.
+func (p *Plan) runTimed(i int, timeout time.Duration) CellResult {
+	if timeout <= 0 {
+		return p.RunCell(i)
+	}
+	done := make(chan CellResult, 1)
+	start := time.Now()
+	go func() { done <- p.RunCell(i) }()
+	select {
+	case res := <-done:
+		return res
+	case <-time.After(timeout):
+		return CellResult{
+			Cell:      p.Cells[i],
+			Status:    CellTimeout,
+			Error:     fmt.Sprintf("cell exceeded %v wall-clock budget", timeout),
+			Attempts:  1,
+			ElapsedNs: time.Since(start).Nanoseconds(),
+		}
+	}
+}
+
 // Assemble builds the experiment's tables from a complete result set.
 // It requires one result per cell, in index order, all with status ok;
-// anything else (a sharded subset, a timeout) is reported as an error
-// naming the offending cells — partial grids are merged at the
-// artifact layer first, not assembled piecemeal.
+// anything else (a missing cell, a timeout) is reported as an error
+// naming the offending cells.
 func (p *Plan) Assemble(rs []CellResult) ([]Table, error) {
 	if len(rs) != len(p.Cells) {
-		return nil, fmt.Errorf("harness: %s: %d results for %d cells (merge fragments before assembling)",
+		return nil, fmt.Errorf("harness: %s: %d results for %d cells",
 			p.Experiment, len(rs), len(p.Cells))
 	}
 	var bad []string
@@ -162,9 +198,58 @@ func (p *Plan) Assemble(rs []CellResult) ([]Table, error) {
 	return p.assemble(rs)
 }
 
+// Fragment packages RunAll's results as a self-contained perfbench
+// report carrying one experiment fragment.
+func (p *Plan) Fragment(results []CellResult, generatedBy string) *perfbench.Report {
+	h := perfbench.NewHeader(generatedBy)
+	return &perfbench.Report{
+		Header: h,
+		Experiments: []perfbench.ExperimentFragment{{
+			Experiment: p.Experiment,
+			Config:     p.Config.Fingerprint(),
+			TotalCells: len(p.Cells),
+			Host:       h.Host.Hostname,
+			Cells:      results,
+		}},
+	}
+}
+
+// AssembleFragment validates a fragment report and renders the
+// experiment's tables from it, after checking that the fragment belongs
+// to the plan: same experiment, same config fingerprint, same cell
+// count, and every record's key matching the plan's enumeration. A
+// binary whose enumeration drifted from the writer's fails here instead
+// of rendering misattributed tables.
+func (p *Plan) AssembleFragment(rep *perfbench.Report) ([]Table, error) {
+	if err := perfbench.Validate(rep); err != nil {
+		return nil, err
+	}
+	want := p.Config.Fingerprint()
+	for _, frag := range rep.Experiments {
+		if frag.Experiment != p.Experiment || frag.Config != want {
+			continue
+		}
+		if frag.TotalCells != len(p.Cells) {
+			return nil, fmt.Errorf("harness: %s: fragment has %d cells, plan enumerates %d",
+				p.Experiment, frag.TotalCells, len(p.Cells))
+		}
+		// Validate guarantees one record per index in [0, TotalCells).
+		rs := make([]CellResult, len(p.Cells))
+		for _, rec := range frag.Cells {
+			if rec.Key != p.Cells[rec.Index].Key {
+				return nil, fmt.Errorf("harness: %s: cell %d key mismatch: fragment %q, plan %q (enumeration drift between binaries?)",
+					p.Experiment, rec.Index, rec.Key, p.Cells[rec.Index].Key)
+			}
+			rs[rec.Index] = rec
+		}
+		return p.Assemble(rs)
+	}
+	return nil, fmt.Errorf("harness: report carries no fragment for %s with config %q", p.Experiment, want)
+}
+
 // Fingerprint canonically serializes the sweep-defining fields of a
-// RunConfig. Fragments carry it so that merging rejects results
-// produced under different configurations (which would disagree on the
+// RunConfig. Fragments carry it so that assembly rejects results
+// produced under a different configuration (which would disagree on the
 // cell enumeration).
 func (c RunConfig) Fingerprint() string {
 	c.normalize()

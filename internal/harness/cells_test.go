@@ -1,9 +1,16 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/perfbench"
 )
 
 // enumHash canonically hashes a cell enumeration: any change to the
@@ -21,8 +28,9 @@ func enumHash(cells []Cell) (int, string) {
 var goldenCfg = RunConfig{Scale: 1, Threads: []int{1, 2}, MaxThreads: 2, Reps: 2, Seed: 42}
 
 // goldenEnum pins every experiment's cell enumeration under goldenCfg.
-// These values are a contract with internal/shard: two binaries that
-// disagree on them would assemble fragments of different grids. If you
+// These values are a contract between the binary that writes a fragment
+// and the one that assembles it: two binaries that disagree on them
+// would assemble fragments of different grids. If you
 // deliberately change an experiment's cell list, run the test once and
 // paste the new entries it suggests.
 var goldenEnum = map[string]struct {
@@ -129,6 +137,8 @@ func TestCellSeedProperties(t *testing.T) {
 	}
 }
 
+// TestPlanErrorCellDoesNotWedgeOthers: an error cell, unlike a timeout,
+// lets the cells after it run, with or without a cell budget.
 func TestPlanErrorCellDoesNotWedgeOthers(t *testing.T) {
 	p := NewPlan("toy", RunConfig{})
 	p.AddCell(Cell{Key: "good"}, func(Cell) (CellResult, error) {
@@ -140,15 +150,17 @@ func TestPlanErrorCellDoesNotWedgeOthers(t *testing.T) {
 	p.AddCell(Cell{Key: "alsogood"}, func(Cell) (CellResult, error) {
 		return CellResult{Tasks: 2}, nil
 	})
-	rs := p.RunAll()
-	if rs[0].Status != CellOK || rs[2].Status != CellOK {
-		t.Fatalf("good cells disturbed by the bad one: %+v", rs)
-	}
-	if rs[1].Status != CellError || rs[1].Error != "boom" {
-		t.Fatalf("bad cell not reported: %+v", rs[1])
-	}
-	if _, err := p.Assemble(rs); err == nil {
-		t.Fatal("Assemble accepted a failed cell")
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		rs := p.RunAll(timeout)
+		if rs[0].Status != CellOK || rs[2].Status != CellOK || rs[2].Tasks != 2 {
+			t.Fatalf("timeout %v: good cells disturbed by the bad one: %+v", timeout, rs)
+		}
+		if rs[1].Status != CellError || rs[1].Error != "boom" {
+			t.Fatalf("timeout %v: bad cell not reported: %+v", timeout, rs[1])
+		}
+		if _, err := p.Assemble(rs); err == nil {
+			t.Fatal("Assemble accepted a failed cell")
+		}
 	}
 }
 
@@ -157,7 +169,7 @@ func TestAssembleRejectsPartialResults(t *testing.T) {
 	p.AddCell(Cell{Key: "a"}, func(Cell) (CellResult, error) { return CellResult{}, nil })
 	p.AddCell(Cell{Key: "b"}, func(Cell) (CellResult, error) { return CellResult{}, nil })
 	p.SetAssemble(func([]CellResult) ([]Table, error) { return nil, nil })
-	rs := p.RunAll()
+	rs := p.RunAll(0)
 	if _, err := p.Assemble(rs[:1]); err == nil {
 		t.Fatal("Assemble accepted a partial result set")
 	}
@@ -180,8 +192,8 @@ func TestDuplicateCellKeyPanics(t *testing.T) {
 }
 
 // TestCellReproducibleAcrossPaths is the per-cell seed satellite: the
-// same cell run through two independently built plans (as an in-process
-// run and a shard would) produces identical non-timing results — at one
+// same cell run through two independently built plans (as two processes
+// would build them) produces identical non-timing results — at one
 // thread the seeded schedulers are fully deterministic.
 func TestCellReproducibleAcrossPaths(t *testing.T) {
 	cfg := RunConfig{Scale: 1, MaxThreads: 1, Reps: 1, Seed: 9, Validate: true}
@@ -221,7 +233,7 @@ func TestCellReproducibleAcrossPaths(t *testing.T) {
 
 // TestTheoryRowsReproducible checks a full experiment whose tables
 // carry no timing fields renders byte-identically across two runs —
-// the property the shard-merge acceptance test builds on.
+// the property TestTheoryFragmentRoundTrip builds on.
 func TestTheoryRowsReproducible(t *testing.T) {
 	e := mustFind(t, "theory")
 	cfg := RunConfig{Scale: 1, Seed: 5}
@@ -235,5 +247,144 @@ func TestTheoryRowsReproducible(t *testing.T) {
 	}
 	if fmt.Sprint(t1) != fmt.Sprint(t2) {
 		t.Fatal("theory tables differ across identically seeded runs")
+	}
+}
+
+// TestTimeoutStopsLaterCells: a cell that exceeds its budget is left
+// running, so no later cell may run beside it. Each is recorded as an
+// error that names the stray cell, and the fragment still validates.
+// (TestPlanErrorCellDoesNotWedgeOthers is the contrast: errors do not
+// stop the run.)
+func TestTimeoutStopsLaterCells(t *testing.T) {
+	hang := make(chan struct{})
+	t.Cleanup(func() { close(hang) })
+	var ran atomic.Bool
+	p := NewPlan("toy", RunConfig{})
+	p.AddCell(Cell{Key: "hang"}, func(Cell) (CellResult, error) {
+		<-hang
+		return CellResult{}, nil
+	})
+	p.AddCell(Cell{Key: "after"}, func(Cell) (CellResult, error) {
+		ran.Store(true)
+		return CellResult{}, nil
+	})
+	rs := p.RunAll(50 * time.Millisecond)
+	if len(rs) != 2 || rs[0].Status != CellTimeout || rs[0].Error == "" {
+		t.Fatalf("hung cell not recorded as a timeout: %+v", rs)
+	}
+	if ran.Load() {
+		t.Fatal("a cell ran beside the timed-out one")
+	}
+	if rs[1].Index != 1 || rs[1].Status != CellError ||
+		rs[1].Error != "not run: cell 0 timed out and may still be running" {
+		t.Fatalf("cell after the timeout: %+v", rs[1])
+	}
+	if err := perfbench.Validate(p.Fragment(rs, "test")); err != nil {
+		t.Fatalf("fragment of a timed-out run fails validation: %v", err)
+	}
+}
+
+// toyPlan builds a plan of one cell per key whose assembly renders one
+// table.
+func toyPlan(cfg RunConfig, keys ...string) *Plan {
+	p := NewPlan("toy", cfg)
+	for i, k := range keys {
+		tasks := uint64(i + 1)
+		p.AddCell(Cell{Key: k}, func(Cell) (CellResult, error) {
+			return CellResult{Tasks: tasks}, nil
+		})
+	}
+	p.SetAssemble(func(rs []CellResult) ([]Table, error) {
+		t := Table{Title: "toy", Header: []string{"key", "tasks"}}
+		for _, r := range rs {
+			t.AddRow(r.Key, fmt.Sprint(r.Tasks))
+		}
+		return []Table{t}, nil
+	})
+	return p
+}
+
+// TestFragmentHeader pins the header a run stamps on its fragment: it
+// must validate, and record the GOMAXPROCS the cells ran under
+// (hand-filled headers once left it 0).
+func TestFragmentHeader(t *testing.T) {
+	p := toyPlan(RunConfig{}, "a", "b")
+	rep := p.Fragment(p.RunAll(0), "test")
+	if err := perfbench.Validate(rep); err != nil {
+		t.Fatalf("fragment fails validation: %v", err)
+	}
+	if rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("fragment gomaxprocs = %d, want %d", rep.GOMAXPROCS, runtime.GOMAXPROCS(0))
+	}
+}
+
+// TestAssembleFragmentRejectsDrift: a fragment renders only through a
+// plan that enumerates the same grid — same experiment and config, same
+// cell count, same key at every index.
+func TestAssembleFragmentRejectsDrift(t *testing.T) {
+	cfg := RunConfig{Seed: 1}
+	p := toyPlan(cfg, "a", "b")
+	rep := p.Fragment(p.RunAll(0), "test")
+	if _, err := p.AssembleFragment(rep); err != nil {
+		t.Fatalf("own fragment rejected: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		plan *Plan
+		want string
+	}{
+		{"other config", toyPlan(RunConfig{Seed: 2}, "a", "b"), "no fragment for toy"},
+		{"wrong cell count", toyPlan(cfg, "a", "b", "c"), "fragment has 2 cells, plan enumerates 3"},
+		{"key mismatch", toyPlan(cfg, "a", "renamed"), "cell 1 key mismatch"},
+	} {
+		_, err := tc.plan.AssembleFragment(rep)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestTheoryFragmentRoundTrip: the theory grid (pure simulation, no
+// timing fields) run by a plan, written as a fragment, read back,
+// validated and assembled by a second plan renders byte-identical TSV
+// to the in-process Experiment.Run.
+func TestTheoryFragmentRoundTrip(t *testing.T) {
+	e := mustFind(t, "theory")
+	cfg := RunConfig{Scale: 1, Seed: 21}
+	tsv := func(tables []Table, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := WriteTables(&b, tables, "tsv"); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	direct := tsv(e.Run(cfg))
+
+	writer, err := e.Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := perfbench.Marshal(writer.Fragment(writer.RunAll(0), "test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := perfbench.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := perfbench.Validate(rep); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := e.Plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tsv(reader.AssembleFragment(rep)); !bytes.Equal(got, direct) {
+		t.Fatalf("round-tripped TSV differs from the direct run:\n--- direct ---\n%s\n--- fragment ---\n%s", direct, got)
 	}
 }

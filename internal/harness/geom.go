@@ -43,8 +43,8 @@ func geomDistributions(scale int) []geomPointSet {
 
 // geomBaseline memoizes one distribution's sequential references so
 // that, in-process, the expensive O(n^2) Prim runs once per
-// distribution even though several cells need its answer. A shard
-// running a single cell recomputes it — cells stay self-contained.
+// distribution even though several cells need its answer. A cell run
+// alone recomputes it — cells stay self-contained.
 type geomBaseline struct {
 	once    sync.Once
 	knnWant *graph.CSR

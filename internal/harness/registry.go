@@ -32,7 +32,7 @@ type RunConfig struct {
 	Validate bool
 	// Seed is the base RNG seed; each cell derives its own as
 	// CellSeed(Seed, index), so a cell reproduces identically whether
-	// run in-process, in a shard, or alone. 0 means 1.
+	// run within its grid or alone. 0 means 1.
 	Seed uint64
 }
 
@@ -56,9 +56,7 @@ func (c *RunConfig) normalize() {
 
 // Experiment regenerates one paper artifact. Internally it is a plan
 // builder: Plan enumerates the deterministic cell list and the
-// assembly, Run executes everything in-process (the legacy behavior),
-// and internal/shard executes subsets of the same plan across
-// processes.
+// assembly, and Run executes and assembles it in-process.
 type Experiment struct {
 	ID    string
 	Paper string // which table/figure of the paper this regenerates
@@ -92,7 +90,7 @@ func (e Experiment) Run(cfg RunConfig) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Assemble(p.RunAll())
+	return p.Assemble(p.RunAll(0))
 }
 
 // Registry lists every experiment, in paper order.
@@ -662,8 +660,8 @@ func kLabels(ks []float64) []string {
 // theory: Theorem 1 validation
 
 // addSimCell appends one discrete rank-model simulation cell; the
-// simulation's RNG seed is the cell's derived seed, so any shard (or a
-// solo re-run) reproduces the exact same statistics.
+// simulation's RNG seed is the cell's derived seed, so a solo re-run
+// of the cell reproduces the exact same statistics.
 func addSimCell(p *Plan, key string, mk func(seed uint64) (values map[string]float64)) int {
 	return p.AddCell(Cell{Kind: "sim", Key: key, Threads: 1}, func(c Cell) (CellResult, error) {
 		return CellResult{Values: mk(c.Seed)}, nil

@@ -4,30 +4,28 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 )
 
-// This file is the artifact layer of the sharded experiment pipeline:
-// shards of a harness experiment grid emit self-contained fragments —
+// This file is the artifact layer of the experiment pipeline: one run
+// of a harness experiment grid emits a self-contained fragment —
 // per-cell records plus enough metadata (experiment id, config
-// fingerprint, total cell count, shard, host) to recombine them safely
-// — and Merge folds any set of fragments into one validated report,
-// independent of merge order.
+// fingerprint, total cell count, host) to check, when its tables are
+// assembled, that it belongs to the grid the assembling binary
+// enumerates.
 
 // Cell statuses, recorded per cell by the runner layer.
 const (
 	// CellOK marks a cell that ran to completion.
 	CellOK = "ok"
-	// CellTimeout marks a cell abandoned (or killed, in subprocess
-	// mode) after exceeding its wall-clock budget.
+	// CellTimeout marks a cell abandoned after exceeding its wall-clock
+	// budget.
 	CellTimeout = "timeout"
 	// CellError marks a cell whose run function returned an error
 	// (validation failure, unknown scheduler, ...).
 	CellError = "error"
 )
 
-// HostInfo fingerprints the machine a fragment was measured on, so a
-// merged multi-machine trajectory records where each shard ran.
+// HostInfo fingerprints the machine a fragment was measured on.
 type HostInfo struct {
 	Hostname string `json:"hostname"`
 	OS       string `json:"os"`
@@ -49,14 +47,6 @@ func CollectHost() *HostInfo {
 		NumCPU:   runtime.NumCPU(),
 		GoVer:    runtime.Version(),
 	}
-}
-
-// ShardInfo identifies which slice of the cell enumeration a fragment
-// covers: cells with Index % Total == Index(shard) under the strided
-// assignment, or an explicit cell list.
-type ShardInfo struct {
-	Index int `json:"index"`
-	Total int `json:"total"`
 }
 
 // Cell is one independently runnable unit of an experiment: a
@@ -87,8 +77,8 @@ type Cell struct {
 	// kept).
 	Reps int `json:"reps,omitempty"`
 	// Seed is the cell's derived RNG seed. A cell reproduces
-	// identically whether run in-process, in a shard, or alone, because
-	// the seed depends only on the base seed and the (deterministic)
+	// identically whether run within its grid or alone, because the
+	// seed depends only on the base seed and the (deterministic)
 	// enumeration index.
 	Seed uint64 `json:"seed"`
 }
@@ -101,8 +91,8 @@ type CellRecord struct {
 	Cell
 
 	// Status is CellOK, CellTimeout or CellError; Error carries the
-	// message for the non-ok statuses. Attempts counts runs including
-	// timeout retries.
+	// message for the non-ok statuses. Attempts is 1 for every cell
+	// that ran and 0 for one that was not run.
 	Status   string `json:"status"`
 	Error    string `json:"error,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
@@ -120,32 +110,23 @@ type CellRecord struct {
 	Values map[string]float64 `json:"values,omitempty"`
 }
 
-// ExperimentFragment is one shard's slice of one experiment grid. A
+// ExperimentFragment is one complete run of one experiment grid. A
 // fragment is self-contained: Experiment + Config identify the
 // enumeration, TotalCells pins its length, and Cells carry their own
-// indices — so fragments from different machines merge without access
-// to the plan that produced them.
+// indices.
 type ExperimentFragment struct {
 	// Experiment is the harness registry id (e.g. "fig1").
 	Experiment string `json:"experiment"`
 	// Config is the RunConfig fingerprint the enumeration was built
-	// from; fragments with different fingerprints never merge.
+	// from; a plan built from another config refuses the fragment.
 	Config string `json:"config"`
-	// TotalCells is the full enumeration length, so merge can tell a
-	// complete grid from a still-partial one.
+	// TotalCells is the full enumeration length; a valid fragment
+	// carries exactly that many cells.
 	TotalCells int `json:"total_cells"`
-	// Shard identifies the slice (nil for full single-process runs and
-	// for merged fragments).
-	Shard *ShardInfo `json:"shard,omitempty"`
 	// Host is the producing machine's hostname (the full fingerprint
-	// lives in the report's host/hosts sections).
+	// lives in the report's host section).
 	Host  string       `json:"host,omitempty"`
 	Cells []CellRecord `json:"cells"`
-}
-
-// Complete reports whether the fragment covers its whole enumeration.
-func (f *ExperimentFragment) Complete() bool {
-	return len(f.Cells) == f.TotalCells
 }
 
 func validateFragment(f *ExperimentFragment) error {
@@ -158,16 +139,9 @@ func validateFragment(f *ExperimentFragment) error {
 	if f.TotalCells <= 0 {
 		return fmt.Errorf("perfbench: fragment %s: total_cells = %d", f.Experiment, f.TotalCells)
 	}
-	if len(f.Cells) == 0 {
-		return fmt.Errorf("perfbench: fragment %s: no cells", f.Experiment)
-	}
-	if len(f.Cells) > f.TotalCells {
-		return fmt.Errorf("perfbench: fragment %s: %d cells exceed total_cells %d",
+	if len(f.Cells) != f.TotalCells {
+		return fmt.Errorf("perfbench: fragment %s: has %d cells, total_cells %d",
 			f.Experiment, len(f.Cells), f.TotalCells)
-	}
-	if f.Shard != nil && (f.Shard.Total < 1 || f.Shard.Index < 0 || f.Shard.Index >= f.Shard.Total) {
-		return fmt.Errorf("perfbench: fragment %s: shard %d/%d out of range",
-			f.Experiment, f.Shard.Index, f.Shard.Total)
 	}
 	seen := make(map[int]bool, len(f.Cells))
 	for _, c := range f.Cells {
@@ -194,108 +168,4 @@ func validateFragment(f *ExperimentFragment) error {
 		}
 	}
 	return nil
-}
-
-// fragGroupKey groups fragments that describe slices of the same grid.
-type fragGroupKey struct {
-	experiment string
-	config     string
-}
-
-// Merge combines fragment reports into one validated report. It is
-// commutative: the output's canonical ordering (experiments by
-// id+config, cells by index, hosts by hostname) makes Merge(A, B)
-// byte-identical to Merge(B, A). Fragments of the same
-// experiment+config must agree on TotalCells, must not overlap, and
-// must jointly cover the whole enumeration (re-running a shard produces
-// a replacement fragment, not a mergeable one).
-func Merge(reports []*Report) (*Report, error) {
-	if len(reports) == 0 {
-		return nil, fmt.Errorf("perfbench: merge of zero reports")
-	}
-	for i, r := range reports {
-		if err := Validate(r); err != nil {
-			return nil, fmt.Errorf("perfbench: merge input %d: %w", i, err)
-		}
-	}
-
-	out := &Report{Header: NewHeader("benchcheck merge"), MergedFrom: len(reports)}
-	out.Host = nil // replaced by the Hosts union below
-
-	// Experiment fragments: group by (experiment, config), union cells.
-	groups := map[fragGroupKey]*ExperimentFragment{}
-	var order []fragGroupKey
-	for _, r := range reports {
-		for fi := range r.Experiments {
-			f := &r.Experiments[fi]
-			k := fragGroupKey{f.Experiment, f.Config}
-			g, ok := groups[k]
-			if !ok {
-				g = &ExperimentFragment{Experiment: f.Experiment, Config: f.Config, TotalCells: f.TotalCells}
-				groups[k] = g
-				order = append(order, k)
-			}
-			if g.TotalCells != f.TotalCells {
-				return nil, fmt.Errorf("perfbench: merge: %s: fragments disagree on total_cells (%d vs %d)",
-					f.Experiment, g.TotalCells, f.TotalCells)
-			}
-			g.Cells = append(g.Cells, f.Cells...)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].experiment != order[j].experiment {
-			return order[i].experiment < order[j].experiment
-		}
-		return order[i].config < order[j].config
-	})
-	for _, k := range order {
-		g := groups[k]
-		sort.Slice(g.Cells, func(i, j int) bool { return g.Cells[i].Index < g.Cells[j].Index })
-		seen := make(map[int]string, len(g.Cells))
-		for _, c := range g.Cells {
-			if prev, dup := seen[c.Index]; dup {
-				return nil, fmt.Errorf("perfbench: merge: %s: cell %d present in multiple fragments (%s)",
-					g.Experiment, c.Index, prev)
-			}
-			seen[c.Index] = c.Key
-		}
-		if !g.Complete() {
-			var missing []int
-			for i := 0; i < g.TotalCells && len(missing) < 8; i++ {
-				if _, ok := seen[i]; !ok {
-					missing = append(missing, i)
-				}
-			}
-			return nil, fmt.Errorf("perfbench: merge: %s: %d of %d cells covered (missing %v...)",
-				g.Experiment, len(g.Cells), g.TotalCells, missing)
-		}
-		out.Experiments = append(out.Experiments, *g)
-	}
-
-	// Host fingerprints: union of every input's host/hosts, deduplicated
-	// and sorted.
-	hostSeen := map[HostInfo]bool{}
-	for _, r := range reports {
-		hs := r.Hosts
-		if r.Host != nil {
-			hs = append([]HostInfo{*r.Host}, hs...)
-		}
-		for _, h := range hs {
-			if !hostSeen[h] {
-				hostSeen[h] = true
-				out.Hosts = append(out.Hosts, h)
-			}
-		}
-	}
-	sort.Slice(out.Hosts, func(i, j int) bool {
-		if out.Hosts[i].Hostname != out.Hosts[j].Hostname {
-			return out.Hosts[i].Hostname < out.Hosts[j].Hostname
-		}
-		return out.Hosts[i].NumCPU < out.Hosts[j].NumCPU
-	})
-
-	if err := Validate(out); err != nil {
-		return nil, fmt.Errorf("perfbench: merged report invalid: %w", err)
-	}
-	return out, nil
 }

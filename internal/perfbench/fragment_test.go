@@ -1,7 +1,6 @@
 package perfbench
 
 import (
-	"bytes"
 	"reflect"
 	"regexp"
 	"strings"
@@ -31,8 +30,8 @@ func cell(i int, status string) CellRecord {
 }
 
 func TestValidateFragment(t *testing.T) {
-	good := ExperimentFragment{Experiment: "fig1", Config: "c", TotalCells: 4,
-		Shard: &ShardInfo{Index: 0, Total: 2}, Cells: []CellRecord{cell(0, CellOK), cell(2, CellTimeout)}}
+	good := ExperimentFragment{Experiment: "fig1", Config: "c", TotalCells: 2,
+		Cells: []CellRecord{cell(1, CellTimeout), cell(0, CellOK)}}
 	if err := validateFragment(&good); err != nil {
 		t.Fatalf("good fragment rejected: %v", err)
 	}
@@ -45,12 +44,12 @@ func TestValidateFragment(t *testing.T) {
 		{"empty experiment", func(f *ExperimentFragment) { f.Experiment = "" }, "empty experiment"},
 		{"empty config", func(f *ExperimentFragment) { f.Config = "" }, "config"},
 		{"zero total", func(f *ExperimentFragment) { f.TotalCells = 0 }, "total_cells"},
-		{"no cells", func(f *ExperimentFragment) { f.Cells = nil }, "no cells"},
+		{"no cells", func(f *ExperimentFragment) { f.Cells = nil }, "has 0 cells"},
+		{"partial", func(f *ExperimentFragment) { f.Cells = f.Cells[:1] }, "has 1 cells, total_cells 2"},
 		{"dup index", func(f *ExperimentFragment) { f.Cells = []CellRecord{cell(1, CellOK), cell(1, CellOK)} }, "duplicate"},
-		{"out of range", func(f *ExperimentFragment) { f.Cells = []CellRecord{cell(9, CellOK)} }, "outside"},
-		{"bad status", func(f *ExperimentFragment) { f.Cells[0].Status = "meh" }, "unknown status"},
-		{"timeout without error", func(f *ExperimentFragment) { f.Cells[1].Error = "" }, "without error message"},
-		{"bad shard", func(f *ExperimentFragment) { f.Shard = &ShardInfo{Index: 2, Total: 2} }, "out of range"},
+		{"out of range", func(f *ExperimentFragment) { f.Cells[1] = cell(9, CellOK) }, "outside"},
+		{"bad status", func(f *ExperimentFragment) { f.Cells[1].Status = "meh" }, "unknown status"},
+		{"timeout without error", func(f *ExperimentFragment) { f.Cells[0].Error = "" }, "without error message"},
 	}
 	for _, tc := range cases {
 		f := good
@@ -103,108 +102,6 @@ func TestCellRecordJSONRoundTrip(t *testing.T) {
 		"duration_ns elapsed_ns tasks wasted remote values"
 	if got := strings.Join(keys, " "); got != want {
 		t.Fatalf("cell keys = %q\nwant        %q", got, want)
-	}
-}
-
-// TestMergeCommutative is the order-independence contract: merging the
-// same fragments in any order yields byte-identical artifacts.
-func TestMergeCommutative(t *testing.T) {
-	a := mkFragReport(ExperimentFragment{Experiment: "fig1", Config: "c", TotalCells: 4,
-		Shard: &ShardInfo{Index: 0, Total: 2},
-		Cells: []CellRecord{cell(0, CellOK), cell(2, CellOK)}}, "hostB")
-	b := mkFragReport(ExperimentFragment{Experiment: "fig1", Config: "c", TotalCells: 4,
-		Shard: &ShardInfo{Index: 1, Total: 2},
-		Cells: []CellRecord{cell(1, CellTimeout), cell(3, CellOK)}}, "hostA")
-
-	ab, err := Merge([]*Report{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba, err := Merge([]*Report{b, a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	abBytes, err := Marshal(ab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baBytes, err := Marshal(ba)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(abBytes, baBytes) {
-		t.Fatalf("merge not commutative:\n--- A,B ---\n%s\n--- B,A ---\n%s", abBytes, baBytes)
-	}
-
-	if len(ab.Experiments) != 1 || len(ab.Experiments[0].Cells) != 4 {
-		t.Fatalf("merged fragment wrong shape: %+v", ab.Experiments)
-	}
-	for i, c := range ab.Experiments[0].Cells {
-		if c.Index != i {
-			t.Fatalf("merged cells not in index order: %d at %d", c.Index, i)
-		}
-	}
-	if ab.Experiments[0].Cells[1].Status != CellTimeout {
-		t.Fatal("timeout status lost in merge")
-	}
-	if len(ab.Hosts) != 2 || ab.Hosts[0].Hostname != "hostA" {
-		t.Fatalf("hosts not unioned/sorted: %+v", ab.Hosts)
-	}
-	if ab.Host != nil {
-		t.Fatal("merged report must clear the single-host fingerprint")
-	}
-	if ab.MergedFrom != 2 {
-		t.Fatalf("merged_from = %d", ab.MergedFrom)
-	}
-	if err := Validate(ab); err != nil {
-		t.Fatalf("merged report invalid: %v", err)
-	}
-}
-
-func TestMergeRejectsOverlapAndGaps(t *testing.T) {
-	a := mkFragReport(ExperimentFragment{Experiment: "fig1", Config: "c", TotalCells: 3,
-		Cells: []CellRecord{cell(0, CellOK), cell(1, CellOK)}}, "h")
-	dup := mkFragReport(ExperimentFragment{Experiment: "fig1", Config: "c", TotalCells: 3,
-		Cells: []CellRecord{cell(1, CellOK), cell(2, CellOK)}}, "h")
-	if _, err := Merge([]*Report{a, dup}); err == nil || !strings.Contains(err.Error(), "multiple fragments") {
-		t.Fatalf("overlap not rejected: %v", err)
-	}
-
-	gap := mkFragReport(ExperimentFragment{Experiment: "fig1", Config: "c", TotalCells: 3,
-		Cells: []CellRecord{cell(2, CellOK)}}, "h")
-	if _, err := Merge([]*Report{a}); err == nil {
-		t.Fatal("incomplete grid not rejected")
-	}
-	merged, err := Merge([]*Report{a, gap})
-	if err != nil {
-		t.Fatalf("complete grid rejected: %v", err)
-	}
-	if !merged.Experiments[0].Complete() {
-		t.Fatal("merged fragment not marked complete")
-	}
-}
-
-func TestMergeKeepsDifferentConfigsApart(t *testing.T) {
-	a := mkFragReport(ExperimentFragment{Experiment: "fig1", Config: "c1", TotalCells: 1,
-		Cells: []CellRecord{cell(0, CellOK)}}, "h")
-	b := mkFragReport(ExperimentFragment{Experiment: "fig1", Config: "c2", TotalCells: 1,
-		Cells: []CellRecord{cell(0, CellOK)}}, "h")
-	m, err := Merge([]*Report{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Experiments) != 2 {
-		t.Fatalf("different configs collapsed: %+v", m.Experiments)
-	}
-}
-
-func TestMergeRejectsTotalCellsMismatch(t *testing.T) {
-	a := mkFragReport(ExperimentFragment{Experiment: "fig1", Config: "c", TotalCells: 2,
-		Cells: []CellRecord{cell(0, CellOK)}}, "h")
-	b := mkFragReport(ExperimentFragment{Experiment: "fig1", Config: "c", TotalCells: 3,
-		Cells: []CellRecord{cell(1, CellOK)}}, "h")
-	if _, err := Merge([]*Report{a, b}); err == nil || !strings.Contains(err.Error(), "total_cells") {
-		t.Fatalf("total_cells mismatch not rejected: %v", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package perfbench is the artifact envelope of the repository's JSON
 // outputs: the schema-versioned header every artifact starts with, the
-// experiment-fragment layer of the sharded harness pipeline (per-cell
-// records, Merge, Validate), and the log-bucketed Histogram behind the
+// experiment fragment that `smqbench -fragment` writes (per-cell
+// records, Validate), and the log-bucketed Histogram behind the
 // latency percentiles. It imports nothing but the standard library, so
 // any package can carry its results in the envelope.
 //
@@ -31,9 +31,7 @@ type Header struct {
 	GoVersion     string `json:"go_version"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	Seed          uint64 `json:"seed"`
-	// Host fingerprints the machine that produced the artifact. Merged
-	// reports clear it and list every contributing machine in
-	// Report.Hosts instead.
+	// Host fingerprints the machine that produced the artifact.
 	Host *HostInfo `json:"host,omitempty"`
 }
 
@@ -63,17 +61,13 @@ func (h *Header) Validate() error {
 	return nil
 }
 
-// Report is the experiment artifact: sharded experiment fragments
-// produced by `smqbench -fragment` and combined by `benchcheck merge`.
+// Report is the experiment artifact that `smqbench -fragment` writes:
+// one complete fragment per experiment it ran, all measured by one
+// process on one host.
 type Report struct {
 	Header
-	// Hosts lists every machine that contributed to a merged report.
-	Hosts []HostInfo `json:"hosts,omitempty"`
 	// Experiments holds per-cell records of harness experiment grids.
 	Experiments []ExperimentFragment `json:"experiments,omitempty"`
-	// MergedFrom counts the fragments a merged report was built from
-	// (0 for reports written directly by a shard).
-	MergedFrom int `json:"merged_from,omitempty"`
 }
 
 // Validate checks a report against the schema contract. Writers run it

@@ -259,27 +259,22 @@
 // cmd/smqbench regenerates the paper's tables and figures. Every
 // experiment is a deterministic enumeration of cells — one (scheduler,
 // workload, thread count, repetitions) measurement each, with a
-// per-cell RNG seed derived from the base -seed — so a grid can be
-// listed, split, and re-run cell by cell:
+// per-cell RNG seed derived from the base -seed — that one process runs
+// whole:
 //
-//	smqbench -exp fig2 -scale 1 -threads 1,2,4        # run in-process
+//	smqbench -exp fig2 -scale 1 -threads 1,2,4        # run and print the tables
 //	smqbench -exp fig2 -listcells                     # print the enumeration
-//	smqbench -exp fig2 -shard 0/2 -fragment f0.json   # run half the cells
-//	smqbench -exp fig2 -shard 1/2 -fragment f1.json   # ...the other half
-//	benchcheck merge -o merged.json f0.json f1.json   # recombine shards
-//	smqbench -exp fig2 -assemble merged.json          # render the tables
+//	smqbench -exp fig2 -fragment fig2.json            # run, write every cell's result
+//	benchcheck fig2.json                              # re-validate the file on disk
+//	smqbench -exp fig2 -assemble fig2.json            # render the tables from it
 //
-// Shards may run in different processes, on different machines, or as
-// CI matrix jobs: fragments are self-contained schema-versioned JSON
-// (internal/perfbench) carrying the experiment id, the run
-// configuration fingerprint, a host fingerprint and per-cell status
-// (ok, timeout or error), and merging is order-independent. Because
-// cell seeds depend only on the base seed and the cell's index, the
-// assembled tables are byte-identical (modulo timing fields) to an
-// in-process run. -celltimeout bounds each cell's wall clock (with
-// -cellretries bounded retry); -subproc re-execs the binary once per
-// cell so a hung cell is killed, not abandoned, and -cellprefix wraps
-// children in numactl/taskset for pinned measurements.
+// A fragment is self-contained schema-versioned JSON (internal/perfbench)
+// carrying the experiment id, the run configuration fingerprint, a host
+// fingerprint and per-cell status (ok, timeout or error). Because cell
+// seeds depend only on the base seed and the cell's index, the tables
+// assembled from it are byte-identical (modulo timing fields) to an
+// in-process run. -celltimeout bounds each cell's wall clock; after a
+// cell exceeds it no further cell runs.
 package smq
 
 import (

@@ -9,8 +9,8 @@ import (
 
 func TestWindowPrefixCounts(t *testing.T) {
 	w := newWindow(1 << 12)
-	if w.bucketWidth() != 1 {
-		t.Fatalf("small horizon should get 1-wide buckets, got %d", w.bucketWidth())
+	if w.shift != 0 {
+		t.Fatalf("small horizon should get 1-wide buckets, got shift %d", w.shift)
 	}
 	for _, ts := range []uint64{0, 1, 1, 5, 100, 4096} {
 		w.Register(ts)
@@ -45,7 +45,7 @@ func TestWindowCapsBucketCount(t *testing.T) {
 	if len(w.tree) > maxWindowBuckets {
 		t.Fatalf("tree has %d buckets, cap is %d", len(w.tree), maxWindowBuckets)
 	}
-	if w.bucketWidth() == 1 {
+	if w.shift == 0 {
 		t.Fatal("wide horizon should coarsen buckets")
 	}
 	w.Register(1 << 39)

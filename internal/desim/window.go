@@ -76,6 +76,3 @@ func (w *window) Before(t uint64) int64 {
 	}
 	return sum
 }
-
-// bucketWidth reports the timestamp width of one bucket, for logging.
-func (w *window) bucketWidth() uint64 { return 1 << w.shift }

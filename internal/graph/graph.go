@@ -1,8 +1,9 @@
 // Package graph provides the graph substrate for the paper's evaluation
-// (§5): a compact CSR representation, synthetic generators standing in
+// (§5): a compact CSR representation and synthetic generators standing in
 // for the paper's input graphs (Table 1 — the generators' doc comments
-// give the substitution rationale), and DIMACS/binary I/O so real road
-// networks can be used when available.
+// give the substitution rationale). The package reads no graph files: an
+// outside graph, such as a real road network, comes in as an edge list
+// through smq.BuildGraph.
 package graph
 
 import (

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -202,6 +201,7 @@ func (p *Plan) Assemble(rs []CellResult) ([]Table, error) {
 // report carrying one experiment fragment.
 func (p *Plan) Fragment(results []CellResult, generatedBy string) *perfbench.Report {
 	h := perfbench.NewHeader(generatedBy)
+	h.Seed = p.Config.Seed
 	return &perfbench.Report{
 		Header: h,
 		Experiments: []perfbench.ExperimentFragment{{
@@ -288,16 +288,7 @@ func (p *Plan) addMeasure(w *Workload, spec SchedulerSpec, threads int, keyParam
 		Params:    params,
 		Threads:   threads,
 	}, func(c Cell) (CellResult, error) {
-		m, err := MeasureSeeded(w, spec, c.Threads, c.Reps, validate, c.Seed)
-		if err != nil {
-			return CellResult{}, err
-		}
-		return CellResult{
-			DurationNs: m.Duration.Nanoseconds(),
-			Tasks:      m.Tasks,
-			Wasted:     m.Wasted,
-			Remote:     m.Remote,
-		}, nil
+		return MeasureSeeded(w, spec, c.Threads, c.Reps, validate, c.Seed)
 	})
 }
 
@@ -389,15 +380,4 @@ func (g *gridSection) tables(rs []CellResult) []Table {
 		out = append(out, t)
 	}
 	return out
-}
-
-// sortedValueKeys returns a Values map's keys in deterministic order
-// (used by tests and debugging output).
-func sortedValueKeys(v map[string]float64) []string {
-	keys := make([]string, 0, len(v))
-	for k := range v {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -306,15 +306,22 @@ func toyPlan(cfg RunConfig, keys ...string) *Plan {
 
 // TestFragmentHeader pins the header a run stamps on its fragment: it
 // must validate, and record the GOMAXPROCS the cells ran under
-// (hand-filled headers once left it 0).
+// (hand-filled headers once left it 0) and the plan's seed (once always
+// 0).
 func TestFragmentHeader(t *testing.T) {
-	p := toyPlan(RunConfig{}, "a", "b")
-	rep := p.Fragment(p.RunAll(0), "test")
-	if err := perfbench.Validate(rep); err != nil {
-		t.Fatalf("fragment fails validation: %v", err)
-	}
-	if rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
-		t.Fatalf("fragment gomaxprocs = %d, want %d", rep.GOMAXPROCS, runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ cfg, want uint64 }{{0, 1}, {21, 21}} {
+		p := toyPlan(RunConfig{Seed: tc.cfg}, "a", "b")
+		rep := p.Fragment(p.RunAll(0), "test")
+		if err := perfbench.Validate(rep); err != nil {
+			t.Fatalf("fragment fails validation: %v", err)
+		}
+		if rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+			t.Fatalf("fragment gomaxprocs = %d, want %d", rep.GOMAXPROCS, runtime.GOMAXPROCS(0))
+		}
+		// The header records the plan's normalized seed (0 becomes 1).
+		if rep.Seed != tc.want {
+			t.Errorf("config seed %d: fragment seed = %d, want %d", tc.cfg, rep.Seed, tc.want)
+		}
 	}
 }
 

@@ -107,18 +107,18 @@ func planGeom(cfg RunConfig) (*Plan, error) {
 				Kind: "measure", Key: measureKey("knn", d.Name, spec.Name, spec.Params, threads),
 				Workload: "kNN " + d.Name, Scheduler: spec.Name, Params: spec.Params, Threads: threads,
 			}, func(c Cell) (CellResult, error) {
-				var best algos.Result
-				for r := 0; r < c.Reps; r++ {
-					got, res := algos.KNNGraph(d.PS, geomK, spec.Make(c.Threads, repSeed(c.Seed, r)))
+				best, err := bestOf(c.Reps, c.Seed, func(seed uint64) (algos.Result, error) {
+					got, res := algos.KNNGraph(d.PS, geomK, spec.Make(c.Threads, seed))
 					if validate {
 						base.ensure(d.PS)
 						if !reflect.DeepEqual(got, base.knnWant) {
-							return CellResult{}, fmt.Errorf("geom: %s/%s: k-NN graph differs from sequential reference", d.Name, spec.Name)
+							return res, fmt.Errorf("geom: %s/%s: k-NN graph differs from sequential reference", d.Name, spec.Name)
 						}
 					}
-					if r == 0 || res.Duration < best.Duration {
-						best = res
-					}
+					return res, nil
+				})
+				if err != nil {
+					return CellResult{}, err
 				}
 				return CellResult{DurationNs: best.Duration.Nanoseconds(), Tasks: best.Tasks,
 					Values: map[string]float64{"work": best.WorkIncrease(uint64(d.PS.N()))}}, nil
@@ -128,16 +128,16 @@ func planGeom(cfg RunConfig) (*Plan, error) {
 				Workload: "EMST " + d.Name, Scheduler: spec.Name, Params: spec.Params, Threads: threads,
 			}, func(c Cell) (CellResult, error) {
 				base.ensure(d.PS) // exactness check is unconditional for EMST
-				var best algos.Result
-				for r := 0; r < c.Reps; r++ {
-					gotW, gotE, res := algos.EuclideanMST(d.PS, geomK, spec.Make(c.Threads, repSeed(c.Seed, r)))
+				best, err := bestOf(c.Reps, c.Seed, func(seed uint64) (algos.Result, error) {
+					gotW, gotE, res := algos.EuclideanMST(d.PS, geomK, spec.Make(c.Threads, seed))
 					if gotW != base.wantW || gotE != base.wantE {
-						return CellResult{}, fmt.Errorf("geom: %s/%s: EMST = (%d, %d), want (%d, %d)",
+						return res, fmt.Errorf("geom: %s/%s: EMST = (%d, %d), want (%d, %d)",
 							d.Name, spec.Name, gotW, gotE, base.wantW, base.wantE)
 					}
-					if r == 0 || res.Duration < best.Duration {
-						best = res
-					}
+					return res, nil
+				})
+				if err != nil {
+					return CellResult{}, err
 				}
 				return CellResult{DurationNs: best.Duration.Nanoseconds(), Tasks: best.Tasks,
 					Values: map[string]float64{"work": best.WorkIncrease(uint64(2 * d.PS.N()))}}, nil
@@ -173,13 +173,4 @@ func planGeom(cfg RunConfig) (*Plan, error) {
 		return []Table{knnTable, mstTable}, nil
 	})
 	return p, nil
-}
-
-// repSeed derives the seed of repetition r from the cell seed (rep 0
-// uses the cell seed itself, matching single-rep runs).
-func repSeed(seed uint64, r int) uint64 {
-	if r == 0 || seed == 0 {
-		return seed
-	}
-	return CellSeed(seed, r)
 }

@@ -227,61 +227,48 @@ func AllSchedulers() []SchedulerSpec {
 	return append(StandardSchedulers(), registered("coarse"), registered("cbpq"))
 }
 
-// Measurement is one measured cell of an experiment.
-type Measurement struct {
-	Experiment string
-	Workload   string
-	Scheduler  string
-	Params     string
-	Threads    int
-	Duration   time.Duration
-	Tasks      uint64
-	Wasted     uint64
-	// Speedup is relative to the experiment's declared baseline.
-	Speedup float64
-	// WorkIncrease is Tasks relative to the baseline's tasks.
-	WorkIncrease float64
-	// Remote is the fraction of queue accesses leaving the virtual node.
-	Remote float64
-}
-
-// Measure runs spec on workload with the given thread count, repeating
-// and keeping the best time (the paper reports averages of 10 runs; reps
-// configure that).
-func Measure(w *Workload, spec SchedulerSpec, threads, reps int, validate bool) (Measurement, error) {
-	return MeasureSeeded(w, spec, threads, reps, validate, 0)
-}
-
-// MeasureSeeded is Measure with an explicit scheduler RNG seed (0 =
-// the scheduler's default seeding). Repetitions derive distinct
-// sub-seeds from it, so a multi-rep cell is as reproducible as a
-// single-rep one.
-func MeasureSeeded(w *Workload, spec SchedulerSpec, threads, reps int, validate bool, seed uint64) (Measurement, error) {
-	if reps < 1 {
-		reps = 1
+// MeasureSeeded runs spec on workload with the given thread count reps
+// times and keeps the fastest run (the paper reports averages of 10
+// runs; reps configure that). seed is the scheduler RNG seed (0 = the
+// scheduler's default seeding); repetitions derive distinct sub-seeds
+// from it, so a multi-rep cell is as reproducible as a single-rep one.
+func MeasureSeeded(w *Workload, spec SchedulerSpec, threads, reps int, validate bool, seed uint64) (CellResult, error) {
+	best, err := bestOf(reps, seed, func(seed uint64) (algos.Result, error) {
+		return w.Run(spec.Make(threads, seed), validate)
+	})
+	if err != nil {
+		return CellResult{}, err
 	}
+	m := CellResult{DurationNs: best.Duration.Nanoseconds(), Tasks: best.Tasks, Wasted: best.Wasted}
+	if total := best.Sched.Pushes + best.Sched.Pops; total > 0 {
+		m.Remote = float64(best.Sched.Remote) / float64(total)
+	}
+	return m, nil
+}
+
+// bestOf is every measured cell's repetition loop: it calls run reps
+// times (at least once), repetition r with the scheduler seed
+// repSeed(seed, r), and keeps the fastest result. The first error ends
+// it.
+func bestOf(reps int, seed uint64, run func(seed uint64) (algos.Result, error)) (algos.Result, error) {
 	var best algos.Result
-	for r := 0; r < reps; r++ {
-		res, err := w.Run(spec.Make(threads, repSeed(seed, r)), validate)
+	for r := 0; r < max(reps, 1); r++ {
+		res, err := run(repSeed(seed, r))
 		if err != nil {
-			return Measurement{}, err
+			return algos.Result{}, err
 		}
 		if r == 0 || res.Duration < best.Duration {
 			best = res
 		}
 	}
-	m := Measurement{
-		Workload:  w.Name,
-		Scheduler: spec.Name,
-		Params:    spec.Params,
-		Threads:   threads,
-		Duration:  best.Duration,
-		Tasks:     best.Tasks,
-		Wasted:    best.Wasted,
+	return best, nil
+}
+
+// repSeed derives the seed of repetition r from the cell seed (rep 0
+// uses the cell seed itself, matching single-rep runs).
+func repSeed(seed uint64, r int) uint64 {
+	if r == 0 || seed == 0 {
+		return seed
 	}
-	total := best.Sched.Pushes + best.Sched.Pops
-	if total > 0 {
-		m.Remote = float64(best.Sched.Remote) / float64(total)
-	}
-	return m, nil
+	return CellSeed(seed, r)
 }

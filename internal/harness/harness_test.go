@@ -2,8 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/algos"
 )
 
 func TestStandardWorkloadsShape(t *testing.T) {
@@ -47,16 +51,27 @@ func TestSeqBaselineCached(t *testing.T) {
 
 func TestMeasureRepeatsKeepBest(t *testing.T) {
 	w := QuickWorkloads(1)[0]
-	spec := registered("smq")
-	m, err := Measure(w, spec, 2, 2, false)
+	m, err := MeasureSeeded(w, registered("smq"), 2, 2, false, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Duration <= 0 || m.Tasks == 0 {
+	if m.DurationNs <= 0 || m.Tasks == 0 {
 		t.Fatalf("bad measurement: %+v", m)
 	}
-	if m.Scheduler != "smq" || m.Threads != 2 {
-		t.Fatalf("metadata wrong: %+v", m)
+
+	// The repetition loop itself: every rep runs on its own derived seed
+	// and the fastest one is kept.
+	durs := []time.Duration{3, 1, 2}
+	var seeds []uint64
+	best, err := bestOf(len(durs), 7, func(seed uint64) (algos.Result, error) {
+		seeds = append(seeds, seed)
+		return algos.Result{Duration: durs[len(seeds)-1], Tasks: uint64(len(seeds))}, nil
+	})
+	if err != nil || best.Tasks != 2 {
+		t.Fatalf("bestOf kept rep %d (err %v), want the fastest, rep 2", best.Tasks, err)
+	}
+	if want := []uint64{7, repSeed(7, 1), repSeed(7, 2)}; !slices.Equal(seeds, want) {
+		t.Fatalf("rep seeds = %v, want %v", seeds, want)
 	}
 }
 
@@ -187,12 +202,6 @@ func TestTableWriters(t *testing.T) {
 	}
 	if strings.Count(both.String(), "# demo") != 2 {
 		t.Fatal("WriteTables dropped a table")
-	}
-}
-
-func TestGraphSuffix(t *testing.T) {
-	if graphSuffix("SSSP USA") != "USA" || graphSuffix("BFS TWITTER") != "TWITTER" {
-		t.Fatal("graphSuffix broken")
 	}
 }
 

@@ -216,16 +216,6 @@ func planTable1(cfg RunConfig) (*Plan, error) {
 	return p, nil
 }
 
-// graphSuffix extracts the graph name from a workload name.
-func graphSuffix(workload string) string {
-	for i := len(workload) - 1; i >= 0; i-- {
-		if workload[i] == ' ' {
-			return workload[i+1:]
-		}
-	}
-	return workload
-}
-
 // ---------------------------------------------------------------------------
 // table2: classic MQ with C in 2..8
 

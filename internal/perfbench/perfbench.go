@@ -30,7 +30,10 @@ type Header struct {
 	GeneratedBy   string `json:"generated_by"`
 	GoVersion     string `json:"go_version"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
-	Seed          uint64 `json:"seed"`
+	// Seed is the base seed of the run that wrote the artifact. Files
+	// written before it was filled read 0; their config string carries
+	// the seed.
+	Seed uint64 `json:"seed"`
 	// Host fingerprints the machine that produced the artifact.
 	Host *HostInfo `json:"host,omitempty"`
 }

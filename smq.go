@@ -481,6 +481,9 @@ type GraphEdge = graph.Edge
 type Coord = graph.Coord
 
 // BuildGraph assembles a CSR graph from an edge list; coords may be nil.
+// It is the way in for an outside graph (a real road network, say): the
+// repository reads no graph file format, so the caller parses the file
+// and hands over its edges and coordinates.
 func BuildGraph(n int, edges []GraphEdge, coords []Coord) (*Graph, error) {
 	return graph.Build(n, edges, coords)
 }

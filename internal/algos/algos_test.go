@@ -87,7 +87,7 @@ func TestSSSPMatchesDijkstraAllSchedulers(t *testing.T) {
 func TestBFSMatchesLevelsAllSchedulers(t *testing.T) {
 	for gname, g := range testGraphs() {
 		src := g.MaxOutDegreeVertex()
-		want := BFSSeq(g, src)
+		want := bfsSeq(g, src)
 		for sname, mk := range schedulers(4) {
 			got, _ := BFS(g, src, mk())
 			for v := range want {
@@ -249,4 +249,27 @@ func TestKruskalKnownGraph(t *testing.T) {
 	if w != 3 || e != 2 {
 		t.Fatalf("Kruskal = (%d,%d), want (3,2)", w, e)
 	}
+}
+
+// bfsSeq computes exact hop levels with a plain FIFO queue, the ground
+// truth for the parallel BFS.
+func bfsSeq(g *graph.CSR, src uint32) []uint64 {
+	dist := make([]uint64, g.N)
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	dist[src] = 0
+	queue := []uint32{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		ts, _ := g.Neighbors(u)
+		for _, v := range ts {
+			if dist[v] == Unreachable {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
 }

@@ -48,11 +48,10 @@ func EuclideanMST(ps *geom.PointSet, k int, s sched.Scheduler[uint32]) (uint64, 
 	pos := make([]int, n)
 	// members[r] chains the point ids of the component rooted at r; only
 	// accessed while holding locks[r].
-	members := make([]*memberChain, n)
+	members := make([]*chain[uint32], n)
 	for i := 0; i < n; i++ {
 		parent[i].Store(uint32(i))
-		members[i] = &memberChain{ids: []uint32{uint32(i)}, size: 1}
-		members[i].tail = members[i]
+		members[i] = newChain([]uint32{uint32(i)})
 	}
 
 	find := func(x uint32) uint32 {
@@ -108,7 +107,7 @@ func EuclideanMST(ps *geom.PointSet, k int, s sched.Scheduler[uint32]) (uint64, 
 	minOut := func(r uint32) (best geom.Neighbor, bestW uint32, found bool) {
 		var bestSrc uint32
 		for link := members[r]; link != nil; link = link.next {
-			for _, i := range link.ids {
+			for _, i := range link.items {
 				nb, ok := nearestExternal(int(i), r)
 				if !ok {
 					continue
@@ -153,7 +152,7 @@ func EuclideanMST(ps *geom.PointSet, k int, s sched.Scheduler[uint32]) (uint64, 
 				return true // absorbed while waiting for our own lock
 			}
 			for {
-				if members[r].size == n {
+				if members[r].count == n {
 					// The component spans the whole point set: the
 					// spanning tree is complete. Short-circuiting avoids
 					// widening every member's candidate row to saturation
@@ -210,7 +209,7 @@ func EuclideanMST(ps *geom.PointSet, k int, s sched.Scheduler[uint32]) (uint64, 
 				totalWeight.Add(uint64(bestW))
 				totalEdges.Add(1)
 				locks[t].Unlock()
-				mergedSize := uint64(members[r].size)
+				mergedSize := uint64(members[r].count)
 				locks[r].Unlock()
 				out.Push(mergedSize, r)
 				return false
@@ -224,25 +223,4 @@ func EuclideanMST(ps *geom.PointSet, k int, s sched.Scheduler[uint32]) (uint64, 
 		Sched:    s.Stats(),
 	}
 	return totalWeight.Load(), int(totalEdges.Load()), res
-}
-
-// memberChain is a meldable list of component member point ids, the
-// geometric counterpart of BoruvkaMST's edgeChain. Only head links keep
-// size and tail current; melded-in heads go stale, which is fine
-// because a chain is only ever entered through its component's head.
-type memberChain struct {
-	ids  []uint32
-	next *memberChain
-	tail *memberChain // last link (maintained on heads only)
-	size int          // total ids across the chain
-}
-
-// meld appends other's chain to c in O(1) via the tail pointer.
-func (c *memberChain) meld(other *memberChain) {
-	if other == nil {
-		return
-	}
-	c.tail.next = other
-	c.tail = other.tail
-	c.size += other.size
 }

@@ -206,7 +206,7 @@ func TestAlgorithmsUnderMaximallyRelaxedOrder(t *testing.T) {
 	t.Logf("LIFO work increase: %.2fx", res.WorkIncrease(seq.Tasks))
 
 	levels, _ := BFS(g, 0, &lifoSched{workers: 2})
-	wantLvl := BFSSeq(g, 0)
+	wantLvl := bfsSeq(g, 0)
 	for v := range wantLvl {
 		if levels[v] != wantLvl[v] {
 			t.Fatalf("level[%d] = %d, want %d", v, levels[v], wantLvl[v])
@@ -220,7 +220,7 @@ func TestSSSPPropertyRandomGraphs(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16) bool {
 		n := int(nRaw%60) + 2
 		m := int(mRaw%300) + 1
-		g := graph.GenerateUniformRandom(n, m, 100, seed)
+		g := uniformRandom(n, m, seed)
 		want, _ := DijkstraSeq(g, 0)
 		s := core.NewStealingMQ[uint32](core.Config{Workers: 3, Seed: seed + 1})
 		got, _ := SSSP(g, 0, s)
@@ -253,4 +253,20 @@ func TestMSTPropertyRandomGrids(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// uniformRandom builds a directed graph with n >= 2 vertices and m
+// random edges without self-loops, weights uniform in [1, 100].
+func uniformRandom(n, m int, seed uint64) *graph.CSR {
+	rng := xrand.New(seed)
+	edges := make([]graph.Edge, 0, m)
+	for range m {
+		u := uint32(rng.Intn(n))
+		v := uint32(rng.Intn(n - 1))
+		if v >= u {
+			v++ // skip u: no self-loops
+		}
+		edges = append(edges, graph.Edge{U: u, V: v, W: 1 + uint32(rng.Intn(100))})
+	}
+	return graph.MustBuild(n, edges, nil)
 }

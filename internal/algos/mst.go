@@ -26,7 +26,7 @@ func BoruvkaMST(g *graph.CSR, s sched.Scheduler[uint32]) (uint64, int, Result) {
 	locks := make([]sync.Mutex, n)
 	// comps[r] is the candidate edge chain of the component rooted at r;
 	// it is only accessed while holding locks[r].
-	comps := make([]*edgeChain, n)
+	comps := make([]*chain[graph.Edge], n)
 	for i := 0; i < n; i++ {
 		parent[i].Store(uint32(i))
 		edges := make([]graph.Edge, 0, g.OutDegree(uint32(i)))
@@ -34,7 +34,7 @@ func BoruvkaMST(g *graph.CSR, s sched.Scheduler[uint32]) (uint64, int, Result) {
 		for j, v := range ts {
 			edges = append(edges, graph.Edge{U: uint32(i), V: v, W: ws[j]})
 		}
-		comps[i] = &edgeChain{edges: edges, count: len(edges)}
+		comps[i] = newChain(edges)
 	}
 
 	find := func(x uint32) uint32 {
@@ -80,7 +80,7 @@ func BoruvkaMST(g *graph.CSR, s sched.Scheduler[uint32]) (uint64, int, Result) {
 				locks[r].Unlock()
 				return true
 			}
-			e, ok := comps[r].minOutgoing(r, find)
+			e, ok := minOutgoing(comps[r], r, find)
 			if !ok {
 				// No outgoing edges: the component is a finished tree.
 				locks[r].Unlock()
@@ -118,35 +118,47 @@ func BoruvkaMST(g *graph.CSR, s sched.Scheduler[uint32]) (uint64, int, Result) {
 	return totalWeight.Load(), int(totalEdges.Load()), res
 }
 
-// edgeChain is a meldable bag of candidate edges: a list of slices so
-// that merging two components is O(1).
-type edgeChain struct {
-	edges []graph.Edge
-	next  *edgeChain
-	count int // total edges across the chain (approximate after purges)
+// chain is a meldable bag of a component's items (candidate edges for
+// BoruvkaMST, member points for EuclideanMST): a list of slices, so that
+// merging two components is O(1). Only head links keep tail and count
+// current; a melded-in head goes stale, which is fine because a chain is
+// only ever entered through its component's head.
+type chain[E any] struct {
+	items []E
+	next  *chain[E]
+	tail  *chain[E] // last link (maintained on heads only)
+	count int       // items across the chain (maintained on heads only)
 }
 
-// meld appends other's chain to c in O(1).
-func (c *edgeChain) meld(other *edgeChain) {
+// newChain returns a one-link chain holding items.
+func newChain[E any](items []E) *chain[E] {
+	c := &chain[E]{items: items, count: len(items)}
+	c.tail = c
+	return c
+}
+
+// meld appends other's chain to c in O(1) via the tail pointer.
+func (c *chain[E]) meld(other *chain[E]) {
 	if other == nil {
 		return
 	}
-	tail := c
-	for tail.next != nil {
-		tail = tail.next
-	}
-	tail.next = other
+	c.tail.next = other
+	c.tail = other.tail
 	c.count += other.count
 }
 
-// minOutgoing scans the chain for the minimum-weight edge leaving the
-// component rooted at r, purging intra-component edges as it goes.
-func (c *edgeChain) minOutgoing(r uint32, find func(uint32) uint32) (graph.Edge, bool) {
+// minOutgoing scans c for the minimum-weight edge leaving the component
+// rooted at r, purging intra-component edges as it goes and unlinking
+// every link other than the head that the purge empties, so a component
+// that absorbs others one at a time does not rescan their spent links.
+func minOutgoing(c *chain[graph.Edge], r uint32, find func(uint32) uint32) (graph.Edge, bool) {
 	var best graph.Edge
 	found := false
+	total := 0
+	var prev *chain[graph.Edge]
 	for link := c; link != nil; link = link.next {
-		kept := link.edges[:0]
-		for _, e := range link.edges {
+		kept := link.items[:0]
+		for _, e := range link.items {
 			if find(e.V) == r {
 				continue // internal edge: discard forever
 			}
@@ -156,12 +168,16 @@ func (c *edgeChain) minOutgoing(r uint32, find func(uint32) uint32) (graph.Edge,
 				found = true
 			}
 		}
-		link.edges = kept
-	}
-	// Recompute the candidate count after purging.
-	total := 0
-	for link := c; link != nil; link = link.next {
-		total += len(link.edges)
+		link.items = kept
+		if len(kept) == 0 && prev != nil {
+			prev.next = link.next
+			if c.tail == link {
+				c.tail = prev
+			}
+			continue
+		}
+		total += len(kept)
+		prev = link
 	}
 	c.count = total
 	return best, found

@@ -62,29 +62,6 @@ func dijkstraSeq(g *graph.CSR, src uint32, unitWeights bool) ([]uint64, SeqResul
 	return dist, SeqResult{Tasks: tasks}
 }
 
-// BFSSeq computes exact hop levels with a plain FIFO queue — used by
-// tests as ground truth for the parallel BFS.
-func BFSSeq(g *graph.CSR, src uint32) []uint64 {
-	dist := make([]uint64, g.N)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	queue := []uint32{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		ts, _ := g.Neighbors(u)
-		for _, v := range ts {
-			if dist[v] == Unreachable {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
 // AStarSeq is the sequential A* baseline, returning the src→target
 // distance (Unreachable when no path exists).
 func AStarSeq(g *graph.CSR, src, target uint32) (uint64, SeqResult) {

@@ -169,14 +169,11 @@ const DefaultChunkCap = 128
 // chunks (CAS losers); beyond this they are dropped for the GC.
 const maxFreeChunks = 8
 
-// Live-chunk slot flags: a reserved slot moves free → ready when its
-// item has been published. Head chunks carry no per-slot state at all —
-// the claim CAS on the packed idx word is the claim, and freezing goes
-// through the same word (see freezeHead).
-const (
-	slotFree  uint32 = 0
-	slotReady uint32 = 1
-)
+// Live-chunk slot flag: a reserved slot's flag moves from 0 (free) to
+// slotReady when its item has been published. Head chunks carry no
+// per-slot state at all — the claim CAS on the packed idx word is the
+// claim, and freezing goes through the same word (see freezeHead).
+const slotReady uint32 = 1
 
 // The head chunk's idx word packs [ freeze:1 | publishes:46 | index:17 ]:
 //

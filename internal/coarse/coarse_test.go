@@ -44,7 +44,7 @@ func TestNoLostTasksConcurrent(t *testing.T) {
 				w.Push(uint64(v%991), v)
 			}
 			var b sched.Backoff
-			for !pending.Done() {
+			for pending.Load() != 0 {
 				_, v, ok := w.Pop()
 				if !ok {
 					b.Wait()

@@ -26,12 +26,3 @@ func (b *BenchQueue) Refill(items []pq.Item[int]) {
 func (b *BenchQueue) Steal(dst []pq.Item[int]) []pq.Item[int] {
 	return b.q.Steal(dst)
 }
-
-// Drain empties the owner-side heap (between benchmark iterations).
-func (b *BenchQueue) Drain() {
-	for {
-		if _, _, ok := b.q.PopLocal(); !ok {
-			return
-		}
-	}
-}

@@ -140,7 +140,7 @@ func TestNoLostTasksConcurrent(t *testing.T) {
 						w.Push(uint64(v%977), v)
 					}
 					var b sched.Backoff
-					for !pending.Done() {
+					for pending.Load() != 0 {
 						_, v, ok := w.Pop()
 						if !ok {
 							b.Wait()
@@ -197,7 +197,7 @@ func TestStealingHappens(t *testing.T) {
 				defer wg.Done()
 				w := s.Worker(wid)
 				var b sched.Backoff
-				for !pending.Done() {
+				for pending.Load() != 0 {
 					_, _, ok := w.Pop()
 					if !ok {
 						b.Wait()
@@ -249,7 +249,7 @@ func TestStealProbZeroStillTerminates(t *testing.T) {
 				defer wg.Done()
 				w := s.Worker(wid)
 				var b sched.Backoff
-				for !pending.Done() {
+				for pending.Load() != 0 {
 					if _, _, ok := w.Pop(); ok {
 						pending.Dec()
 						b.Reset()
@@ -283,7 +283,7 @@ func TestNUMAVariantCorrect(t *testing.T) {
 					w.Push(uint64(i), i)
 				}
 				var b sched.Backoff
-				for !pending.Done() {
+				for pending.Load() != 0 {
 					if _, _, ok := w.Pop(); ok {
 						popped[wid]++
 						pending.Dec()

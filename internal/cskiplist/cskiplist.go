@@ -75,7 +75,7 @@ func (a *node[T]) before(b *node[T]) bool {
 type SkipList[T any] struct {
 	head *node[T]
 	tail *node[T]
-	size atomic.Int64
+	size atomic.Int64 // live elements, exact when quiescent
 	// seq hands out unique tiebreakers; ties pop in FIFO order.
 	seq atomic.Uint64
 	// levelSeed feeds a splitmix64 stream used for insert level draws,
@@ -104,21 +104,6 @@ func New[T any](seed uint64) *SkipList[T] {
 	}
 	s.head.fullyLinked.Store(true)
 	return s
-}
-
-// Len reports the approximate number of live elements. It is exact when
-// the list is quiescent.
-func (s *SkipList[T]) Len() int { return int(s.size.Load()) }
-
-// Empty reports whether no live element was observed at the moment of the
-// call.
-func (s *SkipList[T]) Empty() bool {
-	for curr := s.head.next[0].Load(); !curr.isTail; curr = curr.next[0].Load() {
-		if !curr.marked.Load() && curr.fullyLinked.Load() {
-			return false
-		}
-	}
-	return true
 }
 
 // Top returns the priority of the first live element, or pq.InfPriority
@@ -421,16 +406,4 @@ func (s *SkipList[T]) sprayWalk(params SprayParams, rng *xrand.Rand) *node[T] {
 		curr = curr.next[0].Load()
 	}
 	return nil
-}
-
-// CollectAscending appends every live element to dst in priority order.
-// Intended for tests and draining; callers must ensure quiescence for an
-// exact snapshot.
-func (s *SkipList[T]) CollectAscending(dst []pq.Item[T]) []pq.Item[T] {
-	for curr := s.head.next[0].Load(); !curr.isTail; curr = curr.next[0].Load() {
-		if !curr.marked.Load() && curr.fullyLinked.Load() {
-			dst = append(dst, pq.Item[T]{P: curr.prio, V: curr.value})
-		}
-	}
-	return dst
 }

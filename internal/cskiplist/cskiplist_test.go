@@ -13,17 +13,14 @@ import (
 
 func TestEmpty(t *testing.T) {
 	s := New[int](1)
-	if !s.Empty() {
-		t.Fatal("new list not Empty")
-	}
 	if s.Top() != pq.InfPriority {
 		t.Fatalf("Top on empty = %d", s.Top())
 	}
 	if _, _, ok := s.DeleteMin(); ok {
 		t.Fatal("DeleteMin on empty returned ok")
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d", s.Len())
+	if int(s.size.Load()) != 0 {
+		t.Fatalf("Len = %d", int(s.size.Load()))
 	}
 }
 
@@ -37,8 +34,8 @@ func TestSequentialSortedExtraction(t *testing.T) {
 		want[i] = p
 		s.Insert(p, i)
 	}
-	if s.Len() != n {
-		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	if int(s.size.Load()) != n {
+		t.Fatalf("Len = %d, want %d", int(s.size.Load()), n)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	for i := 0; i < n; i++ {
@@ -50,7 +47,7 @@ func TestSequentialSortedExtraction(t *testing.T) {
 			t.Fatalf("DeleteMin at %d = (%d,%v), want %d", i, p, ok, want[i])
 		}
 	}
-	if !s.Empty() {
+	if s.Top() != pq.InfPriority || int(s.size.Load()) != 0 {
 		t.Fatal("list not empty after draining")
 	}
 }
@@ -88,22 +85,6 @@ func TestDeleteMinBatch(t *testing.T) {
 	rest := s.DeleteMinBatch(100, nil)
 	if len(rest) != 6 {
 		t.Fatalf("drain batch len = %d, want 6", len(rest))
-	}
-}
-
-func TestCollectAscending(t *testing.T) {
-	s := New[int](11)
-	for _, p := range []uint64{5, 1, 9, 1, 7} {
-		s.Insert(p, int(p))
-	}
-	got := s.CollectAscending(nil)
-	if len(got) != 5 {
-		t.Fatalf("collected %d items", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].P < got[i-1].P {
-			t.Fatalf("not ascending: %v", got)
-		}
 	}
 }
 
@@ -148,8 +129,8 @@ func TestConcurrentInserts(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s.Len() != workers*per {
-		t.Fatalf("Len = %d, want %d", s.Len(), workers*per)
+	if int(s.size.Load()) != workers*per {
+		t.Fatalf("Len = %d, want %d", int(s.size.Load()), workers*per)
 	}
 	// Drain and verify count + sortedness.
 	prev := uint64(0)

@@ -147,11 +147,6 @@ func atomicMax(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// Makespan is the DAG's critical-path completion time; identical across
-// schedulers, it doubles as a human-auditable correctness witness next
-// to the checksum.
-func (d *DAG) Makespan() uint64 { return d.span.Load() }
-
 // Checksum digests every task's finish time commutatively.
 func (d *DAG) Checksum() uint64 {
 	var sum uint64

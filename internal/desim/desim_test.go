@@ -226,9 +226,9 @@ func TestCBPQWithinZeroBound(t *testing.T) {
 	if st.Violations != 0 {
 		t.Fatalf("cbpq DAG run reported %d violations inside its zero window (max lead %d)", st.Violations, st.MaxLead)
 	}
-	if dm.Makespan() != dagBase.Makespan() || dm.Checksum() != dagBase.Checksum() {
+	if dm.span.Load() != dagBase.span.Load() || dm.Checksum() != dagBase.Checksum() {
 		t.Fatalf("cbpq DAG outcome (makespan %d, checksum %#x) != coarse (%d, %#x)",
-			dm.Makespan(), dm.Checksum(), dagBase.Makespan(), dagBase.Checksum())
+			dm.span.Load(), dm.Checksum(), dagBase.span.Load(), dagBase.Checksum())
 	}
 }
 
@@ -298,7 +298,7 @@ func TestDAGMakespanIdenticalAcrossSchedulers(t *testing.T) {
 	if st.Events != base.Events() {
 		t.Fatalf("executed %d events, want %d", st.Events, base.Events())
 	}
-	if base.Makespan() == 0 {
+	if base.span.Load() == 0 {
 		t.Fatal("zero makespan")
 	}
 	for _, name := range []string{"smq", "klsm", "obim"} {
@@ -307,8 +307,8 @@ func TestDAGMakespanIdenticalAcrossSchedulers(t *testing.T) {
 		if _, err := Run(spec.Make(workers, 11), m, Config{Workers: workers, Lookahead: -1}); err != nil {
 			t.Fatal(err)
 		}
-		if m.Makespan() != base.Makespan() {
-			t.Fatalf("%s makespan %d != coarse %d", name, m.Makespan(), base.Makespan())
+		if m.span.Load() != base.span.Load() {
+			t.Fatalf("%s makespan %d != coarse %d", name, m.span.Load(), base.span.Load())
 		}
 		if m.Checksum() != base.Checksum() {
 			t.Fatalf("%s checksum %#x != coarse %#x", name, m.Checksum(), base.Checksum())

@@ -140,26 +140,6 @@ func GenerateRMAT(scale, edgeFactor int, params RMATParams, seed uint64) *CSR {
 	return MustBuild(n, edges, nil)
 }
 
-// GenerateUniformRandom builds an Erdős–Rényi-style directed graph with n
-// vertices and m edges, weights uniform in [1, maxW]. Used by scheduler
-// micro-benchmarks that want structureless inputs.
-func GenerateUniformRandom(n, m int, maxW uint32, seed uint64) *CSR {
-	if n < 2 {
-		panic("graph: need at least 2 vertices")
-	}
-	if maxW == 0 {
-		maxW = 255
-	}
-	rng := xrand.New(seed)
-	edges := make([]Edge, 0, m)
-	for i := 0; i < m; i++ {
-		u := uint32(rng.Intn(n))
-		v := uint32(rng.IntnOther(n, int(u)))
-		edges = append(edges, Edge{U: u, V: v, W: 1 + uint32(rng.Intn(int(maxW)))})
-	}
-	return MustBuild(n, edges, nil)
-}
-
 // StandardInputs generates the four benchmark graphs standing in for
 // Table 1 at the requested scale factor (1 = smallest sensible size).
 // The names mirror the paper's: USA and WEST are road grids, TWITTER and

@@ -9,7 +9,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Coord is a vertex coordinate used by the A* heuristic. For road-style
@@ -128,83 +127,6 @@ func (g *CSR) Heuristic(u, target uint32) uint64 {
 		return 0
 	}
 	return uint64(math.Floor(EuclidDist(g.Coords[u], g.Coords[target]) * HeuristicScale))
-}
-
-// Undirected reports whether every edge has a reverse edge of the same
-// weight (useful to validate generated road graphs).
-func (g *CSR) Undirected() bool {
-	type key struct {
-		u, v uint32
-		w    uint32
-	}
-	fwd := make(map[key]int, g.M())
-	for u := 0; u < g.N; u++ {
-		ts, ws := g.Neighbors(uint32(u))
-		for i, v := range ts {
-			fwd[key{uint32(u), v, ws[i]}]++
-		}
-	}
-	for k, c := range fwd {
-		if fwd[key{k.v, k.u, k.w}] != c {
-			return false
-		}
-	}
-	return true
-}
-
-// ConnectedComponents labels vertices by weakly connected component and
-// returns (labels, count). Used by tests and the MST harness.
-func (g *CSR) ConnectedComponents() ([]int32, int) {
-	// Build an undirected view on the fly via reverse adjacency counts.
-	rev := make([][]uint32, g.N)
-	for u := 0; u < g.N; u++ {
-		ts, _ := g.Neighbors(uint32(u))
-		for _, v := range ts {
-			rev[v] = append(rev[v], uint32(u))
-		}
-	}
-	labels := make([]int32, g.N)
-	for i := range labels {
-		labels[i] = -1
-	}
-	comp := int32(0)
-	stack := make([]uint32, 0, 1024)
-	for s := 0; s < g.N; s++ {
-		if labels[s] >= 0 {
-			continue
-		}
-		stack = append(stack[:0], uint32(s))
-		labels[s] = comp
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			ts, _ := g.Neighbors(u)
-			for _, v := range ts {
-				if labels[v] < 0 {
-					labels[v] = comp
-					stack = append(stack, v)
-				}
-			}
-			for _, v := range rev[u] {
-				if labels[v] < 0 {
-					labels[v] = comp
-					stack = append(stack, v)
-				}
-			}
-		}
-		comp++
-	}
-	return labels, int(comp)
-}
-
-// DegreeHistogram returns sorted out-degrees, for generator validation.
-func (g *CSR) DegreeHistogram() []int {
-	degs := make([]int, g.N)
-	for u := 0; u < g.N; u++ {
-		degs[u] = g.OutDegree(uint32(u))
-	}
-	sort.Ints(degs)
-	return degs
 }
 
 // Stats summarizes a graph for Table 1-style reporting.

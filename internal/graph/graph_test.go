@@ -61,16 +61,15 @@ func TestRoadGridProperties(t *testing.T) {
 	if g.Coords == nil {
 		t.Fatal("road grid missing coordinates")
 	}
-	if !g.Undirected() {
+	if !undirected(g) {
 		t.Fatal("road grid not undirected")
 	}
-	if _, comps := g.ConnectedComponents(); comps != 1 {
+	if comps := components(g); comps != 1 {
 		t.Fatalf("road grid has %d components, want 1", comps)
 	}
 	// Degrees bounded: grid + diagonals gives max degree 8.
-	degs := g.DegreeHistogram()
-	if degs[len(degs)-1] > 8 {
-		t.Fatalf("max degree %d too high for a road grid", degs[len(degs)-1])
+	if d := g.OutDegree(g.MaxOutDegreeVertex()); d > 8 {
+		t.Fatalf("max degree %d too high for a road grid", d)
 	}
 	// Admissibility invariant: w >= ceil(dist * scale).
 	for u := 0; u < g.N; u++ {
@@ -112,28 +111,10 @@ func TestRMATProperties(t *testing.T) {
 	}
 	// Power-law check: the top vertex should hold far more than the mean
 	// degree.
-	degs := g.DegreeHistogram()
+	top := g.OutDegree(g.MaxOutDegreeVertex())
 	mean := float64(g.M()) / float64(g.N)
-	if float64(degs[len(degs)-1]) < 5*mean {
-		t.Fatalf("max degree %d not skewed vs mean %.1f", degs[len(degs)-1], mean)
-	}
-}
-
-func TestUniformRandom(t *testing.T) {
-	g := GenerateUniformRandom(100, 1000, 50, 3)
-	if g.N != 100 || g.M() != 1000 {
-		t.Fatalf("N=%d M=%d", g.N, g.M())
-	}
-	for u := 0; u < g.N; u++ {
-		ts, ws := g.Neighbors(uint32(u))
-		for i, v := range ts {
-			if v == uint32(u) {
-				t.Fatal("self-loop generated")
-			}
-			if ws[i] < 1 || ws[i] > 50 {
-				t.Fatalf("weight %d out of range", ws[i])
-			}
-		}
+	if float64(top) < 5*mean {
+		t.Fatalf("max degree %d not skewed vs mean %.1f", top, mean)
 	}
 }
 
@@ -159,13 +140,54 @@ func TestStandardInputs(t *testing.T) {
 func TestConnectedComponents(t *testing.T) {
 	// Two disjoint pairs plus an isolated vertex.
 	g := MustBuild(5, []Edge{{0, 1, 1}, {2, 3, 1}}, nil)
-	labels, comps := g.ConnectedComponents()
-	if comps != 3 {
+	if comps := components(g); comps != 3 {
 		t.Fatalf("components = %d, want 3", comps)
 	}
-	if labels[0] != labels[1] || labels[2] != labels[3] || labels[0] == labels[2] {
-		t.Fatalf("bad labels: %v", labels)
+}
+
+// undirected reports whether every edge has a reverse edge of the same
+// weight.
+func undirected(g *CSR) bool {
+	type key struct{ u, v, w uint32 }
+	fwd := make(map[key]int, g.M())
+	for u := 0; u < g.N; u++ {
+		ts, ws := g.Neighbors(uint32(u))
+		for i, v := range ts {
+			fwd[key{uint32(u), v, ws[i]}]++
+		}
 	}
+	for k, c := range fwd {
+		if fwd[key{k.v, k.u, k.w}] != c {
+			return false
+		}
+	}
+	return true
+}
+
+// components counts g's weakly connected components.
+func components(g *CSR) int {
+	parent := make([]uint32, g.N)
+	for i := range parent {
+		parent[i] = uint32(i)
+	}
+	find := func(x uint32) uint32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	comps := g.N
+	for u := 0; u < g.N; u++ {
+		ts, _ := g.Neighbors(uint32(u))
+		for _, v := range ts {
+			if a, b := find(uint32(u)), find(v); a != b {
+				parent[a] = b
+				comps--
+			}
+		}
+	}
+	return comps
 }
 
 func TestHeuristicZeroWithoutCoords(t *testing.T) {

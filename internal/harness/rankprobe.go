@@ -64,60 +64,6 @@ func ProbeRankLockstep(spec SchedulerSpec, workers, tasks int) RankStats {
 	return st
 }
 
-// ProbeRankLockstepBatched is the bulk-operation variant of
-// ProbeRankLockstep: tasks are seeded through PushN in runs of batch
-// and drained round-robin through PopN, batch tasks per handle per
-// turn. The measured displacement bounds the extra rank relaxation the
-// batched fast paths introduce — a batch is taken as a unit, so a
-// worker may run up to batch-1 tasks further ahead of the global
-// minimum than with scalar pops.
-func ProbeRankLockstepBatched(spec SchedulerSpec, workers, tasks, batch int) RankStats {
-	if batch < 1 {
-		batch = 1
-	}
-	s := spec.Make(workers, 0)
-	for wid := 0; wid < workers; wid++ {
-		w := s.Worker(wid)
-		ps := make([]uint64, 0, batch)
-		vs := make([]uint32, 0, batch)
-		for t := wid; t < tasks; t += workers {
-			ps = append(ps, uint64(t))
-			vs = append(vs, uint32(t))
-			if len(ps) == batch {
-				w.PushN(ps, vs)
-				ps, vs = ps[:0], vs[:0]
-			}
-		}
-		w.PushN(ps, vs)
-	}
-	handles := make([]sched.Worker[uint32], workers)
-	for i := range handles {
-		handles[i] = s.Worker(i)
-	}
-	dst := make([]sched.Task[uint32], batch)
-	order := make([]uint64, 0, tasks)
-	idle := 0
-	for len(order) < tasks && idle < 4*workers {
-		for _, h := range handles {
-			n := h.PopN(dst)
-			if n == 0 {
-				idle++
-				continue
-			}
-			idle = 0
-			for i := 0; i < n; i++ {
-				order = append(order, dst[i].P)
-			}
-		}
-	}
-	st := rankStatsFromOrder(order)
-	st.Scheduler = spec.Name
-	st.Mode = "lockstep-batched"
-	st.Tasks = tasks
-	st.Workers = workers
-	return st
-}
-
 // ProbeRank measures RankStats under free-running workers: real goroutine
 // scheduling included. On oversubscribed machines OS skew can dominate —
 // the SMQ's guarantee explicitly depends on the scheduler's fairness

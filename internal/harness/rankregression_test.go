@@ -143,7 +143,7 @@ func TestRankErrorRegressionBatched(t *testing.T) {
 		batch   = 8
 	)
 
-	emqStats := ProbeRankLockstepBatched(registered("emq"), workers, tasks, batch)
+	emqStats := probeRankLockstepBatched(registered("emq"), workers, tasks, batch)
 	if math.IsNaN(emqStats.MeanDisplacement) || math.IsInf(emqStats.MeanDisplacement, 0) {
 		t.Fatalf("batched EMQ mean rank error is not finite: %v", emqStats.MeanDisplacement)
 	}
@@ -153,7 +153,7 @@ func TestRankErrorRegressionBatched(t *testing.T) {
 	}
 
 	klsmSpec := registered("klsm")
-	klsmStats := ProbeRankLockstepBatched(klsmSpec, workers, tasks, batch)
+	klsmStats := probeRankLockstepBatched(klsmSpec, workers, tasks, batch)
 	klsmBound, _ := klsmSpec.RankBound(workers)
 	klsmBound += batch - 1
 	if klsmStats.MeanDisplacement > float64(klsmBound) {
@@ -165,7 +165,7 @@ func TestRankErrorRegressionBatched(t *testing.T) {
 			klsmStats.MaxDisplacement, klsmBound)
 	}
 
-	strictStats := ProbeRankLockstepBatched(klsmStrict, workers, tasks, batch)
+	strictStats := probeRankLockstepBatched(klsmStrict, workers, tasks, batch)
 	if strictStats.MeanDisplacement != 0 || strictStats.MaxDisplacement != 0 ||
 		strictStats.InversionFrac != 0 {
 		t.Errorf("strict k-LSM is not exact through batches: %+v", strictStats)
@@ -176,7 +176,7 @@ func TestRankErrorRegressionBatched(t *testing.T) {
 	// adds no relaxation at all (unlike the k-LSM, whose batched bound
 	// gains a batch-1 term).
 	for _, chunkCap := range []int{0, 8} {
-		cbpqStats := ProbeRankLockstepBatched(zoo.CBPQ[uint32]("cbpq", cbpq.Config{ChunkCap: chunkCap}), workers, tasks, batch)
+		cbpqStats := probeRankLockstepBatched(zoo.CBPQ[uint32]("cbpq", cbpq.Config{ChunkCap: chunkCap}), workers, tasks, batch)
 		if cbpqStats.MeanDisplacement != 0 || cbpqStats.MaxDisplacement != 0 ||
 			cbpqStats.InversionFrac != 0 {
 			t.Errorf("batched CBPQ (chunk=%d) is not exact: %+v", chunkCap, cbpqStats)
@@ -188,7 +188,7 @@ func TestRankErrorRegressionBatched(t *testing.T) {
 	// registered configuration's expectation bound (Theorem 1 at
 	// B = StealSize) must still cover the measured mean.
 	smqSpec := registered("smq")
-	smqStats := ProbeRankLockstepBatched(smqSpec, workers, tasks, batch)
+	smqStats := probeRankLockstepBatched(smqSpec, workers, tasks, batch)
 	smqBound, _ := smqSpec.RankBound(workers)
 	if smqStats.MeanDisplacement > float64(smqBound) {
 		t.Errorf("batched SMQ mean rank error %.2f exceeds its expectation bound %d",
@@ -326,11 +326,65 @@ func TestWorkIncreaseRegressionBatchedDriver(t *testing.T) {
 func TestFig9ColumnsAreDistinctConfigurations(t *testing.T) {
 	prev := -1.0
 	for ci, size := range batchSizes {
-		st := ProbeRankLockstepBatched(fig9Spec(0, ci), 4, 20000, 8)
+		st := probeRankLockstepBatched(fig9Spec(0, ci), 4, 20000, 8)
 		t.Logf("batchDelete=%d: mean rank error %.2f", size, st.MeanDisplacement)
 		if st.MeanDisplacement <= prev {
 			t.Errorf("batchDelete=%d: mean rank error %.2f, not above the previous column's %.2f", size, st.MeanDisplacement, prev)
 		}
 		prev = st.MeanDisplacement
 	}
+}
+
+// probeRankLockstepBatched is the bulk-operation variant of
+// ProbeRankLockstep: tasks are seeded through PushN in runs of batch
+// and drained round-robin through PopN, batch tasks per handle per
+// turn. The measured displacement bounds the extra rank relaxation the
+// batched fast paths introduce — a batch is taken as a unit, so a
+// worker may run up to batch-1 tasks further ahead of the global
+// minimum than with scalar pops.
+func probeRankLockstepBatched(spec SchedulerSpec, workers, tasks, batch int) RankStats {
+	if batch < 1 {
+		batch = 1
+	}
+	s := spec.Make(workers, 0)
+	for wid := 0; wid < workers; wid++ {
+		w := s.Worker(wid)
+		ps := make([]uint64, 0, batch)
+		vs := make([]uint32, 0, batch)
+		for t := wid; t < tasks; t += workers {
+			ps = append(ps, uint64(t))
+			vs = append(vs, uint32(t))
+			if len(ps) == batch {
+				w.PushN(ps, vs)
+				ps, vs = ps[:0], vs[:0]
+			}
+		}
+		w.PushN(ps, vs)
+	}
+	handles := make([]sched.Worker[uint32], workers)
+	for i := range handles {
+		handles[i] = s.Worker(i)
+	}
+	dst := make([]sched.Task[uint32], batch)
+	order := make([]uint64, 0, tasks)
+	idle := 0
+	for len(order) < tasks && idle < 4*workers {
+		for _, h := range handles {
+			n := h.PopN(dst)
+			if n == 0 {
+				idle++
+				continue
+			}
+			idle = 0
+			for i := 0; i < n; i++ {
+				order = append(order, dst[i].P)
+			}
+		}
+	}
+	st := rankStatsFromOrder(order)
+	st.Scheduler = spec.Name
+	st.Mode = "lockstep-batched"
+	st.Tasks = tasks
+	st.Workers = workers
+	return st
 }

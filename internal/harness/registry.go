@@ -73,26 +73,6 @@ func (e Experiment) Plan(cfg RunConfig) (*Plan, error) {
 	return e.plan(cfg)
 }
 
-// Cells returns the experiment's deterministic cell enumeration — a
-// pure function of cfg, tested for determinism in cells_test.go.
-func (e Experiment) Cells(cfg RunConfig) ([]Cell, error) {
-	p, err := e.Plan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Cells, nil
-}
-
-// Run executes the whole experiment in this process: enumerate, run
-// every cell sequentially, assemble.
-func (e Experiment) Run(cfg RunConfig) ([]Table, error) {
-	p, err := e.Plan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Assemble(p.RunAll(0))
-}
-
 // Registry lists every experiment, in paper order.
 func Registry() []Experiment {
 	return []Experiment{

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -88,57 +87,6 @@ func sum(xs []int) int {
 		total += x
 	}
 	return total
-}
-
-// ParseTSV is the inverse of WriteTSV over a stream of tables: it reads
-// `# Title`, a tab-joined header line, data rows, and the blank table
-// terminator, repeatedly until EOF. It exists so downstream tooling —
-// and the round-trip test pinning the format — can treat committed TSV
-// artifacts as data rather than opaque text.
-func ParseTSV(r io.Reader) ([]Table, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var tables []Table
-	var cur *Table
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		switch {
-		case strings.HasPrefix(text, "# "):
-			if cur != nil {
-				return nil, fmt.Errorf("harness: tsv line %d: new table %q before blank terminator", line, text)
-			}
-			tables = append(tables, Table{Title: strings.TrimPrefix(text, "# ")})
-			cur = &tables[len(tables)-1]
-		case text == "":
-			if cur == nil {
-				continue // tolerate extra blank lines between tables
-			}
-			if cur.Header == nil {
-				return nil, fmt.Errorf("harness: tsv line %d: table %q has no header", line, cur.Title)
-			}
-			cur = nil
-		case cur == nil:
-			return nil, fmt.Errorf("harness: tsv line %d: data outside a table: %q", line, text)
-		case cur.Header == nil:
-			cur.Header = strings.Split(text, "\t")
-		default:
-			row := strings.Split(text, "\t")
-			if len(row) != len(cur.Header) {
-				return nil, fmt.Errorf("harness: tsv line %d: table %q row has %d cells, header has %d",
-					line, cur.Title, len(row), len(cur.Header))
-			}
-			cur.Rows = append(cur.Rows, row)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if cur != nil {
-		return nil, fmt.Errorf("harness: tsv ended inside table %q (missing blank terminator)", cur.Title)
-	}
-	return tables, nil
 }
 
 // WriteTables renders a set of tables in the requested format ("tsv" or

@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,7 +32,7 @@ func TestTSVRoundTrip(t *testing.T) {
 	if err := WriteTables(&buf, tables, "tsv"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseTSV(&buf)
+	got, err := parseTSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func TestTSVRoundTripRealExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := buf.Bytes()
-	parsed, err := ParseTSV(bytes.NewReader(first))
+	parsed, err := parseTSV(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +81,57 @@ func TestParseTSVRejectsMalformed(t *testing.T) {
 		"new table inside previous": "# T\nH\n# U\n",
 	}
 	for name, in := range cases {
-		if _, err := ParseTSV(strings.NewReader(in)); err == nil {
+		if _, err := parseTSV(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %q", name, in)
 		}
 	}
+}
+
+// parseTSV is the inverse of WriteTSV over a stream of tables: it reads
+// `# Title`, a tab-joined header line, data rows, and the blank table
+// terminator, repeatedly until EOF.
+func parseTSV(r io.Reader) ([]Table, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	var tables []Table
+	var cur *Table
+	line := 0
+	for sc.Scan() {
+		line++
+		text := sc.Text()
+		switch {
+		case strings.HasPrefix(text, "# "):
+			if cur != nil {
+				return nil, fmt.Errorf("harness: tsv line %d: new table %q before blank terminator", line, text)
+			}
+			tables = append(tables, Table{Title: strings.TrimPrefix(text, "# ")})
+			cur = &tables[len(tables)-1]
+		case text == "":
+			if cur == nil {
+				continue // tolerate extra blank lines between tables
+			}
+			if cur.Header == nil {
+				return nil, fmt.Errorf("harness: tsv line %d: table %q has no header", line, cur.Title)
+			}
+			cur = nil
+		case cur == nil:
+			return nil, fmt.Errorf("harness: tsv line %d: data outside a table: %q", line, text)
+		case cur.Header == nil:
+			cur.Header = strings.Split(text, "\t")
+		default:
+			row := strings.Split(text, "\t")
+			if len(row) != len(cur.Header) {
+				return nil, fmt.Errorf("harness: tsv line %d: table %q row has %d cells, header has %d",
+					line, cur.Title, len(row), len(cur.Header))
+			}
+			cur.Rows = append(cur.Rows, row)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if cur != nil {
+		return nil, fmt.Errorf("harness: tsv ended inside table %q (missing blank terminator)", cur.Title)
+	}
+	return tables, nil
 }

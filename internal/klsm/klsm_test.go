@@ -294,7 +294,7 @@ func TestConcurrentSpillMerge(t *testing.T) {
 					if next < perWorker {
 						continue
 					}
-					if pending.Done() {
+					if pending.Load() == 0 {
 						countsCh <- popped
 						return
 					}

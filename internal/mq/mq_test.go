@@ -201,7 +201,7 @@ func TestNoLostTasksConcurrent(t *testing.T) {
 						w.Push(uint64(v%883), v)
 					}
 					var b sched.Backoff
-					for !pending.Done() {
+					for pending.Load() != 0 {
 						_, v, ok := w.Pop()
 						if !ok {
 							b.Wait()

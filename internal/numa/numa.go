@@ -71,11 +71,6 @@ func (t Topology) NodeOfWorker(w int) int {
 	return w * t.Nodes / t.Workers
 }
 
-// NodeOfQueue maps queue q to the node of its owning worker.
-func (t Topology) NodeOfQueue(q int) int {
-	return t.NodeOfWorker(q / t.QueuesPerWorker)
-}
-
 // QueueRangeOfNode returns the half-open queue index range owned by node j.
 func (t Topology) QueueRangeOfNode(j int) (lo, hi int) {
 	return t.nodeQueueLo[j], t.nodeQueueHi[j]

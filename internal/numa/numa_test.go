@@ -47,7 +47,7 @@ func TestTopologyClamping(t *testing.T) {
 
 func TestTopologyPartitionProperty(t *testing.T) {
 	// Property: node queue ranges partition [0, m) and agree with
-	// NodeOfQueue, for arbitrary topologies.
+	// the node of each queue's owning worker, for arbitrary topologies.
 	f := func(w, n, c uint8) bool {
 		workers := int(w%16) + 1
 		nodes := int(n%8) + 1
@@ -60,7 +60,7 @@ func TestTopologyPartitionProperty(t *testing.T) {
 				return false
 			}
 			for q := lo; q < hi; q++ {
-				if top.NodeOfQueue(q) != j {
+				if top.NodeOfWorker(q/top.QueuesPerWorker) != j {
 					return false
 				}
 			}

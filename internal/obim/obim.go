@@ -219,9 +219,7 @@ type Sched[T any] struct {
 	refills    atomic.Uint64
 	sumBagSize atomic.Uint64
 
-	deltaUps   atomic.Uint64
-	deltaDowns atomic.Uint64
-	pruned     atomic.Uint64
+	pruned atomic.Uint64 // bags removed by the pruner
 
 	workers  []worker[T]
 	counters []sched.Counters
@@ -257,14 +255,6 @@ func (s *Sched[T]) Worker(w int) sched.Worker[T] {
 
 // Stats aggregates counters; call only after workers quiesce.
 func (s *Sched[T]) Stats() sched.Stats { return sched.SumCounters(s.counters) }
-
-// Delta returns the current bucket shift (changes over time under PMOD).
-func (s *Sched[T]) Delta() uint32 { return s.delta.Load() }
-
-// DeltaAdjustments reports how often PMOD merged (up) and split (down).
-func (s *Sched[T]) DeltaAdjustments() (up, down uint64) {
-	return s.deltaUps.Load(), s.deltaDowns.Load()
-}
 
 // bucketKey maps a priority to its bag key under the current Δ. Only
 // PMOD changes Δ, so OBIM reads it from the immutable configuration.
@@ -325,16 +315,6 @@ func (s *Sched[T]) pruneLocked() {
 		tail[i] = 0
 	}
 	s.keys = keep
-}
-
-// PrunedBags reports how many drained bags have been removed.
-func (s *Sched[T]) PrunedBags() uint64 { return s.pruned.Load() }
-
-// BagCount reports the current number of live bags.
-func (s *Sched[T]) BagCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.bags)
 }
 
 // lowerHint lowers the global minimum-bucket hint to key if it improves it.
@@ -633,10 +613,8 @@ func (w *worker[T]) maybeAdapt() {
 	case avg < chunk && d < 62:
 		// Bags drain in under one chunk: classes too fine → merge.
 		s.delta.Store(d + 1)
-		s.deltaUps.Add(1)
 	case avg > chunk*64 && d > 0:
 		// Bags far exceed a chunk: classes too coarse → split.
 		s.delta.Store(d - 1)
-		s.deltaDowns.Add(1)
 	}
 }

@@ -85,7 +85,7 @@ func TestBagServesChunksOldestFirst(t *testing.T) {
 	for i := 0; i < chunks*chunkSize; i++ {
 		w.Push(uint64(i), i) // value i is in the (i/chunkSize)-th chunk published
 	}
-	if got := s.BagCount(); got != 1 {
+	if got := len(s.bags); got != 1 {
 		t.Fatalf("%d bags, want everything in one", got)
 	}
 	for i := 0; i < chunks*chunkSize; i++ {
@@ -144,7 +144,7 @@ func TestNoLostTasksConcurrent(t *testing.T) {
 						w.Push(uint64(v%1021), v)
 					}
 					var b sched.Backoff
-					for !pending.Done() {
+					for pending.Load() != 0 {
 						_, v, ok := w.Pop()
 						if !ok {
 							b.Wait()
@@ -232,7 +232,7 @@ func TestPMODAdaptsDeltaUp(t *testing.T) {
 	// merge (increase Delta).
 	s := New[int](Config{Workers: 1, Delta: 1, ChunkSize: 8, Adaptive: true, AdaptInterval: 64})
 	w := s.Worker(0)
-	d0 := s.Delta()
+	d0 := s.delta.Load()
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 64; i++ {
 			w.Push(uint64(i*1024), i)
@@ -241,9 +241,8 @@ func TestPMODAdaptsDeltaUp(t *testing.T) {
 			w.Pop()
 		}
 	}
-	up, _ := s.DeltaAdjustments()
-	if up == 0 || s.Delta() <= d0 {
-		t.Fatalf("PMOD never merged: delta %d -> %d (ups=%d)", d0, s.Delta(), up)
+	if s.delta.Load() <= d0 {
+		t.Fatalf("PMOD never merged: delta %d -> %d", d0, s.delta.Load())
 	}
 }
 
@@ -251,7 +250,7 @@ func TestPMODAdaptsDeltaDown(t *testing.T) {
 	// All priorities in one giant bag: PMOD must split (decrease Delta).
 	s := New[int](Config{Workers: 1, Delta: 30, ChunkSize: 2, Adaptive: true, AdaptInterval: 64})
 	w := s.Worker(0)
-	d0 := s.Delta()
+	d0 := s.delta.Load()
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 512; i++ {
 			w.Push(uint64(i), i)
@@ -260,9 +259,8 @@ func TestPMODAdaptsDeltaDown(t *testing.T) {
 			w.Pop()
 		}
 	}
-	_, down := s.DeltaAdjustments()
-	if down == 0 || s.Delta() >= d0 {
-		t.Fatalf("PMOD never split: delta %d -> %d (downs=%d)", d0, s.Delta(), down)
+	if s.delta.Load() >= d0 {
+		t.Fatalf("PMOD never split: delta %d -> %d", d0, s.delta.Load())
 	}
 }
 
@@ -282,10 +280,10 @@ func TestBagPruningBoundsMap(t *testing.T) {
 			}
 		}
 	}
-	if got := s.BagCount(); got > 64 {
+	if got := len(s.bags); got > 64 {
 		t.Fatalf("bag map grew to %d despite pruning (threshold 16)", got)
 	}
-	if s.PrunedBags() == 0 {
+	if s.pruned.Load() == 0 {
 		t.Fatal("pruner never fired")
 	}
 }
@@ -320,7 +318,7 @@ func TestBagPruningNoLostTasksConcurrent(t *testing.T) {
 				}
 			}
 			var b sched.Backoff
-			for !pending.Done() {
+			for pending.Load() != 0 {
 				_, got, ok := w.Pop()
 				if !ok {
 					b.Wait()
@@ -461,8 +459,8 @@ func TestOpenChunkOutlivesRetiredBag(t *testing.T) {
 	if lb == nil || lb.open == nil {
 		t.Fatal("key 0 has no open chunk")
 	}
-	if !lb.b.retired.Load() || s.PrunedBags() == 0 {
-		t.Fatalf("key 0's bag was not retired (pruned %d)", s.PrunedBags())
+	if !lb.b.retired.Load() || s.pruned.Load() == 0 {
+		t.Fatalf("key 0's bag was not retired (pruned %d)", s.pruned.Load())
 	}
 	// Fill key 0's chunk: its publication must find a live bag.
 	for i := 1; i < chunkSize; i++ {
@@ -526,7 +524,7 @@ func TestOpenChunksNoLostTasksPruning(t *testing.T) {
 				}
 			}
 			var b sched.Backoff
-			for !pending.Done() {
+			for pending.Load() != 0 {
 				_, got, ok := w.Pop()
 				if !ok {
 					b.Wait()
@@ -543,7 +541,7 @@ func TestOpenChunksNoLostTasksPruning(t *testing.T) {
 			t.Fatalf("task %d seen %d times", v, c)
 		}
 	}
-	if s.PrunedBags() == 0 {
+	if s.pruned.Load() == 0 {
 		t.Fatal("pruner never fired")
 	}
 }

@@ -205,12 +205,6 @@ func (h *DHeap[T]) PopBatch(k int, dst []Item[T]) []Item[T] {
 	return dst
 }
 
-// Clear removes all tasks, retaining capacity.
-func (h *DHeap[T]) Clear() {
-	clear(h.values()[:len(h.keys)])
-	h.keys = h.keys[:0]
-}
-
 // Sift-down picks the best child without a branch. Which sibling is
 // smallest is a coin flip the predictor cannot learn: written as
 // `if p < bestP`, the scan mispredicts about once per level, and that was

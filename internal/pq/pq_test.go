@@ -182,21 +182,6 @@ func TestDHeapPopBatch(t *testing.T) {
 	}
 }
 
-func TestDHeapClear(t *testing.T) {
-	h := NewDHeapCap[int](4, 64)
-	for i := 0; i < 50; i++ {
-		h.Push(uint64(i), i)
-	}
-	h.Clear()
-	if h.Len() != 0 || h.Top() != InfPriority {
-		t.Fatal("Clear did not empty the heap")
-	}
-	h.Push(9, 9)
-	if p, v, ok := h.Pop(); !ok || p != 9 || v != 9 {
-		t.Fatal("heap unusable after Clear")
-	}
-}
-
 func TestDHeapArityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -98,17 +98,4 @@ func (s *SeqSkipList[T]) Pop() (p uint64, v T, ok bool) {
 	return p, v, true
 }
 
-// PopBatch removes up to k minimum-priority tasks in priority order,
-// appending them to dst.
-func (s *SeqSkipList[T]) PopBatch(k int, dst []Item[T]) []Item[T] {
-	for i := 0; i < k; i++ {
-		p, v, ok := s.Pop()
-		if !ok {
-			break
-		}
-		dst = append(dst, Item[T]{P: p, V: v})
-	}
-	return dst
-}
-
 var _ Queue[int] = (*SeqSkipList[int])(nil)

@@ -12,9 +12,6 @@
 package ranksim
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/xrand"
 )
 
@@ -50,24 +47,6 @@ func Pi(n int, gamma float64) []float64 {
 		pi[i] = hi
 	}
 	return pi
-}
-
-// ValidatePi checks the model bound 1−γ ≤ 1/(π_i n) ≤ 1+γ.
-func ValidatePi(pi []float64, gamma float64) error {
-	n := float64(len(pi))
-	sum := 0.0
-	for i, p := range pi {
-		inv := 1 / (p * n)
-		const slack = 1e-9
-		if inv < 1-gamma-slack || inv > 1+gamma+slack {
-			return fmt.Errorf("ranksim: pi[%d]=%g violates band for gamma=%g (1/(pi*n)=%g)", i, p, gamma, inv)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return fmt.Errorf("ranksim: pi sums to %g", sum)
-	}
-	return nil
 }
 
 // DiscreteConfig parameterizes the Listing 3 process.

@@ -1,6 +1,8 @@
 package ranksim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -57,7 +59,7 @@ func TestPiUniform(t *testing.T) {
 			t.Fatalf("uniform pi wrong: %v", pi)
 		}
 	}
-	if err := ValidatePi(pi, 0); err != nil {
+	if err := validatePi(pi, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -66,7 +68,7 @@ func TestPiGammaBand(t *testing.T) {
 	for _, gamma := range []float64{0.1, 0.25, 0.5} {
 		for _, n := range []int{2, 7, 16, 33} {
 			pi := Pi(n, gamma)
-			if err := ValidatePi(pi, gamma); err != nil {
+			if err := validatePi(pi, gamma); err != nil {
 				t.Errorf("n=%d gamma=%v: %v", n, gamma, err)
 			}
 		}
@@ -251,4 +253,22 @@ func BenchmarkContinuousStep(b *testing.B) {
 	cfg := ContinuousConfig{Bins: 64, Steps: b.N, StealProb: 0.25, Batch: 4, Seed: 1}
 	b.ResetTimer()
 	RunContinuousSMQ(cfg)
+}
+
+// validatePi checks the model bound 1−γ ≤ 1/(π_i n) ≤ 1+γ.
+func validatePi(pi []float64, gamma float64) error {
+	n := float64(len(pi))
+	sum := 0.0
+	for i, p := range pi {
+		inv := 1 / (p * n)
+		const slack = 1e-9
+		if inv < 1-gamma-slack || inv > 1+gamma+slack {
+			return fmt.Errorf("ranksim: pi[%d]=%g violates band for gamma=%g (1/(pi*n)=%g)", i, p, gamma, inv)
+		}
+		sum += p
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		return fmt.Errorf("ranksim: pi sums to %g", sum)
+	}
+	return nil
 }

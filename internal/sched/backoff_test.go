@@ -84,18 +84,18 @@ func TestBackoffResetReturnsToSpinTier(t *testing.T) {
 // emptiness (momentarily idle), Quiesced is drained-and-closed.
 func TestPendingQuiescenceVsEmptiness(t *testing.T) {
 	var p Pending
-	if !p.Done() {
+	if p.Load() != 0 {
 		t.Fatal("zero Pending should report Done (empty)")
 	}
 	if p.Quiesced() {
 		t.Fatal("unclosed Pending must never report Quiesced, even when empty")
 	}
 	p.Inc(2)
-	if p.Done() || p.Quiesced() {
+	if p.Load() == 0 || p.Quiesced() {
 		t.Fatal("in-flight tasks: neither Done nor Quiesced")
 	}
 	p.Close()
-	if !p.Closed() {
+	if !p.closed.Load() {
 		t.Fatal("Closed not visible after Close")
 	}
 	if p.Quiesced() {
@@ -103,7 +103,7 @@ func TestPendingQuiescenceVsEmptiness(t *testing.T) {
 	}
 	p.Dec()
 	p.Dec()
-	if !p.Done() || !p.Quiesced() {
+	if p.Load() != 0 || !p.Quiesced() {
 		t.Fatal("closed and drained: both Done and Quiesced must hold")
 	}
 	// Workers may still register follow-on tasks after Close (Inc

@@ -202,7 +202,7 @@ func TestBatchConformanceConcurrent(t *testing.T) {
 						if next < perWorker {
 							continue
 						}
-						if pending.Done() {
+						if pending.Load() == 0 {
 							return
 						}
 						b.Wait()

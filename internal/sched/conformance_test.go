@@ -8,7 +8,7 @@ package sched_test
 //  1. no task is lost: everything pushed is eventually popped;
 //  2. no task is duplicated: each pushed task is popped exactly once;
 //  3. Pending-based termination drains all tasks: workers exiting only
-//     when Pop fails AND Pending.Done() leave nothing behind in queues
+//     when Pop fails AND Pending.Load() == 0 leave nothing behind in queues
 //     or thread-local buffers;
 //  4. Stats() accounting is exact after a drain: Pops == Pushes.
 //
@@ -99,7 +99,7 @@ func drainConcurrently(t *testing.T, s sched.Scheduler[uint32], workers, perWork
 				if next < perWorker {
 					continue // still have our own tasks to publish
 				}
-				if pending.Done() {
+				if pending.Load() == 0 {
 					return
 				}
 				b.Wait()
@@ -207,7 +207,7 @@ func TestConformancePendingSpuriousEmpty(t *testing.T) {
 			// Pending stays nonzero until the task is processed.
 			w1 := s.Worker(1)
 			p, v, ok := w1.Pop()
-			if pending.Done() {
+			if pending.Load() == 0 {
 				t.Fatal("pending must stay nonzero until the task is processed")
 			}
 			if !ok {
@@ -222,7 +222,7 @@ func TestConformancePendingSpuriousEmpty(t *testing.T) {
 				t.Fatalf("popped (%d,%d), want (42,7)", p, v)
 			}
 			pending.Dec()
-			if !pending.Done() {
+			if pending.Load() != 0 {
 				t.Fatal("pending should be zero after processing")
 			}
 		})

@@ -96,7 +96,7 @@ func conserveMixed(t *testing.T, s sched.Scheduler[uint32], workers, perWorker i
 				if next < perWorker {
 					continue // still have our own tasks to publish
 				}
-				if pending.Done() {
+				if pending.Load() == 0 {
 					return
 				}
 				b.Wait()
@@ -105,7 +105,7 @@ func conserveMixed(t *testing.T, s sched.Scheduler[uint32], workers, perWorker i
 	}
 	wg.Wait()
 
-	// remaining == 0 by Pending.Done; conservation is then
+	// remaining == 0 by a zero Pending count; conservation is then
 	// pushed == popped exactly.
 	if got := popped.Load(); got != int64(total) {
 		t.Fatalf("conservation: pushed %d, popped %d", total, got)
@@ -208,7 +208,7 @@ func conserveHold(t *testing.T, s sched.Scheduler[uint32], workers, perWorker, r
 					b.Reset()
 					continue
 				}
-				if pending.Done() {
+				if pending.Load() == 0 {
 					return
 				}
 				b.Wait()

@@ -199,7 +199,7 @@ func SumCounters(cs []Counters) Stats {
 // Whether that is also the end of the run depends on who can still
 // create tasks. Pending therefore distinguishes two conditions:
 //
-//   - Done() — momentarily idle. A termination signal only where every
+//   - Load() == 0 — momentarily idle. A termination signal only where every
 //     task descends from seeds registered before workers start, so that
 //     once the count hits zero no source of new work remains; the
 //     schedulers' own drain tests use it that way.
@@ -208,7 +208,7 @@ func SumCounters(cs []Counters) Stats {
 //     descends from the seeds, and it closes on entry. Stream with a
 //     feed is the open one (internal/serve): tasks arrive from outside
 //     the worker set, so the count legitimately hits zero between
-//     arrival bursts, and a worker that exited on Done() there would
+//     arrival bursts, and a worker that exited on a zero count there would
 //     abandon the stream early. The loop calls Close() once the feed
 //     reports the stream ended — after the Inc of its final task.
 //
@@ -246,18 +246,11 @@ func (p *Pending) Dec() { p.n.Add(-1) }
 // Load returns the current in-flight count.
 func (p *Pending) Load() int64 { return p.n.Load() }
 
-// Done reports emptiness: no task exists right now. This is NOT a
-// termination signal for streaming workloads — see the type docs.
-func (p *Pending) Done() bool { return p.n.Load() == 0 }
-
 // Close records that no further tasks will be registered from outside
 // the worker set. It must be called after the Inc of the final external
 // task (run-to-completion drivers close immediately after seeding).
 // Closing is idempotent.
 func (p *Pending) Close() { p.closed.Store(true) }
-
-// Closed reports whether the external task stream has been closed.
-func (p *Pending) Closed() bool { return p.closed.Load() }
 
 // Quiesced reports termination for streaming workloads: the external
 // stream is closed and no task remains anywhere. The closed flag is

@@ -39,17 +39,17 @@ func TestCountersCacheLinePadding(t *testing.T) {
 
 func TestPendingLifecycle(t *testing.T) {
 	var p Pending
-	if !p.Done() {
+	if p.Load() != 0 {
 		t.Fatal("fresh Pending not Done")
 	}
 	p.Inc(3)
-	if p.Done() || p.Load() != 3 {
-		t.Fatalf("after Inc(3): Load=%d Done=%v", p.Load(), p.Done())
+	if p.Load() == 0 || p.Load() != 3 {
+		t.Fatalf("after Inc(3): Load=%d Done=%v", p.Load(), p.Load() == 0)
 	}
 	p.Dec()
 	p.Dec()
 	p.Dec()
-	if !p.Done() {
+	if p.Load() != 0 {
 		t.Fatal("Pending not Done after matching Decs")
 	}
 }
@@ -69,7 +69,7 @@ func TestPendingConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !p.Done() {
+	if p.Load() != 0 {
 		t.Fatalf("Pending = %d after balanced concurrent updates", p.Load())
 	}
 }

@@ -135,25 +135,6 @@ type BenchConfig struct {
 	Seed    uint64
 }
 
-// MeasureIdleCPU runs the process for window and returns the CPU
-// fraction it consumed (CPU-seconds per wall-second), or -1 when the
-// platform cannot measure it. Call with the service started and no
-// load offered: the result is what the idle service costs.
-func MeasureIdleCPU(window time.Duration) float64 {
-	before, ok := processCPU()
-	if !ok {
-		return -1
-	}
-	start := time.Now()
-	time.Sleep(window)
-	after, _ := processCPU()
-	wall := time.Since(start)
-	if wall <= 0 {
-		return -1
-	}
-	return float64(after-before) / float64(wall)
-}
-
 // RunOne serves one open-loop load on the named scheduler and returns
 // the run, validated by validateServe before return.
 func RunOne(name string, cfg BenchConfig) (ServeResult, error) {

@@ -103,9 +103,6 @@ func (s *Sched[T]) Worker(w int) sched.Worker[T] {
 // Stats aggregates counters; call only after workers quiesce.
 func (s *Sched[T]) Stats() sched.Stats { return sched.SumCounters(s.counters) }
 
-// Len reports the approximate number of queued tasks.
-func (s *Sched[T]) Len() int { return s.list.Len() }
-
 // Push inserts into the shared skip list.
 func (w *worker[T]) Push(p uint64, v T) {
 	w.c.Pushes++

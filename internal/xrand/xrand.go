@@ -67,9 +67,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 uniformly random bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0.
 // It uses Lemire's multiply-shift reduction, which avoids division on
 // the hot path (the rejection loop almost never iterates for small n).
@@ -89,22 +86,6 @@ func (r *Rand) Intn(n int) int {
 		}
 	}
 	return int(hi)
-}
-
-// IntnOther returns a uniformly random int in [0, n) that differs from
-// avoid. It panics if n < 2. Used for the Multi-Queue's "two distinct
-// queues" choice.
-func (r *Rand) IntnOther(n, avoid int) int {
-	if n < 2 {
-		panic("xrand: IntnOther needs n >= 2")
-	}
-	// Draw from [0, n-1) and skip over avoid: uniform over the n-1
-	// remaining values without a rejection loop.
-	v := r.Intn(n - 1)
-	if v >= avoid {
-		v++
-	}
-	return v
 }
 
 // Float64 returns a uniformly random float64 in [0, 1).
@@ -147,17 +128,6 @@ func (r *Rand) OneIn(n int) bool {
 		return r.Uint64()&uint64(n-1) == 0
 	}
 	return r.Intn(n) == 0
-}
-
-// Perm fills out with a uniformly random permutation of [0, len(out)).
-func (r *Rand) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
 }
 
 // ExpFloat64 returns an exponentially distributed float64 with mean 1,

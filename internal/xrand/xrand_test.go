@@ -78,34 +78,6 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
-func TestIntnOther(t *testing.T) {
-	r := New(13)
-	const n = 8
-	for avoid := 0; avoid < n; avoid++ {
-		counts := make([]int, n)
-		for i := 0; i < 8000; i++ {
-			v := r.IntnOther(n, avoid)
-			if v == avoid {
-				t.Fatalf("IntnOther(%d, %d) returned the avoided value", n, avoid)
-			}
-			if v < 0 || v >= n {
-				t.Fatalf("IntnOther out of range: %d", v)
-			}
-			counts[v]++
-		}
-		// All n-1 other values should appear with roughly equal frequency.
-		want := 8000.0 / float64(n-1)
-		for i, c := range counts {
-			if i == avoid {
-				continue
-			}
-			if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-				t.Errorf("avoid=%d bucket %d: got %d want ~%.0f", avoid, i, c, want)
-			}
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(17)
 	for i := 0; i < 100000; i++ {
@@ -191,21 +163,6 @@ func TestOneIn(t *testing.T) {
 		want := 1.0 / float64(n)
 		if math.Abs(got-want) > 0.01+want*0.1 {
 			t.Errorf("OneIn(%d): observed %v want %v", n, got, want)
-		}
-	}
-}
-
-func TestPerm(t *testing.T) {
-	r := New(31)
-	for _, n := range []int{0, 1, 2, 5, 64} {
-		out := make([]int, n)
-		r.Perm(out)
-		seen := make([]bool, n)
-		for _, v := range out {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) not a permutation: %v", n, out)
-			}
-			seen[v] = true
 		}
 	}
 }

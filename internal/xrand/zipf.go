@@ -25,8 +25,7 @@ import (
 // A Zipf is immutable after construction and therefore safe to share
 // between goroutines; each caller supplies its own *Rand.
 type Zipf struct {
-	cdf   []float64 // cdf[k] = P(rank <= k); cdf[n-1] == 1
-	theta float64
+	cdf []float64 // cdf[k] = P(rank <= k); cdf[n-1] == 1
 }
 
 // NewZipf builds a sampler over n ranks with skew theta. It panics if
@@ -39,7 +38,7 @@ func NewZipf(n int, theta float64) *Zipf {
 	if theta < 0 || math.IsNaN(theta) {
 		panic(fmt.Sprintf("xrand: NewZipf with theta = %v", theta))
 	}
-	z := &Zipf{cdf: make([]float64, n), theta: theta}
+	z := &Zipf{cdf: make([]float64, n)}
 	sum := 0.0
 	for k := 0; k < n; k++ {
 		sum += math.Pow(float64(k+1), -theta)
@@ -51,24 +50,6 @@ func NewZipf(n int, theta float64) *Zipf {
 	}
 	z.cdf[n-1] = 1 // exact, regardless of rounding
 	return z
-}
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Theta returns the skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
-
-// PMF returns the analytic probability of rank k — the reference the
-// statistical tests (and doc tables) compare empirical frequencies to.
-func (z *Zipf) PMF(k int) float64 {
-	if k < 0 || k >= len(z.cdf) {
-		return 0
-	}
-	if k == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[k] - z.cdf[k-1]
 }
 
 // Sample draws one rank using r.
@@ -131,18 +112,4 @@ func (p *BoundedPareto) Sample(r *Rand) float64 {
 		return p.h
 	}
 	return x
-}
-
-// Mean returns the analytic mean of the distribution, used to size
-// offered-load budgets from a cost model.
-func (p *BoundedPareto) Mean() float64 {
-	if p.l == p.h {
-		return p.l
-	}
-	if p.alpha == 1 {
-		return p.l * math.Log(p.h/p.l) / (1 - p.l/p.h)
-	}
-	a := p.alpha
-	num := p.la * a / (a - 1) * (math.Pow(p.l, 1-a) - math.Pow(p.h, 1-a))
-	return num / (1 - p.ratio)
 }

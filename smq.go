@@ -98,7 +98,7 @@
 //
 // Everything above is run-to-completion: all work descends from seeds
 // registered before workers start, so the in-flight count hitting zero
-// IS termination (Pending.Done, or Close-at-seed + Quiesced as Process
+// IS termination (Pending.Load() == 0, or Close-at-seed + Quiesced as Process
 // does). A long-running service is the opposite shape — tasks stream in
 // from outside the worker set and the queue legitimately drains to
 // empty between arrival bursts — and internal/serve provides that
@@ -109,7 +109,7 @@
 // shed policies at a pending-task watermark, an elastic worker pool
 // that parks idle worker slots on wake channels instead of spinning,
 // and per-tenant sojourn-latency histograms. Termination there uses
-// Pending.Close + Quiesced — drained AND closed — never Done alone;
+// Pending.Close + Quiesced — drained AND closed — never a zero count alone;
 // see the sched.Pending documentation for the emptiness-vs-quiescence
 // contract. The "serve" harness experiment (`smqbench -exp serve`)
 // records an offered-load × scheduler grid.
@@ -141,6 +141,20 @@
 // identifier that stays; TestExportsFollowTheRule checks the rule over
 // smq.go, example_test.go and bench/. Applying it took the exports of
 // smq.go from 59 to 50.
+//
+// Every other declaration of the module — in internal/ and cmd/, and
+// the unexported ones of this package: functions, methods, types,
+// package-level vars and consts, struct fields — stays only if non-test
+// code of the module or of bench/ uses it; a method also counts as used
+// when its type implements a used interface that declares it.
+// TestEveryDeclarationIsUsed checks this type-checked, over the files
+// this platform builds. A test oracle lives in its package's _test.go
+// files. The declared test-support list, each entry with its reason in
+// the test, holds what tests of another package need and a _test.go
+// file cannot export: core.NewBenchQueue with BenchQueue.Refill and
+// Steal (the root BenchmarkAblation_StealBuffer), benchutil.Throughput
+// (six scheduler packages' throughput benchmarks) and geom.BruteKNN
+// (algos' k-NN oracle).
 //
 // # Simulation & safe lookahead
 //

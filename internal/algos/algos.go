@@ -14,6 +14,14 @@
 // Termination uses a global in-flight counter (sched.Pending): a Pop
 // failure is never treated as completion on its own, because tasks may be
 // buried in other workers' local buffers.
+//
+// Per-vertex shared state that the workers update with atomics (the
+// distances of SSSP, BFS and A*) is one plain slice: it is filled with
+// plain stores before sched.Run starts the workers, whose go statements
+// order those stores before every worker's first access, and it is
+// returned as it is after Run returns. There is no Store loop before the
+// run and no copy pass after it: both would run on one core, outside
+// Result.Duration, and show only in the caller's time of the whole call.
 package algos
 
 import (
@@ -28,7 +36,9 @@ type Result struct {
 	Tasks uint64
 	// Wasted is the number of stale tasks (popped but superseded).
 	Wasted uint64
-	// Duration is the wall-clock time of the parallel phase.
+	// Duration is the wall-clock time of the parallel phase: the worker
+	// loop only, not the set-up before it or the hand-back after it.
+	// Callers that want time to solution time the whole call.
 	Duration time.Duration
 	// Sched holds the scheduler's own counters for the run.
 	Sched sched.Stats

@@ -17,13 +17,12 @@ import (
 // is stale, and any task whose f is not below the best known distance to
 // the target cannot improve the answer.
 func AStar(g *graph.CSR, src, target uint32, s sched.Scheduler[uint32]) (uint64, Result) {
-	dist := make([]atomic.Uint64, g.N)
+	dist := make([]uint64, g.N)
 	for i := range dist {
-		dist[i].Store(Unreachable)
+		dist[i] = Unreachable
 	}
-	dist[src].Store(0)
-	var best atomic.Uint64 // best known complete path weight
-	best.Store(Unreachable)
+	dist[src] = 0
+	best := uint64(Unreachable) // best known complete path weight
 
 	var pending sched.Pending
 	pending.Inc(1)
@@ -31,7 +30,7 @@ func AStar(g *graph.CSR, src, target uint32, s sched.Scheduler[uint32]) (uint64,
 
 	tasks, wasted, elapsed := drive(s, &pending,
 		func(_ int, out *sched.Sink[uint32], f uint64, u uint32) bool {
-			gu := dist[u].Load()
+			gu := atomic.LoadUint64(&dist[u])
 			if gu == Unreachable {
 				return true
 			}
@@ -39,7 +38,7 @@ func AStar(g *graph.CSR, src, target uint32, s sched.Scheduler[uint32]) (uint64,
 			if f > gu+hu {
 				return true // stale: u was improved after this push
 			}
-			if gu+hu >= best.Load() {
+			if gu+hu >= atomic.LoadUint64(&best) {
 				return true // cannot beat the best complete path
 			}
 			if u == target {
@@ -49,12 +48,12 @@ func AStar(g *graph.CSR, src, target uint32, s sched.Scheduler[uint32]) (uint64,
 			ts, ws := g.Neighbors(u)
 			for i, v := range ts {
 				nd := gu + uint64(ws[i])
-				if nd >= best.Load() {
+				if nd >= atomic.LoadUint64(&best) {
 					continue
 				}
 				if relaxMin(&dist[v], nd) {
 					fv := nd + g.Heuristic(v, target)
-					if fv < best.Load() || v == target {
+					if fv < atomic.LoadUint64(&best) || v == target {
 						out.Push(fv, v)
 					}
 				}
@@ -62,7 +61,5 @@ func AStar(g *graph.CSR, src, target uint32, s sched.Scheduler[uint32]) (uint64,
 			return false
 		})
 
-	res := Result{Tasks: tasks, Wasted: wasted, Duration: elapsed, Sched: s.Stats()}
-	d := dist[target].Load()
-	return d, res
+	return dist[target], Result{Tasks: tasks, Wasted: wasted, Duration: elapsed, Sched: s.Stats()}
 }

@@ -27,11 +27,14 @@ func BFS(g *graph.CSR, src uint32, s sched.Scheduler[uint32]) ([]uint64, Result)
 }
 
 func shortestPaths(g *graph.CSR, src uint32, s sched.Scheduler[uint32], unitWeights bool) ([]uint64, Result) {
-	dist := make([]atomic.Uint64, g.N)
+	// Plain stores: the go statements of sched.Run order them before
+	// every worker's first atomic access, and Run's return orders the
+	// workers' last CAS before dist is handed back as it is.
+	dist := make([]uint64, g.N)
 	for i := range dist {
-		dist[i].Store(Unreachable)
+		dist[i] = Unreachable
 	}
-	dist[src].Store(0)
+	dist[src] = 0
 
 	var pending sched.Pending
 	pending.Inc(1)
@@ -39,7 +42,7 @@ func shortestPaths(g *graph.CSR, src uint32, s sched.Scheduler[uint32], unitWeig
 
 	tasks, wasted, elapsed := drive(s, &pending,
 		func(_ int, out *sched.Sink[uint32], p uint64, u uint32) bool {
-			du := dist[u].Load()
+			du := atomic.LoadUint64(&dist[u])
 			if p > du {
 				return true // stale: u was improved after this push
 			}
@@ -59,21 +62,18 @@ func shortestPaths(g *graph.CSR, src uint32, s sched.Scheduler[uint32], unitWeig
 			return false
 		})
 
-	out := make([]uint64, g.N)
-	for i := range out {
-		out[i] = dist[i].Load()
-	}
-	return out, Result{Tasks: tasks, Wasted: wasted, Duration: elapsed, Sched: s.Stats()}
+	return dist, Result{Tasks: tasks, Wasted: wasted, Duration: elapsed, Sched: s.Stats()}
 }
 
 // relaxMin lowers *d to nd if nd improves it, returning whether it did.
-func relaxMin(d *atomic.Uint64, nd uint64) bool {
+// Workers call it concurrently on the same words.
+func relaxMin(d *uint64, nd uint64) bool {
 	for {
-		old := d.Load()
+		old := atomic.LoadUint64(d)
 		if nd >= old {
 			return false
 		}
-		if d.CompareAndSwap(old, nd) {
+		if atomic.CompareAndSwapUint64(d, old, nd) {
 			return true
 		}
 	}

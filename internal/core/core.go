@@ -186,10 +186,11 @@ type stealQueue[T any] interface {
 // or NewStealingMQSkipList.
 type SMQ[T any] struct {
 	cfg Config
-	// stealT is the steal coin, StealProb as an xrand.Threshold, computed
-	// once; 0 when no delete flips it: StealProb is 0, or there is one
-	// worker, whose trySteal would have no victim.
-	stealT   uint64
+	// stealOn is whether deletes attempt steals at all: StealProb is
+	// positive and there is a second worker, so trySteal has a victim.
+	// gapScale is 1/ln(1-StealProb), the scale of stealGap's inversion.
+	stealOn  bool
+	gapScale float64
 	topo     numa.Topology
 	queues   []stealQueue[T]
 	workers  []smqWorker[T]
@@ -212,6 +213,9 @@ type smqWorker[T any] struct {
 	// front to back (they arrive in ascending priority order).
 	stolen    []pq.Item[T]
 	stolenIdx int
+
+	// gap counts the delete slots left before the next steal attempt.
+	gap uint64
 
 	// Workers sit in one contiguous slice and mutate stolenIdx and the
 	// buffer headers on every operation; a trailing cache line keeps
@@ -253,10 +257,29 @@ func newSMQ[T any](cfg Config) *SMQ[T] {
 		workers:  make([]smqWorker[T], cfg.Workers),
 		counters: make([]sched.Counters, cfg.Workers),
 	}
-	if cfg.Workers > 1 {
-		s.stealT = xrand.Threshold(cfg.StealProb)
+	if cfg.Workers > 1 && cfg.StealProb > 0 {
+		s.stealOn = true
+		s.gapScale = 1 / math.Log1p(-cfg.StealProb)
 	}
 	return s
+}
+
+// maxStealGap bounds a drawn gap, so that a tiny StealProb cannot
+// overflow the conversion: 2^62 slots is never reached anyway.
+const maxStealGap = 1 << 62
+
+// stealGap draws the number of delete slots before the next steal
+// attempt: the failures before the first success of Bernoulli(p) trials,
+// Geometric(p) on {0, 1, ...}, by inversion, ⌊ln U / ln(1-p)⌋ with U
+// uniform on (0, 1]. scale is 1/ln(1-p); p = 1 makes it -0 and every gap
+// 0. One draw per steal attempt replaces one coin per delete slot.
+func stealGap(r *xrand.Rand, scale float64) uint64 {
+	u := float64(r.Uint64()>>11+1) * (1.0 / (1 << 53))
+	g := math.Log(u) * scale
+	if !(g < maxStealGap) { // NaN too: a subnormal p makes scale -Inf, and ln 1 · -Inf is NaN
+		return maxStealGap
+	}
+	return uint64(g)
 }
 
 func (s *SMQ[T]) initWorkers() {
@@ -272,6 +295,9 @@ func (s *SMQ[T]) initWorkers() {
 		w.rng.Seed(s.cfg.Seed + uint64(i)*0x9e3779b97f4a7c15)
 		w.smp = *numa.NewSampler(s.topo, i, k, &w.rng)
 		w.c = &s.counters[i]
+		if s.stealOn {
+			w.gap = stealGap(&w.rng, s.gapScale)
+		}
 	}
 }
 
@@ -324,8 +350,9 @@ func (w *smqWorker[T]) PushN(ps []uint64, vs []T) {
 //  3. otherwise (or if the steal found nothing better) take locally;
 //  4. if the local queue is empty, fall back to stealing anything.
 //
-// A lone worker has no victim, so it flips no coin (stealT is 0) and
-// scans none.
+// Step 2's trial is the worker's countdown: a slot attempts a steal when
+// gap has run out, and the attempt draws the next gap. A lone worker has
+// no victim, so it draws nothing and scans none.
 func (w *smqWorker[T]) Pop() (uint64, T, bool) {
 	if w.stolenIdx < len(w.stolen) {
 		it := w.stolen[w.stolenIdx]
@@ -335,10 +362,15 @@ func (w *smqWorker[T]) Pop() (uint64, T, bool) {
 		w.c.Pops++
 		return it.P, it.V, true
 	}
-	if w.s.stealT != 0 && w.rng.Flip(w.s.stealT) {
-		if p, v, ok := w.trySteal(); ok {
-			w.c.Pops++
-			return p, v, true
+	if w.s.stealOn {
+		if w.gap > 0 {
+			w.gap--
+		} else {
+			w.gap = stealGap(&w.rng, w.s.gapScale)
+			if p, v, ok := w.trySteal(); ok {
+				w.c.Pops++
+				return p, v, true
+			}
 		}
 	}
 	if p, v, ok := w.q.PopLocal(); ok {
@@ -365,36 +397,38 @@ func (w *smqWorker[T]) Pop() (uint64, T, bool) {
 // only when all of that comes up empty does the scalar fallback victim
 // scan run.
 //
-// The steal coin keeps the SCALAR rate: one Bernoulli(p_steal) trial
-// (an integer compare, xrand.Flip) per delete slot not served from
-// surplus, stopping at the first success (whose stolen batch then fills
-// the following slots, exactly as the scalar loop's surplus does). Flipping once per batch instead
-// would cut the steal rate by the batch size, and the steal comparison
-// is the only mechanism pulling a worker off a locally-good but
-// globally-stale frontier — measured on road-graph SSSP, a
-// batch-level coin doubles the wasted work while the per-slot coin
-// stays within a few percent of the scalar driver. The coin is two
-// RNG multiplies; the costs worth amortizing (atomic loads, buffer
-// checks, call layers) are all elsewhere. A lone worker flips none.
+// Steal attempts keep the SCALAR rate: every delete slot not served
+// from surplus counts down the worker's gap, and the slot where it runs
+// out attempts a steal, stopping at the first success (whose stolen
+// batch then fills the following slots, exactly as the scalar loop's
+// surplus does). A gap drawn from Geometric(p_steal) makes that one
+// Bernoulli(p_steal) trial per slot, with one draw per attempt instead
+// of one per slot. Attempting once per batch instead would cut the steal
+// rate by the batch size, and the steal comparison is the only mechanism
+// pulling a worker off a locally-good but globally-stale frontier —
+// measured on road-graph SSSP, a batch-level coin doubles the wasted
+// work while the per-slot rate stays within a few percent of the scalar
+// driver. A lone worker draws nothing.
 func (w *smqWorker[T]) PopN(dst []sched.Task[T]) int {
 	if len(dst) == 0 {
 		return 0
 	}
 	n := w.drainStolen(dst, 0)
-	if n < len(dst) && w.s.stealT != 0 {
-		for i := n; i < len(dst); i++ {
-			if !w.rng.Flip(w.s.stealT) {
-				continue
-			}
+	if left := uint64(len(dst) - n); left > 0 && w.s.stealOn {
+		for left > w.gap {
+			left -= w.gap + 1
+			w.gap = stealGap(&w.rng, w.s.gapScale)
 			if p, v, ok := w.trySteal(); ok {
 				dst[n] = pq.Item[T]{P: p, V: v}
 				n = w.drainStolen(dst, n+1)
-				break // surplus serves the remaining slots
+				left = 0 // surplus serves the remaining slots
+				break
 			}
 			// Failed probe (victim's top not better): that slot is
-			// served locally, and the later slots keep their own coin
-			// trials, as in the scalar loop.
+			// served locally, and the later slots keep counting down,
+			// as in the scalar loop.
 		}
+		w.gap -= left
 	}
 	if n < len(dst) {
 		n = len(w.q.PopLocalBatch(len(dst)-n, dst[:n]))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -52,6 +53,89 @@ func TestLoneWorkerFlipsNoCoin(t *testing.T) {
 			}
 			if w.rng != before {
 				t.Errorf("%s StealProb=%v: a lone worker's pops drew from its generator", name, p)
+			}
+		}
+	}
+}
+
+// TestStealGapIsGeometric checks the countdown's draw against
+// Geometric(p) on {0, 1, ...}, the failures before the first success of
+// Bernoulli(p) trials: mean (1-p)/p and P(gap = 0) = p, at the scale the
+// scheduler computes from StealProb. p = 1 gives every gap 0, and a p so
+// small that 1/ln(1-p) is -Inf still gives a bounded gap.
+func TestStealGapIsGeometric(t *testing.T) {
+	const draws = 400_000
+	for _, p := range []float64{1.0 / 32, 1.0 / 8, 1.0 / 2, 1} {
+		s := NewStealingMQ[int](Config{Workers: 2, StealProb: p})
+		r := &s.workers[0].rng
+		var sum float64
+		zeros := 0
+		for range draws {
+			g := stealGap(r, s.gapScale)
+			sum += float64(g)
+			if g == 0 {
+				zeros++
+			}
+		}
+		mean, want := sum/draws, (1-p)/p
+		// Standard error of the mean: sqrt(1-p)/p/sqrt(draws).
+		if se := math.Sqrt(1-p) / p / math.Sqrt(draws); math.Abs(mean-want) > 5*se {
+			t.Errorf("p=%v: mean gap %.4f, want %.4f ± %.4f", p, mean, want, 5*se)
+		}
+		zeroFrac := float64(zeros) / draws
+		if se := math.Sqrt(p * (1 - p) / draws); math.Abs(zeroFrac-p) > 5*se {
+			t.Errorf("p=%v: P(gap = 0) = %.4f, want %.4f ± %.4f", p, zeroFrac, p, 5*se)
+		}
+	}
+	for _, p := range []float64{1e-300, 5e-324} {
+		s := NewStealingMQ[int](Config{Workers: 2, StealProb: p})
+		for range 1000 {
+			if g := stealGap(&s.workers[0].rng, s.gapScale); g < 1<<53 || g > maxStealGap {
+				t.Fatalf("p=%v: gap %d, want a huge gap no larger than %d", p, g, uint64(maxStealGap))
+			}
+		}
+	}
+}
+
+// TestStealAttemptsKeepTheSlotRate: with a victim that is never better,
+// every steal attempt fails and is counted, so StealFails over the delete
+// slots served is the per-slot attempt rate, which must be StealProb
+// whether the slots come one per Pop or eight per PopN.
+func TestStealAttemptsKeepTheSlotRate(t *testing.T) {
+	const slots = 200_000
+	for name, mk := range variants() {
+		for _, p := range []float64{1.0 / 8, 1.0 / 2} {
+			for _, batch := range []int{1, 8} {
+				s := mk(Config{Workers: 2, StealProb: p})
+				w := &s.workers[0]
+				for i := range 64 {
+					w.Push(uint64(i), i)
+				}
+				dst := make([]sched.Task[int], batch)
+				for served := 0; served < slots; {
+					var k int
+					if batch == 1 {
+						pr, v, ok := w.Pop()
+						if ok {
+							k, dst[0] = 1, sched.Task[int]{P: pr, V: v}
+						}
+					} else {
+						k = w.PopN(dst)
+					}
+					if k == 0 {
+						t.Fatalf("%s p=%v batch %d: pop failed with tasks queued", name, p, batch)
+					}
+					for _, it := range dst[:k] {
+						w.Push(it.P, it.V)
+					}
+					served += k
+				}
+				st := s.Stats()
+				rate := float64(st.StealFails) / float64(st.Pops)
+				if se := math.Sqrt(p * (1 - p) / float64(st.Pops)); math.Abs(rate-p) > 5*se || st.Steals != 0 {
+					t.Errorf("%s p=%v batch %d: %d steal attempts over %d slots (%.4f), %d steals; want rate %.4f",
+						name, p, batch, st.StealFails, st.Pops, rate, st.Steals, p)
+				}
 			}
 		}
 	}

@@ -75,7 +75,6 @@ func (a *node[T]) before(b *node[T]) bool {
 type SkipList[T any] struct {
 	head *node[T]
 	tail *node[T]
-	size atomic.Int64 // live elements, exact when quiescent
 	// seq hands out unique tiebreakers; ties pop in FIFO order.
 	seq atomic.Uint64
 	// levelSeed feeds a splitmix64 stream used for insert level draws,
@@ -176,7 +175,6 @@ func (s *SkipList[T]) Insert(p uint64, v T) {
 		}
 		n.fullyLinked.Store(true)
 		s.unlock(&preds, topLayer)
-		s.size.Add(1)
 		return
 	}
 }
@@ -231,7 +229,6 @@ func (s *SkipList[T]) DeleteMin() (p uint64, v T, ok bool) {
 			if curr.fullyLinked.Load() && !curr.marked.Load() {
 				if s.claim(curr) {
 					s.unlink(curr)
-					s.size.Add(-1)
 					return curr.prio, curr.value, true
 				}
 				// Lost the race for this node; restart from the head
@@ -359,7 +356,6 @@ func (s *SkipList[T]) Spray(params SprayParams, rng *xrand.Rand) (p uint64, v T,
 		}
 		if s.claim(n) {
 			s.unlink(n)
-			s.size.Add(-1)
 			return n.prio, n.value, true
 		}
 	}

@@ -11,6 +11,20 @@ import (
 	"repro/internal/xrand"
 )
 
+// liveLen counts the level-0 nodes that are linked and unclaimed. The
+// list keeps no element count (a shared counter would be one more atomic
+// add per insert and delete that only tests read), so the tests count at
+// quiescence, when every claimed node has been unlinked.
+func (s *SkipList[T]) liveLen() int {
+	n := 0
+	for curr := s.head.next[0].Load(); !curr.isTail; curr = curr.next[0].Load() {
+		if curr.fullyLinked.Load() && !curr.marked.Load() {
+			n++
+		}
+	}
+	return n
+}
+
 func TestEmpty(t *testing.T) {
 	s := New[int](1)
 	if s.Top() != pq.InfPriority {
@@ -19,8 +33,8 @@ func TestEmpty(t *testing.T) {
 	if _, _, ok := s.DeleteMin(); ok {
 		t.Fatal("DeleteMin on empty returned ok")
 	}
-	if int(s.size.Load()) != 0 {
-		t.Fatalf("Len = %d", int(s.size.Load()))
+	if s.liveLen() != 0 {
+		t.Fatalf("Len = %d", s.liveLen())
 	}
 }
 
@@ -34,8 +48,8 @@ func TestSequentialSortedExtraction(t *testing.T) {
 		want[i] = p
 		s.Insert(p, i)
 	}
-	if int(s.size.Load()) != n {
-		t.Fatalf("Len = %d, want %d", int(s.size.Load()), n)
+	if s.liveLen() != n {
+		t.Fatalf("Len = %d, want %d", s.liveLen(), n)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	for i := 0; i < n; i++ {
@@ -47,7 +61,7 @@ func TestSequentialSortedExtraction(t *testing.T) {
 			t.Fatalf("DeleteMin at %d = (%d,%v), want %d", i, p, ok, want[i])
 		}
 	}
-	if s.Top() != pq.InfPriority || int(s.size.Load()) != 0 {
+	if s.Top() != pq.InfPriority || s.liveLen() != 0 {
 		t.Fatal("list not empty after draining")
 	}
 }
@@ -129,8 +143,8 @@ func TestConcurrentInserts(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if int(s.size.Load()) != workers*per {
-		t.Fatalf("Len = %d, want %d", int(s.size.Load()), workers*per)
+	if s.liveLen() != workers*per {
+		t.Fatalf("Len = %d, want %d", s.liveLen(), workers*per)
 	}
 	// Drain and verify count + sortedness.
 	prev := uint64(0)

@@ -97,8 +97,8 @@ func stressRun(t *testing.T, goroutines, perG int) {
 			t.Fatalf("value %d deleted %d times", v, seen[v].Load())
 		}
 	}
-	if s.Top() != pq.InfPriority || int(s.size.Load()) != 0 {
-		t.Fatalf("drained list not empty: Len=%d", int(s.size.Load()))
+	if s.Top() != pq.InfPriority || s.liveLen() != 0 {
+		t.Fatalf("drained list not empty: Len=%d", s.liveLen())
 	}
 }
 

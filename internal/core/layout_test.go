@@ -6,11 +6,11 @@ import (
 )
 
 // TestHeapQueueLayout checks the split of heapQueue: the owner words
-// (the heap header, embedded by value, the batch size and the run) end on
-// a cache-line boundary, so the thief-shared words (state, top, buf)
-// start a fresh line and steal CAS traffic never invalidates the owner's
-// lines; the shared words fit one line; and the whole header rounds to a
-// line multiple so adjacent allocations cannot bleed in.
+// (the local queue's header, embedded by value, the batch size and the
+// run) end on a cache-line boundary, so the thief-shared words (state,
+// top, buf) start a fresh line and steal CAS traffic never invalidates
+// the owner's lines; the shared words fit one line; and the whole header
+// rounds to a line multiple so adjacent allocations cannot bleed in.
 func TestHeapQueueLayout(t *testing.T) {
 	var q heapQueue[int]
 	if off := unsafe.Offsetof(q.state); off%64 != 0 {

@@ -11,36 +11,40 @@ import (
 	"repro/internal/pq"
 )
 
-// deferralTask is the payload of TestOwnerDeferral: 64 bytes, so the
+// ownerTask is the payload of TestOwnerViewIsExact: 64 bytes, so the
 // allocator gives each task an object of its own and a cleanup on it
 // reports exactly that task's release.
-type deferralTask struct {
+type ownerTask struct {
 	id int
 	_  [56]byte
 }
 
-// TestOwnerDeferral drives one heapQueue as its lone owner through a
-// random interleaving of PopLocal (whose heap removal is deferred),
-// PushLocal right after a pop (the ReplaceTop case) and on its own,
-// PushLocalBatch, PopLocalBatch, TopLocal, and a thief's Steal, which
-// makes the owner refill and take batches back. Against an oracle of the
-// tasks the owner holds it checks that every pop returns the smallest
-// priority held — with one owner and nothing in flight the local view is
-// exact — that TopLocal is that priority, and that every task comes out
-// exactly once, by a pop or a steal. At the end, once TopLocal has
-// settled the last deferred pop, every payload that came out must have
-// been released by the queue: the deferral holds one in the heap's root
-// only until the owner's next operation.
-func TestOwnerDeferral(t *testing.T) {
+// TestOwnerViewIsExact drives one heapQueue as its lone owner through a
+// random interleaving of PopLocal, PushLocal, PushLocalBatch,
+// PopLocalBatch, TopLocal and a thief's Steal, which makes the owner
+// refill and take batches back. The priorities cluster a few apart, ties
+// everywhere, around a level that now and then jumps a few windows of the
+// local queue up or down, so pops slide its window, evict into its heap
+// and let the heap serve. Against an oracle of the tasks the owner holds
+// it checks that every pop returns the smallest priority held — with one
+// owner and nothing in flight the local view is exact — that TopLocal is
+// that priority, and that every task comes out exactly once, by a pop or
+// a steal. At the end every payload that came out must have been
+// released by the queue.
+func TestOwnerViewIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	q := newHeapQueue[*deferralTask](pq.DefaultArity, 4)
+	q := newHeapQueue[*ownerTask](pq.DefaultArity, 4)
 	var released atomic.Int64 // payloads whose cleanup has run
 	var held []pq.Item[int]   // the oracle: (priority, id) of the tasks the owner holds
 	var taken []bool          // id -> came out already
 	out := 0                  // tasks that came out
-	newTask := func() (uint64, *deferralTask) {
-		p := uint64(rng.Intn(64)) // few distinct priorities: ties everywhere
-		task := &deferralTask{id: len(taken)}
+	level := uint64(1 << 20)
+	newTask := func() (uint64, *ownerTask) {
+		if rng.Intn(200) == 0 {
+			level = level - 3*4096 + uint64(rng.Intn(6*4096))
+		}
+		p := level + uint64(rng.Intn(64))
+		task := &ownerTask{id: len(taken)}
 		runtime.AddCleanup(task, func(r *atomic.Int64) { r.Add(1) }, &released)
 		held = append(held, pq.Item[int]{P: p, V: task.id})
 		taken = append(taken, false)
@@ -54,7 +58,7 @@ func TestOwnerDeferral(t *testing.T) {
 		return m
 	}
 	// takeOut checks one task that came out and drops it from the oracle.
-	takeOut := func(op string, p uint64, task *deferralTask, smallest bool) {
+	takeOut := func(op string, p uint64, task *ownerTask, smallest bool) {
 		t.Helper()
 		if smallest && p != minHeld() {
 			t.Fatalf("%s returned priority %d, the smallest held is %d", op, p, minHeld())
@@ -67,7 +71,7 @@ func TestOwnerDeferral(t *testing.T) {
 		held = slices.Delete(held, i, i+1)
 		out++
 	}
-	var batch []pq.Item[*deferralTask]
+	var batch []pq.Item[*ownerTask]
 	pop := func() {
 		t.Helper()
 		p, task, ok := q.PopLocal()
@@ -80,9 +84,7 @@ func TestOwnerDeferral(t *testing.T) {
 	}
 	for step := 0; step < 20000; step++ {
 		// Grow to a few hundred tasks, then shrink to none, and again, so
-		// the heap passes through every small size and partial sibling
-		// group. The extra pushes follow whatever the last op was, a
-		// deferred pop included.
+		// the local queue empties and refills.
 		if step/2000%2 == 0 && len(held) < 400 {
 			q.PushLocal(newTask())
 			q.PushLocal(newTask())
@@ -95,7 +97,7 @@ func TestOwnerDeferral(t *testing.T) {
 			q.PushLocal(newTask())
 		case r < 7:
 			var ps []uint64
-			var vs []*deferralTask
+			var vs []*ownerTask
 			for k := rng.Intn(6); k > 0; k-- {
 				p, task := newTask()
 				ps, vs = append(ps, p), append(vs, task)
@@ -122,10 +124,6 @@ func TestOwnerDeferral(t *testing.T) {
 			}
 			clear(batch)
 		}
-	}
-	pop()                                      // a deferred pop is owed now (if anything was held) ...
-	if top := q.TopLocal(); top != minHeld() { // ... and TopLocal settles it
-		t.Fatalf("TopLocal = %d, the smallest held is %d", top, minHeld())
 	}
 	for attempt := 0; attempt < 20 && released.Load() < int64(out); attempt++ {
 		runtime.GC() // cleanups run asynchronously after a cycle

@@ -9,6 +9,8 @@ import (
 // thread-local heaps (§4): a wider fan-out shortens the sift-down path and
 // keeps more of each level in one cache line, which is why it outperforms
 // the binary heap for scheduler-sized workloads (see the ablation benches).
+// Here the SMQ's heap sits behind a BucketQueue's window, and the
+// Multi-Queues and the sequential baselines use it bare.
 //
 // The priorities live in an array of their own, apart from the payloads,
 // so that a sift compares keys only, and each group of siblings starts on
@@ -101,16 +103,6 @@ func (h *DHeap[T]) Top() uint64 {
 	return h.keys[0]
 }
 
-// Peek returns the minimum-priority task without removing it; ok is
-// false when the heap is empty. With ReplaceTop it splits a Pop that a
-// Push follows into a read now and one sift later.
-func (h *DHeap[T]) Peek() (p uint64, v T, ok bool) {
-	if len(h.keys) == 0 {
-		return InfPriority, v, false
-	}
-	return h.keys[0], *h.vals, true
-}
-
 // Push inserts a task.
 func (h *DHeap[T]) Push(p uint64, v T) {
 	n := len(h.keys)
@@ -158,19 +150,6 @@ func (h *DHeap[T]) Pop() (p uint64, v T, ok bool) {
 		h.siftDown(movedP, movedV, last)
 	}
 	return p, v, true
-}
-
-// ReplaceTop removes the minimum-priority task and inserts (p, v) in one
-// sift-down from the root: the hold model's pop-then-push for the price
-// of one sift instead of two. On an empty heap it is Push. The heap it
-// leaves holds what Pop then Push would, though not always in the same
-// arrangement, so equal priorities may later come out in another order.
-func (h *DHeap[T]) ReplaceTop(p uint64, v T) {
-	if len(h.keys) == 0 {
-		h.Push(p, v)
-		return
-	}
-	h.siftDown(p, v, len(h.keys))
 }
 
 // PopBatch removes up to k minimum-priority tasks in priority order,
@@ -222,9 +201,7 @@ func (h *DHeap[T]) PopBatch(k int, dst []Item[T]) []Item[T] {
 // hold pattern, uint32 payload, ns per pop+push pair
 // (BenchmarkLocalQueue_DHeap4), the scan on Items -> this loop, medians
 // of 5 alternating runs: 2^10 resident 73 -> 57, 2^13 95 -> 77, 2^16
-// 120 -> 108; the fused Peek + ReplaceTop cycle (the /replace
-// sub-benchmarks) 44 / 64 / 95. Other arities keep the linear scan,
-// over keys.
+// 120 -> 108. Other arities keep the linear scan, over keys.
 //
 // Branch-free selection loses where the branch used to win: each level's
 // address waits for the previous level's loads, whereas the branchy scan

@@ -4,8 +4,12 @@
 // Throughout the module, priorities are uint64 values where a LOWER value
 // means a HIGHER priority (distance-like semantics, matching the SSSP/BFS/
 // A* workloads of the paper). The paper's SMQ uses sequential d-ary heaps
-// (d = 4) as thread-local queues (§4); the classic Multi-Queue wraps one
-// sequential heap per lock-protected queue (§2.1, Listing 1).
+// (d = 4) as thread-local queues (§4); the SMQ here uses a BucketQueue,
+// width-1 buckets over a window of 4 096 priorities with such a heap
+// behind it for the tasks outside, because its guarantees need the local
+// queue only to be exact and a bucket costs O(1) where the heap's
+// sift-down is most of a pop on large queues. The classic Multi-Queue
+// wraps one sequential heap per lock-protected queue (§2.1, Listing 1).
 package pq
 
 import "math"

@@ -20,6 +20,7 @@ func makers() map[string]func() Queue[int] {
 		"dheap4":   func() Queue[int] { return NewDHeap[int](4) },
 		"dheap8":   func() Queue[int] { return NewDHeap[int](8) },
 		"skiplist": func() Queue[int] { return NewSeqSkipList[int](1) },
+		"bucket":   func() Queue[int] { return NewBucketQueue[int](4, 0) },
 	}
 }
 
@@ -192,10 +193,10 @@ func TestDHeapArityPanics(t *testing.T) {
 }
 
 // TestDHeapLayout pins what the embedding structs and the sift count
-// on: the header fits 40 bytes (mq.lockQueue is one cache line and
-// core.heapQueue's owner words two, with the header inside), and every
-// sibling group of keys starts on a boundary of its own size, from the
-// first allocation through every growth.
+// on: the header fits 40 bytes (mq.lockQueue is one cache line, and
+// core.heapQueue's owner words three, with a BucketQueue and so a DHeap
+// header inside), and every sibling group of keys starts on a boundary of
+// its own size, from the first allocation through every growth.
 func TestDHeapLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(DHeap[int]{}); sz > 40 {
 		t.Fatalf("DHeap header is %d bytes, want <= 40", sz)
@@ -387,15 +388,14 @@ func TestDHeapBatchPushesMatchReference(t *testing.T) {
 }
 
 // dheapScript encodes a FuzzDHeapOrder input: the arity index, then ps
-// pushed in batches of up to 5 with a scalar push between them, then one
-// ReplaceTop per priority of ps in reverse order, then a drain
-// alternating PopBatch(3) and Pop.
+// pushed in batches of up to 5 with a scalar push between them, then a
+// drain alternating PopBatch(3) and Pop.
 func dheapScript(arity byte, ps []uint64) []byte {
 	out := []byte{arity}
 	drains := (len(ps) + 3) / 4 // each drain step pops 3 + 1
 	for rest := ps; len(rest) > 0; {
 		k := min(5, len(rest)-1)
-		out = append(out, byte(k*5+3))
+		out = append(out, byte(k*4+3))
 		for _, p := range rest[:k] {
 			out = binary.LittleEndian.AppendUint64(out, p)
 		}
@@ -403,24 +403,91 @@ func dheapScript(arity byte, ps []uint64) []byte {
 		out = binary.LittleEndian.AppendUint64(out, rest[k])
 		rest = rest[k+1:]
 	}
-	for i := len(ps) - 1; i >= 0; i-- {
-		out = append(out, 4)
-		out = binary.LittleEndian.AppendUint64(out, ps[i])
-	}
 	for ; drains > 0; drains-- {
-		out = append(out, 3*5+2, 1)
+		out = append(out, 3*4+2, 1)
 	}
 	return out
+}
+
+// orderOracle is the fuzzers' model of an exact queue: the priorities
+// queued, ascending, and for every payload the priority it went in with
+// and whether it came out already.
+type orderOracle struct {
+	t      *testing.T
+	sorted []uint64
+	pushed []uint64 // payload -> its priority
+	popped []bool   // payload -> already returned
+}
+
+// push records a task of priority p and returns its payload.
+func (o *orderOracle) push(p uint64) Item[int] {
+	i, _ := slices.BinarySearch(o.sorted, p)
+	o.sorted = slices.Insert(o.sorted, i, p)
+	o.pushed = append(o.pushed, p)
+	o.popped = append(o.popped, false)
+	return Item[int]{P: p, V: len(o.pushed) - 1}
+}
+
+// pop checks a popped task: the smallest priority queued, and a payload
+// that went in with it and has not come out before.
+func (o *orderOracle) pop(it Item[int]) {
+	o.t.Helper()
+	if len(o.sorted) == 0 {
+		o.t.Fatalf("popped priority %d with nothing queued", it.P)
+	}
+	if it.P != o.sorted[0] {
+		o.t.Fatalf("popped priority %d, smallest queued is %d", it.P, o.sorted[0])
+	}
+	o.sorted = o.sorted[1:]
+	if it.V < 0 || it.V >= len(o.pushed) || o.popped[it.V] || o.pushed[it.V] != it.P {
+		o.t.Fatalf("popped (%d,%d): payload unknown, repeated or under another priority", it.P, it.V)
+	}
+	o.popped[it.V] = true
+}
+
+// popOne checks a scalar Pop's result, ok included.
+func (o *orderOracle) popOne(p uint64, v int, ok bool) {
+	o.t.Helper()
+	if ok != (len(o.sorted) > 0) {
+		o.t.Fatalf("Pop ok = %v with %d queued", ok, len(o.sorted))
+	}
+	if ok {
+		o.pop(Item[int]{P: p, V: v})
+	}
+}
+
+// popBatch checks a PopBatch(k) result.
+func (o *orderOracle) popBatch(k int, batch []Item[int]) {
+	o.t.Helper()
+	if want := min(k, len(o.sorted)); len(batch) != want {
+		o.t.Fatalf("PopBatch(%d) returned %d items with %d queued", k, len(batch), len(o.sorted))
+	}
+	for _, it := range batch {
+		o.pop(it)
+	}
+}
+
+// agree checks q's Len and Top against the oracle.
+func (o *orderOracle) agree(q Queue[int]) {
+	o.t.Helper()
+	if q.Len() != len(o.sorted) {
+		o.t.Fatalf("Len = %d, oracle holds %d", q.Len(), len(o.sorted))
+	}
+	want := uint64(InfPriority)
+	if len(o.sorted) > 0 {
+		want = o.sorted[0]
+	}
+	if q.Top() != want {
+		o.t.Fatalf("Top = %d, want %d", q.Top(), want)
+	}
 }
 
 // FuzzDHeapOrder drives a DHeap with an op stream decoded from the input
 // and checks it op by op against a sorted slice: every pop returns the
 // smallest priority queued, Len and Top agree, and each payload comes out
 // once, with the priority it went in with. Byte 0 picks the arity; each
-// op is one byte (the byte mod 5: Push, Pop, PopBatch, PushPairs,
-// ReplaceTop; the byte div 5: k) and each pushed priority the next
-// eight. ReplaceTop is checked as a Peek, whose task counts as popped,
-// followed by the replacement's push.
+// op is one byte (the byte mod 4: Push, Pop, PopBatch, PushPairs; the
+// byte div 4: k) and each pushed priority the next eight.
 func FuzzDHeapOrder(f *testing.F) {
 	for a := byte(0); a < 4; a++ {
 		for _, c := range orderCases(37 + int(a)) {
@@ -433,9 +500,7 @@ func FuzzDHeapOrder(f *testing.F) {
 		}
 		h := NewDHeap[int]([]int{2, 3, 4, 8}[data[0]&3])
 		data = data[1:]
-		var sorted []uint64 // the oracle: priorities queued, ascending
-		var pushed []uint64 // payload -> its priority
-		var popped []bool   // payload -> already returned
+		o := &orderOracle{t: t}
 		var batch []Item[int]
 		var ps []uint64
 		var vs []int
@@ -443,26 +508,12 @@ func FuzzDHeapOrder(f *testing.F) {
 			if len(data) < 8 {
 				return Item[int]{}, false
 			}
-			it := Item[int]{P: binary.LittleEndian.Uint64(data), V: len(pushed)}
+			p := binary.LittleEndian.Uint64(data)
 			data = data[8:]
-			i, _ := slices.BinarySearch(sorted, it.P)
-			sorted = slices.Insert(sorted, i, it.P)
-			pushed = append(pushed, it.P)
-			popped = append(popped, false)
-			return it, true
-		}
-		check := func(it Item[int]) {
-			if it.P != sorted[0] {
-				t.Fatalf("popped priority %d, smallest queued is %d", it.P, sorted[0])
-			}
-			sorted = sorted[1:]
-			if it.V < 0 || it.V >= len(pushed) || popped[it.V] || pushed[it.V] != it.P {
-				t.Fatalf("popped (%d,%d): payload unknown, repeated or under another priority", it.P, it.V)
-			}
-			popped[it.V] = true
+			return o.push(p), true
 		}
 		for len(data) > 0 {
-			op, k := data[0]%5, int(data[0]/5)
+			op, k := data[0]%4, int(data[0]/4)
 			data = data[1:]
 			switch op {
 			case 0:
@@ -470,21 +521,10 @@ func FuzzDHeapOrder(f *testing.F) {
 					h.Push(it.P, it.V)
 				}
 			case 1:
-				p, v, ok := h.Pop()
-				if ok != (len(sorted) > 0) {
-					t.Fatalf("Pop ok = %v with %d queued", ok, len(sorted))
-				}
-				if ok {
-					check(Item[int]{P: p, V: v})
-				}
+				o.popOne(h.Pop())
 			case 2:
 				batch = h.PopBatch(k, batch[:0])
-				if want := min(k, len(sorted)); len(batch) != want {
-					t.Fatalf("PopBatch(%d) returned %d items with %d queued", k, len(batch), len(sorted))
-				}
-				for _, it := range batch {
-					check(it)
-				}
+				o.popBatch(k, batch)
 			case 3:
 				ps, vs = ps[:0], vs[:0]
 				for ; k > 0; k-- {
@@ -493,30 +533,8 @@ func FuzzDHeapOrder(f *testing.F) {
 					}
 				}
 				h.PushPairs(ps, vs)
-			case 4:
-				p, v, ok := h.Peek()
-				if ok != (len(sorted) > 0) {
-					t.Fatalf("Peek ok = %v with %d queued", ok, len(sorted))
-				}
-				if ok {
-					check(Item[int]{P: p, V: v})
-				}
-				if it, more := next(); more {
-					h.ReplaceTop(it.P, it.V) // a Push when the heap is empty
-				} else if ok {
-					h.Pop() // no replacement left in the input: the peeked task goes
-				}
 			}
-			if h.Len() != len(sorted) {
-				t.Fatalf("Len = %d, oracle holds %d", h.Len(), len(sorted))
-			}
-			want := uint64(InfPriority)
-			if len(sorted) > 0 {
-				want = sorted[0]
-			}
-			if h.Top() != want {
-				t.Fatalf("Top = %d, want %d", h.Top(), want)
-			}
+			o.agree(h)
 		}
 	})
 }
@@ -525,10 +543,7 @@ func FuzzDHeapOrder(f *testing.F) {
 // little later) on mk's queue at three resident sizes: 2^10 is five d = 4
 // levels in L1, 2^13 is the size an SMQ worker's heap reaches on the
 // graph workloads, and 2^16 is the bench's hold prefill, past L2 with a
-// 16-byte item. A queue with ReplaceTop also runs the cycle as one
-// ReplaceTop after a Peek (the sub-benchmark suffixed /replace), which is
-// what the SMQ owner's deferred pop makes of a pop that a push follows:
-// the difference between the two is the cost of the second sift.
+// 16-byte item.
 func benchQueue[T any](b *testing.B, payload string, mk func() Queue[T]) {
 	for _, resident := range []int{1 << 10, 1 << 13, 1 << 16} {
 		fill := func() Queue[T] {
@@ -547,24 +562,7 @@ func benchQueue[T any](b *testing.B, payload string, mk func() Queue[T]) {
 				q.Push(p+uint64(i%64), v)
 			}
 		})
-		if _, ok := mk().(replacer[T]); !ok {
-			continue
-		}
-		b.Run(fmt.Sprintf("%s/%d/replace", payload, resident), func(b *testing.B) {
-			q := fill().(replacer[T])
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, v, _ := q.Peek()
-				q.ReplaceTop(p+uint64(i%64), v)
-			}
-		})
 	}
-}
-
-// replacer is the fused pop-then-push of DHeap.
-type replacer[T any] interface {
-	Peek() (uint64, T, bool)
-	ReplaceTop(uint64, T)
 }
 
 // BenchmarkLocalQueue_* is the §4 "optimal local data structure" ablation:
@@ -583,6 +581,10 @@ func BenchmarkLocalQueue_DHeap4(b *testing.B) {
 func BenchmarkLocalQueue_DHeap8(b *testing.B) {
 	benchQueue(b, "int", func() Queue[int] { return NewDHeap[int](8) })
 	benchQueue(b, "uint32", func() Queue[uint32] { return NewDHeap[uint32](8) })
+}
+func BenchmarkLocalQueue_Bucket(b *testing.B) {
+	benchQueue(b, "int", func() Queue[int] { return NewBucketQueue[int](4, 0) })
+	benchQueue(b, "uint32", func() Queue[uint32] { return NewBucketQueue[uint32](4, 0) })
 }
 func BenchmarkLocalQueue_SkipList(b *testing.B) {
 	benchQueue(b, "int", func() Queue[int] { return NewSeqSkipList[int](1) })

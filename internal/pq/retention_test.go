@@ -24,14 +24,16 @@ type popAll interface {
 	Len() int
 }
 
-func testPayloadReleased(t *testing.T, name string, q popAll) {
+// testPayloadReleased pushes n payloads, task i at priority prio(i), pops
+// them all and checks that q released every one.
+func testPayloadReleased(t *testing.T, name string, q popAll, prio func(i int) uint64) {
 	t.Helper()
 	const n = 50
 	released := make(chan int, n)
 	for i := 0; i < n; i++ {
 		payload := &[64]byte{byte(i)}
 		runtime.AddCleanup(payload, func(i int) { released <- i }, i)
-		q.Push(uint64(i), payload)
+		q.Push(prio(i), payload)
 	}
 	for i := 0; i < n; i++ {
 		if _, _, ok := q.Pop(); !ok {
@@ -55,12 +57,24 @@ func testPayloadReleased(t *testing.T, name string, q popAll) {
 	}
 }
 
+func ascending(i int) uint64 { return uint64(i) }
+
 func TestDHeapReleasesPoppedPayloads(t *testing.T) {
-	testPayloadReleased(t, "DHeap", NewDHeap[*[64]byte](4))
+	testPayloadReleased(t, "DHeap", NewDHeap[*[64]byte](4), ascending)
 }
 
 func TestSeqSkipListReleasesPoppedPayloads(t *testing.T) {
-	testPayloadReleased(t, "SeqSkipList", NewSeqSkipList[*[64]byte](1))
+	testPayloadReleased(t, "SeqSkipList", NewSeqSkipList[*[64]byte](1), ascending)
+}
+
+// TestBucketQueueReleasesPoppedPayloads covers the buckets alone, and a
+// descending spread of 1 000 apart, where the window takes the first five
+// tasks, the heap the rest, and the first pop evicts the five into the
+// heap before the window moves to its minimum.
+func TestBucketQueueReleasesPoppedPayloads(t *testing.T) {
+	testPayloadReleased(t, "BucketQueue", NewBucketQueue[*[64]byte](4, 0), ascending)
+	testPayloadReleased(t, "BucketQueue (spread)", NewBucketQueue[*[64]byte](4, 0),
+		func(i int) uint64 { return uint64(49-i) * 1000 })
 }
 
 // TestDHeapPopBatchReleasesSlots covers the batched extraction path the

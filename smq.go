@@ -44,7 +44,7 @@
 //     handles (sticky indices, buffer cursors), per-worker statistics
 //     counters, and the SMQ steal-buffer epoch word, which lives on its
 //     own line so thieves' CAS traffic never invalidates the owner's
-//     heap header. Worker RNGs and NUMA samplers are embedded by value
+//     local-queue header. Worker RNGs and NUMA samplers are embedded by value
 //     in the padded handles instead of being separate heap allocations
 //     that could share lines between workers.
 //   - The steady state allocates nothing: heaps and operation buffers
@@ -65,7 +65,7 @@
 // PopN(dst) — with scheduler-specific fast paths: the Multi-Queues
 // place or extract a whole batch under a single sampled lock, or route
 // it through their insertion/deletion buffers when they have them, the
-// SMQ drains its steal buffer and local heap in one pass, and the k-LSM
+// SMQ drains its steal buffer and local queue in one pass, and the k-LSM
 // turns a batch into one sorted LSM block, skipping the
 // per-element merge cascade.
 // Batches amortize the fixed per-operation costs — queue sampling,
@@ -322,12 +322,13 @@ type Task[T any] = sched.Task[T]
 type Pending = sched.Pending
 
 // SMQConfig configures the Stealing Multi-Queue (defaults: StealSize 16,
-// StealProb 1/32, 4-ary heaps). The steal defaults are a W = 2 choice
-// backed by a committed fig1 sweep (results/fig1-w2); the paper's
-// 28–128-thread setting, StealSize 4 and StealProb 1/8, stays settable. A
-// worker whose own queue is empty probes 2·Workers victims before its
-// Pop reports empty. The SMQ has no insert buffer of its own: a batch
-// of inserts goes in through PushN, as the worker loop's Sink does.
+// StealProb 1/32, a 4-ary heap behind each local queue's bucket window).
+// The steal defaults are a W = 2 choice backed by a committed fig1 sweep
+// (results/fig1-w2); the paper's 28–128-thread setting, StealSize 4 and
+// StealProb 1/8, stays settable. A worker whose own queue is empty
+// probes 2·Workers victims before its Pop reports empty. The SMQ has no
+// insert buffer of its own: a batch of inserts goes in through PushN, as
+// the worker loop's Sink does.
 type SMQConfig = core.Config
 
 // MQConfig configures the Multi-Queue family: the classic queue, its task
@@ -361,8 +362,12 @@ const (
 	DeleteLocal            = mq.DeleteLocal
 )
 
-// NewStealingMQ builds the paper's headline scheduler: thread-local d-ary
-// heaps with stealing buffers (§2.2, §4).
+// NewStealingMQ builds the paper's headline scheduler: thread-local
+// exact queues with stealing buffers (§2.2, §4). Each local queue keeps a
+// window of 4 096 consecutive priorities in width-1 buckets, O(1) per push
+// and pop, and every task outside the window in a 4-ary heap (the
+// paper's local queue); the guarantees need only that a local pop is
+// exact, which both are.
 func NewStealingMQ[T any](cfg SMQConfig) Scheduler[T] {
 	return core.NewStealingMQ[T](cfg)
 }

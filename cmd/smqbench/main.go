@@ -251,7 +251,8 @@ func writeFragment(path string, rep *perfbench.Report) error {
 
 // assembleFragment renders experiment tables from a fragment file
 // without running anything. AssembleFragment validates the report
-// first, so a file that benchcheck rejects renders nothing.
+// against the artifact schema first, so an invalid file renders
+// nothing.
 func assembleFragment(exps []harness.Experiment, cfg harness.RunConfig, file, format string) error {
 	data, err := os.ReadFile(file)
 	if err != nil {

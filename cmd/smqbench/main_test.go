@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,9 +16,12 @@ import (
 )
 
 // TestAssembleRefusesInvalidFragment runs the built binary's -assemble
-// on a real theory fragment whose only defect is its schema version: it
-// must exit non-zero and render nothing, as benchcheck rejects the same
-// file. The unaltered fragment is the control and renders.
+// on variants of a real theory fragment, each with one defect that the
+// artifact schema rejects: an old schema version, an unknown cell
+// status, a zero gomaxprocs, fewer records than total_cells, no
+// experiment fragments, and bytes that are not JSON. Each must exit
+// non-zero, render nothing and name the rule that fired. The unaltered
+// fragment is the control and renders.
 func TestAssembleRefusesInvalidFragment(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool unavailable")
@@ -32,18 +36,36 @@ func TestAssembleRefusesInvalidFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := perfbench.Marshal(p.Fragment(p.RunAll(0), "test"))
+	rep := p.Fragment(p.RunAll(0), "test")
+	good, err := perfbench.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(good, []byte(`"schema_version": 8`), []byte(`"schema_version": 7`), 1)
+	empty, err := perfbench.Marshal(&perfbench.Report{Header: rep.Header})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replace := func(from, to string) []byte {
+		if !bytes.Contains(good, []byte(from)) {
+			t.Fatalf("fragment does not contain %q", from)
+		}
+		return bytes.Replace(good, []byte(from), []byte(to), 1)
+	}
+	n := len(p.Cells)
+	total := fmt.Sprintf(`"total_cells": %d`, n)
+	gomaxprocs := fmt.Sprintf(`"gomaxprocs": %d`, rep.GOMAXPROCS)
 	for _, tc := range []struct {
 		name   string
 		body   []byte
 		reject string // substring of the expected error; "" = renders
 	}{
 		{"good", good, ""},
-		{"schema-7", old, "schema_version = 7, want 8"},
+		{"schema-7", replace(`"schema_version": 8`, `"schema_version": 7`), "schema_version = 7, want 8"},
+		{"bad-status", replace(`"status": "ok"`, `"status": "meh"`), "unknown status"},
+		{"no-gomaxprocs", replace(gomaxprocs, `"gomaxprocs": 0`), "gomaxprocs = 0"},
+		{"partial", replace(total, fmt.Sprintf(`"total_cells": %d`, n+1)), fmt.Sprintf("has %d cells, total_cells %d", n, n+1)},
+		{"no-fragments", empty, "no experiment fragments"},
+		{"not-json", []byte(`{`), "unexpected end of JSON"},
 	} {
 		path := filepath.Join(dir, tc.name+".json")
 		if err := os.WriteFile(path, tc.body, 0o644); err != nil {

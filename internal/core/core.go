@@ -40,12 +40,18 @@
 // skip lists as well. Here the local queue is a pq.BucketQueue: width-1
 // buckets over a circular window of 4 096 consecutive priorities, each a
 // LIFO list through one node pool, found through a two-level bitmap, with
-// the d-ary heap (fan-out Config.HeapArity) behind the window for every
-// task outside it. A push or a pop inside the window is O(1), where the
-// heap's sift-down made most of a pop once a worker held thousands of
-// tasks: in pq's hold microbenchmark (BenchmarkLocalQueue_*, 2^10 to
-// 2^16 resident) a pop + push pair costs 22–26 ns on the buckets and
-// 53–106 ns on the 4-ary heap alone. Equal priorities pop newest first.
+// the paper's 4-ary heap behind the window for every task outside it.
+// The fan-out is a constant (pq.DefaultArity): behind the window it only
+// orders the spilled tasks, and bench's `hold -sched smq` did not tell
+// d = 2, 4 and 8 apart (2 vCPUs, W = 2, 8 rotating rounds of 15 s:
+// tasks_per_s.smq medians 68.1, 73.9 and 72.5 M/s, each arity's
+// quartiles overlapping the others').
+//
+// A push or a pop inside the window is O(1), where the heap's sift-down
+// made most of a pop once a worker held thousands of tasks: in pq's hold
+// microbenchmark (BenchmarkLocalQueue_*, 2^10 to 2^16 resident) a pop +
+// push pair costs 22–26 ns on the buckets and 53–106 ns on the 4-ary
+// heap alone. Equal priorities pop newest first.
 //
 // The window follows the tasks: a push into an empty window places it
 // there; a push below it slides it down while every bucketed task still
@@ -103,10 +109,6 @@ type Config struct {
 	// 28–128-thread default is 1/8. Set negative for 0 (never steal
 	// eagerly; stealing still happens when the local queue is empty).
 	StealProb float64
-	// HeapArity is the fan-out d of the heap behind each local queue's
-	// bucket window, which holds the tasks outside the window (see the
-	// package doc). Default 4. Ignored by the skip-list variant.
-	HeapArity int
 	// Seed makes runs reproducible. Default derives per-worker seeds
 	// from 1.
 	Seed uint64
@@ -134,9 +136,6 @@ func (c Config) Validate() error {
 	if !(c.StealProb <= 1) {
 		return fmt.Errorf("core: Config.StealProb = %g, must be a probability <= 1", c.StealProb)
 	}
-	if c.HeapArity < 0 || c.HeapArity == 1 {
-		return fmt.Errorf("core: Config.HeapArity = %d, must be 0 (default) or >= 2", c.HeapArity)
-	}
 	if c.NUMANodes < 0 {
 		return fmt.Errorf("core: Config.NUMANodes = %d, must be >= 0", c.NUMANodes)
 	}
@@ -161,9 +160,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.StealProb < 0 {
 		c.StealProb = 0
-	}
-	if c.HeapArity == 0 {
-		c.HeapArity = pq.DefaultArity
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -261,7 +257,7 @@ func NewStealingMQ[T any](cfg Config) *SMQ[T] {
 		stealSize = 0 // no thief: publish nothing
 	}
 	for i := range s.queues {
-		s.queues[i] = newHeapQueue[T](cfg.HeapArity, stealSize)
+		s.queues[i] = newHeapQueue[T](stealSize)
 	}
 	s.initWorkers()
 	return s

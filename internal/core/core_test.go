@@ -26,7 +26,7 @@ func variants() map[string]func(cfg Config) *SMQ[int] {
 func TestConfigNormalize(t *testing.T) {
 	c := Config{Workers: 2}
 	c.normalize()
-	if c.StealSize != 16 || c.StealProb != 1.0/32 || c.HeapArity != 4 {
+	if c.StealSize != 16 || c.StealProb != 1.0/32 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	c = Config{Workers: 2, StealProb: -1}
@@ -387,7 +387,7 @@ func TestNUMAVariantCorrect(t *testing.T) {
 }
 
 func TestHeapQueueBufferProtocol(t *testing.T) {
-	q := newHeapQueue[int](4, 4)
+	q := newHeapQueue[int](4)
 	if q.Top() != pq.InfPriority {
 		t.Fatal("empty queue advertises a top")
 	}
@@ -457,7 +457,7 @@ func TestHeapQueueBufferProtocol(t *testing.T) {
 // best k come out merged from heap, run and its own published batch, and
 // the refill offers a thief max(stealSize, k) tasks.
 func TestHeapQueueBatchPublishesWhatItTook(t *testing.T) {
-	q := newHeapQueue[int](4, 4)
+	q := newHeapQueue[int](4)
 	ps, vs := make([]uint64, 40), make([]int, 40)
 	for i := range ps {
 		ps[i], vs[i] = uint64(i+1), i+1
@@ -504,7 +504,7 @@ func TestSingleWorkerPublishesNothing(t *testing.T) {
 }
 
 func TestHeapQueueOwnerReclaimsBuffer(t *testing.T) {
-	q := newHeapQueue[int](4, 4)
+	q := newHeapQueue[int](4)
 	for i := 1; i <= 4; i++ {
 		q.PushLocal(uint64(i), i)
 	}
@@ -537,7 +537,7 @@ func TestHeapQueueSingleClaimantPerEpoch(t *testing.T) {
 	// Hammer one queue with concurrent thieves while its owner works on
 	// it; each published epoch must be claimed at most once (no task
 	// duplication, none lost).
-	q := newHeapQueue[int](4, 4)
+	q := newHeapQueue[int](4)
 	const rounds = 3000
 	var wg sync.WaitGroup
 	var mu sync.Mutex

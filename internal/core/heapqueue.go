@@ -69,9 +69,9 @@ const (
 // newHeapQueue returns an empty queue that publishes batches of
 // stealSize tasks, or, with stealSize 0 (a scheduler with one worker has
 // no thief), nothing at all.
-func newHeapQueue[T any](arity, stealSize int) *heapQueue[T] {
+func newHeapQueue[T any](stealSize int) *heapQueue[T] {
 	q := &heapQueue[T]{
-		local:     *pq.NewBucketQueue[T](arity, 256),
+		local:     *pq.NewBucketQueue[T](256),
 		stealSize: stealSize,
 	}
 	if stealSize == 0 {
@@ -117,15 +117,20 @@ func (q *heapQueue[T]) PushLocalBatch(ps []uint64, vs []T) {
 //
 // It is PopLocalBatch(1, …) written out (sched's TestPopIsPopNOfOne pins
 // that the two pop the same sequence), kept — with smqWorker.Pop above
-// it — because the SMQ's scalar pop is a few tens of nanoseconds and the
-// batch path's merge loop shows at that scale: with Pop routed through
-// PopN and PopLocalBatch, bench's `hold` (2 cores, W = 2, 15 s, 10
-// rotating rounds) read tasks_per_s.smq 14.82 M/s [q1 14.36, q3 15.43]
-// → 13.97 [12.96, 14.61], 2 of 10 rounds won, below the parent's
-// quartiles; the sizing run before it 15.45 → 14.45 and, at one
-// worker, 7.60 → 7.23. Every other scheduler's Pop is PopN of one; the
-// callers select here by which method they invoke, and the benchmark
-// has a workload on each side (`hold` scalar, the other four batched).
+// it — because the SMQ's scalar pop over the bucket window is a few tens
+// of nanoseconds and the batch path's merge loop shows at that scale.
+// bench's `hold -sched smq` (2 vCPUs, W = 2, 15 s runs, 8 rotating
+// rounds) read tasks_per_s.smq, as median [q1, q3]:
+//
+//   - as written here: 73.9 M/s [64.4, 80.5];
+//   - with PopLocal routed through PopLocalBatch(1, …): 59.1 [56.9,
+//     64.5], behind in 7 of 8 rounds;
+//   - with smqWorker.Pop routed through PopN of one: 30.8 [29.0, 33.5],
+//     behind in 8 of 8.
+//
+// Every other scheduler's Pop is PopN of one; the callers select here by
+// which method they invoke, and the benchmark has a workload on each
+// side (`hold` scalar, the other four batched).
 func (q *heapQueue[T]) PopLocal() (p uint64, v T, ok bool) {
 	s := q.state.Load()
 	best, fromRun := q.local.Top(), false

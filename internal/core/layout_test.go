@@ -25,7 +25,7 @@ func TestHeapQueueLayout(t *testing.T) {
 	// The item array is whole lines too: the owner rewrites it on every
 	// refill, next to whatever the allocator placed beside it.
 	for _, stealSize := range []int{1, 4, 5, 64} {
-		if c := cap(newHeapQueue[int](4, stealSize).buf); c < stealSize || c*int(unsafe.Sizeof(q.buf[0]))%64 != 0 {
+		if c := cap(newHeapQueue[int](stealSize).buf); c < stealSize || c*int(unsafe.Sizeof(q.buf[0]))%64 != 0 {
 			t.Fatalf("stealSize %d: item array of %d items is not whole cache lines", stealSize, c)
 		}
 	}

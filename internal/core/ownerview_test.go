@@ -33,7 +33,7 @@ type ownerTask struct {
 // released by the queue.
 func TestOwnerViewIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	q := newHeapQueue[*ownerTask](pq.DefaultArity, 4)
+	q := newHeapQueue[*ownerTask](4)
 	var released atomic.Int64 // payloads whose cleanup has run
 	var held []pq.Item[int]   // the oracle: (priority, id) of the tasks the owner holds
 	var taken []bool          // id -> came out already

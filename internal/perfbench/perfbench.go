@@ -74,8 +74,9 @@ type Report struct {
 }
 
 // Validate checks a report against the schema contract. Writers run it
-// over the artifact they are about to emit and cmd/benchcheck over the
-// bytes on disk, so a drifting writer fails the build.
+// over the artifact they are about to emit, and `smqbench -assemble`
+// (harness.Plan.AssembleFragment) over the bytes on disk, so a drifting
+// writer fails the build.
 func Validate(r *Report) error {
 	if r == nil {
 		return fmt.Errorf("perfbench: nil report")

@@ -21,7 +21,7 @@ func TestSteadyStateBucketHoldAllocFree(t *testing.T) {
 	for _, windows := range []int{64, 2} {
 		t.Run(fmt.Sprintf("%d windows", windows), func(t *testing.T) {
 			const resident = 4096
-			q := NewBucketQueue[int](4, resident)
+			q := NewBucketQueue[int](resident)
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < resident; i++ {
 				q.Push(uint64(rng.Intn(windows*bucketWindow)), i)

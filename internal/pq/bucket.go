@@ -6,13 +6,14 @@ import (
 )
 
 // BucketQueue is an exact min-queue of width-1 buckets over a circular
-// window of bucketWindow consecutive priorities, with a DHeap behind the
-// window for every task outside it. A task inside the window costs O(1)
-// to push and to pop: its bucket is a LIFO list, and a two-level bitmap
-// finds the next non-empty bucket. The SMQ's local queue is one (see
-// core.heapQueue): once a worker's queue holds thousands of tasks, the
-// heap's sift-down is most of a pop, whereas the frontier of a hold or
-// SSSP workload spans a few hundred priorities, which the window covers.
+// window of bucketWindow consecutive priorities, with a DHeap of fan-out
+// DefaultArity (4) behind the window for every task outside it. A task
+// inside the window costs O(1) to push and to pop: its bucket is a LIFO
+// list, and a two-level bitmap finds the next non-empty bucket. The
+// SMQ's local queue is one (see core.heapQueue): once a worker's queue
+// holds thousands of tasks, the heap's sift-down is most of a pop,
+// whereas the frontier of a hold or SSSP workload spans a few hundred
+// priorities, which the window covers.
 //
 // Every pop returns a minimum-priority task. Equal priorities in one
 // bucket come out newest first; the heap breaks its own ties.
@@ -64,12 +65,11 @@ type bucketNode[T any] struct {
 	next int32
 }
 
-// NewBucketQueue returns an empty queue whose heap has fan-out d and
-// whose heap and bucket pool have room for capacity tasks each. It panics
-// if d < 2.
-func NewBucketQueue[T any](d, capacity int) *BucketQueue[T] {
+// NewBucketQueue returns an empty queue whose heap (fan-out
+// DefaultArity) and bucket pool have room for capacity tasks each.
+func NewBucketQueue[T any](capacity int) *BucketQueue[T] {
 	return &BucketQueue[T]{
-		heap:  *NewDHeapCap[T](d, capacity),
+		heap:  *NewDHeapCap[T](DefaultArity, capacity),
 		nodes: make([]bucketNode[T], 1, capacity+1), // and the nil node
 		b:     new(buckets),
 	}

@@ -32,7 +32,7 @@ func bucketPops(t *testing.T, q *BucketQueue[int], want ...uint64) {
 // bucketed tasks fit, and the heap's tasks inside the moved window follow
 // into their buckets.
 func TestBucketQueueSlides(t *testing.T) {
-	q := NewBucketQueue[int](4, 0)
+	q := NewBucketQueue[int](0)
 	q.Push(10000, 0) // an empty window is placed at the push
 	q.Push(8000, 1)  // below, and 10000 still fits: slide
 	bucketState(t, q, 2, 0, 8000)
@@ -40,7 +40,7 @@ func TestBucketQueueSlides(t *testing.T) {
 	q.Push(5000, 3)  // below, and 10000 would not fit
 	bucketState(t, q, 2, 2, 8000)
 
-	q = NewBucketQueue[int](4, 0)
+	q = NewBucketQueue[int](0)
 	q.Push(0, 0)
 	q.Push(5000, 1) // above the window at 0
 	q.Push(7000, 2)
@@ -60,7 +60,7 @@ func TestBucketQueueSlides(t *testing.T) {
 // heap, a pop moves the bucketed tasks into the heap and places the
 // window at the heap's minimum, taking in every heap task that fits.
 func TestBucketQueueEvictsAndRefills(t *testing.T) {
-	q := NewBucketQueue[int](4, 0)
+	q := NewBucketQueue[int](0)
 	q.Push(100000, 0)
 	q.Push(100001, 1)
 	for p := uint64(0); p < 3; p++ {
@@ -76,7 +76,7 @@ func TestBucketQueueEvictsAndRefills(t *testing.T) {
 // minimum and holds more tasks than the heap, the heap serves the pop and
 // the window stays as it is.
 func TestBucketQueueHeapServes(t *testing.T) {
-	q := NewBucketQueue[int](4, 0)
+	q := NewBucketQueue[int](0)
 	for p := uint64(100000); p < 100003; p++ {
 		q.Push(p, 0)
 	}
@@ -93,7 +93,7 @@ func TestBucketQueueHeapServes(t *testing.T) {
 // first, and a window whose slots wrap past the last bucket pops in
 // priority order, up to the largest valid priority.
 func TestBucketQueueTiesAndWrap(t *testing.T) {
-	q := NewBucketQueue[int](4, 0)
+	q := NewBucketQueue[int](0)
 	q.Push(5, 1)
 	q.Push(5, 2)
 	q.Push(5, 3)
@@ -149,7 +149,7 @@ func FuzzBucketOrder(f *testing.F) {
 	f.Add(slices.Concat(bucketAbs(100000), bucketAbs(100001), bucketAbs(100002), bucketAbs(0), bucketAbs(1),
 		pop, pop, bucketRel(-2000, 2), pop, drain))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q := NewBucketQueue[int](4, 0)
+		q := NewBucketQueue[int](0)
 		o := &orderOracle{t: t}
 		var last uint64 // the last priority popped
 		var batch []Item[int]

@@ -8,9 +8,9 @@ import (
 // DHeap is a sequential d-ary min-heap. The paper's SMQ uses d = 4
 // thread-local heaps (§4): a wider fan-out shortens the sift-down path and
 // keeps more of each level in one cache line, which is why it outperforms
-// the binary heap for scheduler-sized workloads (see the ablation benches).
-// Here the SMQ's heap sits behind a BucketQueue's window, and the
-// Multi-Queues and the sequential baselines use it bare.
+// the binary heap for scheduler-sized workloads (BenchmarkLocalQueue_DHeap2,
+// 4 and 8). Here the SMQ's heap sits behind a BucketQueue's window, at
+// d = 4, and the Multi-Queues and the sequential baselines use it bare.
 //
 // The priorities live in an array of their own, apart from the payloads,
 // so that a sift compares keys only, and each group of siblings starts on

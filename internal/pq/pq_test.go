@@ -20,7 +20,7 @@ func makers() map[string]func() Queue[int] {
 		"dheap4":   func() Queue[int] { return NewDHeap[int](4) },
 		"dheap8":   func() Queue[int] { return NewDHeap[int](8) },
 		"skiplist": func() Queue[int] { return NewSeqSkipList[int](1) },
-		"bucket":   func() Queue[int] { return NewBucketQueue[int](4, 0) },
+		"bucket":   func() Queue[int] { return NewBucketQueue[int](0) },
 	}
 }
 
@@ -583,8 +583,8 @@ func BenchmarkLocalQueue_DHeap8(b *testing.B) {
 	benchQueue(b, "uint32", func() Queue[uint32] { return NewDHeap[uint32](8) })
 }
 func BenchmarkLocalQueue_Bucket(b *testing.B) {
-	benchQueue(b, "int", func() Queue[int] { return NewBucketQueue[int](4, 0) })
-	benchQueue(b, "uint32", func() Queue[uint32] { return NewBucketQueue[uint32](4, 0) })
+	benchQueue(b, "int", func() Queue[int] { return NewBucketQueue[int](0) })
+	benchQueue(b, "uint32", func() Queue[uint32] { return NewBucketQueue[uint32](0) })
 }
 func BenchmarkLocalQueue_SkipList(b *testing.B) {
 	benchQueue(b, "int", func() Queue[int] { return NewSeqSkipList[int](1) })

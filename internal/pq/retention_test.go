@@ -72,8 +72,8 @@ func TestSeqSkipListReleasesPoppedPayloads(t *testing.T) {
 // tasks, the heap the rest, and the first pop evicts the five into the
 // heap before the window moves to its minimum.
 func TestBucketQueueReleasesPoppedPayloads(t *testing.T) {
-	testPayloadReleased(t, "BucketQueue", NewBucketQueue[*[64]byte](4, 0), ascending)
-	testPayloadReleased(t, "BucketQueue (spread)", NewBucketQueue[*[64]byte](4, 0),
+	testPayloadReleased(t, "BucketQueue", NewBucketQueue[*[64]byte](0), ascending)
+	testPayloadReleased(t, "BucketQueue (spread)", NewBucketQueue[*[64]byte](0),
 		func(i int) uint64 { return uint64(49-i) * 1000 })
 }
 

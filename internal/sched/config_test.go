@@ -37,7 +37,6 @@ func TestConfigValidation(t *testing.T) {
 		{name: "core/negative workers", cfg: core.Config{Workers: -4}, valid: false},
 		{name: "core/StealProb above 1", cfg: core.Config{Workers: 2, StealProb: 1.5}, valid: false},
 		{name: "core/negative StealSize", cfg: core.Config{Workers: 2, StealSize: -1}, valid: false},
-		{name: "core/HeapArity 1", cfg: core.Config{Workers: 2, HeapArity: 1}, valid: false},
 		{name: "core/negative NUMAWeightK", cfg: core.Config{Workers: 2, NUMAWeightK: -8}, valid: false},
 		{name: "core/NaN StealProb", cfg: core.Config{Workers: 2, StealProb: math.NaN()}, valid: false},
 		{name: "core/NaN NUMAWeightK", cfg: core.Config{Workers: 2, NUMAWeightK: math.NaN()}, valid: false},

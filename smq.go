@@ -151,10 +151,8 @@
 // this platform builds. A test oracle lives in its package's _test.go
 // files. The declared test-support list, each entry with its reason in
 // the test, holds what tests of another package need and a _test.go
-// file cannot export: core.NewBenchQueue with BenchQueue.Refill and
-// Steal (the root BenchmarkAblation_StealBuffer), benchutil.Throughput
-// (six scheduler packages' throughput benchmarks) and geom.BruteKNN
-// (algos' k-NN oracle).
+// file cannot export: benchutil.Throughput (six scheduler packages'
+// throughput benchmarks) and geom.BruteKNN (algos' k-NN oracle).
 //
 // # Simulation & safe lookahead
 //
@@ -279,7 +277,6 @@
 //	smqbench -exp fig2 -scale 1 -threads 1,2,4        # run and print the tables
 //	smqbench -exp fig2 -listcells                     # print the enumeration
 //	smqbench -exp fig2 -fragment fig2.json            # run, write every cell's result
-//	benchcheck fig2.json                              # re-validate the file on disk
 //	smqbench -exp fig2 -assemble fig2.json            # render the tables from it
 //
 // A fragment is self-contained schema-versioned JSON (internal/perfbench)

@@ -23,11 +23,8 @@ import (
 // only tests use them, each with its reason: a _test.go file cannot be
 // imported by another package.
 var testSupport = map[string]string{
-	"repro/internal/core.NewBenchQueue":     "the root BenchmarkAblation_StealBuffer builds its queue with it",
-	"repro/internal/core.BenchQueue.Refill": "the root BenchmarkAblation_StealBuffer refills the owner's heap with it",
-	"repro/internal/core.BenchQueue.Steal":  "the root BenchmarkAblation_StealBuffer claims the published batch with it",
-	"repro/internal/benchutil.Throughput":   "six scheduler packages' throughput benchmarks share it",
-	"repro/internal/geom.BruteKNN":          "algos' k-NN tests check the parallel k-NN graph against it",
+	"repro/internal/benchutil.Throughput": "six scheduler packages' throughput benchmarks share it",
+	"repro/internal/geom.BruteKNN":        "algos' k-NN tests check the parallel k-NN graph against it",
 }
 
 // TestEveryDeclarationIsUsed fails on a declaration of the module (a

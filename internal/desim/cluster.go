@@ -14,7 +14,11 @@ const (
 	evTask       uint8 = 3
 )
 
-// ClusterConfig parameterizes the simulated serving cluster.
+// ClusterConfig parameterizes the simulated serving cluster. The
+// traffic is fixed: 8 tenants drawn Zipf(0.99) (clusterTenants,
+// tenantSkew), a mean interarrival gap of 400 ticks per station
+// (meanGap), and bounded-Pareto service costs in [16, 4096] ticks at
+// tail index 1.5 (serviceMin, serviceMax, serviceAlpha).
 type ClusterConfig struct {
 	// Stations is the number of service stations (independent FIFO
 	// servers). 0 means 64.
@@ -23,17 +27,6 @@ type ClusterConfig struct {
 	// run executes exactly 2·Stations·ArrivalsPerStation events (one
 	// arrival + one completion each). 0 means 1024.
 	ArrivalsPerStation int
-	// Tenants and TenantSkew shape the Zipf tenant mix. 0 means 8
-	// tenants at skew 0.99.
-	Tenants    int
-	TenantSkew float64
-	// MeanGap is the mean interarrival gap per station in simulated
-	// ticks. 0 means 400.
-	MeanGap float64
-	// ServiceMin/ServiceMax/ServiceAlpha shape the bounded-Pareto
-	// service cost. Zeros mean [16, 4096] ticks at tail index 1.5.
-	ServiceMin, ServiceMax float64
-	ServiceAlpha           float64
 	// Workers must match the Config.Workers of the run (per-worker
 	// result shards). Required.
 	Workers int
@@ -51,29 +44,23 @@ func (c *ClusterConfig) normalize() error {
 	if c.ArrivalsPerStation <= 0 {
 		c.ArrivalsPerStation = 1024
 	}
-	if c.Tenants <= 0 {
-		c.Tenants = 8
-	}
-	if c.TenantSkew == 0 {
-		c.TenantSkew = 0.99
-	}
-	if c.MeanGap <= 0 {
-		c.MeanGap = 400
-	}
-	if c.ServiceMin <= 0 {
-		c.ServiceMin = 16
-	}
-	if c.ServiceMax <= c.ServiceMin {
-		c.ServiceMax = 4096
-	}
-	if c.ServiceAlpha <= 0 {
-		c.ServiceAlpha = 1.5
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return nil
 }
+
+// The cluster's traffic (see ClusterConfig): the tenant mix, the mean
+// interarrival gap and the service-cost range in ticks, and the costs'
+// tail index.
+const (
+	clusterTenants = 8
+	tenantSkew     = 0.99
+	meanGap        = 400.0
+	serviceMin     = 16.0
+	serviceMax     = 4096.0
+	serviceAlpha   = 1.5
+)
 
 // station is one FIFO server. Its arrival events are self-chained —
 // arrival n pushes arrival n+1 — so exactly one event ever touches a
@@ -121,11 +108,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:      cfg,
-		zipf:     xrand.NewZipf(cfg.Tenants, cfg.TenantSkew),
-		pareto:   xrand.NewBoundedPareto(cfg.ServiceMin, cfg.ServiceMax, cfg.ServiceAlpha),
+		zipf:     xrand.NewZipf(clusterTenants, tenantSkew),
+		pareto:   xrand.NewBoundedPareto(serviceMin, serviceMax, serviceAlpha),
 		stations: make([]station, cfg.Stations),
 		shards:   make([]clusterShard, cfg.Workers),
-		hists:    make([]perfbench.Histogram, cfg.Workers*cfg.Tenants),
+		hists:    make([]perfbench.Histogram, cfg.Workers*clusterTenants),
 	}
 	for i := range c.stations {
 		c.stations[i].rng.Seed(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15)
@@ -139,8 +126,8 @@ func (c *Cluster) Name() string { return "cluster" }
 // clamps later timestamps into its last bucket, which only relaxes the
 // check for those stragglers, so a generous estimate is safe.
 func (c *Cluster) Horizon() uint64 {
-	arrivalSpan := float64(c.cfg.ArrivalsPerStation) * c.cfg.MeanGap * 8
-	backlog := c.cfg.ServiceMax * 64
+	arrivalSpan := float64(c.cfg.ArrivalsPerStation) * meanGap * 8
+	backlog := serviceMax * 64
 	return uint64(arrivalSpan+backlog) + 1024
 }
 
@@ -158,7 +145,7 @@ func (c *Cluster) Seed(push Pusher) {
 }
 
 func (c *Cluster) gap(st *station) uint64 {
-	g := uint64(st.rng.ExpFloat64() * c.cfg.MeanGap)
+	g := uint64(st.rng.ExpFloat64() * meanGap)
 	if g == 0 {
 		g = 1
 	}
@@ -193,7 +180,7 @@ func (c *Cluster) Handle(worker int, ev Event, push Pusher) {
 		sh := &c.shards[worker]
 		sh.completed++
 		sh.checksum += mix64(ev.T ^ uint64(ev.A)<<40 ^ uint64(ev.B))
-		c.hists[worker*c.cfg.Tenants+int(ev.A)].Record(uint64(ev.B) + 1)
+		c.hists[worker*clusterTenants+int(ev.A)].Record(uint64(ev.B) + 1)
 	default:
 		panic(fmt.Sprintf("desim: cluster got unknown event kind %d", ev.Kind))
 	}
@@ -218,28 +205,6 @@ func (c *Cluster) Completed() uint64 {
 		n += c.shards[i].completed
 	}
 	return n
-}
-
-// PerTenant merges the worker-sharded histograms into per-tenant
-// sojourn percentiles (simulated ticks, +1 recording offset removed by
-// no one: the offset is identical across schedulers, so the identity
-// contract is unaffected).
-func (c *Cluster) PerTenant() []TenantDesimResult {
-	out := make([]TenantDesimResult, c.cfg.Tenants)
-	for t := 0; t < c.cfg.Tenants; t++ {
-		var merged perfbench.Histogram
-		for w := 0; w < c.cfg.Workers; w++ {
-			merged.Merge(&c.hists[w*c.cfg.Tenants+t])
-		}
-		out[t] = TenantDesimResult{
-			Tenant:    t,
-			Completed: merged.Count(),
-			P50:       merged.Quantile(0.50),
-			P99:       merged.Quantile(0.99),
-			P999:      merged.Quantile(0.999),
-		}
-	}
-	return out
 }
 
 // mix64 is the splitmix64 finalizer — the repository's standard bit

@@ -5,15 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// DAGConfig parameterizes the task-DAG workload.
+// DAGConfig parameterizes the task-DAG workload. Every task past the
+// first layer has dagDegree (3) predecessors in the previous layer,
+// chosen pseudo-randomly from Seed; duplicates are allowed and counted
+// as parallel edges.
 type DAGConfig struct {
 	// Layers and Width shape the layered DAG: Layers·Width tasks, one
 	// event each. Zeros mean 256 layers of 256 tasks.
 	Layers, Width int
-	// Degree is each task's predecessor count in the previous layer
-	// (edges chosen pseudo-randomly from Seed; duplicates allowed and
-	// counted as parallel edges). 0 means 3.
-	Degree int
 	// Workers must match the Config.Workers of the run. Required.
 	Workers int
 	// Seed makes the DAG shape and task weights reproducible. 0 means 1.
@@ -30,14 +29,14 @@ func (c *DAGConfig) normalize() error {
 	if c.Width <= 0 {
 		c.Width = 256
 	}
-	if c.Degree <= 0 {
-		c.Degree = 3
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return nil
 }
+
+// dagDegree is each task's predecessor count (see DAGConfig).
+const dagDegree = 3
 
 // dagShard is one worker's slice of the commutative outputs.
 type dagShard struct {
@@ -88,7 +87,7 @@ func NewDAG(cfg DAGConfig) (*DAG, error) {
 	for l := 1; l < cfg.Layers; l++ {
 		for i := 0; i < cfg.Width; i++ {
 			v := l*cfg.Width + i
-			for j := 0; j < cfg.Degree; j++ {
+			for j := 0; j < dagDegree; j++ {
 				p := (l-1)*cfg.Width + int(mix64(cfg.Seed^uint64(v)<<20^uint64(j))%uint64(cfg.Width))
 				d.succ[p] = append(d.succ[p], uint32(v))
 				d.indeg[v].Add(1)

@@ -77,6 +77,8 @@ type Model interface {
 	// order-independent way: two runs that simulated the same system
 	// must produce equal checksums regardless of scheduler.
 	Checksum() uint64
+	// Events is the exact number of events a full run executes.
+	Events() uint64
 }
 
 // Config parameterizes a simulation run.
@@ -128,7 +130,9 @@ type workerStats struct {
 
 // Run drives the model to quiescence on the given scheduler and
 // reports event throughput and causality accounting. The scheduler
-// must have cfg.Workers worker slots.
+// must have cfg.Workers worker slots. A run that executes another
+// number of events than the model defines lost or duplicated some, and
+// is an error.
 func Run(s sched.Scheduler[Event], m Model, cfg Config) (Stats, error) {
 	if cfg.Workers <= 0 {
 		return Stats{}, fmt.Errorf("desim: Config.Workers = %d, must be positive", cfg.Workers)
@@ -196,6 +200,10 @@ func Run(s sched.Scheduler[Event], m Model, cfg Config) (Stats, error) {
 			return false
 		})
 
+	if want := m.Events(); events != want {
+		return Stats{}, fmt.Errorf("desim: %s executed %d events, model defines %d (lost or duplicated events)",
+			m.Name(), events, want)
+	}
 	out := Stats{Events: events, Duration: elapsed}
 	var leadSum int64
 	for i := range stats {

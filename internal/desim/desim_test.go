@@ -232,26 +232,6 @@ func TestCBPQWithinZeroBound(t *testing.T) {
 	}
 }
 
-// TestBoundSourceLabels pins the window-provenance labels the reports
-// carry (schema >= 6).
-func TestBoundSourceLabels(t *testing.T) {
-	cases := []struct {
-		bound int64
-		exact bool
-		want  string
-	}{
-		{-1, false, "unchecked"},
-		{0, true, "exact"},
-		{1028, true, "exact"},
-		{512, false, "expectation"},
-	}
-	for _, c := range cases {
-		if got := BoundSource(c.bound, c.exact); got != c.want {
-			t.Errorf("BoundSource(%d, %t) = %q, want %q", c.bound, c.exact, got, c.want)
-		}
-	}
-}
-
 // TestBelowBoundViolationsDetected drives a relaxed scheduler with a
 // window far below its actual relaxation and requires the check to
 // notice. One worker makes the run deterministic: a classic Multi-Queue
@@ -316,114 +296,37 @@ func TestDAGMakespanIdenticalAcrossSchedulers(t *testing.T) {
 	}
 }
 
-// lookup resolves a zoo name at the Event payload.
-func lookup(t *testing.T, name string) zoo.Spec[Event] {
-	t.Helper()
-	spec, ok := zoo.Lookup[Event](name)
-	if !ok {
-		t.Fatalf("no zoo spec %q", name)
-	}
-	return spec
+// reseeded pushes its model's first initial event copies times (0 loses
+// it, 2 duplicates it) and every other one once.
+type reseeded struct {
+	Model
+	copies int
 }
 
-func TestRunOneUnknownScheduler(t *testing.T) {
-	// A failed lookup returns the zero spec, which RunOne must refuse.
-	unknown, _ := zoo.Lookup[Event]("definitely-not-a-scheduler")
-	if _, err := RunOne(unknown, "cluster", BenchConfig{Workers: 2}); err == nil {
-		t.Fatal("want error for unknown scheduler")
-	}
-	if _, err := RunOne(lookup(t, "smq"), "not-a-model", BenchConfig{Workers: 2}); err == nil {
-		t.Fatal("want error for unknown model")
-	}
+func (m reseeded) Seed(push Pusher) {
+	n := m.copies
+	m.Model.Seed(func(ev Event) {
+		for range n {
+			push(ev)
+		}
+		n = 1
+	})
 }
 
-// TestRunOneSmoke runs a tiny scheduler × model grid end to end: every
-// run passes validateDesim (RunOne validates internally), and every
-// scheduler of one model reports the same checksum.
-func TestRunOneSmoke(t *testing.T) {
-	wantSource := map[string]string{"coarse": "exact", "cbpq": "exact", "smq": "expectation", "klsm": "exact"}
-	for _, model := range []string{"cluster", "dag"} {
-		var want uint64
-		for i, name := range []string{"coarse", "cbpq", "smq", "klsm"} {
-			dr, err := RunOne(lookup(t, name), model, BenchConfig{Workers: 2, Events: 40_000, Layers: 32, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (name == "klsm" || name == "cbpq") && dr.Violations != 0 {
-				t.Fatalf("%s %s run has %d violations", name, model, dr.Violations)
-			}
-			if name == "coarse" && model == "cluster" && len(dr.PerTenant) == 0 {
-				t.Fatal("cluster run missing per-tenant section")
-			}
-			if dr.BoundSource != wantSource[name] {
-				t.Fatalf("%s %s bound_source %q, want %q", name, model, dr.BoundSource, wantSource[name])
-			}
-			if i == 0 {
-				want = dr.Checksum
-			} else if dr.Checksum != want {
-				t.Fatalf("%s %s checksum %#x != coarse %#x", name, model, dr.Checksum, want)
-			}
-		}
-	}
-}
-
-// TestValidateDesimRejects feeds the validator one broken claim at a
-// time, starting from runs RunOne produced (and so accepted). The
-// load-bearing case is a violation under an exact bound the window
-// covers: that run asserts a safety property it disproved.
-func TestValidateDesimRejects(t *testing.T) {
-	var base []DesimResult
-	for _, name := range []string{"klsm", "smq", "obim"} {
-		dr, err := RunOne(lookup(t, name), "cluster", BenchConfig{Workers: 2, Events: 20_000, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		base = append(base, dr)
-	}
-	const exact, expectation, unchecked = 0, 1, 2
-	for i, want := range []string{"exact", "expectation", "unchecked"} {
-		if got := base[i].BoundSource; got != want {
-			t.Fatalf("%s bound_source = %q, want %q", base[i].Scheduler, got, want)
-		}
-	}
-	if dr := base[exact]; dr.Lookahead < dr.RankBound {
-		t.Fatalf("klsm window %d does not cover its bound %d", dr.Lookahead, dr.RankBound)
-	}
-	for _, tc := range []struct {
-		name string
-		run  int
-		mut  func(dr *DesimResult)
-		want string
-	}{
-		{"accepted as generated", exact, func(*DesimResult) {}, ""},
-		{"violation under a covering exact bound", exact, func(dr *DesimResult) { dr.Violations = 1 },
-			"1 causality violations with lookahead"},
-		{"violation under an expectation bound is informative", expectation, func(dr *DesimResult) { dr.Violations = 1 }, ""},
-		{"violation reported by an unchecked run", unchecked, func(dr *DesimResult) { dr.Violations = 1 },
-			"violations reported by an unchecked run"},
-		{"exact label on an inexact bound", expectation, func(dr *DesimResult) { dr.BoundSource = "exact" },
-			"bound_source exact contradicts"},
-		{"expectation label on an exact bound", exact, func(dr *DesimResult) { dr.BoundSource = "expectation" },
-			"bound_source expectation contradicts"},
-		{"unchecked label with a window", exact, func(dr *DesimResult) { dr.BoundSource = "unchecked" },
-			"bound_source unchecked but lookahead"},
-		{"exact label without a window", unchecked, func(dr *DesimResult) { dr.BoundSource, dr.BoundExact = "exact", true },
-			"bound_source exact contradicts"},
-		{"missing label", exact, func(dr *DesimResult) { dr.BoundSource = "" }, "want exact/expectation/unchecked"},
-		{"non-monotone tenant percentiles", exact, func(dr *DesimResult) {
-			ten := &dr.PerTenant[0]
-			ten.P50 = ten.P99 + 1
-		}, "non-monotone sojourn percentiles"},
-	} {
-		dr := base[tc.run]
-		dr.PerTenant = append([]TenantDesimResult(nil), dr.PerTenant...)
-		tc.mut(&dr)
-		err := validateDesim(&dr)
-		switch {
-		case tc.want == "" && err != nil:
-			t.Errorf("%s: %v", tc.name, err)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
+// TestRunRejectsMiscountedEvents: a run that loses or duplicates events
+// executes another number than its model defines, and Run reports it as
+// an error instead of its stats. Losing station 0's first arrival loses
+// its whole arrival chain; pushing it twice starts a second chain on the
+// station, so the run stays on one worker: a station's state belongs to
+// one chain at a time.
+func TestRunRejectsMiscountedEvents(t *testing.T) {
+	const workers = 1
+	spec, _ := zoo.Lookup[Event]("coarse")
+	for _, copies := range []int{0, 2} {
+		m := reseeded{testCluster(t, workers), copies}
+		_, err := Run(spec.Make(workers, 7), m, Config{Workers: workers, Lookahead: -1})
+		if err == nil || !strings.Contains(err.Error(), "lost or duplicated events") {
+			t.Errorf("first event pushed %d times: Run err = %v, want a miscounted-events error", copies, err)
 		}
 	}
 }

@@ -17,24 +17,31 @@ import (
 func planDesim(cfg RunConfig) (*Plan, error) {
 	var specs []zoo.Spec[desim.Event]
 	for _, name := range []string{"coarse", "mq", "smq", "klsm", "obim"} {
-		spec, _ := zoo.Lookup[desim.Event](name)
+		spec, ok := zoo.Lookup[desim.Event](name)
+		if !ok {
+			return nil, fmt.Errorf("harness: desim: unknown scheduler %q (known: %v)", name, zoo.Names())
+		}
 		specs = append(specs, spec)
 	}
 	return desimPlan(cfg, specs), nil
 }
 
 // desimPlan enumerates the desim grid over the given schedulers. Every
-// cell runs through desim.RunOne, so a run that breaks a per-run rule
-// (zero violations under a covering exact bound among them) comes back
-// as a CellError. All schedulers of one model simulate the same model
-// seed, the seed of the model's first cell, and the assembly refuses a
-// grid in which any of them reports another checksum than the first:
-// the simulated outcome must not depend on the scheduler.
+// cell simulates a fresh model with desim.Run, which refuses a run that
+// lost or duplicated events, with the causality window set to the
+// scheduler's rank bound (schedulers without one run unchecked); a
+// scheduler whose exact bound the window covers must report zero
+// violations, or the cell is a CellError. All schedulers of one model
+// simulate the same model seed, the seed of the model's first cell, and
+// the assembly refuses a grid in which any of them reports another
+// checksum than the first: the simulated outcome must not depend on the
+// scheduler.
 func desimPlan(cfg RunConfig, specs []zoo.Spec[desim.Event]) *Plan {
 	p := NewPlan("desim", cfg)
 	models := []string{"cluster", "dag"}
 	workers := p.Config.MaxThreads
 	events := 100_000 * p.Config.Scale
+	const clusterStations = 64
 
 	var refs []int
 	for _, model := range models {
@@ -47,32 +54,22 @@ func desimPlan(cfg RunConfig, specs []zoo.Spec[desim.Event]) *Plan {
 				Params:    "model=" + model,
 				Threads:   workers,
 			}, func(Cell) (CellResult, error) {
-				dr, err := desim.RunOne(spec, model, desim.BenchConfig{
-					Workers: workers,
-					Events:  events,
-					Layers:  64 * p.Config.Scale,
-					Seed:    seed,
-				})
+				var m desim.Model
+				var err error
+				if model == "cluster" {
+					m, err = desim.NewCluster(desim.ClusterConfig{
+						Stations:           clusterStations,
+						ArrivalsPerStation: events / (2 * clusterStations),
+						Workers:            workers,
+						Seed:               seed,
+					})
+				} else {
+					m, err = desim.NewDAG(desim.DAGConfig{Layers: 64 * p.Config.Scale, Workers: workers, Seed: seed})
+				}
 				if err != nil {
 					return CellResult{}, err
 				}
-				return CellResult{
-					Tasks: dr.Events,
-					Values: map[string]float64{
-						"eps":        dr.EventsPerSec,
-						"events":     float64(dr.Events),
-						"bound":      float64(dr.RankBound),
-						"exact":      b2f(dr.BoundExact),
-						"lookahead":  float64(dr.Lookahead),
-						"violations": float64(dr.Violations),
-						"maxlead":    float64(dr.MaxLead),
-						"meanlead":   dr.MeanLead,
-						// A float64 holds 53 bits: the checksum travels
-						// as two exact 32-bit halves.
-						"checksumhi": float64(dr.Checksum >> 32),
-						"checksumlo": float64(uint32(dr.Checksum)),
-					},
-				}, nil
+				return desimCell(spec, m, workers, seed)
 			}))
 		}
 	}
@@ -110,6 +107,41 @@ func desimPlan(cfg RunConfig, specs []zoo.Spec[desim.Event]) *Plan {
 		return []Table{t}, nil
 	})
 	return p
+}
+
+// desimCell runs model m on the scheduler spec describes, with the
+// lookahead window set to the spec's rank bound at this worker count
+// (-1, unchecked, when it has none), and refuses a run with causality
+// violations under an exact bound.
+func desimCell(spec zoo.Spec[desim.Event], m desim.Model, workers int, seed uint64) (CellResult, error) {
+	bound, exact := spec.RankBound(workers)
+	lookahead := max(bound, -1)
+	st, err := desim.Run(spec.Make(workers, seed), m, desim.Config{Workers: workers, Lookahead: lookahead})
+	if err != nil {
+		return CellResult{}, err
+	}
+	if exact && bound >= 0 && st.Violations > 0 {
+		return CellResult{}, fmt.Errorf("harness: desim/%s/%s: %d causality violations with lookahead %d >= exact bound %d",
+			m.Name(), spec.Name, st.Violations, lookahead, bound)
+	}
+	sum := m.Checksum()
+	return CellResult{
+		Tasks: st.Events,
+		Values: map[string]float64{
+			"eps":        float64(st.Events) / st.Duration.Seconds(),
+			"events":     float64(st.Events),
+			"bound":      float64(bound),
+			"exact":      b2f(exact),
+			"lookahead":  float64(lookahead),
+			"violations": float64(st.Violations),
+			"maxlead":    float64(st.MaxLead),
+			"meanlead":   st.MeanLead,
+			// A float64 holds 53 bits: the checksum travels as two
+			// exact 32-bit halves.
+			"checksumhi": float64(sum >> 32),
+			"checksumlo": float64(uint32(sum)),
+		},
+	}, nil
 }
 
 func b2f(b bool) float64 {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/zoo"
 )
 
 // planServe is the open-loop serving experiment: an offered-load ×
@@ -36,31 +37,7 @@ func planServe(cfg RunConfig) (*Plan, error) {
 				Params:    fmt.Sprintf("rate=%.0f", rate),
 				Threads:   workers,
 			}, func(c Cell) (CellResult, error) {
-				sr, err := serve.RunOne(name, serve.BenchConfig{
-					Rate:    rate,
-					Tasks:   tasksPerRate,
-					Tenants: 4,
-					Skew:    0.99,
-					Workers: workers,
-					Seed:    c.Seed,
-				})
-				if err != nil {
-					return CellResult{}, err
-				}
-				t0 := sr.PerTenant[0]
-				return CellResult{
-					Tasks: uint64(sr.Completed),
-					Values: map[string]float64{
-						"served":     sr.ThroughputTasksPerSec,
-						"completed":  float64(sr.Completed),
-						"stalls":     float64(sr.Stalls),
-						"parks":      float64(sr.Parks),
-						"meanactive": sr.MeanActiveWorkers,
-						"t0p50ns":    t0.P50Ns,
-						"t0p99ns":    t0.P99Ns,
-						"t0p999ns":   t0.P999Ns,
-					},
-				}, nil
+				return serveCell(name, rate, tasksPerRate, workers, c.Seed)
 			}))
 		}
 	}
@@ -87,6 +64,51 @@ func planServe(cfg RunConfig) (*Plan, error) {
 		return []Table{t}, nil
 	})
 	return p, nil
+}
+
+// serveCell serves one open-loop load of tasks requests at rate on the
+// named scheduler, 4 tenants at Zipf 0.99 under PolicyStall, and checks
+// the run's ledger: nothing is shed under PolicyStall, so every request
+// sent must have completed.
+func serveCell(name string, rate float64, tasks, workers int, seed uint64) (CellResult, error) {
+	spec, ok := zoo.Lookup[serve.Request](name)
+	if !ok {
+		return CellResult{}, fmt.Errorf("harness: serve: unknown scheduler %q (known: %v)", name, zoo.Names())
+	}
+	svc, err := serve.New(spec.Make(workers, seed), serve.Config{Workers: workers, Tenants: 4})
+	if err != nil {
+		return CellResult{}, err
+	}
+	svc.Start()
+	_, err = serve.Generate(svc.In(), svc.Epoch(), serve.LoadConfig{
+		Rate: rate, Tasks: tasks, Tenants: 4, Skew: 0.99, Seed: seed,
+	})
+	close(svc.In())
+	st := svc.Wait()
+	if err != nil {
+		return CellResult{}, err
+	}
+	if err := st.CheckLedger(); err != nil {
+		return CellResult{}, err
+	}
+	if st.Shed != 0 || st.Completed != uint64(tasks) {
+		return CellResult{}, fmt.Errorf("harness: serve/%s: %d of %d requests completed, %d shed under PolicyStall",
+			name, st.Completed, tasks, st.Shed)
+	}
+	t0 := &st.PerTenant[0].Latency
+	return CellResult{
+		Tasks: st.Completed,
+		Values: map[string]float64{
+			"served":     float64(st.Completed) / st.Duration.Seconds(),
+			"completed":  float64(st.Completed),
+			"stalls":     float64(st.Stalls),
+			"parks":      float64(st.Parks),
+			"meanactive": st.MeanActiveWorkers,
+			"t0p50ns":    float64(t0.Quantile(0.50)),
+			"t0p99ns":    float64(t0.Quantile(0.99)),
+			"t0p999ns":   float64(t0.Quantile(0.999)),
+		},
+	}, nil
 }
 
 func durCell(ns float64) string {

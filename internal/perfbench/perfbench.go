@@ -6,9 +6,9 @@
 // any package can carry its results in the envelope.
 //
 // The experiment fragment is the only artifact kind: the serve and
-// desim experiments validate each run where it is measured
-// (internal/serve and internal/desim RunOne) and record it as a cell
-// like any other. Throughput, contention and latency trajectories are
+// desim experiments check each run inside its harness cell (serve's
+// Stats.CheckLedger, desim.Run's event count, the exact-bound rule) and
+// record it as a cell like any other. Throughput, contention and latency trajectories are
 // measured by the repo benchmark (`bash bench/run.sh`, see
 // BENCHMARK.json), not here.
 package perfbench

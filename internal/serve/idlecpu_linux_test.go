@@ -25,11 +25,7 @@ func processCPU(t *testing.T) time.Duration {
 // parking the idle fraction sits near zero. The 0.5 bound is deliberately loose for
 // noisy CI machines while still rejecting any spin regression.
 func TestServeIdleCPU(t *testing.T) {
-	s, err := Build("smq", 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := New(s, Config{Workers: 4, Tenants: 1})
+	svc, err := New(build(t, "smq", 4), Config{Workers: 4, Tenants: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

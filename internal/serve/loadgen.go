@@ -20,10 +20,10 @@ type LoadConfig struct {
 	// uniform.
 	Tenants int
 	Skew    float64
-	// CostMin/CostMax/CostAlpha draw service costs from a bounded
-	// Pareto (heavy-ish tail, as real request costs are). Zeros mean
-	// 50..2000 spin units with tail exponent 1.1.
-	CostMin, CostMax, CostAlpha float64
+	// CostMin/CostMax bound the service costs, drawn from a bounded
+	// Pareto of tail exponent costAlpha (heavy-ish tail, as real
+	// request costs are). Zeros mean 50..2000 spin units.
+	CostMin, CostMax float64
 	// Burst quantizes arrivals: requests are scheduled in bursts of
 	// this many at the burst's start instant, keeping the long-run
 	// rate. 0 or 1 means smooth arrivals.
@@ -50,15 +50,9 @@ func (c *LoadConfig) normalize() error {
 	if c.CostMin == 0 && c.CostMax == 0 {
 		c.CostMin, c.CostMax = 50, 2000
 	}
-	if c.CostAlpha == 0 {
-		c.CostAlpha = 1.1
-	}
 	// Costs are drawn as float64 and carried as uint32 spin units.
 	if !(c.CostMin > 0) || !(c.CostMax >= c.CostMin) || !(c.CostMax <= math.MaxUint32) {
 		return fmt.Errorf("serve: load cost range [%g, %g]", c.CostMin, c.CostMax)
-	}
-	if !(c.CostAlpha > 0) || math.IsInf(c.CostAlpha, 0) {
-		return fmt.Errorf("serve: load cost tail exponent %g", c.CostAlpha)
 	}
 	if c.Burst < 1 {
 		c.Burst = 1
@@ -68,6 +62,9 @@ func (c *LoadConfig) normalize() error {
 	}
 	return nil
 }
+
+// costAlpha is the tail exponent of the service costs' bounded Pareto.
+const costAlpha = 1.1
 
 // LoadStats reports what the generator actually offered.
 type LoadStats struct {
@@ -99,7 +96,7 @@ func Generate(in chan<- Request, epoch time.Time, cfg LoadConfig) (LoadStats, er
 		return LoadStats{}, err
 	}
 	z := xrand.NewZipf(cfg.Tenants, cfg.Skew)
-	costs := xrand.NewBoundedPareto(cfg.CostMin, cfg.CostMax, cfg.CostAlpha)
+	costs := xrand.NewBoundedPareto(cfg.CostMin, cfg.CostMax, costAlpha)
 	r := xrand.New(cfg.Seed)
 	base := time.Since(epoch)
 	interval := float64(time.Second) / cfg.Rate

@@ -42,7 +42,7 @@
 // its feed poll received nothing, which for every scheduler in the zoo
 // implies its handle-local structures are empty — so a parked worker can
 // never hold buried tasks, and the zero-lost-tasks ledger (ingested =
-// completed + shed) holds at shutdown.
+// completed + shed, Stats.CheckLedger) holds at shutdown.
 package serve
 
 import (
@@ -83,15 +83,15 @@ const (
 	PolicyShed
 )
 
-// Config parameterizes a Service.
+// Config parameterizes a Service. The elastic pool's floor (minWorkers,
+// 1 pool worker), its scale-up target (tasksPerWorker, 256 pending tasks
+// per unparked pool worker) and the ingest channel's capacity (inBuffer,
+// 4096 requests) are constants: no caller needs another value.
 type Config struct {
 	// Workers is the scheduler's total worker-slot count, including
 	// worker 0, the hybrid ingest worker. Must be >= 2 and must equal
 	// the scheduler's Workers().
 	Workers int
-	// MinWorkers is the elastic pool's floor: pool workers beyond this
-	// many may park. Range [1, Workers-1]; 0 means 1.
-	MinWorkers int
 	// Tenants is the number of traffic classes. 0 means 1.
 	Tenants int
 	// HighWater / LowWater are the admission watermarks on the pending
@@ -102,12 +102,6 @@ type Config struct {
 	LowWater  int64
 	// Policy is the above-watermark behaviour (default PolicyStall).
 	Policy Policy
-	// TasksPerWorker is the pool scale-up target: the ingester keeps
-	// roughly one unparked pool worker per this many pending tasks.
-	// 0 means 256.
-	TasksPerWorker int64
-	// InBuffer is the ingest channel capacity. 0 means 4096.
-	InBuffer int
 }
 
 func (c *Config) normalize() error {
@@ -120,12 +114,6 @@ func (c *Config) normalize() error {
 	if c.Tenants < 1 {
 		return fmt.Errorf("serve: Tenants = %d", c.Tenants)
 	}
-	if c.MinWorkers == 0 {
-		c.MinWorkers = 1
-	}
-	if c.MinWorkers < 1 || c.MinWorkers > c.Workers-1 {
-		return fmt.Errorf("serve: MinWorkers = %d outside [1, %d]", c.MinWorkers, c.Workers-1)
-	}
 	if c.HighWater == 0 {
 		c.HighWater = 1 << 16
 	}
@@ -134,18 +122,6 @@ func (c *Config) normalize() error {
 	}
 	if c.LowWater < 0 || c.LowWater > c.HighWater {
 		return fmt.Errorf("serve: LowWater %d outside [0, HighWater=%d]", c.LowWater, c.HighWater)
-	}
-	if c.TasksPerWorker == 0 {
-		c.TasksPerWorker = 256
-	}
-	if c.TasksPerWorker < 0 {
-		return fmt.Errorf("serve: TasksPerWorker = %d", c.TasksPerWorker)
-	}
-	if c.InBuffer == 0 {
-		c.InBuffer = 4096
-	}
-	if c.InBuffer < 0 {
-		return fmt.Errorf("serve: InBuffer = %d", c.InBuffer)
 	}
 	return nil
 }
@@ -157,6 +133,16 @@ func (c *Config) normalize() error {
 const (
 	serveBatch  = 8
 	ingestBatch = 64
+)
+
+// The elastic pool keeps at least minWorkers pool workers unparked and
+// roughly one per tasksPerWorker pending tasks; inBuffer is the ingest
+// channel's capacity, which lets the generator run ahead of worker 0's
+// drains by 64 ingest batches.
+const (
+	minWorkers     = 1
+	tasksPerWorker = 256
+	inBuffer       = 4096
 )
 
 // TenantStats is one tenant's slice of a run.
@@ -187,6 +173,32 @@ type Stats struct {
 	Duration  time.Duration
 	PerTenant []TenantStats
 	Sched     sched.Stats
+}
+
+// CheckLedger reports an error unless the run balances: Ingested =
+// Completed + Shed, the per-tenant completions and sheds sum to the
+// run's, and each tenant's latency histogram holds one sample per
+// completion. A run that passes dropped nothing it took off the channel,
+// and its percentiles cover every request it served.
+func (st *Stats) CheckLedger() error {
+	if st.Ingested != st.Completed+st.Shed {
+		return fmt.Errorf("serve: LOST TASKS: ingested %d != completed %d + shed %d",
+			st.Ingested, st.Completed, st.Shed)
+	}
+	var completed, shed uint64
+	for t := range st.PerTenant {
+		ts := &st.PerTenant[t]
+		if n := ts.Latency.Count(); n != ts.Completed {
+			return fmt.Errorf("serve: tenant %d: %d latency samples for %d completions", t, n, ts.Completed)
+		}
+		completed += ts.Completed
+		shed += ts.Shed
+	}
+	if completed != st.Completed || shed != st.Shed {
+		return fmt.Errorf("serve: per-tenant totals (%d completed, %d shed) do not sum to run totals (%d, %d)",
+			completed, shed, st.Completed, st.Shed)
+	}
+	return nil
 }
 
 // workerLocal is one worker's private state: its accounting, merged
@@ -251,7 +263,7 @@ func New(s sched.Scheduler[Request], cfg Config) (*Service, error) {
 	sv := &Service{
 		cfg:    cfg,
 		s:      s,
-		in:     make(chan Request, cfg.InBuffer),
+		in:     make(chan Request, inBuffer),
 		locals: make([]contend.Padded[workerLocal], cfg.Workers),
 	}
 	for i := range sv.locals {
@@ -279,7 +291,7 @@ func (sv *Service) Start() {
 	}
 	sv.done = make(chan struct{})
 	sv.epoch = time.Now()
-	sv.pool.init(sv.cfg.MinWorkers, sv.cfg.Workers-1, sv.epoch)
+	sv.pool.init(sv.cfg.Workers-1, sv.epoch)
 	go func() {
 		defer close(sv.done)
 		sched.Stream(sv.s, &sv.pending, sv.cfg.Workers, serveBatch, sv.body(), sv.feed, sv.pool.park)
@@ -477,11 +489,11 @@ func (sv *Service) admit(local *workerLocal) bool {
 func (sv *Service) engaged() bool { return sv.episodes.Load()&1 != 0 }
 
 // desiredWorkers is the pool scale target: one active pool worker per
-// TasksPerWorker pending tasks, clamped to [MinWorkers, Workers-1].
+// tasksPerWorker pending tasks, clamped to [minWorkers, Workers-1].
 func (sv *Service) desiredWorkers() int {
-	d := int(sv.pending.Load() / sv.cfg.TasksPerWorker)
-	if d < sv.cfg.MinWorkers {
-		d = sv.cfg.MinWorkers
+	d := int(sv.pending.Load() / tasksPerWorker)
+	if d < minWorkers {
+		d = minWorkers
 	}
 	if max := sv.cfg.Workers - 1; d > max {
 		d = max
@@ -500,15 +512,13 @@ type pool struct {
 	wake           []chan struct{} // per pool worker, buffered(1); index = wid-1
 	parked         []int           // LIFO stack of parked wids
 	active         int
-	min            int
 	closed         bool
 	parks, unparks uint64
 	lastT          time.Time
 	integralNs     float64 // ∫ (1 + active) dt — the 1 is the ingest worker
 }
 
-func (p *pool) init(min, size int, now time.Time) {
-	p.min = min
+func (p *pool) init(size int, now time.Time) {
 	p.active = size
 	p.wake = make([]chan struct{}, size)
 	for i := range p.wake {
@@ -527,14 +537,14 @@ func (p *pool) note(now time.Time) {
 }
 
 // park is the loop's park hook: it parks worker wid until scaleTo or
-// close wakes it. Refused at the pool's floor — MinWorkers >= 1, so some
+// close wakes it. Refused at the pool's floor — minWorkers >= 1, so some
 // worker besides worker 0 is always polling and a task in a shared
 // structure cannot strand — and once the stream has ended (a post-close
 // parker could sleep through shutdown).
 func (p *pool) park(wid int) bool {
 	now := time.Now()
 	p.mu.Lock()
-	if p.closed || p.active <= p.min {
+	if p.closed || p.active <= minWorkers {
 		p.mu.Unlock()
 		return false
 	}
